@@ -32,8 +32,8 @@ for n_cols in (36, 91, 153):
         builder = OrthoBuilder(n, scheme=scheme, capacity=n_cols)
         gen = _BlockGen(x, y, PrecisionMode.DOUBLE)
         while builder.n_columns < n_cols:
-            for t, col, lap in gen.next_block():
-                if builder.add_column(col, lap, tag=t) and builder.n_columns >= n_cols:
+            for t, col, _ in gen.next_block():
+                if builder.add_column(col, tag=t) and builder.n_columns >= n_cols:
                     break
         row.append(orthogonality_defect(builder.to_basis()))
     print(f"  {n_cols:7d}    {row[0]:.3e}    {row[1]:.3e}    {row[2]:.3e}")

@@ -1,12 +1,12 @@
 """Bivariate orthogonal-polynomial surface fitting with curvature
 regularization and cross-validated strength selection."""
 
-from .basis import (BasisIndex, BasisTable, basis_d2x, basis_d2y, basis_dy,
-                    basis_values, build_basis_table, degree_block,
+from .basis import (BasisIndex, basis_dy, basis_values, degree_block,
                     odd_field_mask)
 from .dataset import (DataPoint, DataSplit, NormalizationMap,
                       NormalizedDataset, SplitConfig, denormalize,
-                      load_dataset, normalize, save_dataset, split)
+                      load_dataset, load_points, normalize, save_dataset,
+                      split)
 from .errors import (DegenerateAxisError, DegenerateFitError,
                      InsufficientDataError, ModelFormatError, OrthofitError,
                      ParseError)

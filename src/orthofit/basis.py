@@ -1,25 +1,26 @@
-"""Graded bivariate monomial basis and its derivative columns.
+"""Graded bivariate monomial basis.
 
 The basis is the total-degree-ordered monomial sequence
 
     1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3, ...
 
 flat index ``t = m(m+1)/2 + j`` where ``m`` is the total degree and ``j``
-the power of y, so entry t is ``x**(m-j) * y**j``.  Values and second
-partial derivatives are generated by recursions that reuse the previous
-degree block (one multiply per entry), which is both cheap and exactly
-reproducible; the dd variants run the same recursions in double-double.
+the power of y, so entry t is ``x**(m-j) * y**j``.  Values come from one
+recursion, ``basis_step``, that builds each degree block from the
+previous one (one multiply per entry), which is both cheap and exactly
+reproducible.  It serves evaluation and the fit alike, in double and in
+double-double.  First y-derivatives follow from the values by the power
+rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .ddarith import dd_div_d, dd_mul_d
+from .ddarith import dd_mul_d
 
 
 class BasisIndex(NamedTuple):
@@ -78,6 +79,34 @@ def _as_rows(x, y):
     return x, y, scalar
 
 
+def basis_step(prev, x, y, out) -> None:
+    """Fill degree block m from block m-1, whole blocks at a time.
+
+    h_{m,0} = x * h_{m-1,0} and h_{m,j} = y * h_{m-1,j-1} for j >= 1.
+    ``prev`` is the (n, m) block m-1 and ``out`` the first w <= m+1
+    columns of block m; both are float arrays, or (hi, lo) pairs for
+    double-double, where x and y stay exact doubles.
+    """
+    if isinstance(out, tuple):
+        w = out[0].shape[1]
+        out[0][:, 0], out[1][:, 0] = dd_mul_d(prev[0][:, 0], prev[1][:, 0], x)
+        out[0][:, 1:], out[1][:, 1:] = dd_mul_d(
+            prev[0][:, :w - 1], prev[1][:, :w - 1], y[:, None])
+    else:
+        w = out.shape[1]
+        np.multiply(x, prev[:, 0], out=out[:, 0])
+        np.multiply(y[:, None], prev[:, :w - 1], out=out[:, 1:])
+
+
+def _block_slices(L: int):
+    """Column slices of (block m-1, block m) for m = 1, 2, ... through L."""
+    m = 1
+    while block_start(m) <= L:
+        start = block_start(m)
+        yield slice(start - m, start), slice(start, min(start + m, L) + 1)
+        m += 1
+
+
 def basis_values(x, y, L: int) -> np.ndarray:
     """Evaluate basis entries 0..L at (x, y).
 
@@ -93,171 +122,32 @@ def basis_values(x, y, L: int) -> np.ndarray:
     x, y, scalar = _as_rows(x, y)
     out = np.empty((x.size, L + 1))
     out[:, 0] = 1.0
-    if L >= 1:
-        out[:, 1] = x
-    if L >= 2:
-        out[:, 2] = y
-    m = 2
-    while block_start(m) <= L:
-        start = block_start(m)
-        prev = start - m
-        out[:, start] = x * out[:, prev]
-        for j in range(1, min(m, L - start) + 1):
-            out[:, start + j] = y * out[:, prev + j - 1]
-        m += 1
+    for prev, cur in _block_slices(L):
+        basis_step(out[:, prev], x, y, out[:, cur])
     return out[0] if scalar else out
 
 
-def basis_d2x(x, y, L: int) -> np.ndarray:
-    """Second x-derivative of every basis entry, same shapes as basis_values."""
-    x, y, scalar = _as_rows(x, y)
-    out = np.zeros((x.size, L + 1))
-    if L >= 3:
-        out[:, 3] = 2.0
-    m = 3
-    while block_start(m) <= L:
-        start = block_start(m)
-        prev = start - m
-        out[:, start] = (m / (m - 2)) * x * out[:, prev]
-        for j in range(1, min(m - 2, L - start) + 1):
-            out[:, start + j] = y * out[:, prev + j - 1]
-        # entries j = m-1 and j = m have x-power < 2: identically zero
-        m += 1
-    return out[0] if scalar else out
-
-
-def basis_d2y(x, y, L: int) -> np.ndarray:
-    """Second y-derivative of every basis entry, same shapes as basis_values."""
-    x, y, scalar = _as_rows(x, y)
-    out = np.zeros((x.size, L + 1))
-    if L >= 5:
-        out[:, 5] = 2.0
-    m = 3
-    while block_start(m) <= L:
-        start = block_start(m)
-        prev = start - m
-        for j in range(2, min(m - 1, L - start) + 1):
-            out[:, start + j] = x * out[:, prev + j]
-        if start + m <= L:
-            out[:, start + m] = (m / (m - 2)) * y * out[:, start - 1]
-        m += 1
-    return out[0] if scalar else out
+def dd_basis_values(x, y, L: int):
+    """Basis values in double-double; returns (hi, lo) of shape (n, L+1)."""
+    x, y, _ = _as_rows(x, y)
+    hi = np.empty((x.size, L + 1))
+    lo = np.zeros((x.size, L + 1))
+    hi[:, 0] = 1.0
+    for prev, cur in _block_slices(L):
+        basis_step((hi[:, prev], lo[:, prev]), x, y, (hi[:, cur], lo[:, cur]))
+    return hi, lo
 
 
 def basis_dy(x, y, L: int) -> np.ndarray:
     """First y-derivative of every basis entry.
 
     Computed by the power rule: entry (m, j) is j * x**(m-j) * y**(j-1),
-    i.e. j times the value column of index (m-1, j-1).
+    i.e. j times entry j-1 of degree block m-1.
     """
     x, y, scalar = _as_rows(x, y)
-    vals = np.atleast_2d(basis_values(x, y, L))
+    vals = basis_values(x, y, L)
     out = np.zeros((x.size, L + 1))
-    for t in range(1, L + 1):
-        _, m, j = degree_block(t)
-        if j >= 1:
-            out[:, t] = j * vals[:, block_start(m - 1) + j - 1]
+    for prev, cur in _block_slices(L):
+        j = np.arange(1, cur.stop - cur.start)
+        out[:, cur.start + 1:cur.stop] = j * vals[:, prev.start + j - 1]
     return out[0] if scalar else out
-
-
-@dataclass(frozen=True)
-class BasisTable:
-    """Per-point basis values and their Laplacian pieces.
-
-    values, d2x, d2y : (n, L+1) arrays; column t holds h_t and its second
-    partials at every point.
-    """
-
-    values: np.ndarray
-    d2x: np.ndarray
-    d2y: np.ndarray
-    L: int
-
-    @property
-    def lap(self) -> np.ndarray:
-        return self.d2x + self.d2y
-
-
-def build_basis_table(x, y, L: int) -> BasisTable:
-    """Build the full value/derivative table for points (x, y)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return BasisTable(
-        values=np.atleast_2d(basis_values(x, y, L)),
-        d2x=np.atleast_2d(basis_d2x(x, y, L)),
-        d2y=np.atleast_2d(basis_d2y(x, y, L)),
-        L=L,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Double-double variants: same recursions carried out in dd arithmetic.
-# x and y stay exact doubles; only the accumulated products are widened.
-# ---------------------------------------------------------------------------
-
-def dd_basis_values(x, y, L: int):
-    """dd basis values; returns (hi, lo) arrays of shape (n, L+1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    hi = np.empty((x.size, L + 1))
-    lo = np.zeros((x.size, L + 1))
-    hi[:, 0] = 1.0
-    if L >= 1:
-        hi[:, 1] = x
-    if L >= 2:
-        hi[:, 2] = y
-    m = 2
-    while block_start(m) <= L:
-        start = block_start(m)
-        prev = start - m
-        hi[:, start], lo[:, start] = dd_mul_d(hi[:, prev], lo[:, prev], x)
-        for j in range(1, min(m, L - start) + 1):
-            hi[:, start + j], lo[:, start + j] = dd_mul_d(
-                hi[:, prev + j - 1], lo[:, prev + j - 1], y)
-        m += 1
-    return hi, lo
-
-
-def dd_basis_d2x(x, y, L: int):
-    """dd second x-derivatives; the m/(m-2) factor is applied exactly."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    hi = np.zeros((x.size, L + 1))
-    lo = np.zeros((x.size, L + 1))
-    if L >= 3:
-        hi[:, 3] = 2.0
-    m = 3
-    while block_start(m) <= L:
-        start = block_start(m)
-        prev = start - m
-        h, l = dd_mul_d(hi[:, prev], lo[:, prev], x)
-        h, l = dd_mul_d(h, l, float(m))
-        hi[:, start], lo[:, start] = dd_div_d(h, l, float(m - 2))
-        for j in range(1, min(m - 2, L - start) + 1):
-            hi[:, start + j], lo[:, start + j] = dd_mul_d(
-                hi[:, prev + j - 1], lo[:, prev + j - 1], y)
-        m += 1
-    return hi, lo
-
-
-def dd_basis_d2y(x, y, L: int):
-    """dd second y-derivatives."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    hi = np.zeros((x.size, L + 1))
-    lo = np.zeros((x.size, L + 1))
-    if L >= 5:
-        hi[:, 5] = 2.0
-    m = 3
-    while block_start(m) <= L:
-        start = block_start(m)
-        prev = start - m
-        for j in range(2, min(m - 1, L - start) + 1):
-            hi[:, start + j], lo[:, start + j] = dd_mul_d(
-                hi[:, prev + j], lo[:, prev + j], x)
-        if start + m <= L:
-            h, l = dd_mul_d(hi[:, start - 1], lo[:, start - 1], y)
-            h, l = dd_mul_d(h, l, float(m))
-            hi[:, start + m], lo[:, start + m] = dd_div_d(h, l, float(m - 2))
-        m += 1
-    return hi, lo

@@ -24,7 +24,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .dataset import SplitConfig, load_dataset, normalize, save_dataset, split
+from .dataset import (SplitConfig, load_dataset, load_points, normalize,
+                      save_dataset, split)
 from .errors import (DegenerateAxisError, DegenerateFitError,
                      InsufficientDataError, ModelFormatError, OrthofitError,
                      ParseError)
@@ -182,29 +183,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_points_2d(path):
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        first = fh.readline()
-        delim = "\t" if "\t" in first else ","
-        header = [h.strip().lower() for h in next(csv.reader([first], delimiter=delim))]
-        pairs = None
-        for cand in (("x", "y"), ("h", "t")):
-            if cand[0] in header and cand[1] in header:
-                pairs = (header.index(cand[0]), header.index(cand[1]))
-                break
-        if pairs is None:
-            raise ParseError(f"point file header {header!r} lacks x,y or H,T", line=1)
-        out = []
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                out.append((float(row[pairs[0]]), float(row[pairs[1]])))
-            except (ValueError, IndexError):
-                raise ParseError("bad point row", line=lineno) from None
-        return out
-
-
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     nmap = model.map
@@ -220,7 +198,7 @@ def cmd_eval(args) -> int:
         Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
         pts = [(float(X), float(Y)) for Y in Ys for X in Xs]
     elif args.points:
-        pts = _read_points_2d(args.points)
+        pts = load_points(args.points)
     else:
         print("error: need --points or --grid", file=sys.stderr)
         return USAGE_ERROR

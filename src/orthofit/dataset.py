@@ -64,9 +64,6 @@ class NormalizationMap:
         Z = self.z_min + np.asarray(z, dtype=float) * (self.z_max - self.z_min)
         return X, Y, Z
 
-    def contains(self, X, Y) -> bool:
-        return bool(self.x_min <= X <= self.x_max and self.y_min <= Y <= self.y_max)
-
 
 @dataclass(frozen=True)
 class NormalizedDataset:
@@ -164,6 +161,19 @@ def load_dataset(source, columns: Sequence[str] | None = None) -> list[DataPoint
         Empty input, unknown header, non-numeric or non-finite field,
         or wrong row arity; the message carries the 1-based line number.
     """
+    return [DataPoint._make(row) for row in _read_columns(source, columns, 3)]
+
+
+def load_points(source) -> list[tuple]:
+    """Parse (x, y) points: the format of load_dataset with the two
+    columns x,y or H,T.  Returns (x, y) tuples in file order and raises
+    ParseError as load_dataset does."""
+    return _read_columns(source, None, 2)
+
+
+def _read_columns(source, columns, width: int) -> list[tuple]:
+    """The parser behind load_dataset and load_points: ``width`` finite
+    numeric columns picked by header name from each data row."""
     if isinstance(source, bytes):
         fh = io.StringIO(source.decode("utf-8-sig"))
         close = False
@@ -185,21 +195,22 @@ def load_dataset(source, columns: Sequence[str] | None = None) -> list[DataPoint
         lower = [h.lower() for h in header]
         if columns is not None:
             wanted = [c.lower() for c in columns]
-            if len(wanted) != 3:
-                raise ValueError("columns must name exactly three headers")
+            if len(wanted) != width:
+                raise ValueError(f"columns must name exactly {width} headers")
         else:
-            wanted = next((list(a) for a in HEADER_ALIASES
+            aliases = [a[:width] for a in HEADER_ALIASES]
+            wanted = next((list(a) for a in aliases
                            if all(c in lower for c in a)), None)
             if wanted is None:
-                raise ParseError(
-                    f"header {header!r} does not contain a known column triple "
-                    "(x,y,z or H,T,M)", line=1)
+                known = " or ".join(",".join(a) for a in aliases)
+                raise ParseError(f"header {header!r} does not contain the "
+                                 f"columns {known} (any case)", line=1)
         try:
             cols = [lower.index(c) for c in wanted]
         except ValueError as exc:
             raise ParseError(f"missing column in header: {exc}", line=1) from None
 
-        points: list[DataPoint] = []
+        rows: list[tuple] = []
         reader = csv.reader(fh, delimiter=delim)
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -217,10 +228,10 @@ def load_dataset(source, columns: Sequence[str] | None = None) -> list[DataPoint
                 if not math.isfinite(v):
                     raise ParseError(f"non-finite field {cell!r}", line=lineno)
                 vals.append(v)
-            points.append(DataPoint(*vals))
-        if not points:
+            rows.append(tuple(vals))
+        if not rows:
             raise ParseError("no data rows", line=2)
-        return points
+        return rows
     finally:
         if close:
             fh.close()

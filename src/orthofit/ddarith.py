@@ -15,8 +15,6 @@ Conventions: functions prefixed ``dd_`` take and return (hi, lo) pairs;
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # 2**27 + 1; splits a double into two 26-bit halves whose product is exact.
@@ -271,11 +269,3 @@ class DD:
     def __hash__(self):
         return hash((self.hi, self.lo))
 
-
-def dd_from_float(x):
-    """Promote an exact double to dd (lossless round trip)."""
-    return DD(x)
-
-
-def dd_isfinite(xh, xl):
-    return math.isfinite(xh) and math.isfinite(xl)

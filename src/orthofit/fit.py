@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import block_start, degree_block
-from .ddarith import DD, comp_dot, dd_add, dd_div_d, dd_matvec, dd_mul_d
+from .basis import basis_step, block_start, degree_block
+from .ddarith import DD, comp_dot, dd_add, dd_matvec, dd_mul_d, dd_sum
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
 from .errors import DegenerateFitError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
@@ -141,10 +141,13 @@ class FitResult:
 
 
 class _BlockGen:
-    """Yields basis columns one degree block at a time.
+    """Yields basis columns one degree block at a time, each with the sum
+    Q(h) of its Laplacian over the points.
 
-    Keeps only the previous block of each recursion, so memory stays
-    O(n * degree) regardless of how far the fit runs.
+    For h = x^i y^j, Q(h) = i(i-1) M[i-2, j] + j(j-1) M[i, j-2] with the
+    moment sums M[a, b] = sum x^a y^b, which are the column sums of degree
+    block m-2.  Keeps only the previous block and the sums of the last two,
+    so memory stays O(n * degree) regardless of how far the fit runs.
     """
 
     def __init__(self, x, y, precision: PrecisionMode):
@@ -152,67 +155,35 @@ class _BlockGen:
         self.y = np.asarray(y, dtype=float)
         self.ext = precision is PrecisionMode.EXTENDED
         self.m = 0
-        self._vals = None
-        self._d2x = None
-        self._d2y = None
-
-    def _const(self, value):
-        n = self.x.size
-        col = np.full(n, value)
-        return (col, np.zeros(n)) if self.ext else col
-
-    def _zero(self):
-        return self._const(0.0)
-
-    def _mul(self, col, coord):
-        if self.ext:
-            return dd_mul_d(col[0], col[1], coord)
-        return coord * col
-
-    def _ratio(self, col, m):
-        # exact m/(m-2) scaling: multiply then divide in dd
-        if self.ext:
-            h, l = dd_mul_d(col[0], col[1], float(m))
-            return dd_div_d(h, l, float(m - 2))
-        return (m / (m - 2)) * col
+        self._block = None
+        self._sums = []   # dd column sums of the last two blocks
 
     def next_block(self):
-        """Return [(flat_t, col, lap_col)] for the next degree block."""
-        m = self.m
+        """Return [(flat_t, col, q)] for the next degree block, with q the
+        DD curvature sum Q(h_t)."""
+        m, n = self.m, self.x.size
+        # column-major, so each column handed out is contiguous
+        block = np.empty((m + 1, n)).T
+        if self.ext:
+            block = (block, np.zeros((m + 1, n)).T)
         if m == 0:
-            vals = [self._const(1.0)]
-            d2x = [self._zero()]
-            d2y = [self._zero()]
-        elif m == 1:
-            vals = [self._mul(self._const(1.0), self.x),
-                    self._mul(self._const(1.0), self.y)]
-            d2x = [self._zero(), self._zero()]
-            d2y = [self._zero(), self._zero()]
-        elif m == 2:
-            vals = [self._mul(self._vals[0], self.x)] + [
-                self._mul(self._vals[j - 1], self.y) for j in (1, 2)]
-            d2x = [self._const(2.0), self._zero(), self._zero()]
-            d2y = [self._zero(), self._zero(), self._const(2.0)]
+            (block[0] if self.ext else block)[:] = 1.0
         else:
-            vals = [self._mul(self._vals[0], self.x)] + [
-                self._mul(self._vals[j - 1], self.y) for j in range(1, m + 1)]
-            d2x = ([self._ratio(self._mul(self._d2x[0], self.x), m)]
-                   + [self._mul(self._d2x[j - 1], self.y) for j in range(1, m - 1)]
-                   + [self._zero(), self._zero()])
-            d2y = ([self._zero(), self._zero()]
-                   + [self._mul(self._d2y[j], self.x) for j in range(2, m)]
-                   + [self._ratio(self._mul(self._d2y[m - 1], self.y), m)])
-        self._vals, self._d2x, self._d2y = vals, d2x, d2y
+            basis_step(self._block, self.x, self.y, block)
+        qh, ql = np.zeros(m + 1), np.zeros(m + 1)
+        if m >= 2:
+            sh, sl = self._sums[0]
+            j = np.arange(m - 1)
+            qh[:m - 1], ql[:m - 1] = dd_mul_d(sh, sl, (m - j) * (m - j - 1.0))
+            th, tl = dd_mul_d(sh, sl, (j + 2) * (j + 1.0))
+            qh[2:], ql[2:] = dd_add(qh[2:], ql[2:], th, tl)
+        self._sums.append(dd_sum(*block) if self.ext else dd_sum(block, 0.0))
+        del self._sums[:-2]
+        self._block = block
         self.m += 1
-        start = block_start(m)
-        out = []
-        for j in range(m + 1):
-            if self.ext:
-                lap = dd_add(d2x[j][0], d2x[j][1], d2y[j][0], d2y[j][1])
-            else:
-                lap = d2x[j] + d2y[j]
-            out.append((start + j, vals[j], lap))
-        return out
+        cols = zip(block[0].T, block[1].T) if self.ext else block.T
+        return [(block_start(m) + j, col, DD(qh[j], ql[j]))
+                for j, col in enumerate(cols)]
 
 
 def training_error(b, basis: OrthoBasis, z) -> float:
@@ -270,18 +241,20 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
     while not done and scanned < scan_budget:
         block = gen.next_block()
         accepted_in_block = 0
-        for t, col, lap_col in block:
+        for t, col, q_raw in block:
             scanned += 1
             if cfg.odd_field_only:
                 _, m_t, j_t = degree_block(t)
                 if (m_t - j_t) % 2 == 0:
                     continue
-            if not builder.add_column(col, lap_col, tag=t):
+            if not builder.add_column(col, tag=t):
                 rejected.append(t)
                 continue
             accepted_in_block += 1
             s = builder.n_columns - 1
-            q = builder.lap_column_sum(s)
+            q = builder.curvature_sum(q_raw)
+            if cfg.precision is PrecisionMode.DOUBLE:
+                q = float(q)
             proj = builder.column_dot(s, z_vec)
             b = reg.absorb(proj, q)
             residual = builder.subtract_scaled_column(residual, s, b)
@@ -313,10 +286,10 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
 
     basis = builder.to_basis()
     if cfg.precision is PrecisionMode.EXTENDED:
-        bh = np.array([c.hi if isinstance(c, DD) else float(c) for c in reg.b])
-        bl = np.array([c.lo if isinstance(c, DD) else 0.0 for c in reg.b])
+        bh = np.array([c.hi for c in reg.b])
+        bl = np.array([c.lo for c in reg.b])
     else:
-        bh = np.array([float(c) for c in reg.b])
+        bh = np.array(reg.b)
         bl = None
     return FitResult(basis=basis, b=bh, S=builder.n_columns - 1,
                      lambda_=cfg.lambda_, sigma_tr=sigma,

@@ -30,6 +30,7 @@ from .fit import FitResult
 from .ortho import PrecisionMode
 
 MODEL_VERSION = 1
+_BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
 
 @dataclass(frozen=True)
@@ -235,11 +236,7 @@ def save_model(model: SurfaceModel, path) -> None:
         "version": MODEL_VERSION,
         "kept_indices": list(model.kept),
         "c": [float(v) for v in model.c],
-        "normalization": {
-            "x_min": nmap.x_min, "x_max": nmap.x_max,
-            "y_min": nmap.y_min, "y_max": nmap.y_max,
-            "z_min": nmap.z_min, "z_max": nmap.z_max,
-        },
+        "normalization": {k: getattr(nmap, k) for k in _BOUNDS},
         "S": model.S,
         "lambda": model.lambda_,
         "sigma_tr": model.sigma_tr,
@@ -256,20 +253,43 @@ def load_model(path) -> SurfaceModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"not a model file: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != MODEL_VERSION:
+    if not isinstance(doc, dict):
+        raise ModelFormatError("not a model file: expected a JSON object")
+    if doc.get("version") != MODEL_VERSION:
         raise ModelFormatError(
             f"unsupported model version {doc.get('version')!r} "
             f"(expected {MODEL_VERSION})")
     try:
         nm = doc["normalization"]
-        nmap = NormalizationMap(nm["x_min"], nm["x_max"], nm["y_min"],
-                                nm["y_max"], nm["z_min"], nm["z_max"])
-        return SurfaceModel(
+        nmap = NormalizationMap(*(float(nm[k]) for k in _BOUNDS))
+        model = SurfaceModel(
             c=np.asarray(doc["c"], dtype=float),
-            kept=tuple(int(t) for t in doc["kept_indices"]),
+            kept=tuple(doc["kept_indices"]),
             map=nmap, S=int(doc["S"]), lambda_=float(doc["lambda"]),
             sigma_tr=float(doc["sigma_tr"]), audit=doc.get("audit"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
+    _check_model(model)
+    return model
+
+
+def _check_model(model: SurfaceModel) -> None:
+    """Reject model contents that would evaluate wrongly or to NaN."""
+    c, kept, nmap = model.c, model.kept, model.map
+    if c.ndim != 1 or c.size != len(kept) or not kept:
+        raise ModelFormatError(
+            f"model field 'c' has {c.size} entries for {len(kept)} kept_indices")
+    if not np.isfinite(c).all():
+        raise ModelFormatError("model field 'c' holds a non-finite coefficient")
+    if (not all(type(t) is int and t >= 0 for t in kept)
+            or len(set(kept)) != len(kept)):
+        raise ModelFormatError(
+            "model field 'kept_indices' must hold distinct non-negative integers")
+    if not (np.isfinite([getattr(nmap, k) for k in _BOUNDS]).all()
+            and nmap.x_min < nmap.x_max and nmap.y_min < nmap.y_max
+            and nmap.z_min <= nmap.z_max):
+        raise ModelFormatError(
+            "model field 'normalization' needs finite bounds with "
+            "x_min < x_max, y_min < y_max and z_min <= z_max")

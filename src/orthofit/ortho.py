@@ -13,14 +13,15 @@ v_i`` over the training points.  Three schemes are provided:
 * ``mgs``  -- one modified pass (projections measured sequentially
   against the running residual).
 
-Whatever sequence of axpy/scale operations a column undergoes is applied
-identically to its Laplacian column, so column t of the Laplacian block
-is the Laplacian of orthonormal polynomial t -- the fit module only ever
-sums it.  The expansion bookkeeping stores, for each orthonormal column
-s, coefficients ``a[s, s]`` (of the raw basis column) and ``a[s, t]``
-(of previous orthonormal columns t < s) such that
+The expansion bookkeeping stores, for each orthonormal column s,
+coefficients ``a[s, s]`` (of the raw basis column) and ``a[s, t]`` (of
+previous orthonormal columns t < s) such that
 
     P_s = a[s, s] * h_s + sum_{t < s} a[s, t] * P_t .
+
+The same linear recurrence, applied to sums over the training points,
+gives the curvature sum ``Q_s`` of each column from that of its raw
+column (``curvature_sum``), so no Laplacian columns are formed.
 
 Everything runs at either plain double precision (BLAS reductions) or
 software double-double ("extended") precision.
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .ddarith import (DD, comp_dot, dd_add, dd_dot, dd_matvec, dd_matvec_t,
-                      dd_mul, dd_sub, dd_sum)
+                      dd_mul, dd_sub)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
@@ -47,12 +48,11 @@ class PrecisionMode(str, Enum):
     EXTENDED = "extended"
 
 
-def inner(u, v, precision: PrecisionMode = PrecisionMode.DOUBLE) -> float:
-    """Sample inner product sum(u * v), accumulated at the given precision.
+def inner(u, v) -> float:
+    """Sample inner product sum(u * v).
 
-    Double mode uses a compensated (error-free product + pairwise dd)
-    reduction; extended mode is the same with dd inputs.  Either way the
-    reduction tree is fixed, so results are reproducible.
+    Uses a compensated (error-free product + pairwise dd) reduction with
+    a fixed reduction tree, so results are reproducible.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -65,28 +65,22 @@ def inner(u, v, precision: PrecisionMode = PrecisionMode.DOUBLE) -> float:
 class OrthoBasis:
     """Finished orthonormal system over the training points.
 
-    P, lap : (n_train, K) float64 views of the orthonormal polynomial
-        values and their Laplacians (hi parts in extended mode).
+    P : (n_train, K) float64 values of the orthonormal polynomials (hi
+        parts in extended mode).
     a : (K, K) lower-triangular expansion coefficients (see module doc).
     kept : original flat basis index of each orthonormal column.
     """
 
     P: np.ndarray
-    lap: np.ndarray
     a: np.ndarray
     kept: tuple
     precision: PrecisionMode
     P_lo: Optional[np.ndarray] = None
-    lap_lo: Optional[np.ndarray] = None
     a_lo: Optional[np.ndarray] = None
 
     @property
     def n_columns(self) -> int:
         return self.P.shape[1]
-
-    @property
-    def n_train(self) -> int:
-        return self.P.shape[0]
 
 
 def orthogonality_defect(basis: OrthoBasis) -> float:
@@ -103,15 +97,12 @@ class _DoubleCore:
 
     def __init__(self, n: int, cap: int):
         self.P = np.empty((n, cap))
-        self.lap = np.empty((n, cap))
         self.k = 0
 
     def grow(self, cap):
-        for name in ("P", "lap"):
-            buf = getattr(self, name)
-            new = np.empty((buf.shape[0], cap))
-            new[:, :self.k] = buf[:, :self.k]
-            setattr(self, name, new)
+        new = np.empty((self.P.shape[0], cap))
+        new[:, :self.k] = self.P[:, :self.k]
+        self.P = new
 
     def make_vec(self, arr):
         return np.array(arr, dtype=float, copy=True)
@@ -119,19 +110,17 @@ class _DoubleCore:
     def measure(self, v):
         return self.P[:, :self.k].T @ v
 
-    def measure_seq(self, v, w):
+    def measure_seq(self, v):
         delta = np.empty(self.k)
         for t in range(self.k):
             d = float(self.P[:, t] @ v)
             v -= d * self.P[:, t]
-            w -= d * self.lap[:, t]
             delta[t] = d
-        return delta, v, w
+        return delta, v
 
-    def deflate(self, v, w, delta):
+    def deflate(self, v, delta):
         v -= self.P[:, :self.k] @ delta
-        w -= self.lap[:, :self.k] @ delta
-        return v, w
+        return v
 
     def norm2(self, v):
         return float(v @ v)
@@ -139,9 +128,8 @@ class _DoubleCore:
     def delta_max(self, delta):
         return float(np.abs(delta).max()) if delta.size else 0.0
 
-    def append(self, v, w, inv):
+    def append(self, v, inv):
         self.P[:, self.k] = v * float(inv)
-        self.lap[:, self.k] = w * float(inv)
         self.k += 1
 
     def column_dot(self, t, vec):
@@ -149,10 +137,6 @@ class _DoubleCore:
 
     def subtract_scaled_column(self, vec, t, coeff):
         return vec - float(coeff) * self.P[:, t]
-
-    def lap_column_sum(self, t):
-        h, l = dd_sum(self.lap[:, t], 0.0)
-        return h + l
 
     def vec_norm2(self, vec):
         return comp_dot(vec, vec)
@@ -163,11 +147,10 @@ class _ExtendedCore:
 
     def __init__(self, n: int, cap: int):
         self.Ph = np.empty((n, cap)); self.Pl = np.empty((n, cap))
-        self.Lh = np.empty((n, cap)); self.Ll = np.empty((n, cap))
         self.k = 0
 
     def grow(self, cap):
-        for name in ("Ph", "Pl", "Lh", "Ll"):
+        for name in ("Ph", "Pl"):
             buf = getattr(self, name)
             new = np.empty((buf.shape[0], cap))
             new[:, :self.k] = buf[:, :self.k]
@@ -183,22 +166,18 @@ class _ExtendedCore:
         k = self.k
         return dd_matvec_t(self.Ph[:, :k], self.Pl[:, :k], v[0], v[1])
 
-    def measure_seq(self, v, w):
+    def measure_seq(self, v):
         dh = np.empty(self.k); dl = np.empty(self.k)
         for t in range(self.k):
             h, l = dd_dot(self.Ph[:, t], self.Pl[:, t], v[0], v[1])
             v = dd_sub(v[0], v[1], *dd_mul(self.Ph[:, t], self.Pl[:, t], h, l))
-            w = dd_sub(w[0], w[1], *dd_mul(self.Lh[:, t], self.Ll[:, t], h, l))
             dh[t], dl[t] = h, l
-        return (dh, dl), v, w
+        return (dh, dl), v
 
-    def deflate(self, v, w, delta):
+    def deflate(self, v, delta):
         k = self.k
         ph = dd_matvec(self.Ph[:, :k], self.Pl[:, :k], delta[0], delta[1])
-        v = dd_sub(v[0], v[1], *ph)
-        lh = dd_matvec(self.Lh[:, :k], self.Ll[:, :k], delta[0], delta[1])
-        w = dd_sub(w[0], w[1], *lh)
-        return v, w
+        return dd_sub(v[0], v[1], *ph)
 
     def norm2(self, v):
         return DD(*dd_dot(v[0], v[1], v[0], v[1]))
@@ -206,10 +185,9 @@ class _ExtendedCore:
     def delta_max(self, delta):
         return float(np.abs(delta[0]).max()) if delta[0].size else 0.0
 
-    def append(self, v, w, inv):
+    def append(self, v, inv):
         k = self.k
         self.Ph[:, k], self.Pl[:, k] = dd_mul(v[0], v[1], inv.hi, inv.lo)
-        self.Lh[:, k], self.Ll[:, k] = dd_mul(w[0], w[1], inv.hi, inv.lo)
         self.k += 1
 
     def column_dot(self, t, vec):
@@ -219,9 +197,6 @@ class _ExtendedCore:
         ch, cl = DD._coerce(coeff)
         sh, sl = dd_mul(self.Ph[:, t], self.Pl[:, t], ch, cl)
         return dd_sub(vec[0], vec[1], sh, sl)
-
-    def lap_column_sum(self, t):
-        return DD(*dd_sum(self.Lh[:, t], self.Ll[:, t]))
 
     def vec_norm2(self, vec):
         h, l = dd_dot(vec[0], vec[1], vec[0], vec[1])
@@ -255,6 +230,7 @@ class OrthoBuilder:
         core = _ExtendedCore if self.precision is PrecisionMode.EXTENDED else _DoubleCore
         self._core = core(n_train, self._cap)
         self._a_rows: list = []       # per column: (dtot array(s), inv scalar)
+        self._q: list = []            # curvature sums Q_t (DD) so far
         self.kept: list[int] = []
         self.passes: list[int] = []   # projection passes spent per column
 
@@ -262,8 +238,8 @@ class OrthoBuilder:
     def n_columns(self) -> int:
         return self._core.k
 
-    def add_column(self, col, lap_col, tag: int) -> bool:
-        """Orthonormalize one raw column (with its Laplacian column).
+    def add_column(self, col, tag: int) -> bool:
+        """Orthonormalize one raw column.
 
         Returns False and leaves the state untouched when the residual
         norm falls below the rank tolerance (numerically dependent
@@ -274,7 +250,6 @@ class OrthoBuilder:
             self._cap *= 2
             core.grow(self._cap)
         v = core.make_vec(col)
-        w = core.make_vec(lap_col)
         k = core.k
         extended = isinstance(v, tuple)
         if (v[0] if extended else v).shape[0] != self._n:
@@ -285,12 +260,12 @@ class OrthoBuilder:
         npasses = 0
         if k:
             if self.scheme == "mgs":
-                dtot, v, w = core.measure_seq(v, w)
+                dtot, v = core.measure_seq(v)
                 npasses = 1
             else:
                 for _ in range(self.max_passes):
                     delta = core.measure(v)
-                    v, w = core.deflate(v, w, delta)
+                    v = core.deflate(v, delta)
                     npasses += 1
                     if extended:
                         dtot = dd_add(dtot[0], dtot[1], delta[0], delta[1])
@@ -305,7 +280,7 @@ class OrthoBuilder:
         if float(p) < self.rank_tol:
             return False
         inv = 1.0 / p
-        core.append(v, w, inv)
+        core.append(v, inv)
         self._a_rows.append((dtot, inv))
         self.kept.append(tag)
         self.passes.append(npasses)
@@ -322,8 +297,25 @@ class OrthoBuilder:
     def subtract_scaled_column(self, vec, t: int, coeff):
         return self._core.subtract_scaled_column(vec, t, coeff)
 
-    def lap_column_sum(self, t: int):
-        return self._core.lap_column_sum(t)
+    def curvature_sum(self, q_raw) -> DD:
+        """Q_s, the Laplacian of the newest column summed over the points.
+
+        ``q_raw`` is that sum for its raw basis column; with the column's
+        projections delta and inverse norm inv, ``Q_s = inv * (q_raw -
+        sum_{t < s} delta_t * Q_t)``, carried in double-double at either
+        precision.  Call once per accepted column, in order.
+        """
+        s = len(self._q)
+        dtot, inv = self._a_rows[s]
+        q = DD(*DD._coerce(q_raw))
+        if s:
+            dh, dl = dtot if isinstance(dtot, tuple) else (dtot, np.zeros(s))
+            qh = np.array([v.hi for v in self._q])
+            ql = np.array([v.lo for v in self._q])
+            q = q - DD(*dd_dot(dh, dl, qh, ql))
+        q = q * inv
+        self._q.append(q)
+        return q
 
     def vec_norm2(self, vec) -> float:
         return self._core.vec_norm2(vec)
@@ -343,10 +335,7 @@ class OrthoBuilder:
         al = np.zeros((K, K)) if extended else None
         for s, (dtot, inv) in enumerate(self._a_rows):
             if extended:
-                dh, dl = dtot
-                for t in range(s):
-                    c = -DD(dh[t], dl[t]) * inv
-                    ah[s, t], al[s, t] = c.hi, c.lo
+                ah[s, :s], al[s, :s] = dd_mul(-dtot[0], -dtot[1], inv.hi, inv.lo)
                 ah[s, s], al[s, s] = inv.hi, inv.lo
             else:
                 ah[s, :s] = -dtot * float(inv)
@@ -360,8 +349,7 @@ class OrthoBuilder:
         c = self._core
         if self.precision is PrecisionMode.EXTENDED:
             return OrthoBasis(
-                P=c.Ph[:, :K].copy(), lap=c.Lh[:, :K].copy(), a=ah,
-                kept=tuple(self.kept), precision=self.precision,
-                P_lo=c.Pl[:, :K].copy(), lap_lo=c.Ll[:, :K].copy(), a_lo=al)
-        return OrthoBasis(P=c.P[:, :K].copy(), lap=c.lap[:, :K].copy(), a=ah,
-                          kept=tuple(self.kept), precision=self.precision)
+                P=c.Ph[:, :K].copy(), a=ah, kept=tuple(self.kept),
+                precision=self.precision, P_lo=c.Pl[:, :K].copy(), a_lo=al)
+        return OrthoBasis(P=c.P[:, :K].copy(), a=ah, kept=tuple(self.kept),
+                          precision=self.precision)

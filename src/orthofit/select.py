@@ -31,7 +31,6 @@ from .model import eval_monomial, to_monomial
 from .errors import OrthofitError
 
 GAMMA_CLAMP = 50.0
-DEFAULT_X_GRID = tuple(range(10, 42, 2))
 
 SWEEP_COLUMNS = ("x", "lambda", "S", "sigma_tr", "sigma_cv", "sigma_test",
                  "gamma", "gamma_prime")

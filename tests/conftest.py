@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from orthofit import DataSplit, NormalizedDataset
+from orthofit.fit import _BlockGen
+from orthofit.ortho import PrecisionMode
 from orthofit.synth import SplitMix64
 
 
@@ -25,6 +27,16 @@ def uniform_xy(n, seed):
     x = np.array([rng.uniform() for _ in range(n)])
     y = np.array([rng.uniform() for _ in range(n)])
     return x, y
+
+
+def raw_curvature_sums(x, y, L, precision=PrecisionMode.DOUBLE):
+    """Q(h_t) = sum over the points of the Laplacian of basis entry t, for
+    t = 0..L, as the fit's block generator computes them."""
+    gen = _BlockGen(np.atleast_1d(x), np.atleast_1d(y), precision)
+    q = []
+    while len(q) <= L:
+        q += [float(qt) for _, _, qt in gen.next_block()]
+    return np.array(q[:L + 1])
 
 
 @pytest.fixture

@@ -144,3 +144,40 @@ def sympy_laplacian_columns(x, y, L):
         vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), np.shape(x))
         lap_cols.append(np.array(vals, dtype=float))
     return np.column_stack(lap_cols)
+
+
+def mpmath_curvature_sums(basis, x, y, dps=50):
+    """Curvature sums Q_s of a fit's orthonormal columns at ``dps`` digits.
+
+    Each kept raw column x^i y^j gets Q = i(i-1) M[i-2, j] + j(j-1)
+    M[i, j-2] from exact moment sums M[a, b] = sum x^a y^b over the
+    points; the columns then follow Q_s = a[s, s] Q(h_s) + sum_{t<s}
+    a[s, t] Q_t with the stored expansion a (plus a_lo when present).
+    Returns a list of mpf.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        pts = [(mpmath.mpf(float(u)), mpmath.mpf(float(v))) for u, v in zip(x, y)]
+        moments = {}
+
+        def moment(a, b):
+            if (a, b) not in moments:
+                moments[a, b] = mpmath.fsum(u ** a * v ** b for u, v in pts)
+            return moments[a, b]
+
+        a = basis.a
+        a_lo = basis.a_lo if basis.a_lo is not None else np.zeros_like(a)
+        coef = lambda s, t: mpmath.mpf(float(a[s, t])) + mpmath.mpf(float(a_lo[s, t]))
+        q = []
+        for s, t in enumerate(basis.kept):
+            _, m, j = degree_block(t)
+            i = m - j
+            raw = mpmath.mpf(0)
+            if i >= 2:
+                raw += i * (i - 1) * moment(i - 2, j)
+            if j >= 2:
+                raw += j * (j - 1) * moment(i, j - 2)
+            q.append(coef(s, s) * raw
+                     + mpmath.fsum(coef(s, r) * q[r] for r in range(s)))
+        return q

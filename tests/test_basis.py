@@ -1,15 +1,16 @@
-"""Monomial sequence, derivative recursions, and index algebra."""
+"""Monomial sequence, block recursion, curvature sums, index algebra."""
 
 import numpy as np
 import pytest
 
-from orthofit.basis import (basis_d2x, basis_d2y, basis_dy, basis_values,
-                            block_start, build_basis_table, columns_for_degree,
-                            dd_basis_d2x, dd_basis_d2y, dd_basis_values,
-                            degree_block, odd_field_mask)
+from orthofit.basis import (basis_dy, basis_values, block_start,
+                            columns_for_degree, dd_basis_values, degree_block,
+                            odd_field_mask)
+from orthofit.fit import _BlockGen
+from orthofit.ortho import PrecisionMode
 from oracles import (power_rule_d2x, power_rule_d2y, power_rule_dy,
                      power_rule_values, sympy_laplacian_columns)
-from conftest import uniform_xy
+from conftest import raw_curvature_sums, uniform_xy
 
 
 def test_values_examples():
@@ -20,27 +21,35 @@ def test_values_examples():
 
 
 def test_d2x_examples():
-    assert basis_d2x(2.0, 3.0, 9).tolist() == [0, 0, 0, 2, 0, 0, 12, 6, 0, 0]
+    # columns with y-power < 2 carry no y-curvature, so at one point their
+    # Q(h) is the second x-derivative there: x^2 -> 2, x^3 -> 6x, x^2 y -> 2y
+    q = raw_curvature_sums(2.0, 3.0, 9)
+    assert q[[0, 1, 3, 4, 6, 7]].tolist() == [0, 0, 2, 0, 12, 6]
     x, y = uniform_xy(20, 3)
-    assert not np.atleast_2d(basis_d2x(x, y, 9))[:, :3].any()
-    assert basis_d2x(1.0, 1.0, 14)[10] == 12.0  # x^4 column
+    assert not raw_curvature_sums(x, y, 9)[:3].any()
+    assert raw_curvature_sums(1.0, 1.0, 14)[10] == 12.0  # x^4 column
 
 
 def test_d2y_examples():
-    assert basis_d2y(2.0, 3.0, 9).tolist() == [0, 0, 0, 0, 0, 2, 0, 0, 4, 18]
-    assert basis_d2y(1.0, 1.0, 14)[14] == 12.0  # y^4 column
+    # columns with x-power < 2: Q(h) is the second y-derivative
+    q = raw_curvature_sums(2.0, 3.0, 9)
+    assert q[[2, 5, 8, 9]].tolist() == [0, 2, 4, 18]
+    q = raw_curvature_sums(1.0, 1.0, 14)
+    assert q[14] == 12.0  # y^4 column
+    assert q[12] == 4.0   # x^2 y^2: both second derivatives add
 
 
 def test_d2y_mirrors_d2x():
-    # the (m, j) entry of d2y at (x, y) equals the (m, m-j) entry of d2x at (y, x)
-    x, y = 0.37, 0.81
+    # swapping x and y swaps the two curvature parts: entry (m, j) of the
+    # sums at points (x, y) equals entry (m, m-j) at points (y, x)
+    x, y = uniform_xy(9, 5)
     L = columns_for_degree(7) - 1
-    dx = basis_d2x(y, x, L)
-    dy = basis_d2y(x, y, L)
+    q_xy = raw_curvature_sums(x, y, L)
+    q_yx = raw_curvature_sums(y, x, L)
     for t in range(L + 1):
         _, m, j = degree_block(t)
         mirror = block_start(m) + (m - j)
-        assert dy[t] == pytest.approx(dx[mirror], rel=1e-15, abs=1e-300)
+        assert q_xy[t] == pytest.approx(q_yx[mirror], rel=1e-15, abs=1e-300)
 
 
 def test_dy_examples():
@@ -99,10 +108,9 @@ def test_recursion_agrees_with_direct_powers_to_degree_25():
 def test_second_derivatives_match_power_rule():
     x, y = uniform_xy(60, 23)
     L = columns_for_degree(12) - 1
-    assert np.allclose(basis_d2x(x, y, L), power_rule_d2x(x, y, L),
-                       rtol=1e-12, atol=1e-14)
-    assert np.allclose(basis_d2y(x, y, L), power_rule_d2y(x, y, L),
-                       rtol=1e-12, atol=1e-14)
+    lap_sums = (power_rule_d2x(x, y, L) + power_rule_d2y(x, y, L)).sum(axis=0)
+    assert np.allclose(raw_curvature_sums(x, y, L), lap_sums,
+                       rtol=1e-12, atol=60 * 1e-14)
     assert np.allclose(basis_dy(x, y, L), power_rule_dy(x, y, L),
                        rtol=1e-12, atol=1e-14)
 
@@ -118,29 +126,46 @@ def test_derivatives_match_finite_differences():
     fd_yy = (basis_values(x, y + h, L) - 2 * basis_values(x, y, L)
              + basis_values(x, y - h, L)) / h ** 2
     fd_y = (basis_values(x, y + h, L) - basis_values(x, y - h, L)) / (2 * h)
-    assert np.allclose(basis_d2x(x, y, L), fd_xx, rtol=1e-5, atol=1e-6)
-    assert np.allclose(basis_d2y(x, y, L), fd_yy, rtol=1e-5, atol=1e-6)
+    # per-point bounds rtol 1e-5, atol 1e-6, summed over the 30 points
+    assert np.allclose(raw_curvature_sums(x, y, L), (fd_xx + fd_yy).sum(axis=0),
+                       rtol=1e-5, atol=30 * 1e-6)
     assert np.allclose(basis_dy(x, y, L), fd_y, rtol=1e-5, atol=1e-7)
 
 
 def test_laplacian_linearity_against_symbolic_oracle():
     x, y = uniform_xy(15, 31)
     L = columns_for_degree(6) - 1
-    table = build_basis_table(x, y, L)
-    lap_oracle = sympy_laplacian_columns(x, y, L)
+    lap_sums = sympy_laplacian_columns(x, y, L).sum(axis=0)
     rng_c = np.linspace(-1.0, 1.0, L + 1)
-    got = table.lap @ rng_c
-    want = lap_oracle @ rng_c
-    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    got = raw_curvature_sums(x, y, L) @ rng_c
+    assert got == pytest.approx(lap_sums @ rng_c, rel=1e-13, abs=15 * 1e-13)
 
 
-def test_basis_table_invariants():
-    x, y = uniform_xy(25, 37)
-    L = columns_for_degree(5) - 1
-    table = build_basis_table(x, y, L)
-    assert np.array_equal(table.values[:, 0], np.ones(25))
-    assert not table.d2x[:, :3].any() and not table.d2y[:, :3].any()
-    assert table.values.shape == table.d2x.shape == table.d2y.shape
+@pytest.mark.parametrize("n", [1, 37])
+def test_block_generator_matches_basis_values(n):
+    # the fit's columns come from the same recursion as basis_values and
+    # dd_basis_values, bit for bit
+    x, y = uniform_xy(n, 37 + n)
+    L = columns_for_degree(9) + 3  # ends inside degree block 10
+    want = {PrecisionMode.DOUBLE: basis_values(x, y, L),
+            PrecisionMode.EXTENDED: dd_basis_values(x, y, L)}
+    for precision, ref in want.items():
+        gen = _BlockGen(x, y, precision)
+        cols = []
+        while len(cols) <= L:
+            cols += [col for _, col, _ in gen.next_block()]
+        cols = cols[:L + 1]
+        if precision is PrecisionMode.EXTENDED:
+            got = (np.column_stack([c[0] for c in cols]),
+                   np.column_stack([c[1] for c in cols]))
+        else:
+            got, ref = (np.column_stack(cols),), (ref,)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.tobytes() == r.tobytes()
+        assert np.array_equal(got[0][:, 0], np.ones(n))
+        q = raw_curvature_sums(x, y, L, precision)
+        assert not q[:3].any()
+        assert np.allclose(q, raw_curvature_sums(x, y, L), rtol=1e-13, atol=0)
 
 
 def test_scalar_and_vector_shapes_agree():
@@ -165,7 +190,3 @@ def test_dd_tables_match_double_tables_and_refine_them():
         exact = Fraction(x[i]) ** (m - j) * Fraction(y[i]) ** j
         got = Fraction(vh[i, t]) + Fraction(vl[i, t])
         assert abs(got - exact) <= abs(exact) * Fraction(1, 10 ** 28)
-    dxh, dxl = dd_basis_d2x(x, y, L)
-    dyh, dyl = dd_basis_d2y(x, y, L)
-    assert np.allclose(dxh, basis_d2x(x, y, L), rtol=1e-13, atol=1e-16)
-    assert np.allclose(dyh, basis_d2y(x, y, L), rtol=1e-13, atol=1e-16)

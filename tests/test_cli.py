@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -168,6 +170,48 @@ def test_eval_rejects_model_version_mismatch(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", "--model", str(bad), "--grid", "2x2")
     assert code == 3
     assert "version" in err
+
+
+# Each edit breaks one field of a valid model file.
+BAD_MODEL_EDITS = {
+    "truncated_c": ("'c'", lambda d: d["c"].pop()),
+    "nan_coefficient": ("'c'", lambda d: setitem(d["c"], 1, math.nan)),
+    "repeated_index": ("'kept_indices'",
+                       lambda d: setitem(d["kept_indices"], 1, d["kept_indices"][0])),
+    "negative_index": ("'kept_indices'",
+                       lambda d: setitem(d["kept_indices"], 1, -1)),
+    "empty_x_range": ("'normalization'",
+                      lambda d: setitem(d["normalization"], "x_max",
+                                        d["normalization"]["x_min"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_EDITS))
+def test_eval_rejects_invalid_model_file(capsys, plane_csv, tmp_path, case):
+    field, edit = BAD_MODEL_EDITS[case]
+    model_path = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path))
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--grid", "2x2")
+    assert code == 3 and out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize("body", ["x,y\n0.5,nan\n", "x,y\n1e400,3\n",
+                                  "H,T\n0.5\n"],
+                         ids=["nan_field", "overflow_field", "short_row"])
+def test_eval_rejects_bad_point_file(capsys, plane_csv, tmp_path, body):
+    model_path = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path))
+    pts_path = tmp_path / "pts.csv"
+    pts_path.write_text(body)
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--points", str(pts_path))
+    assert code == 3 and out == ""
+    assert "line 2" in err
 
 
 def test_eval_requires_points_or_grid(capsys, plane_csv, tmp_path):

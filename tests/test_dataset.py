@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from orthofit import (DataPoint, InsufficientDataError, ParseError,
-                      SplitConfig, denormalize, load_dataset, normalize,
-                      save_dataset, split)
+                      SplitConfig, denormalize, load_dataset, load_points,
+                      normalize, save_dataset, split)
 from orthofit.errors import DegenerateAxisError
 
 
@@ -46,6 +46,17 @@ def test_load_rejects_unknown_header_and_nonfinite():
         load_dataset(b"a,b,c\n1,2,3\n")
     with pytest.raises(ParseError, match="line 2"):
         load_dataset(b"x,y,z\n1,nan,3\n")
+
+
+def test_load_points_shares_the_data_file_checks():
+    assert load_points(b"x,y\n0,0.5\n") == [(0.0, 0.5)]
+    assert load_points(b"H\tT\n1e2\t3\n") == [(100.0, 3.0)]
+    with pytest.raises(ParseError, match="line 3"):
+        load_points(b"x,y\n1,2\n0.5,nan\n")
+    with pytest.raises(ParseError, match="line 2"):
+        load_points(b"x,y\n1,2,3\n")
+    with pytest.raises(ParseError, match="line 1"):
+        load_points(b"a,b\n1,2\n")
 
 
 def test_load_tab_delimited_scientific_notation():

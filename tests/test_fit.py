@@ -11,7 +11,7 @@ from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       training_error)
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
-from oracles import normal_equation_predictions
+from oracles import mpmath_curvature_sums, normal_equation_predictions
 from conftest import all_train_split, unit_dataset
 
 
@@ -100,6 +100,25 @@ def test_curvature_sums_vanish_for_linear_columns():
     qs = [st.q for st in fit.history]
     assert qs[0] == qs[1] == qs[2] == 0.0
     assert any(q != 0.0 for q in qs[3:])
+
+
+@pytest.mark.parametrize("precision, n_cols, bound", [
+    ("double", 79, 1e-9), ("extended", 120, 1e-15), ("extended", 210, 1e-15)])
+def test_curvature_sums_match_mpmath_oracle(precision, n_cols, bound):
+    # 1,000-point corpus, 666 training points; Q_t from moment sums through
+    # the stored expansion at 50 digits, against the fit's own recurrence
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    parts = split(data, SplitConfig("y", 3))
+    fit = fit_surface(parts, data,
+                      FitConfig(fixed_columns=n_cols, max_columns=n_cols,
+                                precision=PrecisionMode(precision)))
+    idx = parts.train_idx
+    want = np.array([float(q) for q in
+                     mpmath_curvature_sums(fit.basis, data.x[idx], data.y[idx])])
+    got = np.array([st.q for st in fit.history])
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
 def test_earlier_coefficients_never_revisited():

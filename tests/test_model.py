@@ -189,6 +189,10 @@ def test_model_file_rejects_bad_version_and_garbage(tmp_path):
     bad.write_text('{"version": 1, "c": [1.0]}')
     with pytest.raises(ModelFormatError):
         load_model(bad)
+    for garbage in (b"[1, 2]", b'{"version": 1, "c": "\xd0\x00"}'):
+        bad.write_bytes(garbage)
+        with pytest.raises(ModelFormatError):
+            load_model(bad)
 
 
 def test_unit_covariance_after_exact_rescaling():

@@ -3,24 +3,30 @@
 import numpy as np
 import pytest
 
-from orthofit.basis import build_basis_table, columns_for_degree
+from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import dd_add, dd_matvec, dd_mul
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode, inner,
                             orthogonality_defect)
 from oracles import sympy_laplacian_columns
-from conftest import uniform_xy
+from conftest import raw_curvature_sums, uniform_xy
 
 
 def _feed_columns(builder, x, y, n_cols, extended=False):
-    """Push basis columns 0..n_cols-1 (values + Laplacians) into a builder."""
+    """Push basis columns 0..n_cols-1 into a builder, with their curvature
+    sums."""
     from orthofit.fit import _BlockGen
     gen = _BlockGen(x, y, PrecisionMode.EXTENDED if extended else PrecisionMode.DOUBLE)
     while builder.n_columns < n_cols:
-        for t, col, lap in gen.next_block():
-            builder.add_column(col, lap, tag=t)
+        for t, col, q in gen.next_block():
+            if builder.add_column(col, tag=t):
+                builder.curvature_sum(q)
             if builder.n_columns >= n_cols:
                 break
     return builder
+
+
+def _curvature_sums(builder):
+    return np.array([float(q) for q in builder._q])
 
 
 def test_inner_examples():
@@ -36,7 +42,7 @@ def test_first_column_is_normalized_constant():
     x = np.array([0.0, 1.0, 0.0])
     y = np.array([0.0, 0.0, 1.0])
     b = OrthoBuilder(3)
-    assert b.add_column(np.ones(3), np.zeros(3), tag=0)
+    assert b.add_column(np.ones(3), tag=0)
     basis = b.to_basis()
     assert np.allclose(basis.P[:, 0], 1 / np.sqrt(3), rtol=0, atol=3e-16)
     assert basis.a[0, 0] == pytest.approx(1 / np.sqrt(3), rel=1e-15)
@@ -50,7 +56,7 @@ def test_duplicate_column_is_rejected_extended():
     b = _feed_columns(OrthoBuilder(40, precision=PrecisionMode.EXTENDED),
                       x, y, 4, extended=True)
     dup = (b._core.Ph[:, 2].copy(), b._core.Pl[:, 2].copy())
-    assert not b.add_column(dup, (np.zeros(40), np.zeros(40)), tag=99)
+    assert not b.add_column(dup, tag=99)
     assert b.n_columns == 4 and 99 not in b.kept
 
 
@@ -60,7 +66,7 @@ def test_duplicate_column_in_double_mode_stays_harmless():
     x, y = uniform_xy(40, 5)
     b = _feed_columns(OrthoBuilder(40), x, y, 4)
     dup = b.to_basis().P[:, 2].copy()
-    b.add_column(dup, np.zeros(40), tag=99)
+    b.add_column(dup, tag=99)
     assert orthogonality_defect(b.to_basis()) <= 1e-13
 
 
@@ -87,7 +93,7 @@ def test_single_column_identical_across_schemes():
     outs = []
     for scheme in ("igs", "cgs", "mgs"):
         b = OrthoBuilder(10, scheme=scheme)
-        b.add_column(col, np.zeros(10), tag=0)
+        b.add_column(col, tag=0)
         outs.append(b.to_basis().P[:, 0])
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
@@ -105,14 +111,13 @@ def test_defect_ordering_igs_beats_mgs_beats_cgs():
 
 def test_defect_trivial_cases():
     P = np.column_stack([np.ones(4) / 2.0, np.array([1, -1, 1, -1]) / 2.0])
-    basis = OrthoBasis(P=P, lap=np.zeros_like(P), a=np.eye(2), kept=(0, 1),
+    basis = OrthoBasis(P=P, a=np.eye(2), kept=(0, 1),
                        precision=PrecisionMode.DOUBLE)
     assert orthogonality_defect(basis) <= 1e-15
-    dup = OrthoBasis(P=np.column_stack([P[:, 0], P[:, 0]]),
-                     lap=np.zeros_like(P), a=np.eye(2), kept=(0, 1),
-                     precision=PrecisionMode.DOUBLE)
+    dup = OrthoBasis(P=np.column_stack([P[:, 0], P[:, 0]]), a=np.eye(2),
+                     kept=(0, 1), precision=PrecisionMode.DOUBLE)
     assert orthogonality_defect(dup) == pytest.approx(1.0, rel=1e-14)
-    one = OrthoBasis(P=P[:, :1], lap=np.zeros((4, 1)), a=np.eye(1), kept=(0,),
+    one = OrthoBasis(P=P[:, :1], a=np.eye(1), kept=(0,),
                      precision=PrecisionMode.DOUBLE)
     with pytest.raises(ValueError):
         orthogonality_defect(one)
@@ -140,30 +145,31 @@ def test_idempotent_on_already_orthonormal_columns():
     P = b.to_basis().P
     refeed = OrthoBuilder(60)
     for t in range(10):
-        assert refeed.add_column(P[:, t], np.zeros(60), tag=t)
+        assert refeed.add_column(P[:, t], tag=t)
         assert np.abs(refeed.to_basis().P[:, t] - P[:, t]).max() <= 1e-15
 
 
-def _reconstruct(basis, raw, raw_lap):
-    """Independent expansion check: rebuild P and lap from a and raws."""
+def _reconstruct(basis, raw, raw_q):
+    """Independent expansion check: rebuild P and the curvature sums Q
+    from a and the raw columns and their sums."""
     K = basis.n_columns
     P = np.zeros_like(basis.P)
-    lap = np.zeros_like(basis.lap)
+    q = np.zeros(K)
     for s in range(K):
         P[:, s] = basis.a[s, s] * raw[:, s] + P[:, :s] @ basis.a[s, :s]
-        lap[:, s] = basis.a[s, s] * raw_lap[:, s] + lap[:, :s] @ basis.a[s, :s]
-    return P, lap
+        q[s] = basis.a[s, s] * raw_q[s] + q[:s] @ basis.a[s, :s]
+    return P, q
 
 
 def test_reconstruction_from_expansion_coefficients_double():
     x, y = uniform_xy(80, 33)
     n_cols = columns_for_degree(7) - 1
-    table = build_basis_table(x, y, n_cols - 1)
     b = _feed_columns(OrthoBuilder(80), x, y, n_cols)
     basis = b.to_basis()
-    P, lap = _reconstruct(basis, table.values, table.lap)
+    P, q = _reconstruct(basis, basis_values(x, y, n_cols - 1),
+                        raw_curvature_sums(x, y, n_cols - 1))
     assert np.abs(P - basis.P).max() < 1e-10
-    assert np.abs(lap - basis.lap).max() < 1e-8 * max(1, np.abs(lap).max())
+    assert np.abs(q - _curvature_sums(b)).max() < 1e-8 * max(1, np.abs(q).max())
 
 
 def test_reconstruction_extended_mode_tight():
@@ -191,16 +197,17 @@ def test_reconstruction_extended_mode_tight():
 def test_laplacian_cotransform_matches_symbolic_oracle():
     x, y = uniform_xy(40, 45)
     L = columns_for_degree(6) - 1
-    lap_oracle = sympy_laplacian_columns(x, y, L)
-    table = build_basis_table(x, y, L)
-    assert np.allclose(table.lap, lap_oracle, rtol=1e-12, atol=1e-12)
+    lap_sums = sympy_laplacian_columns(x, y, L).sum(axis=0)
+    assert np.allclose(raw_curvature_sums(x, y, L), lap_sums,
+                       rtol=1e-12, atol=40 * 1e-12)
     b = _feed_columns(OrthoBuilder(40), x, y, L + 1)
     basis = b.to_basis()
-    # same triangular combination applied to the oracle's raw Laplacians
-    lap = np.zeros_like(basis.lap)
+    # same triangular combination applied to the oracle's raw sums
+    q = np.zeros(L + 1)
     for s in range(L + 1):
-        lap[:, s] = basis.a[s, s] * lap_oracle[:, s] + lap[:, :s] @ basis.a[s, :s]
-    assert np.allclose(lap, basis.lap, rtol=1e-9, atol=1e-9 * np.abs(lap).max())
+        q[s] = basis.a[s, s] * lap_sums[s] + q[:s] @ basis.a[s, :s]
+    assert np.allclose(q, _curvature_sums(b), rtol=1e-9,
+                       atol=1e-9 * np.abs(q).max())
 
 
 def test_extended_defect_at_double_resolution():
