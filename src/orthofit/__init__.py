@@ -1,12 +1,10 @@
 """Bivariate orthogonal-polynomial surface fitting with curvature
 regularization and cross-validated strength selection."""
 
-from .basis import (BasisIndex, basis_dy, basis_values, degree_block,
-                    odd_field_mask)
+from .basis import BasisIndex, basis_dy, basis_values, degree_block
 from .dataset import (DataPoint, DataSplit, NormalizationMap,
-                      NormalizedDataset, SplitConfig, denormalize,
-                      load_dataset, load_points, normalize, save_dataset,
-                      split)
+                      NormalizedDataset, SplitConfig, load_dataset,
+                      load_points, normalize, save_dataset, split)
 from .errors import (DegenerateAxisError, DegenerateFitError,
                      InsufficientDataError, ModelFormatError, OrthofitError,
                      ParseError)
@@ -15,7 +13,7 @@ from .fit import (FitConfig, FitResult, FitStep, RegState, fit_surface,
 from .model import (SurfaceModel, dZ_dY, entropy_change, eval_monomial,
                     eval_ortho, eval_physical, load_model, save_model,
                     to_monomial)
-from .ortho import (OrthoBasis, OrthoBuilder, PrecisionMode, inner,
+from .ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                     orthogonality_defect)
 from .select import (SweepReport, ValidationRecord, group_error,
                      lambda_sweep, overfit_degree, select_model,

@@ -39,11 +39,7 @@ def degree_block(t: int) -> BasisIndex:
     if t < 0:
         raise ValueError("flat index must be non-negative")
     m = (isqrt(8 * t + 1) - 1) // 2
-    j = t - m * (m + 1) // 2
-    if j > m:  # isqrt guard; cannot trigger for exact m, kept for safety
-        m += 1
-        j = t - m * (m + 1) // 2
-    return BasisIndex(t, m, j)
+    return BasisIndex(t, m, t - m * (m + 1) // 2)
 
 
 def block_start(m: int) -> int:
@@ -54,19 +50,6 @@ def block_start(m: int) -> int:
 def columns_for_degree(m: int) -> int:
     """Number of basis columns with total degree <= m."""
     return (m + 1) * (m + 2) // 2
-
-
-def odd_field_mask(L: int) -> np.ndarray:
-    """Boolean vector marking columns whose x-power (m - j) is odd.
-
-    Used to restrict the basis to odd powers of the field coordinate;
-    True entries are kept when the restriction is active.
-    """
-    mask = np.zeros(L + 1, dtype=bool)
-    for t in range(L + 1):
-        _, m, j = degree_block(t)
-        mask[t] = (m - j) % 2 == 1
-    return mask
 
 
 def _as_rows(x, y):

@@ -7,8 +7,9 @@ as JSON or a coefficient CSV), ``synth`` (generate a synthetic dataset),
 and ``split`` (inspect the train/cv/test partition).
 
 Exit codes: 0 success, 2 usage or input error (bad flags, missing
-files), 3 data or model error (unparseable data, degenerate axes, model
-version mismatch), 4 numeric failure.  Environment variables are never
+files, non-finite lambda or x grid), 3 data or model error (unparseable
+data, degenerate axes, model version mismatch), 4 numeric failure
+(non-finite training error included).  Environment variables are never
 consulted; identical flags and input bytes give identical output.
 """
 
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 import time
 
@@ -85,6 +88,8 @@ def _parse_x_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("x grid range must be lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ValueError("x grid range bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ValueError("x grid range must satisfy lo <= hi, step > 0")
         out = []
@@ -114,14 +119,9 @@ def _emit_report(report: dict, fmt: str, out=None) -> None:
             out.write(f"{k:<{width}}  {sval}\n")
 
 
-def _load_normalized(path):
-    points = load_dataset(path)
-    return normalize(points)
-
-
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    data = _load_normalized(args.input)
+    data = normalize(load_dataset(args.input))
     cfg = _fit_config(args)
     parts = split(data, SplitConfig(args.sample_by, args.sample_factor))
     fit = fit_surface(parts, data, cfg)
@@ -155,14 +155,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        grid = _parse_x_grid(args.x_grid)
-        if not grid:
-            raise ValueError("empty x grid")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    data = _load_normalized(args.input)
+    grid = _parse_x_grid(args.x_grid)  # main maps ValueError to exit 2
+    if not grid:
+        raise ValueError("empty x grid")
+    data = normalize(load_dataset(args.input))
     cfg = _fit_config(args)
     parts = split(data, SplitConfig(args.sample_by, args.sample_factor))
     report = lambda_sweep(data, parts, grid, cfg, gamma_cap=args.gamma_cap)
@@ -223,10 +219,8 @@ def cmd_eval(args) -> int:
 def cmd_export(args) -> int:
     model = load_model(args.model)
     if args.format == "json":
-        if not args.audit and model.audit is not None:
-            model = type(model)(c=model.c, kept=model.kept, map=model.map,
-                                S=model.S, lambda_=model.lambda_,
-                                sigma_tr=model.sigma_tr, audit=None)
+        if not args.audit:
+            model = dataclasses.replace(model, audit=None)
         save_model(model, args.out)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -248,7 +242,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    data = _load_normalized(args.input)
+    data = normalize(load_dataset(args.input))
     parts = split(data, SplitConfig(args.sample_by, args.sample_factor))
     report = {
         "n_points": data.n,

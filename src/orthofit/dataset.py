@@ -139,17 +139,15 @@ class DataSplit:
         return len(self.train_idx), len(self.cv_idx), len(self.test_idx)
 
 
-def load_dataset(source, columns: Sequence[str] | None = None) -> list[DataPoint]:
+def load_dataset(source) -> list[DataPoint]:
     """Parse delimiter-separated text with a header row into data points.
 
     Parameters
     ----------
     source : path, file object, or bytes
         Comma- or tab-separated text (auto-detected), UTF-8 or ASCII,
-        with a header row naming the three numeric columns.
-    columns : optional sequence of three header names
-        Overrides the built-in aliases (x,y,z) and (H,T,M); matching is
-        case-insensitive.
+        with a header row naming the three numeric columns x,y,z or
+        H,T,M (any case).
 
     Returns
     -------
@@ -161,17 +159,17 @@ def load_dataset(source, columns: Sequence[str] | None = None) -> list[DataPoint
         Empty input, unknown header, non-numeric or non-finite field,
         or wrong row arity; the message carries the 1-based line number.
     """
-    return [DataPoint._make(row) for row in _read_columns(source, columns, 3)]
+    return [DataPoint._make(row) for row in _read_columns(source, 3)]
 
 
 def load_points(source) -> list[tuple]:
     """Parse (x, y) points: the format of load_dataset with the two
     columns x,y or H,T.  Returns (x, y) tuples in file order and raises
     ParseError as load_dataset does."""
-    return _read_columns(source, None, 2)
+    return _read_columns(source, 2)
 
 
-def _read_columns(source, columns, width: int) -> list[tuple]:
+def _read_columns(source, width: int) -> list[tuple]:
     """The parser behind load_dataset and load_points: ``width`` finite
     numeric columns picked by header name from each data row."""
     if isinstance(source, bytes):
@@ -193,22 +191,13 @@ def _read_columns(source, columns, width: int) -> list[tuple]:
         delim = "\t" if "\t" in header_line else ","
         header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
         lower = [h.lower() for h in header]
-        if columns is not None:
-            wanted = [c.lower() for c in columns]
-            if len(wanted) != width:
-                raise ValueError(f"columns must name exactly {width} headers")
-        else:
-            aliases = [a[:width] for a in HEADER_ALIASES]
-            wanted = next((list(a) for a in aliases
-                           if all(c in lower for c in a)), None)
-            if wanted is None:
-                known = " or ".join(",".join(a) for a in aliases)
-                raise ParseError(f"header {header!r} does not contain the "
-                                 f"columns {known} (any case)", line=1)
-        try:
-            cols = [lower.index(c) for c in wanted]
-        except ValueError as exc:
-            raise ParseError(f"missing column in header: {exc}", line=1) from None
+        aliases = [a[:width] for a in HEADER_ALIASES]
+        wanted = next((a for a in aliases if all(c in lower for c in a)), None)
+        if wanted is None:
+            known = " or ".join(",".join(a) for a in aliases)
+            raise ParseError(f"header {header!r} does not contain the "
+                             f"columns {known} (any case)", line=1)
+        cols = [lower.index(c) for c in wanted]
 
         rows: list[tuple] = []
         reader = csv.reader(fh, delimiter=delim)
@@ -237,11 +226,12 @@ def _read_columns(source, columns, width: int) -> list[tuple]:
             fh.close()
 
 
-def save_dataset(points: Iterable[DataPoint], path, header=("x", "y", "z")) -> None:
-    """Write points as CSV in the dialect load_dataset accepts."""
+def save_dataset(points: Iterable[DataPoint], path) -> None:
+    """Write points as CSV with header x,y,z in the dialect load_dataset
+    accepts."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(("x", "y", "z"))
         for p in points:
             writer.writerow([format(v, ".17g") for v in p])
 
@@ -267,11 +257,6 @@ def normalize(points: Sequence[DataPoint]) -> NormalizedDataset:
     nmap = NormalizationMap(*bounds, z_lo, z_hi)
     x, y, z = nmap.to_unit(arr[:, 0], arr[:, 1], arr[:, 2])
     return NormalizedDataset(np.column_stack([x, y, z]), nmap)
-
-
-def denormalize(nmap: NormalizationMap, x, y, z):
-    """Inverse of the unit-cube map; extrapolated inputs pass through."""
-    return nmap.to_raw(x, y, z)
 
 
 def split(data: NormalizedDataset, cfg: SplitConfig) -> DataSplit:

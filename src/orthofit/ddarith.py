@@ -9,8 +9,8 @@ are bit-reproducible.
 
 Conventions: functions prefixed ``dd_`` take and return (hi, lo) pairs;
 ``two_sum``/``two_prod`` are the classic error-free building blocks;
-``comp_dot``/``comp_sum`` are compensated double-precision reductions
-(full dd accumulation internally, rounded to double on return).
+``comp_dot`` is a compensated double-precision dot product (full dd
+accumulation internally, rounded to double on return).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ _SPLITTER = 134217729.0
 
 
 def two_sum(a, b):
-    """Return (s, e) with s = fl(a + b) and s + e == a + b exactly."""
+    """Return (s, e) with s = fl(a + b) and s + e == a + b exactly,
+    for all finite a, b whose sum does not overflow."""
     s = a + b
     bb = s - a
     e = (a - (s - bb)) + (b - bb)
@@ -43,7 +44,12 @@ def _split(a):
 
 
 def two_prod(a, b):
-    """Return (p, e) with p = fl(a * b) and p + e == a * b exactly."""
+    """Return (p, e) with p = fl(a * b) and p + e == a * b exactly.
+
+    Valid domain: |a|, |b| <= 2**995 (the splitter product stays finite),
+    a * b finite, and |a * b| >= 2**-968 unless a or b is zero (the error
+    term does not underflow).  Outside it ``e`` can be wrong or NaN.
+    """
     p = a * b
     ah, al = _split(a)
     bh, bl = _split(b)
@@ -150,12 +156,6 @@ def dd_dot(uh, ul, vh, vl, axis=0):
     return dd_sum(p, e, axis=axis)
 
 
-def comp_sum(x, axis=0):
-    """Compensated sum of doubles, returned as a double."""
-    h, l = dd_sum(np.asarray(x, dtype=float), 0.0, axis=axis)
-    return h + l
-
-
 def comp_dot(u, v, axis=0):
     """Compensated dot product of double vectors (dot2 scheme)."""
     u = np.asarray(u, dtype=float)
@@ -219,10 +219,6 @@ class DD:
         yh, yl = self._coerce(other)
         return DD(*dd_sub(self.hi, self.lo, yh, yl))
 
-    def __rsub__(self, other):
-        yh, yl = self._coerce(other)
-        return DD(*dd_sub(yh, yl, self.hi, self.lo))
-
     def __mul__(self, other):
         yh, yl = self._coerce(other)
         return DD(*dd_mul(self.hi, self.lo, yh, yl))
@@ -237,35 +233,5 @@ class DD:
         yh, yl = self._coerce(other)
         return DD(*dd_div(yh, yl, self.hi, self.lo))
 
-    def __neg__(self):
-        return DD(-self.hi, -self.lo)
-
-    def __abs__(self):
-        return -self if self.hi < 0 or (self.hi == 0 and self.lo < 0) else self
-
     def sqrt(self):
         return DD(*dd_sqrt(self.hi, self.lo))
-
-    def _cmp(self, other):
-        yh, yl = self._coerce(other)
-        dh, dl = dd_sub(self.hi, self.lo, yh, yl)
-        return dh + dl
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0
-
-    def __hash__(self):
-        return hash((self.hi, self.lo))
-

@@ -22,6 +22,7 @@ strengths at constant model size).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
 class FitConfig:
     """Knobs for a single fit.
 
-    lambda_ : regularization strength (0 disables the curvature term).
+    lambda_ : finite regularization strength (0: no curvature term).
     max_columns : hard cap on accepted polynomial columns (>= 3).
     target_error : stop once the training error drops this low.
     stop_rel_improvement / stop_patience_blocks : stall rule -- stop after
@@ -61,6 +62,8 @@ class FitConfig:
     fixed_columns: Optional[int] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.lambda_):
+            raise ValueError(f"lambda_ must be finite, got {self.lambda_!r}")
         if self.lambda_ < 0:
             raise ValueError("lambda_ must be >= 0")
         if self.max_columns < 3:
@@ -85,20 +88,18 @@ def regularized_coefficient(proj, q, r_acc, lam: float):
 class RegState:
     """Accumulator for the regularization recurrence.
 
-    Tracks Q_t per column, the running R (= sum of b_r * Q_r, r < t), and
-    the coefficients; ``absorb`` advances the recurrence by one column.
+    Tracks the running R (= sum of b_r * Q_r, r < t) and the
+    coefficients; ``absorb`` advances the recurrence by one column.
     """
 
     def __init__(self, lam: float):
         self.lam = lam
         self.R = 0.0
-        self.Q: list = []
         self.b: list = []
 
     def absorb(self, proj, q):
         b = regularized_coefficient(proj, q, self.R, self.lam)
         self.R = self.R + b * q
-        self.Q.append(q)
         self.b.append(b)
         return b
 
@@ -125,7 +126,6 @@ class FitResult:
     lambda_: float
     sigma_tr: float
     history: tuple
-    precision: PrecisionMode
     nmap: NormalizationMap
     b_lo: Optional[np.ndarray] = None
     rejected: tuple = field(default=())
@@ -206,7 +206,8 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
 
     Returns a FitResult whose ``S`` is the largest accepted column index;
     ``history`` records (flat index, column index, coefficient, Laplacian
-    sum, running R, training error) per accepted column.
+    sum, running R, training error) per accepted column.  A training
+    error that is not finite (lambda too large) raises DegenerateFitError.
     """
     train = np.asarray(split.train_idx)
     ntr = train.size
@@ -259,6 +260,10 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
             b = reg.absorb(proj, q)
             residual = builder.subtract_scaled_column(residual, s, b)
             sigma = builder.vec_norm2(residual) / ntr
+            if not math.isfinite(sigma):
+                raise DegenerateFitError(
+                    f"training error is not finite after column {t} "
+                    f"at lambda={cfg.lambda_!r}")
             history.append(FitStep(t, s, float(b), float(q), float(reg.R), sigma))
             if builder.n_columns >= cap:
                 done = True
@@ -293,5 +298,5 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
         bl = None
     return FitResult(basis=basis, b=bh, S=builder.n_columns - 1,
                      lambda_=cfg.lambda_, sigma_tr=sigma,
-                     history=tuple(history), precision=cfg.precision,
-                     nmap=data.map, b_lo=bl, rejected=tuple(rejected))
+                     history=tuple(history), nmap=data.map, b_lo=bl,
+                     rejected=tuple(rejected))

@@ -47,9 +47,9 @@ class SurfaceModel:
     audit: Optional[dict] = None
 
 
-def _dd_back_substitute(ah, al, bh, bl, kept):
+def _dd_back_substitute(ah, al, bh, bl):
     """Monomial coefficients of sum(b_s P_s), dd throughout."""
-    K = len(kept)
+    K = len(bh)
     gh = np.zeros((K, K))
     gl = np.zeros((K, K))
     for s in range(K):
@@ -90,7 +90,7 @@ def to_monomial(fit: FitResult,
     if PrecisionMode(precision) is PrecisionMode.EXTENDED:
         ah = basis.a
         al = basis.a_lo if basis.a_lo is not None else np.zeros_like(ah)
-        c = _dd_back_substitute(ah, al, bh, bl, basis.kept)
+        c = _dd_back_substitute(ah, al, bh, bl)
     else:
         c = _double_back_substitute(basis.a, bh + bl)
     audit = None

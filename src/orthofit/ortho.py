@@ -11,7 +11,7 @@ v_i`` over the training points.  Three schemes are provided:
 * ``cgs``  -- one classical pass (all projections measured against the
   incoming column).
 * ``mgs``  -- one modified pass (projections measured sequentially
-  against the running residual).
+  against the running residual); double precision only.
 
 The expansion bookkeeping stores, for each orthonormal column s,
 coefficients ``a[s, s]`` (of the raw basis column) and ``a[s, t]`` (of
@@ -46,19 +46,6 @@ RANK_TOL = 1e-20     # post-projection norm below this rejects the column
 class PrecisionMode(str, Enum):
     DOUBLE = "double"
     EXTENDED = "extended"
-
-
-def inner(u, v) -> float:
-    """Sample inner product sum(u * v).
-
-    Uses a compensated (error-free product + pairwise dd) reduction with
-    a fixed reduction tree, so results are reproducible.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    return comp_dot(u, v)
 
 
 @dataclass(frozen=True)
@@ -166,14 +153,6 @@ class _ExtendedCore:
         k = self.k
         return dd_matvec_t(self.Ph[:, :k], self.Pl[:, :k], v[0], v[1])
 
-    def measure_seq(self, v):
-        dh = np.empty(self.k); dl = np.empty(self.k)
-        for t in range(self.k):
-            h, l = dd_dot(self.Ph[:, t], self.Pl[:, t], v[0], v[1])
-            v = dd_sub(v[0], v[1], *dd_mul(self.Ph[:, t], self.Pl[:, t], h, l))
-            dh[t], dl[t] = h, l
-        return (dh, dl), v
-
     def deflate(self, v, delta):
         k = self.k
         ph = dd_matvec(self.Ph[:, :k], self.Pl[:, :k], delta[0], delta[1])
@@ -209,22 +188,20 @@ class OrthoBuilder:
     Parameters
     ----------
     n_train : number of training points (column length).
-    scheme : 'igs', 'cgs', or 'mgs'.
+    scheme : 'igs', 'cgs', or 'mgs' ('mgs' at double precision only).
     precision : PrecisionMode for storage and reductions.
-    reorth_tol, max_passes, rank_tol : see module constants.
     """
 
     def __init__(self, n_train: int, scheme: str = "igs",
                  precision: PrecisionMode = PrecisionMode.DOUBLE,
-                 capacity: int = 64, reorth_tol: float = REORTH_TOL,
-                 max_passes: int = MAX_PASSES, rank_tol: float = RANK_TOL):
+                 capacity: int = 64):
         if scheme not in ("igs", "cgs", "mgs"):
             raise ValueError(f"unknown scheme {scheme!r}")
         self.scheme = scheme
         self.precision = PrecisionMode(precision)
-        self.reorth_tol = reorth_tol
-        self.max_passes = max_passes if scheme == "igs" else 1
-        self.rank_tol = rank_tol
+        if scheme == "mgs" and self.precision is PrecisionMode.EXTENDED:
+            raise ValueError("the mgs scheme runs at double precision only")
+        self.max_passes = MAX_PASSES if scheme == "igs" else 1
         self._cap = max(capacity, 8)
         self._n = n_train
         core = _ExtendedCore if self.precision is PrecisionMode.EXTENDED else _DoubleCore
@@ -273,11 +250,11 @@ class OrthoBuilder:
                         dtot = dtot + delta
                     # pass accepted once the newly measured projections are
                     # negligible against the incoming column's scale
-                    if core.delta_max(delta) <= self.reorth_tol * col_norm:
+                    if core.delta_max(delta) <= REORTH_TOL * col_norm:
                         break
             n2 = core.norm2(v)
         p = (DD(n2.hi, n2.lo) if isinstance(n2, DD) else DD(n2)).sqrt()
-        if float(p) < self.rank_tol:
+        if float(p) < RANK_TOL:
             return False
         inv = 1.0 / p
         core.append(v, inv)

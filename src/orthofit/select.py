@@ -28,7 +28,7 @@ import numpy as np
 from .dataset import DataSplit, NormalizedDataset
 from .fit import FitConfig, fit_surface
 from .model import eval_monomial, to_monomial
-from .errors import OrthofitError
+from .errors import DegenerateFitError, OrthofitError
 
 GAMMA_CLAMP = 50.0
 
@@ -41,7 +41,10 @@ def overfit_degree(sigma_tr: float, sigma_other: float) -> float:
 
     Clamped to +/-50 at the singular points: equal errors pin the value
     at -50, a zero training error with a nonzero held-out error at +50.
+    A NaN error gives NaN, so a broken record never passes as clamped.
     """
+    if math.isnan(sigma_tr) or math.isnan(sigma_other):
+        return math.nan
     if sigma_other == sigma_tr:
         return -GAMMA_CLAMP
     if sigma_tr == 0.0:
@@ -95,12 +98,15 @@ def select_model(report: SweepReport, gamma_cap: float = 1.0) -> SweepReport:
     Picks the record with the largest x (weakest regularization) whose
     gamma and gamma_prime both stay at or below the cap; if none
     qualifies, falls back to the record minimizing max(gamma,
-    gamma_prime).  Records carrying an error note are skipped.
+    gamma_prime).  Records carrying an error note are skipped; when no
+    record is usable, the error quotes the first note.
     """
     usable = [(i, r) for i, r in enumerate(report.records)
               if not r.note and math.isfinite(r.gamma) and math.isfinite(r.gamma_prime)]
     if not usable:
-        raise OrthofitError("no usable sweep records to select from")
+        failed = next((r for r in report.records if r.note), None)
+        cause = f" (x={failed.x_log:g}: {failed.note})" if failed else ""
+        raise OrthofitError(f"no usable sweep records to select from{cause}")
     capped = [(i, r) for i, r in usable
               if r.gamma <= gamma_cap and r.gamma_prime <= gamma_cap]
     if capped:
@@ -115,21 +121,22 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
                  gamma_cap: float = 1.0) -> SweepReport:
     """Fit once per x in the grid with lambda = exp(-x) and collect records.
 
-    Duplicate grid entries are dropped (first occurrence wins).  A fit
-    failure annotates its record instead of aborting the sweep.
+    Duplicate grid entries are dropped.  An entry that is not finite or
+    whose exp(-x) overflows raises ValueError.  A DegenerateFitError
+    annotates its record instead of aborting the sweep; input errors
+    propagate.
     """
     if len(grid) == 0:
         raise ValueError("empty x grid")
-    seen = set()
-    xs = []
     for x in grid:
-        if x not in seen:
-            seen.add(x)
-            xs.append(float(x))
-    xs.sort()
+        if not math.isfinite(x):
+            raise ValueError(f"x grid entry {x!r} is not finite")
     records = []
-    for x in xs:
-        lam = math.exp(-x)
+    for x in sorted({float(x) for x in grid}):
+        try:
+            lam = math.exp(-x)
+        except OverflowError:  # the smallest x come first: before any fit
+            raise ValueError(f"x grid entry {x!r} overflows exp(-x)") from None
         try:
             fit = fit_surface(split, data, replace(cfg, lambda_=lam))
             model = to_monomial(fit)
@@ -140,7 +147,7 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
                 x_log=x, lambda_=lam, S=fit.S, sigma_tr=s_tr, sigma_cv=s_cv,
                 sigma_test=s_te, gamma=overfit_degree(s_tr, s_cv),
                 gamma_prime=overfit_degree(s_tr, s_te)))
-        except OrthofitError as exc:
+        except DegenerateFitError as exc:
             records.append(ValidationRecord(
                 x_log=x, lambda_=lam, S=-1, sigma_tr=math.nan,
                 sigma_cv=math.nan, sigma_test=math.nan, gamma=math.nan,

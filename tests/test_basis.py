@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from orthofit.basis import (basis_dy, basis_values, block_start,
-                            columns_for_degree, dd_basis_values, degree_block,
-                            odd_field_mask)
+                            columns_for_degree, dd_basis_values, degree_block)
 from orthofit.fit import _BlockGen
 from orthofit.ortho import PrecisionMode
 from oracles import (power_rule_d2x, power_rule_d2y, power_rule_dy,
@@ -87,13 +86,6 @@ def test_degree_block_inverts_flat_index_to_1e6():
 def test_degree_block_rejects_negative():
     with pytest.raises(ValueError):
         degree_block(-1)
-
-
-def test_odd_field_mask():
-    assert odd_field_mask(5).tolist() == [False, True, False, False, True, False]
-    mask9 = odd_field_mask(9)
-    assert [t for t in range(10) if mask9[t]] == [1, 4, 6, 8]  # x, xy, x^3, xy^2
-    assert not odd_field_mask(0)[0]  # constant term always excluded
 
 
 def test_recursion_agrees_with_direct_powers_to_degree_25():

@@ -124,8 +124,59 @@ def test_sweep_empty_grid_usage_error(capsys, plane_csv):
 
 
 def test_sweep_bad_grid_spec(capsys, plane_csv):
-    code, _, _ = run_cli(capsys, "sweep", str(plane_csv), "--x-grid", "40:10:10")
+    for spec, named in (("40:10:10", "lo <= hi"), ("-800", "-800"),
+                        ("-inf", "-inf"), ("10,nan", "nan"),
+                        ("0:inf:10", "finite")):
+        code, out, err = run_cli(capsys, "sweep", str(plane_csv),
+                                 f"--x-grid={spec}")
+        assert code == 2, spec
+        assert named in err and not out, spec
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_lambda_is_a_usage_error(capsys, plane_csv, tmp_path,
+                                            command, value):
+    extra = (["-o", str(tmp_path / "m.json")] if command == "fit"
+             else ["--x-grid", "10"])
+    code, out, err = run_cli(capsys, command, str(plane_csv), *extra,
+                             f"--lambda={value}")
     assert code == 2
+    assert value.lstrip("-") in err and not out
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_non_finite_training_error_is_a_numeric_failure(capsys, noisy_csv,
+                                                        tmp_path):
+    # lambda beyond the double-double splitter's range turns the fit NaN
+    model_path = tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", str(noisy_csv), "-o", str(model_path),
+                             "--precision", "extended", "--lambda", "1e300",
+                             "--fixed-S", "10")
+    assert code == 4
+    assert "not finite" in err and "1e+300" in err
+    assert not out and not model_path.exists()
+    code, out, err = run_cli(capsys, "sweep", str(noisy_csv), "--precision",
+                             "extended", "--x-grid=-700,-690", "--fixed-S", "10")
+    assert code == 4
+    assert "no usable sweep records" in err and "x=-700" in err
+    assert "not finite" in err and not out
+    code, out, _ = run_cli(capsys, "sweep", str(noisy_csv), "--precision",
+                           "extended", "--x-grid=-700,10", "--fixed-S", "10",
+                           "--report", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert "not finite" in doc["records"][0]["note"]
+    assert doc["chosen"] == 1 and math.isfinite(doc["records"][1]["sigma_tr"])
+
+
+def test_sweep_input_errors_match_fit(capsys, plane_csv, tmp_path):
+    fit = run_cli(capsys, "fit", str(plane_csv), "-o", str(tmp_path / "m.json"),
+                  "--fixed-S", "700")
+    sweep = run_cli(capsys, "sweep", str(plane_csv), "--x-grid", "10,20",
+                    "--fixed-S", "700")
+    assert fit[0] == sweep[0] == 3
+    assert fit[2] == sweep[2] and "fixed_columns=701" in sweep[2]
 
 
 def test_eval_plane_model_point_and_grid(capsys, plane_csv, tmp_path):

@@ -240,6 +240,9 @@ def test_insufficient_and_degenerate_inputs():
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(lambda_=-1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FitConfig(lambda_=value)
     with pytest.raises(ValueError):
         FitConfig(max_columns=2)
     with pytest.raises(ValueError):

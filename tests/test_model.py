@@ -1,7 +1,10 @@
 """Monomial conversion, evaluation paths, physical units, quadrature."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       SurfaceModel, SynthSpec, dZ_dY, entropy_change,
@@ -176,6 +179,36 @@ def test_model_file_roundtrip(tmp_path, plane_points):
     assert back.S == model.S and back.lambda_ == model.lambda_
     assert back.sigma_tr == model.sigma_tr
     assert back.audit is not None and "a" in back.audit and "b" in back.audit
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_ordered = st.lists(_finite, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def _models(draw):
+    kept = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=20,
+                         unique=True))
+    c = draw(st.lists(_finite, min_size=len(kept), max_size=len(kept)))
+    x, y = draw(_ordered), draw(_ordered)
+    z = sorted(draw(st.lists(_finite, min_size=2, max_size=2)))
+    return SurfaceModel(c=np.array(c), kept=tuple(kept),
+                        map=NormalizationMap(*x, *y, *z),
+                        S=draw(st.integers(0, 10 ** 6)),
+                        lambda_=draw(_finite), sigma_tr=draw(_finite))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_models())
+def test_model_file_roundtrip_is_exact(tmp_path, model):
+    path = tmp_path / "prop.model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.c.tobytes() == model.c.tobytes()
+    assert (back.kept, back.S, back.audit) == (model.kept, model.S, None)
+    scalars = [astuple(m.map) + (m.lambda_, m.sigma_tr) for m in (back, model)]
+    assert np.array(scalars[0]).tobytes() == np.array(scalars[1]).tobytes()
 
 
 def test_model_file_rejects_bad_version_and_garbage(tmp_path):

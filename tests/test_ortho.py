@@ -5,7 +5,7 @@ import pytest
 
 from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import dd_add, dd_matvec, dd_mul
-from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode, inner,
+from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
 from oracles import sympy_laplacian_columns
 from conftest import raw_curvature_sums, uniform_xy
@@ -27,15 +27,6 @@ def _feed_columns(builder, x, y, n_cols, extended=False):
 
 def _curvature_sums(builder):
     return np.array([float(q) for q in builder._q])
-
-
-def test_inner_examples():
-    u = np.ones(3) / np.sqrt(3)
-    assert inner(u, u) == pytest.approx(1.0, abs=1e-15)
-    assert inner(np.array([1.0, -1.0, 0.0]), np.array([1.0, 1.0, 0.0])) == 0.0
-    with pytest.raises(ValueError):
-        inner(np.ones(3), np.ones(4))
-    assert abs(inner(np.full(10 ** 5, 0.1), np.ones(10 ** 5)) - 1e4) < 1e-10
 
 
 def test_first_column_is_normalized_constant():
@@ -97,6 +88,15 @@ def test_single_column_identical_across_schemes():
         outs.append(b.to_basis().P[:, 0])
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
+
+
+def test_builder_rejects_unknown_scheme_and_extended_mgs():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        OrthoBuilder(10, scheme="householder")
+    with pytest.raises(ValueError, match="double precision only"):
+        OrthoBuilder(10, scheme="mgs", precision=PrecisionMode.EXTENDED)
+    for scheme in ("igs", "cgs"):
+        OrthoBuilder(10, scheme=scheme, precision=PrecisionMode.EXTENDED)
 
 
 def test_defect_ordering_igs_beats_mgs_beats_cgs():

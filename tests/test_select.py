@@ -8,10 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from orthofit import (DataSplit, FitConfig, SplitConfig, SweepReport,
-                      SynthSpec, ValidationRecord, fit_surface, generate,
-                      group_error, lambda_sweep, normalize, overfit_degree,
-                      select_model, split, to_monomial)
+from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
+                      SweepReport, SynthSpec, ValidationRecord, fit_surface,
+                      generate, group_error, lambda_sweep, normalize,
+                      overfit_degree, select_model, split, to_monomial)
 from orthofit.select import SWEEP_COLUMNS, sweep_to_csv, sweep_to_json
 from conftest import all_train_split, unit_dataset
 
@@ -28,6 +28,10 @@ def test_overfit_degree_clamps():
     assert overfit_degree(0.0, 0.0) == -50.0
     assert overfit_degree(0.0, 1e-9) == 50.0
     assert math.isfinite(overfit_degree(1e-300, 1.0))
+    # NaN is not a clamped extreme: it must not pass select_model's filter
+    assert math.isnan(overfit_degree(math.nan, 1.0))
+    assert math.isnan(overfit_degree(0.0, math.nan))
+    assert math.isnan(overfit_degree(math.nan, math.nan))
 
 
 def test_group_error_basics(plane_points):
@@ -135,6 +139,8 @@ def test_select_model_skips_failed_records():
                                  gamma_prime=math.nan, note="boom"))
     report = select_model(SweepReport(records=tuple(recs)))
     assert report.records[report.chosen].x_log == 20
+    with pytest.raises(OrthofitError, match=r"x=50: boom"):
+        select_model(SweepReport(records=tuple(recs[-1:])))
 
 
 def test_serialization_schemas_and_consistency():
