@@ -42,6 +42,7 @@ from .select import (group_error, lambda_sweep, overfit_degree, sweep_to_csv,
 from .synth import SynthSpec, generate
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
+MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -95,7 +96,13 @@ def _parse_x_grid(text: str) -> list[float]:
         out = []
         v = lo
         while v <= hi + 1e-9:
+            if len(out) == MAX_GRID_POINTS:
+                raise ValueError(f"x grid range {text} holds more than "
+                                 f"{MAX_GRID_POINTS} points")
             out.append(round(v, 12))
+            if v + step == v:
+                raise ValueError(f"x grid range {text}: step {step:g} does "
+                                 f"not advance past {v:g}")
             v += step
         return out
     return [float(p) for p in text.split(",") if p.strip()]
@@ -180,6 +187,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.with_entropy and args.entropy_steps < 2:
+        raise ValueError("--entropy-steps must be >= 2")
     model = load_model(args.model)
     nmap = model.map
     if args.grid:

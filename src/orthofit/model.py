@@ -2,12 +2,14 @@
 
 A fitted surface can be evaluated two ways: through the orthonormal
 polynomial recurrences (the arithmetic the fit itself used) or through
-plain monomial coefficients obtained by back-substituting the triangular
-expansion.  The monomial form is the cheap, portable artifact that gets
-serialized; the conversion runs in double-double arithmetic by default
-because the back-substitution cancels catastrophically for large models
-when carried out in plain doubles -- the two evaluation paths then
-visibly disagree.
+plain monomial coefficients.  Both come from one triangular expansion,
+P_s = a_ss h_s + sum_{t<s} a_st P_t (``_expand``): applied to basis
+values it evaluates the polynomials, applied to the identity it yields
+their monomial coefficients.  The monomial form is the cheap, portable
+artifact that gets serialized; the conversion runs in double-double
+arithmetic by default because the expansion cancels catastrophically
+for large models when carried out in plain doubles -- the two
+evaluation paths then visibly disagree.
 
 Physical-unit helpers invert the size normalization, differentiate with
 respect to the raw Y coordinate (e.g. temperature), and integrate that
@@ -47,58 +49,64 @@ class SurfaceModel:
     audit: Optional[dict] = None
 
 
-def _dd_back_substitute(ah, al, bh, bl):
-    """Monomial coefficients of sum(b_s P_s), dd throughout."""
-    K = len(bh)
-    gh = np.zeros((K, K))
-    gl = np.zeros((K, K))
-    for s in range(K):
-        th = np.zeros(K)
-        tl = np.zeros(K)
-        if s:
-            th, tl = dd_matvec_t(gh[:s], gl[:s], ah[s, :s], al[s, :s])
-        eh, el = dd_add(th[s], tl[s], ah[s, s], al[s, s])
-        th[s], tl[s] = eh, el
-        gh[s], gl[s] = th, tl
-    ch, cl = dd_matvec_t(gh, gl, bh, bl)
-    return ch + cl
+def _expand(a, a_lo, h):
+    """Orthonormal values P_s = a[s, s] h_s + sum_{t<s} a[s, t] P_t.
+
+    ``h`` holds the raw columns h_s: an (n, K) array with ``a_lo`` None,
+    or for double-double a (hi, lo) pair of them with ``a_lo`` the low
+    parts of ``a``.  The result has the same form.  Expanding the
+    identity gives the monomial coefficients of every P_s.
+    """
+    K = a.shape[0]
+    if a_lo is None:
+        p = np.empty(h.shape)  # C order: the gemv kernel, hence the bits
+        np.multiply(h, np.diag(a), out=p)
+        for s in range(1, K):
+            p[:, s] += p[:, :s] @ a[s, :s]
+        return p
+    # One contiguous row per column; the sum over earlier rows is pairwise.
+    ph, pl = (np.array(v.T, order="C")
+              for v in dd_mul(*h, np.diag(a), np.diag(a_lo)))
+    for s in range(1, K):
+        ph[s], pl[s] = dd_add(ph[s], pl[s], *dd_matvec_t(
+            ph[:s], pl[:s], a[s, :s], a_lo[s, :s]))
+    return ph.T, pl.T
 
 
-def _double_back_substitute(a, b):
-    K = len(b)
-    g = np.zeros((K, K))
-    for s in range(K):
-        row = g[:s].T @ a[s, :s] if s else np.zeros(K)
-        row[s] += a[s, s]
-        g[s] = row
-    return g.T @ b
+def _b_lo(fit: FitResult):
+    return fit.b_lo if fit.b_lo is not None else np.zeros_like(fit.b)
 
 
 def to_monomial(fit: FitResult,
                 precision: PrecisionMode = PrecisionMode.EXTENDED,
                 include_audit: bool = False) -> SurfaceModel:
-    """Convert a fit to monomial form.
+    """Convert a fit to monomial form: c = sum_s b_s g_s, where g_s holds
+    the monomial coefficients of P_s.
 
-    The back-substitution runs at the requested precision (extended by
-    default, regardless of the fit's own precision); the final
-    coefficients are stored as doubles either way.
+    The expansion runs at the requested precision (extended by default,
+    regardless of the fit's own precision); the final coefficients are
+    stored as doubles either way.
     """
     basis = fit.basis
     K = basis.n_columns
-    bh = fit.b
-    bl = fit.b_lo if fit.b_lo is not None else np.zeros(K)
+    bl = _b_lo(fit)
+    b = fit.b + bl
     if PrecisionMode(precision) is PrecisionMode.EXTENDED:
-        ah = basis.a
-        al = basis.a_lo if basis.a_lo is not None else np.zeros_like(ah)
-        c = _dd_back_substitute(ah, al, bh, bl)
+        al = basis.a_lo if basis.a_lo is not None else np.zeros_like(basis.a)
+        gh, gl = _expand(basis.a, al, (np.eye(K), np.zeros((K, K))))
+        ch, cl = dd_matvec(gh, gl, fit.b, bl)
+        c = ch + cl
     else:
-        c = _double_back_substitute(basis.a, bh + bl)
-    audit = None
-    if include_audit:
-        audit = {"a": basis.a.tolist(), "b": (bh + bl).tolist()}
-    return SurfaceModel(c=np.asarray(c, dtype=float), kept=basis.kept,
-                        map=fit.nmap, S=fit.S, lambda_=fit.lambda_,
-                        sigma_tr=fit.sigma_tr, audit=audit)
+        c = _expand(basis.a, None, np.eye(K)) @ b
+    audit = {"a": basis.a.tolist(), "b": b.tolist()} if include_audit else None
+    return SurfaceModel(c=c, kept=basis.kept, map=fit.nmap, S=fit.S,
+                        lambda_=fit.lambda_, sigma_tr=fit.sigma_tr, audit=audit)
+
+
+def _points(x, y):
+    return (np.atleast_1d(np.asarray(x, dtype=float)),
+            np.atleast_1d(np.asarray(y, dtype=float)),
+            np.ndim(x) == 0 and np.ndim(y) == 0)
 
 
 def eval_ortho(fit: FitResult, x, y):
@@ -109,35 +117,26 @@ def eval_ortho(fit: FitResult, x, y):
     """
     basis = fit.basis
     kept = np.asarray(basis.kept, dtype=int)
-    K = basis.n_columns
     L = int(kept.max())
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    xs, ys, scalar = _points(x, y)
     if basis.precision is PrecisionMode.EXTENDED:
         hh, hl = dd_basis_values(xs, ys, L)
-        ah, al = basis.a, basis.a_lo
-        ph = np.empty((xs.size, K))
-        pl = np.empty((xs.size, K))
-        for s in range(K):
-            th, tl = dd_mul(hh[:, kept[s]], hl[:, kept[s]], ah[s, s], al[s, s])
-            if s:
-                mh, ml = dd_matvec(ph[:, :s], pl[:, :s], ah[s, :s], al[s, :s])
-                th, tl = dd_add(th, tl, mh, ml)
-            ph[:, s], pl[:, s] = th, tl
-        bl = fit.b_lo if fit.b_lo is not None else np.zeros(K)
-        fh, fl = dd_matvec(ph, pl, fit.b, bl)
+        ph, pl = _expand(basis.a, basis.a_lo, (hh[:, kept], hl[:, kept]))
+        fh, fl = dd_matvec(ph, pl, fit.b, _b_lo(fit))
         out = fh + fl
     else:
-        vals = np.atleast_2d(basis_values(xs, ys, L))
-        a = basis.a
-        p = np.empty((xs.size, K))
-        for s in range(K):
-            col = a[s, s] * vals[:, kept[s]]
-            if s:
-                col = col + p[:, :s] @ a[s, :s]
-            p[:, s] = col
-        out = p @ fit.b
+        out = _expand(basis.a, None, basis_values(xs, ys, L)[:, kept]) @ fit.b
+    return float(out[0]) if scalar else out
+
+
+def _sum_terms(model: SurfaceModel, table, x, y):
+    """Compensated sum_t c_t table_t(x, y) over the kept indices, where
+    ``table`` is basis_values or basis_dy."""
+    kept = np.asarray(model.kept, dtype=int)
+    xs, ys, scalar = _points(x, y)
+    t = table(xs, ys, int(kept.max()))[:, kept]
+    fh, fl = dd_matvec(t, np.zeros_like(t), model.c, np.zeros_like(model.c))
+    out = fh + fl
     return float(out[0]) if scalar else out
 
 
@@ -147,15 +146,7 @@ def eval_monomial(model: SurfaceModel, x, y):
     Products and the sum are compensated, so accuracy is limited by the
     stored double coefficients rather than by summation order.
     """
-    kept = np.asarray(model.kept, dtype=int)
-    L = int(kept.max())
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    h = np.atleast_2d(basis_values(xs, ys, L))[:, kept]
-    fh, fl = dd_matvec(h, np.zeros_like(h), model.c, np.zeros_like(model.c))
-    out = fh + fl
-    return float(out[0]) if scalar else out
+    return _sum_terms(model, basis_values, x, y)
 
 
 def eval_physical(model: SurfaceModel, X, Y):
@@ -182,16 +173,8 @@ def dZ_dY(model: SurfaceModel, X, Y):
     nmap = model.map
     if nmap.y_max == nmap.y_min:
         raise ValueError("degenerate Y range: derivative undefined")
-    scale = (nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min)
-    x, y = nmap.to_unit(X, Y)
-    kept = np.asarray(model.kept, dtype=int)
-    L = int(kept.max())
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    d = np.atleast_2d(basis_dy(xs, ys, L))[:, kept]
-    gh, gl = dd_matvec(d, np.zeros_like(d), model.c, np.zeros_like(model.c))
-    out = scale * (gh + gl)
-    return float(out[0]) if np.ndim(X) == 0 and np.ndim(Y) == 0 else out
+    scale = float((nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min))
+    return scale * _sum_terms(model, basis_dy, *nmap.to_unit(X, Y))
 
 
 def entropy_change(model: SurfaceModel, Y, X_hi, n_steps: int = 200):

@@ -122,12 +122,14 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     """Fit once per x in the grid with lambda = exp(-x) and collect records.
 
     Duplicate grid entries are dropped.  An entry that is not finite or
-    whose exp(-x) overflows raises ValueError.  A DegenerateFitError
-    annotates its record instead of aborting the sweep; input errors
-    propagate.
+    whose exp(-x) overflows raises ValueError, as does a NaN cap.  A
+    DegenerateFitError annotates its record instead of aborting the
+    sweep; input errors propagate.
     """
     if len(grid) == 0:
         raise ValueError("empty x grid")
+    if math.isnan(gamma_cap):
+        raise ValueError("gamma cap is NaN")
     for x in grid:
         if not math.isfinite(x):
             raise ValueError(f"x grid entry {x!r} is not finite")
@@ -182,11 +184,16 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 
 def sweep_to_json(report: SweepReport) -> str:
-    """JSON text: the CSV fields per record plus policy and chosen index."""
+    """JSON text: the CSV fields per record plus policy and chosen index.
+
+    A non-finite number (a failed record's errors) is written as null.
+    """
     doc = {
-        "records": [_record_row(r) | ({"note": r.note} if r.note else {})
+        "records": [{k: None if isinstance(v, float) and not math.isfinite(v)
+                     else v for k, v in _record_row(r).items()}
+                    | ({"note": r.note} if r.note else {})
                     for r in report.records],
         "policy": report.policy,
         "chosen": report.chosen,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n"

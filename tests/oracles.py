@@ -166,9 +166,7 @@ def mpmath_curvature_sums(basis, x, y, dps=50):
                 moments[a, b] = mpmath.fsum(u ** a * v ** b for u, v in pts)
             return moments[a, b]
 
-        a = basis.a
-        a_lo = basis.a_lo if basis.a_lo is not None else np.zeros_like(a)
-        coef = lambda s, t: mpmath.mpf(float(a[s, t])) + mpmath.mpf(float(a_lo[s, t]))
+        a = _mp_values(basis.a, basis.a_lo)
         q = []
         for s, t in enumerate(basis.kept):
             _, m, j = degree_block(t)
@@ -178,6 +176,37 @@ def mpmath_curvature_sums(basis, x, y, dps=50):
                 raw += i * (i - 1) * moment(i - 2, j)
             if j >= 2:
                 raw += j * (j - 1) * moment(i, j - 2)
-            q.append(coef(s, s) * raw
-                     + mpmath.fsum(coef(s, r) * q[r] for r in range(s)))
+            q.append(a[s][s] * raw
+                     + mpmath.fsum(a[s][r] * q[r] for r in range(s)))
         return q
+
+
+def mpmath_monomial_coefficients(fit, dps=50):
+    """Monomial coefficients c = g^T b of a fit at ``dps`` digits.
+
+    Row g_s holds the monomial coefficients of P_s: g_s = a[s, s] e_s +
+    sum_{t<s} a[s, t] g_t with the stored expansion a, and b is the
+    stored coefficient vector (each plus its low part when present).
+    Returns a list of mpf, one per kept index.
+    """
+    import mpmath
+
+    K = fit.basis.n_columns
+    with mpmath.workdps(dps):
+        a = _mp_values(fit.basis.a, fit.basis.a_lo)
+        b = _mp_values(fit.b, fit.b_lo)
+        g = []
+        for s in range(K):
+            g.append([mpmath.fdot((a[s][t], g[t][j]) for t in range(j, s))
+                      for j in range(s)] + [a[s][s]])
+        return [mpmath.fdot((b[s], g[s][j]) for s in range(j, K))
+                for j in range(K)]
+
+
+def _mp_values(hi, lo):
+    """Nested lists of mpf holding hi + lo exactly (lo may be None)."""
+    import mpmath
+
+    lo = np.zeros_like(hi) if lo is None else lo
+    return (np.vectorize(mpmath.mpf, otypes=[object])(hi)
+            + np.vectorize(mpmath.mpf, otypes=[object])(lo)).tolist()

@@ -19,6 +19,13 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity tokens are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def plane_csv(tmp_path):
     path = tmp_path / "plane.csv"
@@ -126,7 +133,9 @@ def test_sweep_empty_grid_usage_error(capsys, plane_csv):
 def test_sweep_bad_grid_spec(capsys, plane_csv):
     for spec, named in (("40:10:10", "lo <= hi"), ("-800", "-800"),
                         ("-inf", "-inf"), ("10,nan", "nan"),
-                        ("0:inf:10", "finite")):
+                        ("0:inf:10", "finite"),
+                        ("1e20:2e20:1", "does not advance"),
+                        ("0:1e9:1", "more than 100000 points")):
         code, out, err = run_cli(capsys, "sweep", str(plane_csv),
                                  f"--x-grid={spec}")
         assert code == 2, spec
@@ -161,13 +170,31 @@ def test_non_finite_training_error_is_a_numeric_failure(capsys, noisy_csv,
     assert code == 4
     assert "no usable sweep records" in err and "x=-700" in err
     assert "not finite" in err and not out
+    json_path, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", str(noisy_csv), "--precision",
                            "extended", "--x-grid=-700,10", "--fixed-S", "10",
-                           "--report", "json")
+                           "--report", "json", "--json-out", str(json_path),
+                           "--csv-out", str(csv_path))
     assert code == 0
-    doc = json.loads(out)
-    assert "not finite" in doc["records"][0]["note"]
+    doc = strict_json(out)
+    assert strict_json(json_path.read_text()) == doc
+    failed = doc["records"][0]
+    assert "not finite" in failed["note"]
+    assert failed["sigma_tr"] is None and failed["gamma_prime"] is None
     assert doc["chosen"] == 1 and math.isfinite(doc["records"][1]["sigma_tr"])
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    assert rows[0]["sigma_tr"] == "nan"
+
+
+def test_sweep_gamma_cap_nan_is_a_usage_error(capsys, plane_csv):
+    code, out, err = run_cli(capsys, "sweep", str(plane_csv), "--x-grid", "10",
+                             "--gamma-cap", "nan")
+    assert code == 2
+    assert "gamma cap is NaN" in err and not out
+    code, out, _ = run_cli(capsys, "sweep", str(plane_csv), "--x-grid", "10",
+                           "--gamma-cap", "inf", "--report", "json")
+    assert code == 0
+    assert "gamma <= inf" in strict_json(out)["policy"]
 
 
 def test_sweep_input_errors_match_fit(capsys, plane_csv, tmp_path):
@@ -213,6 +240,17 @@ def test_eval_slope_and_entropy_columns(capsys, plane_csv, tmp_path):
     # constant slope: the field integral grows linearly with X
     for x, s in zip(xs, entropies):
         assert s == pytest.approx(-0.1 * x, rel=1e-9, abs=1e-12)
+
+
+def test_eval_rejects_short_entropy_steps_before_output(capsys, plane_csv,
+                                                       tmp_path):
+    model_path = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path))
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--grid", "2x2", "--with-entropy",
+                             "--entropy-steps", "1")
+    assert code == 2
+    assert "--entropy-steps" in err and not out
 
 
 def test_eval_rejects_model_version_mismatch(capsys, tmp_path):

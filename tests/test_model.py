@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
-                      SurfaceModel, SynthSpec, dZ_dY, entropy_change,
-                      eval_monomial, eval_ortho, eval_physical, fit_surface,
-                      generate, load_model, normalize, save_model,
-                      to_monomial)
+                      SplitConfig, SurfaceModel, SynthSpec, dZ_dY,
+                      entropy_change, eval_monomial, eval_ortho, eval_physical,
+                      fit_surface, generate, load_model, normalize, save_model,
+                      split, to_monomial)
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, unit_dataset, uniform_xy
+from oracles import mpmath_monomial_coefficients
 
 IDENTITY = NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
@@ -64,6 +65,30 @@ def test_double_conversion_is_visibly_worse_at_high_order():
     d_ext = np.abs(eval_monomial(to_monomial(fit), px, py) - ref).max()
     d_dbl = np.abs(eval_monomial(
         to_monomial(fit, precision=PrecisionMode.DOUBLE), px, py) - ref).max()
+    assert d_dbl > d_ext
+
+
+@pytest.mark.parametrize("precision, n_cols", [("double", 79), ("extended", 120)])
+def test_conversion_matches_mpmath_oracle(precision, n_cols):
+    # 1,000-point corpus, 666 training points; c = g^T b from the stored
+    # expansion at 50 digits, against the default (extended) conversion
+    import mpmath
+
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    fit = fit_surface(split(data, SplitConfig("y", 3)), data,
+                      FitConfig(fixed_columns=n_cols, max_columns=n_cols,
+                                precision=PrecisionMode(precision)))
+    want = mpmath_monomial_coefficients(fit)
+    c = to_monomial(fit).c
+    with mpmath.workdps(50):
+        ulps = [float(abs(mpmath.mpf(float(v)) - w)) / np.spacing(abs(float(w)))
+                for v, w in zip(c, want)]
+    assert max(ulps) <= 1.0
+    ref = np.array([float(w) for w in want])
+    d_ext = np.abs(c - ref).max()
+    d_dbl = np.abs(to_monomial(fit, precision=PrecisionMode.DOUBLE).c - ref).max()
     assert d_dbl > d_ext
 
 
