@@ -2,8 +2,9 @@
 
 Once M(H, T) is fitted, the temperature slope dM/dT follows from the
 basis derivative columns, and its field integral (the Maxwell-relation
-entropy change) from composite Simpson quadrature -- all evaluated on
-the portable monomial model, in original units.
+entropy change) from composite Simpson quadrature, applied per x-power
+of the model so that a whole array of fields costs one evaluation each
+-- all evaluated on the portable monomial model, in original units.
 """
 
 import numpy as np
@@ -22,12 +23,12 @@ model = to_monomial(fit)
 print(f"fitted S={fit.S}, training error {fit.sigma_tr:.2e}\n")
 
 temps = np.linspace(255.0, 345.0, 10)
-fields = [1.0, 2.5, 5.0]
+fields = np.array([1.0, 2.5, 5.0])
 
 print("  T [K]   " + "   ".join(f"dS(0->{H:g} T)" for H in fields)
       + "     dM/dT @ 2.5 T")
 for T in temps:
-    ds = [entropy_change(model, T, H, n_steps=200) for H in fields]
+    ds = entropy_change(model, T, fields, n_steps=200)
     slope = dZ_dY(model, 2.5, T)
     print(f"  {T:6.1f}  " + "  ".join(f"{v:+12.5e}" for v in ds)
           + f"   {slope:+.5e}")

@@ -1,7 +1,7 @@
 """Bivariate orthogonal-polynomial surface fitting with curvature
 regularization and cross-validated strength selection."""
 
-from .basis import BasisIndex, basis_dy, basis_values, degree_block
+from .basis import basis_dy, basis_values, degree_block
 from .dataset import (DataPoint, DataSplit, NormalizationMap,
                       NormalizedDataset, SplitConfig, load_dataset,
                       load_points, normalize, save_dataset, split)
@@ -9,7 +9,7 @@ from .errors import (DegenerateAxisError, DegenerateFitError,
                      InsufficientDataError, ModelFormatError, OrthofitError,
                      ParseError)
 from .fit import (FitConfig, FitResult, FitStep, RegState, fit_surface,
-                  regularized_coefficient, training_error)
+                  regularized_coefficient)
 from .model import (SurfaceModel, dZ_dY, entropy_change, eval_monomial,
                     eval_ortho, eval_physical, load_model, save_model,
                     to_monomial)

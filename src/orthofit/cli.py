@@ -43,6 +43,7 @@ from .synth import SynthSpec, generate
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
+EVAL_CHUNK_ROWS = 256  # eval rows per array call; bounds the basis tables
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -93,17 +94,21 @@ def _parse_x_grid(text: str) -> list[float]:
             raise ValueError("x grid range bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ValueError("x grid range must satisfy lo <= hi, step > 0")
-        out = []
-        v = lo
-        while v <= hi + 1e-9:
-            if len(out) == MAX_GRID_POINTS:
-                raise ValueError(f"x grid range {text} holds more than "
-                                 f"{MAX_GRID_POINTS} points")
-            out.append(round(v, 12))
-            if v + step == v:
-                raise ValueError(f"x grid range {text}: step {step:g} does "
-                                 f"not advance past {v:g}")
-            v += step
+        if lo + step == lo:
+            raise ValueError(f"x grid range {text}: step {step:g} does "
+                             f"not advance past {lo:g}")
+        from fractions import Fraction  # only ranges pay for its import
+        # exact rationals: the count and each lo + k step round once
+        lo, hi, step = (Fraction(p) for p in parts)
+        count = (hi - lo) // step + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"x grid range {text} holds more than "
+                             f"{MAX_GRID_POINTS} points")
+        out = [float(lo + k * step) for k in range(count)]
+        stuck = [a for a, b in zip(out, out[1:]) if b <= a]
+        if stuck:
+            raise ValueError(f"x grid range {text}: step {float(step):g} "
+                             f"does not advance past {stuck[0]:g}")
         return out
     return [float(p) for p in text.split(",") if p.strip()]
 
@@ -201,9 +206,9 @@ def cmd_eval(args) -> int:
             return USAGE_ERROR
         Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
         Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
-        pts = [(float(X), float(Y)) for Y in Ys for X in Xs]
+        X, Y = np.tile(Xs, ny), np.repeat(Ys, nx)
     elif args.points:
-        pts = load_points(args.points)
+        X, Y = np.array(load_points(args.points), dtype=float).reshape(-1, 2).T
     else:
         print("error: need --points or --grid", file=sys.stderr)
         return USAGE_ERROR
@@ -214,14 +219,15 @@ def cmd_eval(args) -> int:
     if args.with_entropy:
         header.append("dS")
     writer.writerow(header)
-    for X, Y in pts:
-        Z, _ = eval_physical(model, X, Y)
-        row = [format(X, ".17g"), format(Y, ".17g"), format(Z, ".17g")]
+    for lo in range(0, X.size, EVAL_CHUNK_ROWS):
+        Xc, Yc = X[lo:lo + EVAL_CHUNK_ROWS], Y[lo:lo + EVAL_CHUNK_ROWS]
+        cols = [Xc, Yc, eval_physical(model, Xc, Yc)[0]]
         if args.with_slope:
-            row.append(format(dZ_dY(model, X, Y), ".17g"))
+            cols.append(dZ_dY(model, Xc, Yc))
         if args.with_entropy:
-            row.append(format(entropy_change(model, Y, X, args.entropy_steps), ".17g"))
-        writer.writerow(row)
+            cols.append(entropy_change(model, Yc, Xc, args.entropy_steps))
+        writer.writerows([format(v, ".17g") for v in row]
+                         for row in zip(*(c.tolist() for c in cols)))
     return 0
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import basis_step, block_start, degree_block
-from .ddarith import DD, comp_dot, dd_add, dd_matvec, dd_mul_d, dd_sum
+from .ddarith import DD, dd_add, dd_mul_d, dd_sum
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
 from .errors import DegenerateFitError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
@@ -130,15 +130,6 @@ class FitResult:
     b_lo: Optional[np.ndarray] = None
     rejected: tuple = field(default=())
 
-    @property
-    def sigma_reg(self) -> float:
-        """Diagnostic regularized error: sigma_tr plus lambda times the
-        squared running curvature sum.  The coefficient formula is what
-        actually drives the fit; this is only reported."""
-        if not self.history:
-            return self.sigma_tr
-        return self.sigma_tr + self.lambda_ * self.history[-1].r_next ** 2
-
 
 class _BlockGen:
     """Yields basis columns one degree block at a time, each with the sum
@@ -184,20 +175,6 @@ class _BlockGen:
         cols = zip(block[0].T, block[1].T) if self.ext else block.T
         return [(block_start(m) + j, col, DD(qh[j], ql[j]))
                 for j, col in enumerate(cols)]
-
-
-def training_error(b, basis: OrthoBasis, z) -> float:
-    """Mean squared residual of sum(b_t * P_t) against targets z."""
-    z = np.asarray(z, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if b.size != basis.n_columns:
-        raise ValueError("coefficient count does not match basis columns")
-    if basis.precision is PrecisionMode.EXTENDED:
-        fh, fl = dd_matvec(basis.P, basis.P_lo, b, np.zeros_like(b))
-        r = (fh - z) + fl
-    else:
-        r = basis.P @ b - z
-    return comp_dot(r, r) / z.size
 
 
 def fit_surface(split: DataSplit, data: NormalizedDataset,

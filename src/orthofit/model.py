@@ -13,18 +13,21 @@ evaluation paths then visibly disagree.
 
 Physical-unit helpers invert the size normalization, differentiate with
 respect to the raw Y coordinate (e.g. temperature), and integrate that
-derivative over X (e.g. field) for entropy-change style quantities.
+derivative over X (e.g. field) for entropy-change style quantities.  They
+all take whole arrays of points.  The integral is Simpson's rule applied
+once per x-power of the model rather than on a node grid per point, so
+it costs one polynomial evaluation per point.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .basis import basis_dy, basis_values, dd_basis_values
+from .basis import basis_dy, basis_values, dd_basis_values, degree_block
 from .dataset import NormalizationMap
 from .ddarith import dd_add, dd_matvec, dd_matvec_t, dd_mul
 from .errors import ModelFormatError
@@ -177,35 +180,49 @@ def dZ_dY(model: SurfaceModel, X, Y):
     return scale * _sum_terms(model, basis_dy, *nmap.to_unit(X, Y))
 
 
+def _simpson_moments(n_steps: int, top: int) -> np.ndarray:
+    """nu_i = sum_k w_k (k/n)^i for i = 0..top, with w_k the weights of
+    composite Simpson on n = n_steps panels of [0, 1] (one trapezoid panel
+    at the upper end when n is odd): the rule applied to x^i.  The sums
+    are exact integers in units of 1/(6n), so each nu_i is rounded once."""
+    even = n_steps - n_steps % 2
+    w = [0] * (n_steps + 1)  # node weights in units of h/6
+    for k in range(even + 1):
+        w[k] = 2 if k in (0, even) else (8 if k % 2 else 4)
+    if even < n_steps:
+        w[even] += 3
+        w[n_steps] += 3
+    nu = []
+    for i in range(top + 1):
+        nu.append(sum(w) / (6 * n_steps ** (i + 1)))
+        w = [v * k for k, v in enumerate(w)]
+    return np.array(nu)
+
+
 def entropy_change(model: SurfaceModel, Y, X_hi, n_steps: int = 200):
     """Integral of dZ/dY over X from the lower measured bound to X_hi.
 
     Composite Simpson quadrature on n_steps panels; an odd panel count is
-    handled by one trapezoid panel at the upper end.  The integration
-    deliberately starts at the dataset's lower X bound (the smallest
-    measured field), not at zero.
+    handled by one trapezoid panel at the upper end.  The rule is linear
+    and its nodes sit at s k / n_steps in unit x, with s = unit(X_hi), so
+    it maps each term x^i to s^i nu_i (``_simpson_moments``): the result is
+    (X_hi - x_min) times the slope of the model with coefficients
+    c_t nu_{i(t)}, one compensated evaluation per point.  Accepts arrays;
+    the integration deliberately starts at the dataset's lower X bound
+    (the smallest measured field), not at zero, and is exactly 0.0 there.
     """
     nmap = model.map
     if nmap.x_max == nmap.x_min:
         raise ValueError("degenerate X range: nothing to integrate over")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
-    x_lo = nmap.x_min
-    if X_hi == x_lo:
-        return 0.0
-    xs = np.linspace(x_lo, X_hi, n_steps + 1)
-    g = dZ_dY(model, xs, np.full_like(xs, float(Y)))
-    h = (X_hi - x_lo) / n_steps
-    n_simpson = n_steps if n_steps % 2 == 0 else n_steps - 1
-    w = np.zeros(n_steps + 1)
-    w[0:n_simpson + 1:2] += 2.0
-    w[1:n_simpson:2] += 4.0
-    w[0] = 1.0
-    w[n_simpson] = w[n_simpson] - 1.0
-    total = float(np.dot(w[:n_simpson + 1], g[:n_simpson + 1])) * h / 3.0
-    if n_simpson != n_steps:
-        total += 0.5 * h * float(g[-2] + g[-1])
-    return total
+    xpow = [m - j for _, m, j in map(degree_block, model.kept)]
+    c = model.c * _simpson_moments(n_steps, max(xpow))[xpow]
+    X_hi, Y = np.broadcast_arrays(np.asarray(X_hi, float), np.asarray(Y, float))
+    width = X_hi - nmap.x_min
+    ds = np.where(width == 0.0, 0.0,
+                  width * dZ_dY(replace(model, c=c), X_hi, Y))
+    return float(ds) if ds.ndim == 0 else ds
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from orthofit.basis import basis_values, degree_block
-from orthofit.ddarith import DD, dd_dot
+from orthofit.ddarith import DD, comp_dot, dd_dot, dd_matvec
+from orthofit.ortho import PrecisionMode
 
 
 def dd_solve_full_pivot(G, rhs):
@@ -78,6 +79,22 @@ def normal_equation_predictions(x, y, z, n_cols):
     return np.array(preds)
 
 
+def training_error(b, basis, z):
+    """Mean squared residual of sum(b_t * P_t) against targets z, from the
+    basis's stored columns (with their low parts in extended precision)
+    rather than from the fit's running residual."""
+    z = np.asarray(z, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if b.size != basis.n_columns:
+        raise ValueError("coefficient count does not match basis columns")
+    if basis.precision is PrecisionMode.EXTENDED:
+        fh, fl = dd_matvec(basis.P, basis.P_lo, b, np.zeros_like(b))
+        r = (fh - z) + fl
+    else:
+        r = basis.P @ b - z
+    return comp_dot(r, r) / z.size
+
+
 def monomial_powers(L):
     """(x_power, y_power) per flat index up to L."""
     out = []
@@ -85,6 +102,20 @@ def monomial_powers(L):
         _, m, j = degree_block(t)
         out.append((m - j, j))
     return out
+
+
+def mpmath_basis(x, y, L, dps=50):
+    """Basis values x^i y^j and y-derivatives j x^i y^(j-1) of flat indices
+    0..L at one point (x, y), by direct powers at ``dps`` digits.  Returns
+    two lists of mpf; compare against them inside ``mpmath.workdps``."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        u, v = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+        vals = [u ** i * v ** j for i, j in monomial_powers(L)]
+        dys = [j * u ** i * v ** (j - 1) if j else mpmath.mpf(0)
+               for i, j in monomial_powers(L)]
+        return vals, dys
 
 
 def power_rule_values(x, y, L):
@@ -210,3 +241,37 @@ def _mp_values(hi, lo):
     lo = np.zeros_like(hi) if lo is None else lo
     return (np.vectorize(mpmath.mpf, otypes=[object])(hi)
             + np.vectorize(mpmath.mpf, otypes=[object])(lo)).tolist()
+
+
+def mpmath_simpson_entropy(model, Y, X_hi, n_steps, dps=50):
+    """``entropy_change`` at ``dps`` digits: the same composite Simpson
+    rule (a trapezoid last panel when n_steps is odd) on exact nodes
+    x_min + k h, summed over the terms c_t j x^i y^(j-1) of the model's
+    stored coefficients.  Returns (value, magnitude) as floats, the
+    magnitude being the sum of the absolute terms the rule adds."""
+    import mpmath
+
+    nm = model.map
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf
+        span = mp(nm.x_max) - mp(nm.x_min)
+        y = (mp(Y) - mp(nm.y_min)) / (mp(nm.y_max) - mp(nm.y_min))
+        scale = (mp(nm.z_max) - mp(nm.z_min)) / (mp(nm.y_max) - mp(nm.y_min))
+        h = (mp(X_hi) - mp(nm.x_min)) / n_steps
+        even = n_steps - n_steps % 2
+        w = [mp(0)] * (n_steps + 1)
+        for k in range(even + 1):
+            w[k] = h / 3 * (1 if k in (0, even) else (4 if k % 2 else 2))
+        if even < n_steps:
+            w[even] += h / 2
+            w[n_steps] += h / 2
+        terms = []
+        for k, wk in enumerate(w):
+            x = k * h / span
+            for t, c in zip(model.kept, model.c):
+                _, m, j = degree_block(t)
+                if j:
+                    terms.append(wk * scale * mp(float(c)) * j
+                                 * x ** (m - j) * y ** (j - 1))
+        return (float(mpmath.fsum(terms)),
+                float(mpmath.fsum(abs(v) for v in terms)))

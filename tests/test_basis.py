@@ -7,8 +7,8 @@ from orthofit.basis import (basis_dy, basis_values, block_start,
                             columns_for_degree, dd_basis_values, degree_block)
 from orthofit.fit import _BlockGen
 from orthofit.ortho import PrecisionMode
-from oracles import (power_rule_d2x, power_rule_d2y, power_rule_dy,
-                     power_rule_values, sympy_laplacian_columns)
+from oracles import (mpmath_basis, power_rule_d2x, power_rule_d2y,
+                     power_rule_dy, power_rule_values, sympy_laplacian_columns)
 from conftest import raw_curvature_sums, uniform_xy
 
 
@@ -182,3 +182,29 @@ def test_dd_tables_match_double_tables_and_refine_them():
         exact = Fraction(x[i]) ** (m - j) * Fraction(y[i]) ** j
         got = Fraction(vh[i, t]) + Fraction(vl[i, t])
         assert abs(got - exact) <= abs(exact) * Fraction(1, 10 ** 28)
+
+
+@pytest.mark.parametrize("L", [0, 5, 78, 209])
+def test_basis_tables_match_mpmath_oracle(L):
+    # One rounding per recursion step: an entry of degree m errs by at most
+    # m u relative in double (u = 2^-53), basis_dy adds one rounding to a
+    # degree m-1 value, and double-double's dd_mul_d errs by at most 2 u^2
+    # per step.  Zero entries must come out exactly zero.
+    import mpmath
+
+    x = np.array([0.0, 1.0, 0.1, 0.7, 0.9999999, 1.3, -0.45, 3.0, 0.37, 1e-3])
+    y = np.array([0.5, 0.0, 0.9, 0.2, 1.0, -0.6, 0.33, 0.05, 2.5, 0.77])
+    vals, (hi, lo), dys = (basis_values(x, y, L), dd_basis_values(x, y, L),
+                           basis_dy(x, y, L))
+    u = 2.0 ** -53
+    with mpmath.workdps(50):
+        for p in range(x.size):
+            ref_v, ref_dy = mpmath_basis(x[p], y[p], L)
+            for t in range(L + 1):
+                m = degree_block(t).m
+                checks = ((mpmath.mpf(vals[p, t]), ref_v[t], m * u),
+                          (mpmath.mpf(hi[p, t]) + mpmath.mpf(lo[p, t]),
+                           ref_v[t], 2 * m * u * u),
+                          (mpmath.mpf(dys[p, t]), ref_dy[t], m * u))
+                for got, ref, rel in checks:
+                    assert abs(got - ref) <= rel * abs(ref), (p, t)

@@ -9,8 +9,9 @@ from operator import setitem
 import numpy as np
 import pytest
 
-from orthofit import SynthSpec, generate, save_dataset
-from orthofit.cli import main
+from orthofit import (SynthSpec, dZ_dY, entropy_change, eval_physical,
+                      generate, load_model, save_dataset)
+from orthofit.cli import _parse_x_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +143,22 @@ def test_sweep_bad_grid_spec(capsys, plane_csv):
         assert named in err and not out, spec
 
 
+def test_sweep_grid_range_counts_points_exactly(capsys, plane_csv):
+    # the count comes from (hi - lo) / step, not from a running sum with
+    # an absolute slack, so tiny steps neither add nor lose points
+    for spec, want in (("0:1e-9:1e-10", [k * 1e-10 for k in range(11)]),
+                       ("0:1e-13:1e-14", [k * 1e-14 for k in range(11)]),
+                       ("10:40:2", list(range(10, 41, 2))),
+                       ("0:1:0.1", [k / 10 for k in range(11)])):
+        assert _parse_x_grid(spec) == pytest.approx(want, rel=1e-15, abs=0)
+    assert _parse_x_grid("0:1:0.1")[3] == 0.3  # decimal steps round once
+    code, out, err = run_cli(capsys, "sweep", str(plane_csv),
+                             "--x-grid=0:1e-9:1e-10", "--report", "json")
+    assert code == 0, err
+    xs = [r["x"] for r in strict_json(out)["records"]]
+    assert len(xs) == 11 and xs[-1] == 1e-9
+
+
 @pytest.mark.parametrize("command", ["fit", "sweep"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_lambda_is_a_usage_error(capsys, plane_csv, tmp_path,
@@ -240,6 +257,75 @@ def test_eval_slope_and_entropy_columns(capsys, plane_csv, tmp_path):
     # constant slope: the field integral grows linearly with X
     for x, s in zip(xs, entropies):
         assert s == pytest.approx(-0.1 * x, rel=1e-9, abs=1e-12)
+
+
+def _fit_model(capsys, csv_path, tmp_path):
+    model_path = tmp_path / "m.json"
+    code, _, _ = run_cli(capsys, "fit", str(csv_path), "-o", str(model_path),
+                         "--fixed-S", "44")
+    assert code == 0
+    return model_path, load_model(model_path)
+
+
+def _eval_rows(capsys, model_path, *argv):
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--with-slope", "--with-entropy", *argv)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "X,Y,Z,dZdY,dS"
+    return [ln.split(",") for ln in lines[1:]]
+
+
+def _write_points(path, X, Y):
+    path.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                      for a, b in zip(X, Y)))
+    return path
+
+
+def _per_point_row(model, X, Y):
+    Z, _ = eval_physical(model, X, Y)
+    return [format(v, ".17g") for v in (X, Y, Z, dZ_dY(model, X, Y),
+                                        entropy_change(model, Y, X))]
+
+
+def test_eval_points_outside_rectangle_and_at_x_min(capsys, noisy_csv,
+                                                    tmp_path):
+    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    nm = model.map
+    X = [nm.x_min, nm.x_min, nm.x_min, nm.x_max + 0.5, nm.x_min - 0.25,
+         0.5 * (nm.x_min + nm.x_max), nm.x_max]
+    Y = [nm.y_min, 0.5 * (nm.y_min + nm.y_max), nm.y_max + 0.3, nm.y_max,
+         nm.y_min - 0.2, nm.y_min - 1.0, nm.y_max + 2.0]
+    rows = _eval_rows(capsys, model_path, "--points",
+                      str(_write_points(tmp_path / "p.csv", X, Y)))
+    assert rows == [_per_point_row(model, x, y) for x, y in zip(X, Y)]
+    assert [r[4] for r in rows[:3]] == ["0", "0", "0"]
+    assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
+def test_eval_columns_match_per_point_calls(capsys, noisy_csv, tmp_path):
+    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    nm = model.map
+    rows = _eval_rows(capsys, model_path, "--grid", "40x15")
+    X = np.tile(np.linspace(nm.x_min, nm.x_max, 40), 15).tolist()
+    Y = np.repeat(np.linspace(nm.y_min, nm.y_max, 15), 40).tolist()
+    assert rows == [_per_point_row(model, x, y) for x, y in zip(X, Y)]
+    assert not any(r[4] == "-0" for r in rows)
+
+
+def test_eval_grid_rows_match_point_subsets(capsys, noisy_csv, tmp_path):
+    # rows are independent: the chunking of the array calls cannot show
+    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    whole = _eval_rows(capsys, model_path, "--grid", "30x20")
+    assert len(whole) == 600
+    X, Y = ([float(r[k]) for r in whole] for k in (0, 1))
+    parts, start = [], 0
+    for size in (1, 255, 256, 88):
+        path = _write_points(tmp_path / f"p{start}.csv",
+                             X[start:start + size], Y[start:start + size])
+        parts += _eval_rows(capsys, model_path, "--points", str(path))
+        start += size
+    assert parts == whole
 
 
 def test_eval_rejects_short_entropy_steps_before_output(capsys, plane_csv,

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orthofit import (DataPoint, InsufficientDataError, ParseError,
-                      SplitConfig, load_dataset, load_points, normalize,
-                      save_dataset, split)
+from orthofit import (DataPoint, InsufficientDataError, NormalizedDataset,
+                      ParseError, SplitConfig, load_dataset, load_points,
+                      normalize, save_dataset, split)
 from orthofit.errors import DegenerateAxisError
 
 
@@ -164,6 +165,34 @@ def test_split_partition_property_exhaustive():
             tr, cv, te = parts.sizes()
             assert tr >= cv and tr >= te
             assert abs(tr - (n * (f - 1)) // f) <= 1
+
+
+@st.composite
+def _tied_datasets(draw):
+    """(dataset, f): coordinates drawn from a few levels, so the sort
+    coordinate and its tiebreak both repeat, down to all points equal."""
+    f = draw(st.integers(2, 7))
+    n = draw(st.integers(2 * f, 200))
+    levels = [st.sampled_from(np.linspace(0, 1, draw(st.integers(1, 6))))
+              for _ in range(2)]
+    xy = draw(st.lists(st.tuples(*levels), min_size=n, max_size=n))
+    return NormalizedDataset.from_unit_points(
+        [(x, y, 0.0) for x, y in xy]), f
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_tied_datasets(), st.sampled_from(["x", "y"]))
+def test_split_partition_property_with_ties(case, axis):
+    data, f = case
+    parts = split(data, SplitConfig(axis, f))
+    groups = [set(g.tolist()) for g in (parts.train_idx, parts.cv_idx,
+                                       parts.test_idx)]
+    assert sum(map(len, groups)) == data.n  # disjoint: no index twice
+    assert set.union(*groups) == set(range(data.n))
+    # |train| = N - floor(N / f): within one point above N (f - 1) / f
+    n_train = len(groups[0])
+    assert n_train == data.n - data.n // f
+    assert 0 <= n_train - data.n * (f - 1) / f < 1
 
 
 def test_split_determinism_and_axis_symmetry():

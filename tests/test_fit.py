@@ -7,11 +7,11 @@ import pytest
 
 from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       RegState, SplitConfig, SynthSpec, fit_surface,
-                      generate, normalize, regularized_coefficient, split,
-                      training_error)
+                      generate, normalize, regularized_coefficient, split)
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
-from oracles import mpmath_curvature_sums, normal_equation_predictions
+from oracles import (mpmath_curvature_sums, normal_equation_predictions,
+                     training_error)
 from conftest import all_train_split, unit_dataset
 
 
@@ -78,18 +78,6 @@ def test_sigma_monotone_without_regularization():
     sig = [st.sigma_tr for st in fit.history]
     for a, b in zip(sig, sig[1:]):
         assert b <= a * (1 + 1e-12) + 1e-18
-
-
-def test_sigma_reg_diagnostic():
-    pts, _ = generate(SynthSpec(surface="magnet", nx=12, ny=10, seed=3))
-    data = normalize(pts)
-    fit = fit_surface(all_train_split(data.n), data,
-                      FitConfig(lambda_=0.5, fixed_columns=12, max_columns=12))
-    want = fit.sigma_tr + 0.5 * fit.history[-1].r_next ** 2
-    assert fit.sigma_reg == want
-    zero_lam = fit_surface(all_train_split(data.n), data,
-                           FitConfig(fixed_columns=12, max_columns=12))
-    assert zero_lam.sigma_reg == zero_lam.sigma_tr
 
 
 def test_curvature_sums_vanish_for_linear_columns():

@@ -1,5 +1,6 @@
 """Monomial conversion, evaluation paths, physical units, quadrature."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -13,7 +14,7 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       split, to_monomial)
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, unit_dataset, uniform_xy
-from oracles import mpmath_monomial_coefficients
+from oracles import mpmath_monomial_coefficients, mpmath_simpson_entropy
 
 IDENTITY = NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
@@ -190,6 +191,46 @@ def test_entropy_change_argument_validation():
                          S=0, lambda_=0.0, sigma_tr=0.0)
     with pytest.raises(ValueError):
         entropy_change(degen, 0.5, 2.0, 10)
+
+
+@pytest.fixture(scope="module")
+def field_model():
+    """Degree-11 model of magnet data in field/temperature-like units."""
+    pts, _ = generate(SynthSpec(surface="magnet", nx=24, ny=16,
+                                noise_sigma=0.02, seed=11))
+    data = normalize([(0.5 + 5.0 * x, 250.0 + 100.0 * y, z)
+                      for x, y, z in pts])
+    parts = split(data, SplitConfig("y", 3))
+    return to_monomial(fit_surface(parts, data, FitConfig(
+        fixed_columns=78, max_columns=78)))
+
+
+@pytest.mark.parametrize("n_steps", [2, 200, 201])
+def test_entropy_change_matches_mpmath_simpson_oracle(field_model, n_steps):
+    # the same rule on exact nodes: only the rounding of the fast path is
+    # left, bounded by the magnitude of the terms the rule adds
+    nm = field_model.map
+    span = nm.x_max - nm.x_min
+    for X, Y in ((nm.x_max, nm.y_min), (nm.x_min + 0.37 * span, 301.5),
+                 (nm.x_max + 0.2 * span, nm.y_max + 10.0),
+                 (nm.x_min - 0.1 * span, nm.y_min)):
+        ref, mag = mpmath_simpson_entropy(field_model, Y, X, n_steps)
+        got = entropy_change(field_model, Y, X, n_steps)
+        assert abs(got - ref) <= 1e-15 * (abs(ref) + mag), (X, Y)
+
+
+def test_entropy_change_arrays_match_scalar_calls(field_model):
+    nm = field_model.map
+    X = np.linspace(nm.x_min, nm.x_max, 7)
+    Y = np.linspace(nm.y_min, nm.y_max, 7)[::-1]
+    ds = entropy_change(field_model, Y, X)
+    one = [entropy_change(field_model, float(y), float(x)) for x, y in zip(X, Y)]
+    assert all(type(v) is float for v in one)
+    assert ds.tobytes() == np.array(one).tobytes()
+    # exactly +0.0 at the lower bound, also where the slope is negative
+    assert dZ_dY(field_model, nm.x_min, 340.0) < 0
+    assert math.copysign(1.0, entropy_change(field_model, 340.0,
+                                             nm.x_min)) == 1.0
 
 
 def test_model_file_roundtrip(tmp_path, plane_points):
