@@ -17,7 +17,7 @@ print(f"generated {len(points)} samples of a smooth magnet-like sheet "
       f"with noise {spec.noise_sigma:g}")
 
 # pretend the raw units are field in tesla and temperature in kelvin
-raw = [(x * 5.0, 250.0 + 100.0 * y, z) for x, y, z in points]
+raw = points * [5.0, 100.0, 1.0] + [0.0, 250.0, 0.0]
 data = normalize(raw)
 print(f"normalized: x in [{data.map.x_min}, {data.map.x_max}] T, "
       f"y in [{data.map.y_min}, {data.map.y_max}] K")

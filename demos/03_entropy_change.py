@@ -15,7 +15,7 @@ from orthofit import (FitConfig, SplitConfig, SynthSpec, dZ_dY,
 
 points, _ = generate(SynthSpec(surface="magnet", nx=50, ny=40,
                                noise_sigma=2e-4, seed=8))
-raw = [(x * 5.0, 250.0 + 100.0 * y, z) for x, y, z in points]
+raw = points * [5.0, 100.0, 1.0] + [0.0, 250.0, 0.0]
 data = normalize(raw)
 parts = split(data, SplitConfig(sample_axis="y", sample_factor=3))
 fit = fit_surface(parts, data, FitConfig(target_error=1e-7, max_columns=210))
@@ -28,7 +28,7 @@ fields = np.array([1.0, 2.5, 5.0])
 print("  T [K]   " + "   ".join(f"dS(0->{H:g} T)" for H in fields)
       + "     dM/dT @ 2.5 T")
 for T in temps:
-    ds = entropy_change(model, T, fields, n_steps=200)
+    ds = entropy_change(model, T, fields)
     slope = dZ_dY(model, 2.5, T)
     print(f"  {T:6.1f}  " + "  ".join(f"{v:+12.5e}" for v in ds)
           + f"   {slope:+.5e}")

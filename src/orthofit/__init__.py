@@ -2,9 +2,9 @@
 regularization and cross-validated strength selection."""
 
 from .basis import basis_dy, basis_values, degree_block
-from .dataset import (DataPoint, DataSplit, NormalizationMap,
-                      NormalizedDataset, SplitConfig, load_dataset,
-                      load_points, normalize, save_dataset, split)
+from .dataset import (DataSplit, NormalizationMap, NormalizedDataset,
+                      SplitConfig, load_dataset, load_points, normalize,
+                      save_dataset, split)
 from .errors import (DegenerateAxisError, DegenerateFitError,
                      InsufficientDataError, ModelFormatError, OrthofitError,
                      ParseError)

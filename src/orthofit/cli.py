@@ -6,11 +6,12 @@ Subcommands: ``fit`` (fit one surface, write a model file and a report),
 as JSON or a coefficient CSV), ``synth`` (generate a synthetic dataset),
 and ``split`` (inspect the train/cv/test partition).
 
-Exit codes: 0 success, 2 usage or input error (bad flags, missing
-files, non-finite lambda or x grid), 3 data or model error (unparseable
-data, degenerate axes, model version mismatch), 4 numeric failure
-(non-finite training error included).  Environment variables are never
-consulted; identical flags and input bytes give identical output.
+Exit codes: 0 success, 2 usage or input error (bad flags, missing or
+unopenable files, non-finite lambda or x grid), 3 data or model error
+(unparseable or non-UTF-8 data, degenerate axes, model version
+mismatch), 4 numeric failure (non-finite training error included).
+Environment variables are never consulted; identical flags and input
+bytes give identical output.
 """
 
 from __future__ import annotations
@@ -192,8 +193,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.with_entropy and args.entropy_steps < 2:
-        raise ValueError("--entropy-steps must be >= 2")
     model = load_model(args.model)
     nmap = model.map
     if args.grid:
@@ -208,7 +207,7 @@ def cmd_eval(args) -> int:
         Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
         X, Y = np.tile(Xs, ny), np.repeat(Ys, nx)
     elif args.points:
-        X, Y = np.array(load_points(args.points), dtype=float).reshape(-1, 2).T
+        X, Y = load_points(args.points).T
     else:
         print("error: need --points or --grid", file=sys.stderr)
         return USAGE_ERROR
@@ -225,7 +224,7 @@ def cmd_eval(args) -> int:
         if args.with_slope:
             cols.append(dZ_dY(model, Xc, Yc))
         if args.with_entropy:
-            cols.append(entropy_change(model, Yc, Xc, args.entropy_steps))
+            cols.append(entropy_change(model, Yc, Xc))
         writer.writerows([format(v, ".17g") for v in row]
                          for row in zip(*(c.tolist() for c in cols)))
     return 0
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-slope", action="store_true", help="add a dZ/dY column")
     p.add_argument("--with-entropy", action="store_true",
                    help="add the field integral of dZ/dY")
-    p.add_argument("--entropy-steps", type=int, default=200)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export", help="re-emit a model as JSON or CSV")
@@ -351,6 +349,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        if exc.filename is None:  # not a file we were asked to open
+            raise
+        print(f"error: cannot open {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return USAGE_ERROR
     except (ParseError, DegenerateAxisError, InsufficientDataError,
             ModelFormatError) as exc:

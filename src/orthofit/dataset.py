@@ -14,21 +14,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateAxisError, InsufficientDataError, ParseError
 
 HEADER_ALIASES = (("x", "y", "z"), ("h", "t", "m"))
-
-
-class DataPoint(NamedTuple):
-    """One raw measurement triple in original units."""
-
-    x_raw: float
-    y_raw: float
-    z_raw: float
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ class NormalizedDataset:
         return self.points[:, 2]
 
     @staticmethod
-    def from_unit_points(points: Sequence[tuple]) -> "NormalizedDataset":
+    def from_unit_points(points) -> "NormalizedDataset":
         """Wrap points whose coordinates already live on [0, 1] with an
         identity map.
 
@@ -99,9 +90,7 @@ class NormalizedDataset:
         coordinates must lie in [0, 1] (the basis is built for the unit
         square); z values pass through untouched.
         """
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("expected an (n, 3) point array")
+        arr = _point_array(points)
         xy = arr[:, :2]
         if xy.min() < 0.0 or xy.max() > 1.0:
             raise ValueError("x and y must lie in [0, 1] for an identity map")
@@ -139,7 +128,15 @@ class DataSplit:
         return len(self.train_idx), len(self.cv_idx), len(self.test_idx)
 
 
-def load_dataset(source) -> list[DataPoint]:
+def _point_array(points) -> np.ndarray:
+    """``points`` as an (n, 3) float64 array; any other shape is an error."""
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) point array, got shape {arr.shape}")
+    return arr
+
+
+def load_dataset(source) -> np.ndarray:
     """Parse delimiter-separated text with a header row into data points.
 
     Parameters
@@ -151,98 +148,96 @@ def load_dataset(source) -> list[DataPoint]:
 
     Returns
     -------
-    list of DataPoint in file order.
+    (n, 3) float64 array of (x, y, z) rows in file order.
 
     Raises
     ------
     ParseError
-        Empty input, unknown header, non-numeric or non-finite field,
-        or wrong row arity; the message carries the 1-based line number.
+        Empty input, bytes that are not UTF-8, unknown header,
+        non-numeric or non-finite field, or wrong row arity; the message
+        carries the 1-based line number.
     """
-    return [DataPoint._make(row) for row in _read_columns(source, 3)]
+    return _read_columns(source, 3)
 
 
-def load_points(source) -> list[tuple]:
+def load_points(source) -> np.ndarray:
     """Parse (x, y) points: the format of load_dataset with the two
-    columns x,y or H,T.  Returns (x, y) tuples in file order and raises
-    ParseError as load_dataset does."""
+    columns x,y or H,T.  Returns an (n, 2) float64 array in file order
+    and raises ParseError as load_dataset does."""
     return _read_columns(source, 2)
 
 
-def _read_columns(source, width: int) -> list[tuple]:
+def _read_columns(source, width: int) -> np.ndarray:
     """The parser behind load_dataset and load_points: ``width`` finite
     numeric columns picked by header name from each data row."""
     if isinstance(source, bytes):
-        fh = io.StringIO(source.decode("utf-8-sig"))
-        close = False
+        raw = source
     elif hasattr(source, "read"):
         raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8-sig")
-        fh = io.StringIO(raw)
-        close = False
     else:
-        fh = open(source, "r", encoding="utf-8-sig", newline="")
-        close = True
-    try:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise ParseError("empty input: no header row", line=1)
-        delim = "\t" if "\t" in header_line else ","
-        header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
-        lower = [h.lower() for h in header]
-        aliases = [a[:width] for a in HEADER_ALIASES]
-        wanted = next((a for a in aliases if all(c in lower for c in a)), None)
-        if wanted is None:
-            known = " or ".join(",".join(a) for a in aliases)
-            raise ParseError(f"header {header!r} does not contain the "
-                             f"columns {known} (any case)", line=1)
-        cols = [lower.index(c) for c in wanted]
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            bad = exc.object  # the bytes after any byte-order mark
+            raise ParseError(f"not UTF-8: byte 0x{bad[exc.start]:02x}",
+                             line=bad.count(b"\n", 0, exc.start) + 1) from None
+    fh = io.StringIO(raw, newline="")
+    header_line = fh.readline()
+    if not header_line.strip():
+        raise ParseError("empty input: no header row", line=1)
+    delim = "\t" if "\t" in header_line else ","
+    header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+    lower = [h.lower() for h in header]
+    aliases = [a[:width] for a in HEADER_ALIASES]
+    wanted = next((a for a in aliases if all(c in lower for c in a)), None)
+    if wanted is None:
+        known = " or ".join(",".join(a) for a in aliases)
+        raise ParseError(f"header {header!r} does not contain the "
+                         f"columns {known} (any case)", line=1)
+    cols = [lower.index(c) for c in wanted]
 
-        rows: list[tuple] = []
-        reader = csv.reader(fh, delimiter=delim)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno)
-            vals = []
-            for c in cols:
-                cell = row[c].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"non-numeric field {cell!r}", line=lineno) from None
-                if not math.isfinite(v):
-                    raise ParseError(f"non-finite field {cell!r}", line=lineno)
-                vals.append(v)
-            rows.append(tuple(vals))
-        if not rows:
-            raise ParseError("no data rows", line=2)
-        return rows
-    finally:
-        if close:
-            fh.close()
+    values: list[float] = []
+    for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=lineno)
+        for c in cols:
+            cell = row[c].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric field {cell!r}", line=lineno) from None
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite field {cell!r}", line=lineno)
+            values.append(v)
+    if not values:
+        raise ParseError("no data rows", line=2)
+    return np.array(values).reshape(-1, width)
 
 
-def save_dataset(points: Iterable[DataPoint], path) -> None:
-    """Write points as CSV with header x,y,z in the dialect load_dataset
-    accepts."""
+def save_dataset(points, path) -> None:
+    """Write an (n, 3) point array as CSV with header x,y,z in the
+    dialect load_dataset accepts; every value reads back bit for bit."""
+    rows = _point_array(points).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("x", "y", "z"))
-        for p in points:
-            writer.writerow([format(v, ".17g") for v in p])
+        writer.writerows([format(v, ".17g") for v in row] for row in rows)
 
 
-def normalize(points: Sequence[DataPoint]) -> NormalizedDataset:
-    """Map each coordinate affinely onto [0, 1] (min -> 0, max -> 1).
+def normalize(points) -> NormalizedDataset:
+    """Map each coordinate of an (n, 3) point array affinely onto [0, 1]
+    (min -> 0, max -> 1).
 
     Requires at least three points and at least two distinct values on
     each independent axis; constant z is allowed and maps to 0.
     """
-    arr = np.asarray(points, dtype=float).reshape(-1, 3)
+    arr = _point_array(points)
     if arr.shape[0] < 3:
         raise InsufficientDataError("need at least 3 points to normalize")
     if not np.all(np.isfinite(arr)):

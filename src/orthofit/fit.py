@@ -41,7 +41,7 @@ class FitConfig:
 
     lambda_ : finite regularization strength (0: no curvature term).
     max_columns : hard cap on accepted polynomial columns (>= 3).
-    target_error : stop once the training error drops this low.
+    target_error : stop once the training error drops this low (>= 0).
     stop_rel_improvement / stop_patience_blocks : stall rule -- stop after
         this many consecutive degree blocks each improving the training
         error by less than the given relative amount.
@@ -66,6 +66,9 @@ class FitConfig:
             raise ValueError(f"lambda_ must be finite, got {self.lambda_!r}")
         if self.lambda_ < 0:
             raise ValueError("lambda_ must be >= 0")
+        if self.target_error is not None and not self.target_error >= 0:
+            raise ValueError(
+                f"target_error must be >= 0, got {self.target_error!r}")
         if self.max_columns < 3:
             raise ValueError("max_columns must be >= 3")
         if not 0.0 < self.stop_rel_improvement < 1.0:

@@ -35,6 +35,7 @@ from .fit import FitResult
 from .ortho import PrecisionMode
 
 MODEL_VERSION = 1
+SIMPSON_PANELS = 200  # composite Simpson panels of the entropy integral
 _BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
 
@@ -180,44 +181,38 @@ def dZ_dY(model: SurfaceModel, X, Y):
     return scale * _sum_terms(model, basis_dy, *nmap.to_unit(X, Y))
 
 
-def _simpson_moments(n_steps: int, top: int) -> np.ndarray:
+def _simpson_moments(top: int) -> np.ndarray:
     """nu_i = sum_k w_k (k/n)^i for i = 0..top, with w_k the weights of
-    composite Simpson on n = n_steps panels of [0, 1] (one trapezoid panel
-    at the upper end when n is odd): the rule applied to x^i.  The sums
-    are exact integers in units of 1/(6n), so each nu_i is rounded once."""
-    even = n_steps - n_steps % 2
-    w = [0] * (n_steps + 1)  # node weights in units of h/6
-    for k in range(even + 1):
-        w[k] = 2 if k in (0, even) else (8 if k % 2 else 4)
-    if even < n_steps:
-        w[even] += 3
-        w[n_steps] += 3
+    composite Simpson on n = SIMPSON_PANELS panels of [0, 1]: the rule
+    applied to x^i.  The sums are exact integers in units of 1/(6n), so
+    each nu_i is rounded once."""
+    n = SIMPSON_PANELS
+    # node weights in units of h/6
+    w = [2 if k in (0, n) else (8 if k % 2 else 4) for k in range(n + 1)]
     nu = []
     for i in range(top + 1):
-        nu.append(sum(w) / (6 * n_steps ** (i + 1)))
+        nu.append(sum(w) / (6 * n ** (i + 1)))
         w = [v * k for k, v in enumerate(w)]
     return np.array(nu)
 
 
-def entropy_change(model: SurfaceModel, Y, X_hi, n_steps: int = 200):
+def entropy_change(model: SurfaceModel, Y, X_hi):
     """Integral of dZ/dY over X from the lower measured bound to X_hi.
 
-    Composite Simpson quadrature on n_steps panels; an odd panel count is
-    handled by one trapezoid panel at the upper end.  The rule is linear
-    and its nodes sit at s k / n_steps in unit x, with s = unit(X_hi), so
-    it maps each term x^i to s^i nu_i (``_simpson_moments``): the result is
-    (X_hi - x_min) times the slope of the model with coefficients
-    c_t nu_{i(t)}, one compensated evaluation per point.  Accepts arrays;
+    Composite Simpson quadrature on n = SIMPSON_PANELS panels.  The rule
+    is linear and its nodes sit at s k / n in unit x, with s = unit(X_hi),
+    so it maps each term x^i to s^i nu_i (``_simpson_moments``): the
+    result is (X_hi - x_min) times the slope of the model with
+    coefficients c_t nu_{i(t)}, one compensated evaluation per point.
+    Accepts arrays;
     the integration deliberately starts at the dataset's lower X bound
     (the smallest measured field), not at zero, and is exactly 0.0 there.
     """
     nmap = model.map
     if nmap.x_max == nmap.x_min:
         raise ValueError("degenerate X range: nothing to integrate over")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
     xpow = [m - j for _, m, j in map(degree_block, model.kept)]
-    c = model.c * _simpson_moments(n_steps, max(xpow))[xpow]
+    c = model.c * _simpson_moments(max(xpow))[xpow]
     X_hi, Y = np.broadcast_arrays(np.asarray(X_hi, float), np.asarray(Y, float))
     width = X_hi - nmap.x_min
     ds = np.where(width == 0.0, 0.0,

@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import DataPoint
-
 _MASK = (1 << 64) - 1
 
 
@@ -97,9 +95,10 @@ def _poly_truth(degree: int, seed: int) -> Callable[[float, float], float]:
 def generate(spec: SynthSpec):
     """Build the dataset for a spec.
 
-    Returns (points, truth): points is a row-major list of DataPoint over
-    the regular nx-by-ny grid on [0, 1]^2 with noise added to z, and
-    truth is the noise-free surface as a callable f(x, y).
+    Returns (points, truth): points is an (nx * ny, 3) float64 array of
+    (x, y, z) rows over the regular nx-by-ny grid on [0, 1]^2, x varying
+    fastest, with noise added to z; truth is the noise-free surface as a
+    callable f(x, y).
     """
     kind, _, arg = spec.surface.partition(":")
     if kind == "plane":
@@ -108,14 +107,10 @@ def generate(spec: SynthSpec):
         truth = _magnet
     else:
         truth = _poly_truth(int(arg or 3), spec.seed)
-    rng = SplitMix64(spec.seed)
-    xs = np.linspace(0.0, 1.0, spec.nx)
-    ys = np.linspace(0.0, 1.0, spec.ny)
-    points = []
-    for yi in ys:
-        for xi in xs:
-            z = truth(float(xi), float(yi))
-            if spec.noise_sigma > 0:
-                z += spec.noise_sigma * rng.normal()
-            points.append(DataPoint(float(xi), float(yi), z))
-    return points, truth
+    X = np.tile(np.linspace(0.0, 1.0, spec.nx), spec.ny)
+    Y = np.repeat(np.linspace(0.0, 1.0, spec.ny), spec.nx)
+    Z = np.array([truth(x, y) for x, y in zip(X.tolist(), Y.tolist())])
+    if spec.noise_sigma > 0:
+        rng = SplitMix64(spec.seed)
+        Z += spec.noise_sigma * np.array([rng.normal() for _ in range(Z.size)])
+    return np.column_stack([X, Y, Z]), truth

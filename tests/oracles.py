@@ -243,9 +243,9 @@ def _mp_values(hi, lo):
             + np.vectorize(mpmath.mpf, otypes=[object])(lo)).tolist()
 
 
-def mpmath_simpson_entropy(model, Y, X_hi, n_steps, dps=50):
+def mpmath_simpson_entropy(model, Y, X_hi, panels=200, dps=50):
     """``entropy_change`` at ``dps`` digits: the same composite Simpson
-    rule (a trapezoid last panel when n_steps is odd) on exact nodes
+    rule on an even number of panels, at exact nodes
     x_min + k h, summed over the terms c_t j x^i y^(j-1) of the model's
     stored coefficients.  Returns (value, magnitude) as floats, the
     magnitude being the sum of the absolute terms the rule adds."""
@@ -257,14 +257,9 @@ def mpmath_simpson_entropy(model, Y, X_hi, n_steps, dps=50):
         span = mp(nm.x_max) - mp(nm.x_min)
         y = (mp(Y) - mp(nm.y_min)) / (mp(nm.y_max) - mp(nm.y_min))
         scale = (mp(nm.z_max) - mp(nm.z_min)) / (mp(nm.y_max) - mp(nm.y_min))
-        h = (mp(X_hi) - mp(nm.x_min)) / n_steps
-        even = n_steps - n_steps % 2
-        w = [mp(0)] * (n_steps + 1)
-        for k in range(even + 1):
-            w[k] = h / 3 * (1 if k in (0, even) else (4 if k % 2 else 2))
-        if even < n_steps:
-            w[even] += h / 2
-            w[n_steps] += h / 2
+        h = (mp(X_hi) - mp(nm.x_min)) / panels
+        w = [h / 3 * (1 if k in (0, panels) else (4 if k % 2 else 2))
+             for k in range(panels + 1)]
         terms = []
         for k, wk in enumerate(w):
             x = k * h / span

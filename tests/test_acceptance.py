@@ -217,8 +217,7 @@ def test_criterion_3_normal_equation_oracle_equivalence():
         y = np.array([rng.uniform() for _ in range(n)])
         z = np.array([math.sin(3 * a) * math.cos(2 * b) + 0.1 * rng.uniform()
                       for a, b in zip(x, y)])
-        data = normalize([(float(a), float(b), float(c))
-                          for a, b, c in zip(x, y, z)])
+        data = normalize(np.column_stack([x, y, z]))
         fit = fit_surface(all_train_split(n), data,
                           FitConfig(fixed_columns=int(k), max_columns=int(k)))
         got = fit.basis.P @ fit.b
@@ -312,8 +311,8 @@ def test_criterion_7_split_contract():
     worst_dev = 0
     for f in (2, 3, 4, 5):
         for n in range(2 * f, 201):
-            pts = [(i * 0.618 % 1.0, i / (n - 1), (i * 7 % 5) / 5.0)
-                   for i in range(n)]
+            pts = np.array([(i * 0.618 % 1.0, i / (n - 1), (i * 7 % 5) / 5.0)
+                            for i in range(n)])
             data = normalize(pts)
             cfg = SplitConfig("x", f)
             a = split(data, cfg)

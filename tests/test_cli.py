@@ -1,9 +1,11 @@
 """Command-line interface: commands, report formats, exit codes."""
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 from operator import setitem
 
 import numpy as np
@@ -172,6 +174,14 @@ def test_non_finite_lambda_is_a_usage_error(capsys, plane_csv, tmp_path,
     assert not (tmp_path / "m.json").exists()
 
 
+def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
+    code, out, err = run_cli(capsys, "fit", str(plane_csv), "-o",
+                             str(tmp_path / "m.json"), "--target-error", "nan")
+    assert code == 2 and not out
+    assert "target_error must be >= 0, got nan" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_non_finite_training_error_is_a_numeric_failure(capsys, noisy_csv,
                                                         tmp_path):
     # lambda beyond the double-double splitter's range turns the fit NaN
@@ -328,17 +338,6 @@ def test_eval_grid_rows_match_point_subsets(capsys, noisy_csv, tmp_path):
     assert parts == whole
 
 
-def test_eval_rejects_short_entropy_steps_before_output(capsys, plane_csv,
-                                                       tmp_path):
-    model_path = tmp_path / "m.json"
-    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path))
-    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
-                             "--grid", "2x2", "--with-entropy",
-                             "--entropy-steps", "1")
-    assert code == 2
-    assert "--entropy-steps" in err and not out
-
-
 def test_eval_rejects_model_version_mismatch(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 99}')
@@ -449,6 +448,35 @@ def test_parse_error_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fit", str(p))
     assert code == 3
     assert "line 2" in err
+
+
+def test_non_utf8_data_exits_3(capsys, tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes("H,T,M\n1,2,3\n1,2,é\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "fit", str(p))
+    assert code == 3 and not out
+    assert err == "error: line 3: not UTF-8: byte 0xe9\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "{dir}"],
+    ["fit", "{data}", "-o", "{dir}/"],
+    ["sweep", "{data}", "--x-grid", "10", "--csv-out", "{dir}"],
+    ["sweep", "{data}", "--x-grid", "10", "--json-out", "{dir}"],
+    ["eval", "--model", "{model}", "--points", "{dir}"],
+    ["eval", "--model", "{dir}", "--grid", "2x2"],
+    ["export", "--model", "{model}", "--out", "{dir}"],
+    ["export", "--model", "{model}", "--out", "{dir}", "--format", "csv"],
+], ids=["fit_input", "fit_model_out", "sweep_csv_out", "sweep_json_out",
+        "eval_points", "eval_model", "export_json", "export_csv"])
+def test_unopenable_path_is_a_usage_error(capsys, plane_csv, tmp_path, argv):
+    model = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model))
+    names = {"dir": tmp_path, "data": plane_csv, "model": model}
+    target = next(a for a in argv if "{dir}" in a).format(**names)
+    code, out, err = run_cli(capsys, *(a.format(**names) for a in argv))
+    assert code == 2 and not out
+    assert err == f"error: cannot open {target}: {os.strerror(errno.EISDIR)}\n"
 
 
 def test_commands_are_deterministic(capsys, noisy_csv, tmp_path):

@@ -5,17 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from orthofit import (DataPoint, InsufficientDataError, NormalizedDataset,
-                      ParseError, SplitConfig, load_dataset, load_points,
-                      normalize, save_dataset, split)
+from orthofit import (InsufficientDataError, NormalizedDataset, ParseError,
+                      SplitConfig, load_dataset, load_points, normalize,
+                      save_dataset, split)
 from orthofit.errors import DegenerateAxisError
 
 
 def test_load_simple_csv():
     pts = load_dataset(b"x,y,z\n0,0,1\n1,0,2\n")
-    assert pts == [DataPoint(0, 0, 1), DataPoint(1, 0, 2)]
+    assert pts.dtype == np.float64
+    assert pts.tolist() == [[0, 0, 1], [1, 0, 2]]
 
 
 def test_load_field_temperature_headers_and_count():
@@ -23,7 +24,7 @@ def test_load_field_temperature_headers_and_count():
     for i in range(3789):
         rows.append(f"{i % 61},{i // 61},{math.sin(i)}")
     pts = load_dataset("\n".join(rows).encode())
-    assert len(pts) == 3789
+    assert pts.shape == (3789, 3)
 
 
 def test_load_parse_error_names_line():
@@ -33,6 +34,26 @@ def test_load_parse_error_names_line():
         load_dataset(b"x,y,z\n1,2,3\n1,2\n")
     with pytest.raises(ParseError, match="line 2"):
         load_dataset(b"x,y,z\n1,2,3,4\n")
+
+
+def test_first_bad_line_is_reported():
+    # a bad cell on line 3 comes before a short row on line 5
+    with pytest.raises(ParseError, match="line 3: non-numeric field 'abc'"):
+        load_dataset(b"x,y,z\n1,2,3\n1,abc,3\n4,5,6\n7,8\n")
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "file", "bom"])
+def test_non_utf8_input_is_a_parse_error_naming_its_line(tmp_path, kind):
+    raw = "x,y,z\n1,2,3\ncafé,2,3\n".encode("latin-1")
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    source = {"path": path, "bytes": raw, "file": io.BytesIO(raw),
+              "bom": b"\xef\xbb\xbf" + raw}[kind]
+    with pytest.raises(ParseError, match="line 3: not UTF-8: byte 0xe9") as exc:
+        load_dataset(source)
+    assert exc.value.line == 3
+    with pytest.raises(ParseError, match="line 2"):
+        load_points(b"x,y\n\xff,1\n")
 
 
 def test_load_rejects_empty_and_header_only():
@@ -50,8 +71,9 @@ def test_load_rejects_unknown_header_and_nonfinite():
 
 
 def test_load_points_shares_the_data_file_checks():
-    assert load_points(b"x,y\n0,0.5\n") == [(0.0, 0.5)]
-    assert load_points(b"H\tT\n1e2\t3\n") == [(100.0, 3.0)]
+    pts = load_points(b"x,y\n0,0.5\n")
+    assert pts.dtype == np.float64 and pts.tolist() == [[0.0, 0.5]]
+    assert load_points(b"H\tT\n1e2\t3\n").tolist() == [[100.0, 3.0]]
     with pytest.raises(ParseError, match="line 3"):
         load_points(b"x,y\n1,2\n0.5,nan\n")
     with pytest.raises(ParseError, match="line 2"):
@@ -62,26 +84,49 @@ def test_load_points_shares_the_data_file_checks():
 
 def test_load_tab_delimited_scientific_notation():
     pts = load_dataset(b"H\tT\tM\n9.62E-07\t2\t3\n1e2\t4\t5\n")
-    assert pts[0].x_raw == 9.62e-07 and pts[1].x_raw == 100.0
+    assert pts[:, 0].tolist() == [9.62e-07, 100.0]
 
 
 def test_load_extra_columns_and_explicit_names():
     src = b"run,x,y,z\n7,1,2,3\n"
-    assert load_dataset(src) == [DataPoint(1, 2, 3)]
+    assert load_dataset(src).tolist() == [[1, 2, 3]]
 
 
 def test_load_accepts_file_object_and_path(tmp_path):
-    pts = [DataPoint(0.25, -1.5, 9.62e-7), DataPoint(2, 3, 4), DataPoint(5, 6, 7)]
+    pts = np.array([(0.25, -1.5, 9.62e-7), (2, 3, 4), (5, 6, 7)])
     path = tmp_path / "data.csv"
     save_dataset(pts, path)
-    assert load_dataset(path) == pts
+    assert np.array_equal(load_dataset(path), pts)
     with open(path) as fh:
-        assert load_dataset(fh) == pts
-    assert load_dataset(io.BytesIO(path.read_bytes())) == pts
+        assert np.array_equal(load_dataset(fh), pts)
+    assert np.array_equal(load_dataset(io.BytesIO(path.read_bytes())), pts)
+
+
+# zeros, subnormals and the largest magnitudes besides whatever
+# hypothesis draws: each must print and parse back to the same bits
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7e308, -1.7e308)
+_finite = st.one_of(st.sampled_from(EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_finite, _finite, _finite), min_size=1, max_size=20))
+@example([EDGE_FLOATS[:3], EDGE_FLOATS[3:6], EDGE_FLOATS[6:] + (-0.0, 5e-324)])
+def test_save_load_round_trip_is_bit_identical(tmp_path, rows):
+    pts = np.array(rows, dtype=float)
+    path = tmp_path / "round_trip.csv"
+    save_dataset(pts, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        sources = [path, path.read_bytes(), fh]
+        for back in map(load_dataset, sources):
+            assert back.dtype == np.float64 and back.shape == pts.shape
+            assert back.tobytes() == pts.tobytes()
 
 
 def test_normalize_affine_and_exact_endpoints():
-    pts = [DataPoint(2, 10, 5), DataPoint(4, 30, 6), DataPoint(6, 20, 7)]
+    pts = np.array([(2, 10, 5), (4, 30, 6), (6, 20, 7)])
     data = normalize(pts)
     assert data.x.tolist() == [0.0, 0.5, 1.0]
     assert data.y.tolist() == [0.0, 1.0, 0.5]
@@ -90,7 +135,7 @@ def test_normalize_affine_and_exact_endpoints():
 
 
 def test_normalize_constant_z_convention():
-    pts = [DataPoint(0, 0, 7), DataPoint(1, 2, 7), DataPoint(2, 1, 7)]
+    pts = np.array([(0, 0, 7), (1, 2, 7), (2, 1, 7)])
     data = normalize(pts)
     assert not data.z.any()
     assert data.map.z_min == data.map.z_max == 7
@@ -100,36 +145,41 @@ def test_normalize_constant_z_convention():
 
 def test_normalize_errors():
     with pytest.raises(InsufficientDataError):
-        normalize([DataPoint(0, 0, 0), DataPoint(1, 1, 1)])
+        normalize(np.array([(0, 0, 0), (1, 1, 1)]))
     with pytest.raises(DegenerateAxisError, match="x"):
-        normalize([DataPoint(1, 0, 0), DataPoint(1, 1, 1), DataPoint(1, 2, 2)])
+        normalize(np.array([(1, 0, 0), (1, 1, 1), (1, 2, 2)]))
     with pytest.raises(DegenerateAxisError, match="y"):
-        normalize([DataPoint(0, 5, 0), DataPoint(1, 5, 1), DataPoint(2, 5, 2)])
+        normalize(np.array([(0, 5, 0), (1, 5, 1), (2, 5, 2)]))
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 6), (6, 2), (2, 3, 3)])
+def test_normalize_rejects_other_shapes(shape):
+    # no reshape: a (4, 6) array is not 8 points
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        normalize(np.arange(np.prod(shape), dtype=float).reshape(shape))
 
 
 def test_denormalize_midpoint_and_roundtrip():
-    pts = [DataPoint(0, 0, 0), DataPoint(10, 10, 10), DataPoint(3, 8, 6)]
+    pts = np.array([(0, 0, 0), (10, 10, 10), (3, 8, 6)], dtype=float)
     data = normalize(pts)
     assert data.map.to_raw(0.5, 0.5, 0.5) == (5.0, 5.0, 5.0)
     X, Y, Z = data.map.to_raw(data.x, data.y, data.z)
-    raw = np.asarray(pts, dtype=float)
-    assert np.allclose(np.column_stack([X, Y, Z]), raw, rtol=1e-12, atol=0)
+    assert np.allclose(np.column_stack([X, Y, Z]), pts, rtol=1e-12, atol=0)
 
 
 def test_roundtrip_on_awkward_units():
-    pts = [DataPoint(1013.25 + i * 0.37, -40.0 + i * 7.77, 1e-6 * math.cos(i))
-           for i in range(17)]
-    data = normalize(pts)
+    raw = np.array([(1013.25 + i * 0.37, -40.0 + i * 7.77, 1e-6 * math.cos(i))
+                    for i in range(17)])
+    data = normalize(raw)
     X, Y, Z = data.map.to_raw(data.x, data.y, data.z)
-    raw = np.asarray(pts, dtype=float)
     rel = np.abs(np.column_stack([X, Y, Z]) - raw) / np.maximum(np.abs(raw), 1e-30)
     assert rel.max() < 1e-12
 
 
 def _grid_dataset(n, seed=0):
     # distinct coordinates so the sort order is unambiguous
-    pts = [DataPoint(i * 0.618 % 1.0, i / max(n - 1, 1), (i * 7 % 5) / 5.0)
-           for i in range(n)]
+    pts = np.array([(i * 0.618 % 1.0, i / max(n - 1, 1), (i * 7 % 5) / 5.0)
+                    for i in range(n)])
     return normalize(pts) if n >= 3 else None
 
 
@@ -210,10 +260,10 @@ def test_split_determinism_and_axis_symmetry():
 def test_split_tie_breaking_is_stable():
     # many points share the sort coordinate; order falls back to the other
     # coordinate and then to file position
-    pts = [DataPoint(x, 0.0, 0.1) for x in (3, 1, 2)]
-    pts += [DataPoint(x, 1.0, 0.2) for x in (6, 5, 4)]
-    pts += [DataPoint(7, 0.5, 0.3), DataPoint(8, 0.5, 0.4)]
-    data = normalize(pts)
+    pts = [(x, 0.0, 0.1) for x in (3, 1, 2)]
+    pts += [(x, 1.0, 0.2) for x in (6, 5, 4)]
+    pts += [(7, 0.5, 0.3), (8, 0.5, 0.4)]
+    data = normalize(np.array(pts))
     p1 = split(data, SplitConfig("y", 2))
     p2 = split(data, SplitConfig("y", 2))
     assert np.array_equal(p1.train_idx, p2.train_idx)

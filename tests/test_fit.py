@@ -231,6 +231,10 @@ def test_config_validation():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             FitConfig(lambda_=value)
+    for value in (math.nan, -1e-30):
+        with pytest.raises(ValueError, match=f"target_error .*got {value!r}"):
+            FitConfig(target_error=value)
+    assert FitConfig(target_error=0.0).target_error == 0.0
     with pytest.raises(ValueError):
         FitConfig(max_columns=2)
     with pytest.raises(ValueError):

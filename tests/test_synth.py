@@ -26,24 +26,27 @@ def test_uniforms_in_unit_interval():
 
 def test_plane_surface_is_exact():
     pts, truth = generate(SynthSpec(surface="plane", nx=5, ny=4))
-    for p in pts:
-        assert p.z_raw == 0.5 + 0.25 * p.x_raw - 0.1 * p.y_raw
-        assert truth(p.x_raw, p.y_raw) == p.z_raw
+    assert pts.dtype == np.float64 and pts.shape == (20, 3)
+    assert pts[:5, 0].tolist() == np.linspace(0, 1, 5).tolist()  # x fastest
+    assert pts[::5, 1].tolist() == np.linspace(0, 1, 4).tolist()
+    for x, y, z in pts.tolist():
+        assert z == 0.5 + 0.25 * x - 0.1 * y
+        assert truth(x, y) == z
 
 
 def test_same_seed_same_dataset():
     spec = SynthSpec(surface="magnet", nx=7, ny=6, noise_sigma=0.05, seed=99)
     a, _ = generate(spec)
     b, _ = generate(spec)
-    assert a == b
+    assert a.tobytes() == b.tobytes()
     c, _ = generate(SynthSpec(surface="magnet", nx=7, ny=6,
                               noise_sigma=0.05, seed=98))
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_polynomial_surface_fits_exactly_after_its_degree():
     pts, _ = generate(SynthSpec(surface="poly:4", nx=9, ny=8, seed=13))
-    data = unit_dataset([tuple(p) for p in pts])
+    data = unit_dataset(pts)
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(fixed_columns=15, max_columns=15))
     assert fit.sigma_tr <= 1e-20
@@ -52,7 +55,7 @@ def test_polynomial_surface_fits_exactly_after_its_degree():
 def test_noise_standard_deviation_tracks_request():
     spec = SynthSpec(surface="plane", nx=100, ny=100, noise_sigma=0.03, seed=5)
     pts, truth = generate(spec)
-    resid = np.array([p.z_raw - truth(p.x_raw, p.y_raw) for p in pts])
+    resid = pts[:, 2] - [truth(x, y) for x, y, _ in pts.tolist()]
     assert abs(resid.std(ddof=1) - 0.03) < 0.05 * 0.03
     assert abs(resid.mean()) < 0.01 * 3
 
@@ -76,7 +79,7 @@ def test_emitted_csv_round_trips_through_loader(tmp_path):
     path = tmp_path / "synthetic.csv"
     save_dataset(pts, path)
     back = load_dataset(path)
-    assert back == pts
+    assert back.tobytes() == pts.tobytes()
     normalize(back)  # ingestible by the pipeline
 
 
