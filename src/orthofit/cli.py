@@ -38,8 +38,8 @@ from .model import (dZ_dY, entropy_change, eval_physical, load_model,
                     save_model, to_monomial)
 from .basis import columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
-from .select import (group_error, lambda_sweep, overfit_degree, sweep_to_csv,
-                     sweep_to_json)
+from .select import (_strengths, group_error, lambda_sweep, overfit_degree,
+                     sweep_to_csv, sweep_to_json)
 from .synth import SynthSpec, generate
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
@@ -134,9 +134,10 @@ def _emit_report(report: dict, fmt: str, out=None) -> None:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    data = normalize(load_dataset(args.input))
     cfg = _fit_config(args)
-    parts = split(data, SplitConfig(args.sample_by, args.sample_factor))
+    split_cfg = SplitConfig(args.sample_by, args.sample_factor)
+    data = normalize(load_dataset(args.input))
+    parts = split(data, split_cfg)
     fit = fit_surface(parts, data, cfg)
     model = to_monomial(fit, include_audit=args.audit)
     s_cv = group_error(model, data, parts.cv_idx)
@@ -169,11 +170,11 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = _parse_x_grid(args.x_grid)  # main maps ValueError to exit 2
-    if not grid:
-        raise ValueError("empty x grid")
-    data = normalize(load_dataset(args.input))
+    _strengths(grid, args.gamma_cap)
     cfg = _fit_config(args)
-    parts = split(data, SplitConfig(args.sample_by, args.sample_factor))
+    split_cfg = SplitConfig(args.sample_by, args.sample_factor)
+    data = normalize(load_dataset(args.input))
+    parts = split(data, split_cfg)
     report = lambda_sweep(data, parts, grid, cfg, gamma_cap=args.gamma_cap)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as fh:
@@ -256,8 +257,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
+    split_cfg = SplitConfig(args.sample_by, args.sample_factor)
     data = normalize(load_dataset(args.input))
-    parts = split(data, SplitConfig(args.sample_by, args.sample_factor))
+    parts = split(data, split_cfg)
     report = {
         "n_points": data.n,
         "sample_by": args.sample_by,

@@ -170,20 +170,20 @@ def load_points(source) -> np.ndarray:
 def _read_columns(source, width: int) -> np.ndarray:
     """The parser behind load_dataset and load_points: ``width`` finite
     numeric columns picked by header name from each data row."""
-    if isinstance(source, bytes):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    if isinstance(raw, bytes):
-        try:
+    try:
+        if isinstance(source, bytes):
+            raw = source
+        elif hasattr(source, "read"):
+            raw = source.read()  # a text source decodes all it has left here
+        else:
+            with open(source, "rb") as fh:
+                raw = fh.read()
+        if isinstance(raw, bytes):
             raw = raw.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            bad = exc.object  # the bytes after any byte-order mark
-            raise ParseError(f"not UTF-8: byte 0x{bad[exc.start]:02x}",
-                             line=bad.count(b"\n", 0, exc.start) + 1) from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object  # the undecoded bytes, after any byte-order mark
+        raise ParseError(f"not UTF-8: byte 0x{bad[exc.start]:02x}",
+                         line=bad.count(b"\n", 0, exc.start) + 1) from None
     fh = io.StringIO(raw, newline="")
     header_line = fh.readline()
     if not header_line.strip():

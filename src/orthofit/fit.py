@@ -18,6 +18,12 @@ training error stalling across consecutive degree blocks, or a column
 budget.  With ``fixed_columns`` set, exactly that many columns are taken
 and the stopping rules are bypassed (useful for comparing regularization
 strengths at constant model size).
+
+Only b_t and the stopping point depend on lam, so a fit runs in two
+steps: ``build_basis`` orthonormalizes the columns and computes each
+proj_t and Q_t, degree block by degree block as needed, and ``solve``
+runs the recurrence and the stopping rules at one strength.  A sweep
+builds once and solves per strength.
 """
 
 from __future__ import annotations
@@ -116,7 +122,6 @@ class FitStep:
     b: float
     q: float
     r_next: float
-    sigma_tr: float
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,7 @@ class FitResult:
     nmap: NormalizationMap
     b_lo: Optional[np.ndarray] = None
     rejected: tuple = field(default=())
+    stop_reason: str = ""
 
 
 class _BlockGen:
@@ -180,103 +186,203 @@ class _BlockGen:
                 for j, col in enumerate(cols)]
 
 
-def fit_surface(split: DataSplit, data: NormalizedDataset,
-                cfg: FitConfig) -> FitResult:
-    """Run the incremental regularized fit on the training group.
+# FitConfig fields that shape the basis rather than the solve
+_BASIS_FIELDS = ("max_columns", "fixed_columns", "precision", "odd_field_only")
 
-    Returns a FitResult whose ``S`` is the largest accepted column index;
-    ``history`` records (flat index, column index, coefficient, Laplacian
-    sum, running R, training error) per accepted column.  A training
-    error that is not finite (lambda too large) raises DegenerateFitError.
+
+class FitBasis:
+    """The half of a fit that does not depend on lambda, shared by every
+    strength of a sweep.
+
+    Holds the orthonormalization state (the builder keeps each column's
+    flat tag) and, for each accepted column s, its projection ``proj[s]``
+    onto the targets and its curvature sum ``q[s]``.  Degree blocks are
+    scanned on demand (``block``), so the basis only grows as far as the
+    longest solve needs.  Per scanned block it records the accepted,
+    scanned and rejected counts, and per column the rejected count, so a
+    solve stopping anywhere sees what a fit stopping there would have
+    scanned.
     """
-    train = np.asarray(split.train_idx)
-    ntr = train.size
-    if ntr < 3:
-        raise InsufficientDataError("need at least 3 training points")
-    xt, yt, zt = data.x[train], data.y[train], data.z[train]
 
-    cap = min(cfg.max_columns, ntr - 1)
-    if cfg.fixed_columns is not None:
-        if cfg.fixed_columns > cap:
-            raise InsufficientDataError(
-                f"fixed_columns={cfg.fixed_columns} exceeds the usable cap {cap}")
-        cap = cfg.fixed_columns
-    fixed = cfg.fixed_columns is not None
+    def __init__(self, split: DataSplit, data: NormalizedDataset,
+                 cfg: FitConfig):
+        train = np.asarray(split.train_idx)
+        ntr = train.size
+        if ntr < 3:
+            raise InsufficientDataError("need at least 3 training points")
+        cap = min(cfg.max_columns, ntr - 1)
+        if cfg.fixed_columns is not None:
+            if cfg.fixed_columns > cap:
+                raise InsufficientDataError(
+                    f"fixed_columns={cfg.fixed_columns} exceeds the usable cap {cap}")
+            cap = cfg.fixed_columns
+        self.cfg = cfg
+        self.cap = cap
+        self.scan_budget = 10 * cap + 100
+        self.ntr = ntr
+        self.nmap = data.map
+        self.z = data.z[train]
+        self.builder = OrthoBuilder(ntr, scheme="igs", precision=cfg.precision,
+                                    capacity=min(cap, 256))
+        self._z_vec = self.builder.make_vector(self.z)
+        self.sigma0 = self.builder.vec_norm2(self._z_vec) / ntr
+        self._gen = _BlockGen(data.x[train], data.y[train], cfg.precision)
+        self.proj: list = []
+        self.q: list = []
+        self.rejected: list[int] = []
+        self.rejected_at: list[int] = []  # len(rejected) as column s is accepted
+        self.blocks: list[tuple] = []     # (columns, scanned, rejected) after each
 
-    builder = OrthoBuilder(ntr, scheme="igs", precision=cfg.precision,
-                           capacity=min(cap, 256))
-    reg = RegState(cfg.lambda_)
-    z_vec = builder.make_vector(zt)
-    residual = builder.make_vector(zt)
-    sigma = builder.vec_norm2(residual) / ntr
-    sigma_block_start = sigma
+    def block(self, k: int) -> tuple:
+        """(columns, scanned, rejected) counts after degree block k,
+        scanning blocks up to k if needed.  A block stops early once the
+        column cap is reached."""
+        while len(self.blocks) <= k:
+            self._scan_block()
+        return self.blocks[k]
 
-    gen = _BlockGen(xt, yt, cfg.precision)
-    history: list[FitStep] = []
-    rejected: list[int] = []
-    stall = 0
-    scanned = 0
-    scan_budget = 10 * cap + 100
-    done = False
-
-    while not done and scanned < scan_budget:
-        block = gen.next_block()
-        accepted_in_block = 0
-        for t, col, q_raw in block:
+    def _scan_block(self):
+        bld, cfg = self.builder, self.cfg
+        scanned = self.blocks[-1][1] if self.blocks else 0
+        for t, col, q_raw in self._gen.next_block():
             scanned += 1
             if cfg.odd_field_only:
                 _, m_t, j_t = degree_block(t)
                 if (m_t - j_t) % 2 == 0:
                     continue
-            if not builder.add_column(col, tag=t):
-                rejected.append(t)
+            if not bld.add_column(col, tag=t):
+                self.rejected.append(t)
                 continue
-            accepted_in_block += 1
-            s = builder.n_columns - 1
-            q = builder.curvature_sum(q_raw)
-            if cfg.precision is PrecisionMode.DOUBLE:
-                q = float(q)
-            proj = builder.column_dot(s, z_vec)
-            b = reg.absorb(proj, q)
-            residual = builder.subtract_scaled_column(residual, s, b)
-            sigma = builder.vec_norm2(residual) / ntr
-            if not math.isfinite(sigma):
-                raise DegenerateFitError(
-                    f"training error is not finite after column {t} "
-                    f"at lambda={cfg.lambda_!r}")
-            history.append(FitStep(t, s, float(b), float(q), float(reg.R), sigma))
-            if builder.n_columns >= cap:
-                done = True
+            s = bld.n_columns - 1
+            q = bld.curvature_sum(q_raw)
+            self.q.append(float(q) if cfg.precision is PrecisionMode.DOUBLE else q)
+            self.proj.append(bld.column_dot(s, self._z_vec))
+            self.rejected_at.append(len(self.rejected))
+            if bld.n_columns >= self.cap:
                 break
-            if not fixed and cfg.target_error is not None and sigma <= cfg.target_error:
-                done = True
-                break
-        if done:
+        self.blocks.append((bld.n_columns, scanned, len(self.rejected)))
+
+
+def build_basis(split: DataSplit, data: NormalizedDataset,
+                cfg: FitConfig) -> FitBasis:
+    """The lambda-independent half of a fit on the training group.  Raises
+    InsufficientDataError for fewer than 3 training points or a
+    ``fixed_columns`` beyond the usable cap."""
+    return FitBasis(split, data, cfg)
+
+
+def solve(basis: FitBasis, lam: float, cfg: FitConfig) -> FitResult:
+    """Run the coefficient recurrence at strength ``lam`` over the shared
+    basis, applying the stopping rules of ``cfg``.
+
+    ``cfg`` must describe the same basis as the one ``basis`` was built
+    with (its ``lambda_`` and stopping rules may differ).  The training
+    error is computed only where a rule reads it: after every column
+    while ``target_error`` is set, at degree-block ends for the stall
+    rule, and at the last column.  A training error that is not finite
+    (lambda too large) raises DegenerateFitError naming the first column
+    where it became so.
+    """
+    if any(getattr(cfg, f) != getattr(basis.cfg, f) for f in _BASIS_FIELDS):
+        raise ValueError("cfg does not describe the basis it is solved on")
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+    # A residual entry that is not finite never turns finite again, and an
+    # overflowing squared norm cannot shrink back (b_t never reads the
+    # residual and the P_t are orthonormal): the first walk only detects
+    # it, a second one with sigma after every column names the column.
+    return _walk(basis, lam, cfg, False) or _walk(basis, lam, cfg, True)
+
+
+def _walk(basis: FitBasis, lam: float, cfg: FitConfig, every_column: bool):
+    """The loop of ``solve``.  Returns None when it finds the training
+    error not finite without having computed it after every column."""
+    bld, ntr, cap = basis.builder, basis.ntr, basis.cap
+    fixed = cfg.fixed_columns is not None
+    watch = not fixed and cfg.target_error is not None
+    each = watch or every_column
+    reg = RegState(lam)
+    residual = bld.make_vector(basis.z)
+    sigma = sigma_block_start = basis.sigma0
+    history: list[FitStep] = []
+    stall = 0
+    k = s = 0          # next degree block, next column
+    reason = None
+    while reason is None:
+        if k and basis.blocks[k - 1][1] >= basis.scan_budget:
+            reason = "scan_budget"
             break
-        if not fixed and accepted_in_block:
-            if sigma_block_start > 0:
-                improvement = (sigma_block_start - sigma) / sigma_block_start
-            else:
-                improvement = 0.0
-            stall = stall + 1 if improvement < cfg.stop_rel_improvement else 0
-            sigma_block_start = sigma
-            if stall >= cfg.stop_patience_blocks:
-                done = True
+        end = basis.block(k)[0]
+        first = s
+        for s in range(first, end):
+            q = basis.q[s]
+            b = reg.absorb(basis.proj[s], q)
+            residual = bld.subtract_scaled_column(residual, s, b)
+            sigma = None
+            if each or s + 1 >= cap:
+                sigma = bld.vec_norm2(residual) / ntr
+                if not math.isfinite(sigma):
+                    if not each:
+                        return None
+                    raise DegenerateFitError(
+                        f"training error is not finite after column "
+                        f"{bld.kept[s]} at lambda={lam!r}")
+            history.append(FitStep(bld.kept[s], s, float(b), float(q),
+                                   float(reg.R)))
+            if s + 1 >= cap:
+                reason = "columns"
+                break
+            if watch and sigma <= cfg.target_error:
+                reason = "target_error"
+                break
+        else:
+            s = end
+            if not fixed and end > first:
+                if sigma is None:
+                    sigma = bld.vec_norm2(residual) / ntr
+                    if not math.isfinite(sigma):
+                        return None
+                if sigma_block_start > 0:
+                    improvement = (sigma_block_start - sigma) / sigma_block_start
+                else:
+                    improvement = 0.0
+                stall = stall + 1 if improvement < cfg.stop_rel_improvement else 0
+                sigma_block_start = sigma
+                if stall >= cfg.stop_patience_blocks:
+                    reason = "stall"
+            k += 1
 
-    if builder.n_columns == 0:
+    K = len(history)
+    if K == 0:
         raise DegenerateFitError("no basis column survived orthogonalization")
-    if fixed and builder.n_columns < cap:
+    if fixed and K < cap:
         raise DegenerateFitError(
-            f"only {builder.n_columns} of the requested {cap} columns were usable")
-
-    basis = builder.to_basis()
+            f"only {K} of the requested {cap} columns were usable")
+    if reason in ("columns", "target_error"):
+        n_rejected = basis.rejected_at[K - 1]
+    else:
+        n_rejected = basis.blocks[k - 1][2]
     if cfg.precision is PrecisionMode.EXTENDED:
         bh = np.array([c.hi for c in reg.b])
         bl = np.array([c.lo for c in reg.b])
     else:
         bh = np.array(reg.b)
         bl = None
-    return FitResult(basis=basis, b=bh, S=builder.n_columns - 1,
-                     lambda_=cfg.lambda_, sigma_tr=sigma,
-                     history=tuple(history), nmap=data.map, b_lo=bl,
-                     rejected=tuple(rejected))
+    return FitResult(basis=bld.to_basis(K), b=bh, S=K - 1, lambda_=lam,
+                     sigma_tr=sigma, history=tuple(history), nmap=basis.nmap,
+                     b_lo=bl, rejected=tuple(basis.rejected[:n_rejected]),
+                     stop_reason=reason)
+
+
+def fit_surface(split: DataSplit, data: NormalizedDataset,
+                cfg: FitConfig) -> FitResult:
+    """Run the incremental regularized fit on the training group.
+
+    Returns a FitResult whose ``S`` is the largest accepted column index;
+    ``history`` records (flat index, column index, coefficient, Laplacian
+    sum, running R) per accepted column and ``stop_reason`` names the rule
+    that ended the fit: "target_error", "stall", "columns" (the column
+    cap or ``fixed_columns``) or "scan_budget".  A training error that is
+    not finite (lambda too large) raises DegenerateFitError.
+    """
+    return solve(build_basis(split, data, cfg), cfg.lambda_, cfg)

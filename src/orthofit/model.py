@@ -77,8 +77,9 @@ def _expand(a, a_lo, h):
     return ph.T, pl.T
 
 
-def _b_lo(fit: FitResult):
-    return fit.b_lo if fit.b_lo is not None else np.zeros_like(fit.b)
+def _lo(lo, hi):
+    """The low parts of a double-double array, zeros for a plain one."""
+    return lo if lo is not None else np.zeros_like(hi)
 
 
 def to_monomial(fit: FitResult,
@@ -91,20 +92,43 @@ def to_monomial(fit: FitResult,
     regardless of the fit's own precision); the final coefficients are
     stored as doubles either way.
     """
-    basis = fit.basis
-    K = basis.n_columns
-    bl = _b_lo(fit)
-    b = fit.b + bl
-    if PrecisionMode(precision) is PrecisionMode.EXTENDED:
-        al = basis.a_lo if basis.a_lo is not None else np.zeros_like(basis.a)
-        gh, gl = _expand(basis.a, al, (np.eye(K), np.zeros((K, K))))
-        ch, cl = dd_matvec(gh, gl, fit.b, bl)
-        c = ch + cl
+    return _monomials([fit], precision, include_audit)[0]
+
+
+def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
+    """``to_monomial`` for fits whose bases are column prefixes of one
+    basis (the solves of one sweep): the expansion runs once, for the
+    widest.  Row s of it depends only on rows < s, so at extended
+    precision its K-column prefix is the expansion of a K-column basis
+    bit for bit."""
+    widest = max((fit.basis for fit in fits), key=lambda basis: basis.n_columns)
+    N = widest.n_columns
+    a = widest.a
+    al = _lo(widest.a_lo, a)
+    extended = PrecisionMode(precision) is PrecisionMode.EXTENDED
+    if extended:
+        gh, gl = _expand(a, al, (np.eye(N), np.zeros((N, N))))
     else:
-        c = _expand(basis.a, None, np.eye(K)) @ b
-    audit = {"a": basis.a.tolist(), "b": b.tolist()} if include_audit else None
-    return SurfaceModel(c=c, kept=basis.kept, map=fit.nmap, S=fit.S,
-                        lambda_=fit.lambda_, sigma_tr=fit.sigma_tr, audit=audit)
+        gh = _expand(a, None, np.eye(N))
+    models = []
+    for fit in fits:
+        basis = fit.basis
+        K = basis.n_columns
+        if not (np.array_equal(basis.a, a[:K, :K]) and np.array_equal(
+                _lo(basis.a_lo, basis.a), al[:K, :K])):
+            raise ValueError("the fits do not share one basis")
+        bl = _lo(fit.b_lo, fit.b)
+        b = fit.b + bl
+        if extended:
+            ch, cl = dd_matvec(gh[:K, :K], gl[:K, :K], fit.b, bl)
+            c = ch + cl
+        else:
+            c = gh[:K, :K] @ b
+        audit = {"a": basis.a.tolist(), "b": b.tolist()} if include_audit else None
+        models.append(SurfaceModel(
+            c=c, kept=basis.kept, map=fit.nmap, S=fit.S, lambda_=fit.lambda_,
+            sigma_tr=fit.sigma_tr, audit=audit))
+    return models
 
 
 def _points(x, y):
@@ -126,7 +150,7 @@ def eval_ortho(fit: FitResult, x, y):
     if basis.precision is PrecisionMode.EXTENDED:
         hh, hl = dd_basis_values(xs, ys, L)
         ph, pl = _expand(basis.a, basis.a_lo, (hh[:, kept], hl[:, kept]))
-        fh, fl = dd_matvec(ph, pl, fit.b, _b_lo(fit))
+        fh, fl = dd_matvec(ph, pl, fit.b, _lo(fit.b_lo, fit.b))
         out = fh + fl
     else:
         out = _expand(basis.a, None, basis_values(xs, ys, L)[:, kept]) @ fit.b

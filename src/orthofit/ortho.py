@@ -74,7 +74,8 @@ def orthogonality_defect(basis: OrthoBasis) -> float:
     """Largest off-diagonal |<P_t, P_s>| of the basis, measured in double."""
     if basis.n_columns < 2:
         raise ValueError("need at least 2 columns to measure a defect")
-    g = basis.P.T @ basis.P
+    P = np.ascontiguousarray(basis.P)  # one layout, hence one set of bits
+    g = P.T @ P
     np.fill_diagonal(g, 0.0)
     return float(np.abs(g).max())
 
@@ -299,18 +300,18 @@ class OrthoBuilder:
 
     # ----------------------------------------------------------------------
 
-    def _assemble_a(self):
-        """Expand stored (projection, scale) pairs into triangular a.
+    def _assemble_a(self, K):
+        """Expand the stored (projection, scale) pairs of the first K
+        columns into triangular a.
 
         Double mode reports the coefficients exactly as applied to the
         stored columns; extended mode keeps the dd remainders so later
         conversions lose nothing.
         """
-        K = self._core.k
         extended = self.precision is PrecisionMode.EXTENDED
         ah = np.zeros((K, K))
         al = np.zeros((K, K)) if extended else None
-        for s, (dtot, inv) in enumerate(self._a_rows):
+        for s, (dtot, inv) in enumerate(self._a_rows[:K]):
             if extended:
                 ah[s, :s], al[s, :s] = dd_mul(-dtot[0], -dtot[1], inv.hi, inv.lo)
                 ah[s, s], al[s, s] = inv.hi, inv.lo
@@ -319,14 +320,24 @@ class OrthoBuilder:
                 ah[s, s] = float(inv)
         return ah, al
 
-    def to_basis(self) -> OrthoBasis:
-        """Freeze the current state into an immutable OrthoBasis."""
-        K = self._core.k
-        ah, al = self._assemble_a()
+    def to_basis(self, k: Optional[int] = None) -> OrthoBasis:
+        """Freeze the first ``k`` columns (default: all) into an OrthoBasis.
+
+        P is a read-only view of the stored columns, which later columns
+        never change, so bases taken at different widths share storage.
+        """
+        K = self._core.k if k is None else k
+        ah, al = self._assemble_a(K)
         c = self._core
+
+        def view(buf):
+            v = buf[:, :K]
+            v.flags.writeable = False
+            return v
+
         if self.precision is PrecisionMode.EXTENDED:
             return OrthoBasis(
-                P=c.Ph[:, :K].copy(), a=ah, kept=tuple(self.kept),
-                precision=self.precision, P_lo=c.Pl[:, :K].copy(), a_lo=al)
-        return OrthoBasis(P=c.P[:, :K].copy(), a=ah, kept=tuple(self.kept),
+                P=view(c.Ph), a=ah, kept=tuple(self.kept[:K]),
+                precision=self.precision, P_lo=view(c.Pl), a_lo=al)
+        return OrthoBasis(P=view(c.P), a=ah, kept=tuple(self.kept[:K]),
                           precision=self.precision)

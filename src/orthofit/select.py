@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import DataSplit, NormalizedDataset
-from .fit import FitConfig, fit_surface
-from .model import eval_monomial, to_monomial
+from .fit import FitConfig, FitResult, build_basis, solve
+from .model import _monomials, eval_monomial
 from .errors import DegenerateFitError, OrthofitError
 
 GAMMA_CLAMP = 50.0
@@ -116,16 +116,10 @@ def select_model(report: SweepReport, gamma_cap: float = 1.0) -> SweepReport:
     return replace(report, chosen=chosen, policy=DEFAULT_POLICY.format(cap=gamma_cap))
 
 
-def lambda_sweep(data: NormalizedDataset, split: DataSplit,
-                 grid: Sequence[float], cfg: FitConfig,
-                 gamma_cap: float = 1.0) -> SweepReport:
-    """Fit once per x in the grid with lambda = exp(-x) and collect records.
-
-    Duplicate grid entries are dropped.  An entry that is not finite or
-    whose exp(-x) overflows raises ValueError, as does a NaN cap.  A
-    DegenerateFitError annotates its record instead of aborting the
-    sweep; input errors propagate.
-    """
+def _strengths(grid: Sequence[float], gamma_cap: float) -> tuple:
+    """The sorted distinct x of a sweep grid and their lambda = exp(-x);
+    ValueError for an empty grid, an entry that is not finite or whose
+    exp(-x) overflows, or a NaN cap."""
     if len(grid) == 0:
         raise ValueError("empty x grid")
     if math.isnan(gamma_cap):
@@ -133,27 +127,55 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     for x in grid:
         if not math.isfinite(x):
             raise ValueError(f"x grid entry {x!r} is not finite")
-    records = []
-    for x in sorted({float(x) for x in grid}):
+    xs = sorted({float(x) for x in grid})
+    lams = []
+    for x in xs:
         try:
-            lam = math.exp(-x)
-        except OverflowError:  # the smallest x come first: before any fit
+            lams.append(math.exp(-x))
+        except OverflowError:
             raise ValueError(f"x grid entry {x!r} overflows exp(-x)") from None
+    return xs, lams
+
+
+def lambda_sweep(data: NormalizedDataset, split: DataSplit,
+                 grid: Sequence[float], cfg: FitConfig,
+                 gamma_cap: float = 1.0) -> SweepReport:
+    """Fit once per x in the grid with lambda = exp(-x) and collect records.
+
+    The basis is built once and shared: each strength only reruns the
+    coefficient recurrence (``fit.solve``), and the monomial expansion
+    runs once for the widest fit.  Duplicate grid entries are dropped.
+    An entry that is not finite or whose exp(-x) overflows raises
+    ValueError, as does a NaN cap, before any fit.  A DegenerateFitError
+    annotates its record instead of aborting the sweep; input errors
+    propagate.
+    """
+    xs, lams = _strengths(grid, gamma_cap)
+    basis = build_basis(split, data, cfg)
+    fits = []
+    for lam in lams:
         try:
-            fit = fit_surface(split, data, replace(cfg, lambda_=lam))
-            model = to_monomial(fit)
-            s_tr = fit.sigma_tr
-            s_cv = group_error(model, data, split.cv_idx)
-            s_te = group_error(model, data, split.test_idx)
-            records.append(ValidationRecord(
-                x_log=x, lambda_=lam, S=fit.S, sigma_tr=s_tr, sigma_cv=s_cv,
-                sigma_test=s_te, gamma=overfit_degree(s_tr, s_cv),
-                gamma_prime=overfit_degree(s_tr, s_te)))
+            fits.append(solve(basis, lam, cfg))
         except DegenerateFitError as exc:
+            fits.append(exc)
+    solved = [fit for fit in fits if isinstance(fit, FitResult)]
+    models = iter(_monomials(solved) if solved else ())
+    records = []
+    for x, lam, fit in zip(xs, lams, fits):
+        if isinstance(fit, DegenerateFitError):
             records.append(ValidationRecord(
                 x_log=x, lambda_=lam, S=-1, sigma_tr=math.nan,
                 sigma_cv=math.nan, sigma_test=math.nan, gamma=math.nan,
-                gamma_prime=math.nan, note=str(exc)))
+                gamma_prime=math.nan, note=str(fit)))
+            continue
+        model = next(models)
+        s_tr = fit.sigma_tr
+        s_cv = group_error(model, data, split.cv_idx)
+        s_te = group_error(model, data, split.test_idx)
+        records.append(ValidationRecord(
+            x_log=x, lambda_=lam, S=fit.S, sigma_tr=s_tr, sigma_cv=s_cv,
+            sigma_test=s_te, gamma=overfit_degree(s_tr, s_cv),
+            gamma_prime=overfit_degree(s_tr, s_te)))
     report = SweepReport(records=tuple(records))
     return select_model(report, gamma_cap=gamma_cap)
 

@@ -9,8 +9,14 @@ into tests were produced by these routines.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
+from orthofit import (DegenerateFitError, SweepReport, ValidationRecord,
+                      fit_surface, group_error, overfit_degree, select_model,
+                      to_monomial)
 from orthofit.basis import basis_values, degree_block
 from orthofit.ddarith import DD, comp_dot, dd_dot, dd_matvec
 from orthofit.ortho import PrecisionMode
@@ -80,19 +86,45 @@ def normal_equation_predictions(x, y, z, n_cols):
 
 
 def training_error(b, basis, z):
-    """Mean squared residual of sum(b_t * P_t) against targets z, from the
-    basis's stored columns (with their low parts in extended precision)
-    rather than from the fit's running residual."""
+    """Mean squared residual of sum(b_t * P_t) over the first len(b)
+    columns against targets z, from the basis's stored columns (with
+    their low parts in extended precision) rather than from the fit's
+    running residual."""
     z = np.asarray(z, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.size != basis.n_columns:
-        raise ValueError("coefficient count does not match basis columns")
+    k = b.size
+    if k > basis.n_columns:
+        raise ValueError("more coefficients than basis columns")
     if basis.precision is PrecisionMode.EXTENDED:
-        fh, fl = dd_matvec(basis.P, basis.P_lo, b, np.zeros_like(b))
+        fh, fl = dd_matvec(basis.P[:, :k], basis.P_lo[:, :k], b, np.zeros_like(b))
         r = (fh - z) + fl
     else:
-        r = basis.P @ b - z
+        r = basis.P[:, :k] @ b - z
     return comp_dot(r, r) / z.size
+
+
+def refit_sweep(data, split, grid, cfg, gamma_cap=1.0):
+    """``lambda_sweep`` as one independent fit per strength: fit_surface,
+    to_monomial and two group_error calls per x, in ascending x order."""
+    records = []
+    for x in sorted({float(x) for x in grid}):
+        lam = math.exp(-x)
+        try:
+            fit = fit_surface(split, data, replace(cfg, lambda_=lam))
+            model = to_monomial(fit)
+            s_tr = fit.sigma_tr
+            s_cv = group_error(model, data, split.cv_idx)
+            s_te = group_error(model, data, split.test_idx)
+            records.append(ValidationRecord(
+                x_log=x, lambda_=lam, S=fit.S, sigma_tr=s_tr, sigma_cv=s_cv,
+                sigma_test=s_te, gamma=overfit_degree(s_tr, s_cv),
+                gamma_prime=overfit_degree(s_tr, s_te)))
+        except DegenerateFitError as exc:
+            records.append(ValidationRecord(
+                x_log=x, lambda_=lam, S=-1, sigma_tr=math.nan,
+                sigma_cv=math.nan, sigma_test=math.nan, gamma=math.nan,
+                gamma_prime=math.nan, note=str(exc)))
+    return select_model(SweepReport(records=tuple(records)), gamma_cap=gamma_cap)
 
 
 def monomial_powers(L):

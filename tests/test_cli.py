@@ -182,6 +182,22 @@ def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("fit", "--target-error", "nan"), "target_error must be >= 0, got nan"),
+    (("sweep", "--x-grid", "10", "--target-error", "nan"), "target_error"),
+    (("split", "--sample-factor", "1"), "sample_factor must be >= 2"),
+    (("sweep", "--x-grid", "10:5:1"), "lo <= hi"),
+    (("sweep", "--x-grid", "nan"), "x grid entry nan is not finite"),
+    (("sweep", "--x-grid=-1000"), "x grid entry -1000.0 overflows"),
+    (("sweep", "--x-grid", "10", "--gamma-cap", "nan"), "gamma cap is NaN")])
+def test_flags_are_checked_before_the_data_file(capsys, tmp_path, argv,
+                                                message):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli(capsys, argv[0], missing, *argv[1:])
+    assert code == 2 and not out
+    assert message in err and "no such file" not in err
+
+
 def test_non_finite_training_error_is_a_numeric_failure(capsys, noisy_csv,
                                                         tmp_path):
     # lambda beyond the double-double splitter's range turns the fit NaN

@@ -42,15 +42,17 @@ def test_first_bad_line_is_reported():
         load_dataset(b"x,y,z\n1,2,3\n1,abc,3\n4,5,6\n7,8\n")
 
 
-@pytest.mark.parametrize("kind", ["path", "bytes", "file", "bom"])
+@pytest.mark.parametrize("kind", ["path", "bytes", "file", "bom", "text"])
 def test_non_utf8_input_is_a_parse_error_naming_its_line(tmp_path, kind):
     raw = "x,y,z\n1,2,3\ncafé,2,3\n".encode("latin-1")
     path = tmp_path / "latin.csv"
     path.write_bytes(raw)
-    source = {"path": path, "bytes": raw, "file": io.BytesIO(raw),
-              "bom": b"\xef\xbb\xbf" + raw}[kind]
-    with pytest.raises(ParseError, match="line 3: not UTF-8: byte 0xe9") as exc:
-        load_dataset(source)
+    with open(path, encoding="utf-8") as text:
+        source = {"path": path, "bytes": raw, "file": io.BytesIO(raw),
+                  "bom": b"\xef\xbb\xbf" + raw, "text": text}[kind]
+        with pytest.raises(ParseError,
+                           match="line 3: not UTF-8: byte 0xe9") as exc:
+            load_dataset(source)
     assert exc.value.line == 3
     with pytest.raises(ParseError, match="line 2"):
         load_points(b"x,y\n\xff,1\n")

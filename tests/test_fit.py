@@ -1,13 +1,16 @@
 """Incremental regularized fitting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
-                      RegState, SplitConfig, SynthSpec, fit_surface,
-                      generate, normalize, regularized_coefficient, split)
+                      RegState, SplitConfig, SynthSpec, build_basis,
+                      fit_surface, generate, normalize,
+                      regularized_coefficient, solve, split)
+from orthofit.basis import degree_block
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
 from oracles import (mpmath_curvature_sums, normal_equation_predictions,
@@ -75,7 +78,8 @@ def test_sigma_monotone_without_regularization():
     data = normalize(pts)
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(fixed_columns=40, max_columns=40))
-    sig = [st.sigma_tr for st in fit.history]
+    sig = [training_error(fit.b[:s], fit.basis, data.z)
+           for s in range(1, fit.S + 2)]
     for a, b in zip(sig, sig[1:]):
         assert b <= a * (1 + 1e-12) + 1e-18
 
@@ -165,7 +169,8 @@ def test_target_error_stops_early():
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(target_error=1e-6, max_columns=200))
     assert fit.sigma_tr <= 1e-6
-    assert fit.history[-2].sigma_tr > 1e-6
+    assert training_error(fit.b[:-1], fit.basis, data.z) > 1e-6
+    assert fit.stop_reason == "target_error"
 
 
 def test_stall_rule_stops_on_noise():
@@ -176,6 +181,7 @@ def test_stall_rule_stops_on_noise():
                       FitConfig(max_columns=119, stop_rel_improvement=0.05,
                                 stop_patience_blocks=2))
     assert fit.S < 60  # noise plateaus the error; the run must not exhaust the cap
+    assert fit.stop_reason == "stall"
 
 
 def test_max_columns_cap_respected():
@@ -185,6 +191,60 @@ def test_max_columns_cap_respected():
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(max_columns=8, stop_rel_improvement=0.0001))
     assert fit.S <= 7
+    assert fit.stop_reason == "columns"
+
+
+def test_fixed_size_fit_stops_on_columns():
+    pts, _ = generate(SynthSpec(surface="magnet", nx=12, ny=10, seed=10))
+    data = normalize(pts)
+    fit = fit_surface(all_train_split(data.n), data,
+                      FitConfig(fixed_columns=12, max_columns=12,
+                                target_error=1.0))
+    assert fit.S == 11 and fit.stop_reason == "columns"
+
+
+def test_scan_budget_ends_an_odd_field_fit_on_rank_deficient_data():
+    # x is constant, so the odd-x columns span only the 3 y levels: after 3
+    # columns every one is rejected until 10 * cap + 100 have been scanned
+    pts = [(0.5, y, z) for y, z in
+           [(0.1, 0.2), (0.5, 0.9), (0.9, 0.4), (0.1, 0.3), (0.5, 0.7), (0.9, 0.1)]]
+    data = unit_dataset(pts)
+    fit = fit_surface(all_train_split(data.n), data,
+                      FitConfig(max_columns=5, odd_field_only=True,
+                                stop_patience_blocks=10))
+    assert fit.S == 2 and fit.stop_reason == "scan_budget"
+    assert len(fit.rejected) > 0
+    scanned = sum(m + 1 for m in range(degree_block(max(fit.rejected))[1] + 1))
+    assert scanned >= 10 * 5 + 100
+
+
+def test_solves_on_one_basis_match_fresh_fits():
+    # y = 0 zeroes every column with a power of y, so each degree block
+    # rejects columns after its one accepted column; the widest solve runs
+    # first, and the others must stop inside the scanned basis exactly as
+    # a fit of their own would, rejected columns included
+    pts = [(k / 11, 0.0, 0.2 + 0.6 * k / 11 + 0.01 * (k * k % 5))
+           for k in range(12)] * 2
+    data = unit_dataset(pts)
+    parts = all_train_split(data.n)
+    stall = FitConfig(max_columns=12, stop_rel_improvement=0.05)
+    basis = build_basis(parts, data, stall)
+    reasons = []
+    for x, cfg in [(40, stall), (2, stall),
+                   (40, replace(stall, target_error=1.1e-4)),
+                   (40, replace(stall, target_error=1e-3))]:
+        got = solve(basis, math.exp(-x), cfg)
+        want = fit_surface(parts, data, replace(cfg, lambda_=math.exp(-x)))
+        assert got.rejected == want.rejected
+        assert (got.S, got.sigma_tr, got.history, got.stop_reason) == (
+            want.S, want.sigma_tr, want.history, want.stop_reason)
+        assert got.b.tobytes() == want.b.tobytes()
+        assert got.basis.a.tobytes() == want.basis.a.tobytes()
+        reasons.append((got.S, len(got.rejected), got.stop_reason))
+    assert reasons == [(11, 55, "columns"), (3, 6, "stall"),
+                       (6, 15, "target_error"), (1, 0, "target_error")]
+    with pytest.raises(ValueError, match="basis"):
+        solve(basis, 0.0, replace(stall, max_columns=11))
 
 
 def test_odd_field_mask_restricts_kept_indices():
@@ -193,7 +253,6 @@ def test_odd_field_mask_restricts_kept_indices():
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(fixed_columns=8, max_columns=8,
                                 odd_field_only=True))
-    from orthofit.basis import degree_block
     for t in fit.basis.kept:
         _, m, j = degree_block(t)
         assert (m - j) % 2 == 1

@@ -1,7 +1,7 @@
 """Monomial conversion, evaluation paths, physical units, quadrature."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       entropy_change, eval_monomial, eval_ortho, eval_physical,
                       fit_surface, generate, load_model, normalize, save_model,
                       split, to_monomial)
+from orthofit.fit import build_basis, solve
+from orthofit.model import _expand, _monomials
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, unit_dataset, uniform_xy
 from oracles import mpmath_monomial_coefficients, mpmath_simpson_entropy
@@ -91,6 +93,36 @@ def test_conversion_matches_mpmath_oracle(precision, n_cols):
     d_ext = np.abs(c - ref).max()
     d_dbl = np.abs(to_monomial(fit, precision=PrecisionMode.DOUBLE).c - ref).max()
     assert d_dbl > d_ext
+
+
+def test_expansion_prefix_is_the_prefix_expansion():
+    # row s of the expansion reads only rows < s and its double-double sums
+    # run elementwise, so a K-column prefix of the widest expansion is the
+    # expansion of the K-column basis, bit for bit, and one sweep can
+    # convert every strength from one expansion
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    parts = split(data, SplitConfig("y", 3))
+    cfg = FitConfig(fixed_columns=79, precision=PrecisionMode.EXTENDED)
+    shared = build_basis(parts, data, cfg)
+    fits = [solve(shared, lam, cfg) for lam in (1e-8, 1e-4)]
+    basis = fits[0].basis
+    al = basis.a_lo if basis.a_lo is not None else np.zeros_like(basis.a)
+    gh, gl = _expand(basis.a, al, (np.eye(79), np.zeros((79, 79))))
+    for K in (1, 2, 40, 78):
+        ph, pl = _expand(basis.a[:K, :K], al[:K, :K],
+                         (np.eye(K), np.zeros((K, K))))
+        assert ph.tobytes() == np.ascontiguousarray(gh[:K, :K]).tobytes()
+        assert pl.tobytes() == np.ascontiguousarray(gl[:K, :K]).tobytes()
+    short = fit_surface(parts, data, replace(cfg, fixed_columns=40, lambda_=1e-4))
+    models = _monomials(fits + [short])
+    assert [m.c.tobytes() for m in models] == [
+        to_monomial(fit).c.tobytes() for fit in fits + [short]]
+    other = fit_surface(all_train_split(data.n), data,
+                        replace(cfg, fixed_columns=40))
+    with pytest.raises(ValueError, match="share one basis"):
+        _monomials([fits[0], other])
 
 
 def test_eval_ortho_reproduces_training_points(plane_points):

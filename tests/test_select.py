@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
                       SweepReport, SynthSpec, ValidationRecord, fit_surface,
                       generate, group_error, lambda_sweep, normalize,
                       overfit_degree, select_model, split, to_monomial)
+from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import SWEEP_COLUMNS, sweep_to_csv, sweep_to_json
 from conftest import all_train_split, unit_dataset
+from oracles import refit_sweep
 
 
 def test_overfit_degree_reference_triples():
@@ -157,3 +160,52 @@ def test_serialization_schemas_and_consistency():
             want = jrec[name]
             got = float(cell) if isinstance(want, float) else int(cell)
             assert got == want
+
+
+SHARED_SWEEPS = {
+    "fixed": ([10, 20, 30, 40], FitConfig(fixed_columns=79)),
+    "stall": ([10, 25, 40], FitConfig(max_columns=120,
+                                      stop_rel_improvement=0.005)),
+    "target": ([10, 20, 30, 40], FitConfig(target_error=1e-3)),
+    "odd": ([5, 20, 40], FitConfig(odd_field_only=True)),
+    "extended": ([10, 40], FitConfig(fixed_columns=11,
+                                     precision=PrecisionMode.EXTENDED)),
+    "failing": ([-700, 10], FitConfig(fixed_columns=11,
+                                      precision=PrecisionMode.EXTENDED)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_SWEEPS))
+def test_shared_sweep_matches_one_refit_per_strength(case):
+    data, parts = _noisy_corpus()
+    grid, cfg = SHARED_SWEEPS[case]
+    got = lambda_sweep(data, parts, grid, cfg)
+    want = refit_sweep(data, parts, grid, cfg)
+    # repr spells every float exactly, NaN included
+    assert [repr(r) for r in got.records] == [repr(r) for r in want.records]
+    assert got.chosen == want.chosen and got.policy == want.policy
+    if case == "failing":
+        assert got.records[0].note.startswith(
+            "training error is not finite after column 0 ")
+
+
+@pytest.mark.parametrize("case", ["fixed", "stall"])
+def test_sweep_orthonormalizes_as_much_as_its_widest_fit(case, monkeypatch):
+    data, parts = _noisy_corpus()
+    grid, cfg = SHARED_SWEEPS[case]
+    calls = []
+    original = OrthoBuilder.add_column
+
+    def counting(self, col, tag):
+        calls.append(tag)
+        return original(self, col, tag)
+
+    monkeypatch.setattr(OrthoBuilder, "add_column", counting)
+    report = lambda_sweep(data, parts, grid, cfg)
+    swept = len(calls)
+    widest = max(report.records, key=lambda r: r.S)
+    del calls[:]
+    fit = fit_surface(parts, data, replace(cfg, lambda_=widest.lambda_))
+    assert fit.S == widest.S
+    # every column the fit scanned was accepted or rejected, and no more
+    assert swept == len(calls) == fit.S + 1 + len(fit.rejected)
