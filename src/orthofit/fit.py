@@ -20,7 +20,7 @@ and the stopping rules are bypassed (useful for comparing regularization
 strengths at constant model size).
 
 Only b_t and the stopping point depend on lam, so a fit runs in two
-steps: ``build_basis`` orthonormalizes the columns and computes each
+steps: ``FitBasis`` orthonormalizes the columns and computes each
 proj_t and Q_t, degree block by degree block as needed, and ``solve``
 runs the recurrence and the stopping rules at one strength.  A sweep
 builds once and solves per strength.
@@ -186,10 +186,6 @@ class _BlockGen:
                 for j, col in enumerate(cols)]
 
 
-# FitConfig fields that shape the basis rather than the solve
-_BASIS_FIELDS = ("max_columns", "fixed_columns", "precision", "odd_field_only")
-
-
 class FitBasis:
     """The half of a fit that does not depend on lambda, shared by every
     strength of a sweep.
@@ -206,6 +202,8 @@ class FitBasis:
 
     def __init__(self, split: DataSplit, data: NormalizedDataset,
                  cfg: FitConfig):
+        """Raises InsufficientDataError for fewer than 3 training points
+        or a ``fixed_columns`` beyond the usable cap."""
         train = np.asarray(split.train_idx)
         ntr = train.size
         if ntr < 3:
@@ -263,41 +261,28 @@ class FitBasis:
         self.blocks.append((bld.n_columns, scanned, len(self.rejected)))
 
 
-def build_basis(split: DataSplit, data: NormalizedDataset,
-                cfg: FitConfig) -> FitBasis:
-    """The lambda-independent half of a fit on the training group.  Raises
-    InsufficientDataError for fewer than 3 training points or a
-    ``fixed_columns`` beyond the usable cap."""
-    return FitBasis(split, data, cfg)
-
-
-def solve(basis: FitBasis, lam: float, cfg: FitConfig) -> FitResult:
+def solve(basis: FitBasis, lam: float) -> FitResult:
     """Run the coefficient recurrence at strength ``lam`` over the shared
-    basis, applying the stopping rules of ``cfg``.
+    basis, applying the stopping rules of the config it was built with
+    (its ``lambda_`` is not read).
 
-    ``cfg`` must describe the same basis as the one ``basis`` was built
-    with (its ``lambda_`` and stopping rules may differ).  The training
-    error is computed only where a rule reads it: after every column
-    while ``target_error`` is set, at degree-block ends for the stall
-    rule, and at the last column.  A training error that is not finite
-    (lambda too large) raises DegenerateFitError naming the first column
-    where it became so.
+    The training error is computed only where a rule reads it: after
+    every column while ``target_error`` is set, at degree-block ends for
+    the stall rule, and at the last column.  A training error that is not
+    finite (lambda too large) raises DegenerateFitError naming the first
+    column where it became so.
     """
-    if any(getattr(cfg, f) != getattr(basis.cfg, f) for f in _BASIS_FIELDS):
-        raise ValueError("cfg does not describe the basis it is solved on")
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     # A residual entry that is not finite never turns finite again, and an
     # overflowing squared norm cannot shrink back (b_t never reads the
     # residual and the P_t are orthonormal): the first walk only detects
     # it, a second one with sigma after every column names the column.
-    return _walk(basis, lam, cfg, False) or _walk(basis, lam, cfg, True)
+    return _walk(basis, lam, False) or _walk(basis, lam, True)
 
 
-def _walk(basis: FitBasis, lam: float, cfg: FitConfig, every_column: bool):
+def _walk(basis: FitBasis, lam: float, every_column: bool):
     """The loop of ``solve``.  Returns None when it finds the training
     error not finite without having computed it after every column."""
-    bld, ntr, cap = basis.builder, basis.ntr, basis.cap
+    bld, ntr, cap, cfg = basis.builder, basis.ntr, basis.cap, basis.cfg
     fixed = cfg.fixed_columns is not None
     watch = not fixed and cfg.target_error is not None
     each = watch or every_column
@@ -351,6 +336,10 @@ def _walk(basis: FitBasis, lam: float, cfg: FitConfig, every_column: bool):
                 if stall >= cfg.stop_patience_blocks:
                     reason = "stall"
             k += 1
+    if sigma is None:  # a fixed size cut short by the scan budget
+        sigma = bld.vec_norm2(residual) / ntr
+        if not math.isfinite(sigma):
+            return None
 
     K = len(history)
     if K == 0:
@@ -385,4 +374,4 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
     cap or ``fixed_columns``) or "scan_budget".  A training error that is
     not finite (lambda too large) raises DegenerateFitError.
     """
-    return solve(build_basis(split, data, cfg), cfg.lambda_, cfg)
+    return solve(FitBasis(split, data, cfg), cfg.lambda_)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import DataSplit, NormalizedDataset
-from .fit import FitConfig, FitResult, build_basis, solve
+from .fit import FitBasis, FitConfig, FitResult, solve
 from .model import _monomials, eval_monomial
 from .errors import DegenerateFitError, OrthofitError
 
@@ -151,11 +151,11 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     propagate.
     """
     xs, lams = _strengths(grid, gamma_cap)
-    basis = build_basis(split, data, cfg)
+    basis = FitBasis(split, data, cfg)
     fits = []
     for lam in lams:
         try:
-            fits.append(solve(basis, lam, cfg))
+            fits.append(solve(basis, lam))
         except DegenerateFitError as exc:
             fits.append(exc)
     solved = [fit for fit in fits if isinstance(fit, FitResult)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
-                      RegState, SplitConfig, SynthSpec, build_basis,
+                      FitBasis, RegState, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize,
                       regularized_coefficient, solve, split)
 from orthofit.basis import degree_block
@@ -220,31 +220,31 @@ def test_scan_budget_ends_an_odd_field_fit_on_rank_deficient_data():
 
 def test_solves_on_one_basis_match_fresh_fits():
     # y = 0 zeroes every column with a power of y, so each degree block
-    # rejects columns after its one accepted column; the widest solve runs
-    # first, and the others must stop inside the scanned basis exactly as
+    # rejects columns after its one accepted column; each basis is scanned
+    # to its 12-column cap first, and solves must stop inside it exactly as
     # a fit of their own would, rejected columns included
     pts = [(k / 11, 0.0, 0.2 + 0.6 * k / 11 + 0.01 * (k * k % 5))
            for k in range(12)] * 2
     data = unit_dataset(pts)
     parts = all_train_split(data.n)
     stall = FitConfig(max_columns=12, stop_rel_improvement=0.05)
-    basis = build_basis(parts, data, stall)
     reasons = []
-    for x, cfg in [(40, stall), (2, stall),
-                   (40, replace(stall, target_error=1.1e-4)),
-                   (40, replace(stall, target_error=1e-3))]:
-        got = solve(basis, math.exp(-x), cfg)
-        want = fit_surface(parts, data, replace(cfg, lambda_=math.exp(-x)))
-        assert got.rejected == want.rejected
-        assert (got.S, got.sigma_tr, got.history, got.stop_reason) == (
-            want.S, want.sigma_tr, want.history, want.stop_reason)
-        assert got.b.tobytes() == want.b.tobytes()
-        assert got.basis.a.tobytes() == want.basis.a.tobytes()
-        reasons.append((got.S, len(got.rejected), got.stop_reason))
+    for cfg, xs in [(stall, (40, 2)),
+                    (replace(stall, target_error=1.1e-4), (40,)),
+                    (replace(stall, target_error=1e-3), (40,))]:
+        basis = FitBasis(parts, data, cfg)
+        basis.block(11)  # scan all 12 columns before any solve
+        for x in xs:
+            got = solve(basis, math.exp(-x))
+            want = fit_surface(parts, data, replace(cfg, lambda_=math.exp(-x)))
+            assert got.rejected == want.rejected
+            assert (got.S, got.sigma_tr, got.history, got.stop_reason) == (
+                want.S, want.sigma_tr, want.history, want.stop_reason)
+            assert got.b.tobytes() == want.b.tobytes()
+            assert got.basis.a.tobytes() == want.basis.a.tobytes()
+            reasons.append((got.S, len(got.rejected), got.stop_reason))
     assert reasons == [(11, 55, "columns"), (3, 6, "stall"),
                        (6, 15, "target_error"), (1, 0, "target_error")]
-    with pytest.raises(ValueError, match="basis"):
-        solve(basis, 0.0, replace(stall, max_columns=11))
 
 
 def test_odd_field_mask_restricts_kept_indices():

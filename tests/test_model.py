@@ -12,7 +12,7 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       entropy_change, eval_monomial, eval_ortho, eval_physical,
                       fit_surface, generate, load_model, normalize, save_model,
                       split, to_monomial)
-from orthofit.fit import build_basis, solve
+from orthofit.fit import FitBasis, solve
 from orthofit.model import _expand, _monomials
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, unit_dataset, uniform_xy
@@ -105,8 +105,8 @@ def test_expansion_prefix_is_the_prefix_expansion():
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
     cfg = FitConfig(fixed_columns=79, precision=PrecisionMode.EXTENDED)
-    shared = build_basis(parts, data, cfg)
-    fits = [solve(shared, lam, cfg) for lam in (1e-8, 1e-4)]
+    shared = FitBasis(parts, data, cfg)
+    fits = [solve(shared, lam) for lam in (1e-8, 1e-4)]
     basis = fits[0].basis
     al = basis.a_lo if basis.a_lo is not None else np.zeros_like(basis.a)
     gh, gl = _expand(basis.a, al, (np.eye(79), np.zeros((79, 79))))

@@ -172,21 +172,45 @@ SHARED_SWEEPS = {
                                      precision=PrecisionMode.EXTENDED)),
     "failing": ([-700, 10], FitConfig(fixed_columns=11,
                                       precision=PrecisionMode.EXTENDED)),
+    "budget": ([-700, 10], FitConfig(fixed_columns=5, max_columns=5,
+                                     odd_field_only=True,
+                                     precision=PrecisionMode.EXTENDED)),
 }
+
+# the note of the x=-700 record, which a failed sweep quotes
+FAILED_NOTES = {
+    "failing": "training error is not finite after column 0 ",
+    "budget": "training error is not finite after column 1 ",
+}
+
+
+def _rank_deficient_corpus():
+    # x is constant, so the odd-x columns span only the 3 y levels and a
+    # fixed size of 5 runs into the scan budget with 3 columns
+    pts = [(0.5, 0.1 + 0.4 * (k % 3), 0.1 + 0.07 * k) for k in range(12)]
+    data = unit_dataset(pts)
+    return data, DataSplit(train_idx=np.arange(6), cv_idx=np.arange(6, 9),
+                           test_idx=np.arange(9, 12))
+
+
+def _sweep_outcome(sweep, data, parts, grid, cfg):
+    try:
+        report = sweep(data, parts, grid, cfg)
+    except OrthofitError as exc:  # no usable record
+        return str(exc)
+    # repr spells every float exactly, NaN included
+    return [repr(r) for r in report.records], report.chosen, report.policy
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_SWEEPS))
 def test_shared_sweep_matches_one_refit_per_strength(case):
-    data, parts = _noisy_corpus()
+    data, parts = (_rank_deficient_corpus() if case == "budget"
+                   else _noisy_corpus())
     grid, cfg = SHARED_SWEEPS[case]
-    got = lambda_sweep(data, parts, grid, cfg)
-    want = refit_sweep(data, parts, grid, cfg)
-    # repr spells every float exactly, NaN included
-    assert [repr(r) for r in got.records] == [repr(r) for r in want.records]
-    assert got.chosen == want.chosen and got.policy == want.policy
-    if case == "failing":
-        assert got.records[0].note.startswith(
-            "training error is not finite after column 0 ")
+    got = _sweep_outcome(lambda_sweep, data, parts, grid, cfg)
+    assert got == _sweep_outcome(refit_sweep, data, parts, grid, cfg)
+    if case in FAILED_NOTES:
+        assert FAILED_NOTES[case] in str(got)
 
 
 @pytest.mark.parametrize("case", ["fixed", "stall"])
