@@ -70,6 +70,10 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _fit_config(args) -> FitConfig:
+    if args.max_degree < 1:
+        raise ValueError(f"--max-degree must be >= 1, got {args.max_degree}")
+    if args.fixed_s is not None and args.fixed_s < 0:
+        raise ValueError(f"--fixed-S must be >= 0, got {args.fixed_s}")
     return FitConfig(
         lambda_=args.lambda_,
         max_columns=columns_for_degree(args.max_degree),

@@ -10,7 +10,8 @@ are bit-reproducible.
 Conventions: functions prefixed ``dd_`` take and return (hi, lo) pairs;
 ``two_sum``/``two_prod`` are the classic error-free building blocks;
 ``comp_dot`` is a compensated double-precision dot product (full dd
-accumulation internally, rounded to double on return).
+accumulation internally, rounded to double on return); ``dd_slices``
+cuts dd values into slices whose products BLAS sums exactly.
 """
 
 from __future__ import annotations
@@ -163,6 +164,46 @@ def comp_dot(u, v, axis=0):
     p, e = two_prod(u, v)
     h, l = dd_sum(p, e, axis=axis)
     return h + l
+
+
+def slice_width(n: int) -> int:
+    """Slice width beta in bits for products summed over n terms.
+
+    beta = (53 - ceil(log2 n) - 2) // 2, so 2 beta + ceil(log2 n) + 2 <=
+    53: n products of two ``dd_slices`` slices, each at most 2**(beta-1)
+    + 1 of its unit, sum to at most 2**51 units of their product, so the
+    sum is exact in a double in any summation order, blocking or use of
+    FMA.
+    """
+    return (53 - (n - 1).bit_length() - 2) // 2
+
+
+def dd_slices(hi, lo, width, count, exp=0):
+    """Split dd values ``hi + lo`` with ``|hi + lo| <= 2**exp`` into
+    ``count`` slices of ``width`` bits (error-free splitting: Ozaki,
+    Ogita, Oishi & Rump, *Numer. Algorithms* 59, 2012).
+
+    Returns ``(slices, rh, rl)``: ``slices[p - 1]``, p = 1..count, is a
+    multiple of the unit 2**(exp + 1 - width*p) of magnitude at most
+    2**(width - 1) + 1 units, and ``hi + lo == sum(slices) + rh + rl``
+    exactly, with ``|rh + rl|`` at most the last unit.  Each slice is
+    fl((r + sigma) - sigma), sigma = 0.75 * 2**(exp + 54 - width*p),
+    and the remainder r is renormalized with ``two_sum``.
+
+    Valid domain: 1 <= width <= 26, every sigma a normal double (-1021
+    <= exp + 54 - width*count and exp + 54 - width <= 1023), and ``|lo|
+    <= ulp(hi)``.  Products of two slices are exact unless they
+    underflow into subnormals.
+    """
+    rh = np.array(hi, dtype=float)
+    rl = np.array(lo, dtype=float)
+    out = np.empty((count,) + rh.shape)
+    for p in range(count):
+        sigma = np.ldexp(0.75, exp + 54 - width * (p + 1))
+        s = (rh + sigma) - sigma
+        out[p] = s
+        rh, rl = two_sum(rh - s, rl)
+    return out, rh, rl
 
 
 def dd_matvec(mh, ml, vh, vl):

@@ -241,6 +241,9 @@ class FitBasis:
 
     def _scan_block(self):
         bld, cfg = self.builder, self.cfg
+        if bld.n_columns >= self.cap:  # capped: later blocks add nothing
+            self.blocks.append(self.blocks[-1])
+            return
         scanned = self.blocks[-1][1] if self.blocks else 0
         for t, col, q_raw in self._gen.next_block():
             scanned += 1

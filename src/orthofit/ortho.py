@@ -24,23 +24,28 @@ gives the curvature sum ``Q_s`` of each column from that of its raw
 column (``curvature_sum``), so no Laplacian columns are formed.
 
 Everything runs at either plain double precision (BLAS reductions) or
-software double-double ("extended") precision.
+software double-double ("extended") precision.  Extended projections are
+exact BLAS products over slices of the stored columns, summed in
+double-double, so their bits do not depend on BLAS's summation order or
+thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .ddarith import (DD, comp_dot, dd_add, dd_dot, dd_matvec, dd_matvec_t,
-                      dd_mul, dd_sub)
+from .ddarith import (DD, comp_dot, dd_add, dd_dot, dd_mul, dd_slices,
+                      dd_sub, dd_sum, slice_width)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
 RANK_TOL = 1e-20     # post-projection norm below this rejects the column
+SLICE_BITS = 118     # extended projections: bits kept below the scale
 
 
 class PrecisionMode(str, Enum):
@@ -131,17 +136,35 @@ class _DoubleCore:
 
 
 class _ExtendedCore:
-    """(hi, lo) pair storage; all reductions in double-double."""
+    """(hi, lo) pair storage; reductions in double-double.
+
+    The projections are exact BLAS products over slices of P (see
+    ``dd_slices``).  Every column has unit norm, so |P| <= 1 and one grid
+    of ``count`` slices of ``width`` bits, cut when a column is appended,
+    serves every column.  ``measure`` and ``deflate`` slice their vector
+    on its own power-of-two scale; each product of a P slice and a
+    vector slice is then exact whatever BLAS does with order, blocking,
+    FMA or threads, so the results do not depend on it.  The products
+    of slices p and q with p + q < count are summed in double-double;
+    the rest, and the remainders left after ``count`` slices, lie about
+    2**-SLICE_BITS below the scale.  The slices take count * n * cap
+    doubles beside P.
+    """
 
     def __init__(self, n: int, cap: int):
         self.Ph = np.empty((n, cap)); self.Pl = np.empty((n, cap))
+        self.width = slice_width(n)
+        self.count = -(-SLICE_BITS // self.width)
+        self.Psl = np.empty((self.count, n, cap))
+        pairs = [(p, d - p) for d in range(self.count) for p in range(d + 1)]
+        self._p, self._q = (np.array(i) for i in zip(*pairs))
         self.k = 0
 
     def grow(self, cap):
-        for name in ("Ph", "Pl"):
+        for name in ("Ph", "Pl", "Psl"):
             buf = getattr(self, name)
-            new = np.empty((buf.shape[0], cap))
-            new[:, :self.k] = buf[:, :self.k]
+            new = np.empty(buf.shape[:-1] + (cap,))
+            new[..., :self.k] = buf[..., :self.k]
             setattr(self, name, new)
 
     def make_vec(self, arr):
@@ -150,13 +173,22 @@ class _ExtendedCore:
                     np.array(arr[1], dtype=float, copy=True))
         return (np.array(arr, dtype=float, copy=True), np.zeros(len(arr)))
 
+    def _slices(self, h, l):
+        """Slices of the dd vector (h, l) on its power-of-two scale."""
+        exp = math.frexp(float(np.abs(h).max()))[1]
+        return dd_slices(h, l, self.width, self.count, exp)[0]
+
     def measure(self, v):
-        k = self.k
-        return dd_matvec_t(self.Ph[:, :k], self.Pl[:, :k], v[0], v[1])
+        # terms[p, q, t] = <slice p of P_t, slice q of v>, exact
+        terms = np.matmul(self._slices(*v), self.Psl[:, :, :self.k])
+        return dd_sum(terms[self._p, self._q], 0.0)
 
     def deflate(self, v, delta):
-        k = self.k
-        ph = dd_matvec(self.Ph[:, :k], self.Pl[:, :k], delta[0], delta[1])
+        S, n, k = self.count, self.Ph.shape[0], self.k
+        # terms[q, p, i] = sum_t (slice q of delta)_t (slice p of P_t)_i
+        terms = (self._slices(*delta)
+                 @ self.Psl[:, :, :k].reshape(S * n, k).T).reshape(S, S, n)
+        ph = dd_sum(terms[self._q, self._p], 0.0)
         return dd_sub(v[0], v[1], *ph)
 
     def norm2(self, v):
@@ -168,6 +200,8 @@ class _ExtendedCore:
     def append(self, v, inv):
         k = self.k
         self.Ph[:, k], self.Pl[:, k] = dd_mul(v[0], v[1], inv.hi, inv.lo)
+        self.Psl[:, :, k] = dd_slices(self.Ph[:, k], self.Pl[:, k],
+                                      self.width, self.count)[0]
         self.k += 1
 
     def column_dot(self, t, vec):

@@ -6,7 +6,11 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 from operator import setitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,7 +193,13 @@ def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
     (("sweep", "--x-grid", "10:5:1"), "lo <= hi"),
     (("sweep", "--x-grid", "nan"), "x grid entry nan is not finite"),
     (("sweep", "--x-grid=-1000"), "x grid entry -1000.0 overflows"),
-    (("sweep", "--x-grid", "10", "--gamma-cap", "nan"), "gamma cap is NaN")])
+    (("sweep", "--x-grid", "10", "--gamma-cap", "nan"), "gamma cap is NaN"),
+    (("fit", "--max-degree", "0"), "--max-degree must be >= 1, got 0"),
+    (("sweep", "--x-grid", "10", "--max-degree", "0"),
+     "--max-degree must be >= 1, got 0"),
+    (("fit", "--fixed-S", "-1"), "--fixed-S must be >= 0, got -1"),
+    (("sweep", "--x-grid", "10", "--fixed-S", "-1"),
+     "--fixed-S must be >= 0, got -1")])
 def test_flags_are_checked_before_the_data_file(capsys, tmp_path, argv,
                                                 message):
     missing = str(tmp_path / "missing.csv")
@@ -508,6 +518,28 @@ def test_commands_are_deterministic(capsys, noisy_csv, tmp_path):
                               "--nx", "8", "--ny", "8", "--seed", "2",
                               "--out", str(tmp_path / "b.csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_extended_fit_does_not_depend_on_blas_threads(noisy_csv, tmp_path):
+    # every BLAS sum of the extended projections is exact, so the thread
+    # count cannot change a bit of the model or the report
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        model = tmp_path / f"m{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthofit.cli", "fit", str(noisy_csv),
+             "-o", str(model), "--precision", "extended", "--fixed-S", "40"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        report = re.sub(r"(?m)^(wall_time_s\s+).*$", r"\1-", proc.stdout)
+        outputs.append((model.read_bytes(), report, proc.stderr))
+    assert "wall_time_s  -" in outputs[0][1]
+    assert outputs[0] == outputs[1]
 
 
 def test_version_flag(capsys):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orthofit.ddarith import (DD, comp_dot, dd_add, dd_div, dd_dot,
-                              dd_matvec, dd_matvec_t, dd_mul, dd_sqrt, dd_sum,
-                              fast_two_sum, two_prod, two_sum)
+                              dd_matvec, dd_matvec_t, dd_mul, dd_slices,
+                              dd_sqrt, dd_sum, fast_two_sum, slice_width,
+                              two_prod, two_sum)
 from orthofit.synth import SplitMix64
 
 
@@ -59,6 +60,37 @@ def test_two_prod_error_free_property(a, b):
     p, e = two_prod(a, b)
     assert p == a * b
     assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+
+@pytest.mark.parametrize("n, beta", [(3, 24), (667, 20), (66_667, 17),
+                                     (2 ** 31, 10)])
+def test_slice_width_keeps_n_slice_products_exact(n, beta):
+    width = slice_width(n)
+    log_n = math.ceil(math.log2(n))
+    assert 2 * width + log_n + 2 <= 53 < 2 * (width + 1) + log_n + 2
+    # n products of two slices of at most 2**(width-1) + 1 units each
+    assert n * (2 ** (width - 1) + 1) ** 2 <= 2 ** 53
+    assert width == beta
+
+
+@_property
+@given(st.sampled_from([slice_width(n) for n in (3, 667, 66_667, 2 ** 31)]),
+       st.integers(-60, 60),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_dd_slices_are_error_free(width, exp, frac, lo_frac):
+    hi = math.ldexp(frac, exp)
+    lo = lo_frac * math.ulp(hi) / 2 if hi else 0.0
+    hi, lo = two_sum(hi, lo)
+    assume(abs(Fraction(hi) + Fraction(lo)) <= Fraction(2) ** exp)
+    count = -(-118 // width)
+    slices, rh, rl = dd_slices(hi, lo, width, count, exp)
+    rest = Fraction(float(rh)) + Fraction(float(rl))
+    assert sum(map(Fraction, slices.tolist())) + rest == Fraction(hi) + Fraction(lo)
+    for p, s in enumerate(slices.tolist(), start=1):
+        units = Fraction(s) / Fraction(2) ** (exp + 1 - width * p)
+        assert units.denominator == 1
+        assert abs(units) <= 2 ** (width - 1) + 1
+    assert abs(rest) <= Fraction(2) ** (exp + 1 - width * count)
 
 
 def test_fast_two_sum_ordered():

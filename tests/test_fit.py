@@ -247,6 +247,20 @@ def test_solves_on_one_basis_match_fresh_fits():
                        (6, 15, "target_error"), (1, 0, "target_error")]
 
 
+def test_basis_block_stops_scanning_at_the_column_cap():
+    # blocks 0..3 hold 1 + 2 + 3 + 4 = 10 columns, the cap; asking for a
+    # later block must not orthonormalize any further column
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    basis = FitBasis(split(data, SplitConfig()), data,
+                     FitConfig(fixed_columns=10))
+    assert basis.block(3)[0] == 10
+    assert basis.block(6) == basis.block(3)
+    assert basis.builder.n_columns == len(basis.proj) == len(basis.q) == 10
+    assert len(basis.blocks) == 7
+
+
 def test_odd_field_mask_restricts_kept_indices():
     pts, _ = generate(SynthSpec(surface="magnet", nx=14, ny=12, seed=11))
     data = normalize(pts)

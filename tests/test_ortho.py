@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from orthofit import (FitBasis, FitConfig, SplitConfig, SynthSpec, generate,
+                      normalize, split)
 from orthofit.basis import basis_values, columns_for_degree
-from orthofit.ddarith import dd_add, dd_matvec, dd_mul
+from orthofit.ddarith import dd_add, dd_matvec, dd_matvec_t, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
 from oracles import sympy_laplacian_columns
@@ -232,6 +234,75 @@ def test_extended_columns_truly_orthonormal_in_dd():
             want = 1.0 if s == t else 0.0
             worst = max(worst, abs(h + l - want))
     assert worst < 1e-27
+
+
+_SHIFT = 1100  # every double is a multiple of 2**-1074
+
+
+def _exact(h, l=None):
+    """Exact integer images, scaled by 2**_SHIFT, of float64 (dd) values."""
+    ints = [num * (1 << _SHIFT) // den for num, den in
+            map(float.as_integer_ratio, np.ravel(h).tolist())]
+    out = np.array(ints, dtype=object).reshape(np.shape(h))
+    return out if l is None else out + _exact(l)
+
+
+def _worst_relative_error(got, exact, scale):
+    return max(abs(a - b) / c for a, b, c in zip(got, exact, scale))
+
+
+def test_extended_projections_match_exact_sums():
+    # the first 100 columns of the 1k corpus's basis, against integer-exact
+    # sums; measure and deflate must be no less accurate than the
+    # elementwise dd kernels, and within u**2 (deflate: 2 u**2, its dd_sub
+    # rounds once more) of the sum of the terms' magnitudes
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    fb = FitBasis(split(data, SplitConfig()), data,
+                  FitConfig(fixed_columns=100,
+                            precision=PrecisionMode.EXTENDED))
+    fb.block(13)  # degree 13 passes the 100-column cap
+    core = fb.builder._core
+    assert core.k == 100
+    Ph, Pl = core.Ph[:, :100], core.Pl[:, :100]
+    P = _exact(Ph, Pl)
+    u2 = 2.0 ** -106
+    raw = fb._z_vec
+    nearly_orthogonal = core.deflate(raw, core.measure(raw))
+    for v in (raw, nearly_orthogonal):
+        V = _exact(*v)
+        exact, scale = P.T @ V, np.abs(P).T @ np.abs(V)
+        sliced = _worst_relative_error(_exact(*core.measure(v)) << _SHIFT,
+                                       exact, scale)
+        elementwise = _worst_relative_error(
+            _exact(*dd_matvec_t(Ph, Pl, *v)) << _SHIFT, exact, scale)
+        assert sliced <= min(elementwise, u2)
+
+        d = core.measure(v)
+        D = _exact(*d)
+        exact = (V << _SHIFT) - P @ D
+        scale = (np.abs(V) << _SHIFT) + np.abs(P) @ np.abs(D)
+        sliced = _worst_relative_error(_exact(*core.deflate(v, d)) << _SHIFT,
+                                       exact, scale)
+        elementwise = _worst_relative_error(
+            _exact(*dd_sub(*v, *dd_matvec(Ph, Pl, *d))) << _SHIFT,
+            exact, scale)
+        assert sliced <= min(elementwise, 2 * u2)
+
+
+def test_extended_storage_growth_keeps_every_bit():
+    # capacity 8 grows twice on the way to 20 columns; the stored columns
+    # and their slices must match a builder that never grew
+    x, y = uniform_xy(60, 61)
+    grown, fixed = (
+        _feed_columns(OrthoBuilder(60, precision=PrecisionMode.EXTENDED,
+                                   capacity=cap), x, y, 20, extended=True)
+        for cap in (8, 64))
+    assert grown._core.Psl.shape[2] == 32
+    for name in ("Ph", "Pl", "Psl"):
+        a, b = getattr(grown._core, name), getattr(fixed._core, name)
+        assert np.array_equal(a[..., :20], b[..., :20]), name
 
 
 def test_unknown_scheme_rejected():
