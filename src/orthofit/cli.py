@@ -313,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--points", default=None, help="CSV of X,Y points")
-    p.add_argument("--grid", default=None, help="NXxNY over the data rectangle")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--points", default=None, help="CSV of X,Y points")
+    where.add_argument("--grid", default=None,
+                       help="NXxNY over the data rectangle")
     p.add_argument("--with-slope", action="store_true", help="add a dZ/dY column")
     p.add_argument("--with-entropy", action="store_true",
                    help="add the field integral of dZ/dY")

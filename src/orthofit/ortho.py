@@ -23,6 +23,11 @@ The same linear recurrence, applied to sums over the training points,
 gives the curvature sum ``Q_s`` of each column from that of its raw
 column (``curvature_sum``), so no Laplacian columns are formed.
 
+The orthonormal columns are stored column-major (Fortran order), as in
+the scheme's original implementation: each column the scheme reads or
+writes is one contiguous block, and projections are gemv over contiguous
+columns.
+
 Everything runs at either plain double precision (BLAS reductions) or
 software double-double ("extended") precision.  Extended projections are
 exact BLAS products over slices of the stored columns, summed in
@@ -45,6 +50,7 @@ from .ddarith import (DD, comp_dot, dd_add, dd_dot, dd_mul, dd_slices,
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
 RANK_TOL = 1e-20     # post-projection norm below this rejects the column
+DOUBLE_RANK_REL = 2.0 ** -44  # double: also reject below this * column norm
 SLICE_BITS = 118     # extended projections: bits kept below the scale
 
 
@@ -58,7 +64,7 @@ class OrthoBasis:
     """Finished orthonormal system over the training points.
 
     P : (n_train, K) float64 values of the orthonormal polynomials (hi
-        parts in extended mode).
+        parts in extended mode), column-major (F-contiguous).
     a : (K, K) lower-triangular expansion coefficients (see module doc).
     kept : original flat basis index of each orthonormal column.
     """
@@ -79,21 +85,26 @@ def orthogonality_defect(basis: OrthoBasis) -> float:
     """Largest off-diagonal |<P_t, P_s>| of the basis, measured in double."""
     if basis.n_columns < 2:
         raise ValueError("need at least 2 columns to measure a defect")
-    P = np.ascontiguousarray(basis.P)  # one layout, hence one set of bits
+    P = np.asfortranarray(basis.P)  # one layout, hence one set of bits
     g = P.T @ P
     np.fill_diagonal(g, 0.0)
     return float(np.abs(g).max())
 
 
 class _DoubleCore:
-    """Plain float64 storage; BLAS matvecs for projections."""
+    """Plain float64 storage; BLAS matvecs for projections.
+
+    P is column-major, so ``measure`` and ``deflate`` are gemv over
+    contiguous columns and every single-column read or write is one
+    contiguous block.
+    """
 
     def __init__(self, n: int, cap: int):
-        self.P = np.empty((n, cap))
+        self.P = np.empty((n, cap), order="F")
         self.k = 0
 
     def grow(self, cap):
-        new = np.empty((self.P.shape[0], cap))
+        new = np.empty((self.P.shape[0], cap), order="F")
         new[:, :self.k] = self.P[:, :self.k]
         self.P = new
 
@@ -148,11 +159,14 @@ class _ExtendedCore:
     of slices p and q with p + q < count are summed in double-double;
     the rest, and the remainders left after ``count`` slices, lie about
     2**-SLICE_BITS below the scale.  The slices take count * n * cap
-    doubles beside P.
+    doubles beside P.  Ph and Pl are column-major like the double core's
+    P; Psl is C-ordered (count, n, cap), so ``deflate`` can view it as
+    one (count * n, cap) matrix without a copy.
     """
 
     def __init__(self, n: int, cap: int):
-        self.Ph = np.empty((n, cap)); self.Pl = np.empty((n, cap))
+        self.Ph = np.empty((n, cap), order="F")
+        self.Pl = np.empty((n, cap), order="F")
         self.width = slice_width(n)
         self.count = -(-SLICE_BITS // self.width)
         self.Psl = np.empty((self.count, n, cap))
@@ -163,7 +177,8 @@ class _ExtendedCore:
     def grow(self, cap):
         for name in ("Ph", "Pl", "Psl"):
             buf = getattr(self, name)
-            new = np.empty(buf.shape[:-1] + (cap,))
+            # empty_like keeps each layout: Ph/Pl column-major, Psl C-order
+            new = np.empty_like(buf, shape=buf.shape[:-1] + (cap,))
             new[..., :self.k] = buf[..., :self.k]
             setattr(self, name, new)
 
@@ -255,7 +270,9 @@ class OrthoBuilder:
 
         Returns False and leaves the state untouched when the residual
         norm falls below the rank tolerance (numerically dependent
-        column); otherwise appends the new orthonormal column.
+        column): below RANK_TOL, or in double mode also at or below
+        DOUBLE_RANK_REL times the incoming column's norm.  Otherwise
+        appends the new orthonormal column.
         """
         core = self._core
         if core.k == self._cap:
@@ -289,7 +306,11 @@ class OrthoBuilder:
                         break
             n2 = core.norm2(v)
         p = (DD(n2.hi, n2.lo) if isinstance(n2, DD) else DD(n2)).sqrt()
-        if float(p) < RANK_TOL:
+        # double rounding leaves a dependent column a residual near 1e-16
+        # of its norm, far above RANK_TOL, so double mode also rejects on
+        # the residual relative to the incoming column
+        if float(p) < RANK_TOL or (
+                not extended and float(p) <= DOUBLE_RANK_REL * col_norm):
             return False
         inv = 1.0 / p
         core.append(v, inv)
@@ -359,6 +380,7 @@ class OrthoBuilder:
 
         P is a read-only view of the stored columns, which later columns
         never change, so bases taken at different widths share storage.
+        The views are F-contiguous prefixes of the column-major store.
         """
         K = self._core.k if k is None else k
         ah, al = self._assemble_a(K)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 _MASK = (1 << 64) - 1
+MAX_POLY_DEGREE = 40  # 'poly:K' draws (K + 1)(K + 2)/2 coefficients
 
 
 class SplitMix64:
@@ -45,8 +46,9 @@ class SplitMix64:
 class SynthSpec:
     """What to generate.
 
-    surface : 'plane', 'poly:K' (random polynomial of total degree K), or
-        'magnet' (smooth sigmoidal M(H, T)-like sheet).
+    surface : 'plane', 'poly:K' (random polynomial of total degree K,
+        0 <= K <= MAX_POLY_DEGREE; 'poly' alone means K = 3), or 'magnet'
+        (smooth sigmoidal M(H, T)-like sheet).
     nx, ny : grid counts along x and y (nx * ny >= 6).
     noise_sigma : standard deviation of additive noise.
     seed : generator seed; same seed, same dataset, any platform.
@@ -63,9 +65,16 @@ class SynthSpec:
             raise ValueError("need nx * ny >= 6")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ValueError("noise_sigma must be finite and >= 0")
-        kind = self.surface.split(":")[0]
+        kind, colon, arg = self.surface.partition(":")
         if kind not in ("plane", "poly", "magnet"):
             raise ValueError(f"unknown surface {self.surface!r}")
+        if kind != "poly" and colon:
+            raise ValueError(f"surface {self.surface!r}: {kind} takes no "
+                             f"argument")
+        if kind == "poly" and colon and not (
+                arg.isdecimal() and int(arg) <= MAX_POLY_DEGREE):
+            raise ValueError(f"surface {self.surface!r}: the degree must be "
+                             f"an integer from 0 to {MAX_POLY_DEGREE}")
 
 
 def _plane(x, y):

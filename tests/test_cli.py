@@ -18,6 +18,7 @@ import pytest
 from orthofit import (SynthSpec, dZ_dY, entropy_change, eval_physical,
                       generate, load_model, save_dataset)
 from orthofit.cli import _parse_x_grid, main
+from orthofit.synth import MAX_POLY_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -421,6 +422,16 @@ def test_eval_requires_points_or_grid(capsys, plane_csv, tmp_path):
     assert code == 2
 
 
+def test_eval_rejects_grid_with_points(capsys, tmp_path):
+    # refused by the parser, before the (missing) model file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(tmp_path / "missing.json"),
+              "--grid", "2x2", "--points", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--grid" in err and "--points" in err and "missing" not in err
+
+
 def test_export_json_and_csv(capsys, plane_csv, tmp_path):
     model_path = tmp_path / "m.json"
     run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path), "--audit")
@@ -442,6 +453,21 @@ def test_export_json_and_csv(capsys, plane_csv, tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
     # coefficients live in normalized units: z spans [0.4, 0.75] on this grid
     assert float(rows[2][3]) == pytest.approx(0.25 / 0.35, rel=1e-12)
+
+
+@pytest.mark.parametrize("surface", [
+    "poly:-1", f"poly:{MAX_POLY_DEGREE + 1}", "poly:100000", "poly:2.5",
+    "poly:", "plane:5", "magnet:1"])
+def test_synth_rejects_bad_surface(capsys, tmp_path, monkeypatch, surface):
+    # refused before anything is generated or allocated
+    monkeypatch.setattr("orthofit.cli.generate",
+                        lambda spec: pytest.fail("generate was called"))
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--surface", surface,
+                             "--out", str(out_path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: surface {surface!r}")
+    assert not out_path.exists()
 
 
 def test_synth_and_split_commands(capsys, tmp_path):

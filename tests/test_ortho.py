@@ -54,13 +54,26 @@ def test_duplicate_column_is_rejected_extended():
 
 
 def test_duplicate_column_in_double_mode_stays_harmless():
-    # double mode cannot push the residual under the absolute tolerance,
-    # but the accepted noise column is still orthonormal to the rest
+    # double mode cannot push the residual under the absolute tolerance;
+    # whether the relative rule rejects the repeat or not, the basis stays
+    # orthonormal
     x, y = uniform_xy(40, 5)
     b = _feed_columns(OrthoBuilder(40), x, y, 4)
     dup = b.to_basis().P[:, 2].copy()
     b.add_column(dup, tag=99)
     assert orthogonality_defect(b.to_basis()) <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["igs", "cgs", "mgs"])
+def test_duplicate_column_is_rejected_double(scheme):
+    # the repeat's residual is rounding noise near 1e-16 of its norm, far
+    # above RANK_TOL but far below DOUBLE_RANK_REL
+    x, y = uniform_xy(40, 5)
+    b = _feed_columns(OrthoBuilder(40, scheme=scheme), x, y, 4)
+    P = b.to_basis().P
+    for dup in (P[:, 2].copy(), 3.0 * P[:, 0] - 0.5 * P[:, 3]):
+        assert not b.add_column(dup, tag=99)
+    assert b.n_columns == 4 and 99 not in b.kept
 
 
 def test_igs_defect_small_after_at_most_two_passes():
@@ -303,6 +316,39 @@ def test_extended_storage_growth_keeps_every_bit():
     for name in ("Ph", "Pl", "Psl"):
         a, b = getattr(grown._core, name), getattr(fixed._core, name)
         assert np.array_equal(a[..., :20], b[..., :20]), name
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+def test_basis_views_are_column_major_prefixes(precision):
+    # capacity 8 grows once on the way to 13 columns, twice to 20
+    x, y = uniform_xy(60, 61)
+    extended = precision is PrecisionMode.EXTENDED
+    for k in (1, 5, 8, 13, 20):
+        b = _feed_columns(OrthoBuilder(60, precision=precision, capacity=8),
+                          x, y, k, extended=extended)
+        for K in (1, k // 2 or 1, k):
+            basis = b.to_basis(K)
+            for P in (basis.P, basis.P_lo) if extended else (basis.P,):
+                assert P.shape == (60, K) and P.flags.f_contiguous
+
+
+def test_double_storage_growth_keeps_every_bit():
+    x, y = uniform_xy(60, 61)
+    grown, fixed = (_feed_columns(OrthoBuilder(60, capacity=cap), x, y, 20)
+                    for cap in (8, 64))
+    assert grown._core.P.shape[1] == 32
+    assert np.array_equal(grown._core.P[:, :20], fixed._core.P[:, :20])
+    assert grown.to_basis().a.tobytes() == fixed.to_basis().a.tobytes()
+
+
+def test_defect_does_not_depend_on_the_layout_of_p():
+    x, y = uniform_xy(200, 17)
+    basis = _feed_columns(OrthoBuilder(200), x, y, 30).to_basis()
+    c_order = OrthoBasis(P=np.ascontiguousarray(basis.P), a=basis.a,
+                         kept=basis.kept, precision=basis.precision)
+    assert not c_order.P.flags.f_contiguous
+    assert (np.float64(orthogonality_defect(basis)).tobytes()
+            == np.float64(orthogonality_defect(c_order)).tobytes())
 
 
 def test_unknown_scheme_rejected():

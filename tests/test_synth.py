@@ -5,7 +5,7 @@ import pytest
 
 from orthofit import (FitConfig, SynthSpec, fit_surface, generate,
                       load_dataset, normalize, save_dataset)
-from orthofit.synth import SplitMix64
+from orthofit.synth import MAX_POLY_DEGREE, SplitMix64
 from conftest import all_train_split, unit_dataset
 
 
@@ -90,3 +90,5 @@ def test_spec_validation():
         SynthSpec(surface="cube", nx=5, ny=5)
     with pytest.raises(ValueError):
         SynthSpec(surface="plane", nx=5, ny=5, noise_sigma=-0.1)
+    for surface in ("poly", "poly:0", f"poly:{MAX_POLY_DEGREE}"):
+        SynthSpec(surface=surface)  # the degree's bounds are accepted
