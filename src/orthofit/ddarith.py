@@ -206,20 +206,6 @@ def dd_slices(hi, lo, width, count, exp=0):
     return out, rh, rl
 
 
-def dd_matvec(mh, ml, vh, vl):
-    """dd product M @ v for an (n, k) dd matrix and length-k dd vector."""
-    p, e = two_prod(mh, vh)
-    e = e + (mh * vl + ml * vh)
-    return dd_sum(p, e, axis=1)
-
-
-def dd_matvec_t(mh, ml, vh, vl):
-    """dd product M.T @ v for an (n, k) dd matrix and length-n dd vector."""
-    p, e = two_prod(mh, vh[:, None])
-    e = e + (mh * vl[:, None] + ml * vh[:, None])
-    return dd_sum(p, e, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # Scalar convenience wrapper
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import basis_dy, basis_values, dd_basis_values, degree_block
+from .basis import (_as_rows, basis_dy, basis_values, dd_basis_values,
+                    degree_block)
 from .dataset import NormalizationMap
-from .ddarith import dd_add, dd_matvec, dd_matvec_t, dd_mul
+from .ddarith import comp_dot, dd_add, dd_dot, dd_mul
 from .errors import ModelFormatError
 from .fit import FitResult
 from .ortho import PrecisionMode
@@ -72,8 +73,8 @@ def _expand(a, a_lo, h):
     ph, pl = (np.array(v.T, order="C")
               for v in dd_mul(*h, np.diag(a), np.diag(a_lo)))
     for s in range(1, K):
-        ph[s], pl[s] = dd_add(ph[s], pl[s], *dd_matvec_t(
-            ph[:s], pl[:s], a[s, :s], a_lo[s, :s]))
+        ph[s], pl[s] = dd_add(ph[s], pl[s], *dd_dot(
+            ph[:s], pl[:s], a[s, :s, None], a_lo[s, :s, None]))
     return ph.T, pl.T
 
 
@@ -120,7 +121,7 @@ def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
         bl = _lo(fit.b_lo, fit.b)
         b = fit.b + bl
         if extended:
-            ch, cl = dd_matvec(gh[:K, :K], gl[:K, :K], fit.b, bl)
+            ch, cl = dd_dot(gh[:K, :K], gl[:K, :K], fit.b, bl, axis=1)
             c = ch + cl
         else:
             c = gh[:K, :K] @ b
@@ -129,12 +130,6 @@ def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
             c=c, kept=basis.kept, map=fit.nmap, S=fit.S, lambda_=fit.lambda_,
             sigma_tr=fit.sigma_tr, audit=audit))
     return models
-
-
-def _points(x, y):
-    return (np.atleast_1d(np.asarray(x, dtype=float)),
-            np.atleast_1d(np.asarray(y, dtype=float)),
-            np.ndim(x) == 0 and np.ndim(y) == 0)
 
 
 def eval_ortho(fit: FitResult, x, y):
@@ -146,11 +141,11 @@ def eval_ortho(fit: FitResult, x, y):
     basis = fit.basis
     kept = np.asarray(basis.kept, dtype=int)
     L = int(kept.max())
-    xs, ys, scalar = _points(x, y)
+    xs, ys, scalar = _as_rows(x, y)
     if basis.precision is PrecisionMode.EXTENDED:
         hh, hl = dd_basis_values(xs, ys, L)
         ph, pl = _expand(basis.a, basis.a_lo, (hh[:, kept], hl[:, kept]))
-        fh, fl = dd_matvec(ph, pl, fit.b, _lo(fit.b_lo, fit.b))
+        fh, fl = dd_dot(ph, pl, fit.b, _lo(fit.b_lo, fit.b), axis=1)
         out = fh + fl
     else:
         out = _expand(basis.a, None, basis_values(xs, ys, L)[:, kept]) @ fit.b
@@ -161,10 +156,9 @@ def _sum_terms(model: SurfaceModel, table, x, y):
     """Compensated sum_t c_t table_t(x, y) over the kept indices, where
     ``table`` is basis_values or basis_dy."""
     kept = np.asarray(model.kept, dtype=int)
-    xs, ys, scalar = _points(x, y)
+    xs, ys, scalar = _as_rows(x, y)
     t = table(xs, ys, int(kept.max()))[:, kept]
-    fh, fl = dd_matvec(t, np.zeros_like(t), model.c, np.zeros_like(model.c))
-    out = fh + fl
+    out = comp_dot(t, model.c, axis=1)
     return float(out[0]) if scalar else out
 
 

@@ -228,8 +228,7 @@ class _ExtendedCore:
         return dd_sub(vec[0], vec[1], sh, sl)
 
     def vec_norm2(self, vec):
-        h, l = dd_dot(vec[0], vec[1], vec[0], vec[1])
-        return h + l
+        return float(self.norm2(vec))
 
 
 class OrthoBuilder:

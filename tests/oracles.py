@@ -18,7 +18,7 @@ from orthofit import (DegenerateFitError, SweepReport, ValidationRecord,
                       fit_surface, group_error, overfit_degree, select_model,
                       to_monomial)
 from orthofit.basis import basis_values, degree_block
-from orthofit.ddarith import DD, comp_dot, dd_dot, dd_matvec
+from orthofit.ddarith import DD, comp_dot, dd_dot
 from orthofit.ortho import PrecisionMode
 
 
@@ -96,7 +96,8 @@ def training_error(b, basis, z):
     if k > basis.n_columns:
         raise ValueError("more coefficients than basis columns")
     if basis.precision is PrecisionMode.EXTENDED:
-        fh, fl = dd_matvec(basis.P[:, :k], basis.P_lo[:, :k], b, np.zeros_like(b))
+        fh, fl = dd_dot(basis.P[:, :k], basis.P_lo[:, :k], b, np.zeros_like(b),
+                        axis=1)
         r = (fh - z) + fl
     else:
         r = basis.P[:, :k] @ b - z

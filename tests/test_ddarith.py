@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orthofit.ddarith import (DD, comp_dot, dd_add, dd_div, dd_dot,
-                              dd_matvec, dd_matvec_t, dd_mul, dd_slices,
-                              dd_sqrt, dd_sum, fast_two_sum, slice_width,
-                              two_prod, two_sum)
+from orthofit.ddarith import (DD, comp_dot, dd_add, dd_div, dd_dot, dd_mul,
+                              dd_slices, dd_sqrt, dd_sum, fast_two_sum,
+                              slice_width, two_prod, two_sum)
 from orthofit.synth import SplitMix64
 
 
@@ -169,16 +168,24 @@ def test_dd_dot_matches_fractions():
     assert abs(_dd_frac(h, l) - exact) < abs(exact) / Fraction(10 ** 28)
 
 
-def test_dd_matvec_shapes_and_values():
+def test_dd_dot_along_either_axis_matches_fractions():
+    # the matrix-vector products of the model layer: M @ v along axis 1,
+    # M.T @ w along axis 0 with a broadcast column
     rng = SplitMix64(11)
-    M = np.array([[rng.uniform() for _ in range(4)] for _ in range(6)])
-    v = np.array([rng.uniform() for _ in range(4)])
-    w = np.array([rng.uniform() for _ in range(6)])
-    zM, zv, zw = np.zeros_like(M), np.zeros_like(v), np.zeros_like(w)
-    h, l = dd_matvec(M, zM, v, zv)
-    assert np.allclose(h + l, M @ v, rtol=0, atol=1e-15)
-    h, l = dd_matvec_t(M, zM, w, zw)
-    assert np.allclose(h + l, M.T @ w, rtol=0, atol=1e-15)
+
+    def dd(*shape):
+        hi = np.array([rng.uniform() for _ in range(math.prod(shape))])
+        lo = hi * np.array([rng.uniform() - 0.5 for _ in hi]) * 2.0 ** -53
+        return hi.reshape(shape), lo.reshape(shape)
+
+    (M, ML), (v, vl), (w, wl) = dd(6, 4), dd(4), dd(6)
+    F = np.vectorize(_dd_frac, otypes=[object])
+    cases = [(dd_dot(M, ML, v, vl, axis=1), F(M, ML) @ F(v, vl)),
+             (dd_dot(M, ML, w[:, None], wl[:, None]), F(w, wl) @ F(M, ML))]
+    for (h, l), exact in cases:
+        assert h.shape == exact.shape
+        for got, want in zip(F(h, l), exact):
+            assert abs(got - want) <= want * Fraction(1, 2 ** 100)
 
 
 def test_dd_tree_sum_axis():

@@ -6,7 +6,7 @@ import pytest
 from orthofit import (FitBasis, FitConfig, SplitConfig, SynthSpec, generate,
                       normalize, split)
 from orthofit.basis import basis_values, columns_for_degree
-from orthofit.ddarith import dd_add, dd_matvec, dd_matvec_t, dd_mul, dd_sub
+from orthofit.ddarith import dd_add, dd_dot, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
 from oracles import sympy_laplacian_columns
@@ -202,8 +202,8 @@ def test_reconstruction_extended_mode_tight():
     for s in range(n_cols):
         th, tl = dd_mul(hh[:, s], hl[:, s], basis.a[s, s], basis.a_lo[s, s])
         if s:
-            mh, ml = dd_matvec(ph[:, :s], pl[:, :s], basis.a[s, :s],
-                               basis.a_lo[s, :s])
+            mh, ml = dd_dot(ph[:, :s], pl[:, :s], basis.a[s, :s],
+                            basis.a_lo[s, :s], axis=1)
             th, tl = dd_add(th, tl, mh, ml)
         ph[:, s], pl[:, s] = th, tl
     assert np.abs(ph - basis.P).max() < 1e-13
@@ -239,7 +239,6 @@ def test_extended_columns_truly_orthonormal_in_dd():
     b = _feed_columns(OrthoBuilder(50, precision=PrecisionMode.EXTENDED),
                       x, y, 12, extended=True)
     core = b._core
-    from orthofit.ddarith import dd_dot
     worst = 0.0
     for s in range(12):
         for t in range(s + 1):
@@ -289,7 +288,8 @@ def test_extended_projections_match_exact_sums():
         sliced = _worst_relative_error(_exact(*core.measure(v)) << _SHIFT,
                                        exact, scale)
         elementwise = _worst_relative_error(
-            _exact(*dd_matvec_t(Ph, Pl, *v)) << _SHIFT, exact, scale)
+            _exact(*dd_dot(Ph, Pl, v[0][:, None], v[1][:, None])) << _SHIFT,
+            exact, scale)
         assert sliced <= min(elementwise, u2)
 
         d = core.measure(v)
@@ -299,7 +299,7 @@ def test_extended_projections_match_exact_sums():
         sliced = _worst_relative_error(_exact(*core.deflate(v, d)) << _SHIFT,
                                        exact, scale)
         elementwise = _worst_relative_error(
-            _exact(*dd_sub(*v, *dd_matvec(Ph, Pl, *d))) << _SHIFT,
+            _exact(*dd_sub(*v, *dd_dot(Ph, Pl, *d, axis=1))) << _SHIFT,
             exact, scale)
         assert sliced <= min(elementwise, 2 * u2)
 
