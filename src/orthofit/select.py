@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import DataSplit, NormalizedDataset
+from .ddarith import comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
 from .model import _monomials, eval_monomial
 from .errors import DegenerateFitError, OrthofitError
@@ -54,14 +55,15 @@ def overfit_degree(sigma_tr: float, sigma_other: float) -> float:
 
 
 def group_error(model, data: NormalizedDataset, idx) -> float:
-    """Mean squared residual of the model over the listed points."""
+    """Mean squared residual of the model over the listed points, summed
+    by ``comp_dot`` as the training error is."""
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty index group")
     x, y, z = data.x[idx], data.y[idx], data.z[idx]
     f = eval_monomial(model, x, y)
     r = f - z
-    return float(r @ r) / idx.size
+    return float(comp_dot(r, r)) / idx.size
 
 
 @dataclass(frozen=True)

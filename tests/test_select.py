@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,39 @@ def test_group_error_basics(plane_points):
     assert group_error(zero, single, np.array([2])) == pytest.approx(0.01, rel=1e-10)
     with pytest.raises(ValueError):
         group_error(model, data, np.array([], dtype=int))
+
+
+_GROUP_ERROR_BITS = """
+import numpy as np
+from orthofit import NormalizedDataset, group_error
+from orthofit.dataset import NormalizationMap
+from orthofit.model import SurfaceModel
+model = SurfaceModel(c=np.array([0.5, 0.25, -0.1]), kept=(0, 1, 2),
+                     map=NormalizationMap(0, 1, 0, 1, 0, 1), S=3,
+                     lambda_=0.0, sigma_tr=0.0)
+rng = np.random.default_rng(5)
+for _ in range(10):
+    data = NormalizedDataset.from_unit_points(rng.random((16_667, 3)))
+    print(group_error(model, data, np.arange(data.n)).hex())
+"""
+
+
+def test_group_error_bits_do_not_depend_on_blas_threads():
+    # a cv or test group of the 100k corpus holds about 16,667 points;
+    # a threaded BLAS dot of that length changes bits with the threads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outs = set()
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _GROUP_ERROR_BITS],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def _noisy_corpus():
