@@ -22,6 +22,7 @@ it costs one polynomial evaluation per point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -243,7 +244,8 @@ def entropy_change(model: SurfaceModel, Y, X_hi):
 # ---------------------------------------------------------------------------
 
 def save_model(model: SurfaceModel, path) -> None:
-    """Write the model as JSON; floats round-trip exactly."""
+    """Write the model as RFC 8259 JSON; floats round-trip exactly.
+    A non-finite value raises ValueError."""
     nmap = model.map
     doc = {
         "version": MODEL_VERSION,
@@ -257,7 +259,7 @@ def save_model(model: SurfaceModel, path) -> None:
     if model.audit is not None:
         doc["audit"] = model.audit
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -306,3 +308,6 @@ def _check_model(model: SurfaceModel) -> None:
         raise ModelFormatError(
             "model field 'normalization' needs finite bounds with "
             "x_min < x_max, y_min < y_max and z_min <= z_max")
+    for field, value in (("lambda", model.lambda_), ("sigma_tr", model.sigma_tr)):
+        if not math.isfinite(value):
+            raise ModelFormatError(f"model field '{field}' is not finite: {value}")

@@ -384,6 +384,9 @@ BAD_MODEL_EDITS = {
     "empty_x_range": ("'normalization'",
                       lambda d: setitem(d["normalization"], "x_max",
                                         d["normalization"]["x_min"])),
+    # json reads the Infinity and NaN tokens; export would write them back
+    "infinite_lambda": ("'lambda'", lambda d: setitem(d, "lambda", math.inf)),
+    "nan_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", math.nan)),
 }
 
 

@@ -317,6 +317,14 @@ def test_model_file_rejects_bad_version_and_garbage(tmp_path):
             load_model(bad)
 
 
+def test_save_model_refuses_non_finite_scalars(tmp_path, plane_points):
+    model = to_monomial(_plane_fit(plane_points)[0])
+    for bad in (replace(model, lambda_=math.inf),
+                replace(model, sigma_tr=math.nan)):
+        with pytest.raises(ValueError):
+            save_model(bad, tmp_path / "bad.model.json")
+
+
 def test_unit_covariance_after_exact_rescaling():
     pts, _ = generate(SynthSpec(surface="magnet", nx=12, ny=10,
                                 noise_sigma=0.01, seed=24))
