@@ -49,7 +49,7 @@ class SynthSpec:
     surface : 'plane', 'poly:K' (random polynomial of total degree K,
         0 <= K <= MAX_POLY_DEGREE; 'poly' alone means K = 3), or 'magnet'
         (smooth sigmoidal M(H, T)-like sheet).
-    nx, ny : grid counts along x and y (nx * ny >= 6).
+    nx, ny : grid counts along x and y (each >= 1, nx * ny >= 6).
     noise_sigma : standard deviation of additive noise.
     seed : generator seed; same seed, same dataset, any platform.
     """
@@ -61,6 +61,9 @@ class SynthSpec:
     seed: int = 1
 
     def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"nx and ny must be >= 1, got nx={self.nx} "
+                             f"and ny={self.ny}")
         if self.nx * self.ny < 6:
             raise ValueError("need nx * ny >= 6")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:

@@ -473,6 +473,15 @@ def test_synth_rejects_bad_surface(capsys, tmp_path, monkeypatch, surface):
     assert not out_path.exists()
 
 
+def test_synth_rejects_negative_grid_counts(capsys, tmp_path):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--nx", "-2", "--ny", "-3",
+                             "--out", str(out_path))
+    assert code == 2 and not out
+    assert err.startswith("error: nx and ny must be >= 1, got nx=-2 and ny=-3")
+    assert not out_path.exists()
+
+
 def test_synth_and_split_commands(capsys, tmp_path):
     data_path = tmp_path / "gen.csv"
     code, out, _ = run_cli(capsys, "synth", "--surface", "magnet", "--nx", "12",

@@ -86,6 +86,9 @@ def test_emitted_csv_round_trips_through_loader(tmp_path):
 def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(surface="magnet", nx=2, ny=2)
+    # the product passes nx * ny >= 6; each count alone must be positive
+    with pytest.raises(ValueError, match="nx and ny must be >= 1"):
+        SynthSpec(surface="magnet", nx=-2, ny=-3)
     with pytest.raises(ValueError):
         SynthSpec(surface="cube", nx=5, ny=5)
     with pytest.raises(ValueError):
