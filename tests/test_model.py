@@ -1,6 +1,7 @@
 """Monomial conversion, evaluation paths, physical units, quadrature."""
 
 import math
+from fractions import Fraction
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       entropy_change, eval_monomial, eval_ortho, eval_physical,
                       fit_surface, generate, load_model, normalize, save_model,
                       split, to_monomial)
+from orthofit.basis import basis_values
 from orthofit.fit import FitBasis, solve
 from orthofit.model import _expand, _monomials
 from orthofit.ortho import PrecisionMode
@@ -138,6 +140,25 @@ def test_eval_monomial_trivia(plane_points):
     zero = SurfaceModel(c=np.zeros(3), kept=(0, 1, 2), map=IDENTITY,
                         S=2, lambda_=0.0, sigma_tr=0.0)
     assert eval_monomial(zero, 0.3, 0.9) == 0.0
+
+
+def test_eval_monomial_is_faithful():
+    # within 1 ulp of the exact sum_t c_t T_t over the double basis table
+    # T, for the 79-column model of the 1k magnet corpus
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    model = to_monomial(fit_surface(split(data, SplitConfig()), data,
+                                    FitConfig(fixed_columns=79)))
+    assert model.c.size == 79
+    x = np.array([0.0, 1.0, 0.37, 0.91, 0.05])
+    y = np.array([0.0, 1.0, 0.62, 0.13, 0.98])
+    got = eval_monomial(model, x, y)
+    table = basis_values(x, y, max(model.kept))[:, list(model.kept)]
+    for value, row in zip(got, table):
+        exact = sum((Fraction(c) * Fraction(t) for c, t in zip(model.c, row)),
+                    Fraction(0))
+        assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value))
 
 
 def test_eval_physical_corners_roundtrip_and_flag():
