@@ -16,6 +16,11 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    # the warning policy pyproject.toml applies to the in-process tests
+    strict = [arg for kind in ("RuntimeWarning", "DeprecationWarning",
+                               "FutureWarning", "ResourceWarning")
+              for arg in ("-W", f"error::{kind}")]
+    proc = subprocess.run([sys.executable, *strict, str(script)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
