@@ -308,6 +308,8 @@ def _check_model(model: SurfaceModel) -> None:
         raise ModelFormatError(
             "model field 'normalization' needs finite bounds with "
             "x_min < x_max, y_min < y_max and z_min <= z_max")
-    for field, value in (("lambda", model.lambda_), ("sigma_tr", model.sigma_tr)):
+    for field, value in (("lambda", model.lambda_),
+                         ("sigma_tr", model.sigma_tr)):
         if not math.isfinite(value):
-            raise ModelFormatError(f"model field '{field}' is not finite: {value}")
+            raise ModelFormatError(
+                f"model field '{field}' is not finite: {value}")

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -10,6 +11,16 @@ from orthofit import DataSplit, NormalizedDataset
 from orthofit.fit import _BlockGen
 from orthofit.ortho import PrecisionMode
 from orthofit.synth import SplitMix64
+
+
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    tests that run the package in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def all_train_split(n):

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 from operator import setitem
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from orthofit import (SynthSpec, dZ_dY, entropy_change, eval_physical,
                       generate, load_model, save_dataset)
 from orthofit.cli import _parse_x_grid, main
 from orthofit.synth import MAX_POLY_DEGREE
+from conftest import src_env
 
 
 def run_cli(capsys, *argv):
@@ -561,10 +561,7 @@ def test_commands_are_deterministic(capsys, noisy_csv, tmp_path):
 def test_extended_fit_does_not_depend_on_blas_threads(noisy_csv, tmp_path):
     # every BLAS sum of the extended projections is exact, so the thread
     # count cannot change a bit of the model or the report
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = src_env()
     outputs = []
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = threads

@@ -4,11 +4,9 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
                       overfit_degree, select_model, split, to_monomial)
 from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import SWEEP_COLUMNS, sweep_to_csv, sweep_to_json
-from conftest import all_train_split, unit_dataset
+from conftest import all_train_split, src_env, unit_dataset
 from oracles import refit_sweep
 
 
@@ -74,10 +72,7 @@ for _ in range(10):
 def test_group_error_bits_do_not_depend_on_blas_threads():
     # a cv or test group of the 100k corpus holds about 16,667 points;
     # a threaded BLAS dot of that length changes bits with the threads
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parent.parent / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = src_env()
     outs = set()
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = threads
