@@ -199,22 +199,34 @@ def _read_columns(source, width: int) -> np.ndarray:
                          f"columns {known} (any case)", line=1)
     cols = [lower.index(c) for c in wanted]
 
+    # float() ignores the whitespace str.strip() removes, except \x1c-\x1f:
+    # a cell that float() refuses is retried stripped, and only a row that
+    # still fails is tested for blankness.  line_num counts the lines the
+    # reader took, after the header's.
     values: list[float] = []
-    for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", line=lineno)
+    append, isfinite, ncols = values.append, math.isfinite, len(header)
+    reader = csv.reader(fh, delimiter=delim)
+    for row in reader:
+        if len(row) != ncols:
+            if not "".join(row).strip():
+                continue
+            raise ParseError(f"expected {ncols} fields, got {len(row)}",
+                             line=reader.line_num + 1)
         for c in cols:
-            cell = row[c].strip()
             try:
-                v = float(cell)
+                v = float(row[c])
             except ValueError:
-                raise ParseError(f"non-numeric field {cell!r}", line=lineno) from None
-            if not math.isfinite(v):
-                raise ParseError(f"non-finite field {cell!r}", line=lineno)
-            values.append(v)
+                try:
+                    v = float(row[c].strip())
+                except ValueError:
+                    if not "".join(row).strip():
+                        break  # a blank row fails on its first cell
+                    raise ParseError(f"non-numeric field {row[c].strip()!r}",
+                                     line=reader.line_num + 1) from None
+            if not isfinite(v):
+                raise ParseError(f"non-finite field {row[c].strip()!r}",
+                                 line=reader.line_num + 1)
+            append(v)
     if not values:
         raise ParseError("no data rows", line=2)
     return np.array(values).reshape(-1, width)

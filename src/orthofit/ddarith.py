@@ -15,6 +15,11 @@ so that it also serves as a matrix-vector product: ``dd_dot`` for dd
 operands and ``comp_dot``, its compensated double form (exact products,
 dd sum, rounded to double on return).  The training, cross-validation
 and test errors of a double fit all come from ``comp_dot``.
+
+``BLOCK_ELEMS`` caps the doubles one reduction works on: ``dd_sum``
+takes a larger 2-D operand in groups of columns, and ``model`` builds
+its evaluation tables in blocks of rows.  Each sum keeps its own
+pairwise tree, so the cap moves no bit.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import numpy as np
 
 # 2**27 + 1; splits a double into two 26-bit halves whose product is exact.
 _SPLITTER = 134217729.0
+
+# Doubles per operand of one reduction (512 KB), so that the temporaries
+# of each tree level stay in cache.
+BLOCK_ELEMS = 2 ** 16
 
 
 def two_sum(a, b):
@@ -134,12 +143,30 @@ def dd_sqrt(xh, xl):
 # ---------------------------------------------------------------------------
 
 def dd_sum(xh, xl, axis=0):
-    """Pairwise-tree dd sum along ``axis``; reduction order is fixed."""
+    """Pairwise-tree dd sum along ``axis``; reduction order is fixed.
+
+    A 2-D operand of more than BLOCK_ELEMS doubles is summed
+    max(1, BLOCK_ELEMS // n) columns at a time, n the length of ``axis``.
+    The columns are independent sums, so the grouping moves no bit.
+    """
     xh = np.asarray(xh, dtype=float)
     xl = np.asarray(xl, dtype=float) if np.ndim(xl) else np.broadcast_to(
         np.asarray(xl, dtype=float), xh.shape)
     xh = np.moveaxis(xh, axis, 0)
     xl = np.moveaxis(xl, axis, 0)
+    if xh.ndim != 2 or xh.size <= BLOCK_ELEMS:
+        return _tree_sum(xh, xl)
+    n, cols = xh.shape
+    group = max(1, BLOCK_ELEMS // n)
+    sh, sl = np.empty(cols), np.empty(cols)
+    for k in range(0, cols, group):
+        sh[k:k + group], sl[k:k + group] = _tree_sum(
+            xh[:, k:k + group], xl[:, k:k + group])
+    return sh, sl
+
+
+def _tree_sum(xh, xl):
+    """The pairwise dd tree of ``dd_sum`` along axis 0."""
     while xh.shape[0] > 1:
         n = xh.shape[0]
         half = n // 2

@@ -31,7 +31,7 @@ import numpy as np
 from .basis import (_as_rows, basis_dy, basis_values, dd_basis_values,
                     degree_block)
 from .dataset import NormalizationMap
-from .ddarith import comp_dot, dd_add, dd_dot, dd_mul
+from .ddarith import BLOCK_ELEMS, comp_dot, dd_add, dd_dot, dd_mul
 from .errors import ModelFormatError
 from .fit import FitResult
 from .ortho import PrecisionMode
@@ -155,11 +155,16 @@ def eval_ortho(fit: FitResult, x, y):
 
 def _sum_terms(model: SurfaceModel, table, x, y):
     """Compensated sum_t c_t table_t(x, y) over the kept indices, where
-    ``table`` is basis_values or basis_dy."""
+    ``table`` is basis_values or basis_dy.  The table is built and summed
+    BLOCK_ELEMS // len(kept) rows at a time; each row is its own sum."""
     kept = np.asarray(model.kept, dtype=int)
+    L = int(kept.max())
     xs, ys, scalar = _as_rows(x, y)
-    t = table(xs, ys, int(kept.max()))[:, kept]
-    out = comp_dot(t, model.c, axis=1)
+    rows = max(1, BLOCK_ELEMS // kept.size)
+    out = np.empty(xs.size)
+    for r in range(0, xs.size, rows):
+        t = table(xs[r:r + rows], ys[r:r + rows], L)[:, kept]
+        out[r:r + rows] = comp_dot(t, model.c, axis=1)
     return float(out[0]) if scalar else out
 
 

@@ -4,8 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every property test draws the same examples on every run and keeps no
+# example database; each sets only its own max_examples.
+settings.register_profile("orthofit", deadline=None, database=None,
+                          derandomize=True)
+settings.load_profile("orthofit")
 
 from orthofit import DataSplit, NormalizedDataset
 from orthofit.fit import _BlockGen

@@ -4,20 +4,25 @@ Everything here deliberately avoids the library's fitting path: the
 least-squares oracle assembles and solves dense normal equations with
 full-pivot elimination in double-double scalars, derivative oracles use
 the power rule or symbolic differentiation, and expected values frozen
-into tests were produced by these routines.
+into tests were produced by these routines.  The reference parser is
+the plain form of the data-file row loop: every cell stripped before
+``float()``, blank rows skipped before the arity check.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 
-from orthofit import (DegenerateFitError, SweepReport, ValidationRecord,
-                      fit_surface, group_error, overfit_degree, select_model,
-                      to_monomial)
+from orthofit import (DegenerateFitError, ParseError, SweepReport,
+                      ValidationRecord, fit_surface, group_error,
+                      overfit_degree, select_model, to_monomial)
 from orthofit.basis import basis_values, degree_block
+from orthofit.dataset import HEADER_ALIASES
 from orthofit.ddarith import DD, comp_dot, dd_dot
 from orthofit.ortho import PrecisionMode
 
@@ -303,3 +308,43 @@ def mpmath_simpson_entropy(model, Y, X_hi, panels=200, dps=50):
                                  * x ** (m - j) * y ** (j - 1))
         return (float(mpmath.fsum(terms)),
                 float(mpmath.fsum(abs(v) for v in terms)))
+
+
+def reference_read_columns(text, width):
+    """``dataset._read_columns`` on decoded text, with the row loop in its
+    plain form: each row counted as one line, blank rows skipped first,
+    then the arity check, then each picked cell stripped and parsed."""
+    fh = io.StringIO(text, newline="")
+    header_line = fh.readline()
+    if not header_line.strip():
+        raise ParseError("empty input: no header row", line=1)
+    delim = "\t" if "\t" in header_line else ","
+    header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+    lower = [h.lower() for h in header]
+    aliases = [a[:width] for a in HEADER_ALIASES]
+    wanted = next((a for a in aliases if all(c in lower for c in a)), None)
+    if wanted is None:
+        known = " or ".join(",".join(a) for a in aliases)
+        raise ParseError(f"header {header!r} does not contain the "
+                         f"columns {known} (any case)", line=1)
+    cols = [lower.index(c) for c in wanted]
+
+    values = []
+    for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=lineno)
+        for c in cols:
+            cell = row[c].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"non-numeric field {cell!r}", line=lineno) from None
+            if not math.isfinite(v):
+                raise ParseError(f"non-finite field {cell!r}", line=lineno)
+            values.append(v)
+    if not values:
+        raise ParseError("no data rows", line=2)
+    return np.array(values).reshape(-1, width)

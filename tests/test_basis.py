@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from orthofit import fit
 from orthofit.basis import (basis_dy, basis_values, block_start,
                             columns_for_degree, dd_basis_values, degree_block)
+from orthofit.ddarith import BLOCK_ELEMS, dd_sum
 from orthofit.fit import _BlockGen
 from orthofit.ortho import PrecisionMode
 from oracles import (mpmath_basis, power_rule_d2x, power_rule_d2y,
@@ -49,6 +51,24 @@ def test_d2y_mirrors_d2x():
         _, m, j = degree_block(t)
         mirror = block_start(m) + (m - j)
         assert q_xy[t] == pytest.approx(q_yx[mirror], rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+def test_curvature_sums_keep_every_bit_above_the_block_cap(monkeypatch, precision):
+    # at 7,000 points the column sums of degree blocks 9 and up exceed
+    # BLOCK_ELEMS and are taken in column groups; they must equal sums
+    # taken one column at a time
+    def per_column(xh, xl):
+        xl = np.broadcast_to(xl, np.shape(xh))
+        sums = [dd_sum(xh[:, k], xl[:, k]) for k in range(xh.shape[1])]
+        return tuple(map(np.array, zip(*sums)))
+
+    x, y = uniform_xy(7000, 8)
+    L = columns_for_degree(13) - 1
+    assert 7000 * 10 > BLOCK_ELEMS > 7000 * 9
+    grouped = raw_curvature_sums(x, y, L, precision)
+    monkeypatch.setattr(fit, "dd_sum", per_column)
+    assert grouped.tobytes() == raw_curvature_sums(x, y, L, precision).tobytes()
 
 
 def test_dy_examples():

@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from orthofit import (InsufficientDataError, NormalizedDataset, ParseError,
                       SplitConfig, load_dataset, load_points, normalize,
                       save_dataset, split)
+from orthofit.dataset import HEADER_ALIASES, _read_columns
 from orthofit.errors import DegenerateAxisError
+from oracles import reference_read_columns
 
 
 def test_load_simple_csv():
@@ -40,6 +42,60 @@ def test_first_bad_line_is_reported():
     # a bad cell on line 3 comes before a short row on line 5
     with pytest.raises(ParseError, match="line 3: non-numeric field 'abc'"):
         load_dataset(b"x,y,z\n1,2,3\n1,abc,3\n4,5,6\n7,8\n")
+
+
+def test_line_numbers_count_the_lines_of_a_quoted_multiline_cell():
+    # the quoted cell "1\n" takes lines 2 and 3, so the bad row is line 4
+    for tail, message in ((b"4,5,x\n", "line 4: non-numeric field 'x'"),
+                          (b"4,5,inf\n", "line 4: non-finite field 'inf'"),
+                          (b"4,5\n", "line 4: expected 3 fields, got 2")):
+        with pytest.raises(ParseError, match=message) as exc:
+            load_dataset(b'x,y,z\n"1\n",2,3\n' + tail)
+        assert exc.value.line == 4
+
+
+# cells around the edges of float(): specials, overflow, underscores, hex,
+# padding that float() skips, padding only str.strip() skips (\x1c-\x1f)
+_SPECIAL = ("nan", "inf", "-Infinity", "1e309", "1_0", "0x1", "abc", "", ".")
+_PAD = ("", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0")
+_core = st.one_of(st.floats().map(repr),
+                  st.integers(-10 ** 6, 10 ** 6).map(str),
+                  st.sampled_from(_SPECIAL))
+_cell = st.builds(lambda a, core, b, quote: f'"{a}{core}{b}"' if quote
+                  else a + core + b,
+                  st.sampled_from(_PAD), _core, st.sampled_from(_PAD),
+                  st.booleans())
+
+
+@st.composite
+def _data_files(draw):
+    width = draw(st.sampled_from([2, 3]))
+    delim = draw(st.sampled_from([",", "\t"]))
+    row = st.one_of(
+        st.lists(_cell, min_size=width, max_size=width).map(delim.join),
+        st.lists(_cell, max_size=width + 1).map(delim.join),
+        st.sampled_from(["", " ", "\x1c", delim * (width - 1)]))
+    header = delim.join(draw(st.sampled_from(HEADER_ALIASES))[:width])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = draw(st.lists(row, max_size=6))
+    return eol.join([header] + rows) + draw(st.sampled_from(["", eol])), width
+
+
+def _parse_outcome(parse, text, width):
+    try:
+        return parse(text, width).tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(_data_files())
+@example(("x,y\n\x1c4\x1c,1\n", 2))
+@example(("x\ty\tz\n1\t2\t3\n\t\t\n\n4\t \xa05\x1f\t6\n", 3))
+def test_parser_matches_reference_row_loop(case):
+    text, width = case
+    got = _parse_outcome(lambda t, w: _read_columns(t.encode(), w), text, width)
+    assert got == _parse_outcome(reference_read_columns, text, width)
 
 
 @pytest.mark.parametrize("kind", ["path", "bytes", "file", "bom", "text"])
@@ -112,7 +168,7 @@ _finite = st.one_of(st.sampled_from(EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+@settings(max_examples=100,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(_finite, _finite, _finite), min_size=1, max_size=20))
 @example([EDGE_FLOATS[:3], EDGE_FLOATS[3:6], EDGE_FLOATS[6:] + (-0.0, 5e-324)])
@@ -232,7 +288,7 @@ def _tied_datasets(draw):
         [(x, y, 0.0) for x, y in xy]), f
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=100)
 @given(_tied_datasets(), st.sampled_from(["x", "y"]))
 def test_split_partition_property_with_ties(case, axis):
     data, f = case

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orthofit.ddarith import (DD, comp_dot, dd_add, dd_div, dd_dot, dd_mul,
-                              dd_slices, dd_sqrt, dd_sum, fast_two_sum,
-                              slice_width, two_prod, two_sum)
+from orthofit.ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_div,
+                              dd_dot, dd_mul, dd_slices, dd_sqrt, dd_sum,
+                              fast_two_sum, slice_width, two_prod, two_sum)
 from orthofit.synth import SplitMix64
 
 
@@ -38,8 +38,7 @@ _PROD_MAX = 2.0 ** 995
 _PROD_MIN = 2.0 ** -968
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _prod_operand = st.floats(min_value=-_PROD_MAX, max_value=_PROD_MAX)
-_property = settings(max_examples=300, deadline=None, database=None,
-                     derandomize=True)
+_property = settings(max_examples=300)
 
 
 @_property
@@ -194,6 +193,29 @@ def test_dd_tree_sum_axis():
     assert np.array_equal(h + l, arr.sum(axis=0))
     h, l = dd_sum(arr, np.zeros_like(arr), axis=1)
     assert np.array_equal(h + l, arr.sum(axis=1))
+
+
+@pytest.mark.parametrize("n, cols", [
+    (3000, 50),              # groups of 21 columns: 21 + 21 + 8
+    (BLOCK_ELEMS + 3, 2),    # one column per group
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("with_lo", [True, False])
+def test_dd_sum_column_groups_keep_every_bit(n, cols, order, axis, with_lo):
+    # above BLOCK_ELEMS the columns are summed in groups; each must come
+    # out as the 1-D sum of that column alone
+    rng = np.random.default_rng(n + cols)
+    hi = rng.standard_normal((n, cols)) * 2.0 ** rng.integers(-30, 30, (n, cols))
+    lo = hi * rng.uniform(-2.0 ** -54, 2.0 ** -54, (n, cols))
+    hi, lo = (np.asarray(v if axis == 0 else v.T, order=order) for v in (hi, lo))
+    sums = dd_sum(hi, lo if with_lo else 0.0, axis=axis)
+    cut = [(slice(None), k) if axis == 0 else (k, slice(None))
+           for k in range(cols)]
+    ref = [dd_sum(hi[c], lo[c] if with_lo else 0.0) for c in cut]
+    for got, want in zip(sums, zip(*ref)):
+        assert got.shape == (cols,)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_dd_precision_is_about_32_digits():
