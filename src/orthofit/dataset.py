@@ -189,7 +189,11 @@ def _read_columns(source, width: int) -> np.ndarray:
     if not header_line.strip():
         raise ParseError("empty input: no header row", line=1)
     delim = "\t" if "\t" in header_line else ","
-    header = [h.strip() for h in next(csv.reader([header_line], delimiter=delim))]
+    try:
+        header = [h.strip() for h in
+                  next(csv.reader([header_line], delimiter=delim))]
+    except csv.Error as exc:  # a cell beyond csv.field_size_limit()
+        raise ParseError(str(exc), line=1) from None
     lower = [h.lower() for h in header]
     aliases = [a[:width] for a in HEADER_ALIASES]
     wanted = next((a for a in aliases if all(c in lower for c in a)), None)
@@ -206,27 +210,31 @@ def _read_columns(source, width: int) -> np.ndarray:
     values: list[float] = []
     append, isfinite, ncols = values.append, math.isfinite, len(header)
     reader = csv.reader(fh, delimiter=delim)
-    for row in reader:
-        if len(row) != ncols:
-            if not "".join(row).strip():
-                continue
-            raise ParseError(f"expected {ncols} fields, got {len(row)}",
-                             line=reader.line_num + 1)
-        for c in cols:
-            try:
-                v = float(row[c])
-            except ValueError:
-                try:
-                    v = float(row[c].strip())
-                except ValueError:
-                    if not "".join(row).strip():
-                        break  # a blank row fails on its first cell
-                    raise ParseError(f"non-numeric field {row[c].strip()!r}",
-                                     line=reader.line_num + 1) from None
-            if not isfinite(v):
-                raise ParseError(f"non-finite field {row[c].strip()!r}",
+    try:
+        for row in reader:
+            if len(row) != ncols:
+                if not "".join(row).strip():
+                    continue
+                raise ParseError(f"expected {ncols} fields, got {len(row)}",
                                  line=reader.line_num + 1)
-            append(v)
+            for c in cols:
+                try:
+                    v = float(row[c])
+                except ValueError:
+                    try:
+                        v = float(row[c].strip())
+                    except ValueError:
+                        if not "".join(row).strip():
+                            break  # a blank row fails on its first cell
+                        raise ParseError(
+                            f"non-numeric field {row[c].strip()!r}",
+                            line=reader.line_num + 1) from None
+                if not isfinite(v):
+                    raise ParseError(f"non-finite field {row[c].strip()!r}",
+                                     line=reader.line_num + 1)
+                append(v)
+    except csv.Error as exc:  # a cell beyond csv.field_size_limit()
+        raise ParseError(str(exc), line=reader.line_num + 1) from None
     if not values:
         raise ParseError("no data rows", line=2)
     return np.array(values).reshape(-1, width)

@@ -9,8 +9,10 @@ are bit-reproducible.
 
 Conventions: functions prefixed ``dd_`` take and return (hi, lo) pairs;
 ``two_sum``/``two_prod`` are the classic error-free building blocks;
-``dd_slices`` cuts dd values into slices whose products BLAS sums
-exactly.  There are two product kernels, each reducing along any axis
+``dd_slices`` cuts dd values into slices of the width ``slice_width``
+picks, so that BLAS sums each diagonal p + q of the products of slices p
+and q exactly (the extended orthonormalization core's reductions).
+Outside BLAS there are two product kernels, each reducing along any axis
 so that it also serves as a matrix-vector product: ``dd_dot`` for dd
 operands and ``comp_dot``, its compensated double form (exact products,
 dd sum, rounded to double on return).  The training, cross-validation
@@ -196,16 +198,19 @@ def comp_dot(u, v, axis=0):
     return h + l
 
 
-def slice_width(n: int) -> int:
-    """Slice width beta in bits for products summed over n terms.
+def slice_width(n: int, bits: int) -> int:
+    """Slice width beta for cutting ``bits`` bits into S = ceil(bits /
+    beta) slices whose products are summed over n terms.
 
-    beta = (53 - ceil(log2 n) - 2) // 2, so 2 beta + ceil(log2 n) + 2 <=
-    53: n products of two ``dd_slices`` slices, each at most 2**(beta-1)
-    + 1 of its unit, sum to at most 2**51 units of their product, so the
-    sum is exact in a double in any summation order, blocking or use of
-    FMA.
+    beta is the largest width with 2 beta + ceil(log2(S n)) + 2 <= 53.
+    The products of slice p of one ``dd_slices`` vector and slice q of
+    another share one unit for each diagonal p + q, and each is at most
+    (2**(beta-1) + 1)**2 units, so the S * n products of a diagonal over
+    n terms sum to at most 2**51 units: the sum is exact in a double in
+    any summation order, blocking or use of FMA.
     """
-    return (53 - (n - 1).bit_length() - 2) // 2
+    return next(w for w in range(26, 0, -1)
+                if 2 * w + (-(-bits // w) * n - 1).bit_length() + 2 <= 53)
 
 
 def dd_slices(hi, lo, width, count, exp=0):

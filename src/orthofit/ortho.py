@@ -29,10 +29,11 @@ writes is one contiguous block, and projections are gemv over contiguous
 columns.
 
 Everything runs at either plain double precision (BLAS reductions) or
-software double-double ("extended") precision.  Extended projections are
-exact BLAS products over slices of the stored columns, summed in
-double-double, so their bits do not depend on BLAS's summation order or
-thread count.
+software double-double ("extended") precision.  Extended inner products
+and projections are BLAS products over slices of their operands: each
+diagonal of slice products sums exactly in a double, and the diagonals
+are added in double-double, so their bits do not depend on BLAS's
+summation order or thread count.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ddarith import (DD, comp_dot, dd_add, dd_dot, dd_mul, dd_slices,
-                      dd_sub, dd_sum, slice_width)
+from .ddarith import (DD, comp_dot, dd_add, dd_add_d, dd_dot, dd_mul,
+                      dd_slices, dd_sub, slice_width)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
@@ -149,29 +150,34 @@ class _DoubleCore:
 class _ExtendedCore:
     """(hi, lo) pair storage; reductions in double-double.
 
-    The projections are exact BLAS products over slices of P (see
-    ``dd_slices``).  Every column has unit norm, so |P| <= 1 and one grid
-    of ``count`` slices of ``width`` bits, cut when a column is appended,
-    serves every column.  ``measure`` and ``deflate`` slice their vector
-    on its own power-of-two scale; each product of a P slice and a
-    vector slice is then exact whatever BLAS does with order, blocking,
-    FMA or threads, so the results do not depend on it.  The products
-    of slices p and q with p + q < count are summed in double-double;
-    the rest, and the remainders left after ``count`` slices, lie about
-    2**-SLICE_BITS below the scale.  The slices take count * n * cap
-    doubles beside P.  Ph and Pl are column-major like the double core's
-    P; Psl is C-ordered (count, n, cap), so ``deflate`` can view it as
-    one (count * n, cap) matrix without a copy.
+    Every reduction (``measure``, ``deflate``, ``norm2``, ``column_dot``)
+    is a BLAS product over slices (see ``dd_slices``).  Every column has
+    unit norm, so |P| <= 1 and one grid of ``count`` slices of ``width``
+    bits, cut when a column is appended, serves every column; any other
+    vector is sliced on its own power-of-two scale.  The products of
+    slices p and q share one unit for each diagonal p + q, and
+    ``slice_width`` lets count * n of them fit in a double (``deflate``
+    sums over the k <= n columns, the others over the n points), so
+    ``_sum_diagonals`` sums each diagonal p + q < count exactly with one
+    fixed 0/1 gemm, whatever BLAS does with order, blocking, FMA or
+    threads, and adds the diagonals in double-double from the smallest
+    up.  The rest, and the remainders left after ``count`` slices, lie
+    about 2**-SLICE_BITS below the scale.  The slices take count * n *
+    cap doubles beside P.  Ph and Pl are column-major like the double
+    core's P; Psl is C-ordered (count, n, cap), so ``deflate`` can view it
+    as one (count * n, cap) matrix without a copy.
     """
 
     def __init__(self, n: int, cap: int):
         self.Ph = np.empty((n, cap), order="F")
         self.Pl = np.empty((n, cap), order="F")
-        self.width = slice_width(n)
-        self.count = -(-SLICE_BITS // self.width)
-        self.Psl = np.empty((self.count, n, cap))
-        pairs = [(p, d - p) for d in range(self.count) for p in range(d + 1)]
-        self._p, self._q = (np.array(i) for i in zip(*pairs))
+        self.width = slice_width(n, SLICE_BITS)
+        self.count = S = -(-SLICE_BITS // self.width)
+        self.Psl = np.empty((S, n, cap))
+        # _diag[d, p * S + q] = 1 where p + q == d
+        pq = np.add.outer(np.arange(S), np.arange(S)).ravel()
+        self._diag = (pq == np.arange(S)[:, None]).astype(float)
+        self._cut = (None, None)  # the last vector sliced, and its slices
         self.k = 0
 
     def grow(self, cap):
@@ -188,26 +194,42 @@ class _ExtendedCore:
                     np.array(arr[1], dtype=float, copy=True))
         return (np.array(arr, dtype=float, copy=True), np.zeros(len(arr)))
 
-    def _slices(self, h, l):
-        """Slices of the dd vector (h, l) on its power-of-two scale."""
-        exp = math.frexp(float(np.abs(h).max()))[1]
-        return dd_slices(h, l, self.width, self.count, exp)[0]
+    def _slices(self, v):
+        """(count, len) slices of the dd vector v on its power-of-two
+        scale.  Vectors are never changed in place, so the slices of the
+        last vector sliced serve again: the incoming column's norm and
+        its first ``measure`` share one cut."""
+        if self._cut[0] is not v:
+            exp = math.frexp(float(np.abs(v[0]).max()))[1]
+            self._cut = (v, dd_slices(v[0], v[1], self.width, self.count,
+                                      exp)[0])
+        return self._cut[1]
+
+    def _sum_diagonals(self, terms):
+        """dd sums over p + q < count of the exact slice products
+        ``terms[p, q]`` (count, count, ...): one 0/1 gemm sums each
+        diagonal exactly, then dd additions gather the diagonals from the
+        smallest up."""
+        diag = self._diag @ terms.reshape(self.count ** 2, -1)
+        h, l = diag[-1], np.zeros_like(diag[-1])
+        for d in diag[-2::-1]:
+            h, l = dd_add_d(h, l, d)
+        return h.reshape(terms.shape[2:]), l.reshape(terms.shape[2:])
 
     def measure(self, v):
-        # terms[p, q, t] = <slice p of P_t, slice q of v>, exact
-        terms = np.matmul(self._slices(*v), self.Psl[:, :, :self.k])
-        return dd_sum(terms[self._p, self._q], 0.0)
+        # terms[p, q, t] = <slice p of P_t, slice q of v>
+        return self._sum_diagonals(
+            np.matmul(self._slices(v), self.Psl[:, :, :self.k]))
 
     def deflate(self, v, delta):
         S, n, k = self.count, self.Ph.shape[0], self.k
         # terms[q, p, i] = sum_t (slice q of delta)_t (slice p of P_t)_i
-        terms = (self._slices(*delta)
-                 @ self.Psl[:, :, :k].reshape(S * n, k).T).reshape(S, S, n)
-        ph = dd_sum(terms[self._q, self._p], 0.0)
-        return dd_sub(v[0], v[1], *ph)
+        terms = self._slices(delta) @ self.Psl[:, :, :k].reshape(S * n, k).T
+        return dd_sub(v[0], v[1], *self._sum_diagonals(terms.reshape(S, S, n)))
 
     def norm2(self, v):
-        return DD(*dd_dot(v[0], v[1], v[0], v[1]))
+        vs = self._slices(v)
+        return DD(*self._sum_diagonals(vs @ vs.T))
 
     def delta_max(self, delta):
         return float(np.abs(delta[0]).max()) if delta[0].size else 0.0
@@ -220,7 +242,8 @@ class _ExtendedCore:
         self.k += 1
 
     def column_dot(self, t, vec):
-        return DD(*dd_dot(self.Ph[:, t], self.Pl[:, t], vec[0], vec[1]))
+        terms = self.Psl[:, :, t] @ self._slices(vec).T
+        return DD(*self._sum_diagonals(terms))
 
     def subtract_scaled_column(self, vec, t, coeff):
         ch, cl = DD._coerce(coeff)

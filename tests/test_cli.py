@@ -514,6 +514,14 @@ def test_parse_error_exits_3(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_cell_beyond_the_csv_field_limit_exits_3(capsys, tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("x,y,z\n1,2,3\n" + "9" * 200_000 + ",2,3\n")
+    code, out, err = run_cli(capsys, "fit", str(p))
+    assert code == 3 and not out
+    assert err == "error: line 3: field larger than field limit (131072)\n"
+
+
 def test_non_utf8_data_exits_3(capsys, tmp_path):
     p = tmp_path / "latin.csv"
     p.write_bytes("H,T,M\n1,2,3\n1,2,é\n".encode("latin-1"))

@@ -1,5 +1,6 @@
 """Ingestion, normalization, and the stratified split."""
 
+import csv
 import io
 import math
 
@@ -52,6 +53,20 @@ def test_line_numbers_count_the_lines_of_a_quoted_multiline_cell():
         with pytest.raises(ParseError, match=message) as exc:
             load_dataset(b'x,y,z\n"1\n",2,3\n' + tail)
         assert exc.value.line == 4
+
+
+def test_cell_beyond_the_csv_field_limit_is_a_parse_error():
+    big = b"9" * (csv.field_size_limit() + 1)
+    # data row, header row, and a data row after a quoted two-line cell
+    for raw, line in ((b"x,y,z\n1,2,3\n" + big + b",2,3\n4,5,6\n", 3),
+                      (big + b",y,z\n1,2,3\n", 1),
+                      (b'x,y,z\n"1\n",2,3\n' + big + b",2,3\n", 4)):
+        with pytest.raises(ParseError, match=f"^line {line}: field larger "
+                           "than field limit") as exc:
+            load_dataset(raw)
+        assert exc.value.line == line
+    with pytest.raises(ParseError, match="^line 2: field larger"):
+        load_points(b"x,y\n" + big + b",1\n")
 
 
 # cells around the edges of float(): specials, overflow, underscores, hex,

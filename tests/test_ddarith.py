@@ -60,19 +60,46 @@ def test_two_prod_error_free_property(a, b):
     assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
 
-@pytest.mark.parametrize("n, beta", [(3, 24), (667, 20), (66_667, 17),
-                                     (2 ** 31, 10)])
+# ceil(log2(S n)) steps up from 13 to 14 between n = 1170 and 1171
+@pytest.mark.parametrize("n, beta", [(3, 23), (667, 19), (1170, 19),
+                                     (1171, 18), (66_667, 15), (2 ** 31, 8)])
 def test_slice_width_keeps_n_slice_products_exact(n, beta):
-    width = slice_width(n)
-    log_n = math.ceil(math.log2(n))
-    assert 2 * width + log_n + 2 <= 53 < 2 * (width + 1) + log_n + 2
-    # n products of two slices of at most 2**(width-1) + 1 units each
-    assert n * (2 ** (width - 1) + 1) ** 2 <= 2 ** 53
+    def rule(width):
+        count = -(-118 // width)
+        return 2 * width + math.ceil(math.log2(count * n)) + 2 <= 53
+
+    width = slice_width(n, 118)
+    assert rule(width) and not any(rule(w) for w in range(width + 1, 27))
+    # S * n products of two slices of at most 2**(width-1) + 1 units each
+    assert -(-118 // width) * n * (2 ** (width - 1) + 1) ** 2 <= 2 ** 53
     assert width == beta
 
 
+@pytest.mark.parametrize("n", [667, 1170, 1171])
+def test_each_diagonal_of_slice_products_sums_exactly(n):
+    width = slice_width(n, 118)
+    S = -(-118 // width)
+    rng = np.random.default_rng(n)
+    hi = rng.uniform(-1.0, 1.0, (2, n))
+    lo = hi * rng.uniform(-2.0 ** -54, 2.0 ** -54, (2, n))
+    a, b = (dd_slices(h, l, width, S)[0] for h, l in zip(hi, lo))
+    # and the worst case: every slice at its largest magnitude, one sign
+    top = np.full((S, n), 2.0 ** (width - 1) + 1)
+    pq = np.add.outer(np.arange(S), np.arange(S)).ravel()
+    ones = (pq == np.arange(S)[:, None]).astype(float)
+    for x, y in ((a, b), (top, top)):
+        sums = ones @ (x @ y.T).ravel()  # BLAS, in its own order
+        for d in range(S):  # diagonal S - 1 holds S * n products
+            prods = np.concatenate([x[p] * y[d - p] for p in range(d + 1)])
+            exact = sum(map(Fraction, prods.tolist()))
+            assert Fraction(sums[d]) == exact
+            for order in (prods, prods[::-1], np.sort(prods)):
+                assert Fraction(np.cumsum(order)[-1]) == exact
+
+
 @_property
-@given(st.sampled_from([slice_width(n) for n in (3, 667, 66_667, 2 ** 31)]),
+@given(st.sampled_from([slice_width(n, 118)
+                        for n in (3, 667, 66_667, 2 ** 31)]),
        st.integers(-60, 60),
        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 def test_dd_slices_are_error_free(width, exp, frac, lo_frac):

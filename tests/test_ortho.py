@@ -265,9 +265,9 @@ def _worst_relative_error(got, exact, scale):
 
 def test_extended_projections_match_exact_sums():
     # the first 100 columns of the 1k corpus's basis, against integer-exact
-    # sums; measure and deflate must be no less accurate than the
-    # elementwise dd kernels, and within u**2 (deflate: 2 u**2, its dd_sub
-    # rounds once more) of the sum of the terms' magnitudes
+    # sums; measure, deflate, norm2 and column_dot must be no less accurate
+    # than the elementwise dd kernels, and within u**2 (deflate: 2 u**2,
+    # its dd_sub rounds once more) of the sum of the terms' magnitudes
     pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
                                 noise_sigma=0.02, seed=1))
     data = normalize(pts)
@@ -302,6 +302,22 @@ def test_extended_projections_match_exact_sums():
             _exact(*dd_sub(*v, *dd_dot(Ph, Pl, *d, axis=1))) << _SHIFT,
             exact, scale)
         assert sliced <= min(elementwise, 2 * u2)
+
+        exact, n2 = [(V * V).sum()], core.norm2(v)
+        sliced = _worst_relative_error(
+            [_exact(n2.hi, n2.lo) << _SHIFT], exact, exact)
+        elementwise = _worst_relative_error(
+            [_exact(*dd_dot(*v, *v)) << _SHIFT], exact, exact)
+        assert sliced <= min(elementwise, u2)
+
+        exact, scale = P.T @ V, np.abs(P).T @ np.abs(V)
+        dots = [core.column_dot(t, v) for t in range(100)]
+        sliced = _worst_relative_error(
+            [_exact(c.hi, c.lo) << _SHIFT for c in dots], exact, scale)
+        elementwise = _worst_relative_error(
+            [_exact(*dd_dot(Ph[:, t], Pl[:, t], *v)) << _SHIFT
+             for t in range(100)], exact, scale)
+        assert sliced <= min(elementwise, u2)
 
 
 def test_extended_storage_growth_keeps_every_bit():
