@@ -126,7 +126,12 @@ class FitStep:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Everything needed to evaluate or convert a fitted surface."""
+    """Everything needed to evaluate or convert a fitted surface.
+
+    ``b_lo`` holds the dd low parts of ``b`` (zeros in double mode); the
+    fits solved on one ``FitBasis`` share the views of its builder's
+    basis (``OrthoBuilder.to_basis``).
+    """
 
     basis: OrthoBasis
     b: np.ndarray
@@ -354,12 +359,7 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
         n_rejected = basis.rejected_at[K - 1]
     else:
         n_rejected = basis.blocks[k - 1][2]
-    if cfg.precision is PrecisionMode.EXTENDED:
-        bh = np.array([c.hi for c in reg.b])
-        bl = np.array([c.lo for c in reg.b])
-    else:
-        bh = np.array(reg.b)
-        bl = None
+    bh, bl = map(np.array, zip(*map(DD._coerce, reg.b)))
     return FitResult(basis=bld.to_basis(K), b=bh, S=K - 1, lambda_=lam,
                      sigma_tr=sigma, history=tuple(history), nmap=basis.nmap,
                      b_lo=bl, rejected=tuple(basis.rejected[:n_rejected]),

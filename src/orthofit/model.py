@@ -79,11 +79,6 @@ def _expand(a, a_lo, h):
     return ph.T, pl.T
 
 
-def _lo(lo, hi):
-    """The low parts of a double-double array, zeros for a plain one."""
-    return lo if lo is not None else np.zeros_like(hi)
-
-
 def to_monomial(fit: FitResult,
                 precision: PrecisionMode = PrecisionMode.EXTENDED,
                 include_audit: bool = False) -> SurfaceModel:
@@ -106,7 +101,7 @@ def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
     widest = max((fit.basis for fit in fits), key=lambda basis: basis.n_columns)
     N = widest.n_columns
     a = widest.a
-    al = _lo(widest.a_lo, a)
+    al = widest.a_lo
     extended = PrecisionMode(precision) is PrecisionMode.EXTENDED
     if extended:
         gh, gl = _expand(a, al, (np.eye(N), np.zeros((N, N))))
@@ -117,12 +112,11 @@ def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
         basis = fit.basis
         K = basis.n_columns
         if not (np.array_equal(basis.a, a[:K, :K]) and np.array_equal(
-                _lo(basis.a_lo, basis.a), al[:K, :K])):
+                basis.a_lo, al[:K, :K])):
             raise ValueError("the fits do not share one basis")
-        bl = _lo(fit.b_lo, fit.b)
-        b = fit.b + bl
+        b = fit.b + fit.b_lo
         if extended:
-            ch, cl = dd_dot(gh[:K, :K], gl[:K, :K], fit.b, bl, axis=1)
+            ch, cl = dd_dot(gh[:K, :K], gl[:K, :K], fit.b, fit.b_lo, axis=1)
             c = ch + cl
         else:
             c = gh[:K, :K] @ b
@@ -146,7 +140,7 @@ def eval_ortho(fit: FitResult, x, y):
     if basis.precision is PrecisionMode.EXTENDED:
         hh, hl = dd_basis_values(xs, ys, L)
         ph, pl = _expand(basis.a, basis.a_lo, (hh[:, kept], hl[:, kept]))
-        fh, fl = dd_dot(ph, pl, fit.b, _lo(fit.b_lo, fit.b), axis=1)
+        fh, fl = dd_dot(ph, pl, fit.b, fit.b_lo, axis=1)
         out = fh + fl
     else:
         out = _expand(basis.a, None, basis_values(xs, ys, L)[:, kept]) @ fit.b

@@ -13,8 +13,8 @@ v_i`` over the training points.  Three schemes are provided:
 * ``mgs``  -- one modified pass (projections measured sequentially
   against the running residual); double precision only.
 
-The expansion bookkeeping stores, for each orthonormal column s,
-coefficients ``a[s, s]`` (of the raw basis column) and ``a[s, t]`` (of
+The expansion bookkeeping records, as it accepts each orthonormal column
+s, coefficients ``a[s, s]`` (of the raw basis column) and ``a[s, t]`` (of
 previous orthonormal columns t < s) such that
 
     P_s = a[s, s] * h_s + sum_{t < s} a[s, t] * P_t .
@@ -68,6 +68,9 @@ class OrthoBasis:
         parts in extended mode), column-major (F-contiguous).
     a : (K, K) lower-triangular expansion coefficients (see module doc).
     kept : original flat basis index of each orthonormal column.
+    P_lo : low parts of P in extended mode; None in double mode.
+    a_lo : low parts of a; zeros in double mode.
+    ``OrthoBuilder.to_basis`` fills every array with a read-only view.
     """
 
     P: np.ndarray
@@ -131,7 +134,7 @@ class _DoubleCore:
         return float(v @ v)
 
     def delta_max(self, delta):
-        return float(np.abs(delta).max()) if delta.size else 0.0
+        return float(np.abs(delta).max())
 
     def append(self, v, inv):
         self.P[:, self.k] = v * float(inv)
@@ -232,7 +235,7 @@ class _ExtendedCore:
         return DD(*self._sum_diagonals(vs @ vs.T))
 
     def delta_max(self, delta):
-        return float(np.abs(delta[0]).max()) if delta[0].size else 0.0
+        return float(np.abs(delta[0]).max())
 
     def append(self, v, inv):
         k = self.k
@@ -278,7 +281,8 @@ class OrthoBuilder:
         self._n = n_train
         core = _ExtendedCore if self.precision is PrecisionMode.EXTENDED else _DoubleCore
         self._core = core(n_train, self._cap)
-        self._a_rows: list = []       # per column: (dtot array(s), inv scalar)
+        self._a = np.zeros((2, self._cap, self._cap))  # expansion a, a_lo
+        self._last = None             # newest column's (dtot, inv)
         self._q: list = []            # curvature sums Q_t (DD) so far
         self.kept: list[int] = []
         self.passes: list[int] = []   # projection passes spent per column
@@ -300,6 +304,8 @@ class OrthoBuilder:
         if core.k == self._cap:
             self._cap *= 2
             core.grow(self._cap)
+            a, self._a = self._a, np.zeros((2, self._cap, self._cap))
+            self._a[:, :core.k, :core.k] = a
         v = core.make_vec(col)
         k = core.k
         extended = isinstance(v, tuple)
@@ -336,7 +342,14 @@ class OrthoBuilder:
             return False
         inv = 1.0 / p
         core.append(v, inv)
-        self._a_rows.append((dtot, inv))
+        # row k of a, from P_k = inv * (h_k - sum_{t < k} dtot_t P_t)
+        if extended:
+            self._a[:, k, :k] = dd_mul(-dtot[0], -dtot[1], inv.hi, inv.lo)
+            self._a[:, k, k] = inv.hi, inv.lo
+        else:  # the coefficients exactly as applied to the stored column
+            self._a[0, k, :k] = -dtot * float(inv)
+            self._a[0, k, k] = float(inv)
+        self._last = (dtot, inv)
         self.kept.append(tag)
         self.passes.append(npasses)
         return True
@@ -358,10 +371,16 @@ class OrthoBuilder:
         ``q_raw`` is that sum for its raw basis column; with the column's
         projections delta and inverse norm inv, ``Q_s = inv * (q_raw -
         sum_{t < s} delta_t * Q_t)``, carried in double-double at either
-        precision.  Call once per accepted column, in order.
+        precision.  The builder keeps delta and inv of the newest column
+        only, so call this once per accepted column, after the
+        ``add_column`` that accepted it and before the next column is
+        accepted; any other order raises RuntimeError.
         """
         s = len(self._q)
-        dtot, inv = self._a_rows[s]
+        if s != self._core.k - 1:
+            raise RuntimeError("curvature_sum must follow the add_column "
+                               "that accepted its column")
+        dtot, inv = self._last
         q = DD(*DD._coerce(q_raw))
         if s:
             dh, dl = dtot if isinstance(dtot, tuple) else (dtot, np.zeros(s))
@@ -377,35 +396,17 @@ class OrthoBuilder:
 
     # ----------------------------------------------------------------------
 
-    def _assemble_a(self, K):
-        """Expand the stored (projection, scale) pairs of the first K
-        columns into triangular a.
-
-        Double mode reports the coefficients exactly as applied to the
-        stored columns; extended mode keeps the dd remainders so later
-        conversions lose nothing.
-        """
-        extended = self.precision is PrecisionMode.EXTENDED
-        ah = np.zeros((K, K))
-        al = np.zeros((K, K)) if extended else None
-        for s, (dtot, inv) in enumerate(self._a_rows[:K]):
-            if extended:
-                ah[s, :s], al[s, :s] = dd_mul(-dtot[0], -dtot[1], inv.hi, inv.lo)
-                ah[s, s], al[s, s] = inv.hi, inv.lo
-            else:
-                ah[s, :s] = -dtot * float(inv)
-                ah[s, s] = float(inv)
-        return ah, al
-
     def to_basis(self, k: Optional[int] = None) -> OrthoBasis:
         """Freeze the first ``k`` columns (default: all) into an OrthoBasis.
 
-        P is a read-only view of the stored columns, which later columns
-        never change, so bases taken at different widths share storage.
-        The views are F-contiguous prefixes of the column-major store.
+        Every array of it is a read-only view of a builder store that
+        later columns never change, so bases taken at different widths
+        share storage: P (and P_lo in extended mode) are F-contiguous
+        prefixes of the column-major columns, and a and a_lo the leading
+        (k, k) block of the expansion, whose row s ``add_column`` writes
+        when it accepts column s.
         """
         K = self._core.k if k is None else k
-        ah, al = self._assemble_a(K)
         c = self._core
 
         def view(buf):
@@ -413,9 +414,8 @@ class OrthoBuilder:
             v.flags.writeable = False
             return v
 
-        if self.precision is PrecisionMode.EXTENDED:
-            return OrthoBasis(
-                P=view(c.Ph), a=ah, kept=tuple(self.kept[:K]),
-                precision=self.precision, P_lo=view(c.Pl), a_lo=al)
-        return OrthoBasis(P=view(c.P), a=ah, kept=tuple(self.kept[:K]),
-                          precision=self.precision)
+        ext = self.precision is PrecisionMode.EXTENDED
+        return OrthoBasis(
+            P=view(c.Ph if ext else c.P), a=view(self._a[0, :K]),
+            kept=tuple(self.kept[:K]), precision=self.precision,
+            P_lo=view(c.Pl) if ext else None, a_lo=view(self._a[1, :K]))

@@ -435,6 +435,19 @@ def test_eval_rejects_grid_with_points(capsys, tmp_path):
     assert "--grid" in err and "--points" in err and "missing" not in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--grid", "0x3"), "error: bad grid spec '0x3'"),
+    (("--grid", "2x2x2"), "error: bad grid spec '2x2x2'"),
+    (("--grid", "x"), "error: bad grid spec 'x'"),
+    ((), "error: need --points or --grid")])
+def test_eval_flags_are_checked_before_the_model_file(capsys, tmp_path, flags,
+                                                      message):
+    code, out, err = run_cli(capsys, "eval", "--model",
+                             str(tmp_path / "missing.json"), *flags)
+    assert code == 2 and not out
+    assert err == message + "\n"
+
+
 def test_export_json_and_csv(capsys, plane_csv, tmp_path):
     model_path = tmp_path / "m.json"
     run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path), "--audit")

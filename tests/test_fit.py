@@ -284,6 +284,17 @@ def test_extended_mode_runs_and_returns_dd_parts():
     assert np.allclose(fit.b, dbl.b, rtol=1e-9, atol=1e-12)
 
 
+def test_double_fit_low_parts_are_zero_arrays():
+    pts, _ = generate(SynthSpec(surface="magnet", nx=10, ny=8, seed=12))
+    data = normalize(pts)
+    fit = fit_surface(all_train_split(data.n), data,
+                      FitConfig(fixed_columns=10, max_columns=10))
+    assert fit.basis.P_lo is None
+    for lo, hi in ((fit.basis.a_lo, fit.basis.a), (fit.b_lo, fit.b)):
+        assert isinstance(lo, np.ndarray) and lo.dtype == np.float64
+        assert lo.shape == hi.shape and not lo.any()
+
+
 def test_insufficient_and_degenerate_inputs():
     data = unit_dataset([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)])
     with pytest.raises(InsufficientDataError):

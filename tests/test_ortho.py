@@ -342,10 +342,31 @@ def test_basis_views_are_column_major_prefixes(precision):
     for k in (1, 5, 8, 13, 20):
         b = _feed_columns(OrthoBuilder(60, precision=precision, capacity=8),
                           x, y, k, extended=extended)
+        widest = b.to_basis()
         for K in (1, k // 2 or 1, k):
             basis = b.to_basis(K)
             for P in (basis.P, basis.P_lo) if extended else (basis.P,):
                 assert P.shape == (60, K) and P.flags.f_contiguous
+            # a and a_lo: read-only (K, K) views, the widest's prefix
+            for a, wide in ((basis.a, widest.a), (basis.a_lo, widest.a_lo)):
+                assert a.shape == (K, K) and not a.flags.writeable
+                assert np.shares_memory(a, wide)
+                assert a.tobytes() == wide[:K, :K].tobytes()
+
+
+def test_curvature_sum_must_follow_its_column():
+    x, y = uniform_xy(40, 5)
+    b = OrthoBuilder(40)
+    with pytest.raises(RuntimeError):
+        b.curvature_sum(0.0)  # no column yet
+    assert b.add_column(np.ones(40), tag=0)
+    b.curvature_sum(0.0)
+    with pytest.raises(RuntimeError):
+        b.curvature_sum(0.0)  # twice for one column
+    assert b.add_column(x, tag=1) and b.add_column(y, tag=2)
+    with pytest.raises(RuntimeError):
+        b.curvature_sum(0.0)  # column 1 was skipped
+    assert len(b._q) == 1
 
 
 def test_double_storage_growth_keeps_every_bit():
