@@ -209,12 +209,13 @@ def cmd_eval(args) -> int:
         raise ValueError("need --points or --grid")
     model = load_model(args.model)
     nmap = model.map
-    if args.grid:
+    if args.grid:  # row k is (Xs[k % nx], Ys[k // nx]), made chunk by chunk
         Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
         Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
-        X, Y = np.tile(Xs, ny), np.repeat(Ys, nx)
+        rows, points = nx * ny, lambda k: (Xs[k % nx], Ys[k // nx])
     else:
         X, Y = load_points(args.points).T
+        rows, points = X.size, lambda k: (X[k], Y[k])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["X", "Y", "Z"]
     if args.with_slope:
@@ -222,8 +223,8 @@ def cmd_eval(args) -> int:
     if args.with_entropy:
         header.append("dS")
     writer.writerow(header)
-    for lo in range(0, X.size, EVAL_CHUNK_ROWS):
-        Xc, Yc = X[lo:lo + EVAL_CHUNK_ROWS], Y[lo:lo + EVAL_CHUNK_ROWS]
+    for lo in range(0, rows, EVAL_CHUNK_ROWS):
+        Xc, Yc = points(np.arange(lo, min(lo + EVAL_CHUNK_ROWS, rows)))
         cols = [Xc, Yc, eval_physical(model, Xc, Yc)[0]]
         if args.with_slope:
             cols.append(dZ_dY(model, Xc, Yc))

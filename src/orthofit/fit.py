@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import basis_step, block_start, degree_block
-from .ddarith import DD, dd_add, dd_mul_d, dd_sum
+from .ddarith import DD, dd_add, dd_dot, dd_mul, dd_mul_d, dd_sum
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
 from .errors import DegenerateFitError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
@@ -203,6 +203,13 @@ class FitBasis:
     scanned and rejected counts, and per column the rejected count, so a
     solve stopping anywhere sees what a fit stopping there would have
     scanned.
+
+    The curvature sums come from the builder's expansion rows: the
+    recurrence P_s = a[s, s] h_s + sum_{t < s} a[s, t] P_t, applied to
+    sums over the training points, gives Q_s = a[s, s] Q(h_s) + sum_{t <
+    s} a[s, t] Q_t from the raw column's Q(h_s), in double-double at
+    either precision (the step of ``model._expand``), so no Laplacian
+    columns are formed.
     """
 
     def __init__(self, split: DataSplit, data: NormalizedDataset,
@@ -232,6 +239,7 @@ class FitBasis:
         self._gen = _BlockGen(data.x[train], data.y[train], cfg.precision)
         self.proj: list = []
         self.q: list = []
+        self._qh, self._ql = np.zeros(cap), np.zeros(cap)  # Q_s in dd
         self.rejected: list[int] = []
         self.rejected_at: list[int] = []  # len(rejected) as column s is accepted
         self.blocks: list[tuple] = []     # (columns, scanned, rejected) after each
@@ -246,10 +254,12 @@ class FitBasis:
 
     def _scan_block(self):
         bld, cfg = self.builder, self.cfg
+        ext = cfg.precision is PrecisionMode.EXTENDED
         if bld.n_columns >= self.cap:  # capped: later blocks add nothing
             self.blocks.append(self.blocks[-1])
             return
         scanned = self.blocks[-1][1] if self.blocks else 0
+        first = bld.n_columns
         for t, col, q_raw in self._gen.next_block():
             scanned += 1
             if cfg.odd_field_only:
@@ -260,12 +270,19 @@ class FitBasis:
                 self.rejected.append(t)
                 continue
             s = bld.n_columns - 1
-            q = bld.curvature_sum(q_raw)
-            self.q.append(float(q) if cfg.precision is PrecisionMode.DOUBLE else q)
-            self.proj.append(bld.column_dot(s, self._z_vec))
+            a, a_lo = bld.expansion[:, s, :s + 1]
+            qh, ql = dd_mul(q_raw.hi, q_raw.lo, a[s], a_lo[s])
+            if s:
+                qh, ql = dd_add(qh, ql, *dd_dot(self._qh[:s], self._ql[:s],
+                                                a[:s], a_lo[:s]))
+            self._qh[s], self._ql[s] = qh, ql
+            self.q.append(DD(qh, ql) if ext else float(qh + ql))
             self.rejected_at.append(len(self.rejected))
             if bld.n_columns >= self.cap:
                 break
+        if bld.n_columns > first:
+            proj = bld.column_dot(first, bld.n_columns, self._z_vec)
+            self.proj.extend(map(DD, *proj) if ext else proj)
         self.blocks.append((bld.n_columns, scanned, len(self.rejected)))
 
 

@@ -19,10 +19,6 @@ previous orthonormal columns t < s) such that
 
     P_s = a[s, s] * h_s + sum_{t < s} a[s, t] * P_t .
 
-The same linear recurrence, applied to sums over the training points,
-gives the curvature sum ``Q_s`` of each column from that of its raw
-column (``curvature_sum``), so no Laplacian columns are formed.
-
 The orthonormal columns are stored column-major (Fortran order), as in
 the scheme's original implementation: each column the scheme reads or
 writes is one contiguous block, and projections are gemv over contiguous
@@ -45,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ddarith import (DD, comp_dot, dd_add, dd_add_d, dd_dot, dd_mul,
+from .ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_add_d, dd_mul,
                       dd_slices, dd_sub, slice_width)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
@@ -140,8 +136,12 @@ class _DoubleCore:
         self.P[:, self.k] = v * float(inv)
         self.k += 1
 
-    def column_dot(self, t, vec):
-        return comp_dot(self.P[:, t], vec)
+    def column_dot(self, first, end, vec):
+        # whole columns, at most BLOCK_ELEMS products at a time
+        step = max(1, BLOCK_ELEMS // vec.size)
+        return np.concatenate([
+            comp_dot(self.P[:, t:min(t + step, end)], vec[:, None], axis=0)
+            for t in range(first, end, step)])
 
     def subtract_scaled_column(self, vec, t, coeff):
         return vec - float(coeff) * self.P[:, t]
@@ -153,22 +153,22 @@ class _DoubleCore:
 class _ExtendedCore:
     """(hi, lo) pair storage; reductions in double-double.
 
-    Every reduction (``measure``, ``deflate``, ``norm2``, ``column_dot``)
-    is a BLAS product over slices (see ``dd_slices``).  Every column has
-    unit norm, so |P| <= 1 and one grid of ``count`` slices of ``width``
-    bits, cut when a column is appended, serves every column; any other
-    vector is sliced on its own power-of-two scale.  The products of
-    slices p and q share one unit for each diagonal p + q, and
-    ``slice_width`` lets count * n of them fit in a double (``deflate``
-    sums over the k <= n columns, the others over the n points), so
-    ``_sum_diagonals`` sums each diagonal p + q < count exactly with one
-    fixed 0/1 gemm, whatever BLAS does with order, blocking, FMA or
-    threads, and adds the diagonals in double-double from the smallest
-    up.  The rest, and the remainders left after ``count`` slices, lie
-    about 2**-SLICE_BITS below the scale.  The slices take count * n *
-    cap doubles beside P.  Ph and Pl are column-major like the double
-    core's P; Psl is C-ordered (count, n, cap), so ``deflate`` can view it
-    as one (count * n, cap) matrix without a copy.
+    Every reduction (``column_dot``, whose range [0, k) is ``measure``,
+    ``deflate`` and ``norm2``) is a BLAS product over slices (see
+    ``dd_slices``).  Every column has unit norm, so |P| <= 1 and one grid of
+    ``count`` slices of ``width`` bits, cut when a column is appended,
+    serves every column; any other vector is sliced on its own power-of-two
+    scale.  The products of slices p and q share one unit for each diagonal
+    p + q, and ``slice_width`` lets count * n of them fit in a double
+    (``deflate`` sums over the k <= n columns, the others over the n
+    points), so ``_sum_diagonals`` sums each diagonal p + q < count exactly
+    with one fixed 0/1 gemm, whatever BLAS does with order, blocking, FMA or
+    threads, and adds the diagonals in double-double from the smallest up.
+    The rest, and the remainders left after ``count`` slices, lie about
+    2**-SLICE_BITS below the scale.  The slices take count * n * cap doubles
+    beside P.  Ph and Pl are column-major like the double core's P; Psl is
+    C-ordered (count, n, cap), so ``deflate`` can view it as one (count * n,
+    cap) matrix without a copy.
     """
 
     def __init__(self, n: int, cap: int):
@@ -219,10 +219,13 @@ class _ExtendedCore:
             h, l = dd_add_d(h, l, d)
         return h.reshape(terms.shape[2:]), l.reshape(terms.shape[2:])
 
-    def measure(self, v):
-        # terms[p, q, t] = <slice p of P_t, slice q of v>
+    def column_dot(self, first, end, vec):
+        # terms[p, q, t] = <slice p of P_t, slice q of vec>
         return self._sum_diagonals(
-            np.matmul(self._slices(v), self.Psl[:, :, :self.k]))
+            np.matmul(self._slices(vec), self.Psl[:, :, first:end]))
+
+    def measure(self, v):
+        return self.column_dot(0, self.k, v)
 
     def deflate(self, v, delta):
         S, n, k = self.count, self.Ph.shape[0], self.k
@@ -243,10 +246,6 @@ class _ExtendedCore:
         self.Psl[:, :, k] = dd_slices(self.Ph[:, k], self.Pl[:, k],
                                       self.width, self.count)[0]
         self.k += 1
-
-    def column_dot(self, t, vec):
-        terms = self.Psl[:, :, t] @ self._slices(vec).T
-        return DD(*self._sum_diagonals(terms))
 
     def subtract_scaled_column(self, vec, t, coeff):
         ch, cl = DD._coerce(coeff)
@@ -281,9 +280,8 @@ class OrthoBuilder:
         self._n = n_train
         core = _ExtendedCore if self.precision is PrecisionMode.EXTENDED else _DoubleCore
         self._core = core(n_train, self._cap)
-        self._a = np.zeros((2, self._cap, self._cap))  # expansion a, a_lo
-        self._last = None             # newest column's (dtot, inv)
-        self._q: list = []            # curvature sums Q_t (DD) so far
+        # expansion a and a_lo; add_column writes row k as it accepts column k
+        self.expansion = np.zeros((2, self._cap, self._cap))
         self.kept: list[int] = []
         self.passes: list[int] = []   # projection passes spent per column
 
@@ -304,8 +302,8 @@ class OrthoBuilder:
         if core.k == self._cap:
             self._cap *= 2
             core.grow(self._cap)
-            a, self._a = self._a, np.zeros((2, self._cap, self._cap))
-            self._a[:, :core.k, :core.k] = a
+            self.expansion = np.pad(self.expansion,
+                                    [(0, 0), (0, core.k), (0, core.k)])
         v = core.make_vec(col)
         k = core.k
         extended = isinstance(v, tuple)
@@ -343,13 +341,13 @@ class OrthoBuilder:
         inv = 1.0 / p
         core.append(v, inv)
         # row k of a, from P_k = inv * (h_k - sum_{t < k} dtot_t P_t)
+        a = self.expansion
         if extended:
-            self._a[:, k, :k] = dd_mul(-dtot[0], -dtot[1], inv.hi, inv.lo)
-            self._a[:, k, k] = inv.hi, inv.lo
+            a[:, k, :k] = dd_mul(-dtot[0], -dtot[1], inv.hi, inv.lo)
+            a[:, k, k] = inv.hi, inv.lo
         else:  # the coefficients exactly as applied to the stored column
-            self._a[0, k, :k] = -dtot * float(inv)
-            self._a[0, k, k] = float(inv)
-        self._last = (dtot, inv)
+            a[0, k, :k] = -dtot * float(inv)
+            a[0, k, k] = float(inv)
         self.kept.append(tag)
         self.passes.append(npasses)
         return True
@@ -359,37 +357,14 @@ class OrthoBuilder:
     def make_vector(self, arr):
         return self._core.make_vec(arr)
 
-    def column_dot(self, t: int, vec):
-        return self._core.column_dot(t, vec)
+    def column_dot(self, first: int, end: int, vec):
+        """Projections <P_t, vec> for columns first <= t < end: an array
+        of doubles (compensated sums) in double mode, a (hi, lo) pair of
+        arrays in extended mode."""
+        return self._core.column_dot(first, end, vec)
 
     def subtract_scaled_column(self, vec, t: int, coeff):
         return self._core.subtract_scaled_column(vec, t, coeff)
-
-    def curvature_sum(self, q_raw) -> DD:
-        """Q_s, the Laplacian of the newest column summed over the points.
-
-        ``q_raw`` is that sum for its raw basis column; with the column's
-        projections delta and inverse norm inv, ``Q_s = inv * (q_raw -
-        sum_{t < s} delta_t * Q_t)``, carried in double-double at either
-        precision.  The builder keeps delta and inv of the newest column
-        only, so call this once per accepted column, after the
-        ``add_column`` that accepted it and before the next column is
-        accepted; any other order raises RuntimeError.
-        """
-        s = len(self._q)
-        if s != self._core.k - 1:
-            raise RuntimeError("curvature_sum must follow the add_column "
-                               "that accepted its column")
-        dtot, inv = self._last
-        q = DD(*DD._coerce(q_raw))
-        if s:
-            dh, dl = dtot if isinstance(dtot, tuple) else (dtot, np.zeros(s))
-            qh = np.array([v.hi for v in self._q])
-            ql = np.array([v.lo for v in self._q])
-            q = q - DD(*dd_dot(dh, dl, qh, ql))
-        q = q * inv
-        self._q.append(q)
-        return q
 
     def vec_norm2(self, vec) -> float:
         return self._core.vec_norm2(vec)
@@ -416,6 +391,6 @@ class OrthoBuilder:
 
         ext = self.precision is PrecisionMode.EXTENDED
         return OrthoBasis(
-            P=view(c.Ph if ext else c.P), a=view(self._a[0, :K]),
+            P=view(c.Ph if ext else c.P), a=view(self.expansion[0, :K]),
             kept=tuple(self.kept[:K]), precision=self.precision,
-            P_lo=view(c.Pl) if ext else None, a_lo=view(self._a[1, :K]))
+            P_lo=view(c.Pl) if ext else None, a_lo=view(self.expansion[1, :K]))

@@ -365,6 +365,42 @@ def test_eval_grid_rows_match_point_subsets(capsys, noisy_csv, tmp_path):
     assert parts == whole
 
 
+def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
+                                                          tmp_path):
+    # 10**10 grid rows: whole X and Y arrays would take 160 GB, so under a
+    # 2 GB cap the first rows come out only if each chunk makes its own
+    import resource
+    import threading
+    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    cap = 2 * 1024 ** 3
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = src_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    with subprocess.Popen(
+            [sys.executable, "-m", "orthofit.cli", "eval", "--model",
+             str(model_path), "--grid", "100000x100000", "--with-slope",
+             "--with-entropy"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, preexec_fn=limit) as proc:
+        hung = threading.Timer(120, proc.kill)  # ends the reads with EOF
+        hung.start()
+        try:
+            lines = [proc.stdout.readline() for _ in range(4)]
+        finally:
+            hung.cancel()
+            proc.kill()
+            proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert lines[0] == "X,Y,Z,dZdY,dS\n", err[-2000:]
+    nm = model.map
+    X = np.linspace(nm.x_min, nm.x_max, 100000)[:3].tolist()
+    assert [ln.rstrip("\n").split(",") for ln in lines[1:]] == [
+        _per_point_row(model, x, nm.y_min) for x in X]
+
+
 def test_eval_rejects_model_version_mismatch(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 99}')

@@ -6,29 +6,35 @@ import pytest
 from orthofit import (FitBasis, FitConfig, SplitConfig, SynthSpec, generate,
                       normalize, split)
 from orthofit.basis import basis_values, columns_for_degree
-from orthofit.ddarith import dd_add, dd_dot, dd_mul, dd_sub
+from orthofit.ddarith import comp_dot, dd_add, dd_dot, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
 from oracles import sympy_laplacian_columns
-from conftest import raw_curvature_sums, uniform_xy
+from conftest import (all_train_split, raw_curvature_sums, uniform_xy,
+                      unit_dataset)
 
 
 def _feed_columns(builder, x, y, n_cols, extended=False):
-    """Push basis columns 0..n_cols-1 into a builder, with their curvature
-    sums."""
+    """Push basis columns 0..n_cols-1 into a builder."""
     from orthofit.fit import _BlockGen
     gen = _BlockGen(x, y, PrecisionMode.EXTENDED if extended else PrecisionMode.DOUBLE)
     while builder.n_columns < n_cols:
-        for t, col, q in gen.next_block():
-            if builder.add_column(col, tag=t):
-                builder.curvature_sum(q)
+        for t, col, _ in gen.next_block():
+            builder.add_column(col, tag=t)
             if builder.n_columns >= n_cols:
                 break
     return builder
 
 
-def _curvature_sums(builder):
-    return np.array([float(q) for q in builder._q])
+def _fit_basis(x, y, n_cols):
+    """A double FitBasis over all of the points (x, y), grown to n_cols
+    columns: its builder and its curvature sums ``q``."""
+    data = unit_dataset(np.column_stack([x, y, x]))
+    fb = FitBasis(all_train_split(x.size), data,
+                  FitConfig(fixed_columns=n_cols))
+    while fb.builder.n_columns < n_cols:
+        fb.block(len(fb.blocks))
+    return fb
 
 
 def test_first_column_is_normalized_constant():
@@ -179,12 +185,12 @@ def _reconstruct(basis, raw, raw_q):
 def test_reconstruction_from_expansion_coefficients_double():
     x, y = uniform_xy(80, 33)
     n_cols = columns_for_degree(7) - 1
-    b = _feed_columns(OrthoBuilder(80), x, y, n_cols)
-    basis = b.to_basis()
+    fb = _fit_basis(x, y, n_cols)
+    basis = fb.builder.to_basis()
     P, q = _reconstruct(basis, basis_values(x, y, n_cols - 1),
                         raw_curvature_sums(x, y, n_cols - 1))
     assert np.abs(P - basis.P).max() < 1e-10
-    assert np.abs(q - _curvature_sums(b)).max() < 1e-8 * max(1, np.abs(q).max())
+    assert np.abs(q - fb.q).max() < 1e-11 * max(1, np.abs(q).max())
 
 
 def test_reconstruction_extended_mode_tight():
@@ -215,14 +221,13 @@ def test_laplacian_cotransform_matches_symbolic_oracle():
     lap_sums = sympy_laplacian_columns(x, y, L).sum(axis=0)
     assert np.allclose(raw_curvature_sums(x, y, L), lap_sums,
                        rtol=1e-12, atol=40 * 1e-12)
-    b = _feed_columns(OrthoBuilder(40), x, y, L + 1)
-    basis = b.to_basis()
+    fb = _fit_basis(x, y, L + 1)
+    basis = fb.builder.to_basis()
     # same triangular combination applied to the oracle's raw sums
     q = np.zeros(L + 1)
     for s in range(L + 1):
         q[s] = basis.a[s, s] * lap_sums[s] + q[:s] @ basis.a[s, :s]
-    assert np.allclose(q, _curvature_sums(b), rtol=1e-9,
-                       atol=1e-9 * np.abs(q).max())
+    assert np.allclose(q, fb.q, rtol=1e-11, atol=1e-11 * np.abs(q).max())
 
 
 def test_extended_defect_at_double_resolution():
@@ -310,10 +315,13 @@ def test_extended_projections_match_exact_sums():
             [_exact(*dd_dot(*v, *v)) << _SHIFT], exact, exact)
         assert sliced <= min(elementwise, u2)
 
+        # column_dot over each degree block's columns, as the fit projects
         exact, scale = P.T @ V, np.abs(P).T @ np.abs(V)
-        dots = [core.column_dot(t, v) for t in range(100)]
-        sliced = _worst_relative_error(
-            [_exact(c.hi, c.lo) << _SHIFT for c in dots], exact, scale)
+        ends = [0] + [cols for cols, _, _ in fb.blocks]
+        dots = [np.concatenate(parts) for parts in zip(*(
+            core.column_dot(first, end, v)
+            for first, end in zip(ends, ends[1:]) if end > first))]
+        sliced = _worst_relative_error(_exact(*dots) << _SHIFT, exact, scale)
         elementwise = _worst_relative_error(
             [_exact(*dd_dot(Ph[:, t], Pl[:, t], *v)) << _SHIFT
              for t in range(100)], exact, scale)
@@ -354,19 +362,17 @@ def test_basis_views_are_column_major_prefixes(precision):
                 assert a.tobytes() == wide[:K, :K].tobytes()
 
 
-def test_curvature_sum_must_follow_its_column():
-    x, y = uniform_xy(40, 5)
-    b = OrthoBuilder(40)
-    with pytest.raises(RuntimeError):
-        b.curvature_sum(0.0)  # no column yet
-    assert b.add_column(np.ones(40), tag=0)
-    b.curvature_sum(0.0)
-    with pytest.raises(RuntimeError):
-        b.curvature_sum(0.0)  # twice for one column
-    assert b.add_column(x, tag=1) and b.add_column(y, tag=2)
-    with pytest.raises(RuntimeError):
-        b.curvature_sum(0.0)  # column 1 was skipped
-    assert len(b._q) == 1
+@pytest.mark.parametrize("block", [1, 3 * 60, 2 ** 16])
+def test_double_projections_keep_every_bit_in_column_groups(monkeypatch,
+                                                            block):
+    # column_dot sums whole columns, BLOCK_ELEMS // n of them at a time;
+    # each column is its own compensated sum, so no grouping moves a bit
+    x, y = uniform_xy(60, 61)
+    b = _feed_columns(OrthoBuilder(60), x, y, 20)
+    monkeypatch.setattr("orthofit.ortho.BLOCK_ELEMS", block)
+    P = b.to_basis().P
+    want = np.array([comp_dot(P[:, t], y) for t in range(3, 17)])
+    assert b.column_dot(3, 17, y).tobytes() == want.tobytes()
 
 
 def test_double_storage_growth_keeps_every_bit():
