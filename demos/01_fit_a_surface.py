@@ -42,7 +42,7 @@ print(f"overfitting degrees: gamma={overfit_degree(fit.sigma_tr, s_cv):+.2f} "
 # --- 4. evaluate in physical units -------------------------------------------
 print("\n  H [T]   T [K]    M (model)   M (truth)")
 for H, T in [(1.0, 275.0), (2.5, 300.0), (4.0, 325.0)]:
-    Z, _ = eval_physical(model, H, T)
+    Z = eval_physical(model, H, T)
     zt = truth(H / 5.0, (T - 250.0) / 100.0)
     print(f"  {H:5.2f}  {T:6.1f}   {Z:9.5f}   {zt:9.5f}")
 

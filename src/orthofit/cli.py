@@ -118,22 +118,21 @@ def _parse_x_grid(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _emit_report(report: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps(report, indent=1) + "\n")
+        sys.stdout.write(json.dumps(report, indent=1) + "\n")
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.keys())
         writer.writerow([format(v, ".17g") if isinstance(v, float) else v
                          for v in report.values()])
-        out.write(buf.getvalue())
+        sys.stdout.write(buf.getvalue())
     else:
         width = max(len(k) for k in report)
         for k, v in report.items():
             sval = format(v, ".17g") if isinstance(v, float) else str(v)
-            out.write(f"{k:<{width}}  {sval}\n")
+            sys.stdout.write(f"{k:<{width}}  {sval}\n")
 
 
 def cmd_fit(args) -> int:
@@ -225,7 +224,7 @@ def cmd_eval(args) -> int:
     writer.writerow(header)
     for lo in range(0, rows, EVAL_CHUNK_ROWS):
         Xc, Yc = points(np.arange(lo, min(lo + EVAL_CHUNK_ROWS, rows)))
-        cols = [Xc, Yc, eval_physical(model, Xc, Yc)[0]]
+        cols = [Xc, Yc, eval_physical(model, Xc, Yc)]
         if args.with_slope:
             cols.append(dZ_dY(model, Xc, Yc))
         if args.with_entropy:
@@ -276,9 +275,7 @@ def cmd_split(args) -> int:
         report["train_idx"] = parts.train_idx.tolist()
         report["cv_idx"] = parts.cv_idx.tolist()
         report["test_idx"] = parts.test_idx.tolist()
-        _emit_report(report, "json")
-    else:
-        _emit_report(report, args.report)
+    _emit_report(report, "json" if args.indices else args.report)
     return 0
 
 

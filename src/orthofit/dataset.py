@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +47,9 @@ class NormalizationMap:
             z = (np.asarray(Z, dtype=float) - self.z_min) / zr
         return x, y, z
 
-    def to_raw(self, x, y, z=None):
+    def to_raw(self, x, y, z):
         X = self.x_min + np.asarray(x, dtype=float) * (self.x_max - self.x_min)
         Y = self.y_min + np.asarray(y, dtype=float) * (self.y_max - self.y_min)
-        if z is None:
-            return X, Y
         Z = self.z_min + np.asarray(z, dtype=float) * (self.z_max - self.z_min)
         return X, Y, Z
 
@@ -122,10 +120,6 @@ class DataSplit:
     train_idx: np.ndarray
     cv_idx: np.ndarray
     test_idx: np.ndarray
-    config: SplitConfig = field(default=SplitConfig())
-
-    def sizes(self) -> tuple[int, int, int]:
-        return len(self.train_idx), len(self.cv_idx), len(self.test_idx)
 
 
 def _point_array(points) -> np.ndarray:
@@ -308,5 +302,4 @@ def split(data: NormalizedDataset, cfg: SplitConfig) -> DataSplit:
         train_idx=order[is_train],
         cv_idx=order[is_cv],
         test_idx=order[is_test],
-        config=cfg,
     )

@@ -29,6 +29,7 @@ builds once and solves per strength.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -199,10 +200,10 @@ class FitBasis:
     flat tag) and, for each accepted column s, its projection ``proj[s]``
     onto the targets and its curvature sum ``q[s]``.  Degree blocks are
     scanned on demand (``block``), so the basis only grows as far as the
-    longest solve needs.  Per scanned block it records the accepted,
-    scanned and rejected counts, and per column the rejected count, so a
-    solve stopping anywhere sees what a fit stopping there would have
-    scanned.
+    longest solve needs.  It keeps the accepted-column count after each
+    block and the rejected flat tags: the scan visits flat indices in
+    order, so through block k - 1 it scanned ``block_start(k)`` columns,
+    and before column s it rejected the tags below ``kept[s]``.
 
     The curvature sums come from the builder's expansion rows: the
     recurrence P_s = a[s, s] h_s + sum_{t < s} a[s, t] P_t, applied to
@@ -240,28 +241,24 @@ class FitBasis:
         self.proj: list = []
         self.q: list = []
         self._qh, self._ql = np.zeros(cap), np.zeros(cap)  # Q_s in dd
-        self.rejected: list[int] = []
-        self.rejected_at: list[int] = []  # len(rejected) as column s is accepted
-        self.blocks: list[tuple] = []     # (columns, scanned, rejected) after each
+        self.rejected: list[int] = []  # flat tags, ascending
+        self.blocks: list[int] = []    # accepted columns after each block
 
-    def block(self, k: int) -> tuple:
-        """(columns, scanned, rejected) counts after degree block k,
-        scanning blocks up to k if needed.  A block stops early once the
-        column cap is reached."""
+    def block(self, k: int) -> int:
+        """Accepted columns after degree block k, scanning blocks up to k
+        if needed.  A block stops early once the column cap is reached,
+        and later blocks scan nothing."""
         while len(self.blocks) <= k:
-            self._scan_block()
+            if self.builder.n_columns < self.cap:
+                self._scan_block()
+            self.blocks.append(self.builder.n_columns)
         return self.blocks[k]
 
     def _scan_block(self):
         bld, cfg = self.builder, self.cfg
         ext = cfg.precision is PrecisionMode.EXTENDED
-        if bld.n_columns >= self.cap:  # capped: later blocks add nothing
-            self.blocks.append(self.blocks[-1])
-            return
-        scanned = self.blocks[-1][1] if self.blocks else 0
         first = bld.n_columns
         for t, col, q_raw in self._gen.next_block():
-            scanned += 1
             if cfg.odd_field_only:
                 _, m_t, j_t = degree_block(t)
                 if (m_t - j_t) % 2 == 0:
@@ -277,13 +274,11 @@ class FitBasis:
                                                 a[:s], a_lo[:s]))
             self._qh[s], self._ql[s] = qh, ql
             self.q.append(DD(qh, ql) if ext else float(qh + ql))
-            self.rejected_at.append(len(self.rejected))
             if bld.n_columns >= self.cap:
                 break
         if bld.n_columns > first:
             proj = bld.column_dot(first, bld.n_columns, self._z_vec)
             self.proj.extend(map(DD, *proj) if ext else proj)
-        self.blocks.append((bld.n_columns, scanned, len(self.rejected)))
 
 
 def solve(basis: FitBasis, lam: float) -> FitResult:
@@ -319,10 +314,11 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
     k = s = 0          # next degree block, next column
     reason = None
     while reason is None:
-        if k and basis.blocks[k - 1][1] >= basis.scan_budget:
+        # blocks before k were scanned whole: a capped block ends the walk
+        if k and block_start(k) >= basis.scan_budget:
             reason = "scan_budget"
             break
-        end = basis.block(k)[0]
+        end = basis.block(k)
         first = s
         for s in range(first, end):
             q = basis.q[s]
@@ -372,14 +368,13 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
     if fixed and K < cap:
         raise DegenerateFitError(
             f"only {K} of the requested {cap} columns were usable")
-    if reason in ("columns", "target_error"):
-        n_rejected = basis.rejected_at[K - 1]
-    else:
-        n_rejected = basis.blocks[k - 1][2]
+    stop = (bld.kept[K - 1] if reason in ("columns", "target_error")
+            else block_start(k))
+    rejected = basis.rejected[:bisect_left(basis.rejected, stop)]
     bh, bl = map(np.array, zip(*map(DD._coerce, reg.b)))
     return FitResult(basis=bld.to_basis(K), b=bh, S=K - 1, lambda_=lam,
                      sigma_tr=sigma, history=tuple(history), nmap=basis.nmap,
-                     b_lo=bl, rejected=tuple(basis.rejected[:n_rejected]),
+                     b_lo=bl, rejected=tuple(rejected),
                      stop_reason=reason)
 
 
@@ -391,7 +386,9 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
     ``history`` records (flat index, column index, coefficient, Laplacian
     sum, running R) per accepted column and ``stop_reason`` names the rule
     that ended the fit: "target_error", "stall", "columns" (the column
-    cap or ``fixed_columns``) or "scan_budget".  A training error that is
+    cap or ``fixed_columns``) or "scan_budget".  ``rejected`` holds the
+    flat indices rejected as dependent below the last column's, or below
+    the next block's first at a block-end stop.  A training error that is
     not finite (lambda too large) raises DegenerateFitError.
     """
     return solve(FitBasis(split, data, cfg), cfg.lambda_)

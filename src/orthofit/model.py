@@ -172,22 +172,12 @@ def eval_monomial(model: SurfaceModel, x, y):
 
 
 def eval_physical(model: SurfaceModel, X, Y):
-    """Evaluate in original units.
-
-    Returns (Z, extrapolated): the flag marks inputs outside the measured
-    rectangle, which are still evaluated (the polynomial extends).
-    """
+    """Evaluate Z in original units.  Points outside the measured
+    rectangle are evaluated too: the polynomial extends."""
     nmap = model.map
     x, y = nmap.to_unit(X, Y)
-    z = eval_monomial(model, x, y)
-    Xa = np.asarray(X, dtype=float)
-    Ya = np.asarray(Y, dtype=float)
-    flag = ((Xa < nmap.x_min) | (Xa > nmap.x_max)
-            | (Ya < nmap.y_min) | (Ya > nmap.y_max))
-    _, _, Z = nmap.to_raw(x, y, z)
-    if np.ndim(X) == 0 and np.ndim(Y) == 0:
-        return float(Z), bool(flag)
-    return Z, flag
+    _, _, Z = nmap.to_raw(x, y, eval_monomial(model, x, y))
+    return float(Z) if np.ndim(Z) == 0 else Z
 
 
 def dZ_dY(model: SurfaceModel, X, Y):

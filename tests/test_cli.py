@@ -320,7 +320,7 @@ def _write_points(path, X, Y):
 
 
 def _per_point_row(model, X, Y):
-    Z, _ = eval_physical(model, X, Y)
+    Z = eval_physical(model, X, Y)
     return [format(v, ".17g") for v in (X, Y, Z, dZ_dY(model, X, Y),
                                         entropy_change(model, Y, X))]
 

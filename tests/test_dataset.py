@@ -285,7 +285,8 @@ def test_split_partition_property_exhaustive():
             combined = np.concatenate([parts.train_idx, parts.cv_idx, parts.test_idx])
             assert len(combined) == n
             assert np.array_equal(np.sort(combined), np.arange(n))
-            tr, cv, te = parts.sizes()
+            tr, cv, te = map(len, (parts.train_idx, parts.cv_idx,
+                                   parts.test_idx))
             assert tr >= cv and tr >= te
             assert abs(tr - (n * (f - 1)) // f) <= 1
 
@@ -326,7 +327,8 @@ def test_split_determinism_and_axis_symmetry():
     assert np.array_equal(a.cv_idx, b.cv_idx)
     assert np.array_equal(a.test_idx, b.test_idx)
     c = split(data, SplitConfig("x", 3))
-    assert c.sizes() == a.sizes()
+    assert [len(c.train_idx), len(c.cv_idx), len(c.test_idx)] == [
+        len(a.train_idx), len(a.cv_idx), len(a.test_idx)]
     assert not np.array_equal(np.sort(c.train_idx), np.sort(a.train_idx))
 
 

@@ -255,7 +255,7 @@ def test_basis_block_stops_scanning_at_the_column_cap():
     data = normalize(pts)
     basis = FitBasis(split(data, SplitConfig()), data,
                      FitConfig(fixed_columns=10))
-    assert basis.block(3)[0] == 10
+    assert basis.block(3) == 10
     assert basis.block(6) == basis.block(3)
     assert basis.builder.n_columns == len(basis.proj) == len(basis.q) == 10
     assert len(basis.blocks) == 7

@@ -317,7 +317,7 @@ def test_extended_projections_match_exact_sums():
 
         # column_dot over each degree block's columns, as the fit projects
         exact, scale = P.T @ V, np.abs(P).T @ np.abs(V)
-        ends = [0] + [cols for cols, _, _ in fb.blocks]
+        ends = [0] + fb.blocks
         dots = [np.concatenate(parts) for parts in zip(*(
             core.column_dot(first, end, v)
             for first, end in zip(ends, ends[1:]) if end > first))]

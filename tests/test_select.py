@@ -126,7 +126,7 @@ def test_sweep_deterministic_byte_identical():
 def test_swapping_cv_and_test_swaps_the_degrees():
     data, parts = _noisy_corpus()
     swapped = DataSplit(train_idx=parts.train_idx, cv_idx=parts.test_idx,
-                        test_idx=parts.cv_idx, config=parts.config)
+                        test_idx=parts.cv_idx)
     a = lambda_sweep(data, parts, [15, 30], SWEEP_CFG)
     b = lambda_sweep(data, swapped, [15, 30], SWEEP_CFG)
     for ra, rb in zip(a.records, b.records):
