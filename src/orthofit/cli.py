@@ -6,10 +6,12 @@ Subcommands: ``fit`` (fit one surface, write a model file and a report),
 as JSON or a coefficient CSV), ``synth`` (generate a synthetic dataset),
 and ``split`` (inspect the train/cv/test partition).
 
-Exit codes: 0 success, 2 usage or input error (bad flags, missing or
-unopenable files, non-finite lambda or x grid), 3 data or model error
-(unparseable or non-UTF-8 data, degenerate axes, model version
-mismatch), 4 numeric failure (non-finite training error included).
+Exit codes: 0 success (also when the reader of stdout closes it early),
+2 usage or input error (bad flags, missing or unopenable files,
+non-finite lambda or x grid), 3 data or model error (unparseable or
+non-UTF-8 data, degenerate or overflowing axes, model version mismatch
+or out-of-range model fields), 4 numeric failure (non-finite training
+error or ``eval`` output included).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
 thread count (``OPENBLAS_NUM_THREADS``).
@@ -23,6 +25,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -34,8 +37,8 @@ from .dataset import (SplitConfig, load_dataset, load_points, normalize,
 from .errors import (DegenerateAxisError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
-from .model import (dZ_dY, entropy_change, eval_physical, load_model,
-                    save_model, to_monomial)
+from .model import (MAX_DEGREE, dZ_dY, entropy_change, eval_physical,
+                    load_model, save_model, to_monomial)
 from .basis import columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
 from .select import (_strengths, group_error, lambda_sweep, overfit_degree,
@@ -72,6 +75,9 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 def _fit_config(args) -> FitConfig:
     if args.max_degree < 1:
         raise ValueError(f"--max-degree must be >= 1, got {args.max_degree}")
+    if args.max_degree > MAX_DEGREE:  # beyond it a model file does not load
+        raise ValueError(
+            f"--max-degree must be <= {MAX_DEGREE}, got {args.max_degree}")
     if args.fixed_s is not None and args.fixed_s < 0:
         raise ValueError(f"--fixed-S must be >= 0, got {args.fixed_s}")
     return FitConfig(
@@ -224,11 +230,18 @@ def cmd_eval(args) -> int:
     writer.writerow(header)
     for lo in range(0, rows, EVAL_CHUNK_ROWS):
         Xc, Yc = points(np.arange(lo, min(lo + EVAL_CHUNK_ROWS, rows)))
-        cols = [Xc, Yc, eval_physical(model, Xc, Yc)]
-        if args.with_slope:
-            cols.append(dZ_dY(model, Xc, Yc))
-        if args.with_entropy:
-            cols.append(entropy_change(model, Yc, Xc))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            cols = [Xc, Yc, eval_physical(model, Xc, Yc)]
+            if args.with_slope:
+                cols.append(dZ_dY(model, Xc, Yc))
+            if args.with_entropy:
+                cols.append(entropy_change(model, Yc, Xc))
+        bad = np.argwhere(~np.isfinite(np.array(cols[2:]).T))
+        if bad.size:
+            row, col = bad[0]
+            raise FloatingPointError(
+                f"{header[2 + col]} is not finite in output row "
+                f"{lo + row + 1} (X={Xc[row]:.17g}, Y={Yc[row]:.17g})")
         writer.writerows([format(v, ".17g") for v in row]
                          for row in zip(*(c.tolist() for c in cols)))
     return 0
@@ -275,7 +288,9 @@ def cmd_split(args) -> int:
         report["train_idx"] = parts.train_idx.tolist()
         report["cv_idx"] = parts.cv_idx.tolist()
         report["test_idx"] = parts.test_idx.tolist()
-    _emit_report(report, "json" if args.indices else args.report)
+        _emit_report(report, "json")
+    else:
+        _emit_report(report, args.report)
     return 0
 
 
@@ -351,7 +366,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull (the
+        # recipe of the Python signal docs) and end as a success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return USAGE_ERROR

@@ -248,8 +248,9 @@ def normalize(points) -> NormalizedDataset:
     """Map each coordinate of an (n, 3) point array affinely onto [0, 1]
     (min -> 0, max -> 1).
 
-    Requires at least three points and at least two distinct values on
-    each independent axis; constant z is allowed and maps to 0.
+    Requires at least three points, at least two distinct values on each
+    independent axis and a finite max - min on every axis; constant z is
+    allowed and maps to 0.
     """
     arr = _point_array(points)
     if arr.shape[0] < 3:
@@ -257,13 +258,15 @@ def normalize(points) -> NormalizedDataset:
     if not np.all(np.isfinite(arr)):
         raise ValueError("points contain non-finite values")
     bounds = []
-    for k, name in enumerate(("x", "y")):
+    for k, name in enumerate("xyz"):
         lo, hi = arr[:, k].min(), arr[:, k].max()
-        if lo == hi:
+        if not math.isfinite(float(hi) - float(lo)):
+            raise DegenerateAxisError(f"the {name} range {lo:g} .. {hi:g} "
+                                      "overflows; cannot normalize")
+        if lo == hi and name != "z":
             raise DegenerateAxisError(f"all {name} values equal ({lo}); cannot normalize")
         bounds += [lo, hi]
-    z_lo, z_hi = arr[:, 2].min(), arr[:, 2].max()
-    nmap = NormalizationMap(*bounds, z_lo, z_hi)
+    nmap = NormalizationMap(*bounds)
     x, y, z = nmap.to_unit(arr[:, 0], arr[:, 1], arr[:, 2])
     return NormalizedDataset(np.column_stack([x, y, z]), nmap)
 

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import (_as_rows, basis_dy, basis_values, dd_basis_values,
-                    degree_block)
+from .basis import (_as_rows, basis_dy, basis_values, columns_for_degree,
+                    dd_basis_values, degree_block)
 from .dataset import NormalizationMap
 from .ddarith import BLOCK_ELEMS, comp_dot, dd_add, dd_dot, dd_mul
 from .errors import ModelFormatError
@@ -38,6 +38,9 @@ from .ortho import PrecisionMode
 
 MODEL_VERSION = 1
 SIMPSON_PANELS = 200  # composite Simpson panels of the entropy integral
+# Largest total degree of a model file: (m+1)(m+2)/2 <= BLOCK_ELEMS, so one
+# row of an evaluation table fits one reduction block.
+MAX_DEGREE = 360
 _BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
 
@@ -149,12 +152,13 @@ def eval_ortho(fit: FitResult, x, y):
 
 def _sum_terms(model: SurfaceModel, table, x, y):
     """Compensated sum_t c_t table_t(x, y) over the kept indices, where
-    ``table`` is basis_values or basis_dy.  The table is built and summed
-    BLOCK_ELEMS // len(kept) rows at a time; each row is its own sum."""
+    ``table`` is basis_values or basis_dy.  The table is L + 1 wide, L the
+    largest kept index, and is built and summed BLOCK_ELEMS // (L + 1)
+    rows at a time; each row is its own sum."""
     kept = np.asarray(model.kept, dtype=int)
     L = int(kept.max())
     xs, ys, scalar = _as_rows(x, y)
-    rows = max(1, BLOCK_ELEMS // kept.size)
+    rows = max(1, BLOCK_ELEMS // (L + 1))
     out = np.empty(xs.size)
     for r in range(0, xs.size, rows):
         t = table(xs[r:r + rows], ys[r:r + rows], L)[:, kept]
@@ -287,16 +291,20 @@ def _check_model(model: SurfaceModel) -> None:
             f"model field 'c' has {c.size} entries for {len(kept)} kept_indices")
     if not np.isfinite(c).all():
         raise ModelFormatError("model field 'c' holds a non-finite coefficient")
-    if (not all(type(t) is int and t >= 0 for t in kept)
+    top = columns_for_degree(MAX_DEGREE) - 1
+    if (not all(type(t) is int and 0 <= t <= top for t in kept)
             or len(set(kept)) != len(kept)):
         raise ModelFormatError(
-            "model field 'kept_indices' must hold distinct non-negative integers")
-    if not (np.isfinite([getattr(nmap, k) for k in _BOUNDS]).all()
+            "model field 'kept_indices' must hold distinct integers in "
+            f"0..{top} (total degree <= {MAX_DEGREE})")
+    b = [getattr(nmap, k) for k in _BOUNDS]
+    # a finite max - min also means finite bounds
+    if not (all(math.isfinite(hi - lo) for lo, hi in zip(b[::2], b[1::2]))
             and nmap.x_min < nmap.x_max and nmap.y_min < nmap.y_max
             and nmap.z_min <= nmap.z_max):
         raise ModelFormatError(
-            "model field 'normalization' needs finite bounds with "
-            "x_min < x_max, y_min < y_max and z_min <= z_max")
+            "model field 'normalization' needs finite bounds and ranges "
+            "with x_min < x_max, y_min < y_max and z_min <= z_max")
     for field, value in (("lambda", model.lambda_),
                          ("sigma_tr", model.sigma_tr)):
         if not math.isfinite(value):

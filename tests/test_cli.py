@@ -200,7 +200,8 @@ def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
      "--max-degree must be >= 1, got 0"),
     (("fit", "--fixed-S", "-1"), "--fixed-S must be >= 0, got -1"),
     (("sweep", "--x-grid", "10", "--fixed-S", "-1"),
-     "--fixed-S must be >= 0, got -1")])
+     "--fixed-S must be >= 0, got -1"),
+    (("fit", "--max-degree", "361"), "--max-degree must be <= 360, got 361")])
 def test_flags_are_checked_before_the_data_file(capsys, tmp_path, argv,
                                                 message):
     missing = str(tmp_path / "missing.csv")
@@ -422,6 +423,12 @@ BAD_MODEL_EDITS = {
                                         d["normalization"]["x_min"])),
     # json reads the Infinity and NaN tokens; export would write them back
     "infinite_lambda": ("'lambda'", lambda d: setitem(d, "lambda", math.inf)),
+    # finite bounds whose difference overflows
+    "overflowing_y_range": ("'normalization'", lambda d: d["normalization"]
+                            .update(y_min=-1e308, y_max=1e308)),
+    # beyond the documented maximum flat index
+    "huge_index": ("'kept_indices'",
+                   lambda d: setitem(d["kept_indices"], 1, 10**18)),
     "nan_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", math.nan)),
 }
 
@@ -438,6 +445,61 @@ def test_eval_rejects_invalid_model_file(capsys, plane_csv, tmp_path, case):
                              "--grid", "2x2")
     assert code == 3 and out == ""
     assert field in err
+
+
+@pytest.mark.parametrize("axis", [0, 2], ids=["x", "z"])
+def test_fit_rejects_an_overflowing_data_range(capsys, plane_csv, tmp_path,
+                                               axis):
+    # each value is finite, but max - min is not
+    lines = plane_csv.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows):
+        row[axis] = "9e307" if k % 2 else "-9e307"
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]))
+    code, out, err = run_cli(capsys, "fit", str(path), "-o",
+                             str(tmp_path / "m.json"))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        f"error: the {'xyz'[axis]} range -9e+307 .. 9e+307 overflows; "
+        "cannot normalize"]
+
+
+@pytest.mark.parametrize("case", ["far_point", "huge_coefficients"])
+def test_eval_refuses_to_print_non_finite_values(capsys, tmp_path, case):
+    pts, _ = generate(SynthSpec(surface="magnet", nx=10, ny=8, seed=1))
+    save_dataset(pts, tmp_path / "d.csv")
+    model_path = tmp_path / "m.json"
+    assert run_cli(capsys, "fit", str(tmp_path / "d.csv"), "-o",
+                   str(model_path), "--fixed-S", "20")[0] == 0
+    pts_path = tmp_path / "pts.csv"
+    pts_path.write_text("x,y\n1e300,0.5\n")
+    if case == "huge_coefficients":
+        doc = json.loads(model_path.read_text())
+        doc["c"] = [1e308] * len(doc["c"])
+        model_path.write_text(json.dumps(doc))
+        pts_path.write_text("x,y\n0.5,0.5\n")
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--points", str(pts_path), "--with-slope",
+                             "--with-entropy")
+    assert (code, out) == (4, "X,Y,Z,dZdY,dS\n")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: Z is not finite in output row 1 (X=")
+
+
+def test_eval_into_a_closed_pipe_ends_quietly(capsys, plane_csv, tmp_path):
+    model_path = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path))
+    with subprocess.Popen(
+            [sys.executable, "-m", "orthofit.cli", "eval", "--model",
+             str(model_path), "--grid", "1000x1000"],
+            env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        assert proc.stdout.readline() == "X,Y,Z\n"
+        proc.stdout.close()  # long before the 60 MB of rows are written
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("body", ["x,y\n0.5,nan\n", "x,y\n1e400,3\n",

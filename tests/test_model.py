@@ -13,10 +13,11 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       entropy_change, eval_monomial, eval_ortho, eval_physical,
                       fit_surface, generate, load_model, normalize, save_model,
                       split, to_monomial)
-from orthofit.basis import basis_values
+from orthofit import model as model_module
+from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import BLOCK_ELEMS, comp_dot
 from orthofit.fit import FitBasis, solve
-from orthofit.model import _expand, _monomials
+from orthofit.model import MAX_DEGREE, _expand, _monomials
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, unit_dataset, uniform_xy
 from oracles import mpmath_monomial_coefficients, mpmath_simpson_entropy
@@ -294,6 +295,30 @@ def test_row_blocks_keep_every_bit():
         assert f(model, *args).tobytes() == np.array(one).tobytes(), f.__name__
 
 
+def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
+    # kept (0, 5000) builds tables 5,001 wide: a block of BLOCK_ELEMS // 2
+    # rows would hold 100 x 5001 doubles
+    sizes = []
+
+    def recording(x, y, L):
+        table = basis_values(x, y, L)
+        sizes.append(table.size)
+        return table
+    monkeypatch.setattr(model_module, "basis_values", recording)
+    model = SurfaceModel(c=np.array([1.0, 1e-3]), kept=(0, 5000),
+                         map=IDENTITY, S=1, lambda_=0.0, sigma_tr=0.0)
+    x = np.linspace(0.0, 1.0, 100)
+    z = eval_monomial(model, x, x)
+    assert z.tobytes() == np.array(
+        [eval_monomial(model, v, v) for v in x]).tobytes()
+    assert sizes and max(sizes) <= BLOCK_ELEMS
+
+
+def test_max_degree_is_the_largest_whose_table_row_fits_a_block():
+    assert columns_for_degree(MAX_DEGREE) <= BLOCK_ELEMS
+    assert columns_for_degree(MAX_DEGREE + 1) > BLOCK_ELEMS
+
+
 def test_model_file_roundtrip(tmp_path, plane_points):
     fit, _ = _plane_fit(plane_points)
     model = to_monomial(fit, include_audit=True)
@@ -309,16 +334,18 @@ def test_model_file_roundtrip(tmp_path, plane_points):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_ordered = st.lists(_finite, min_size=2, max_size=2, unique=True).map(sorted)
+# bounds of a model file: max - min must be finite too
+_pairs = st.lists(_finite, min_size=2, max_size=2).map(sorted).filter(
+    lambda b: math.isfinite(b[1] - b[0]))
+_ordered = _pairs.filter(lambda b: b[0] < b[1])
 
 
 @st.composite
 def _models(draw):
-    kept = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=20,
-                         unique=True))
+    kept = draw(st.lists(st.integers(0, columns_for_degree(MAX_DEGREE) - 1),
+                         min_size=1, max_size=20, unique=True))
     c = draw(st.lists(_finite, min_size=len(kept), max_size=len(kept)))
-    x, y = draw(_ordered), draw(_ordered)
-    z = sorted(draw(st.lists(_finite, min_size=2, max_size=2)))
+    x, y, z = draw(_ordered), draw(_ordered), draw(_pairs)
     return SurfaceModel(c=np.array(c), kept=tuple(kept),
                         map=NormalizationMap(*x, *y, *z),
                         S=draw(st.integers(0, 10 ** 6)),
