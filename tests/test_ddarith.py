@@ -245,6 +245,59 @@ def test_dd_sum_column_groups_keep_every_bit(n, cols, order, axis, with_lo):
         assert got.tobytes() == np.array(want).tobytes()
 
 
+_U = Fraction(1, 2 ** 53)
+
+
+def _leaves(rng, shape, cancel):
+    """dd leaves along axis 0 with |lo| <= u |hi| (the form two_prod
+    gives); with ``cancel`` the second half of the high parts negates the
+    first half in another order, so only the low parts survive."""
+    hi = rng.standard_normal(shape) * 2.0 ** rng.integers(-20, 21, shape)
+    if cancel:
+        half = shape[0] // 2
+        hi[half:2 * half] = -hi[rng.permutation(half)]
+    return hi, hi * rng.uniform(-2.0 ** -53, 2.0 ** -53, shape)
+
+
+def _check_tree_bound(hi, lo, h, l):
+    # the bound of ddarith._tree_sum: D (D + 3) u**2 sum|hi|, D = ceil(log2 n)
+    depth = (len(hi) - 1).bit_length()
+    exact = sum(map(Fraction, hi.tolist() + lo.tolist()), Fraction(0))
+    scale = Fraction(math.fsum(np.abs(hi)))
+    assert abs(Fraction(h) + Fraction(l) - exact) <= depth * (depth + 3) * _U ** 2 * scale
+    assert abs(l) <= math.ulp(h) / 2  # the dd invariant callers rely on
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097])
+@pytest.mark.parametrize("cancel", [False, True])
+def test_dd_sum_error_bound_across_odd_carries(n, cancel):
+    hi, lo = _leaves(np.random.default_rng(n), (n,), cancel)
+    h, l = dd_sum(hi, lo)
+    _check_tree_bound(hi, lo, float(h), float(l))
+
+
+@pytest.mark.parametrize("shape", [
+    (257, 6),
+    (3000, 22),  # above BLOCK_ELEMS: groups of 21 + 1 columns
+])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("cancel", [False, True])
+def test_dd_sum_error_bound_along_either_axis(shape, axis, cancel):
+    hi, lo = _leaves(np.random.default_rng(shape[0] + axis), shape, cancel)
+    sums = dd_sum(hi if axis == 0 else hi.T, lo if axis == 0 else lo.T, axis=axis)
+    for k, (h, l) in enumerate(zip(*sums)):
+        _check_tree_bound(hi[:, k], lo[:, k], h, l)
+
+
+def test_non_finite_operands_give_non_finite_sums():
+    # the CLI's refusal to print a non-finite value rests on this
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, l = dd_sum(np.array([np.inf, 1.0]), 0.0)
+        overflow = comp_dot(np.array([1e200, 1.0]), np.array([1e200, 1.0]))
+    assert not math.isfinite(h + l)
+    assert not math.isfinite(overflow)
+
+
 def test_dd_precision_is_about_32_digits():
     # (1 + 1e-25) - 1 survives in dd, dies in double
     one_plus = dd_add(1.0, 0.0, 1e-25, 0.0)
