@@ -21,8 +21,8 @@ from orthofit.synth import SplitMix64
 # --- orthogonality loss across schemes ---------------------------------------
 rng = SplitMix64(2024)
 n = 1500
-x = np.array([rng.uniform() for _ in range(n)])
-y = np.array([rng.uniform() for _ in range(n)])
+x = rng.uniforms(n)
+y = rng.uniforms(n)
 
 print("orthogonality defect (largest off-diagonal inner product)")
 print("  columns    classical       modified        iterated")
@@ -48,8 +48,8 @@ parts = DataSplit(train_idx=idx, cv_idx=idx[:0], test_idx=idx[:0])
 print("\nmonomial-conversion drift vs model size (probed at 50 points)")
 print("  columns    double conversion    double-double conversion")
 probe_rng = SplitMix64(31)
-px = np.array([probe_rng.uniform() for _ in range(50)])
-py = np.array([probe_rng.uniform() for _ in range(50)])
+px = probe_rng.uniforms(50)
+py = probe_rng.uniforms(50)
 for n_cols in (28, 66, 105):
     fit = fit_surface(parts, data,
                       FitConfig(fixed_columns=n_cols, max_columns=n_cols,

@@ -8,7 +8,8 @@ and ``split`` (inspect the train/cv/test partition).
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
 2 usage or input error (bad flags, missing or unopenable files,
-non-finite lambda or x grid), 3 data or model error (unparseable or
+non-finite lambda or x grid, a ``synth`` grid over the point cap or noise
+that overflows z), 3 data or model error (unparseable or
 non-UTF-8 data, degenerate or overflowing axes, model version mismatch
 or out-of-range model fields), 4 numeric failure (non-finite training
 error or ``eval`` output included).
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import (SplitConfig, load_dataset, load_points, normalize,
-                      save_dataset, split)
+                      save_dataset, split, write_rows)
 from .errors import (DegenerateAxisError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
@@ -221,13 +222,12 @@ def cmd_eval(args) -> int:
     else:
         X, Y = load_points(args.points).T
         rows, points = X.size, lambda k: (X[k], Y[k])
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["X", "Y", "Z"]
     if args.with_slope:
         header.append("dZdY")
     if args.with_entropy:
         header.append("dS")
-    writer.writerow(header)
+    sys.stdout.write(",".join(header) + "\n")
     for lo in range(0, rows, EVAL_CHUNK_ROWS):
         Xc, Yc = points(np.arange(lo, min(lo + EVAL_CHUNK_ROWS, rows)))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -236,14 +236,14 @@ def cmd_eval(args) -> int:
                 cols.append(dZ_dY(model, Xc, Yc))
             if args.with_entropy:
                 cols.append(entropy_change(model, Yc, Xc))
-        bad = np.argwhere(~np.isfinite(np.array(cols[2:]).T))
+        table = np.column_stack(cols)
+        bad = np.argwhere(~np.isfinite(table[:, 2:]))
         if bad.size:
             row, col = bad[0]
             raise FloatingPointError(
                 f"{header[2 + col]} is not finite in output row "
                 f"{lo + row + 1} (X={Xc[row]:.17g}, Y={Yc[row]:.17g})")
-        writer.writerows([format(v, ".17g") for v in row]
-                         for row in zip(*(c.tolist() for c in cols)))
+        write_rows(sys.stdout, table, "\n")
     return 0
 
 

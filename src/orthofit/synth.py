@@ -1,12 +1,18 @@
 """Synthetic magnetization-like datasets with known ground truth.
 
-Randomness comes from SplitMix64, a 64-bit counter-based generator
-(increment 0x9E3779B97F4A7C15, finalizer multipliers 0xBF58476D1CE4E5B9
-and 0x94D049BB133111EB, shifts 30/27/31), chosen because its output is a
-short fixed sequence of integer operations -- identical on every
-platform.  Gaussian-ish noise is the sum of twelve uniforms minus six
-(unit variance, no transcendental functions), which keeps datasets
-bit-reproducible everywhere.
+Randomness comes from SplitMix64 (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014), a counter-based 64-bit
+generator: output i finalizes seed + i·γ mod 2^64 with a fixed sequence
+of xor-shifts and wrapping multiplies, so a block of outputs is a few
+uint64 array operations.  Uniforms are the top 53 bits times 2^-53, and
+the noise is the sum of twelve such integers, added exactly, rounded
+once to double, times 2^-53, minus six (Irwin-Hall: zero mean, unit
+variance).  The grid, the stream, the uniforms and the noise are
+integer or correctly rounded IEEE operations, identical on every
+platform, and so are the 'plane' z values.  The other surfaces go
+through libm: 'magnet' calls the platform's ``math.tanh`` and 'poly:K'
+raises to integer powers with ``**``, so their z values, noisy or not,
+can differ in the last bit between platforms.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from typing import Callable
 import numpy as np
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the Weyl increment γ
 MAX_POLY_DEGREE = 40  # 'poly:K' draws (K + 1)(K + 2)/2 coefficients
+MAX_POINTS = 10_000_000  # nx * ny cap: 100 times the largest benchmark corpus
 
 
 class SplitMix64:
@@ -27,19 +35,42 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
+    def block(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array.
+
+        Every wrapping multiply is an array operation: numpy wraps uint64
+        arrays silently but warns when a uint64 scalar overflows.
+        """
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self.state
+        self.state = (self.state + count * _GAMMA) & _MASK
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return z
+
+    def uniforms(self, count: int) -> np.ndarray:
+        return (self.block(count) >> 11) * 2.0 ** -53
+
+    def normals(self, count: int) -> np.ndarray:
+        # Irwin-Hall(12) - 6: zero mean, exactly unit variance.  Twelve
+        # 53-bit integers sum exactly in uint64 (below 12 * 2^53) and
+        # round once to double, which is what math.fsum of the twelve
+        # uniforms gives.
+        k = (self.block(12 * count) >> 11).reshape(count, 12).sum(axis=1)
+        return k * 2.0 ** -53 - 6.0
+
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return int(self.block(1)[0])
 
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        return float(self.uniforms(1)[0])
 
     def normal(self) -> float:
-        # Irwin-Hall(12) - 6: zero mean, exactly unit variance.
-        return math.fsum(self.uniform() for _ in range(12)) - 6.0
+        return float(self.normals(1)[0])
 
 
 @dataclass(frozen=True)
@@ -49,7 +80,8 @@ class SynthSpec:
     surface : 'plane', 'poly:K' (random polynomial of total degree K,
         0 <= K <= MAX_POLY_DEGREE; 'poly' alone means K = 3), or 'magnet'
         (smooth sigmoidal M(H, T)-like sheet).
-    nx, ny : grid counts along x and y (each >= 1, nx * ny >= 6).
+    nx, ny : grid counts along x and y (each >= 1, 6 <= nx * ny <=
+        MAX_POINTS).
     noise_sigma : standard deviation of additive noise.
     seed : generator seed; same seed, same dataset, any platform.
     """
@@ -66,6 +98,9 @@ class SynthSpec:
                              f"and ny={self.ny}")
         if self.nx * self.ny < 6:
             raise ValueError("need nx * ny >= 6")
+        if self.nx * self.ny > MAX_POINTS:
+            raise ValueError(f"nx * ny = {self.nx * self.ny} exceeds "
+                             f"{MAX_POINTS}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ValueError("noise_sigma must be finite and >= 0")
         kind, colon, arg = self.surface.partition(":")
@@ -110,7 +145,8 @@ def generate(spec: SynthSpec):
     Returns (points, truth): points is an (nx * ny, 3) float64 array of
     (x, y, z) rows over the regular nx-by-ny grid on [0, 1]^2, x varying
     fastest, with noise added to z; truth is the noise-free surface as a
-    callable f(x, y).
+    callable f(x, y).  Raises ValueError when the noise makes a z value
+    overflow.
     """
     kind, _, arg = spec.surface.partition(":")
     if kind == "plane":
@@ -123,6 +159,10 @@ def generate(spec: SynthSpec):
     Y = np.repeat(np.linspace(0.0, 1.0, spec.ny), spec.nx)
     Z = np.array([truth(x, y) for x, y in zip(X.tolist(), Y.tolist())])
     if spec.noise_sigma > 0:
-        rng = SplitMix64(spec.seed)
-        Z += spec.noise_sigma * np.array([rng.normal() for _ in range(Z.size)])
+        with np.errstate(over="ignore"):  # checked below
+            Z += spec.noise_sigma * SplitMix64(spec.seed).normals(Z.size)
+        bad = np.count_nonzero(~np.isfinite(Z))
+        if bad:
+            raise ValueError(f"noise {spec.noise_sigma:g} makes {bad} of "
+                             f"{Z.size} z values overflow")
     return np.column_stack([X, Y, Z]), truth

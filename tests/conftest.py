@@ -42,8 +42,8 @@ def unit_dataset(points):
 
 def uniform_xy(n, seed):
     rng = SplitMix64(seed)
-    x = np.array([rng.uniform() for _ in range(n)])
-    y = np.array([rng.uniform() for _ in range(n)])
+    x = rng.uniforms(n)
+    y = rng.uniforms(n)
     return x, y
 
 

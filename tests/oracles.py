@@ -6,7 +6,9 @@ full-pivot elimination in double-double scalars, derivative oracles use
 the power rule or symbolic differentiation, and expected values frozen
 into tests were produced by these routines.  The reference parser is
 the plain form of the data-file row loop: every cell stripped before
-``float()``, blank rows skipped before the arity check.
+``float()``, blank rows skipped before the arity check.  The reference
+SplitMix64 draws one output at a time in Python integers, and the
+reference writer formats every cell through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -348,3 +350,38 @@ def reference_read_columns(text, width):
     if not values:
         raise ParseError("no data rows", line=2)
     return np.array(values).reshape(-1, width)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 one output at a time in Python integers: the published
+    increment and finalizer (Steele, Lea & Flood 2014), uniforms as the
+    top 53 bits times 2^-53, normals as ``math.fsum`` of twelve uniforms
+    minus six."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def normal(self):
+        return math.fsum(self.uniform() for _ in range(12)) - 6.0
+
+
+def reference_rows(rows, lineterminator):
+    """The text ``csv.writer`` writes for rows of floats, each cell
+    formatted with ``format(v, ".17g")``."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator=lineterminator).writerows(
+        [format(v, ".17g") for v in row] for row in rows)
+    return buf.getvalue()

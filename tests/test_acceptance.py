@@ -173,8 +173,8 @@ def test_criterion_1_companion_self_consistent_entries():
 
 def _scheme_defect(seed, scheme, n=2000, n_cols=201):
     rng = SplitMix64(seed)
-    x = np.array([rng.uniform() for _ in range(n)])
-    y = np.array([rng.uniform() for _ in range(n)])
+    x = rng.uniforms(n)
+    y = rng.uniforms(n)
     gen = _BlockGen(x, y, PrecisionMode.DOUBLE)
     b = OrthoBuilder(n, scheme=scheme, capacity=n_cols)
     while b.n_columns < n_cols:
@@ -213,8 +213,8 @@ def test_criterion_3_normal_equation_oracle_equivalence():
     for _ in range(25):
         n = 35 + rng.next_u64() % 26          # 35..60 points
         k = 10 + rng.next_u64() % 19          # 10..28 columns
-        x = np.array([rng.uniform() for _ in range(n)])
-        y = np.array([rng.uniform() for _ in range(n)])
+        x = rng.uniforms(n)
+        y = rng.uniforms(n)
         z = np.array([math.sin(3 * a) * math.cos(2 * b) + 0.1 * rng.uniform()
                       for a, b in zip(x, y)])
         data = normalize(np.column_stack([x, y, z]))
@@ -266,8 +266,8 @@ def test_criterion_5_conversion_fidelity():
                                 precision=PrecisionMode.EXTENDED))
     assert fit.S == 150
     rng = SplitMix64(99)
-    px = np.array([rng.uniform() for _ in range(100)])
-    py = np.array([rng.uniform() for _ in range(100)])
+    px = rng.uniforms(100)
+    py = rng.uniforms(100)
     ref = eval_ortho(fit, px, py)
     d_ext = np.abs(eval_monomial(to_monomial(fit), px, py) - ref).max()
     d_dbl = np.abs(eval_monomial(
@@ -340,8 +340,8 @@ def test_criterion_8_derivative_checks():
     t0 = time.perf_counter()
     from orthofit.basis import basis_dy, basis_values
     rng = SplitMix64(55)
-    x = np.array([0.3 + 0.5 * rng.uniform() for _ in range(100)])
-    y = np.array([0.3 + 0.5 * rng.uniform() for _ in range(100)])
+    x = 0.3 + 0.5 * rng.uniforms(100)
+    y = 0.3 + 0.5 * rng.uniforms(100)
     L = columns_for_degree(10) - 1
     h = 1e-4
     fd_xx = (basis_values(x + h, y, L) - 2 * basis_values(x, y, L)

@@ -16,9 +16,10 @@ import pytest
 
 from orthofit import (SynthSpec, dZ_dY, entropy_change, eval_physical,
                       generate, load_model, save_dataset)
-from orthofit.cli import _parse_x_grid, main
-from orthofit.synth import MAX_POLY_DEGREE
+from orthofit.cli import EVAL_CHUNK_ROWS, _parse_x_grid, main
+from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
 from conftest import src_env
+from oracles import reference_rows
 
 
 def run_cli(capsys, *argv):
@@ -366,6 +367,31 @@ def test_eval_grid_rows_match_point_subsets(capsys, noisy_csv, tmp_path):
     assert parts == whole
 
 
+@pytest.mark.parametrize("where", ["grid", "points"])
+def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
+                                                  tmp_path, where):
+    # 23 x 13 = 299 rows: the last chunk is short of EVAL_CHUNK_ROWS
+    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    nm = model.map
+    if where == "grid":
+        X = np.tile(np.linspace(nm.x_min, nm.x_max, 23), 13)
+        Y = np.repeat(np.linspace(nm.y_min, nm.y_max, 13), 23)
+        argv = ["--grid", "23x13"]
+    else:  # inside the rectangle and a margin around it
+        u = SplitMix64(17).uniforms(2 * 299).reshape(2, -1) * 1.4 - 0.2
+        X = nm.x_min + u[0] * (nm.x_max - nm.x_min)
+        Y = nm.y_min + u[1] * (nm.y_max - nm.y_min)
+        argv = ["--points", str(_write_points(tmp_path / "p.csv", X, Y))]
+    assert len(X) % EVAL_CHUNK_ROWS
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--with-slope", "--with-entropy", *argv)
+    assert code == 0, err
+    rows = [(x, y, eval_physical(model, x, y), dZ_dY(model, x, y),
+             entropy_change(model, y, x))
+            for x, y in zip(X.tolist(), Y.tolist())]
+    assert out == "X,Y,Z,dZdY,dS\n" + reference_rows(rows, "\n")
+
+
 def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
                                                           tmp_path):
     # 10**10 grid rows: whole X and Y arrays would take 160 GB, so under a
@@ -590,6 +616,28 @@ def test_synth_rejects_negative_grid_counts(capsys, tmp_path):
                              "--out", str(out_path))
     assert code == 2 and not out
     assert err.startswith("error: nx and ny must be >= 1, got nx=-2 and ny=-3")
+    assert not out_path.exists()
+
+
+def test_synth_rejects_a_grid_over_the_point_cap(capsys, tmp_path,
+                                                 monkeypatch):
+    # refused before anything is generated or allocated
+    monkeypatch.setattr("orthofit.cli.generate",
+                        lambda spec: pytest.fail("generate was called"))
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--nx", "200000", "--ny",
+                             "200000", "--out", str(out_path))
+    assert code == 2 and not out
+    assert err == f"error: nx * ny = 40000000000 exceeds {MAX_POINTS}\n"
+    assert not out_path.exists()
+
+
+def test_synth_refuses_noise_that_overflows(capsys, tmp_path):
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", "--nx", "4", "--ny", "3",
+                             "--noise", "1.7e308", "--out", str(out_path))
+    assert code == 2 and not out
+    assert err == "error: noise 1.7e+308 makes 5 of 12 z values overflow\n"
     assert not out_path.exists()
 
 

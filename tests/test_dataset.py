@@ -13,7 +13,7 @@ from orthofit import (InsufficientDataError, NormalizedDataset, ParseError,
                       save_dataset, split)
 from orthofit.dataset import HEADER_ALIASES, _read_columns
 from orthofit.errors import DegenerateAxisError
-from oracles import reference_read_columns
+from oracles import reference_read_columns, reference_rows
 
 
 def test_load_simple_csv():
@@ -196,6 +196,23 @@ def test_save_load_round_trip_is_bit_identical(tmp_path, rows):
         for back in map(load_dataset, sources):
             assert back.dtype == np.float64 and back.shape == pts.shape
             assert back.tobytes() == pts.tobytes()
+
+
+_any_cell = st.one_of(
+    st.sampled_from(EDGE_FLOATS + (math.nan, math.inf, -math.inf)),
+    st.floats())
+
+
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_any_cell, _any_cell, _any_cell), max_size=20))
+def test_saved_bytes_match_the_reference_writer(tmp_path, monkeypatch, rows):
+    # blocks of three rows: the lists end on full and partial blocks
+    monkeypatch.setattr("orthofit.dataset.ROWS_PER_WRITE", 3)
+    path = tmp_path / "written.csv"
+    save_dataset(np.array(rows, dtype=float).reshape(-1, 3), path)
+    assert path.read_bytes() == (
+        "x,y,z\r\n" + reference_rows(rows, "\r\n")).encode()
 
 
 def test_normalize_affine_and_exact_endpoints():

@@ -187,8 +187,8 @@ def test_comp_dot_large_uniform():
 
 def test_dd_dot_matches_fractions():
     rng = SplitMix64(9)
-    u = np.array([rng.uniform() for _ in range(64)])
-    v = np.array([rng.uniform() for _ in range(64)])
+    u = rng.uniforms(64)
+    v = rng.uniforms(64)
     h, l = dd_dot(u, np.zeros_like(u), v, np.zeros_like(v))
     exact = sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
     assert abs(_dd_frac(h, l) - exact) < abs(exact) / Fraction(10 ** 28)
@@ -200,8 +200,8 @@ def test_dd_dot_along_either_axis_matches_fractions():
     rng = SplitMix64(11)
 
     def dd(*shape):
-        hi = np.array([rng.uniform() for _ in range(math.prod(shape))])
-        lo = hi * np.array([rng.uniform() - 0.5 for _ in hi]) * 2.0 ** -53
+        hi = rng.uniforms(math.prod(shape))
+        lo = hi * (rng.uniforms(hi.size) - 0.5) * 2.0 ** -53
         return hi.reshape(shape), lo.reshape(shape)
 
     (M, ML), (v, vl), (w, wl) = dd(6, 4), dd(4), dd(6)

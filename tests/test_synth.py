@@ -2,24 +2,54 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthofit import (FitConfig, SynthSpec, fit_surface, generate,
                       load_dataset, normalize, save_dataset)
-from orthofit.synth import MAX_POLY_DEGREE, SplitMix64
+from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
 from conftest import all_train_split, unit_dataset
+from oracles import ReferenceSplitMix64
+
+# first outputs for seed 0 of the standard SplitMix64 finalizer
+SEED0_STREAM = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_splitmix64_reference_stream():
-    # first outputs for seed 0 of the standard SplitMix64 finalizer
     rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
-    assert rng.next_u64() == 0x06C45D188009454F
+    assert [rng.next_u64() for _ in range(3)] == SEED0_STREAM
+    block = SplitMix64(0).block(3)
+    assert block.dtype == np.uint64 and block.tolist() == SEED0_STREAM
+    ref = ReferenceSplitMix64(0)
+    assert [ref.next_u64() for _ in range(3)] == SEED0_STREAM
+
+
+_seeds = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(-2 ** 70, -1),
+                   st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1, -1]))
+_counts = st.integers(0, 40)
+
+
+@settings(max_examples=150)
+@given(_seeds, _counts, _counts, _counts, _counts)
+def test_block_stream_matches_reference_bit_for_bit(seed, first, second,
+                                                    n_uniform, n_normal):
+    rng, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+    # one draw split over two calls gives the stream of one call
+    got = rng.block(first).tolist() + rng.block(second).tolist()
+    assert got == [ref.next_u64() for _ in range(first + second)]
+    got = rng.uniforms(n_uniform)
+    want = np.array([ref.uniform() for _ in range(n_uniform)])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    got = rng.normals(n_normal)
+    want = np.array([ref.normal() for _ in range(n_normal)])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    scalars = (rng.next_u64(), rng.uniform(), rng.normal())
+    assert scalars == (ref.next_u64(), ref.uniform(), ref.normal())
+    assert rng.state == ref.state
 
 
 def test_uniforms_in_unit_interval():
     rng = SplitMix64(123)
-    us = [rng.uniform() for _ in range(1000)]
+    us = rng.uniforms(1000)
     assert all(0.0 <= u < 1.0 for u in us)
     assert 0.4 < sum(us) / len(us) < 0.6
 
@@ -83,6 +113,14 @@ def test_emitted_csv_round_trips_through_loader(tmp_path):
     normalize(back)  # ingestible by the pipeline
 
 
+def test_overflowing_noise_is_refused():
+    spec = SynthSpec(surface="magnet", nx=4, ny=3, noise_sigma=1.7e308)
+    with pytest.raises(ValueError,
+                       match=r"^noise 1\.7e\+308 makes 5 of 12 z values "
+                             r"overflow$"):
+        generate(spec)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(surface="magnet", nx=2, ny=2)
@@ -95,3 +133,8 @@ def test_spec_validation():
         SynthSpec(surface="plane", nx=5, ny=5, noise_sigma=-0.1)
     for surface in ("poly", "poly:0", f"poly:{MAX_POLY_DEGREE}"):
         SynthSpec(surface=surface)  # the degree's bounds are accepted
+    SynthSpec(nx=MAX_POINTS // 8, ny=8)  # at the cap; nothing is allocated
+    with pytest.raises(ValueError,
+                       match=f"^nx \\* ny = {MAX_POINTS + 1} exceeds "
+                             f"{MAX_POINTS}$"):
+        SynthSpec(nx=MAX_POINTS + 1, ny=1)
