@@ -21,9 +21,7 @@ thread count (``OPENBLAS_NUM_THREADS``).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -128,18 +126,16 @@ def _parse_x_grid(text: str) -> list[float]:
 def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(report, indent=1) + "\n")
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(report.keys())
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else v
-                         for v in report.values()])
-        sys.stdout.write(buf.getvalue())
+        return
+    cells = {k: format(v, ".17g") if isinstance(v, float) else str(v)
+             for k, v in report.items()}
+    if fmt == "csv":  # no key or cell holds a comma, quote or newline
+        sys.stdout.write(",".join(cells) + "\n"
+                         + ",".join(cells.values()) + "\n")
     else:
-        width = max(len(k) for k in report)
-        for k, v in report.items():
-            sval = format(v, ".17g") if isinstance(v, float) else str(v)
-            sys.stdout.write(f"{k:<{width}}  {sval}\n")
+        width = max(len(k) for k in cells)
+        for k, v in cells.items():
+            sys.stdout.write(f"{k:<{width}}  {v}\n")
 
 
 def cmd_fit(args) -> int:
@@ -196,7 +192,7 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(sweep_to_json(report))
     else:
         sys.stdout.write(sweep_to_csv(report))
-        if report.chosen is not None:
+        if args.report == "text" and report.chosen is not None:
             rec = report.records[report.chosen]
             sys.stdout.write(f"# chosen: x={rec.x_log:g} S={rec.S} "
                              f"gamma={rec.gamma:.2f} gamma_prime={rec.gamma_prime:.2f}\n")
@@ -254,12 +250,12 @@ def cmd_export(args) -> int:
             model = dataclasses.replace(model, audit=None)
         save_model(model, args.out)
     else:
+        table = np.array([(*degree_block(t), c)
+                          for t, c in zip(model.kept, model.c)],
+                         dtype=float).reshape(-1, 4)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "degree", "y_power", "c"])
-            for t, c in zip(model.kept, model.c):
-                _, m, j = degree_block(int(t))
-                writer.writerow([t, m, j, format(float(c), ".17g")])
+            fh.write("t,degree,y_power,c\n")
+            write_rows(fh, table, "\n")
     return 0
 
 

@@ -247,8 +247,10 @@ def save_dataset(points, path) -> None:
 def write_rows(fh, table: np.ndarray, end: str) -> None:
     """Write each row of a 2-D float array to ``fh`` as ``.17g`` cells
     joined by commas and ended by ``end``: the bytes ``csv.writer`` writes
-    for the same cells, since no ``.17g`` text needs quoting.  Each block
-    of ``ROWS_PER_WRITE`` rows is formatted as one string."""
+    for the same cells, since no ``.17g`` text needs quoting.  An integral
+    cell of magnitude up to 2**53 prints as the integer, as ``csv.writer``
+    prints the int.  Each block of ``ROWS_PER_WRITE`` rows is formatted
+    as one string."""
     fmt = ",".join(["%.17g"] * table.shape[1]) + end
     for lo in range(0, table.shape[0], ROWS_PER_WRITE):
         block = table[lo:lo + ROWS_PER_WRITE]

@@ -16,7 +16,6 @@ whose overfitting degrees stay below a cap.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import DataSplit, NormalizedDataset
+from .dataset import DataSplit, NormalizedDataset, write_rows
 from .ddarith import comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
 from .model import _monomials, eval_monomial
@@ -187,23 +186,20 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
 # ---------------------------------------------------------------------------
 
 def _record_row(r: ValidationRecord) -> dict:
-    return {
-        "x": r.x_log, "lambda": r.lambda_, "S": r.S,
-        "sigma_tr": r.sigma_tr, "sigma_cv": r.sigma_cv,
-        "sigma_test": r.sigma_test, "gamma": r.gamma,
-        "gamma_prime": r.gamma_prime,
-    }
+    return dict(zip(SWEEP_COLUMNS, (
+        r.x_log, r.lambda_, r.S, r.sigma_tr, r.sigma_cv, r.sigma_test,
+        r.gamma, r.gamma_prime)))
 
 
 def sweep_to_csv(report: SweepReport) -> str:
-    """CSV text with one row per record (17-significant-digit numbers)."""
+    """CSV text: the ``SWEEP_COLUMNS`` header, then one row per record
+    written by ``dataset.write_rows`` (``.17g`` cells, so ``S`` prints as
+    an integer and a failed record's errors and degrees as ``nan``)."""
+    table = np.array([list(_record_row(r).values()) for r in report.records],
+                     dtype=float).reshape(-1, len(SWEEP_COLUMNS))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for r in report.records:
-        row = _record_row(r)
-        writer.writerow([format(row[c], ".17g") if isinstance(row[c], float)
-                         else row[c] for c in SWEEP_COLUMNS])
+    buf.write(",".join(SWEEP_COLUMNS) + "\n")
+    write_rows(buf, table, "\n")
     return buf.getvalue()
 
 

@@ -379,9 +379,11 @@ class ReferenceSplitMix64:
 
 
 def reference_rows(rows, lineterminator):
-    """The text ``csv.writer`` writes for rows of floats, each cell
-    formatted with ``format(v, ".17g")``."""
+    """The text ``csv.writer`` writes for the rows when each float cell is
+    formatted with ``format(v, ".17g")`` and every other cell (an int, a
+    string) is handed to it unchanged."""
     buf = io.StringIO(newline="")
     csv.writer(buf, lineterminator=lineterminator).writerows(
-        [format(v, ".17g") for v in row] for row in rows)
+        [format(v, ".17g") if isinstance(v, float) else v for v in row]
+        for row in rows)
     return buf.getvalue()

@@ -3,6 +3,7 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 from operator import setitem
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +116,35 @@ def test_fit_report_formats_carry_identical_numbers(capsys, plane_csv):
         assert k in out_text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("command", ["fit", "split"])
+def test_reports_match_the_reference_writer(capsys, monkeypatch, noisy_csv,
+                                            tmp_path, command, fmt):
+    # a fixed clock gives both runs the same wall_time_s; split's sample_by
+    # is a string cell among the numbers
+    argv = [command, str(noisy_csv), "--sample-by", "x"]
+    if command == "fit":
+        argv += ["-o", str(tmp_path / "m.json"), "--fixed-S", "20"]
+
+    def report(kind):
+        clock = itertools.count(2.0, 1 / 3)
+        monkeypatch.setattr("orthofit.cli.time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        code, out, err = run_cli(capsys, *argv, "--report", kind)
+        assert code == 0, err
+        return out
+
+    doc = json.loads(report("json"))
+    if fmt == "csv":
+        want = reference_rows([list(doc), list(doc.values())], "\n")
+    else:
+        width = max(map(len, doc))
+        want = "".join(
+            f"{k:<{width}}  {format(v, '.17g') if isinstance(v, float) else v}\n"
+            for k, v in doc.items())
+    assert report(fmt) == want
+
+
 def test_sweep_writes_consistent_csv_and_json(capsys, noisy_csv, tmp_path):
     csv_out = tmp_path / "sweep.csv"
     json_out = tmp_path / "sweep.json"
@@ -131,6 +162,20 @@ def test_sweep_writes_consistent_csv_and_json(capsys, noisy_csv, tmp_path):
     for row, rec in zip(rows[1:], doc["records"]):
         assert float(row[rows[0].index("sigma_cv")]) == rec["sigma_cv"]
         assert float(row[rows[0].index("gamma")]) == rec["gamma"]
+
+
+def test_sweep_csv_report_is_the_csv_out_table(capsys, noisy_csv, tmp_path):
+    csv_out = tmp_path / "sweep.csv"
+    argv = ["sweep", str(noisy_csv), "--x-grid", "10:30:10", "--fixed-S",
+            "20", "--csv-out", str(csv_out)]
+    code, out, err = run_cli(capsys, *argv, "--report", "csv")
+    assert code == 0, err
+    assert out.encode() == csv_out.read_bytes()
+    # the text report, the default, adds the chosen line after the table
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0 and text.startswith(out)
+    assert re.fullmatch(r"# chosen: x=\S+ S=20 gamma=\S+ gamma_prime=\S+\n",
+                        text[len(out):])
 
 
 def test_sweep_empty_grid_usage_error(capsys, plane_csv):
@@ -593,6 +638,54 @@ def test_export_json_and_csv(capsys, plane_csv, tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
     # coefficients live in normalized units: z spans [0.4, 0.75] on this grid
     assert float(rows[2][3]) == pytest.approx(0.25 / 0.35, rel=1e-12)
+
+
+def test_export_csv_matches_the_reference_writer(capsys, plane_csv,
+                                                 tmp_path):
+    # kept indices up to 65,340 (total degree 360): t, degree and y_power
+    # reach the reference writer as ints
+    model_path = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path))
+    doc = json.loads(model_path.read_text())
+    doc["kept_indices"] = [0, 65339, 65340]
+    doc["c"][1] = -doc["c"][1] / 3
+    model_path.write_text(json.dumps(doc))
+    out_csv = tmp_path / "coeffs.csv"
+    code, _, err = run_cli(capsys, "export", "--model", str(model_path),
+                           "--out", str(out_csv), "--format", "csv")
+    assert code == 0, err
+    rows = [(0, 0, 0, doc["c"][0]), (65339, 360, 359, doc["c"][1]),
+            (65340, 360, 360, doc["c"][2])]
+    assert out_csv.read_bytes() == (
+        "t,degree,y_power,c\n" + reference_rows(rows, "\n")).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--surface", "poly:3", "--nx", "6", "--ny", "5",
+     "--out", "{out}"],
+    ["eval", "--model", "{model}", "--grid", "7x5", "--with-slope",
+     "--with-entropy"],
+    ["sweep", "{data}", "--x-grid=-700,10,20", "--fixed-S", "10",
+     "--precision", "extended", "--report", "csv"],
+    ["sweep", "{data}", "--x-grid=-700,10,20", "--fixed-S", "10",
+     "--precision", "extended", "--csv-out", "{out}"],
+    ["export", "--model", "{model}", "--out", "{out}", "--format", "csv"],
+    ["fit", "{data}", "-o", "{model}", "--report", "csv"],
+    ["split", "{data}", "--report", "csv"],
+], ids=["synth", "eval_grid", "sweep_report", "sweep_csv_out", "export",
+        "fit_report", "split_report"])
+def test_every_csv_the_cli_writes_is_a_rectangle(capsys, noisy_csv, tmp_path,
+                                                 argv):
+    model, out_csv = tmp_path / "m.json", tmp_path / "out.csv"
+    run_cli(capsys, "fit", str(noisy_csv), "-o", str(model), "--fixed-S", "20")
+    names = {"data": noisy_csv, "model": model, "out": out_csv}
+    code, out, err = run_cli(capsys, *(a.format(**names) for a in argv))
+    assert code == 0, err
+    if "{out}" in argv:
+        out = out_csv.read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert len(rows) >= 2
+    assert [len(r) for r in rows] == [len(rows[0])] * len(rows)
 
 
 @pytest.mark.parametrize("surface", [

@@ -18,7 +18,7 @@ from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
 from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import SWEEP_COLUMNS, sweep_to_csv, sweep_to_json
 from conftest import all_train_split, src_env, unit_dataset
-from oracles import refit_sweep
+from oracles import reference_rows, refit_sweep
 
 
 def test_overfit_degree_reference_triples():
@@ -192,6 +192,22 @@ def test_serialization_schemas_and_consistency():
             want = jrec[name]
             got = float(cell) if isinstance(want, float) else int(cell)
             assert got == want
+
+
+def test_sweep_csv_matches_the_reference_writer():
+    # S reaches the reference writer as the record's int; x = -700 and a
+    # failed record (S -1, nan cells) sit among the paper's table rows
+    failed = ValidationRecord(x_log=-700.0, lambda_=math.exp(700), S=-1,
+                              sigma_tr=math.nan, sigma_cv=math.nan,
+                              sigma_test=math.nan, gamma=math.nan,
+                              gamma_prime=math.nan, note="boom")
+    table = tuple(_records_from_table())
+    header = ",".join(SWEEP_COLUMNS) + "\n"
+    for records in ((), (failed,), (failed,) + table):
+        rows = [(r.x_log, r.lambda_, r.S, r.sigma_tr, r.sigma_cv,
+                 r.sigma_test, r.gamma, r.gamma_prime) for r in records]
+        assert sweep_to_csv(SweepReport(records=records)) == (
+            header + reference_rows(rows, "\n"))
 
 
 SHARED_SWEEPS = {
