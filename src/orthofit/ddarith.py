@@ -34,6 +34,8 @@ fit's training error or z projection), nor the products ``dd_dot`` and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # 2**27 + 1; splits a double into two 26-bit halves whose product is exact.
@@ -166,8 +168,9 @@ def dd_sum(xh, xl, axis=0):
     xh = np.asarray(xh, dtype=float)
     xl = np.asarray(xl, dtype=float) if np.ndim(xl) else np.broadcast_to(
         np.asarray(xl, dtype=float), xh.shape)
-    xh = np.moveaxis(xh, axis, 0)
-    xl = np.moveaxis(xl, axis, 0)
+    if axis != 0:
+        xh = np.moveaxis(xh, axis, 0)
+        xl = np.moveaxis(xl, axis, 0)
     if xh.ndim != 2 or xh.size <= BLOCK_ELEMS:
         return _tree_sum(xh, xl)
     n, cols = xh.shape
@@ -261,8 +264,18 @@ def dd_slices(hi, lo, width, count, exp=0):
     multiple of the unit 2**(exp + 1 - width*p) of magnitude at most
     2**(width - 1) + 1 units, and ``hi + lo == sum(slices) + rh + rl``
     exactly, with ``|rh + rl|`` at most the last unit.  Each slice is
-    fl((r + sigma) - sigma), sigma = 0.75 * 2**(exp + 54 - width*p),
-    and the remainder r is renormalized with ``two_sum``.
+    s = fl((rh + sigma) - sigma), sigma = 0.75 * 2**(exp + 54 - width*p),
+    and the remainder is renormalized with ``fast_two_sum(rh - s, rl)``.
+
+    That gives the (s, e) of ``two_sum``: ``rh - s`` is exact and a
+    multiple of ulp(rh), since s is rh rounded to a multiple of the unit
+    (rh itself when the unit is at most ulp(rh)).  So when it is nonzero
+    it is at least ulp(rh) >= |rl|: for p = 1 the domain below gives
+    |lo| <= ulp(hi), and later ``rl`` is the error of a rounding to
+    nearest, at most 0.5 ulp(rh).  A zero first operand is exact too.
+    Under |a| >= |b| or a = 0, ``fast_two_sum`` is error-free, and an
+    error-free sum's (s, e) is unique, so the slices are the same bits;
+    only a zero remainder can differ, in its sign, where ``lo`` is -0.0.
 
     Valid domain: 1 <= width <= 26, every sigma a normal double (-1021
     <= exp + 54 - width*count and exp + 54 - width <= 1023), and ``|lo|
@@ -273,10 +286,10 @@ def dd_slices(hi, lo, width, count, exp=0):
     rl = np.array(lo, dtype=float)
     out = np.empty((count,) + rh.shape)
     for p in range(count):
-        sigma = np.ldexp(0.75, exp + 54 - width * (p + 1))
+        sigma = math.ldexp(0.75, exp + 54 - width * (p + 1))
         s = (rh + sigma) - sigma
         out[p] = s
-        rh, rl = two_sum(rh - s, rl)
+        rh, rl = fast_two_sum(rh - s, rl)
     return out, rh, rl
 
 

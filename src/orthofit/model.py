@@ -21,6 +21,7 @@ it costs one polynomial evaluation per point.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -150,20 +151,39 @@ def eval_ortho(fit: FitResult, x, y):
     return float(out[0]) if scalar else out
 
 
-def _sum_terms(model: SurfaceModel, table, x, y):
-    """Compensated sum_t c_t table_t(x, y) over the kept indices, where
-    ``table`` is basis_values or basis_dy.  The table is L + 1 wide, L the
-    largest kept index, and is built and summed BLOCK_ELEMS // (L + 1)
-    rows at a time; each row is its own sum."""
-    kept = np.asarray(model.kept, dtype=int)
+def _sum_terms(models, table, x, y) -> np.ndarray:
+    """Compensated sum_t c_t table_t(x, y) over each model's kept indices,
+    where ``table`` is basis_values or basis_dy; one row of values per
+    model, one column per point.
+
+    Every model's ``kept`` must be a prefix of the widest one's (the
+    models of one sweep, which share one basis), else ValueError.  The
+    table is L + 1 wide, L the widest model's largest kept index, and is
+    built BLOCK_ELEMS // (L + 1) rows at a time; each model's sum is a
+    ``comp_dot`` over the first K kept columns of the block.  A table
+    column does not depend on L (``basis_step`` is elementwise) and each
+    point is its own sum, so a model gets the bits it gets alone.
+    """
+    widest = max(models, key=lambda model: len(model.kept))
+    if any(tuple(model.kept) != tuple(widest.kept[:len(model.kept)])
+           for model in models):
+        raise ValueError("the models do not share one basis")
+    kept = np.asarray(widest.kept, dtype=int)
     L = int(kept.max())
-    xs, ys, scalar = _as_rows(x, y)
+    xs, ys, _ = _as_rows(x, y)
     rows = max(1, BLOCK_ELEMS // (L + 1))
-    out = np.empty(xs.size)
+    out = np.empty((len(models), xs.size))
     for r in range(0, xs.size, rows):
         t = table(xs[r:r + rows], ys[r:r + rows], L)[:, kept]
-        out[r:r + rows] = comp_dot(t, model.c, axis=1)
-    return float(out[0]) if scalar else out
+        for row, model in zip(out, models):
+            row[r:r + rows] = comp_dot(t[:, :len(model.kept)], model.c, axis=1)
+    return out
+
+
+def _sum_one(model: SurfaceModel, table, x, y):
+    """``_sum_terms`` for one model: a float for scalar (x, y)."""
+    out = _sum_terms([model], table, x, y)[0]
+    return float(out[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
 
 
 def eval_monomial(model: SurfaceModel, x, y):
@@ -172,7 +192,7 @@ def eval_monomial(model: SurfaceModel, x, y):
     Products and the sum are compensated, so accuracy is limited by the
     stored double coefficients rather than by summation order.
     """
-    return _sum_terms(model, basis_values, x, y)
+    return _sum_one(model, basis_values, x, y)
 
 
 def eval_physical(model: SurfaceModel, X, Y):
@@ -190,14 +210,15 @@ def dZ_dY(model: SurfaceModel, X, Y):
     if nmap.y_max == nmap.y_min:
         raise ValueError("degenerate Y range: derivative undefined")
     scale = float((nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min))
-    return scale * _sum_terms(model, basis_dy, *nmap.to_unit(X, Y))
+    return scale * _sum_one(model, basis_dy, *nmap.to_unit(X, Y))
 
 
+@functools.cache
 def _simpson_moments(top: int) -> np.ndarray:
     """nu_i = sum_k w_k (k/n)^i for i = 0..top, with w_k the weights of
     composite Simpson on n = SIMPSON_PANELS panels of [0, 1]: the rule
     applied to x^i.  The sums are exact integers in units of 1/(6n), so
-    each nu_i is rounded once."""
+    each nu_i is rounded once.  Built once per ``top`` and read-only."""
     n = SIMPSON_PANELS
     # node weights in units of h/6
     w = [2 if k in (0, n) else (8 if k % 2 else 4) for k in range(n + 1)]
@@ -205,7 +226,9 @@ def _simpson_moments(top: int) -> np.ndarray:
     for i in range(top + 1):
         nu.append(sum(w) / (6 * n ** (i + 1)))
         w = [v * k for k, v in enumerate(w)]
-    return np.array(nu)
+    nu = np.array(nu)
+    nu.flags.writeable = False
+    return nu
 
 
 def entropy_change(model: SurfaceModel, Y, X_hi):

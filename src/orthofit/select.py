@@ -24,10 +24,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .basis import basis_values
 from .dataset import DataSplit, NormalizedDataset, write_rows
 from .ddarith import comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
-from .model import _monomials, eval_monomial
+from .model import _monomials, _sum_terms
 from .errors import DegenerateFitError, OrthofitError
 
 GAMMA_CLAMP = 50.0
@@ -56,13 +57,25 @@ def overfit_degree(sigma_tr: float, sigma_other: float) -> float:
 def group_error(model, data: NormalizedDataset, idx) -> float:
     """Mean squared residual of the model over the listed points, summed
     by ``comp_dot`` as the training error is."""
+    return group_errors([model], data, idx)[0]
+
+
+def group_errors(models, data: NormalizedDataset, idx) -> list:
+    """``group_error`` of each model over one group of points.
+
+    The models must share one basis (``kept`` prefixes of the widest
+    one's, as the solves of one sweep are), else ValueError: the group's
+    basis table is built once and every model is summed from it
+    (``model._sum_terms``).  All residual sums are one ``comp_dot``
+    along the point axis, one tree per model, so each model's error has
+    the bits that a call for it alone gives.
+    """
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty index group")
     x, y, z = data.x[idx], data.y[idx], data.z[idx]
-    f = eval_monomial(model, x, y)
-    r = f - z
-    return float(comp_dot(r, r)) / idx.size
+    r = _sum_terms(models, basis_values, x, y) - z
+    return [float(v) / idx.size for v in comp_dot(r, r, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -144,8 +157,10 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     """Fit once per x in the grid with lambda = exp(-x) and collect records.
 
     The basis is built once and shared: each strength only reruns the
-    coefficient recurrence (``fit.solve``), and the monomial expansion
-    runs once for the widest fit.  Duplicate grid entries are dropped.
+    coefficient recurrence (``fit.solve``), the monomial expansion runs
+    once for the widest fit, and each held-out group's basis table is
+    built once and scores every strength (``group_errors``).  Duplicate
+    grid entries are dropped.
     An entry that is not finite or whose exp(-x) overflows raises
     ValueError, as does a NaN cap, before any fit.  A DegenerateFitError
     annotates its record instead of aborting the sweep; input errors
@@ -160,7 +175,11 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
         except DegenerateFitError as exc:
             fits.append(exc)
     solved = [fit for fit in fits if isinstance(fit, FitResult)]
-    models = iter(_monomials(solved) if solved else ())
+    held_out = iter(())
+    if solved:
+        models = _monomials(solved)
+        held_out = zip(group_errors(models, data, split.cv_idx),
+                       group_errors(models, data, split.test_idx))
     records = []
     for x, lam, fit in zip(xs, lams, fits):
         if isinstance(fit, DegenerateFitError):
@@ -169,10 +188,8 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
                 sigma_cv=math.nan, sigma_test=math.nan, gamma=math.nan,
                 gamma_prime=math.nan, note=str(fit)))
             continue
-        model = next(models)
         s_tr = fit.sigma_tr
-        s_cv = group_error(model, data, split.cv_idx)
-        s_te = group_error(model, data, split.test_idx)
+        s_cv, s_te = next(held_out)
         records.append(ValidationRecord(
             x_log=x, lambda_=lam, S=fit.S, sigma_tr=s_tr, sigma_cv=s_cv,
             sigma_test=s_te, gamma=overfit_degree(s_tr, s_cv),

@@ -8,7 +8,8 @@ into tests were produced by these routines.  The reference parser is
 the plain form of the data-file row loop: every cell stripped before
 ``float()``, blank rows skipped before the arity check.  The reference
 SplitMix64 draws one output at a time in Python integers, and the
-reference writer formats every cell through ``csv.writer``.
+reference writer formats every cell through ``csv.writer``.  The
+reference slicer renormalizes each remainder with ``two_sum``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from orthofit import (DegenerateFitError, ParseError, SweepReport,
                       overfit_degree, select_model, to_monomial)
 from orthofit.basis import basis_values, degree_block
 from orthofit.dataset import HEADER_ALIASES
-from orthofit.ddarith import DD, comp_dot, dd_dot
+from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
 from orthofit.ortho import PrecisionMode
 
 
@@ -387,3 +388,17 @@ def reference_rows(rows, lineterminator):
         [format(v, ".17g") if isinstance(v, float) else v for v in row]
         for row in rows)
     return buf.getvalue()
+
+
+def reference_slices(hi, lo, width, count, exp=0):
+    """``ddarith.dd_slices`` with every remainder renormalized by
+    ``two_sum``, which needs no ordering of its operands."""
+    rh = np.array(hi, dtype=float)
+    rl = np.array(lo, dtype=float)
+    out = np.empty((count,) + rh.shape)
+    for p in range(count):
+        sigma = np.ldexp(0.75, exp + 54 - width * (p + 1))
+        s = (rh + sigma) - sigma
+        out[p] = s
+        rh, rl = two_sum(rh - s, rl)
+    return out, rh, rl

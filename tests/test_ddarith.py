@@ -11,6 +11,7 @@ from orthofit.ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_div,
                               dd_dot, dd_mul, dd_slices, dd_sqrt, dd_sum,
                               fast_two_sum, slice_width, two_prod, two_sum)
 from orthofit.synth import SplitMix64
+from oracles import reference_slices
 
 
 def _rand_doubles(n, seed=42):
@@ -116,6 +117,65 @@ def test_dd_slices_are_error_free(width, exp, frac, lo_frac):
         assert units.denominator == 1
         assert abs(units) <= 2 ** (width - 1) + 1
     assert abs(rest) <= Fraction(2) ** (exp + 1 - width * count)
+
+
+_SLICE_WIDTHS = [slice_width(n, 118) for n in (3, 667, 66_667, 2 ** 31)]
+
+
+@st.composite
+def _slice_cases(draw):
+    """(hi, lo, width, count, exp) in ``dd_slices``' domain: hi random,
+    zero or an exact multiple of one slice's unit; lo zero, +-ulp(hi) or
+    below."""
+    width = draw(st.sampled_from(_SLICE_WIDTHS))
+    exp = draw(st.integers(-60, 60))
+    count = -(-118 // width)
+    kind = draw(st.sampled_from(["random", "zero", "unit"]))
+    if kind == "random":
+        hi = math.ldexp(draw(st.floats(-1.0, 1.0)), exp)
+    elif kind == "zero":
+        hi = draw(st.sampled_from([0.0, -0.0]))
+    else:
+        p = draw(st.integers(1, count))
+        units = draw(st.integers(-2 ** min(52, width * p - 1),
+                                 2 ** min(52, width * p - 1)))
+        hi = math.ldexp(units, exp + 1 - width * p)
+    ulp = math.ulp(hi)
+    lo = draw(st.one_of(st.sampled_from([0.0, -0.0, ulp, -ulp]),
+                        st.floats(-1.0, 1.0).map(lambda f: f * ulp)))
+    assume(abs(Fraction(hi) + Fraction(lo)) <= Fraction(2) ** exp)
+    return hi, lo, width, count, exp
+
+
+@_property
+@given(_slice_cases())
+def test_dd_slices_match_the_two_sum_form(case):
+    # fast_two_sum renormalizes each remainder exactly as two_sum does;
+    # only a zero remainder may differ, in its sign (from lo = -0.0)
+    hi, lo, width, count, exp = case
+    got = dd_slices(hi, lo, width, count, exp)
+    want = reference_slices(hi, lo, width, count, exp)
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1:], want[1:]):
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def test_dd_slices_match_the_two_sum_form_on_arrays():
+    rng = np.random.default_rng(118)
+    hi = rng.uniform(-1.0, 1.0, 3000)
+    hi[::7] = 0.0
+    hi[1::7] = np.ldexp(rng.integers(-2 ** 20, 2 ** 20, hi[1::7].size), -20)
+    ulp = np.spacing(np.abs(hi))
+    lo = rng.uniform(-1.0, 1.0, 3000) * ulp
+    lo[::5] = ulp[::5]
+    lo[1::5] = -ulp[1::5]
+    for width in _SLICE_WIDTHS:
+        count = -(-118 // width)
+        got = dd_slices(hi, lo, width, count)
+        want = reference_slices(hi, lo, width, count)
+        assert got[0].tobytes() == want[0].tobytes()
+        for a, b in zip(got[1:], want[1:]):
+            assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
 def test_fast_two_sum_ordered():

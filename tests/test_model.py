@@ -229,6 +229,21 @@ def test_entropy_change_simpson_exact_for_cubic_integrand():
     assert entropy_change(model, 0.3, 1.0) == pytest.approx(want, abs=1e-12)
 
 
+def test_simpson_moments_are_built_once_per_top_degree(field_model):
+    moments = model_module._simpson_moments
+    moments.cache_clear()
+    nm = field_model.map
+    X = np.linspace(nm.x_min, nm.x_max, 7)
+    first = entropy_change(field_model, 300.0, X)
+    again = entropy_change(field_model, 300.0, X)
+    assert first.tobytes() == again.tobytes()
+    assert moments.cache_info().misses == 1
+    nu = moments(5)
+    assert nu is moments(5) and not nu.flags.writeable
+    with pytest.raises(ValueError):
+        nu[0] = 0.0
+
+
 def test_entropy_change_argument_validation():
     degen = SurfaceModel(c=np.array([1.0]), kept=(0,),
                          map=NormalizationMap(2, 2, 0, 1, 0, 1),

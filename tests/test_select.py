@@ -15,8 +15,13 @@ from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
                       SweepReport, SynthSpec, ValidationRecord, fit_surface,
                       generate, group_error, lambda_sweep, normalize,
                       overfit_degree, select_model, split, to_monomial)
+from orthofit.basis import basis_values
+from orthofit.ddarith import comp_dot
+from orthofit.fit import FitBasis, solve
+from orthofit.model import _monomials
 from orthofit.ortho import OrthoBuilder, PrecisionMode
-from orthofit.select import SWEEP_COLUMNS, sweep_to_csv, sweep_to_json
+from orthofit.select import (SWEEP_COLUMNS, group_errors, sweep_to_csv,
+                             sweep_to_json)
 from conftest import all_train_split, src_env, unit_dataset
 from oracles import reference_rows, refit_sweep
 
@@ -59,13 +64,18 @@ import numpy as np
 from orthofit import NormalizedDataset, group_error
 from orthofit.dataset import NormalizationMap
 from orthofit.model import SurfaceModel
+from orthofit.select import group_errors
 model = SurfaceModel(c=np.array([0.5, 0.25, -0.1]), kept=(0, 1, 2),
                      map=NormalizationMap(0, 1, 0, 1, 0, 1), S=3,
                      lambda_=0.0, sigma_tr=0.0)
+nested = [SurfaceModel(c=np.array([0.5, -0.3, 0.2])[:k], kept=(0, 1, 2)[:k],
+                       map=model.map, S=k, lambda_=0.0, sigma_tr=0.0)
+          for k in (3, 1, 2)]
 rng = np.random.default_rng(5)
 for _ in range(10):
     data = NormalizedDataset.from_unit_points(rng.random((16_667, 3)))
     print(group_error(model, data, np.arange(data.n)).hex())
+    print([v.hex() for v in group_errors(nested, data, np.arange(data.n))])
 """
 
 
@@ -82,6 +92,55 @@ def test_group_error_bits_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr[-2000:]
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def _sweep_models(grid, cfg):
+    """The monomial models of one shared-basis sweep, with its data."""
+    data, parts = _noisy_corpus()
+    basis = FitBasis(parts, data, cfg)
+    return data, parts, _monomials([solve(basis, math.exp(-x)) for x in grid])
+
+
+def test_group_errors_match_one_call_per_model(monkeypatch):
+    # an auto-size sweep's models differ in size; 13-row blocks of the
+    # widest (210-wide) table split the 167 cv and 166 test points into
+    # 12 full blocks and a short one
+    data, parts, models = _sweep_models([5, 10, 15, 30], SWEEP_CFG)
+    assert [len(m.kept) for m in models] == [21, 36, 153, 210]
+    monkeypatch.setattr("orthofit.model.BLOCK_ELEMS", 13 * 210)
+    tables = []
+
+    def recording(x, y, L):
+        tables.append(x.size)
+        return basis_values(x, y, L)
+    monkeypatch.setattr("orthofit.select.basis_values", recording)
+    for idx in (parts.cv_idx, parts.test_idx):
+        assert idx.size % 13 and idx.size > 13
+        del tables[:]
+        got = group_errors(models, data, idx)
+        assert tables == [13] * (idx.size // 13) + [idx.size % 13]
+        for model, err in zip(models, got):
+            assert err.hex() == group_error(model, data, idx).hex()
+            # the whole table in one block and a 1-D residual sum
+            x, y, z = data.x[idx], data.y[idx], data.z[idx]
+            r = comp_dot(basis_values(x, y, max(model.kept))[:, list(
+                model.kept)], model.c, axis=1) - z
+            assert err.hex() == (float(comp_dot(r, r)) / idx.size).hex()
+
+
+def test_group_errors_need_one_basis_and_points():
+    data, parts, models = _sweep_models([10, 15], SWEEP_CFG)
+    narrow, wide = models
+    assert len(narrow.kept) < len(wide.kept)
+    kept = narrow.kept[:-2] + narrow.kept[-1:] + narrow.kept[-2:-1]
+    swapped = replace(narrow, kept=kept)
+    with pytest.raises(ValueError, match="share one basis"):
+        group_errors([wide, swapped], data, parts.cv_idx)
+    with pytest.raises(ValueError, match="share one basis"):
+        group_errors([replace(wide, kept=wide.kept[1:] + (10 ** 4,)),
+                      narrow], data, parts.cv_idx)
+    with pytest.raises(ValueError, match="empty index group"):
+        group_errors(models, data, np.array([], dtype=int))
 
 
 def _noisy_corpus():
