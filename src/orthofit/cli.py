@@ -11,8 +11,9 @@ Exit codes: 0 success (also when the reader of stdout closes it early),
 non-finite lambda or x grid, a ``synth`` grid over the point cap or noise
 that overflows z), 3 data or model error (unparseable or
 non-UTF-8 data, degenerate or overflowing axes, model version mismatch
-or out-of-range model fields), 4 numeric failure (non-finite training
-error or ``eval`` output included).
+or out-of-range model fields, a working set that does not fit in
+memory), 4 numeric failure (non-finite training error or ``eval`` output
+included).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
 thread count (``OPENBLAS_NUM_THREADS``).
@@ -386,6 +387,10 @@ def main(argv=None) -> int:
     except (OrthofitError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
+    except MemoryError as exc:  # numpy's message names the shape and size
+        print(f"error: out of memory: {exc}".removesuffix(": "),
+              file=sys.stderr)
+        return DATA_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .errors import DegenerateAxisError, InsufficientDataError, ParseError
 
 HEADER_ALIASES = (("x", "y", "z"), ("h", "t", "m"))
 ROWS_PER_WRITE = 4096  # rows formatted into one string by write_rows
+BLOCK_CHARS = 1 << 16  # text per bulk-parser block; its temporaries fit in cache
+_LINE_END = re.compile(r"\r\n?|\n")  # where StringIO(newline="") ends a line
 
 
 @dataclass(frozen=True)
@@ -78,22 +81,6 @@ class NormalizedDataset:
     @property
     def z(self) -> np.ndarray:
         return self.points[:, 2]
-
-    @staticmethod
-    def from_unit_points(points) -> "NormalizedDataset":
-        """Wrap points whose coordinates already live on [0, 1] with an
-        identity map.
-
-        Handy for algebra-level tests and demos where normalization
-        bookkeeping would only obscure coefficients.  The x and y
-        coordinates must lie in [0, 1] (the basis is built for the unit
-        square); z values pass through untouched.
-        """
-        arr = _point_array(points)
-        xy = arr[:, :2]
-        if xy.min() < 0.0 or xy.max() > 1.0:
-            raise ValueError("x and y must lie in [0, 1] for an identity map")
-        return NormalizedDataset(arr, NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -164,7 +151,46 @@ def load_points(source) -> np.ndarray:
 
 def _read_columns(source, width: int) -> np.ndarray:
     """The parser behind load_dataset and load_points: ``width`` finite
-    numeric columns picked by header name from each data row."""
+    numeric columns picked by header name from each data row.
+
+    The header is the first line, read as ``io.StringIO(text,
+    newline="").readline()`` reads it: up to ``\\r\\n``, ``\\r`` or
+    ``\\n``, which is what ``_LINE_END`` finds.  The body after it goes
+    to ``_bulk_rows``, and when that declines, to ``_row_loop``, the
+    reference parser, which raises every error and names every line.
+
+    Proof that the bulk path returns the row loop's array whenever it
+    returns one (d is the delimiter, N the header's field count, N >= 2):
+
+    1. Lines.  ``csv.reader`` over ``StringIO(newline="")`` gets lines
+       that end at ``\\r\\n``, ``\\r`` and ``\\n`` only, and in an unquoted
+       field it ends the record at ``\\r`` or ``\\n`` only.  The bulk path
+       cuts blocks after a ``\\n`` and admits a ``\\r`` only directly before
+       a ``\\n`` in a body whose header ends in ``\\r\\n``, so its lines are
+       the reader's lines; a last line without a line end is a line to
+       both.  It never calls ``str.splitlines``, which also splits at
+       ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and
+       ``\\u2029``; those stay inside a cell in both paths.
+    2. Rows.  Without a ``"`` or a NUL (which ``csv`` refuses before
+       Python 3.11) in the body, the delimiter and the line end are the
+       only characters the reader treats specially (no escape character,
+       no skipped spaces), so a line's row is ``line.split(d)``: the cells
+       that ``str.split`` makes of the block once each line end is
+       replaced by d.
+    3. Field counts.  Every line holds exactly N - 1 delimiters, so every
+       row passes the arity check and none is blank (a blank row has
+       fewer than two cells): each line is one data row, in file order.
+    4. Field limit.  Every cell, wanted or not, has at most
+       ``csv.field_size_limit()`` UTF-8 bytes, hence at most that many
+       characters, so the reader raises no ``csv.Error``.
+    5. Values.  The row loop keeps ``float(row[c])`` when that succeeds
+       and is finite; the bulk path calls the same ``float`` on the same
+       string.  When any call raises or gives a non-finite value, the
+       bulk path declines and the row loop decides (a skipped row of
+       blank cells, or the error with its line).  The one padding that
+       float() refuses and the stripped retry reads, ``\\x1c``-``\\x1f``,
+       never reaches float(): the scan declines it.
+    """
     try:
         if isinstance(source, bytes):
             raw = source
@@ -179,8 +205,8 @@ def _read_columns(source, width: int) -> np.ndarray:
         bad = exc.object  # the undecoded bytes, after any byte-order mark
         raise ParseError(f"not UTF-8: byte 0x{bad[exc.start]:02x}",
                          line=bad.count(b"\n", 0, exc.start) + 1) from None
-    fh = io.StringIO(raw, newline="")
-    header_line = fh.readline()
+    end = _LINE_END.search(raw)
+    header_line = raw[:end.end()] if end else raw
     if not header_line.strip():
         raise ParseError("empty input: no header row", line=1)
     delim = "\t" if "\t" in header_line else ","
@@ -197,13 +223,101 @@ def _read_columns(source, width: int) -> np.ndarray:
         raise ParseError(f"header {header!r} does not contain the "
                          f"columns {known} (any case)", line=1)
     cols = [lower.index(c) for c in wanted]
+    eol = "\r\n" if header_line.endswith("\r\n") else "\n"
+    out = _bulk_rows(raw, len(header_line), eol, delim, len(header), cols)
+    if out is None:
+        out = _row_loop(raw, delim, len(header), cols)
+    return out
 
-    # float() ignores the whitespace str.strip() removes, except \x1c-\x1f:
-    # a cell that float() refuses is retried stripped, and only a row that
-    # still fails is tested for blankness.  line_num counts the lines the
-    # reader took, after the header's.
+
+def _bulk_rows(text: str, start: int, eol: str, delim: str, ncols: int,
+               cols: list) -> np.ndarray | None:
+    """The data rows of ``text[start:]`` as a (rows, len(cols)) array, or
+    None when the text holds anything the proof in ``_read_columns`` does
+    not cover.  Works through blocks of ``BLOCK_CHARS`` to
+    ``2 * BLOCK_CHARS`` characters of whole lines, so its temporaries
+    follow the block, not the file.  Every block is scanned before any
+    is converted, so a line the proof does not cover costs one scan, not
+    a float() pass over the lines before it."""
+    if start == len(text):
+        return None
+    kinds = np.array([ord(delim)] * (ncols - 1) + [ord(c) for c in eol],
+                     dtype=np.uint8)
+    limit = csv.field_size_limit()
+    blocks = []
+    while start < len(text):
+        stop = text.find("\n", start + BLOCK_CHARS,
+                         start + 2 * BLOCK_CHARS) + 1
+        if not stop:
+            if len(text) - start > 2 * BLOCK_CHARS:
+                return None  # a line over BLOCK_CHARS, or \r line ends
+            stop = len(text)
+        if not _block_is_plain(_whole_lines(text[start:stop], eol), kinds,
+                               limit):
+            return None
+        blocks.append((start, stop))
+        start = stop
+    # every line is a data row, so the rows are the line ends, plus a last
+    # line without one
+    out = np.empty((text.count("\n", blocks[0][0]) + (text[-1] != "\n"),
+                    len(cols)))
+    row = 0
+    for start, stop in blocks:
+        block = _whole_lines(text[start:stop], eol)
+        if eol != "\n":
+            block = block.replace("\r", "")
+        cells = block.replace("\n", delim).split(delim)
+        del cells[-1]  # the empty string after the block's last line end
+        n = len(cells) // ncols
+        try:
+            for j, c in enumerate(cols):
+                out[row:row + n, j] = np.fromiter(
+                    map(float, cells[c::ncols]), np.float64, n)
+        except ValueError:
+            return None
+        row += n
+    return out if np.isfinite(out).all() else None
+
+
+def _whole_lines(block: str, eol: str) -> str:
+    """``block`` with ``eol`` after its last line if it has no line end."""
+    return block if block.endswith("\n") else block + eol
+
+
+def _block_is_plain(block: str, kinds: np.ndarray, limit: int) -> bool:
+    """Whether ``block`` is whole lines whose special characters (the
+    delimiter, NUL, ``"``, ``\\r`` and ``\\n``) come in exactly the order
+    ``kinds`` repeated, one repeat per line, with no cell over ``limit``
+    UTF-8 bytes: one scan over the encoded block.  A lone surrogate
+    encodes to three bytes of 0x80 or more, none of them special.
+    ``\\x1c``-``\\x1f`` count as special too, so a cell that only the row
+    loop's stripped retry reads declines here, before any float() call."""
+    b = np.frombuffer(block.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    special = b == kinds[0]
+    for code in (0, ord('"'), ord("\r"), ord("\n")):
+        special |= b == code
+    special |= b - np.uint8(0x1c) < 4
+    at = np.flatnonzero(special)
+    if len(at) % len(kinds) or not (
+            b[at].reshape(-1, len(kinds)) == kinds).all():
+        return False
+    # a cell runs from one special character to the next
+    return at[0] <= limit and int(np.diff(at).max(initial=1)) <= limit + 1
+
+
+def _row_loop(text: str, delim: str, ncols: int, cols: list) -> np.ndarray:
+    """Read the data rows after the header line of ``text`` with
+    ``csv.reader``, one row at a time: the parser of record, which alone
+    reads quoted cells and raises ParseError with the line number.
+
+    float() ignores the whitespace str.strip() removes, except
+    \\x1c-\\x1f: a cell that float() refuses is retried stripped, and only
+    a row that still fails is tested for blankness.  line_num counts the
+    lines the reader took, after the header's."""
+    fh = io.StringIO(text, newline="")
+    fh.readline()
     values: list[float] = []
-    append, isfinite, ncols = values.append, math.isfinite, len(header)
+    append, isfinite = values.append, math.isfinite
     reader = csv.reader(fh, delimiter=delim)
     try:
         for row in reader:
@@ -232,7 +346,7 @@ def _read_columns(source, width: int) -> np.ndarray:
         raise ParseError(str(exc), line=reader.line_num + 1) from None
     if not values:
         raise ParseError("no data rows", line=2)
-    return np.array(values).reshape(-1, width)
+    return np.array(values).reshape(-1, len(cols))
 
 
 def save_dataset(points, path) -> None:

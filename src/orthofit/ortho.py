@@ -42,13 +42,14 @@ from typing import Optional
 import numpy as np
 
 from .ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_add_d, dd_mul,
-                      dd_slices, dd_sub, slice_width)
+                      dd_slices, dd_sub, slice_width, two_sum)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
 RANK_TOL = 1e-20     # post-projection norm below this rejects the column
 DOUBLE_RANK_REL = 2.0 ** -44  # double: also reject below this * column norm
 SLICE_BITS = 118     # extended projections: bits kept below the scale
+DEFECT_CHUNK_ROWS = 4096  # rows per gemm of orthogonality_defect's Gram
 
 
 class PrecisionMode(str, Enum):
@@ -82,11 +83,22 @@ class OrthoBasis:
 
 
 def orthogonality_defect(basis: OrthoBasis) -> float:
-    """Largest off-diagonal |<P_t, P_s>| of the basis, measured in double."""
+    """Largest off-diagonal |<P_t, P_s>| of the basis.
+
+    The Gram matrix of P (the hi parts in extended mode) is summed over
+    fixed chunks of ``DEFECT_CHUNK_ROWS`` rows: one double gemm per chunk,
+    and the chunk partials added by ``two_sum`` into high and low parts.
+    One gemm over all rows would round at every step of a sum of n
+    terms, and at large n that rounding outgrows what it measures."""
     if basis.n_columns < 2:
         raise ValueError("need at least 2 columns to measure a defect")
     P = np.asfortranarray(basis.P)  # one layout, hence one set of bits
-    g = P.T @ P
+    hi = lo = 0.0
+    for r in range(0, P.shape[0], DEFECT_CHUNK_ROWS):
+        chunk = P[r:r + DEFECT_CHUNK_ROWS]
+        hi, e = two_sum(hi, chunk.T @ chunk)
+        lo = lo + e
+    g = hi + lo
     np.fill_diagonal(g, 0.0)
     return float(np.abs(g).max())
 

@@ -14,7 +14,7 @@ settings.register_profile("orthofit", deadline=None, database=None,
                           derandomize=True)
 settings.load_profile("orthofit")
 
-from orthofit import DataSplit, NormalizedDataset
+from orthofit import DataSplit
 from orthofit.fit import _BlockGen
 from orthofit.ortho import PrecisionMode
 from orthofit.synth import SplitMix64
@@ -34,10 +34,6 @@ def all_train_split(n):
     """Every point in the training group; cv/test empty."""
     return DataSplit(train_idx=np.arange(n), cv_idx=np.array([], dtype=int),
                      test_idx=np.array([], dtype=int))
-
-
-def unit_dataset(points):
-    return NormalizedDataset.from_unit_points(points)
 
 
 def uniform_xy(n, seed):

@@ -25,7 +25,8 @@ from orthofit import (DegenerateFitError, ParseError, SweepReport,
                       ValidationRecord, fit_surface, group_error,
                       overfit_degree, select_model, to_monomial)
 from orthofit.basis import basis_values, degree_block
-from orthofit.dataset import HEADER_ALIASES
+from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
+                              NormalizedDataset, _point_array)
 from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
 from orthofit.ortho import PrecisionMode
 
@@ -311,6 +312,17 @@ def mpmath_simpson_entropy(model, Y, X_hi, panels=200, dps=50):
                                  * x ** (m - j) * y ** (j - 1))
         return (float(mpmath.fsum(terms)),
                 float(mpmath.fsum(abs(v) for v in terms)))
+
+
+def unit_dataset(points):
+    """Wrap (n, 3) points whose x and y already lie on [0, 1] with an
+    identity map, for algebra-level tests where normalization bookkeeping
+    would only obscure coefficients; z passes through untouched."""
+    arr = _point_array(points)
+    xy = arr[:, :2]
+    if xy.min() < 0.0 or xy.max() > 1.0:
+        raise ValueError("x and y must lie in [0, 1] for an identity map")
+    return NormalizedDataset(arr, NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
 
 
 def reference_read_columns(text, width):

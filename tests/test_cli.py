@@ -774,6 +774,21 @@ def test_cell_beyond_the_csv_field_limit_exits_3(capsys, tmp_path):
     assert err == "error: line 3: field larger than field limit (131072)\n"
 
 
+def test_out_of_memory_exits_3_with_numpys_message(capsys, monkeypatch,
+                                                   magnet_csv, tmp_path):
+    # P of 2**40 times the training points: numpy refuses the allocation
+    # with a MemoryError that names the shape and the size
+    def huge(self, n, cap):
+        self.P = np.empty((n << 40, cap), order="F")
+    monkeypatch.setattr("orthofit.ortho._DoubleCore.__init__", huge)
+    code, out, err = run_cli(capsys, "fit", str(magnet_csv),
+                             "-o", str(tmp_path / "m.json"))
+    assert code == 3 and not out
+    assert re.fullmatch(r"error: out of memory: Unable to allocate \S+ \w+ "
+                        r"for an array with shape \(\d+, \d+\) and data "
+                        r"type float64\n", err), err
+
+
 def test_non_utf8_data_exits_3(capsys, tmp_path):
     p = tmp_path / "latin.csv"
     p.write_bytes("H,T,M\n1,2,3\n1,2,é\n".encode("latin-1"))

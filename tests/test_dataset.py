@@ -3,17 +3,21 @@
 import csv
 import io
 import math
+import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from orthofit import (InsufficientDataError, NormalizedDataset, ParseError,
-                      SplitConfig, load_dataset, load_points, normalize,
-                      save_dataset, split)
-from orthofit.dataset import HEADER_ALIASES, _read_columns
+from orthofit import (InsufficientDataError, ParseError, SplitConfig,
+                      load_dataset, load_points, normalize, save_dataset,
+                      split)
+from orthofit.dataset import (BLOCK_CHARS, HEADER_ALIASES, _bulk_rows,
+                              _read_columns)
 from orthofit.errors import DegenerateAxisError
-from oracles import reference_read_columns, reference_rows
+from oracles import reference_read_columns, reference_rows, unit_dataset
 
 
 def test_load_simple_csv():
@@ -56,11 +60,16 @@ def test_line_numbers_count_the_lines_of_a_quoted_multiline_cell():
 
 
 def test_cell_beyond_the_csv_field_limit_is_a_parse_error():
-    big = b"9" * (csv.field_size_limit() + 1)
-    # data row, header row, and a data row after a quoted two-line cell
+    limit = csv.field_size_limit()
+    big = b"9" * (limit + 1)
+    tiny = b"0." + b"0" * limit  # a finite value, unlike big
+    # data row, header row, and a data row after a quoted two-line cell;
+    # then a finite cell and a text cell nobody reads, both over the limit
     for raw, line in ((b"x,y,z\n1,2,3\n" + big + b",2,3\n4,5,6\n", 3),
                       (big + b",y,z\n1,2,3\n", 1),
-                      (b'x,y,z\n"1\n",2,3\n' + big + b",2,3\n", 4)):
+                      (b'x,y,z\n"1\n",2,3\n' + big + b",2,3\n", 4),
+                      (b"x,y,z\n1,2,3\n" + tiny + b",2,3\n", 3),
+                      (b"x,y,z,run\n1,2,3,a\n4,5,6," + big + b"\n", 3)):
         with pytest.raises(ParseError, match=f"^line {line}: field larger "
                            "than field limit") as exc:
             load_dataset(raw)
@@ -70,30 +79,63 @@ def test_cell_beyond_the_csv_field_limit_is_a_parse_error():
 
 
 # cells around the edges of float(): specials, overflow, underscores, hex,
-# padding that float() skips, padding only str.strip() skips (\x1c-\x1f)
+# padding that float() skips, padding only str.strip() skips (\x1c-\x1f),
+# and the characters str.splitlines() ends a line at but csv.reader keeps
+# inside a cell
 _SPECIAL = ("nan", "inf", "-Infinity", "1e309", "1_0", "0x1", "abc", "", ".")
-_PAD = ("", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0")
-_core = st.one_of(st.floats().map(repr),
-                  st.integers(-10 ** 6, 10 ** 6).map(str),
-                  st.sampled_from(_SPECIAL))
+_SPLITLINES = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+_PAD = ("", " ", "\t", "\x00", "\x1f", "\xa0", "\ufeff") + _SPLITLINES
+_FLOAT_PAD = ("", " ", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u2029")
+_number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10 ** 6, 10 ** 6).map(str),
+                    st.sampled_from(("1_0", "-2_5e-1_0", "\u0661\u0662")))
+_core = st.one_of(_number, st.floats().map(repr), st.sampled_from(_SPECIAL))
 _cell = st.builds(lambda a, core, b, quote: f'"{a}{core}{b}"' if quote
                   else a + core + b,
                   st.sampled_from(_PAD), _core, st.sampled_from(_PAD),
                   st.booleans())
+_clean_cell = st.builds(lambda a, core, b: a + core + b,
+                        st.sampled_from(_FLOAT_PAD), _number,
+                        st.sampled_from(_FLOAT_PAD))
 
 
 @st.composite
-def _data_files(draw):
+def _data_files(draw, clean):
+    """(text, width, bom): a data file as text and the bytes to put
+    before its encoding.  A clean file has one line end throughout and
+    full rows of numbers that float() takes as they are, plus, at times,
+    a text column nobody reads: the bulk path must take it whole.  The
+    others mix quoted and odd cells, short and long rows, blank and
+    whitespace-only lines, and \\r, \\n and \\r\\n line ends."""
     width = draw(st.sampled_from([2, 3]))
     delim = draw(st.sampled_from([",", "\t"]))
-    row = st.one_of(
-        st.lists(_cell, min_size=width, max_size=width).map(delim.join),
-        st.lists(_cell, max_size=width + 1).map(delim.join),
-        st.sampled_from(["", " ", "\x1c", delim * (width - 1)]))
-    header = delim.join(draw(st.sampled_from(HEADER_ALIASES))[:width])
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    rows = draw(st.lists(row, max_size=6))
-    return eol.join([header] + rows) + draw(st.sampled_from(["", eol])), width
+    names = list(draw(st.sampled_from(HEADER_ALIASES))[:width])
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    if clean:
+        note = draw(st.sampled_from([None, *range(width + 1)]))
+        if note is not None:
+            names.insert(note, "note")
+        text_cell = st.text(st.characters(
+            exclude_characters=delim + '"\r\n\x00\x1c\x1d\x1e\x1f'), max_size=4)
+        cells = [text_cell if n == "note" else _clean_cell for n in names]
+        rows = draw(st.lists(st.tuples(*cells).map(delim.join), min_size=1,
+                             max_size=8))
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        eols = [eol] * len(rows)
+    else:
+        row = st.one_of(
+            st.lists(_cell, min_size=width, max_size=width).map(delim.join),
+            st.lists(_cell, max_size=width + 1).map(delim.join),
+            st.sampled_from(["", " ", "\x1c", "\u2028", delim * (width - 1)]))
+        rows = draw(st.lists(row, max_size=6))
+        eols = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                             min_size=len(rows) + 1, max_size=len(rows) + 1))
+        eol = eols.pop()
+    text = delim.join(names) + eol + "".join(map(str.__add__, rows, eols))
+    if rows and draw(st.booleans()):
+        text = text.removesuffix(eols[-1])  # no line end after the last row
+    return text, width, bom
 
 
 def _parse_outcome(parse, text, width):
@@ -103,14 +145,146 @@ def _parse_outcome(parse, text, width):
         return str(exc)
 
 
-@settings(max_examples=500)
-@given(_data_files())
-@example(("x,y\n\x1c4\x1c,1\n", 2))
-@example(("x\ty\tz\n1\t2\t3\n\t\t\n\n4\t \xa05\x1f\t6\n", 3))
-def test_parser_matches_reference_row_loop(case):
-    text, width = case
-    got = _parse_outcome(lambda t, w: _read_columns(t.encode(), w), text, width)
+def _check_against_reference(case, reaches_row_loop):
+    text, width, bom = case
+    with nullcontext() if reaches_row_loop else mock.patch(
+            "orthofit.dataset._row_loop", side_effect=AssertionError(
+                "a clean file reached the row loop")):
+        got = _parse_outcome(lambda t, w: _read_columns(bom + t.encode(), w),
+                             text, width)
     assert got == _parse_outcome(reference_read_columns, text, width)
+
+
+@settings(max_examples=500)
+@given(_data_files(clean=False))
+@example(("x,y\n\x1c4\x1c,1\n", 2, b""))
+@example(("x\ty\tz\n1\t2\t3\n\t\t\n\n4\t \xa05\x1f\t6\n", 3, b""))
+@example(("x,y\r1,2\r\n3,4\n", 2, b"\xef\xbb\xbf"))
+@example(('run,x,y,z\n"q,1,2,3\nq",4,5,6\n', 3, b""))  # one row
+def test_parser_matches_reference_row_loop(case):
+    _check_against_reference(case, reaches_row_loop=True)
+
+
+@settings(max_examples=500)
+@given(_data_files(clean=True))
+@example(("h,t\r\n1\u2028,2\x0c\r\n3,4\x85", 2, b""))
+def test_clean_files_match_the_reference_without_the_row_loop(case):
+    _check_against_reference(case, reaches_row_loop=False)
+
+
+@pytest.mark.parametrize("text", ["x,y,z,note\n1,2,3,\udcff\n",
+                                  "x,y,z\n1,\udcff2,3\n"])
+def test_a_lone_surrogate_in_a_text_source_reads_as_the_reference(text):
+    # a text source, such as a file opened with errors="surrogateescape",
+    # can hold lone surrogates: one in an unread column is read past, one
+    # in a wanted cell is the row loop's non-numeric field
+    got = _parse_outcome(lambda t, w: load_dataset(io.StringIO(t)), text, 3)
+    assert got == _parse_outcome(reference_read_columns, text, 3)
+
+
+def _declining_bulk(monkeypatch):
+    monkeypatch.setattr("orthofit.dataset._bulk_rows", lambda *a: None)
+
+
+def _refusing_row_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the row loop ran")
+    monkeypatch.setattr("orthofit.dataset._row_loop", refuse)
+
+
+@pytest.mark.parametrize("block_chars", [BLOCK_CHARS, 100])
+def test_clean_input_never_reaches_the_row_loop(tmp_path, monkeypatch,
+                                                block_chars):
+    # a saved corpus (\r\n line ends), and a tab file with a text column,
+    # \n line ends and no line end after its last row; 100-character
+    # blocks cut both into many
+    monkeypatch.setattr("orthofit.dataset.BLOCK_CHARS", block_chars)
+    _refusing_row_loop(monkeypatch)
+    pts = np.array([(i / 7, -i * 1e-300, 1e300 / (i + 1)) for i in range(50)])
+    save_dataset(pts, tmp_path / "saved.csv")
+    assert load_dataset(tmp_path / "saved.csv").tobytes() == pts.tobytes()
+    text = "T\trun\tH\n" + "\n".join(f"{t}\tA-{t}\t{t * 0.1!r}"
+                                     for t in range(50))
+    assert load_points(text.encode()).tobytes() == (
+        reference_read_columns(text, 2).tobytes())
+
+
+def test_bad_cell_deep_in_a_large_file_names_its_line():
+    # over a dozen blocks convert before the bad one declines and the row loop
+    # reads the whole text again
+    rows = [f"{i},{i % 7},{i * 0.5}" for i in range(100_000)]
+    rows[69_999] = "1,abc,3"  # line 70,001: the header is line 1
+    with pytest.raises(ParseError) as exc:
+        load_dataset(("x,y,z\n" + "\n".join(rows) + "\n").encode())
+    assert str(exc.value) == "line 70001: non-numeric field 'abc'"
+    assert exc.value.line == 70_001
+
+
+@pytest.mark.parametrize("tail", ["\r\n", '"1",2,3\r\n', "1,2\r3\r\n",
+                                  "\x1c1,2,3\r\n"])
+def test_a_late_surprise_declines_before_any_float_call(monkeypatch, tail):
+    # a blank line, a quoted cell, a lone \r or a cell only the stripped
+    # retry reads, after some twenty blocks of clean rows: every block is
+    # scanned before any is converted
+    calls = []
+    monkeypatch.setattr("orthofit.dataset.float",
+                        lambda cell: calls.append(cell) or float(cell),
+                        raising=False)
+    monkeypatch.setattr("orthofit.dataset._row_loop", lambda *a: "row loop")
+    text = "x,y,z\r\n" + "1,2,3\r\n" * (20 * BLOCK_CHARS // 7) + tail
+    assert _read_columns(text.encode(), 3) == "row loop"
+    assert calls == []
+
+
+@pytest.mark.parametrize("path", ["bulk", "row loop"])
+def test_an_unwanted_text_column_never_reaches_float(monkeypatch, path):
+    seen = []
+
+    def recording_float(cell):
+        seen.append(cell)
+        return float(cell)
+    if path == "bulk":
+        _refusing_row_loop(monkeypatch)
+    else:
+        _declining_bulk(monkeypatch)
+    monkeypatch.setattr("orthofit.dataset.float", recording_float,
+                        raising=False)
+    pts = load_dataset(b"run,x,y,z\nA-1,1,2,3\nB-2,4,5,6\n")
+    assert pts.tolist() == [[1, 2, 3], [4, 5, 6]]
+    assert sorted(seen) == sorted("123456")
+
+
+def test_ingest_peak_memory_follows_the_block_not_the_file(monkeypatch):
+    # 60,000 rows: the row loop's 180,000 floats take about 5.8 MB as a
+    # list, while one block's cells and masks take well under 1 MB
+    raw = "".join(f"{i * 1e-3!r},{i % 977},{i * 0.25!r}\r\n"
+                  for i in range(60_000))
+    raw = ("x,y,z\r\n" + raw).encode()
+
+    def peak():
+        tracemalloc.start()
+        try:
+            out = load_dataset(raw)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+    bulk_peak, bulk = peak()
+    _declining_bulk(monkeypatch)
+    loop_peak, loop = peak()
+    assert bulk.tobytes() == loop.tobytes()
+    assert bulk_peak <= loop_peak
+    # beyond the decoded text and the result, a few blocks' worth
+    assert bulk_peak - len(raw) - bulk.nbytes < 40 * BLOCK_CHARS
+    # \r line ends leave no \n to end a block at: the bulk path declines
+    # without scanning the whole text as one block
+    text = raw.decode().replace("\r\n", "\r")
+    tracemalloc.start()
+    try:
+        assert _bulk_rows(text, len("x,y,z\r"), "\r", ",", 3,
+                          [0, 1, 2]) is None
+        assert tracemalloc.get_traced_memory()[1] < 4 * BLOCK_CHARS
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("kind", ["path", "bytes", "file", "bom", "text"])
@@ -321,8 +495,7 @@ def _tied_datasets(draw):
     levels = [st.sampled_from(np.linspace(0, 1, draw(st.integers(1, 6))))
               for _ in range(2)]
     xy = draw(st.lists(st.tuples(*levels), min_size=n, max_size=n))
-    return NormalizedDataset.from_unit_points(
-        [(x, y, 0.0) for x, y in xy]), f
+    return unit_dataset([(x, y, 0.0) for x, y in xy]), f
 
 
 @settings(max_examples=100)

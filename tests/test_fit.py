@@ -14,8 +14,8 @@ from orthofit.basis import degree_block
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
 from oracles import (mpmath_curvature_sums, normal_equation_predictions,
-                     training_error)
-from conftest import all_train_split, unit_dataset
+                     training_error, unit_dataset)
+from conftest import all_train_split
 
 
 def test_coefficient_reduces_to_projection_without_regularization():

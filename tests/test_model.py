@@ -19,8 +19,9 @@ from orthofit.ddarith import BLOCK_ELEMS, comp_dot
 from orthofit.fit import FitBasis, solve
 from orthofit.model import MAX_DEGREE, _expand, _monomials
 from orthofit.ortho import PrecisionMode
-from conftest import all_train_split, unit_dataset, uniform_xy
-from oracles import mpmath_monomial_coefficients, mpmath_simpson_entropy
+from conftest import all_train_split, uniform_xy
+from oracles import (mpmath_monomial_coefficients, mpmath_simpson_entropy,
+                     unit_dataset)
 
 IDENTITY = NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 

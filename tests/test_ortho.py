@@ -9,9 +9,8 @@ from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import comp_dot, dd_add, dd_dot, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
-from oracles import sympy_laplacian_columns
-from conftest import (all_train_split, raw_curvature_sums, uniform_xy,
-                      unit_dataset)
+from oracles import sympy_laplacian_columns, unit_dataset
+from conftest import all_train_split, raw_curvature_sums, uniform_xy
 
 
 def _feed_columns(builder, x, y, n_cols, extended=False):
@@ -118,6 +117,24 @@ def test_builder_rejects_unknown_scheme_and_extended_mgs():
         OrthoBuilder(10, scheme="mgs", precision=PrecisionMode.EXTENDED)
     for scheme in ("igs", "cgs"):
         OrthoBuilder(10, scheme=scheme, precision=PrecisionMode.EXTENDED)
+
+
+def test_defect_of_a_tall_basis_matches_a_compensated_gram():
+    # orthonormal Chebyshev columns over 200,000 sorted points: the running
+    # sums of one gemm over all rows grow to O(1) and round there, while
+    # 4,096-row chunks added by two_sum keep only each chunk's rounding
+    K = 8
+    x = np.linspace(-1.0, 1.0, 200_000)
+    P = np.linalg.qr(np.polynomial.chebyshev.chebvander(x, K - 1))[0]
+    basis = OrthoBasis(np.asfortranarray(P), np.eye(K), tuple(range(K)),
+                       PrecisionMode.DOUBLE)
+    gram = np.array([comp_dot(P, P[:, [t]], axis=0) for t in range(K)])
+    one_gemm = np.asfortranarray(P).T @ P
+    ref, old = (float(np.abs(g - np.diag(np.diag(g))).max())
+                for g in (gram, one_gemm))
+    new_error = abs(orthogonality_defect(basis) - ref)
+    assert new_error <= 2.0 ** -53  # half an ulp of the unit diagonal
+    assert abs(old - ref) > 4 * new_error
 
 
 def test_defect_ordering_igs_beats_mgs_beats_cgs():

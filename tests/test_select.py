@@ -22,8 +22,8 @@ from orthofit.model import _monomials
 from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import (SWEEP_COLUMNS, group_errors, sweep_to_csv,
                              sweep_to_json)
-from conftest import all_train_split, src_env, unit_dataset
-from oracles import reference_rows, refit_sweep
+from conftest import all_train_split, src_env
+from oracles import reference_rows, refit_sweep, unit_dataset
 
 
 def test_overfit_degree_reference_triples():
@@ -73,7 +73,7 @@ nested = [SurfaceModel(c=np.array([0.5, -0.3, 0.2])[:k], kept=(0, 1, 2)[:k],
           for k in (3, 1, 2)]
 rng = np.random.default_rng(5)
 for _ in range(10):
-    data = NormalizedDataset.from_unit_points(rng.random((16_667, 3)))
+    data = NormalizedDataset(rng.random((16_667, 3)), model.map)
     print(group_error(model, data, np.arange(data.n)).hex())
     print([v.hex() for v in group_errors(nested, data, np.arange(data.n))])
 """

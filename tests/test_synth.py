@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from orthofit import (FitConfig, SynthSpec, fit_surface, generate,
                       load_dataset, normalize, save_dataset)
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
-from conftest import all_train_split, unit_dataset
-from oracles import ReferenceSplitMix64
+from conftest import all_train_split
+from oracles import ReferenceSplitMix64, unit_dataset
 
 # first outputs for seed 0 of the standard SplitMix64 finalizer
 SEED0_STREAM = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
