@@ -233,7 +233,7 @@ class FitBasis:
         self.ntr = ntr
         self.nmap = data.map
         self.z = data.z[train]
-        self.builder = OrthoBuilder(ntr, scheme="igs", precision=cfg.precision,
+        self.builder = OrthoBuilder(ntr, precision=cfg.precision,
                                     capacity=min(cap, 256))
         self._z_vec = self.builder.make_vector(self.z)
         self.sigma0 = self.builder.vec_norm2(self._z_vec) / ntr

@@ -1,17 +1,11 @@
 """Orthonormalization of basis columns against the sample inner product.
 
 Columns are orthonormalized one at a time against ``<u, v> = sum_i u_i
-v_i`` over the training points.  Three schemes are provided:
-
-* ``igs``  -- iterated projection: the subtraction pass repeats until the
-  newly measured projections are negligible relative to the running
-  residual (or a pass cap is hit), then the column is normalized.  This
-  is the production scheme; one extra pass is usually enough to restore
-  orthogonality that single-pass schemes progressively lose.
-* ``cgs``  -- one classical pass (all projections measured against the
-  incoming column).
-* ``mgs``  -- one modified pass (projections measured sequentially
-  against the running residual); double precision only.
+v_i`` over the training points by iterated projection: the subtraction
+pass repeats until the newly measured projections are negligible
+relative to the incoming column (or a pass cap is hit), then the column
+is normalized.  One extra pass is usually enough to restore the
+orthogonality that a single pass progressively loses.
 
 The expansion bookkeeping records, as it accepts each orthonormal column
 s, coefficients ``a[s, s]`` (of the raw basis column) and ``a[s, t]`` (of
@@ -20,8 +14,8 @@ previous orthonormal columns t < s) such that
     P_s = a[s, s] * h_s + sum_{t < s} a[s, t] * P_t .
 
 The orthonormal columns are stored column-major (Fortran order), as in
-the scheme's original implementation: each column the scheme reads or
-writes is one contiguous block, and projections are gemv over contiguous
+the scheme's original implementation: each column it reads or writes
+is one contiguous block, and projections are gemv over contiguous
 columns.
 
 Everything runs at either plain double precision (BLAS reductions) or
@@ -125,14 +119,6 @@ class _DoubleCore:
 
     def measure(self, v):
         return self.P[:, :self.k].T @ v
-
-    def measure_seq(self, v):
-        delta = np.empty(self.k)
-        for t in range(self.k):
-            d = float(self.P[:, t] @ v)
-            v -= d * self.P[:, t]
-            delta[t] = d
-        return delta, v
 
     def deflate(self, v, delta):
         v -= self.P[:, :self.k] @ delta
@@ -269,25 +255,20 @@ class _ExtendedCore:
 
 
 class OrthoBuilder:
-    """Incremental orthonormalization state.
+    """Incremental orthonormalization state: iterated projection, at most
+    MAX_PASSES passes per column (see module doc).
 
     Parameters
     ----------
     n_train : number of training points (column length).
-    scheme : 'igs', 'cgs', or 'mgs' ('mgs' at double precision only).
     precision : PrecisionMode for storage and reductions.
+    capacity : columns to allocate for; the store doubles when full.
     """
 
-    def __init__(self, n_train: int, scheme: str = "igs",
+    def __init__(self, n_train: int,
                  precision: PrecisionMode = PrecisionMode.DOUBLE,
                  capacity: int = 64):
-        if scheme not in ("igs", "cgs", "mgs"):
-            raise ValueError(f"unknown scheme {scheme!r}")
-        self.scheme = scheme
         self.precision = PrecisionMode(precision)
-        if scheme == "mgs" and self.precision is PrecisionMode.EXTENDED:
-            raise ValueError("the mgs scheme runs at double precision only")
-        self.max_passes = MAX_PASSES if scheme == "igs" else 1
         self._cap = max(capacity, 8)
         self._n = n_train
         core = _ExtendedCore if self.precision is PrecisionMode.EXTENDED else _DoubleCore
@@ -326,22 +307,18 @@ class OrthoBuilder:
         col_norm = float(n2) ** 0.5
         npasses = 0
         if k:
-            if self.scheme == "mgs":
-                dtot, v = core.measure_seq(v)
-                npasses = 1
-            else:
-                for _ in range(self.max_passes):
-                    delta = core.measure(v)
-                    v = core.deflate(v, delta)
-                    npasses += 1
-                    if extended:
-                        dtot = dd_add(dtot[0], dtot[1], delta[0], delta[1])
-                    else:
-                        dtot = dtot + delta
-                    # pass accepted once the newly measured projections are
-                    # negligible against the incoming column's scale
-                    if core.delta_max(delta) <= REORTH_TOL * col_norm:
-                        break
+            for _ in range(MAX_PASSES):
+                delta = core.measure(v)
+                v = core.deflate(v, delta)
+                npasses += 1
+                if extended:
+                    dtot = dd_add(dtot[0], dtot[1], delta[0], delta[1])
+                else:
+                    dtot = dtot + delta
+                # pass accepted once the newly measured projections are
+                # negligible against the incoming column's scale
+                if core.delta_max(delta) <= REORTH_TOL * col_norm:
+                    break
             n2 = core.norm2(v)
         p = (DD(n2.hi, n2.lo) if isinstance(n2, DD) else DD(n2)).sqrt()
         # double rounding leaves a dependent column a residual near 1e-16

@@ -63,14 +63,8 @@ class SplitMix64:
         k = (self.block(12 * count) >> 11).reshape(count, 12).sum(axis=1)
         return k * 2.0 ** -53 - 6.0
 
-    def next_u64(self) -> int:
-        return int(self.block(1)[0])
-
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ settings.load_profile("orthofit")
 
 from orthofit import DataSplit
 from orthofit.fit import _BlockGen
-from orthofit.ortho import PrecisionMode
+from orthofit.ortho import OrthoBasis, PrecisionMode, orthogonality_defect
 from orthofit.synth import SplitMix64
+from oracles import single_pass_gs
 
 
 def src_env():
@@ -41,6 +42,25 @@ def uniform_xy(n, seed):
     x = rng.uniforms(n)
     y = rng.uniforms(n)
     return x, y
+
+
+def basis_columns(x, y, precision=PrecisionMode.DOUBLE):
+    """The raw basis columns over the points (x, y) in flat order, as the
+    fit's block generator hands them out: (flat index, column) pairs."""
+    gen = _BlockGen(x, y, precision)
+    while True:
+        for t, col, _ in gen.next_block():
+            yield t, col
+
+
+def single_pass_defect(x, y, n_cols, modified):
+    """Orthogonality defect of the first n_cols basis columns over the
+    points (x, y) after one classical (or modified) Gram-Schmidt pass."""
+    P = single_pass_gs((col for _, col in basis_columns(x, y)), x.size,
+                       n_cols, modified)
+    K = P.shape[1]
+    return orthogonality_defect(OrthoBasis(P, np.eye(K), tuple(range(K)),
+                                           PrecisionMode.DOUBLE))
 
 
 def raw_curvature_sums(x, y, L, precision=PrecisionMode.DOUBLE):

@@ -9,7 +9,9 @@ the plain form of the data-file row loop: every cell stripped before
 ``float()``, blank rows skipped before the arity check.  The reference
 SplitMix64 draws one output at a time in Python integers, and the
 reference writer formats every cell through ``csv.writer``.  The
-reference slicer renormalizes each remainder with ``two_sum``.
+reference slicer renormalizes each remainder with ``two_sum``.  The
+single-pass Gram-Schmidt baselines (classical and modified) are plain
+numpy in double, with the builder's rank rule.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from orthofit.basis import basis_values, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
 from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
-from orthofit.ortho import PrecisionMode
+from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL, PrecisionMode
 
 
 def dd_solve_full_pivot(G, rhs):
@@ -414,3 +416,30 @@ def reference_slices(hi, lo, width, count, exp=0):
         out[p] = s
         rh, rl = two_sum(rh - s, rl)
     return out, rh, rl
+
+
+def single_pass_gs(columns, n, n_cols, modified):
+    """One Gram-Schmidt pass per column in double: classical (every
+    projection measured against the incoming column) or, with
+    ``modified``, modified (each measured against the running residual).
+    Takes raw columns of length n until n_cols are accepted or the
+    columns run out, rejects a column by ``OrthoBuilder``'s double rank
+    rule, and returns the accepted orthonormal columns, column-major."""
+    P = np.empty((n, n_cols), order="F")
+    k = 0
+    for col in columns:
+        v = np.array(col, dtype=float)
+        col_norm = float(v @ v) ** 0.5
+        if modified:
+            for t in range(k):
+                v -= float(P[:, t] @ v) * P[:, t]
+        elif k:
+            v -= P[:, :k] @ (P[:, :k].T @ v)
+        p = DD(float(v @ v)).sqrt()
+        if float(p) < RANK_TOL or float(p) <= DOUBLE_RANK_REL * col_norm:
+            continue
+        P[:, k] = v * float(1.0 / p)
+        k += 1
+        if k == n_cols:
+            break
+    return P[:, :k]

@@ -21,12 +21,12 @@ from orthofit import (FitConfig, SplitConfig, SynthSpec, fit_surface,
                       generate, lambda_sweep, normalize, overfit_degree,
                       split, to_monomial)
 from orthofit.basis import columns_for_degree
-from orthofit.fit import _BlockGen
 from orthofit.model import eval_monomial, eval_ortho
 from orthofit.ortho import OrthoBuilder, PrecisionMode, orthogonality_defect
 from orthofit.synth import SplitMix64
 from oracles import normal_equation_predictions
-from conftest import all_train_split, raw_curvature_sums
+from conftest import (all_train_split, basis_columns, raw_curvature_sums,
+                      single_pass_defect)
 
 
 def _line(num, ok, detail):
@@ -172,15 +172,17 @@ def test_criterion_1_companion_self_consistent_entries():
 # --- criterion 2 -----------------------------------------------------------
 
 def _scheme_defect(seed, scheme, n=2000, n_cols=201):
+    # igs is the library's builder; cgs and mgs are the single-pass
+    # baselines of tests/oracles.py
     rng = SplitMix64(seed)
     x = rng.uniforms(n)
     y = rng.uniforms(n)
-    gen = _BlockGen(x, y, PrecisionMode.DOUBLE)
-    b = OrthoBuilder(n, scheme=scheme, capacity=n_cols)
-    while b.n_columns < n_cols:
-        for t, col, _ in gen.next_block():
-            if b.add_column(col, tag=t) and b.n_columns >= n_cols:
-                break
+    if scheme != "igs":
+        return single_pass_defect(x, y, n_cols, modified=scheme == "mgs")
+    b = OrthoBuilder(n, capacity=n_cols)
+    for t, col in basis_columns(x, y):
+        if b.add_column(col, tag=t) and b.n_columns >= n_cols:
+            break
     return orthogonality_defect(b.to_basis())
 
 
@@ -211,8 +213,8 @@ def test_criterion_3_normal_equation_oracle_equivalence():
     rng = SplitMix64(777)
     worst = 0.0
     for _ in range(25):
-        n = 35 + rng.next_u64() % 26          # 35..60 points
-        k = 10 + rng.next_u64() % 19          # 10..28 columns
+        n = 35 + int(rng.block(1)[0]) % 26    # 35..60 points
+        k = 10 + int(rng.block(1)[0]) % 19    # 10..28 columns
         x = rng.uniforms(n)
         y = rng.uniforms(n)
         z = np.array([math.sin(3 * a) * math.cos(2 * b) + 0.1 * rng.uniform()

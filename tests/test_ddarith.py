@@ -16,7 +16,7 @@ from oracles import reference_slices
 
 def _rand_doubles(n, seed=42):
     rng = SplitMix64(seed)
-    return [(rng.uniform() - 0.5) * 2.0 ** (rng.next_u64() % 40 - 20)
+    return [(rng.uniform() - 0.5) * 2.0 ** (int(rng.block(1)[0]) % 40 - 20)
             for _ in range(n)]
 
 

@@ -1,4 +1,8 @@
-"""Orthonormalization schemes, defect measurement, coefficient algebra."""
+"""Iterated orthonormalization, checked against the single-pass
+classical and modified Gram-Schmidt baselines of ``oracles``; defect
+measurement; coefficient algebra."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -9,19 +13,18 @@ from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import comp_dot, dd_add, dd_dot, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
-from oracles import sympy_laplacian_columns, unit_dataset
-from conftest import all_train_split, raw_curvature_sums, uniform_xy
+from oracles import single_pass_gs, sympy_laplacian_columns, unit_dataset
+from conftest import (all_train_split, basis_columns, raw_curvature_sums,
+                      single_pass_defect, uniform_xy)
 
 
 def _feed_columns(builder, x, y, n_cols, extended=False):
-    """Push basis columns 0..n_cols-1 into a builder."""
-    from orthofit.fit import _BlockGen
-    gen = _BlockGen(x, y, PrecisionMode.EXTENDED if extended else PrecisionMode.DOUBLE)
-    while builder.n_columns < n_cols:
-        for t, col, _ in gen.next_block():
-            builder.add_column(col, tag=t)
-            if builder.n_columns >= n_cols:
-                break
+    """Push basis columns into a builder until it holds n_cols."""
+    precision = PrecisionMode.EXTENDED if extended else PrecisionMode.DOUBLE
+    for t, col in basis_columns(x, y, precision):
+        if builder.n_columns >= n_cols:
+            break
+        builder.add_column(col, tag=t)
     return builder
 
 
@@ -72,13 +75,23 @@ def test_duplicate_column_in_double_mode_stays_harmless():
 @pytest.mark.parametrize("scheme", ["igs", "cgs", "mgs"])
 def test_duplicate_column_is_rejected_double(scheme):
     # the repeat's residual is rounding noise near 1e-16 of its norm, far
-    # above RANK_TOL but far below DOUBLE_RANK_REL
+    # above RANK_TOL but far below DOUBLE_RANK_REL; cgs and mgs are the
+    # single-pass baselines, which share the builder's rank rule
     x, y = uniform_xy(40, 5)
-    b = _feed_columns(OrthoBuilder(40, scheme=scheme), x, y, 4)
-    P = b.to_basis().P
-    for dup in (P[:, 2].copy(), 3.0 * P[:, 0] - 0.5 * P[:, 3]):
-        assert not b.add_column(dup, tag=99)
-    assert b.n_columns == 4 and 99 not in b.kept
+    if scheme == "igs":
+        b = _feed_columns(OrthoBuilder(40), x, y, 4)
+        P = b.to_basis().P
+        for dup in (P[:, 2].copy(), 3.0 * P[:, 0] - 0.5 * P[:, 3]):
+            assert not b.add_column(dup, tag=99)
+        assert b.n_columns == 4 and 99 not in b.kept
+        return
+    modified = scheme == "mgs"
+    raw = [col for _, col in itertools.islice(basis_columns(x, y), 4)]
+    P = single_pass_gs(raw, 40, 6, modified)
+    dups = [P[:, 2].copy(), 3.0 * P[:, 0] - 0.5 * P[:, 3]]
+    again = single_pass_gs(raw + dups, 40, 6, modified)
+    assert P.shape == again.shape == (40, 4)
+    assert again.tobytes() == P.tobytes()
 
 
 def test_igs_defect_small_after_at_most_two_passes():
@@ -90,33 +103,21 @@ def test_igs_defect_small_after_at_most_two_passes():
 
 def test_schemes_agree_on_well_conditioned_columns():
     x, y = uniform_xy(30, 9)
-    results = {}
-    for scheme in ("igs", "cgs", "mgs"):
-        b = _feed_columns(OrthoBuilder(30, scheme=scheme), x, y, 3)
-        results[scheme] = b.to_basis().P.copy()
-    assert np.allclose(results["igs"], results["cgs"], rtol=0, atol=1e-14)
-    assert np.allclose(results["igs"], results["mgs"], rtol=0, atol=1e-14)
+    igs = _feed_columns(OrthoBuilder(30), x, y, 3).to_basis().P
+    for modified in (False, True):
+        one_pass = single_pass_gs((col for _, col in basis_columns(x, y)),
+                                  30, 3, modified)
+        assert np.allclose(igs, one_pass, rtol=0, atol=1e-14)
 
 
 def test_single_column_identical_across_schemes():
     x = np.linspace(0, 1, 10)
     col = 1.0 + x
-    outs = []
-    for scheme in ("igs", "cgs", "mgs"):
-        b = OrthoBuilder(10, scheme=scheme)
-        b.add_column(col, tag=0)
-        outs.append(b.to_basis().P[:, 0])
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
-
-
-def test_builder_rejects_unknown_scheme_and_extended_mgs():
-    with pytest.raises(ValueError, match="unknown scheme"):
-        OrthoBuilder(10, scheme="householder")
-    with pytest.raises(ValueError, match="double precision only"):
-        OrthoBuilder(10, scheme="mgs", precision=PrecisionMode.EXTENDED)
-    for scheme in ("igs", "cgs"):
-        OrthoBuilder(10, scheme=scheme, precision=PrecisionMode.EXTENDED)
+    b = OrthoBuilder(10)
+    b.add_column(col, tag=0)
+    for modified in (False, True):
+        assert np.array_equal(single_pass_gs([col], 10, 1, modified),
+                              b.to_basis().P)
 
 
 def test_defect_of_a_tall_basis_matches_a_compensated_gram():
@@ -139,12 +140,12 @@ def test_defect_of_a_tall_basis_matches_a_compensated_gram():
 
 def test_defect_ordering_igs_beats_mgs_beats_cgs():
     x, y = uniform_xy(400, 13)
-    defects = {}
-    for scheme in ("igs", "cgs", "mgs"):
-        b = _feed_columns(OrthoBuilder(400, scheme=scheme), x, y, 150)
-        defects[scheme] = orthogonality_defect(b.to_basis())
-    assert defects["igs"] < defects["mgs"] < defects["cgs"]
-    assert defects["igs"] <= 1e-12
+    igs = orthogonality_defect(
+        _feed_columns(OrthoBuilder(400), x, y, 150).to_basis())
+    cgs, mgs = (single_pass_defect(x, y, 150, modified)
+                for modified in (False, True))
+    assert igs < mgs < cgs
+    assert igs <= 1e-12
 
 
 def test_defect_trivial_cases():
@@ -171,10 +172,9 @@ def test_columns_have_unit_norm():
 def test_second_pass_never_hurts():
     x, y = uniform_xy(200, 21)
     n_cols = columns_for_degree(10) - 1
-    one_pass = _feed_columns(OrthoBuilder(200, scheme="cgs"), x, y, n_cols)
-    iterated = _feed_columns(OrthoBuilder(200, scheme="igs"), x, y, n_cols)
+    iterated = _feed_columns(OrthoBuilder(200), x, y, n_cols)
     assert (orthogonality_defect(iterated.to_basis())
-            <= orthogonality_defect(one_pass.to_basis()))
+            <= single_pass_defect(x, y, n_cols, modified=False))
 
 
 def test_idempotent_on_already_orthonormal_columns():
@@ -409,8 +409,3 @@ def test_defect_does_not_depend_on_the_layout_of_p():
     assert not c_order.P.flags.f_contiguous
     assert (np.float64(orthogonality_defect(basis)).tobytes()
             == np.float64(orthogonality_defect(c_order)).tobytes())
-
-
-def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
-        OrthoBuilder(10, scheme="qr")
