@@ -6,8 +6,8 @@ plain monomial coefficients.  Both come from one triangular expansion,
 P_s = a_ss h_s + sum_{t<s} a_st P_t (``_expand``): applied to basis
 values it evaluates the polynomials, applied to the identity it yields
 their monomial coefficients.  The monomial form is the cheap, portable
-artifact that gets serialized; the conversion runs in double-double
-arithmetic by default because the expansion cancels catastrophically
+artifact that gets serialized; the conversion always runs in
+double-double arithmetic because the expansion cancels catastrophically
 for large models when carried out in plain doubles -- the two
 evaluation paths then visibly disagree.
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -83,34 +84,26 @@ def _expand(a, a_lo, h):
     return ph.T, pl.T
 
 
-def to_monomial(fit: FitResult,
-                precision: PrecisionMode = PrecisionMode.EXTENDED,
-                include_audit: bool = False) -> SurfaceModel:
+def to_monomial(fit: FitResult, include_audit: bool = False) -> SurfaceModel:
     """Convert a fit to monomial form: c = sum_s b_s g_s, where g_s holds
     the monomial coefficients of P_s.
 
-    The expansion runs at the requested precision (extended by default,
-    regardless of the fit's own precision); the final coefficients are
-    stored as doubles either way.
+    The expansion always runs in double-double, whatever the fit's own
+    precision; the final coefficients are stored as doubles.
     """
-    return _monomials([fit], precision, include_audit)[0]
+    return _monomials([fit], include_audit)[0]
 
 
-def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
+def _monomials(fits, include_audit=False):
     """``to_monomial`` for fits whose bases are column prefixes of one
     basis (the solves of one sweep): the expansion runs once, for the
-    widest.  Row s of it depends only on rows < s, so at extended
-    precision its K-column prefix is the expansion of a K-column basis
-    bit for bit."""
+    widest.  Row s of it depends only on rows < s, so its K-column
+    prefix is the expansion of a K-column basis bit for bit."""
     widest = max((fit.basis for fit in fits), key=lambda basis: basis.n_columns)
     N = widest.n_columns
     a = widest.a
     al = widest.a_lo
-    extended = PrecisionMode(precision) is PrecisionMode.EXTENDED
-    if extended:
-        gh, gl = _expand(a, al, (np.eye(N), np.zeros((N, N))))
-    else:
-        gh = _expand(a, None, np.eye(N))
+    gh, gl = _expand(a, al, (np.eye(N), np.zeros((N, N))))
     models = []
     for fit in fits:
         basis = fit.basis
@@ -118,16 +111,12 @@ def _monomials(fits, precision=PrecisionMode.EXTENDED, include_audit=False):
         if not (np.array_equal(basis.a, a[:K, :K]) and np.array_equal(
                 basis.a_lo, al[:K, :K])):
             raise ValueError("the fits do not share one basis")
-        b = fit.b + fit.b_lo
-        if extended:
-            ch, cl = dd_dot(gh[:K, :K], gl[:K, :K], fit.b, fit.b_lo, axis=1)
-            c = ch + cl
-        else:
-            c = gh[:K, :K] @ b
-        audit = {"a": basis.a.tolist(), "b": b.tolist()} if include_audit else None
+        ch, cl = dd_dot(gh[:K, :K], gl[:K, :K], fit.b, fit.b_lo, axis=1)
+        audit = ({"a": basis.a.tolist(), "b": (fit.b + fit.b_lo).tolist()}
+                 if include_audit else None)
         models.append(SurfaceModel(
-            c=c, kept=basis.kept, map=fit.nmap, S=fit.S, lambda_=fit.lambda_,
-            sigma_tr=fit.sigma_tr, audit=audit))
+            c=ch + cl, kept=basis.kept, map=fit.nmap, S=fit.S,
+            lambda_=fit.lambda_, sigma_tr=fit.sigma_tr, audit=audit))
     return models
 
 
@@ -261,7 +250,7 @@ def entropy_change(model: SurfaceModel, Y, X_hi):
 
 def save_model(model: SurfaceModel, path) -> None:
     """Write the model as RFC 8259 JSON; floats round-trip exactly.
-    A non-finite value raises ValueError."""
+    A non-finite value raises ValueError and leaves no file."""
     nmap = model.map
     doc = {
         "version": MODEL_VERSION,
@@ -274,9 +263,9 @@ def save_model(model: SurfaceModel, path) -> None:
     }
     if model.audit is not None:
         doc["audit"] = model.audit
+    text = json.dumps(doc, indent=1, allow_nan=False)  # may raise: no file yet
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> SurfaceModel:
@@ -288,22 +277,43 @@ def load_model(path) -> SurfaceModel:
         raise ModelFormatError(f"not a model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("not a model file: expected a JSON object")
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelFormatError(
-            f"unsupported model version {doc.get('version')!r} "
-            f"(expected {MODEL_VERSION})")
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_VERSION:
+        raise ModelFormatError(f"unsupported model version {version!r} "
+                               f"(expected {MODEL_VERSION})")
     try:
-        nm = doc["normalization"]
-        nmap = NormalizationMap(*(float(nm[k]) for k in _BOUNDS))
+        nm, S, audit = doc["normalization"], doc["S"], doc.get("audit")
+        if type(S) is not int or S < 0:
+            raise ModelFormatError(f"model field 'S' holds {S!r}, not an "
+                                   "integer >= 0")
+        if audit is not None:  # export writes it back, so it must be finite
+            if not isinstance(audit, dict) or set(audit) != {"a", "b"}:
+                raise ModelFormatError("model field 'audit' must hold just "
+                                       "'a' and 'b'")
+            _finite("audit",
+                    [v for row in audit["a"] for v in row] + audit["b"])
         model = SurfaceModel(
-            c=np.asarray(doc["c"], dtype=float),
-            kept=tuple(doc["kept_indices"]),
-            map=nmap, S=int(doc["S"]), lambda_=float(doc["lambda"]),
-            sigma_tr=float(doc["sigma_tr"]), audit=doc.get("audit"))
+            c=_finite("c", doc["c"]), kept=tuple(doc["kept_indices"]),
+            map=NormalizationMap(*(_finite(k, nm[k]) for k in _BOUNDS)),
+            S=S, lambda_=_finite("lambda", doc["lambda"]),
+            sigma_tr=_finite("sigma_tr", doc["sigma_tr"]), audit=audit)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
     _check_model(model)
     return model
+
+
+def _finite(field, value):
+    """A JSON number of a model file as a float, or a list of them as a
+    float array.  A bool, a string, NaN, an infinity or an integer beyond
+    the double range raises ModelFormatError naming the field."""
+    items = value if isinstance(value, list) else [value]
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+               for v in items):
+        raise ModelFormatError(
+            f"model field '{field}' must hold finite JSON numbers")
+    return (np.array(value, dtype=float) if isinstance(value, list)
+            else float(value))
 
 
 def _check_model(model: SurfaceModel) -> None:
@@ -312,8 +322,6 @@ def _check_model(model: SurfaceModel) -> None:
     if c.ndim != 1 or c.size != len(kept) or not kept:
         raise ModelFormatError(
             f"model field 'c' has {c.size} entries for {len(kept)} kept_indices")
-    if not np.isfinite(c).all():
-        raise ModelFormatError("model field 'c' holds a non-finite coefficient")
     top = columns_for_degree(MAX_DEGREE) - 1
     if (not all(type(t) is int and 0 <= t <= top for t in kept)
             or len(set(kept)) != len(kept)):
@@ -328,8 +336,3 @@ def _check_model(model: SurfaceModel) -> None:
         raise ModelFormatError(
             "model field 'normalization' needs finite bounds and ranges "
             "with x_min < x_max, y_min < y_max and z_min <= z_max")
-    for field, value in (("lambda", model.lambda_),
-                         ("sigma_tr", model.sigma_tr)):
-        if not math.isfinite(value):
-            raise ModelFormatError(
-                f"model field '{field}' is not finite: {value}")

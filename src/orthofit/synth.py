@@ -63,9 +63,6 @@ class SplitMix64:
         k = (self.block(12 * count) >> 11).reshape(count, 12).sum(axis=1)
         return k * 2.0 ** -53 - 6.0
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -121,11 +118,9 @@ def _magnet(x, y):
 
 
 def _poly_truth(degree: int, seed: int) -> Callable[[float, float], float]:
-    rng = SplitMix64(seed ^ 0xC0FFEE)
-    coeffs = []
-    for m in range(degree + 1):
-        for j in range(m + 1):
-            coeffs.append((m, j, (2.0 * rng.uniform() - 1.0) / (m + 1)))
+    mj = [(m, j) for m in range(degree + 1) for j in range(m + 1)]
+    u = SplitMix64(seed ^ 0xC0FFEE).uniforms(len(mj)).tolist()
+    coeffs = [(m, j, (2.0 * v - 1.0) / (m + 1)) for (m, j), v in zip(mj, u)]
 
     def f(x, y):
         return math.fsum(c * x ** (m - j) * y ** j for m, j, c in coeffs)

@@ -11,7 +11,8 @@ SplitMix64 draws one output at a time in Python integers, and the
 reference writer formats every cell through ``csv.writer``.  The
 reference slicer renormalizes each remainder with ``two_sum``.  The
 single-pass Gram-Schmidt baselines (classical and modified) are plain
-numpy in double, with the builder's rank rule.
+numpy in double, with the builder's rank rule.  The plain-double
+monomial conversion is the baseline the double-double one beats.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from orthofit.basis import basis_values, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
 from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
+from orthofit.model import _expand
 from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL, PrecisionMode
 
 
@@ -276,6 +278,15 @@ def mpmath_monomial_coefficients(fit, dps=50):
                       for j in range(s)] + [a[s][s]])
         return [mpmath.fdot((b[s], g[s][j]) for s in range(j, K))
                 for j in range(K)]
+
+
+def double_conversion(fit):
+    """``to_monomial`` with the expansion run in plain doubles: the
+    conversion whose cancellation at high order the double-double one
+    avoids.  Only ``c`` differs from ``to_monomial(fit)``."""
+    K = fit.basis.n_columns
+    return replace(to_monomial(fit), c=_expand(fit.basis.a, None, np.eye(K))
+                   @ (fit.b + fit.b_lo))
 
 
 def _mp_values(hi, lo):

@@ -501,6 +501,31 @@ BAD_MODEL_EDITS = {
     "huge_index": ("'kept_indices'",
                    lambda d: setitem(d["kept_indices"], 1, 10**18)),
     "nan_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", math.nan)),
+    # numbers beyond the double range
+    "infinite_S": ("'S'", lambda d: setitem(d, "S", math.inf)),
+    "huge_int_c": ("'c'", lambda d: setitem(d["c"], 0, 10 ** 400)),
+    "huge_int_lambda": ("'lambda'", lambda d: setitem(d, "lambda", 10 ** 400)),
+    "huge_int_sigma_tr": ("'sigma_tr'",
+                          lambda d: setitem(d, "sigma_tr", -10 ** 400)),
+    "huge_int_x_min": ("'x_min'", lambda d: setitem(d["normalization"],
+                                                    "x_min", -10 ** 400)),
+    # export --audit writes the audit back, so it must be finite too
+    "nan_audit": ("'audit'", lambda d: setitem(
+        d, "audit", {"a": [[1.0, 0.0], [0.5, math.nan]], "b": [1.0, 2.0]})),
+    # JSON values of the wrong type
+    "fractional_S": ("'S'", lambda d: setitem(d, "S", 1.9)),
+    "string_S": ("'S'", lambda d: setitem(d, "S", "3")),
+    "bool_S": ("'S'", lambda d: setitem(d, "S", True)),
+    "bool_version": ("version", lambda d: setitem(d, "version", True)),
+    "float_version": ("version", lambda d: setitem(d, "version", 1.0)),
+    "string_c": ("'c'", lambda d: setitem(d["c"], 0, "0.5")),
+    "bool_c": ("'c'", lambda d: setitem(d["c"], 0, False)),
+    "string_bound": ("'y_max'", lambda d: setitem(d["normalization"],
+                                                  "y_max", "2")),
+    "bool_bound": ("'x_max'", lambda d: setitem(d["normalization"],
+                                                "x_max", True)),
+    "string_lambda": ("'lambda'", lambda d: setitem(d, "lambda", "0")),
+    "bool_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", False)),
 }
 
 
@@ -515,7 +540,23 @@ def test_eval_rejects_invalid_model_file(capsys, plane_csv, tmp_path, case):
     code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
                              "--grid", "2x2")
     assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert field in err
+
+
+def test_export_refuses_a_non_finite_audit_and_writes_nothing(
+        capsys, plane_csv, tmp_path):
+    model_path = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path), "--audit")
+    doc = json.loads(model_path.read_text())
+    doc["audit"]["b"][0] = math.nan
+    model_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "exported.json"
+    code, out, err = run_cli(capsys, "export", "--model", str(model_path),
+                             "--out", str(out_path), "--audit")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "'audit'" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("axis", [0, 2], ids=["x", "z"])

@@ -16,8 +16,8 @@ from oracles import reference_slices
 
 def _rand_doubles(n, seed=42):
     rng = SplitMix64(seed)
-    return [(rng.uniform() - 0.5) * 2.0 ** (int(rng.block(1)[0]) % 40 - 20)
-            for _ in range(n)]
+    return [(float(rng.uniforms(1)[0]) - 0.5)
+            * 2.0 ** (int(rng.block(1)[0]) % 40 - 20) for _ in range(n)]
 
 
 def test_two_sum_exact():

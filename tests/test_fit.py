@@ -307,6 +307,10 @@ def test_insufficient_and_degenerate_inputs():
     with pytest.raises(InsufficientDataError):
         fit_surface(all_train_split(4), small,
                     FitConfig(fixed_columns=5, max_columns=6))
+    # every odd-x column vanishes on x = 0
+    on_axis = unit_dataset([(0.0, 0.2 * i, float(i)) for i in range(6)])
+    with pytest.raises(DegenerateFitError, match="no basis column survived"):
+        fit_surface(all_train_split(6), on_axis, FitConfig(odd_field_only=True))
 
 
 def test_config_validation():

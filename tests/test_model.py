@@ -20,8 +20,8 @@ from orthofit.fit import FitBasis, solve
 from orthofit.model import MAX_DEGREE, _expand, _monomials
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, uniform_xy
-from oracles import (mpmath_monomial_coefficients, mpmath_simpson_entropy,
-                     unit_dataset)
+from oracles import (double_conversion, mpmath_monomial_coefficients,
+                     mpmath_simpson_entropy, unit_dataset)
 
 IDENTITY = NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
@@ -71,8 +71,7 @@ def test_double_conversion_is_visibly_worse_at_high_order():
     px, py = uniform_xy(60, 78)
     ref = eval_ortho(fit, px, py)
     d_ext = np.abs(eval_monomial(to_monomial(fit), px, py) - ref).max()
-    d_dbl = np.abs(eval_monomial(
-        to_monomial(fit, precision=PrecisionMode.DOUBLE), px, py) - ref).max()
+    d_dbl = np.abs(eval_monomial(double_conversion(fit), px, py) - ref).max()
     assert d_dbl > d_ext
 
 
@@ -96,7 +95,7 @@ def test_conversion_matches_mpmath_oracle(precision, n_cols):
     assert max(ulps) <= 1.0
     ref = np.array([float(w) for w in want])
     d_ext = np.abs(c - ref).max()
-    d_dbl = np.abs(to_monomial(fit, precision=PrecisionMode.DOUBLE).c - ref).max()
+    d_dbl = np.abs(double_conversion(fit).c - ref).max()
     assert d_dbl > d_ext
 
 

@@ -4,7 +4,13 @@ do not count, so a helper that only tests reach fails here and belongs
 in the tests.  A name counts as a ``Name``, an ``Attribute``, an import
 alias, or a ``"module:Qual.name"`` string as the benchmark tracer
 writes its targets.  Names with a leading underscore, dunders among
-them, are exempt."""
+them, are exempt.
+
+Likewise every optional parameter of a public function or method, or of
+a class's ``__init__`` (a dataclass's generated one is not in the
+source), is passed, by keyword or by position, by some call in ``src/``
+or ``perfbench/``: a default that only tests and demos override is an
+option nothing uses."""
 
 import ast
 import re
@@ -34,6 +40,63 @@ def _named(tree):
               and TARGET.fullmatch(node.value)):
             names.update(node.value.partition(":")[2].split("."))
     return names
+
+
+def _optional(fn, bound):
+    """(name, position) of each parameter of ``fn`` with a default; a
+    keyword-only one has position None.  With ``bound`` the first
+    parameter (self) is not passed, so positions start after it."""
+    pos = (fn.args.posonlyargs + fn.args.args)[bound:]
+    first = len(pos) - len(fn.args.defaults)
+    return [(a.arg, i) for i, a in enumerate(pos) if i >= first] + [
+        (a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if d is not None]
+
+
+def _signatures(tree):
+    """(called name, qualified name, optional parameters) of each public
+    module-level function, each public method, and each ``__init__``,
+    which is called by the class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, _optional(node, False)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in fn.decorator_list)
+            qual = f"{node.name}.{fn.name}"
+            if fn.name == "__init__":
+                yield node.name, qual, _optional(fn, bound)
+            elif not fn.name.startswith("_"):
+                yield fn.name, qual, _optional(fn, bound)
+
+
+def _passes(call, name, position):
+    """Whether ``call`` passes the parameter; a ``*`` or ``**`` argument
+    may pass any."""
+    return (any(k.arg in (None, name) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def _unset(defining, calling):
+    """Optional parameters of the ``defining`` trees that no call in the
+    ``calling`` trees passes, as "qualified.name(parameter)"; a call
+    counts by the called name alone, whatever its receiver."""
+    calls = {}
+    for node in (n for tree in calling for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = getattr(f, "id", None) or getattr(f, "attr", None)
+            calls.setdefault(called, []).append(node)
+    return sorted(
+        f"{qual}({name})" for tree in defining
+        for called, qual, params in _signatures(tree)
+        for name, position in params
+        if not any(_passes(c, name, position) for c in calls.get(called, [])))
 
 
 def _parse(paths):
@@ -66,3 +129,33 @@ def test_reach_counts_each_kind_of_reference():
                               "called", "orphan"}
     assert _defined(tree) - _named(tree) == {"unused", "orphan"}
     assert {"imported", "alias"} <= _named(tree)
+
+
+def test_every_optional_parameter_is_passed():
+    program = _parse(p for d in ("src", "perfbench")
+                     for p in sorted((ROOT / d).rglob("*.py")))
+    unset = _unset(_parse(sorted((ROOT / "src" / "orthofit").glob("*.py"))),
+                   program)
+    assert not unset, unset
+
+
+def test_parameter_check_counts_each_kind_of_argument():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    field: int = 1\n"
+        "class Builder:\n"
+        "    def __init__(self, n, size=2, *, kind=None): pass\n"
+        "    def add(self, v, tag=None, check=True): pass\n"
+        "    def _hidden(self, flag=False): pass\n"
+        "    @staticmethod\n"
+        "    def make(v, scale=1.0): pass\n"
+        "def run(x, depth=3, **extra): pass\n"
+        "def spread(a, b=0): pass\n"
+        "def _private(x=0): pass\n"
+        "Builder(5, 7).add(1, check=False)\n"
+        "Builder.make(2)\n"
+        "run(1, **opts)\n"
+        "spread(*pair)\n")
+    assert _unset([tree], [tree]) == [
+        "Builder.__init__(kind)", "Builder.add(tag)", "Builder.make(scale)"]

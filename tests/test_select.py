@@ -279,6 +279,7 @@ SHARED_SWEEPS = {
                                      precision=PrecisionMode.EXTENDED)),
     "failing": ([-700, 10], FitConfig(fixed_columns=11,
                                       precision=PrecisionMode.EXTENDED)),
+    "failing_auto": ([-700, 10], FitConfig(precision=PrecisionMode.EXTENDED)),
     "budget": ([-700, 10], FitConfig(fixed_columns=5, max_columns=5,
                                      odd_field_only=True,
                                      precision=PrecisionMode.EXTENDED)),
@@ -287,6 +288,7 @@ SHARED_SWEEPS = {
 # the note of the x=-700 record, which a failed sweep quotes
 FAILED_NOTES = {
     "failing": "training error is not finite after column 0 ",
+    "failing_auto": "training error is not finite after column 0 ",
     "budget": "training error is not finite after column 1 ",
 }
 

@@ -42,7 +42,7 @@ def test_block_stream_matches_reference_bit_for_bit(seed, first, second,
     got = rng.normals(n_normal)
     want = np.array([ref.normal() for _ in range(n_normal)])
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-    scalars = (int(rng.block(1)[0]), rng.uniform(),
+    scalars = (int(rng.block(1)[0]), float(rng.uniforms(1)[0]),
                float(rng.normals(1)[0]))
     assert scalars == (ref.next_u64(), ref.uniform(), ref.normal())
     assert rng.state == ref.state
