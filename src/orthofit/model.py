@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 from dataclasses import dataclass, replace
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -282,18 +282,19 @@ def load_model(path) -> SurfaceModel:
         raise ModelFormatError(f"unsupported model version {version!r} "
                                f"(expected {MODEL_VERSION})")
     try:
-        nm, S, audit = doc["normalization"], doc["S"], doc.get("audit")
+        nm = _of("normalization", doc["normalization"], dict)
+        S, audit = doc["S"], doc.get("audit")
         if type(S) is not int or S < 0:
-            raise ModelFormatError(f"model field 'S' holds {S!r}, not an "
-                                   "integer >= 0")
+            raise ModelFormatError("model field 'S' must hold an integer >= 0")
         if audit is not None:  # export writes it back, so it must be finite
-            if not isinstance(audit, dict) or set(audit) != {"a", "b"}:
+            if set(_of("audit", audit, dict)) != {"a", "b"}:
                 raise ModelFormatError("model field 'audit' must hold just "
                                        "'a' and 'b'")
-            _finite("audit",
-                    [v for row in audit["a"] for v in row] + audit["b"])
+            for row in [audit["b"], *_of("audit", audit["a"], list)]:
+                [_finite("audit", v) for v in _of("audit", row, list)]
         model = SurfaceModel(
-            c=_finite("c", doc["c"]), kept=tuple(doc["kept_indices"]),
+            c=np.array([_finite("c", v) for v in _of("c", doc["c"], list)]),
+            kept=tuple(_of("kept_indices", doc["kept_indices"], list)),
             map=NormalizationMap(*(_finite(k, nm[k]) for k in _BOUNDS)),
             S=S, lambda_=_finite("lambda", doc["lambda"]),
             sigma_tr=_finite("sigma_tr", doc["sigma_tr"]), audit=audit)
@@ -303,17 +304,19 @@ def load_model(path) -> SurfaceModel:
     return model
 
 
-def _finite(field, value):
-    """A JSON number of a model file as a float, or a list of them as a
-    float array.  A bool, a string, NaN, an infinity or an integer beyond
-    the double range raises ModelFormatError naming the field."""
-    items = value if isinstance(value, list) else [value]
-    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-               for v in items):
-        raise ModelFormatError(
-            f"model field '{field}' must hold finite JSON numbers")
-    return (np.array(value, dtype=float) if isinstance(value, list)
-            else float(value))
+def _of(name, value, kind):
+    """value, if it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        raise ModelFormatError(f"model field '{name}' has the wrong JSON type")
+    return value
+
+
+def _finite(name, value) -> float:
+    """A model file's JSON number as a float, if it is finite; anything
+    else (a bool, a string, an array) raises ModelFormatError naming it."""
+    if not (type(value) in (int, float) and abs(value) <= float_info.max):
+        raise ModelFormatError(f"model field '{name}' needs a finite number")
+    return float(value)
 
 
 def _check_model(model: SurfaceModel) -> None:

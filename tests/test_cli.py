@@ -526,6 +526,23 @@ BAD_MODEL_EDITS = {
                                                 "x_max", True)),
     "string_lambda": ("'lambda'", lambda d: setitem(d, "lambda", "0")),
     "bool_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", False)),
+    # a scalar where the file holds a list, and the other way round
+    "scalar_c": ("'c'", lambda d: setitem(d, "c", 0.5)),
+    "list_lambda": ("'lambda'", lambda d: setitem(d, "lambda", [0.5])),
+    "list_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", [1])),
+    "list_x_min": ("'x_min'", lambda d: setitem(d["normalization"], "x_min",
+                                                [0.0, 1.0])),
+    "empty_list_y_max": ("'y_max'", lambda d: setitem(d["normalization"],
+                                                      "y_max", [])),
+    "list_normalization": ("'normalization'",
+                           lambda d: setitem(d, "normalization", [])),
+    "scalar_kept_indices": ("'kept_indices'",
+                            lambda d: setitem(d, "kept_indices", 5)),
+    "flat_audit": ("'audit'", lambda d: setitem(
+        d, "audit", {"a": [1.0, 2.0], "b": [1.0, 2.0]})),
+    "scalar_audit_b": ("'audit'", lambda d: setitem(
+        d, "audit", {"a": [[1.0, 0.0], [0.5, 1.0]], "b": 1.0})),
+    "list_audit": ("'audit'", lambda d: setitem(d, "audit", [1.0])),
 }
 
 
