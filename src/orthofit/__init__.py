@@ -8,8 +8,8 @@ from .dataset import (DataSplit, NormalizationMap, NormalizedDataset,
 from .errors import (DegenerateAxisError, DegenerateFitError,
                      InsufficientDataError, ModelFormatError, OrthofitError,
                      ParseError)
-from .fit import (FitBasis, FitConfig, FitResult, FitStep, RegState,
-                  fit_surface, regularized_coefficient, solve)
+from .fit import (FitBasis, FitConfig, FitResult, fit_surface,
+                  regularized_coefficient, solve)
 from .model import (SurfaceModel, dZ_dY, entropy_change, eval_monomial,
                     eval_ortho, eval_physical, load_model, save_model,
                     to_monomial)

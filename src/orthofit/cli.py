@@ -106,8 +106,8 @@ def _parse_x_grid(text: str) -> list[float]:
         if step <= 0 or hi < lo:
             raise ValueError("x grid range must satisfy lo <= hi, step > 0")
         if lo + step == lo:
-            raise ValueError(f"x grid range {text}: step {step:g} does "
-                             f"not advance past {lo:g}")
+            raise ValueError(f"x grid range {text}: step {step!r} does "
+                             f"not advance past {lo!r}")
         from fractions import Fraction  # only ranges pay for its import
         # exact rationals: the count and each lo + k step round once
         lo, hi, step = (Fraction(p) for p in parts)
@@ -118,8 +118,8 @@ def _parse_x_grid(text: str) -> list[float]:
         out = [float(lo + k * step) for k in range(count)]
         stuck = [a for a, b in zip(out, out[1:]) if b <= a]
         if stuck:
-            raise ValueError(f"x grid range {text}: step {float(step):g} "
-                             f"does not advance past {stuck[0]:g}")
+            raise ValueError(f"x grid range {text}: step {float(step)!r} "
+                             f"does not advance past {stuck[0]!r}")
         return out
     return [float(p) for p in text.split(",") if p.strip()]
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,42 +95,13 @@ def regularized_coefficient(proj, q, r_acc, lam: float):
     return (proj - lam * r_acc * q) / (lam * q * q + 1.0)
 
 
-class RegState:
-    """Accumulator for the regularization recurrence.
-
-    Tracks the running R (= sum of b_r * Q_r, r < t) and the
-    coefficients; ``absorb`` advances the recurrence by one column.
-    """
-
-    def __init__(self, lam: float):
-        self.lam = lam
-        self.R = 0.0
-        self.b: list = []
-
-    def absorb(self, proj, q):
-        b = regularized_coefficient(proj, q, self.R, self.lam)
-        self.R = self.R + b * q
-        self.b.append(b)
-        return b
-
-
-@dataclass(frozen=True)
-class FitStep:
-    """History record taken after accepting one column."""
-
-    flat_index: int
-    ortho_index: int
-    b: float
-    q: float
-    r_next: float
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Everything needed to evaluate or convert a fitted surface.
 
-    ``b_lo`` holds the dd low parts of ``b`` (zeros in double mode); the
-    fits solved on one ``FitBasis`` share the views of its builder's
+    ``b_lo`` holds the dd low parts of ``b`` (zeros in double mode); each
+    column's proj_t and Q_t stay on the ``FitBasis`` it was solved on.
+    The fits solved on one ``FitBasis`` share the views of its builder's
     basis (``OrthoBuilder.to_basis``).
     """
 
@@ -139,11 +110,10 @@ class FitResult:
     S: int
     lambda_: float
     sigma_tr: float
-    history: tuple
     nmap: NormalizationMap
-    b_lo: Optional[np.ndarray] = None
-    rejected: tuple = field(default=())
-    stop_reason: str = ""
+    b_lo: np.ndarray
+    rejected: tuple
+    stop_reason: str
 
 
 class _BlockGen:
@@ -306,10 +276,9 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
     fixed = cfg.fixed_columns is not None
     watch = not fixed and cfg.target_error is not None
     each = watch or every_column
-    reg = RegState(lam)
+    R, bs = 0.0, []
     residual = bld.make_vector(basis.z)
     sigma = sigma_block_start = basis.sigma0
-    history: list[FitStep] = []
     stall = 0
     k = s = 0          # next degree block, next column
     reason = None
@@ -322,7 +291,9 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
         first = s
         for s in range(first, end):
             q = basis.q[s]
-            b = reg.absorb(basis.proj[s], q)
+            b = regularized_coefficient(basis.proj[s], q, R, lam)
+            R = R + b * q
+            bs.append(b)
             residual = bld.subtract_scaled_column(residual, s, b)
             sigma = None
             if each or s + 1 >= cap:
@@ -333,8 +304,6 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
                     raise DegenerateFitError(
                         f"training error is not finite after column "
                         f"{bld.kept[s]} at lambda={lam!r}")
-            history.append(FitStep(bld.kept[s], s, float(b), float(q),
-                                   float(reg.R)))
             if s + 1 >= cap:
                 reason = "columns"
                 break
@@ -362,7 +331,7 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
         if not math.isfinite(sigma):
             return None
 
-    K = len(history)
+    K = len(bs)
     if K == 0:
         raise DegenerateFitError("no basis column survived orthogonalization")
     if fixed and K < cap:
@@ -371,24 +340,22 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
     stop = (bld.kept[K - 1] if reason in ("columns", "target_error")
             else block_start(k))
     rejected = basis.rejected[:bisect_left(basis.rejected, stop)]
-    bh, bl = map(np.array, zip(*map(DD._coerce, reg.b)))
+    bh, bl = map(np.array, zip(*map(DD._coerce, bs)))
     return FitResult(basis=bld.to_basis(K), b=bh, S=K - 1, lambda_=lam,
-                     sigma_tr=sigma, history=tuple(history), nmap=basis.nmap,
-                     b_lo=bl, rejected=tuple(rejected),
-                     stop_reason=reason)
+                     sigma_tr=sigma, nmap=basis.nmap, b_lo=bl,
+                     rejected=tuple(rejected), stop_reason=reason)
 
 
 def fit_surface(split: DataSplit, data: NormalizedDataset,
                 cfg: FitConfig) -> FitResult:
     """Run the incremental regularized fit on the training group.
 
-    Returns a FitResult whose ``S`` is the largest accepted column index;
-    ``history`` records (flat index, column index, coefficient, Laplacian
-    sum, running R) per accepted column and ``stop_reason`` names the rule
-    that ended the fit: "target_error", "stall", "columns" (the column
-    cap or ``fixed_columns``) or "scan_budget".  ``rejected`` holds the
-    flat indices rejected as dependent below the last column's, or below
-    the next block's first at a block-end stop.  A training error that is
-    not finite (lambda too large) raises DegenerateFitError.
+    Returns a FitResult whose ``S`` is the largest accepted column index
+    and whose ``stop_reason`` names the rule that ended the fit:
+    "target_error", "stall", "columns" (the column cap or
+    ``fixed_columns``) or "scan_budget".  ``rejected`` holds the flat
+    indices rejected as dependent below the last column's, or below the
+    next block's first at a block-end stop.  A training error that is not
+    finite (lambda too large) raises DegenerateFitError.
     """
     return solve(FitBasis(split, data, cfg), cfg.lambda_)

@@ -17,9 +17,9 @@ from decimal import Decimal
 import mpmath
 import numpy as np
 
-from orthofit import (FitConfig, SplitConfig, SynthSpec, fit_surface,
-                      generate, lambda_sweep, normalize, overfit_degree,
-                      split, to_monomial)
+from orthofit import (FitBasis, FitConfig, SplitConfig, SynthSpec,
+                      fit_surface, generate, lambda_sweep, normalize,
+                      overfit_degree, solve, split, to_monomial)
 from orthofit.basis import columns_for_degree
 from orthofit.model import eval_monomial, eval_ortho
 from orthofit.ortho import OrthoBuilder, PrecisionMode, orthogonality_defect
@@ -241,11 +241,12 @@ def test_criterion_4_large_lambda_decay():
                                 noise_sigma=0.0, seed=7))
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
-    fit = fit_surface(parts, data,
-                      FitConfig(lambda_=1e6, fixed_columns=45, max_columns=45,
-                                odd_field_only=True))
-    increments = np.array([st.b * st.q for st in fit.history])
-    running = np.array([st.r_next for st in fit.history])
+    cfg = FitConfig(lambda_=1e6, fixed_columns=45, max_columns=45,
+                    odd_field_only=True)
+    basis = FitBasis(parts, data, cfg)
+    fit = solve(basis, cfg.lambda_)
+    increments = fit.b * np.array(basis.q[:fit.S + 1])
+    running = np.cumsum(increments)  # R after each column, in solve's order
     ratio = np.abs(running[10:]).max() / np.abs(increments).max()
     elapsed = time.perf_counter() - t0
     ok = _line(4, ratio <= 1e-3,

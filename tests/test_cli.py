@@ -10,11 +10,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from operator import setitem
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthofit import (SynthSpec, dZ_dY, entropy_change, eval_physical,
                       generate, load_model, save_dataset)
@@ -189,7 +191,15 @@ def test_sweep_bad_grid_spec(capsys, plane_csv):
                         ("-inf", "-inf"), ("10,nan", "nan"),
                         ("0:inf:10", "finite"),
                         ("1e20:2e20:1", "does not advance"),
-                        ("0:1e9:1", "more than 100000 points")):
+                        ("0:1e9:1", "more than 100000 points"),
+                        ("1:2", "x grid range must be lo:hi:step\n"),
+                        # each message names the exact value, not six digits
+                        ("123456.5:123457:1e-12",
+                         "step 1e-12 does not advance past 123456.5\n"),
+                        ("123456.5:123456.5000000001:1e-11", "step 1e-11 "
+                         "does not advance past 123456.50000000001\n"),
+                        ("9007199254740988:9007199254740996:1", "step 1.0 "
+                         "does not advance past 9007199254740992.0\n")):
         code, out, err = run_cli(capsys, "sweep", str(plane_csv),
                                  f"--x-grid={spec}")
         assert code == 2, spec
@@ -543,6 +553,8 @@ BAD_MODEL_EDITS = {
     "scalar_audit_b": ("'audit'", lambda d: setitem(
         d, "audit", {"a": [[1.0, 0.0], [0.5, 1.0]], "b": 1.0})),
     "list_audit": ("'audit'", lambda d: setitem(d, "audit", [1.0])),
+    "extra_audit_key": ("'audit'", lambda d: setitem(
+        d, "audit", {"a": [[1.0]], "b": [1.0], "c": [0.0]})),
 }
 
 
@@ -914,3 +926,153 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- CLI boundary property --------------------------------------------------
+# Every run ends with a documented exit code; a failure prints one error
+# line and no traceback, and a success prints no non-finite number.
+
+NON_FINITE = re.compile(r"(?i)(?<![a-z])(nan|inf|infinity)(?![a-z])")
+FIT_FLAGS = {
+    "--lambda": ["0", "1e-9", "2", "1e300"],
+    "--sample-by": ["x", "y"],
+    "--sample-factor": ["2", "3", "9"],
+    "--max-degree": ["1", "3", "6"],
+    "--target-error": ["0", "1e-3"],
+    "--precision": ["double", "extended"],
+    "--fixed-S": ["0", "2", "9", "40"],
+    "--stop-rel-improvement": ["0.01", "0.5"],
+    "--stop-patience": ["1", "3"],
+    "--report": ["text", "csv", "json"],
+}
+SWEEP_FLAGS = {**FIT_FLAGS, "--gamma-cap": ["1", "0", "-1", "inf"]}
+SPLIT_FLAGS = {k: FIT_FLAGS[k] for k in ("--sample-by", "--sample-factor",
+                                         "--report")}
+BAD_FLAGS = ["--lambda=-1", "--lambda=nan", "--lambda=-inf",
+             "--sample-factor=1", "--max-degree=0", "--max-degree=361",
+             "--target-error=-1", "--target-error=nan", "--fixed-S=-1",
+             "--stop-rel-improvement=1", "--stop-patience=0",
+             "--gamma-cap=nan"]
+X_GRIDS = ["10", "0,40", "20,10,30", "0:20:5", "0:40:2", "-700,10", "-800",
+           "10:5:1", "nan", "1e20:2e20:1", "1:2", ""]
+BAD_ROWS = ["nan,1,2", "1,inf,2", "1,2", "1,2,3,4", "a,b,c", ",,", "1e999,0,0"]
+
+
+def _run(rng):
+    """A data file and an argument list for ``fit``, ``sweep`` or ``split``.
+
+    The file holds up to 30 points with x on six levels, scaled towards
+    the ends of the double range, and sometimes a bad row or a header
+    without z; up to three flags take good values and sometimes one more
+    takes a bad one.  The odd cases are kept rare enough that most draws
+    reach the fit."""
+    n = rng.randint(6, 30) if rng.random() < 0.8 else rng.randint(0, 5)
+    sx, sz = (rng.choice([1.0, 1.0, 1e-300, 1e150, 1e300]) for _ in "xz")
+    lines = [f"{k % 6 * sx!r},{rng.randint(0, 9)},{rng.uniform(-2, 2) * sz!r}"
+             for k in range(n)]
+    if lines and rng.random() < 0.15:
+        lines[rng.randrange(n)] = rng.choice(BAD_ROWS)
+    header = "x,y" if rng.random() < 0.05 else rng.choice(["x,y,z", "H,T,M"])
+    command = rng.choice(["fit", "sweep", "split"])
+    table = {"fit": FIT_FLAGS, "sweep": SWEEP_FLAGS,
+             "split": SPLIT_FLAGS}[command]
+    argv = [command] + [f"{k}={rng.choice(table[k])}"
+                        for k in rng.sample(sorted(table), rng.randint(0, 3))]
+    if rng.random() < 0.15:
+        argv.append(rng.choice([f for f in BAD_FLAGS
+                                if f.partition("=")[0] in table]))
+    if command == "sweep":
+        argv.append(f"--x-grid={rng.choice(X_GRIDS)}")
+    elif rng.random() < 0.5:
+        argv.append("--odd-field-only" if command == "fit" else "--indices")
+    return "".join(f"{line}\n" for line in [header, *lines]), argv
+
+
+def _check_run(capsys, argv, *outputs):
+    """Run ``main`` and check the boundary rules; ``outputs`` are the files
+    an exit-0 run writes, which may hold no non-finite number either."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert not caught, [str(w.message) for w in caught]
+    if code:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""
+        for text in [out, *(p.read_text() for p in outputs)]:
+            assert not NON_FINITE.search(text), (argv, text)
+
+
+@settings(max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.randoms(use_true_random=True))
+def test_data_and_flags_meet_the_cli_boundary_rules(capsys, tmp_path, rng):
+    text, argv = _run(rng)
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    data.write_text(text)
+    argv.insert(1, str(data))
+    if argv[0] == "fit":
+        _check_run(capsys, [*argv, "-o", str(model)], model)
+    else:
+        _check_run(capsys, argv)
+
+
+@pytest.fixture(scope="module")
+def audited_model(tmp_path_factory):
+    """A small model file with its audit, as a parsed JSON document."""
+    root = tmp_path_factory.mktemp("audited")
+    pts, _ = generate(SynthSpec(surface="magnet", nx=8, ny=6, seed=3))
+    save_dataset(pts, root / "d.csv")
+    assert main(["fit", str(root / "d.csv"), "-o", str(root / "m.json"),
+                 "--fixed-S", "5", "--audit"]) == 0
+    return json.loads((root / "m.json").read_text())
+
+
+JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 7, 10 ** 400, -10 ** 400,
+                     1e308, -1e308, 1e-300, 5e-324, math.nan, math.inf, "",
+                     "1", [], {}, [1.0], [[1.0]], {"a": 1}]),
+    st.floats(), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one or two fields replaced, deleted or added to.  Each
+    edit walks down from the top, one key or index at a time, so every
+    top-level field is as likely as the large audit."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and (
+                parent is None or draw(st.booleans())):
+            parent, key = node, draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        action = draw(st.sampled_from(["set", "delete", "add"]))
+        if action == "set":
+            parent[key] = draw(JSON_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(node, list):
+            node.append(draw(JSON_VALUES))
+        elif isinstance(node, dict):
+            node["extra"] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_model_edits_meet_the_cli_boundary_rules(capsys, tmp_path,
+                                                 audited_model, data):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(data.draw(_mutated(audited_model))))
+    out_json, out_csv = tmp_path / "e.json", tmp_path / "e.csv"
+    _check_run(capsys, ["eval", "--model", str(model), "--grid", "3x4",
+                        "--with-slope", "--with-entropy"])
+    _check_run(capsys, ["export", "--model", str(model), "--out",
+                        str(out_json), "--audit"], out_json)
+    _check_run(capsys, ["export", "--model", str(model), "--out",
+                        str(out_csv), "--format", "csv"], out_csv)

@@ -418,6 +418,8 @@ def test_normalize_errors():
         normalize(np.array([(1, 0, 0), (1, 1, 1), (1, 2, 2)]))
     with pytest.raises(DegenerateAxisError, match="y"):
         normalize(np.array([(0, 5, 0), (1, 5, 1), (2, 5, 2)]))
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize(np.array([(0, 0, 0), (1, 1, math.nan), (2, 2, 2)]))
 
 
 @pytest.mark.parametrize("shape", [(12,), (4, 6), (6, 2), (2, 3, 3)])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
-                      FitBasis, RegState, SplitConfig, SynthSpec,
+                      FitBasis, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize,
                       regularized_coefficient, solve, split)
 from orthofit.basis import degree_block
@@ -37,15 +37,34 @@ def test_coefficient_generic_over_dd():
     assert float(b) == pytest.approx(-5.0, abs=1e-11)
 
 
-def test_regstate_recurrence():
-    rs = RegState(lam=2.0)
-    b0 = rs.absorb(0.5, 0.0)
-    assert b0 == 0.5 and rs.R == 0.0
-    b1 = rs.absorb(0.4, 3.0)
-    assert b1 == pytest.approx((0.4 - 0.0) / (2 * 9 + 1))
-    assert rs.R == pytest.approx(b1 * 3.0)
-    b2 = rs.absorb(0.1, -1.0)
-    assert rs.R == pytest.approx(b1 * 3.0 + b2 * (-1.0))
+def _fit_and_sums(parts, data, cfg):
+    """``fit_surface``'s result with the curvature sums Q_t of its columns,
+    read from the basis it was solved on."""
+    basis = FitBasis(parts, data, cfg)
+    fit = solve(basis, cfg.lambda_)
+    return fit, np.array([float(q) for q in basis.q[:fit.S + 1]])
+
+
+def test_solve_runs_the_closed_form_recurrence():
+    # b_t from proj_t, Q_t and R_t = sum_{r<t} b_r Q_r, recomputed here from
+    # the basis's own proj and q, must give solve's coefficients bit for bit
+    pts, _ = generate(SynthSpec(surface="magnet", nx=15, ny=12,
+                                noise_sigma=0.02, seed=11))
+    data = normalize(pts)
+    parts = split(data, SplitConfig("y", 3))
+    for precision in PrecisionMode:
+        basis = FitBasis(parts, data, FitConfig(
+            fixed_columns=30, max_columns=30, precision=precision))
+        for lam in (0.0, 2.0, 1e6):
+            fit = solve(basis, lam)
+            R, want = 0.0, []
+            for proj, q in zip(basis.proj, basis.q[:fit.S + 1]):
+                want.append(regularized_coefficient(proj, q, R, lam))
+                R = R + want[-1] * q
+            hi, lo = map(np.array, zip(*map(DD._coerce, want)))
+            assert len(want) == 30
+            assert fit.b.tobytes() == hi.tobytes(), (precision, lam)
+            assert fit.b_lo.tobytes() == lo.tobytes(), (precision, lam)
 
 
 def test_plane_fit_is_exact(plane_points):
@@ -87,9 +106,8 @@ def test_sigma_monotone_without_regularization():
 def test_curvature_sums_vanish_for_linear_columns():
     pts, _ = generate(SynthSpec(surface="magnet", nx=12, ny=10, seed=3))
     data = normalize(pts)
-    fit = fit_surface(all_train_split(data.n), data,
-                      FitConfig(lambda_=5.0, fixed_columns=12, max_columns=12))
-    qs = [st.q for st in fit.history]
+    _, qs = _fit_and_sums(all_train_split(data.n), data, FitConfig(
+        lambda_=5.0, fixed_columns=12, max_columns=12))
     assert qs[0] == qs[1] == qs[2] == 0.0
     assert any(q != 0.0 for q in qs[3:])
 
@@ -103,13 +121,12 @@ def test_curvature_sums_match_mpmath_oracle(precision, n_cols, bound):
                                 noise_sigma=0.02, seed=1))
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
-    fit = fit_surface(parts, data,
-                      FitConfig(fixed_columns=n_cols, max_columns=n_cols,
-                                precision=PrecisionMode(precision)))
+    fit, got = _fit_and_sums(parts, data, FitConfig(
+        fixed_columns=n_cols, max_columns=n_cols,
+        precision=PrecisionMode(precision)))
     idx = parts.train_idx
     want = np.array([float(q) for q in
                      mpmath_curvature_sums(fit.basis, data.x[idx], data.y[idx])])
-    got = np.array([st.q for st in fit.history])
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
@@ -155,11 +172,10 @@ def test_large_lambda_keeps_curvature_sum_near_zero():
     pts, _ = generate(SynthSpec(surface="magnet", nx=80, ny=60, seed=7))
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
-    fit = fit_surface(parts, data,
-                      FitConfig(lambda_=1e8, fixed_columns=30, max_columns=30,
-                                odd_field_only=True))
-    increments = np.array([st.b * st.q for st in fit.history])
-    running = np.array([st.r_next for st in fit.history])
+    fit, q = _fit_and_sums(parts, data, FitConfig(
+        lambda_=1e8, fixed_columns=30, max_columns=30, odd_field_only=True))
+    increments = fit.b * q
+    running = np.cumsum(increments)
     assert np.abs(running[10:]).max() <= 1e-3 * np.abs(increments).max()
 
 
@@ -238,8 +254,8 @@ def test_solves_on_one_basis_match_fresh_fits():
             got = solve(basis, math.exp(-x))
             want = fit_surface(parts, data, replace(cfg, lambda_=math.exp(-x)))
             assert got.rejected == want.rejected
-            assert (got.S, got.sigma_tr, got.history, got.stop_reason) == (
-                want.S, want.sigma_tr, want.history, want.stop_reason)
+            assert (got.S, got.sigma_tr, got.stop_reason) == (
+                want.S, want.sigma_tr, want.stop_reason)
             assert got.b.tobytes() == want.b.tobytes()
             assert got.basis.a.tobytes() == want.basis.a.tobytes()
             reasons.append((got.S, len(got.rejected), got.stop_reason))

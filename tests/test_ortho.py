@@ -162,6 +162,14 @@ def test_defect_trivial_cases():
         orthogonality_defect(one)
 
 
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+def test_add_column_rejects_a_column_of_the_wrong_length(precision):
+    b = OrthoBuilder(4, precision=precision)
+    with pytest.raises(ValueError, match="does not match the training size"):
+        b.add_column(np.ones(5), tag=0)
+    assert b.n_columns == 0 and b.add_column(np.ones(4), tag=0)
+
+
 def test_columns_have_unit_norm():
     x, y = uniform_xy(150, 19)
     b = _feed_columns(OrthoBuilder(150), x, y, 45)

@@ -3,8 +3,9 @@ somewhere in the program: ``src/``, ``demos/`` or ``perfbench/``.  Tests
 do not count, so a helper that only tests reach fails here and belongs
 in the tests.  A name counts as a ``Name``, an ``Attribute``, an import
 alias, or a ``"module:Qual.name"`` string as the benchmark tracer
-writes its targets.  Names with a leading underscore, dunders among
-them, are exempt.
+writes its targets.  The package ``__init__``'s ``from .x import Name``
+lines re-export a name without using it, so they do not count.  Names
+with a leading underscore, dunders among them, are exempt.
 
 Likewise every optional parameter of a public function or method, or of
 a class's ``__init__`` (a dataclass's generated one is not in the
@@ -17,6 +18,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+INIT = ROOT / "src" / "orthofit" / "__init__.py"
 TARGET = re.compile(r"[\w.]+:[\w.]+")
 
 
@@ -40,6 +42,13 @@ def _named(tree):
               and TARGET.fullmatch(node.value)):
             names.update(node.value.partition(":")[2].split("."))
     return names
+
+
+def _without_reexports(tree):
+    """``tree`` without its relative ``from .x import Name`` statements."""
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.ImportFrom) and node.level)]
+    return tree
 
 
 def _optional(fn, bound):
@@ -104,8 +113,10 @@ def _parse(paths):
 
 
 def test_every_public_definition_is_reached():
-    program = _parse(p for d in ("src", "demos", "perfbench")
-                     for p in sorted((ROOT / d).rglob("*.py")))
+    paths = [p for d in ("src", "demos", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    program = [_without_reexports(tree) if path == INIT else tree
+               for path, tree in zip(paths, _parse(paths))]
     defined = set().union(*map(_defined, _parse(
         sorted((ROOT / "src" / "orthofit").glob("*.py")))))
     unreached = sorted(defined - set().union(*map(_named, program)))
@@ -129,6 +140,16 @@ def test_reach_counts_each_kind_of_reference():
                               "called", "orphan"}
     assert _defined(tree) - _named(tree) == {"unused", "orphan"}
     assert {"imported", "alias"} <= _named(tree)
+
+
+def test_a_package_reexport_alone_does_not_reach():
+    init = ast.parse("from .fit import exported, used\n"
+                     "__all__ = [n for n in dir() if not n.startswith('_')]\n")
+    module = ast.parse("def exported(): pass\ndef used(): pass\n")
+    user = ast.parse("import orthofit\northofit.used()\n")
+    assert "exported" in _named(init)
+    assert _defined(module) - _named(_without_reexports(init)) - _named(
+        user) == {"exported"}
 
 
 def test_every_optional_parameter_is_passed():
