@@ -28,8 +28,8 @@ print(f"split sizes: train={len(parts.train_idx)} cv={len(parts.cv_idx)} "
       f"test={len(parts.test_idx)}")
 
 # --- 3. fit -----------------------------------------------------------------
-cfg = FitConfig(lambda_=0.0, target_error=1e-6, max_columns=210)
-fit = fit_surface(parts, data, cfg)
+cfg = FitConfig(target_error=1e-6, max_columns=210)
+fit = fit_surface(parts, data, cfg, lam=0.0)  # lam: the curvature penalty
 print(f"fit stopped at S={fit.S} with training error {fit.sigma_tr:.3e}")
 
 model = to_monomial(fit)

@@ -7,13 +7,13 @@ as JSON or a coefficient CSV), ``synth`` (generate a synthetic dataset),
 and ``split`` (inspect the train/cv/test partition).
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
-2 usage or input error (bad flags, missing or unopenable files,
-non-finite lambda or x grid, a ``synth`` grid over the point cap or noise
-that overflows z), 3 data or model error (unparseable or
-non-UTF-8 data, degenerate or overflowing axes, model version mismatch
-or out-of-range model fields, a working set that does not fit in
-memory), 4 numeric failure (non-finite training error or ``eval`` output
-included).
+2 usage or input error (bad flags, missing or unopenable files, a
+negative or non-finite ``--lambda``, a non-finite x grid, a ``synth``
+grid over the point cap or noise that overflows z), 3 data or model
+error (unparseable or non-UTF-8 data, degenerate or overflowing axes,
+model version mismatch or out-of-range model fields, a working set that
+does not fit in memory), 4 numeric failure (non-finite training error
+or ``eval`` output included).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
 thread count (``OPENBLAS_NUM_THREADS``).
@@ -48,11 +48,10 @@ from .synth import SynthSpec, generate
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
 EVAL_CHUNK_ROWS = 256  # eval rows per array call; bounds the basis tables
+MAX_GRID_AXIS = 10_000_000  # eval --grid counts: each axis is one array
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lambda_", type=float, default=0.0,
-                   help="regularization strength (default 0)")
     p.add_argument("--sample-by", choices=("x", "y"), default="y",
                    help="coordinate used to sort before splitting")
     p.add_argument("--sample-factor", type=int, default=3,
@@ -81,7 +80,6 @@ def _fit_config(args) -> FitConfig:
     if args.fixed_s is not None and args.fixed_s < 0:
         raise ValueError(f"--fixed-S must be >= 0, got {args.fixed_s}")
     return FitConfig(
-        lambda_=args.lambda_,
         max_columns=columns_for_degree(args.max_degree),
         target_error=args.target_error,
         stop_rel_improvement=args.stop_rel_improvement,
@@ -142,10 +140,12 @@ def _emit_report(report: dict, fmt: str) -> None:
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     cfg = _fit_config(args)
+    if not (math.isfinite(args.lam) and args.lam >= 0):
+        raise ValueError(f"--lambda must be finite and >= 0, got {args.lam!r}")
     split_cfg = SplitConfig(args.sample_by, args.sample_factor)
     data = normalize(load_dataset(args.input))
     parts = split(data, split_cfg)
-    fit = fit_surface(parts, data, cfg)
+    fit = fit_surface(parts, data, cfg, args.lam)
     model = to_monomial(fit, include_audit=args.audit)
     s_cv = group_error(model, data, parts.cv_idx)
     s_te = group_error(model, data, parts.test_idx)
@@ -208,6 +208,9 @@ def cmd_eval(args) -> int:
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad grid spec {args.grid!r}") from None
+        if max(nx, ny) > MAX_GRID_AXIS:
+            raise ValueError(f"--grid {args.grid!r}: NX and NY must each be "
+                             f"at most {MAX_GRID_AXIS}")
     elif not args.points:
         raise ValueError("need --points or --grid")
     model = load_model(args.model)
@@ -245,6 +248,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.audit and args.format == "csv":  # main maps ValueError to exit 2
+        raise ValueError("--audit applies to --format json, not --format csv")
     model = load_model(args.model)
     if args.format == "json":
         if not args.audit:
@@ -306,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=("text", "csv", "json"), default="text")
     p.add_argument("--audit", action="store_true",
                    help="embed the orthogonal expansion in the model file")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0,
+                   help="regularization strength (default 0)")
     _add_fit_flags(p)
     p.set_defaults(func=cmd_fit)
 

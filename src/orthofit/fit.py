@@ -46,7 +46,6 @@ from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
 class FitConfig:
     """Knobs for a single fit.
 
-    lambda_ : finite regularization strength (0: no curvature term).
     max_columns : hard cap on accepted polynomial columns (>= 3).
     target_error : stop once the training error drops this low (>= 0).
     stop_rel_improvement / stop_patience_blocks : stall rule -- stop after
@@ -59,7 +58,6 @@ class FitConfig:
         stopping rules.
     """
 
-    lambda_: float = 0.0
     max_columns: int = 210
     target_error: Optional[float] = None
     stop_rel_improvement: float = 0.05
@@ -69,10 +67,6 @@ class FitConfig:
     fixed_columns: Optional[int] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.lambda_):
-            raise ValueError(f"lambda_ must be finite, got {self.lambda_!r}")
-        if self.lambda_ < 0:
-            raise ValueError("lambda_ must be >= 0")
         if self.target_error is not None and not self.target_error >= 0:
             raise ValueError(
                 f"target_error must be >= 0, got {self.target_error!r}")
@@ -90,7 +84,8 @@ def regularized_coefficient(proj, q, r_acc, lam: float):
     """Closed-form coefficient of one orthonormal polynomial.
 
     Arguments may be floats or DD scalars; the result follows the inputs.
-    The denominator is at least 1, so the expression never degenerates.
+    The denominator is at least 1 (``solve`` admits only lam >= 0), so the
+    expression never degenerates.
     """
     return (proj - lam * r_acc * q) / (lam * q * q + 1.0)
 
@@ -253,8 +248,8 @@ class FitBasis:
 
 def solve(basis: FitBasis, lam: float) -> FitResult:
     """Run the coefficient recurrence at strength ``lam`` over the shared
-    basis, applying the stopping rules of the config it was built with
-    (its ``lambda_`` is not read).
+    basis, applying the stopping rules of the config it was built with.
+    Raises ValueError unless ``lam`` is finite and >= 0.
 
     The training error is computed only where a rule reads it: after
     every column while ``target_error`` is set, at degree-block ends for
@@ -262,6 +257,8 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
     finite (lambda too large) raises DegenerateFitError naming the first
     column where it became so.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     # A residual entry that is not finite never turns finite again, and an
     # overflowing squared norm cannot shrink back (b_t never reads the
     # residual and the P_t are orthonormal): the first walk only detects
@@ -347,8 +344,9 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
 
 
 def fit_surface(split: DataSplit, data: NormalizedDataset,
-                cfg: FitConfig) -> FitResult:
-    """Run the incremental regularized fit on the training group.
+                cfg: FitConfig, lam: float = 0.0) -> FitResult:
+    """Run the incremental regularized fit on the training group at
+    strength ``lam``.
 
     Returns a FitResult whose ``S`` is the largest accepted column index
     and whose ``stop_reason`` names the rule that ended the fit:
@@ -358,4 +356,4 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
     next block's first at a block-end stop.  A training error that is not
     finite (lambda too large) raises DegenerateFitError.
     """
-    return solve(FitBasis(split, data, cfg), cfg.lambda_)
+    return solve(FitBasis(split, data, cfg), lam)

@@ -320,11 +320,16 @@ def _finite(name, value) -> float:
 
 
 def _check_model(model: SurfaceModel) -> None:
-    """Reject model contents that would evaluate wrongly or to NaN."""
+    """Reject model contents that disagree with each other or would
+    evaluate wrongly or to NaN."""
     c, kept, nmap = model.c, model.kept, model.map
     if c.ndim != 1 or c.size != len(kept) or not kept:
         raise ModelFormatError(
             f"model field 'c' has {c.size} entries for {len(kept)} kept_indices")
+    if model.S != len(kept) - 1:
+        raise ModelFormatError(
+            f"model field 'S' is {model.S}, but {len(kept)} coefficients "
+            f"need S = {len(kept) - 1}")
     top = columns_for_degree(MAX_DEGREE) - 1
     if (not all(type(t) is int and 0 <= t <= top for t in kept)
             or len(set(kept)) != len(kept)):

@@ -124,7 +124,7 @@ def refit_sweep(data, split, grid, cfg, gamma_cap=1.0):
     for x in sorted({float(x) for x in grid}):
         lam = math.exp(-x)
         try:
-            fit = fit_surface(split, data, replace(cfg, lambda_=lam))
+            fit = fit_surface(split, data, cfg, lam)
             model = to_monomial(fit)
             s_tr = fit.sigma_tr
             s_cv = group_error(model, data, split.cv_idx)

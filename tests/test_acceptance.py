@@ -241,10 +241,9 @@ def test_criterion_4_large_lambda_decay():
                                 noise_sigma=0.0, seed=7))
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
-    cfg = FitConfig(lambda_=1e6, fixed_columns=45, max_columns=45,
-                    odd_field_only=True)
+    cfg = FitConfig(fixed_columns=45, max_columns=45, odd_field_only=True)
     basis = FitBasis(parts, data, cfg)
-    fit = solve(basis, cfg.lambda_)
+    fit = solve(basis, 1e6)
     increments = fit.b * np.array(basis.q[:fit.S + 1])
     running = np.cumsum(increments)  # R after each column, in solve's order
     ratio = np.abs(running[10:]).max() / np.abs(increments).max()

@@ -226,13 +226,22 @@ def test_sweep_grid_range_counts_points_exactly(capsys, plane_csv):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_lambda_is_a_usage_error(capsys, plane_csv, tmp_path,
                                             command, value):
-    extra = (["-o", str(tmp_path / "m.json")] if command == "fit"
-             else ["--x-grid", "10"])
-    code, out, err = run_cli(capsys, command, str(plane_csv), *extra,
-                             f"--lambda={value}")
-    assert code == 2
-    assert value.lstrip("-") in err and not out
-    assert not (tmp_path / "m.json").exists()
+    # fit checks --lambda before it reads the (here missing) data file;
+    # sweep draws its strengths from --x-grid and has no --lambda at all
+    if command == "fit":
+        code, out, err = run_cli(capsys, "fit", str(tmp_path / "missing.csv"),
+                                 "-o", str(tmp_path / "m.json"),
+                                 f"--lambda={value}")
+        assert code == 2 and not out
+        assert err == (f"error: --lambda must be finite and >= 0, "
+                       f"got {float(value)!r}\n")
+        assert not (tmp_path / "m.json").exists()
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(plane_csv), "--x-grid", "10", f"--lambda={value}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert f"unrecognized arguments: --lambda={value}" in err
 
 
 def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
@@ -257,7 +266,9 @@ def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
     (("fit", "--fixed-S", "-1"), "--fixed-S must be >= 0, got -1"),
     (("sweep", "--x-grid", "10", "--fixed-S", "-1"),
      "--fixed-S must be >= 0, got -1"),
-    (("fit", "--max-degree", "361"), "--max-degree must be <= 360, got 361")])
+    (("fit", "--max-degree", "361"), "--max-degree must be <= 360, got 361"),
+    (("fit", "--lambda=-0.25"),
+     "--lambda must be finite and >= 0, got -0.25")])
 def test_flags_are_checked_before_the_data_file(capsys, tmp_path, argv,
                                                 message):
     missing = str(tmp_path / "missing.csv")
@@ -513,6 +524,8 @@ BAD_MODEL_EDITS = {
     "nan_sigma_tr": ("'sigma_tr'", lambda d: setitem(d, "sigma_tr", math.nan)),
     # numbers beyond the double range
     "infinite_S": ("'S'", lambda d: setitem(d, "S", math.inf)),
+    # the file format holds S + 1 coefficients
+    "S_mismatch": ("'S'", lambda d: setitem(d, "S", d["S"] + 1)),
     "huge_int_c": ("'c'", lambda d: setitem(d["c"], 0, 10 ** 400)),
     "huge_int_lambda": ("'lambda'", lambda d: setitem(d, "lambda", 10 ** 400)),
     "huge_int_sigma_tr": ("'sigma_tr'",
@@ -678,13 +691,33 @@ def test_eval_rejects_grid_with_points(capsys, tmp_path):
     (("--grid", "0x3"), "error: bad grid spec '0x3'"),
     (("--grid", "2x2x2"), "error: bad grid spec '2x2x2'"),
     (("--grid", "x"), "error: bad grid spec 'x'"),
-    ((), "error: need --points or --grid")])
+    ((), "error: need --points or --grid"),
+    # each axis is one array, which numpy could not allocate
+    (("--grid", "99999999999999999999x1"), "error: --grid "
+     "'99999999999999999999x1': NX and NY must each be at most 10000000"),
+    (("--grid", "1x10000001"),
+     "error: --grid '1x10000001': NX and NY must each be at most 10000000")])
 def test_eval_flags_are_checked_before_the_model_file(capsys, tmp_path, flags,
                                                       message):
     code, out, err = run_cli(capsys, "eval", "--model",
                              str(tmp_path / "missing.json"), *flags)
     assert code == 2 and not out
     assert err == message + "\n"
+
+
+def test_export_refuses_audit_with_csv_format(capsys, plane_csv, tmp_path):
+    # the coefficient table has no place for the audit: refused, not
+    # dropped, before the model file is read or the output file opened
+    model_path, out_csv = tmp_path / "m.json", tmp_path / "coeffs.csv"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model_path), "--audit")
+    for model in (model_path, tmp_path / "missing.json"):
+        code, out, err = run_cli(capsys, "export", "--model", str(model),
+                                 "--out", str(out_csv), "--format", "csv",
+                                 "--audit")
+        assert (code, out) == (2, "")
+        assert err == ("error: --audit applies to --format json, "
+                       "not --format csv\n")
+        assert not out_csv.exists()
 
 
 def test_export_json_and_csv(capsys, plane_csv, tmp_path):
@@ -933,8 +966,8 @@ def test_version_flag(capsys):
 # line and no traceback, and a success prints no non-finite number.
 
 NON_FINITE = re.compile(r"(?i)(?<![a-z])(nan|inf|infinity)(?![a-z])")
-FIT_FLAGS = {
-    "--lambda": ["0", "1e-9", "2", "1e300"],
+FAILED_SWEEP_ROW = re.compile(r"(?m)^[^,\n]*,[^,\n]*,-1,.*$")
+COMMON_FLAGS = {
     "--sample-by": ["x", "y"],
     "--sample-factor": ["2", "3", "9"],
     "--max-degree": ["1", "3", "6"],
@@ -945,47 +978,88 @@ FIT_FLAGS = {
     "--stop-patience": ["1", "3"],
     "--report": ["text", "csv", "json"],
 }
-SWEEP_FLAGS = {**FIT_FLAGS, "--gamma-cap": ["1", "0", "-1", "inf"]}
-SPLIT_FLAGS = {k: FIT_FLAGS[k] for k in ("--sample-by", "--sample-factor",
-                                         "--report")}
+# the good values of each command's flags; grids stay in the hundreds
+FLAGS = {
+    "fit": {**COMMON_FLAGS, "--lambda": ["0", "1e-9", "2", "1e300"]},
+    "sweep": {**COMMON_FLAGS, "--gamma-cap": ["1", "0", "-1", "inf"]},
+    "split": {k: COMMON_FLAGS[k] for k in ("--sample-by", "--sample-factor",
+                                           "--report")},
+    "eval": {"--grid": ["1x1", "3x4", "20X10", "2x150"]},
+    "export": {"--format": ["json", "csv"]},
+    "synth": {"--surface": ["plane", "magnet", "poly", "poly:0", "poly:9"],
+              "--nx": ["1", "2", "7", "20"], "--ny": ["1", "3", "20"],
+              "--noise": ["0", "0.02", "1e300"],
+              "--seed": ["0", "1", "-1", "18446744073709551617"]},
+}
+SWITCHES = {"fit": ["--odd-field-only"], "split": ["--indices"],
+            "eval": ["--with-slope", "--with-entropy"], "export": ["--audit"]}
 BAD_FLAGS = ["--lambda=-1", "--lambda=nan", "--lambda=-inf",
              "--sample-factor=1", "--max-degree=0", "--max-degree=361",
              "--target-error=-1", "--target-error=nan", "--fixed-S=-1",
              "--stop-rel-improvement=1", "--stop-patience=0",
-             "--gamma-cap=nan"]
+             "--gamma-cap=nan", "--grid=0x3", "--grid=2x2x2", "--grid=x",
+             "--grid=99999999999999999999x1", "--surface=poly:41",
+             "--surface=plane:1", "--surface=cubic", "--nx=0", "--ny=-3",
+             "--nx=100000000", "--noise=-1", "--noise=nan", "--noise=1e308"]
 X_GRIDS = ["10", "0,40", "20,10,30", "0:20:5", "0:40:2", "-700,10", "-800",
            "10:5:1", "nan", "1e20:2e20:1", "1:2", ""]
-BAD_ROWS = ["nan,1,2", "1,inf,2", "1,2", "1,2,3,4", "a,b,c", ",,", "1e999,0,0"]
+HEADERS = {3: ["x,y,z", "H,T,M"], 2: ["x,y", "H,T"]}
+BAD_ROWS = {3: ["nan,1,2", "1,inf,2", "1,2", "1,2,3,4", "a,b,c", ",,",
+                "1e999,0,0"],
+            2: ["nan,1", "1,inf", "1", "1,2,3", "a,b", ",", "1e999,0"]}
 
 
-def _run(rng):
-    """A data file and an argument list for ``fit``, ``sweep`` or ``split``.
-
-    The file holds up to 30 points with x on six levels, scaled towards
-    the ends of the double range, and sometimes a bad row or a header
-    without z; up to three flags take good values and sometimes one more
-    takes a bad one.  The odd cases are kept rare enough that most draws
-    reach the fit."""
+def _table(rng, width):
+    """A data file (``width`` 3) or point file (2) of up to 30 points with x
+    on six levels, x and z scaled towards the ends of the double range,
+    sometimes with a bad row or a header that lacks its last column."""
     n = rng.randint(6, 30) if rng.random() < 0.8 else rng.randint(0, 5)
     sx, sz = (rng.choice([1.0, 1.0, 1e-300, 1e150, 1e300]) for _ in "xz")
-    lines = [f"{k % 6 * sx!r},{rng.randint(0, 9)},{rng.uniform(-2, 2) * sz!r}"
+    lines = [",".join(f"{v!r}" for v in (k % 6 * sx, rng.randint(0, 9),
+                                          rng.uniform(-2, 2) * sz)[:width])
              for k in range(n)]
     if lines and rng.random() < 0.15:
-        lines[rng.randrange(n)] = rng.choice(BAD_ROWS)
-    header = "x,y" if rng.random() < 0.05 else rng.choice(["x,y,z", "H,T,M"])
-    command = rng.choice(["fit", "sweep", "split"])
-    table = {"fit": FIT_FLAGS, "sweep": SWEEP_FLAGS,
-             "split": SPLIT_FLAGS}[command]
-    argv = [command] + [f"{k}={rng.choice(table[k])}"
-                        for k in rng.sample(sorted(table), rng.randint(0, 3))]
-    if rng.random() < 0.15:
-        argv.append(rng.choice([f for f in BAD_FLAGS
-                                if f.partition("=")[0] in table]))
+        lines[rng.randrange(n)] = rng.choice(BAD_ROWS[width])
+    header = rng.choice(HEADERS[width])
+    if rng.random() < 0.05:
+        header = header[:-2]
+    return "".join(f"{line}\n" for line in [header, *lines])
+
+
+def _run(rng, tmp, model_doc):
+    """An argument list for one command, with the files it reads written
+    to ``tmp``, and the files an exit-0 run writes.
+
+    ``fit``, ``sweep`` and ``split`` read a data file, ``eval`` the model
+    ``model_doc`` and a grid or a point file, ``export`` that model, and
+    ``synth`` nothing.  Up to three flags take good values, each switch is
+    set half the time, and sometimes one more flag takes a bad value.
+    The odd cases are kept rare enough that most draws reach the work."""
+    command = rng.choice(sorted(FLAGS))
+    table = FLAGS[command]
+    chosen = rng.sample(sorted(table), rng.randint(0, min(3, len(table))))
+    argv = [command] + [f"{k}={rng.choice(table[k])}" for k in chosen]
+    argv += [f for f in SWITCHES.get(command, []) if rng.random() < 0.5]
+    bad = [f for f in BAD_FLAGS if f.partition("=")[0] in table]
+    if bad and rng.random() < 0.15:
+        argv.append(rng.choice(bad))
+    data, model, out = tmp / "d.csv", tmp / "in.json", tmp / "out"
+    if command in ("fit", "sweep", "split"):
+        data.write_text(_table(rng, 3))
+        argv.insert(1, str(data))
+    if command in ("eval", "export"):
+        model.write_text(json.dumps(model_doc))
+        argv += ["--model", str(model)]
     if command == "sweep":
         argv.append(f"--x-grid={rng.choice(X_GRIDS)}")
-    elif rng.random() < 0.5:
-        argv.append("--odd-field-only" if command == "fit" else "--indices")
-    return "".join(f"{line}\n" for line in [header, *lines]), argv
+    elif command == "eval" and not any(
+            a.startswith("--grid") for a in argv) and rng.random() < 0.9:
+        data.write_text(_table(rng, 2))
+        argv.append(f"--points={data}")
+    elif command in ("fit", "export", "synth"):
+        argv += ["-o" if command == "fit" else "--out", str(out)]
+        return argv, [out]
+    return argv, []
 
 
 def _check_run(capsys, argv, *outputs):
@@ -1000,6 +1074,8 @@ def _check_run(capsys, argv, *outputs):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     else:
         assert err == ""
+        if argv[0] == "sweep":  # a failed record (S = -1) prints nan errors
+            out = FAILED_SWEEP_ROW.sub("", out)
         for text in [out, *(p.read_text() for p in outputs)]:
             assert not NON_FINITE.search(text), (argv, text)
 
@@ -1007,15 +1083,10 @@ def _check_run(capsys, argv, *outputs):
 @settings(max_examples=400,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.randoms(use_true_random=True))
-def test_data_and_flags_meet_the_cli_boundary_rules(capsys, tmp_path, rng):
-    text, argv = _run(rng)
-    data, model = tmp_path / "d.csv", tmp_path / "m.json"
-    data.write_text(text)
-    argv.insert(1, str(data))
-    if argv[0] == "fit":
-        _check_run(capsys, [*argv, "-o", str(model)], model)
-    else:
-        _check_run(capsys, argv)
+def test_data_and_flags_meet_the_cli_boundary_rules(capsys, tmp_path,
+                                                    audited_model, rng):
+    argv, outputs = _run(rng, tmp_path, audited_model)
+    _check_run(capsys, argv, *outputs)
 
 
 @pytest.fixture(scope="module")

@@ -37,11 +37,11 @@ def test_coefficient_generic_over_dd():
     assert float(b) == pytest.approx(-5.0, abs=1e-11)
 
 
-def _fit_and_sums(parts, data, cfg):
+def _fit_and_sums(parts, data, cfg, lam=0.0):
     """``fit_surface``'s result with the curvature sums Q_t of its columns,
     read from the basis it was solved on."""
     basis = FitBasis(parts, data, cfg)
-    fit = solve(basis, cfg.lambda_)
+    fit = solve(basis, lam)
     return fit, np.array([float(q) for q in basis.q[:fit.S + 1]])
 
 
@@ -107,7 +107,7 @@ def test_curvature_sums_vanish_for_linear_columns():
     pts, _ = generate(SynthSpec(surface="magnet", nx=12, ny=10, seed=3))
     data = normalize(pts)
     _, qs = _fit_and_sums(all_train_split(data.n), data, FitConfig(
-        lambda_=5.0, fixed_columns=12, max_columns=12))
+        fixed_columns=12, max_columns=12), 5.0)
     assert qs[0] == qs[1] == qs[2] == 0.0
     assert any(q != 0.0 for q in qs[3:])
 
@@ -158,10 +158,9 @@ def test_stronger_regularization_fits_worse_at_equal_size():
                                 noise_sigma=0.01, seed=6))
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
-    strong = fit_surface(parts, data, FitConfig(lambda_=math.exp(-10),
-                                                fixed_columns=60, max_columns=60))
-    weak = fit_surface(parts, data, FitConfig(lambda_=math.exp(-40),
-                                              fixed_columns=60, max_columns=60))
+    cfg = FitConfig(fixed_columns=60, max_columns=60)
+    strong = fit_surface(parts, data, cfg, math.exp(-10))
+    weak = fit_surface(parts, data, cfg, math.exp(-40))
     assert strong.sigma_tr > weak.sigma_tr
 
 
@@ -173,7 +172,7 @@ def test_large_lambda_keeps_curvature_sum_near_zero():
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
     fit, q = _fit_and_sums(parts, data, FitConfig(
-        lambda_=1e8, fixed_columns=30, max_columns=30, odd_field_only=True))
+        fixed_columns=30, max_columns=30, odd_field_only=True), 1e8)
     increments = fit.b * q
     running = np.cumsum(increments)
     assert np.abs(running[10:]).max() <= 1e-3 * np.abs(increments).max()
@@ -252,7 +251,7 @@ def test_solves_on_one_basis_match_fresh_fits():
         basis.block(11)  # scan all 12 columns before any solve
         for x in xs:
             got = solve(basis, math.exp(-x))
-            want = fit_surface(parts, data, replace(cfg, lambda_=math.exp(-x)))
+            want = fit_surface(parts, data, cfg, math.exp(-x))
             assert got.rejected == want.rejected
             assert (got.S, got.sigma_tr, got.stop_reason) == (
                 want.S, want.sigma_tr, want.stop_reason)
@@ -329,12 +328,24 @@ def test_insufficient_and_degenerate_inputs():
         fit_surface(all_train_split(6), on_axis, FitConfig(odd_field_only=True))
 
 
+@pytest.mark.parametrize("lam", [-1.0, -0.25, math.nan, math.inf, -math.inf])
+def test_solve_rejects_a_negative_or_non_finite_lambda(lam):
+    # the denominator lam * Q_t**2 + 1 of every coefficient is >= 1 only
+    # for lam >= 0; each strength of a fit or sweep passes this check
+    data = unit_dataset([(0.1 * k, 0.3 * (k % 3), 0.2 * k) for k in range(8)])
+    parts, cfg = all_train_split(data.n), FitConfig(fixed_columns=4,
+                                                    max_columns=4)
+    basis = FitBasis(parts, data, cfg)
+    with pytest.raises(ValueError, match=r"lambda must be finite and >= 0"):
+        solve(basis, lam)
+    with pytest.raises(ValueError, match=r"lambda must be finite and >= 0"):
+        fit_surface(parts, data, cfg, lam)
+    assert solve(basis, 0.0).S == 3
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(lambda_=-1.0)
-    for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            FitConfig(lambda_=value)
+    with pytest.raises(TypeError):
+        FitConfig(lambda_=0.0)  # the strength is an argument of solve
     for value in (math.nan, -1e-30):
         with pytest.raises(ValueError, match=f"target_error .*got {value!r}"):
             FitConfig(target_error=value)

@@ -119,7 +119,7 @@ def test_expansion_prefix_is_the_prefix_expansion():
                          (np.eye(K), np.zeros((K, K))))
         assert ph.tobytes() == np.ascontiguousarray(gh[:K, :K]).tobytes()
         assert pl.tobytes() == np.ascontiguousarray(gl[:K, :K]).tobytes()
-    short = fit_surface(parts, data, replace(cfg, fixed_columns=40, lambda_=1e-4))
+    short = fit_surface(parts, data, replace(cfg, fixed_columns=40), 1e-4)
     models = _monomials(fits + [short])
     assert [m.c.tobytes() for m in models] == [
         to_monomial(fit).c.tobytes() for fit in fits + [short]]
@@ -363,7 +363,7 @@ def _models(draw):
     x, y, z = draw(_ordered), draw(_ordered), draw(_pairs)
     return SurfaceModel(c=np.array(c), kept=tuple(kept),
                         map=NormalizationMap(*x, *y, *z),
-                        S=draw(st.integers(0, 10 ** 6)),
+                        S=len(kept) - 1,
                         lambda_=draw(_finite), sigma_tr=draw(_finite))
 
 

@@ -338,7 +338,7 @@ def test_sweep_orthonormalizes_as_much_as_its_widest_fit(case, monkeypatch):
     swept = len(calls)
     widest = max(report.records, key=lambda r: r.S)
     del calls[:]
-    fit = fit_surface(parts, data, replace(cfg, lambda_=widest.lambda_))
+    fit = fit_surface(parts, data, cfg, widest.lambda_)
     assert fit.S == widest.S
     # every column the fit scanned was accepted or rejected, and no more
     assert swept == len(calls) == fit.S + 1 + len(fit.rejected)
