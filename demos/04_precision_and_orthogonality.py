@@ -17,7 +17,7 @@ from orthofit import (DataSplit, FitConfig, SynthSpec, eval_monomial,
                       eval_ortho, fit_surface, generate, normalize,
                       to_monomial)
 from orthofit.ddarith import DD
-from orthofit.fit import _BlockGen
+from orthofit.basis import _BlockGen
 from orthofit.model import _expand
 from orthofit.ortho import (DOUBLE_RANK_REL, RANK_TOL, OrthoBasis,
                             OrthoBuilder, PrecisionMode, orthogonality_defect)

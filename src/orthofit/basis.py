@@ -1,4 +1,4 @@
-"""Graded bivariate monomial basis.
+"""The graded bivariate monomial basis: one home for the raw columns.
 
 The basis is the total-degree-ordered monomial sequence
 
@@ -7,10 +7,10 @@ The basis is the total-degree-ordered monomial sequence
 flat index ``t = m(m+1)/2 + j`` where ``m`` is the total degree and ``j``
 the power of y, so entry t is ``x**(m-j) * y**j``.  Values come from one
 recursion, ``basis_step``, that builds each degree block from the
-previous one (one multiply per entry), which is both cheap and exactly
-reproducible.  It serves evaluation and the fit alike, in double and in
-double-double.  First y-derivatives follow from the values by the power
-rule.
+previous one (one multiply per entry), cheap and exactly reproducible,
+in double and in double-double.  Evaluation reads the values and their
+y-derivatives (power rule); the fit reads ``_BlockGen``'s columns, with
+their Laplacian sums and the odd-x rule.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ddarith import dd_mul_d
+from .ddarith import DD, dd_add, dd_mul_d, dd_sum
+from .ortho import PrecisionMode
 
 
 class BasisIndex(NamedTuple):
@@ -134,3 +135,52 @@ def basis_dy(x, y, L: int) -> np.ndarray:
         j = np.arange(1, cur.stop - cur.start)
         out[:, cur.start + 1:cur.stop] = j * vals[:, prev.start + j - 1]
     return out[0] if scalar else out
+
+
+class _BlockGen:
+    """Yields basis columns one degree block at a time, each with the sum
+    Q(h) of its Laplacian over the points.
+
+    For h = x^i y^j, Q(h) = i(i-1) M[i-2, j] + j(j-1) M[i, j-2] with the
+    moment sums M[a, b] = sum x^a y^b, which are the column sums of degree
+    block m-2.  Keeps only the previous block and the sums of the last two,
+    so memory stays O(n * degree) regardless of how far the fit runs.
+    ``odd_x`` hands out only the columns with an odd power of x.
+    """
+
+    def __init__(self, x, y, precision: PrecisionMode, odd_x: bool = False):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.ext = precision is PrecisionMode.EXTENDED
+        self.odd_x = odd_x
+        self.m = 0
+        self._block = None
+        self._sums = []   # dd column sums of the last two blocks
+
+    def next_block(self):
+        """Return [(flat_t, col, q)] for the next degree block, with q the
+        DD curvature sum Q(h_t)."""
+        m, n = self.m, self.x.size
+        # column-major, so each column handed out is contiguous
+        block = np.empty((m + 1, n)).T
+        if self.ext:
+            block = (block, np.zeros((m + 1, n)).T)
+        if m == 0:
+            (block[0] if self.ext else block)[:] = 1.0
+        else:
+            basis_step(self._block, self.x, self.y, block)
+        qh, ql = np.zeros(m + 1), np.zeros(m + 1)
+        if m >= 2:
+            sh, sl = self._sums[0]
+            j = np.arange(m - 1)
+            qh[:m - 1], ql[:m - 1] = dd_mul_d(sh, sl, (m - j) * (m - j - 1.0))
+            th, tl = dd_mul_d(sh, sl, (j + 2) * (j + 1.0))
+            qh[2:], ql[2:] = dd_add(qh[2:], ql[2:], th, tl)
+        self._sums.append(dd_sum(*block) if self.ext else dd_sum(block, 0.0))
+        del self._sums[:-2]
+        self._block = block
+        self.m += 1
+        cols = zip(block[0].T, block[1].T) if self.ext else block.T
+        return [(block_start(m) + j, col, DD(qh[j], ql[j]))
+                for j, col in enumerate(cols)
+                if not self.odd_x or (m - j) % 2]

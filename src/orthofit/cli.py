@@ -7,9 +7,10 @@ as JSON or a coefficient CSV), ``synth`` (generate a synthetic dataset),
 and ``split`` (inspect the train/cv/test partition).
 
 Exit codes: 0 success (also when the reader of stdout closes it early),
-2 usage or input error (bad flags, missing or unopenable files, a
-negative or non-finite ``--lambda``, a non-finite x grid, a ``synth``
-grid over the point cap or noise that overflows z), 3 data or model
+2 usage or input error (bad flags, missing or unopenable files, a failed
+write to an output file or stdout, a negative or non-finite
+``--lambda``, a non-finite x grid, a ``synth`` grid over the point cap
+or noise that overflows z), 3 data or model
 error (unparseable or non-UTF-8 data, degenerate or overflowing axes,
 model version mismatch or out-of-range model fields, a working set that
 does not fit in memory), 4 numeric failure (non-finite training error
@@ -22,10 +23,12 @@ thread count (``OPENBLAS_NUM_THREADS``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -34,7 +37,7 @@ import numpy as np
 from . import __version__
 from .dataset import (SplitConfig, load_dataset, load_points, normalize,
                       save_dataset, split, write_rows)
-from .errors import (DegenerateAxisError, InsufficientDataError,
+from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
 from .model import (MAX_DEGREE, dZ_dY, entropy_change, eval_physical,
@@ -49,6 +52,12 @@ USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
 EVAL_CHUNK_ROWS = 256  # eval rows per array call; bounds the basis tables
 MAX_GRID_AXIS = 10_000_000  # eval --grid counts: each axis is one array
+# the flag that sets each field a range check names (``FieldError``)
+FIELD_FLAGS = {
+    "sample_factor": "--sample-factor", "target_error": "--target-error",
+    "stop_rel_improvement": "--stop-rel-improvement",
+    "stop_patience_blocks": "--stop-patience", "gamma_cap": "--gamma-cap",
+    "noise_sigma": "--noise", "nx": "--nx", "ny": "--ny", "seed": "--seed"}
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
@@ -122,6 +131,18 @@ def _parse_x_grid(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn a failed write to ``path`` into a usage error that names it;
+    a path that cannot be opened keeps its OSError, which names it too."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None or isinstance(exc, BrokenPipeError):
+            raise
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(report, indent=1) + "\n")
@@ -155,7 +176,8 @@ def cmd_fit(args) -> int:
     if model_out is None:
         stem = args.input[:-4] if args.input.lower().endswith(".csv") else args.input
         model_out = stem + ".model.json"
-    save_model(model, model_out)
+    with _writing(model_out):
+        save_model(model, model_out)
     report = {
         "n_points": data.n,
         "n_train": len(parts.train_idx),
@@ -183,12 +205,11 @@ def cmd_sweep(args) -> int:
     data = normalize(load_dataset(args.input))
     parts = split(data, split_cfg)
     report = lambda_sweep(data, parts, grid, cfg, gamma_cap=args.gamma_cap)
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write(sweep_to_csv(report))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(sweep_to_json(report))
+    for path, fmt in ((args.csv_out, sweep_to_csv),
+                      (args.json_out, sweep_to_json)):
+        if path:
+            with _writing(path), open(path, "w", encoding="utf-8") as fh:
+                fh.write(fmt(report))
     if args.report == "json":
         sys.stdout.write(sweep_to_json(report))
     else:
@@ -254,12 +275,14 @@ def cmd_export(args) -> int:
     if args.format == "json":
         if not args.audit:
             model = dataclasses.replace(model, audit=None)
-        save_model(model, args.out)
+        with _writing(args.out):
+            save_model(model, args.out)
     else:
         table = np.array([(*degree_block(t), c)
                           for t, c in zip(model.kept, model.c)],
                          dtype=float).reshape(-1, 4)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8",
+                                      newline="") as fh:
             fh.write("t,degree,y_power,c\n")
             write_rows(fh, table, "\n")
     return 0
@@ -269,7 +292,8 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(surface=args.surface, nx=args.nx, ny=args.ny,
                      noise_sigma=args.noise, seed=args.seed)
     points, _ = generate(spec)
-    save_dataset(points, args.out)
+    with _writing(args.out):
+        save_dataset(points, args.out)
     print(f"wrote {len(points)} points to {args.out}")
     return 0
 
@@ -371,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        sys.stdout.flush()  # a closed pipe or full device fails here
         return code
     except BrokenPipeError:
         # the reader left: send what is still buffered to devnull (the
@@ -382,10 +406,14 @@ def main(argv=None) -> int:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
-        if exc.filename is None:  # not a file we were asked to open
-            raise
-        print(f"error: cannot open {exc.filename}: {exc.strerror}",
-              file=sys.stderr)
+        if exc.filename is None:  # not an output file (see _writing): stdout
+            # drop what is still buffered, or the exit flush fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write stdout: {exc.strerror}",
+                  file=sys.stderr)
+        else:
+            print(f"error: cannot open {exc.filename}: {exc.strerror}",
+                  file=sys.stderr)
         return USAGE_ERROR
     except (ParseError, DegenerateAxisError, InsufficientDataError,
             ModelFormatError) as exc:
@@ -399,7 +427,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return DATA_ERROR
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        for field in exc.fields if isinstance(exc, FieldError) else ():
+            message = re.sub(rf"\b{field}\b", FIELD_FLAGS.get(field, field),
+                             message)  # name the flag, not the field
+        print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAxisError, InsufficientDataError, ParseError
+from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
+                     ParseError)
 
 HEADER_ALIASES = (("x", "y", "z"), ("h", "t", "m"))
 ROWS_PER_WRITE = 4096  # rows formatted into one string by write_rows
@@ -98,7 +99,8 @@ class SplitConfig:
         if self.sample_axis not in ("x", "y"):
             raise ValueError("sample_axis must be 'x' or 'y'")
         if self.sample_factor < 2:
-            raise ValueError("sample_factor must be >= 2")
+            raise FieldError(f"sample_factor must be >= 2, got "
+                             f"{self.sample_factor}", "sample_factor")
 
 
 @dataclass(frozen=True)

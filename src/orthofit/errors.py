@@ -5,6 +5,15 @@ flags) exit 2, data/model problems exit 3, numeric failures exit 4.
 """
 
 
+class FieldError(ValueError):
+    """A setting outside its range.  ``fields`` lists the settings the
+    message names, so a front end can put its own names for them."""
+
+    def __init__(self, message, *fields):
+        super().__init__(message)
+        self.fields = fields
+
+
 class OrthofitError(Exception):
     """Base class for all package-specific errors."""
 

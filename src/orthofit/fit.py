@@ -1,7 +1,7 @@
 """Incremental surface fitting on the training group.
 
-Columns of the graded monomial basis are orthonormalized one at a time;
-each new orthonormal polynomial receives its coefficient from the
+Raw basis columns (``basis``) are orthonormalized one at a time in flat
+order; each new orthonormal polynomial receives its coefficient from the
 curvature-regularized closed form
 
     b_t = (proj_t - lam * R_t * Q_t) / (lam * Q_t**2 + 1)
@@ -35,10 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import basis_step, block_start, degree_block
-from .ddarith import DD, dd_add, dd_dot, dd_mul, dd_mul_d, dd_sum
+from .basis import _BlockGen, block_start
+from .ddarith import DD, dd_add, dd_dot, dd_mul
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
-from .errors import DegenerateFitError, InsufficientDataError
+from .errors import DegenerateFitError, FieldError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
 
 
@@ -68,14 +68,18 @@ class FitConfig:
 
     def __post_init__(self):
         if self.target_error is not None and not self.target_error >= 0:
-            raise ValueError(
-                f"target_error must be >= 0, got {self.target_error!r}")
+            raise FieldError(f"target_error must be >= 0, got "
+                             f"{self.target_error!r}", "target_error")
         if self.max_columns < 3:
             raise ValueError("max_columns must be >= 3")
         if not 0.0 < self.stop_rel_improvement < 1.0:
-            raise ValueError("stop_rel_improvement must lie in (0, 1)")
+            raise FieldError(f"stop_rel_improvement must lie in (0, 1), got "
+                             f"{self.stop_rel_improvement!r}",
+                             "stop_rel_improvement")
         if self.stop_patience_blocks < 1:
-            raise ValueError("stop_patience_blocks must be >= 1")
+            raise FieldError(f"stop_patience_blocks must be >= 1, got "
+                             f"{self.stop_patience_blocks}",
+                             "stop_patience_blocks")
         if self.fixed_columns is not None and self.fixed_columns < 1:
             raise ValueError("fixed_columns must be >= 1 when set")
 
@@ -111,52 +115,6 @@ class FitResult:
     stop_reason: str
 
 
-class _BlockGen:
-    """Yields basis columns one degree block at a time, each with the sum
-    Q(h) of its Laplacian over the points.
-
-    For h = x^i y^j, Q(h) = i(i-1) M[i-2, j] + j(j-1) M[i, j-2] with the
-    moment sums M[a, b] = sum x^a y^b, which are the column sums of degree
-    block m-2.  Keeps only the previous block and the sums of the last two,
-    so memory stays O(n * degree) regardless of how far the fit runs.
-    """
-
-    def __init__(self, x, y, precision: PrecisionMode):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.ext = precision is PrecisionMode.EXTENDED
-        self.m = 0
-        self._block = None
-        self._sums = []   # dd column sums of the last two blocks
-
-    def next_block(self):
-        """Return [(flat_t, col, q)] for the next degree block, with q the
-        DD curvature sum Q(h_t)."""
-        m, n = self.m, self.x.size
-        # column-major, so each column handed out is contiguous
-        block = np.empty((m + 1, n)).T
-        if self.ext:
-            block = (block, np.zeros((m + 1, n)).T)
-        if m == 0:
-            (block[0] if self.ext else block)[:] = 1.0
-        else:
-            basis_step(self._block, self.x, self.y, block)
-        qh, ql = np.zeros(m + 1), np.zeros(m + 1)
-        if m >= 2:
-            sh, sl = self._sums[0]
-            j = np.arange(m - 1)
-            qh[:m - 1], ql[:m - 1] = dd_mul_d(sh, sl, (m - j) * (m - j - 1.0))
-            th, tl = dd_mul_d(sh, sl, (j + 2) * (j + 1.0))
-            qh[2:], ql[2:] = dd_add(qh[2:], ql[2:], th, tl)
-        self._sums.append(dd_sum(*block) if self.ext else dd_sum(block, 0.0))
-        del self._sums[:-2]
-        self._block = block
-        self.m += 1
-        cols = zip(block[0].T, block[1].T) if self.ext else block.T
-        return [(block_start(m) + j, col, DD(qh[j], ql[j]))
-                for j, col in enumerate(cols)]
-
-
 class FitBasis:
     """The half of a fit that does not depend on lambda, shared by every
     strength of a sweep.
@@ -173,9 +131,9 @@ class FitBasis:
     The curvature sums come from the builder's expansion rows: the
     recurrence P_s = a[s, s] h_s + sum_{t < s} a[s, t] P_t, applied to
     sums over the training points, gives Q_s = a[s, s] Q(h_s) + sum_{t <
-    s} a[s, t] Q_t from the raw column's Q(h_s), in double-double at
-    either precision (the step of ``model._expand``), so no Laplacian
-    columns are formed.
+    s} a[s, t] Q_t from the raw column's Q(h_s), which the block generator
+    hands out with it, in double-double at either precision (the step of
+    ``model._expand``), so no Laplacian columns are formed.
     """
 
     def __init__(self, split: DataSplit, data: NormalizedDataset,
@@ -202,7 +160,8 @@ class FitBasis:
                                     capacity=min(cap, 256))
         self._z_vec = self.builder.make_vector(self.z)
         self.sigma0 = self.builder.vec_norm2(self._z_vec) / ntr
-        self._gen = _BlockGen(data.x[train], data.y[train], cfg.precision)
+        self._gen = _BlockGen(data.x[train], data.y[train], cfg.precision,
+                              cfg.odd_field_only)
         self.proj: list = []
         self.q: list = []
         self._qh, self._ql = np.zeros(cap), np.zeros(cap)  # Q_s in dd
@@ -220,14 +179,9 @@ class FitBasis:
         return self.blocks[k]
 
     def _scan_block(self):
-        bld, cfg = self.builder, self.cfg
-        ext = cfg.precision is PrecisionMode.EXTENDED
+        bld, ext = self.builder, self._gen.ext
         first = bld.n_columns
         for t, col, q_raw in self._gen.next_block():
-            if cfg.odd_field_only:
-                _, m_t, j_t = degree_block(t)
-                if (m_t - j_t) % 2 == 0:
-                    continue
             if not bld.add_column(col, tag=t):
                 self.rejected.append(t)
                 continue

@@ -29,7 +29,7 @@ from .dataset import DataSplit, NormalizedDataset, write_rows
 from .ddarith import comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
 from .model import _monomials, _sum_terms
-from .errors import DegenerateFitError, OrthofitError
+from .errors import DegenerateFitError, FieldError, OrthofitError
 
 GAMMA_CLAMP = 50.0
 
@@ -137,7 +137,7 @@ def _strengths(grid: Sequence[float], gamma_cap: float) -> tuple:
     if len(grid) == 0:
         raise ValueError("empty x grid")
     if math.isnan(gamma_cap):
-        raise ValueError("gamma cap is NaN")
+        raise FieldError("gamma_cap must not be NaN", "gamma_cap")
     for x in grid:
         if not math.isfinite(x):
             raise ValueError(f"x grid entry {x!r} is not finite")

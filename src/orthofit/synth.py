@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import FieldError
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # the Weyl increment γ
 MAX_POLY_DEGREE = 40  # 'poly:K' draws (K + 1)(K + 2)/2 coefficients
@@ -73,8 +75,9 @@ class SynthSpec:
         (smooth sigmoidal M(H, T)-like sheet).
     nx, ny : grid counts along x and y (each >= 1, 6 <= nx * ny <=
         MAX_POINTS).
-    noise_sigma : standard deviation of additive noise.
-    seed : generator seed; same seed, same dataset, any platform.
+    noise_sigma : standard deviation of additive noise (finite, >= 0).
+    seed : generator seed, an integer in [0, 2**64); same seed, same
+        dataset, any platform.
     """
 
     surface: str = "magnet"
@@ -85,15 +88,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
-            raise ValueError(f"nx and ny must be >= 1, got nx={self.nx} "
-                             f"and ny={self.ny}")
+            raise FieldError(f"nx and ny must be >= 1, got nx={self.nx} "
+                             f"and ny={self.ny}", "nx", "ny")
         if self.nx * self.ny < 6:
             raise ValueError("need nx * ny >= 6")
         if self.nx * self.ny > MAX_POINTS:
             raise ValueError(f"nx * ny = {self.nx * self.ny} exceeds "
                              f"{MAX_POINTS}")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be finite and >= 0")
+            raise FieldError(f"noise_sigma must be finite and >= 0, got "
+                             f"{self.noise_sigma!r}", "noise_sigma")
+        if not 0 <= self.seed <= _MASK:
+            raise FieldError(f"seed must lie in [0, 2**64), got {self.seed}",
+                             "seed")
         kind, colon, arg = self.surface.partition(":")
         if kind not in ("plane", "poly", "magnet"):
             raise ValueError(f"unknown surface {self.surface!r}")

@@ -15,7 +15,7 @@ settings.register_profile("orthofit", deadline=None, database=None,
 settings.load_profile("orthofit")
 
 from orthofit import DataSplit
-from orthofit.fit import _BlockGen
+from orthofit.basis import _BlockGen
 from orthofit.ortho import OrthoBasis, PrecisionMode, orthogonality_defect
 from orthofit.synth import SplitMix64
 from oracles import single_pass_gs

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from orthofit import fit
-from orthofit.basis import (basis_dy, basis_values, block_start,
+from orthofit import basis
+from orthofit.basis import (_BlockGen, basis_dy, basis_values, block_start,
                             columns_for_degree, dd_basis_values, degree_block)
 from orthofit.ddarith import BLOCK_ELEMS, dd_sum
-from orthofit.fit import _BlockGen
 from orthofit.ortho import PrecisionMode
 from oracles import (mpmath_basis, power_rule_d2x, power_rule_d2y,
                      power_rule_dy, power_rule_values, sympy_laplacian_columns)
@@ -67,7 +66,7 @@ def test_curvature_sums_keep_every_bit_above_the_block_cap(monkeypatch, precisio
     L = columns_for_degree(13) - 1
     assert 7000 * 10 > BLOCK_ELEMS > 7000 * 9
     grouped = raw_curvature_sums(x, y, L, precision)
-    monkeypatch.setattr(fit, "dd_sum", per_column)
+    monkeypatch.setattr(basis, "dd_sum", per_column)
     assert grouped.tobytes() == raw_curvature_sums(x, y, L, precision).tobytes()
 
 
@@ -178,6 +177,26 @@ def test_block_generator_matches_basis_values(n):
         q = raw_curvature_sums(x, y, L, precision)
         assert not q[:3].any()
         assert np.allclose(q, raw_curvature_sums(x, y, L), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+def test_odd_x_rule_keeps_exactly_the_odd_x_columns(precision):
+    # with the rule on, the generator hands out the odd-x columns of the
+    # full generator, in the same order and with the same bits
+    def bits(odd_x):
+        gen = _BlockGen(x, y, precision, odd_x)
+        out = []
+        for _ in range(12):
+            out += [(t, np.array(col).tobytes(),
+                     np.array([q.hi, q.lo]).tobytes())
+                    for t, col, q in gen.next_block()]
+        return out
+
+    x, y = uniform_xy(29, 5)
+    full, odd = bits(False), bits(True)
+    assert odd == [c for c in full if degree_block(c[0]).m % 2
+                   != degree_block(c[0]).j % 2]
+    assert [t for t, *_ in odd][:6] == [1, 4, 6, 8, 11, 13]
 
 
 def test_scalar_and_vector_shapes_agree():

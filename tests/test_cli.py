@@ -248,18 +248,20 @@ def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
     code, out, err = run_cli(capsys, "fit", str(plane_csv), "-o",
                              str(tmp_path / "m.json"), "--target-error", "nan")
     assert code == 2 and not out
-    assert "target_error must be >= 0, got nan" in err
+    assert err == "error: --target-error must be >= 0, got nan\n"
     assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("fit", "--target-error", "nan"), "target_error must be >= 0, got nan"),
-    (("sweep", "--x-grid", "10", "--target-error", "nan"), "target_error"),
-    (("split", "--sample-factor", "1"), "sample_factor must be >= 2"),
+    (("fit", "--target-error", "nan"), "--target-error must be >= 0, got nan"),
+    (("sweep", "--x-grid", "10", "--target-error", "nan"),
+     "--target-error must be >= 0, got nan"),
+    (("split", "--sample-factor", "1"), "--sample-factor must be >= 2, got 1"),
     (("sweep", "--x-grid", "10:5:1"), "lo <= hi"),
     (("sweep", "--x-grid", "nan"), "x grid entry nan is not finite"),
     (("sweep", "--x-grid=-1000"), "x grid entry -1000.0 overflows"),
-    (("sweep", "--x-grid", "10", "--gamma-cap", "nan"), "gamma cap is NaN"),
+    (("sweep", "--x-grid", "10", "--gamma-cap", "nan"),
+     "--gamma-cap must not be NaN"),
     (("fit", "--max-degree", "0"), "--max-degree must be >= 1, got 0"),
     (("sweep", "--x-grid", "10", "--max-degree", "0"),
      "--max-degree must be >= 1, got 0"),
@@ -268,7 +270,12 @@ def test_nan_target_error_is_a_usage_error(capsys, plane_csv, tmp_path):
      "--fixed-S must be >= 0, got -1"),
     (("fit", "--max-degree", "361"), "--max-degree must be <= 360, got 361"),
     (("fit", "--lambda=-0.25"),
-     "--lambda must be finite and >= 0, got -0.25")])
+     "--lambda must be finite and >= 0, got -0.25"),
+    (("fit", "--sample-factor", "1"), "--sample-factor must be >= 2, got 1"),
+    (("fit", "--stop-rel-improvement", "2"),
+     "--stop-rel-improvement must lie in (0, 1), got 2.0"),
+    (("sweep", "--x-grid", "10", "--stop-patience", "0"),
+     "--stop-patience must be >= 1, got 0")])
 def test_flags_are_checked_before_the_data_file(capsys, tmp_path, argv,
                                                 message):
     missing = str(tmp_path / "missing.csv")
@@ -312,7 +319,7 @@ def test_sweep_gamma_cap_nan_is_a_usage_error(capsys, plane_csv):
     code, out, err = run_cli(capsys, "sweep", str(plane_csv), "--x-grid", "10",
                              "--gamma-cap", "nan")
     assert code == 2
-    assert "gamma cap is NaN" in err and not out
+    assert err == "error: --gamma-cap must not be NaN\n" and not out
     code, out, _ = run_cli(capsys, "sweep", str(plane_csv), "--x-grid", "10",
                            "--gamma-cap", "inf", "--report", "json")
     assert code == 0
@@ -811,7 +818,20 @@ def test_synth_rejects_negative_grid_counts(capsys, tmp_path):
     code, out, err = run_cli(capsys, "synth", "--nx", "-2", "--ny", "-3",
                              "--out", str(out_path))
     assert code == 2 and not out
-    assert err.startswith("error: nx and ny must be >= 1, got nx=-2 and ny=-3")
+    assert err == "error: --nx and --ny must be >= 1, got --nx=-2 and --ny=-3\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--noise", "nan"), "--noise must be finite and >= 0, got nan"),
+    (("--seed", "-1"), "--seed must lie in [0, 2**64), got -1"),
+    (("--seed", str(2 ** 64)), f"--seed must lie in [0, 2**64), got {2 ** 64}")])
+def test_synth_names_a_bad_flag(capsys, tmp_path, flags, message):
+    # a seed is not reduced modulo 2**64: -1 and 2**64 - 1 would give one file
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "synth", *flags, "--out", str(out_path))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
     assert not out_path.exists()
 
 
@@ -921,6 +941,50 @@ def test_unopenable_path_is_a_usage_error(capsys, plane_csv, tmp_path, argv):
     assert err == f"error: cannot open {target}: {os.strerror(errno.EISDIR)}\n"
 
 
+FULL = "/dev/full"  # opens, but every write to it fails with ENOSPC
+needs_full = pytest.mark.skipif(not os.path.exists(FULL),
+                                reason=f"needs {FULL}")
+
+
+@needs_full
+@pytest.mark.parametrize("argv", [
+    ["fit", "{data}", "-o", FULL],
+    ["sweep", "{data}", "--x-grid", "10", "--csv-out", FULL],
+    ["sweep", "{data}", "--x-grid", "10", "--json-out", FULL],
+    ["export", "--model", "{model}", "--out", FULL],
+    ["export", "--model", "{model}", "--out", FULL, "--format", "csv"],
+    ["synth", "--nx", "3", "--ny", "2", "--out", FULL],
+], ids=["fit", "sweep_csv", "sweep_json", "export_json", "export_csv",
+        "synth"])
+def test_a_failed_write_names_the_output(capsys, plane_csv, tmp_path, argv):
+    model = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model))
+    names = {"data": plane_csv, "model": model}
+    code, out, err = run_cli(capsys, *(a.format(**names) for a in argv))
+    assert code == 2 and not out
+    assert err == f"error: cannot write {FULL}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@needs_full
+@pytest.mark.parametrize("target", ["stdout", FULL])
+def test_a_full_device_ends_with_one_error_line(capsys, plane_csv, tmp_path,
+                                                target):
+    # in a subprocess, where stdout is a real file and the exit flush runs
+    model = tmp_path / "m.json"
+    run_cli(capsys, "fit", str(plane_csv), "-o", str(model))
+    if target == "stdout":
+        argv = ["eval", "--model", str(model), "--grid", "3x3"]
+    else:
+        argv = ["synth", "--nx", "3", "--ny", "2", "--out", FULL]
+    with open(FULL, "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "orthofit.cli", *argv],
+                              env=src_env(), stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: cannot write {target}: "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+
+
 def test_commands_are_deterministic(capsys, noisy_csv, tmp_path):
     argv = ["sweep", str(noisy_csv), "--x-grid", "12,24",
             "--stop-rel-improvement", "0.005", "--report", "json"]
@@ -989,7 +1053,7 @@ FLAGS = {
     "synth": {"--surface": ["plane", "magnet", "poly", "poly:0", "poly:9"],
               "--nx": ["1", "2", "7", "20"], "--ny": ["1", "3", "20"],
               "--noise": ["0", "0.02", "1e300"],
-              "--seed": ["0", "1", "-1", "18446744073709551617"]},
+              "--seed": ["0", "1", "7", "18446744073709551615"]},
 }
 SWITCHES = {"fit": ["--odd-field-only"], "split": ["--indices"],
             "eval": ["--with-slope", "--with-entropy"], "export": ["--audit"]}
@@ -1000,7 +1064,8 @@ BAD_FLAGS = ["--lambda=-1", "--lambda=nan", "--lambda=-inf",
              "--gamma-cap=nan", "--grid=0x3", "--grid=2x2x2", "--grid=x",
              "--grid=99999999999999999999x1", "--surface=poly:41",
              "--surface=plane:1", "--surface=cubic", "--nx=0", "--ny=-3",
-             "--nx=100000000", "--noise=-1", "--noise=nan", "--noise=1e308"]
+             "--nx=100000000", "--noise=-1", "--noise=nan", "--noise=1e308",
+             "--seed=-1", "--seed=18446744073709551617"]
 X_GRIDS = ["10", "0,40", "20,10,30", "0:20:5", "0:40:2", "-700,10", "-800",
            "10:5:1", "nan", "1e20:2e20:1", "1:2", ""]
 HEADERS = {3: ["x,y,z", "H,T,M"], 2: ["x,y", "H,T"]}

@@ -180,3 +180,23 @@ def test_parameter_check_counts_each_kind_of_argument():
         "spread(*pair)\n")
     assert _unset([tree], [tree]) == [
         "Builder.__init__(kind)", "Builder.add(tag)", "Builder.make(scale)"]
+
+
+def test_the_raw_basis_has_one_home():
+    # only basis.py runs the raw-column recursion, and the fit takes just
+    # the block generator and the block starts from it: it knows the flat
+    # order and nothing of how the columns are made
+    callers, fit_imports = set(), set()
+    for path in sorted((ROOT / "src" / "orthofit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "basis_step" in (
+                    getattr(f, "id", None), getattr(f, "attr", None)):
+                callers.add(path.name)
+            if path.name == "fit.py" and isinstance(node, ast.ImportFrom):
+                if node.module == "basis":
+                    fit_imports.update(a.name for a in node.names)
+                elif any(a.name == "basis" for a in node.names):
+                    fit_imports.add("basis")  # the whole module
+    assert callers == {"basis.py"}
+    assert fit_imports == {"_BlockGen", "block_start"}

@@ -139,3 +139,9 @@ def test_spec_validation():
                        match=f"^nx \\* ny = {MAX_POINTS + 1} exceeds "
                              f"{MAX_POINTS}$"):
         SynthSpec(nx=MAX_POINTS + 1, ny=1)
+    # no reduction modulo 2**64, where -1 would repeat seed 2**64 - 1
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, "
+                                             rf"2\*\*64\), got {seed}$"):
+            SynthSpec(seed=seed)
+    SynthSpec(seed=2 ** 64 - 1)
