@@ -133,13 +133,16 @@ def _parse_x_grid(text: str) -> list[float]:
 
 @contextlib.contextmanager
 def _writing(path):
-    """Turn a failed write to ``path`` into a usage error that names it;
-    a path that cannot be opened keeps its OSError, which names it too."""
+    """Turn a failed write to ``path`` into a usage error that names it,
+    removing the partial file (a device such as /dev/full stays); a path
+    that cannot be opened keeps its OSError, which names it too."""
     try:
         yield
     except OSError as exc:
         if exc.filename is not None or isinstance(exc, BrokenPipeError):
             raise
+        if os.path.isfile(path):
+            os.remove(path)
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 

@@ -11,9 +11,9 @@ groups are stratified along that axis, with the training fraction
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +159,15 @@ def _read_columns(source, width: int) -> np.ndarray:
     newline="").readline()`` reads it: up to ``\\r\\n``, ``\\r`` or
     ``\\n``, which is what ``_LINE_END`` finds.  The body after it goes
     to ``_bulk_rows``, and when that declines, to ``_row_loop``, the
-    reference parser, which raises every error and names every line.
+    reference parser, which raises every error and names every line; it
+    cuts the body's lines after each ``_LINE_END`` match, as iterating
+    over ``StringIO(text, newline="")`` cuts them.
 
     Proof that the bulk path returns the row loop's array whenever it
     returns one (d is the delimiter, N the header's field count, N >= 2):
 
-    1. Lines.  ``csv.reader`` over ``StringIO(newline="")`` gets lines
-       that end at ``\\r\\n``, ``\\r`` and ``\\n`` only, and in an unquoted
+    1. Lines.  ``csv.reader`` in the row loop gets lines that end at
+       ``\\r\\n``, ``\\r`` and ``\\n`` only, and in an unquoted
        field it ends the record at ``\\r`` or ``\\n`` only.  The bulk path
        cuts blocks after a ``\\n`` and admits a ``\\r`` only directly before
        a ``\\n`` in a body whose header ends in ``\\r\\n``, so its lines are
@@ -228,7 +230,7 @@ def _read_columns(source, width: int) -> np.ndarray:
     eol = "\r\n" if header_line.endswith("\r\n") else "\n"
     out = _bulk_rows(raw, len(header_line), eol, delim, len(header), cols)
     if out is None:
-        out = _row_loop(raw, delim, len(header), cols)
+        out = _row_loop(raw, len(header_line), delim, len(header), cols)
     return out
 
 
@@ -307,20 +309,27 @@ def _block_is_plain(block: str, kinds: np.ndarray, limit: int) -> bool:
     return at[0] <= limit and int(np.diff(at).max(initial=1)) <= limit + 1
 
 
-def _row_loop(text: str, delim: str, ncols: int, cols: list) -> np.ndarray:
-    """Read the data rows after the header line of ``text`` with
+def _row_loop(text: str, start: int, delim: str, ncols: int,
+              cols: list) -> np.ndarray:
+    """Read the data rows of ``text[start:]``, after the header line, with
     ``csv.reader``, one row at a time: the parser of record, which alone
-    reads quoted cells and raises ParseError with the line number.
+    reads quoted cells and raises ParseError with the line number.  The
+    reader takes one line at a time and the values go to an array of
+    doubles, so beyond the text the memory follows the values.
 
     float() ignores the whitespace str.strip() removes, except
     \\x1c-\\x1f: a cell that float() refuses is retried stripped, and only
     a row that still fails is tested for blankness.  line_num counts the
     lines the reader took, after the header's."""
-    fh = io.StringIO(text, newline="")
-    fh.readline()
-    values: list[float] = []
+    def lines(start):
+        for end in _LINE_END.finditer(text, start):
+            yield text[start:end.end()]
+            start = end.end()
+        if start < len(text):
+            yield text[start:]
+    values = array("d")
     append, isfinite = values.append, math.isfinite
-    reader = csv.reader(fh, delimiter=delim)
+    reader = csv.reader(lines(start), delimiter=delim)
     try:
         for row in reader:
             if len(row) != ncols:
@@ -348,7 +357,7 @@ def _row_loop(text: str, delim: str, ncols: int, cols: list) -> np.ndarray:
         raise ParseError(str(exc), line=reader.line_num + 1) from None
     if not values:
         raise ParseError("no data rows", line=2)
-    return np.array(values).reshape(-1, len(cols))
+    return np.frombuffer(values).reshape(-1, len(cols))
 
 
 def save_dataset(points, path) -> None:

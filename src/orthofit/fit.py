@@ -22,8 +22,9 @@ strengths at constant model size).
 Only b_t and the stopping point depend on lam, so a fit runs in two
 steps: ``FitBasis`` orthonormalizes the columns and computes each
 proj_t and Q_t, degree block by degree block as needed, and ``solve``
-runs the recurrence and the stopping rules at one strength.  A sweep
-builds once and solves per strength.
+walks them once at one strength: the recurrence, the stopping rules
+and, for a training error that is not finite, a replay of the residual
+from z that names the column.  A sweep builds once and solves per strength.
 """
 
 from __future__ import annotations
@@ -155,13 +156,12 @@ class FitBasis:
         self.scan_budget = 10 * cap + 100
         self.ntr = ntr
         self.nmap = data.map
-        self.z = data.z[train]
         self.builder = OrthoBuilder(ntr, precision=cfg.precision,
                                     capacity=min(cap, 256))
-        self._z_vec = self.builder.make_vector(self.z)
+        self._z_vec = self.builder.make_vector(data.z[train])
         self.sigma0 = self.builder.vec_norm2(self._z_vec) / ntr
-        self._gen = _BlockGen(data.x[train], data.y[train], cfg.precision,
-                              cfg.odd_field_only)
+        self._gen = _BlockGen(data.x[train], data.y[train],
+                              self.builder.precision, cfg.odd_field_only)
         self.proj: list = []
         self.q: list = []
         self._qh, self._ql = np.zeros(cap), np.zeros(cap)  # Q_s in dd
@@ -209,26 +209,30 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
     every column while ``target_error`` is set, at degree-block ends for
     the stall rule, and at the last column.  A training error that is not
     finite (lambda too large) raises DegenerateFitError naming the first
-    column where it became so.
+    column where it became so, found by replaying the residual from z.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
-    # A residual entry that is not finite never turns finite again, and an
-    # overflowing squared norm cannot shrink back (b_t never reads the
-    # residual and the P_t are orthonormal): the first walk only detects
-    # it, a second one with sigma after every column names the column.
-    return _walk(basis, lam, False) or _walk(basis, lam, True)
-
-
-def _walk(basis: FitBasis, lam: float, every_column: bool):
-    """The loop of ``solve``.  Returns None when it finds the training
-    error not finite without having computed it after every column."""
     bld, ntr, cap, cfg = basis.builder, basis.ntr, basis.cap, basis.cfg
     fixed = cfg.fixed_columns is not None
     watch = not fixed and cfg.target_error is not None
-    each = watch or every_column
     R, bs = 0.0, []
-    residual = bld.make_vector(basis.z)
+
+    def training_error(residual):
+        sigma = bld.vec_norm2(residual) / ntr
+        if not math.isfinite(sigma):
+            # b_t never reads the residual: replaying it from z repeats the
+            # walk's steps and reaches this column at the latest
+            residual = basis._z_vec
+            for t, b in enumerate(bs):
+                residual = bld.subtract_scaled_column(residual, t, b)
+                if not math.isfinite(bld.vec_norm2(residual) / ntr):
+                    raise DegenerateFitError(
+                        f"training error is not finite after column "
+                        f"{bld.kept[t]} at lambda={lam!r}")
+        return sigma
+
+    residual = basis._z_vec  # the column steps return new vectors
     sigma = sigma_block_start = basis.sigma0
     stall = 0
     k = s = 0          # next degree block, next column
@@ -247,14 +251,8 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
             bs.append(b)
             residual = bld.subtract_scaled_column(residual, s, b)
             sigma = None
-            if each or s + 1 >= cap:
-                sigma = bld.vec_norm2(residual) / ntr
-                if not math.isfinite(sigma):
-                    if not each:
-                        return None
-                    raise DegenerateFitError(
-                        f"training error is not finite after column "
-                        f"{bld.kept[s]} at lambda={lam!r}")
+            if watch or s + 1 >= cap:
+                sigma = training_error(residual)
             if s + 1 >= cap:
                 reason = "columns"
                 break
@@ -265,9 +263,7 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
             s = end
             if not fixed and end > first:
                 if sigma is None:
-                    sigma = bld.vec_norm2(residual) / ntr
-                    if not math.isfinite(sigma):
-                        return None
+                    sigma = training_error(residual)
                 if sigma_block_start > 0:
                     improvement = (sigma_block_start - sigma) / sigma_block_start
                 else:
@@ -278,9 +274,7 @@ def _walk(basis: FitBasis, lam: float, every_column: bool):
                     reason = "stall"
             k += 1
     if sigma is None:  # a fixed size cut short by the scan budget
-        sigma = bld.vec_norm2(residual) / ntr
-        if not math.isfinite(sigma):
-            return None
+        sigma = training_error(residual)
 
     K = len(bs)
     if K == 0:

@@ -59,7 +59,6 @@ class OrthoBasis:
         parts in extended mode), column-major (F-contiguous).
     a : (K, K) lower-triangular expansion coefficients (see module doc).
     kept : original flat basis index of each orthonormal column.
-    P_lo : low parts of P in extended mode; None in double mode.
     a_lo : low parts of a; zeros in double mode.
     ``OrthoBuilder.to_basis`` fills every array with a read-only view.
     """
@@ -68,7 +67,6 @@ class OrthoBasis:
     a: np.ndarray
     kept: tuple
     precision: PrecisionMode
-    P_lo: Optional[np.ndarray] = None
     a_lo: Optional[np.ndarray] = None
 
     @property
@@ -365,8 +363,8 @@ class OrthoBuilder:
 
         Every array of it is a read-only view of a builder store that
         later columns never change, so bases taken at different widths
-        share storage: P (and P_lo in extended mode) are F-contiguous
-        prefixes of the column-major columns, and a and a_lo the leading
+        share storage: P (the hi parts in extended mode) is an F-contiguous
+        prefix of the column-major columns, and a and a_lo the leading
         (k, k) block of the expansion, whose row s ``add_column`` writes
         when it accepts column s.
         """
@@ -382,4 +380,4 @@ class OrthoBuilder:
         return OrthoBasis(
             P=view(c.Ph if ext else c.P), a=view(self.expansion[0, :K]),
             kept=tuple(self.kept[:K]), precision=self.precision,
-            P_lo=view(c.Pl) if ext else None, a_lo=view(self.expansion[1, :K]))
+            a_lo=view(self.expansion[1, :K]))

@@ -87,14 +87,14 @@ class SynthSpec:
     seed: int = 1
 
     def __post_init__(self):
+        grid = f"got nx={self.nx} and ny={self.ny}"
         if self.nx < 1 or self.ny < 1:
-            raise FieldError(f"nx and ny must be >= 1, got nx={self.nx} "
-                             f"and ny={self.ny}", "nx", "ny")
+            raise FieldError(f"nx and ny must be >= 1, {grid}", "nx", "ny")
         if self.nx * self.ny < 6:
-            raise ValueError("need nx * ny >= 6")
+            raise FieldError(f"nx * ny must be >= 6, {grid}", "nx", "ny")
         if self.nx * self.ny > MAX_POINTS:
-            raise ValueError(f"nx * ny = {self.nx * self.ny} exceeds "
-                             f"{MAX_POINTS}")
+            raise FieldError(f"nx * ny must be <= {MAX_POINTS}, {grid} "
+                             f"({self.nx * self.ny} points)", "nx", "ny")
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise FieldError(f"noise_sigma must be finite and >= 0, got "
                              f"{self.noise_sigma!r}", "noise_sigma")

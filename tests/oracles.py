@@ -12,7 +12,9 @@ reference writer formats every cell through ``csv.writer``.  The
 reference slicer renormalizes each remainder with ``two_sum``.  The
 single-pass Gram-Schmidt baselines (classical and modified) are plain
 numpy in double, with the builder's rank rule.  The plain-double
-monomial conversion is the baseline the double-double one beats.
+monomial conversion is the baseline the double-double one beats.  The
+first column with a training error that is not finite is found by
+recomputing the residual from z after every column.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import numpy as np
 
 from orthofit import (DegenerateFitError, ParseError, SweepReport,
                       ValidationRecord, fit_surface, group_error,
-                      overfit_degree, select_model, to_monomial)
+                      overfit_degree, regularized_coefficient, select_model,
+                      to_monomial)
 from orthofit.basis import basis_values, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
 from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
 from orthofit.model import _expand
-from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL, PrecisionMode
+from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL
 
 
 def dd_solve_full_pivot(G, rhs):
@@ -100,21 +103,37 @@ def normal_equation_predictions(x, y, z, n_cols):
 
 def training_error(b, basis, z):
     """Mean squared residual of sum(b_t * P_t) over the first len(b)
-    columns against targets z, from the basis's stored columns (with
-    their low parts in extended precision) rather than from the fit's
-    running residual."""
+    columns against targets z, from the basis's stored columns (the hi
+    parts in extended precision) rather than from the fit's running
+    residual."""
     z = np.asarray(z, dtype=float)
     b = np.asarray(b, dtype=float)
     k = b.size
     if k > basis.n_columns:
         raise ValueError("more coefficients than basis columns")
-    if basis.precision is PrecisionMode.EXTENDED:
-        fh, fl = dd_dot(basis.P[:, :k], basis.P_lo[:, :k], b, np.zeros_like(b),
-                        axis=1)
-        r = (fh - z) + fl
-    else:
-        r = basis.P[:, :k] @ b - z
+    r = basis.P[:, :k] @ b - z
     return comp_dot(r, r) / z.size
+
+
+def first_nonfinite_column(fb, z, lam):
+    """Flat tag of the first column of the FitBasis ``fb`` after which the
+    training error at strength ``lam`` is not finite, or None.  The
+    coefficients come from the closed form over ``fb.proj`` and ``fb.q``
+    (their overflow in double-double is what makes the error not finite),
+    and after every column the residual is recomputed from the targets
+    ``z`` with one product over the stored columns (hi parts in extended
+    precision), not carried from column to column."""
+    P = fb.builder.to_basis().P
+    R, b = 0.0, []
+    for s, (proj, q) in enumerate(zip(fb.proj, fb.q)):
+        c = regularized_coefficient(proj, q, R, lam)
+        R = R + c * q
+        b.append(float(c))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = z - P[:, :s + 1] @ np.array(b)
+            if not math.isfinite(float(r @ r) / z.size):
+                return fb.builder.kept[s]
+    return None
 
 
 def refit_sweep(data, split, grid, cfg, gamma_cap=1.0):

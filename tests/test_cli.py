@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -825,7 +826,9 @@ def test_synth_rejects_negative_grid_counts(capsys, tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (("--noise", "nan"), "--noise must be finite and >= 0, got nan"),
     (("--seed", "-1"), "--seed must lie in [0, 2**64), got -1"),
-    (("--seed", str(2 ** 64)), f"--seed must lie in [0, 2**64), got {2 ** 64}")])
+    (("--seed", str(2 ** 64)), f"--seed must lie in [0, 2**64), got {2 ** 64}"),
+    (("--nx", "1", "--ny", "1"),
+     "--nx * --ny must be >= 6, got --nx=1 and --ny=1")])
 def test_synth_names_a_bad_flag(capsys, tmp_path, flags, message):
     # a seed is not reduced modulo 2**64: -1 and 2**64 - 1 would give one file
     out_path = tmp_path / "s.csv"
@@ -844,7 +847,8 @@ def test_synth_rejects_a_grid_over_the_point_cap(capsys, tmp_path,
     code, out, err = run_cli(capsys, "synth", "--nx", "200000", "--ny",
                              "200000", "--out", str(out_path))
     assert code == 2 and not out
-    assert err == f"error: nx * ny = 40000000000 exceeds {MAX_POINTS}\n"
+    assert err == (f"error: --nx * --ny must be <= {MAX_POINTS}, got "
+                   f"--nx=200000 and --ny=200000 (40000000000 points)\n")
     assert not out_path.exists()
 
 
@@ -983,6 +987,33 @@ def test_a_full_device_ends_with_one_error_line(capsys, plane_csv, tmp_path,
     assert proc.returncode == 2
     assert proc.stderr == (f"error: cannot write {target}: "
                            f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--nx", "100", "--ny", "100", "--out", "{out}"],
+    ["fit", "{data}", "--fixed-S", "78", "-o", "{out}"],
+], ids=["synth", "fit"])
+def test_a_write_over_the_file_size_limit_leaves_no_partial_file(
+        noisy_csv, tmp_path, argv):
+    # the child caps its own file size at 1 KiB and ignores SIGXFSZ, so
+    # the write past the cap fails with EFBIG after 1,024 bytes are out
+    pytest.importorskip("resource")
+    if not hasattr(signal, "SIGXFSZ"):
+        pytest.skip("needs SIGXFSZ")
+    out = tmp_path / "out"
+    child = ("import resource, signal, sys\n"
+             "from orthofit.cli import main\n"
+             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+             "resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child,
+         *(a.format(data=noisy_csv, out=out) for a in argv)],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr == (f"error: cannot write {out}: "
+                           f"{os.strerror(errno.EFBIG)}\n")
+    assert not out.exists()
 
 
 def test_commands_are_deterministic(capsys, noisy_csv, tmp_path):

@@ -254,27 +254,43 @@ def test_an_unwanted_text_column_never_reaches_float(monkeypatch, path):
     assert sorted(seen) == sorted("123456")
 
 
-def test_ingest_peak_memory_follows_the_block_not_the_file(monkeypatch):
-    # 60,000 rows: the row loop's 180,000 floats take about 5.8 MB as a
-    # list, while one block's cells and masks take well under 1 MB
+def _sixty_thousand_rows():
     raw = "".join(f"{i * 1e-3!r},{i % 977},{i * 0.25!r}\r\n"
                   for i in range(60_000))
-    raw = ("x,y,z\r\n" + raw).encode()
+    return ("x,y,z\r\n" + raw).encode()  # 1.26 MB
 
-    def peak():
-        tracemalloc.start()
-        try:
-            out = load_dataset(raw)
-            return tracemalloc.get_traced_memory()[1], out
-        finally:
-            tracemalloc.stop()
-    bulk_peak, bulk = peak()
+
+def _load_peak(raw):
+    tracemalloc.start()
+    try:
+        out = load_dataset(raw)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_quoted_cell_reads_in_memory_that_follows_the_file():
+    # one quoted cell sends the whole file through the row loop, which
+    # holds one line at a time and the values as doubles, so its peak is
+    # about the decoded text plus the values
+    raw = _sixty_thousand_rows().replace(b"\r\n1", b'\r\n"1"', 1)
+    size = len(raw)
+    peak, out = _load_peak(raw)
+    assert out.tobytes() == reference_read_columns(raw.decode(), 3).tobytes()
+    assert peak <= 4 * size
+
+
+def test_ingest_peak_memory_follows_the_block_not_the_file(monkeypatch):
+    # 60,000 rows: one block's cells and masks take well under 1 MB, and
+    # the row loop holds one line and the values, not the rows
+    raw = _sixty_thousand_rows()
+    bulk_peak, bulk = _load_peak(raw)
     _declining_bulk(monkeypatch)
-    loop_peak, loop = peak()
+    loop_peak, loop = _load_peak(raw)
     assert bulk.tobytes() == loop.tobytes()
-    assert bulk_peak <= loop_peak
     # beyond the decoded text and the result, a few blocks' worth
     assert bulk_peak - len(raw) - bulk.nbytes < 40 * BLOCK_CHARS
+    assert loop_peak - len(raw) - loop.nbytes < 4 * BLOCK_CHARS
     # \r line ends leave no \n to end a block at: the bulk path declines
     # without scanning the whole text as one block
     text = raw.decode().replace("\r\n", "\r")

@@ -13,8 +13,9 @@ from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
 from orthofit.basis import degree_block
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
-from oracles import (mpmath_curvature_sums, normal_equation_predictions,
-                     training_error, unit_dataset)
+from oracles import (first_nonfinite_column, mpmath_curvature_sums,
+                     normal_equation_predictions, training_error,
+                     unit_dataset)
 from conftest import all_train_split
 
 
@@ -262,6 +263,71 @@ def test_solves_on_one_basis_match_fresh_fits():
                        (6, 15, "target_error"), (1, 0, "target_error")]
 
 
+def _magnet_1k():
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    parts = split(data, SplitConfig())
+    return parts, data, data.z[np.asarray(parts.train_idx)]
+
+
+def _named_column(basis, lam):
+    try:
+        fit = solve(basis, lam)
+    except DegenerateFitError as exc:
+        return int(str(exc).split("after column ")[1].split()[0]), None
+    return None, fit.S
+
+
+@pytest.mark.parametrize("cfg, named", [
+    # extended fixed size: the double-double coefficients overflow at
+    # large lambda, first at columns 0, 3, 10 and 36
+    (FitConfig(fixed_columns=60, precision=PrecisionMode.EXTENDED),
+     {0, 3, 10, 36}),
+    # extended auto size: read at block ends only, so the named column 3
+    # lies inside the block whose end found it; with a target error, read
+    # after every column
+    (FitConfig(precision=PrecisionMode.EXTENDED), {0, 3}),
+    (FitConfig(target_error=1e-28, precision=PrecisionMode.EXTENDED),
+     {0, 3}),
+])
+def test_solve_names_the_first_column_with_a_non_finite_error(cfg, named):
+    parts, data, z = _magnet_1k()
+    basis = FitBasis(parts, data, cfg)
+    seen = set()
+    for x in range(-709, -660, 3):
+        lam = math.exp(-x)
+        column, S = _named_column(basis, lam)
+        want = first_nonfinite_column(basis, z, lam)
+        if column is None:  # every training error through the fit's last
+            assert want is None or basis.builder.kept.index(want) > S
+        else:
+            assert column == want, x
+            seen.add(column)
+    assert seen == named
+
+
+@pytest.mark.parametrize("cfg, s", [
+    (FitConfig(fixed_columns=60), 40),
+    (FitConfig(fixed_columns=60), 59),
+    (FitConfig(), 4),                        # inside degree block 2
+    (FitConfig(target_error=1e-28), 7),
+])
+def test_solve_names_an_overflowing_double_column(cfg, s):
+    # a double recurrence on normalized data stays finite at any lambda,
+    # so one projection is made large enough for the residual's square to
+    # overflow from column s on
+    parts, data, z = _magnet_1k()
+    basis = FitBasis(parts, data, cfg)
+    assert basis.block(10) > s
+    basis.proj[s] = 1e200
+    for lam in (0.0, 1e-3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            column, _ = _named_column(basis, lam)
+        assert column == first_nonfinite_column(basis, z, lam)
+        assert column == basis.builder.kept[s]
+
+
 def test_basis_block_stops_scanning_at_the_column_cap():
     # blocks 0..3 hold 1 + 2 + 3 + 4 = 10 columns, the cap; asking for a
     # later block must not orthonormalize any further column
@@ -293,10 +359,24 @@ def test_extended_mode_runs_and_returns_dd_parts():
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(fixed_columns=10, max_columns=10,
                                 precision=PrecisionMode.EXTENDED))
-    assert fit.b_lo is not None and fit.basis.P_lo is not None
+    assert fit.b_lo is not None
     dbl = fit_surface(all_train_split(data.n), data,
                       FitConfig(fixed_columns=10, max_columns=10))
     assert np.allclose(fit.b, dbl.b, rtol=1e-9, atol=1e-12)
+
+
+def test_precision_given_as_a_string_fits_as_the_enum():
+    # the builder converts the config's precision; the block generator
+    # must take that value, not test the raw field against the enum
+    pts, _ = generate(SynthSpec(surface="magnet", nx=10, ny=8, seed=12))
+    data = normalize(pts)
+    fits = [fit_surface(all_train_split(data.n), data,
+                        FitConfig(fixed_columns=10, precision=precision))
+            for precision in ("extended", PrecisionMode.EXTENDED)]
+    for name in ("b", "b_lo", "sigma_tr"):
+        got, want = (np.float64(getattr(f, name)).tobytes() for f in fits)
+        assert got == want, name
+    assert fits[0].b_lo.any()
 
 
 def test_double_fit_low_parts_are_zero_arrays():
@@ -304,7 +384,6 @@ def test_double_fit_low_parts_are_zero_arrays():
     data = normalize(pts)
     fit = fit_surface(all_train_split(data.n), data,
                       FitConfig(fixed_columns=10, max_columns=10))
-    assert fit.basis.P_lo is None
     for lo, hi in ((fit.basis.a_lo, fit.basis.a), (fit.b_lo, fit.b)):
         assert isinstance(lo, np.ndarray) and lo.dtype == np.float64
         assert lo.shape == hi.shape and not lo.any()

@@ -260,7 +260,7 @@ def test_extended_defect_at_double_resolution():
     b = _feed_columns(OrthoBuilder(100, precision=PrecisionMode.EXTENDED),
                       x, y, 30, extended=True)
     basis = b.to_basis()
-    assert basis.P_lo is not None and basis.a_lo is not None
+    assert basis.a_lo is not None
     assert orthogonality_defect(basis) <= 1e-13
 
 
@@ -378,8 +378,7 @@ def test_basis_views_are_column_major_prefixes(precision):
         widest = b.to_basis()
         for K in (1, k // 2 or 1, k):
             basis = b.to_basis(K)
-            for P in (basis.P, basis.P_lo) if extended else (basis.P,):
-                assert P.shape == (60, K) and P.flags.f_contiguous
+            assert basis.P.shape == (60, K) and basis.P.flags.f_contiguous
             # a and a_lo: read-only (K, K) views, the widest's prefix
             for a, wide in ((basis.a, widest.a), (basis.a_lo, widest.a_lo)):
                 assert a.shape == (K, K) and not a.flags.writeable

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from orthofit import (FitConfig, SynthSpec, fit_surface, generate,
                       load_dataset, normalize, save_dataset)
+from orthofit.errors import FieldError
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
 from conftest import all_train_split
 from oracles import ReferenceSplitMix64, unit_dataset
@@ -123,8 +124,10 @@ def test_overflowing_noise_is_refused():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError, match=r"^nx \* ny must be >= 6, got nx=2 "
+                                         r"and ny=2$") as small:
         SynthSpec(surface="magnet", nx=2, ny=2)
+    assert small.value.fields == ("nx", "ny")
     # the product passes nx * ny >= 6; each count alone must be positive
     with pytest.raises(ValueError, match="nx and ny must be >= 1"):
         SynthSpec(surface="magnet", nx=-2, ny=-3)
@@ -135,9 +138,10 @@ def test_spec_validation():
     for surface in ("poly", "poly:0", f"poly:{MAX_POLY_DEGREE}"):
         SynthSpec(surface=surface)  # the degree's bounds are accepted
     SynthSpec(nx=MAX_POINTS // 8, ny=8)  # at the cap; nothing is allocated
-    with pytest.raises(ValueError,
-                       match=f"^nx \\* ny = {MAX_POINTS + 1} exceeds "
-                             f"{MAX_POINTS}$"):
+    with pytest.raises(FieldError,
+                       match=f"^nx \\* ny must be <= {MAX_POINTS}, got "
+                             f"nx={MAX_POINTS + 1} and ny=1 "
+                             f"\\({MAX_POINTS + 1} points\\)$"):
         SynthSpec(nx=MAX_POINTS + 1, ny=1)
     # no reduction modulo 2**64, where -1 would repeat seed 2**64 - 1
     for seed in (-1, 2 ** 64):
