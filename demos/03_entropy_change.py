@@ -1,17 +1,17 @@
 """Magnetocaloric-style post-processing of a fitted sheet.
 
 Once M(H, T) is fitted, the temperature slope dM/dT follows from the
-basis derivative columns, and its field integral (the Maxwell-relation
-entropy change) from composite Simpson quadrature, applied per x-power
-of the model so that a whole array of fields costs one evaluation each
--- all evaluated on the portable monomial model, in original units.
+power rule on the monomial model, and its field integral (the
+Maxwell-relation entropy change) from composite Simpson quadrature,
+applied per x-power of the model so that it costs one evaluation per
+point.  ``eval_grid`` evaluates both on a whole temperature x field grid
+at once, in original units.
 """
 
 import numpy as np
 
-from orthofit import (FitConfig, SplitConfig, SynthSpec, dZ_dY,
-                      entropy_change, fit_surface, generate, normalize,
-                      split, to_monomial)
+from orthofit import (FitConfig, SplitConfig, SynthSpec, eval_grid,
+                      fit_surface, generate, normalize, split, to_monomial)
 
 points, _ = generate(SynthSpec(surface="magnet", nx=50, ny=40,
                                noise_sigma=2e-4, seed=8))
@@ -25,13 +25,14 @@ print(f"fitted S={fit.S}, training error {fit.sigma_tr:.2e}\n")
 temps = np.linspace(255.0, 345.0, 10)
 fields = np.array([1.0, 2.5, 5.0])
 
+# one row per temperature, one column per field
+_, slope, ds = eval_grid(model, fields, temps, slope=True, entropy=True)
+
 print("  T [K]   " + "   ".join(f"dS(0->{H:g} T)" for H in fields)
-      + "     dM/dT @ 2.5 T")
-for T in temps:
-    ds = entropy_change(model, T, fields)
-    slope = dZ_dY(model, 2.5, T)
-    print(f"  {T:6.1f}  " + "  ".join(f"{v:+12.5e}" for v in ds)
-          + f"   {slope:+.5e}")
+      + f"     dM/dT @ {fields[1]:g} T")
+for T, ds_row, slope_row in zip(temps, ds, slope):
+    print(f"  {T:6.1f}  " + "  ".join(f"{v:+12.5e}" for v in ds_row)
+          + f"   {slope_row[1]:+.5e}")
 
 print("\nthe integral starts at the lowest measured field, and larger "
       "field windows accumulate a larger entropy change.")

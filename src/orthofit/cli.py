@@ -17,7 +17,10 @@ does not fit in memory), 4 numeric failure (non-finite training error
 or ``eval`` output included).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
-thread count (``OPENBLAS_NUM_THREADS``).
+thread count (``OPENBLAS_NUM_THREADS``).  ``eval --grid`` evaluates the
+model as a tensor product in double-double (``model.eval_grid``), so its
+rows are faithful but may differ in the last bits from ``eval --points``
+rows for the same points.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ import time
 import numpy as np
 
 from . import __version__
+from .ddarith import BLOCK_ELEMS
 from .dataset import (SplitConfig, load_dataset, load_points, normalize,
                       save_dataset, split, write_rows)
 from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
-from .model import (MAX_DEGREE, dZ_dY, entropy_change, eval_physical,
-                    load_model, save_model, to_monomial)
+from .model import (MAX_DEGREE, dZ_dY, entropy_change, eval_grid,
+                    eval_physical, load_model, save_model, to_monomial)
 from .basis import columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
 from .select import (_strengths, group_error, lambda_sweep, overfit_degree,
@@ -50,7 +54,8 @@ from .synth import SynthSpec, generate
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
-EVAL_CHUNK_ROWS = 256  # eval rows per array call; bounds the basis tables
+EVAL_CHUNK_ROWS = 256  # eval --points rows per array call; bounds the tables
+GRID_CHUNK_ELEMS = BLOCK_ELEMS  # eval --grid kernel products per chunk
 MAX_GRID_AXIS = 10_000_000  # eval --grid counts: each axis is one array
 # the flag that sets each field a range check names (``FieldError``)
 FIELD_FLAGS = {
@@ -238,37 +243,66 @@ def cmd_eval(args) -> int:
     elif not args.points:
         raise ValueError("need --points or --grid")
     model = load_model(args.model)
-    nmap = model.map
-    if args.grid:  # row k is (Xs[k % nx], Ys[k // nx]), made chunk by chunk
-        Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
-        Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
-        rows, points = nx * ny, lambda k: (Xs[k % nx], Ys[k // nx])
-    else:
-        X, Y = load_points(args.points).T
-        rows, points = X.size, lambda k: (X[k], Y[k])
+    if args.grid:
+        chunks = _grid_chunks(model, nx, ny, args)
+    else:  # read before the header: a bad point file prints nothing
+        chunks = _point_chunks(model, load_points(args.points), args)
     header = ["X", "Y", "Z"]
     if args.with_slope:
         header.append("dZdY")
     if args.with_entropy:
         header.append("dS")
     sys.stdout.write(",".join(header) + "\n")
-    for lo in range(0, rows, EVAL_CHUNK_ROWS):
-        Xc, Yc = points(np.arange(lo, min(lo + EVAL_CHUNK_ROWS, rows)))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            cols = [Xc, Yc, eval_physical(model, Xc, Yc)]
-            if args.with_slope:
-                cols.append(dZ_dY(model, Xc, Yc))
-            if args.with_entropy:
-                cols.append(entropy_change(model, Yc, Xc))
+    for first, cols in chunks:  # ``first``: the row number of cols' row 0
         table = np.column_stack(cols)
         bad = np.argwhere(~np.isfinite(table[:, 2:]))
         if bad.size:
             row, col = bad[0]
             raise FloatingPointError(
                 f"{header[2 + col]} is not finite in output row "
-                f"{lo + row + 1} (X={Xc[row]:.17g}, Y={Yc[row]:.17g})")
+                f"{first + row + 1} (X={table[row, 0]:.17g}, "
+                f"Y={table[row, 1]:.17g})")
         write_rows(sys.stdout, table, "\n")
     return 0
+
+
+def _point_chunks(model, points, args):
+    """(first row, columns) of ``eval --points``, EVAL_CHUNK_ROWS rows at
+    a time, each point on its own (``eval_physical``, ``dZ_dY``,
+    ``entropy_change``)."""
+    for lo in range(0, len(points), EVAL_CHUNK_ROWS):
+        X, Y = points[lo:lo + EVAL_CHUNK_ROWS].T
+        with np.errstate(over="ignore", invalid="ignore"):  # cmd_eval checks
+            cols = [X, Y, eval_physical(model, X, Y)]
+            if args.with_slope:
+                cols.append(dZ_dY(model, X, Y))
+            if args.with_entropy:
+                cols.append(entropy_change(model, Y, X))
+        yield lo, cols
+
+
+def _grid_chunks(model, nx, ny, args):
+    """(first row, columns) of ``eval --grid NXxNY``, whose row k nx + i is
+    (X[i], Y[k]), from ``eval_grid``: chunks of whole Y rows, or pieces of
+    one row when it alone is too wide.  The kernel products of a chunk,
+    outputs times degree + 1 per point and per row times degree + 1, stay
+    within GRID_CHUNK_ELEMS where one row's do."""
+    nmap = model.map
+    Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
+    Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
+    n = 1 + max(degree_block(t).m for t in model.kept)
+    per_point = (1 + args.with_slope + args.with_entropy) * n
+    cols = max(1, GRID_CHUNK_ELEMS // per_point)  # < nx: one row per chunk
+    rows = max(1, GRID_CHUNK_ELEMS // (per_point * max(nx, n)))
+    for k in range(0, ny, rows):
+        Y = Ys[k:k + rows]
+        for i in range(0, nx, cols):
+            X = Xs[i:i + cols]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked
+                values = eval_grid(model, X, Y, args.with_slope,
+                                   args.with_entropy)
+            yield k * nx + i, [np.tile(X, Y.size), np.repeat(Y, X.size),
+                               *(v.ravel() for v in values)]
 
 
 def cmd_export(args) -> int:

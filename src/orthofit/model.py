@@ -16,7 +16,9 @@ respect to the raw Y coordinate (e.g. temperature), and integrate that
 derivative over X (e.g. field) for entropy-change style quantities.  They
 all take whole arrays of points.  The integral is Simpson's rule applied
 once per x-power of the model rather than on a node grid per point, so
-it costs one polynomial evaluation per point.
+it costs one polynomial evaluation per point.  On a grid, ``eval_grid``
+evaluates the model as a tensor product in double-double: each y row's
+polynomial in x once, then a short sum over the x powers per point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 from .basis import (_as_rows, basis_dy, basis_values, columns_for_degree,
                     dd_basis_values, degree_block)
 from .dataset import NormalizationMap
-from .ddarith import BLOCK_ELEMS, comp_dot, dd_add, dd_dot, dd_mul
+from .ddarith import (BLOCK_ELEMS, comp_dot, dd_add, dd_dot, dd_mul,
+                      dd_mul_d, two_prod)
 from .errors import ModelFormatError
 from .fit import FitResult
 from .ortho import PrecisionMode
@@ -193,12 +196,24 @@ def eval_physical(model: SurfaceModel, X, Y):
     return float(Z) if np.ndim(Z) == 0 else Z
 
 
+def _slope_scale(nmap) -> float:
+    """Raw Z per raw Y unit of a unit-coordinate slope dz/dy."""
+    if nmap.y_max == nmap.y_min:
+        raise ValueError("degenerate Y range: derivative undefined")
+    return float((nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min))
+
+
+def _window(nmap, X_hi):
+    """X_hi - x_min: the field window of the entropy integral."""
+    if nmap.x_max == nmap.x_min:
+        raise ValueError("degenerate X range: nothing to integrate over")
+    return X_hi - nmap.x_min
+
+
 def dZ_dY(model: SurfaceModel, X, Y):
     """Slope of the surface along raw Y, in original units per Y unit."""
     nmap = model.map
-    if nmap.y_max == nmap.y_min:
-        raise ValueError("degenerate Y range: derivative undefined")
-    scale = float((nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min))
+    scale = _slope_scale(nmap)
     return scale * _sum_one(model, basis_dy, *nmap.to_unit(X, Y))
 
 
@@ -232,16 +247,102 @@ def entropy_change(model: SurfaceModel, Y, X_hi):
     the integration deliberately starts at the dataset's lower X bound
     (the smallest measured field), not at zero, and is exactly 0.0 there.
     """
-    nmap = model.map
-    if nmap.x_max == nmap.x_min:
-        raise ValueError("degenerate X range: nothing to integrate over")
+    X_hi, Y = np.broadcast_arrays(np.asarray(X_hi, float), np.asarray(Y, float))
+    width = _window(model.map, X_hi)
     xpow = [m - j for _, m, j in map(degree_block, model.kept)]
     c = model.c * _simpson_moments(max(xpow))[xpow]
-    X_hi, Y = np.broadcast_arrays(np.asarray(X_hi, float), np.asarray(Y, float))
-    width = X_hi - nmap.x_min
     ds = np.where(width == 0.0, 0.0,
                   width * dZ_dY(replace(model, c=c), X_hi, Y))
     return float(ds) if ds.ndim == 0 else ds
+
+
+def eval_grid(model: SurfaceModel, X, Y, slope: bool = False,
+              entropy: bool = False) -> list:
+    """Z in original units at every grid point (X[i], Y[k]) of 1-d X and
+    Y, then with the flags dZ/dY and the entropy change
+    ``entropy_change(model, Y[k], X[i])``: one (len(Y), len(X)) array
+    each.
+
+    The unit-coordinate sums come from ``_grid_sum``, in double-double
+    rounded once, so each is faithful; the conversions to original units
+    are those of ``eval_physical``, ``dZ_dY`` and ``entropy_change``,
+    whose compensated sums run over a basis table rounded to double, so
+    their last bits can differ.  A value depends only on its own X[i] and
+    Y[k], so a sub-grid gives the same bits; the temporaries grow with
+    the grid, so a large one goes in pieces (as ``cli`` streams it).
+    """
+    nmap = model.map
+    X, Y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (X, Y))
+    scale = _slope_scale(nmap) if slope or entropy else None
+    width = _window(nmap, X) if entropy else None
+    x, y = nmap.to_unit(X, Y)
+    sums = _grid_sum(_grid_coefficients(model, slope, entropy), x, y)
+    out = [nmap.to_raw(x, y, sums[0])[2]]
+    if slope:
+        out.append(scale * sums[1])
+    if entropy:
+        out.append(np.where(width == 0.0, 0.0, width * (scale * sums[-1])))
+    return out
+
+
+def _grid_coefficients(model: SurfaceModel, slope: bool, entropy: bool):
+    """The coefficients of ``_grid_sum`` as a (hi, lo) pair of (M, n, n)
+    stacks, n the model's degree + 1: C[a, b] = c_t for the kept t of
+    x^a y^b, then with the flags the slope's C'[a, b - 1] = b C[a, b],
+    exact by ``two_prod``, and the Simpson sum's C'[a, b] nu_a (see
+    ``entropy_change``)."""
+    powers = np.array([(m - j, j) for _, m, j in map(degree_block,
+                                                        model.kept)]).T
+    n = 1 + int(powers.sum(axis=0).max())
+    C = np.zeros((n, n))
+    C[tuple(powers)] = model.c
+    d = np.zeros((2, n, n))
+    d[0, :, :-1], d[1, :, :-1] = two_prod(C[:, 1:], np.arange(1.0, n))
+    stack = [(C, np.zeros((n, n)))]
+    if slope:
+        stack.append(d)
+    if entropy:
+        stack.append(dd_mul_d(*d, _simpson_moments(n - 1)[:, None]))
+    return tuple(np.array(v) for v in zip(*stack))
+
+
+def _dd_powers(v, n: int):
+    """v**0 .. v**(n-1) of the doubles ``v`` in double-double: a (hi, lo)
+    pair of (n, len(v)) arrays, each power one ``dd_mul_d`` step from the
+    last.  A power that underflows loses its low part (``two_prod``'s
+    domain) but stays finite."""
+    hi, lo = np.ones((n, v.size)), np.zeros((n, v.size))
+    for a in range(1, n):
+        hi[a], lo[a] = dd_mul_d(hi[a - 1], lo[a - 1], v)
+    return hi, lo
+
+
+def _grid_sum(C, x, y) -> np.ndarray:
+    """sum over a, b of C[., a, b] x_i^a y_k^b at every grid point (x_i,
+    y_k), for a (hi, lo) pair C of (M, n, n) coefficient stacks: an (M,
+    len(y), len(x)) array.
+
+    The tensor product Z(x, y) = sum_a x^a d_a(y), d_a(y) = sum_b C[a, b]
+    y^b, in double-double: power tables of x and y (``_dd_powers``), each
+    y row's d_a once as a ``dd_dot`` over b, then each point as a
+    ``dd_dot`` over a, n terms in place of one per kept index, rounded
+    once to double.  Every sum is its own pairwise tree, so a value
+    depends only on its own x_i, y_k and C.  The products of one
+    ``dd_dot`` number n^2 M len(y) and n len(y) len(x).
+    """
+    n = C[0].shape[-1]
+    xh, xl = _dd_powers(x, n)
+    yh, yl = _dd_powers(y, n)
+    # axis 0 of each product is the summed power: b, then a
+    dh, dl = dd_dot(yh[:, None, :, None], yl[:, None, :, None],
+                    *(v.transpose(2, 0, 1)[:, :, None] for v in C))
+    dh, dl = dh.transpose(2, 0, 1), dl.transpose(2, 0, 1)
+    out = np.empty((len(C[0]), y.size, x.size))
+    for m, z in enumerate(out):  # one output at a time: smaller operands
+        zh, zl = dd_dot(xh[:, None], xl[:, None], dh[:, m, :, None],
+                        dl[:, m, :, None])
+        z[:] = zh + zl
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,26 @@ def _mp_values(hi, lo):
             + np.vectorize(mpmath.mpf, otypes=[object])(lo)).tolist()
 
 
+def mpmath_unit_sums(model, x, y, dps=50):
+    """The stored model's unit-coordinate z = sum_t c_t x^i y^j and
+    dz/dy = sum_t c_t j x^i y^(j-1) at one point (x, y), at ``dps``
+    digits: a (value, magnitude) pair of floats for each, the magnitude
+    being the sum of the absolute terms."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x, y = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+        z, dz = [], []
+        for t, c in zip(model.kept, model.c):
+            _, m, j = degree_block(t)
+            term = mpmath.mpf(float(c)) * x ** (m - j)
+            z.append(term * y ** j)
+            if j:
+                dz.append(term * j * y ** (j - 1))
+        return [(float(mpmath.fsum(v)), float(mpmath.fsum(abs(u) for u in v)))
+                for v in (z, dz)]
+
+
 def mpmath_simpson_entropy(model, Y, X_hi, panels=200, dps=50):
     """``entropy_change`` at ``dps`` digits: the same composite Simpson
     rule on an even number of panels, at exact nodes

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orthofit import (SynthSpec, dZ_dY, entropy_change, eval_physical,
-                      generate, load_model, save_dataset)
+from orthofit import (SynthSpec, cli, dZ_dY, entropy_change, eval_grid,
+                      eval_physical, generate, load_model, save_dataset)
 from orthofit.cli import EVAL_CHUNK_ROWS, _parse_x_grid, main
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
 from conftest import src_env
@@ -416,29 +416,90 @@ def test_eval_points_outside_rectangle_and_at_x_min(capsys, noisy_csv,
     assert all(math.isfinite(float(v)) for r in rows for v in r)
 
 
-def test_eval_columns_match_per_point_calls(capsys, noisy_csv, tmp_path):
+def _grid_rows(model, X, Y):
+    """The rows ``eval --grid`` prints for the grid X x Y with both
+    flags, from one ``eval_grid`` call."""
+    return [[format(float(v), ".17g") for v in row]
+            for row in zip(np.tile(X, len(Y)), np.repeat(Y, len(X)),
+                           *(v.ravel() for v in eval_grid(model, X, Y,
+                                                          True, True)))]
+
+
+def test_eval_grid_columns_match_the_kernel(capsys, noisy_csv, tmp_path):
+    # row k nx + i is (X[i], Y[k]) with eval_grid's values, and those are
+    # the per-point values to the per-point path's rounding error
     model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
     nm = model.map
+    X = np.linspace(nm.x_min, nm.x_max, 40)
+    Y = np.linspace(nm.y_min, nm.y_max, 15)
     rows = _eval_rows(capsys, model_path, "--grid", "40x15")
-    X = np.tile(np.linspace(nm.x_min, nm.x_max, 40), 15).tolist()
-    Y = np.repeat(np.linspace(nm.y_min, nm.y_max, 15), 40).tolist()
-    assert rows == [_per_point_row(model, x, y) for x, y in zip(X, Y)]
+    assert rows == _grid_rows(model, X, Y)
     assert not any(r[4] == "-0" for r in rows)
+    XX, YY = np.tile(X, 15), np.repeat(Y, 40)
+    got = np.array(rows, dtype=float)
+    for col, want in ((2, eval_physical(model, XX, YY)),
+                      (3, dZ_dY(model, XX, YY)),
+                      (4, entropy_change(model, YY, XX))):
+        np.testing.assert_allclose(got[:, col], want, rtol=1e-11,
+                                   atol=1e-13 * np.abs(want).max())
 
 
-def test_eval_grid_rows_match_point_subsets(capsys, noisy_csv, tmp_path):
-    # rows are independent: the chunking of the array calls cannot show
+def test_eval_grid_rows_match_the_kernel_on_sub_grids(capsys, noisy_csv,
+                                                      tmp_path):
+    # each value depends on its own X and Y alone: sub-grids of the same
+    # axes give the same bits, so the chunking of the kernel calls
+    # cannot show
     model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    nm = model.map
     whole = _eval_rows(capsys, model_path, "--grid", "30x20")
-    assert len(whole) == 600
-    X, Y = ([float(r[k]) for r in whole] for k in (0, 1))
-    parts, start = [], 0
-    for size in (1, 255, 256, 88):
-        path = _write_points(tmp_path / f"p{start}.csv",
-                             X[start:start + size], Y[start:start + size])
-        parts += _eval_rows(capsys, model_path, "--points", str(path))
-        start += size
-    assert parts == whole
+    X = np.linspace(nm.x_min, nm.x_max, 30)
+    Y = np.linspace(nm.y_min, nm.y_max, 20)
+    table = [[None] * 30 for _ in Y]
+    for k0, k1 in ((0, 1), (1, 8), (8, 20)):
+        for i0, i1 in ((0, 17), (17, 18), (18, 30)):
+            piece = _grid_rows(model, X[i0:i1], Y[k0:k1])
+            for r, row in enumerate(piece):
+                table[k0 + r // (i1 - i0)][i0 + r % (i1 - i0)] = row
+    assert whole == [row for line in table for row in line]
+
+
+@pytest.mark.parametrize("cap", [1, 81, 729])
+def test_eval_grid_output_does_not_depend_on_the_chunk_size(
+        capsys, monkeypatch, noisy_csv, tmp_path, cap):
+    # 45 columns: degree 8, so 27 kernel products per point with both
+    # flags.  A cap of 1 or 81 cuts each row of 7 into pieces of 1 or 3
+    # points; 729 takes whole rows, 3 at a time
+    model_path, _ = _fit_model(capsys, noisy_csv, tmp_path)
+    argv = ["eval", "--model", str(model_path), "--grid", "7x11",
+            "--with-slope", "--with-entropy"]
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0 and default.count("\n") == 78
+    monkeypatch.setattr(cli, "GRID_CHUNK_ELEMS", cap)
+    assert run_cli(capsys, *argv) == (0, default, "")
+
+
+def test_eval_grid_names_the_row_that_overflows(capsys, tmp_path):
+    # Z = 1e290 x^20 y in unit coordinates times a z range of 1e20
+    # overflows only where x > 0.85 and y = 0.5: in row 1 of 3, past the
+    # first chunk of its 4,000 X values.  The row named is the one
+    # printed there, k nx + i + 1
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps({
+        "version": 1, "kept_indices": [0, 232], "c": [0.0, 1e290],
+        "normalization": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0,
+                          "y_max": 1.0, "z_min": 0.0, "z_max": 1e20},
+        "S": 1, "lambda": 0.0, "sigma_tr": 0.0}))
+    cols = cli.GRID_CHUNK_ELEMS // 22  # degree 21 + 1 terms per point
+    X = np.linspace(0.0, 1.0, 4000).tolist()
+    i = next(i for i, x in enumerate(X)
+             if math.isinf(0.5e290 * x ** 20 * 1e20))
+    assert i >= cols
+    code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
+                             "--grid", "4000x3")
+    assert code == 4
+    assert out.count("\n") == 1 + 4000 + cols
+    assert err == (f"error: Z is not finite in output row {4000 + i + 1} "
+                   f"(X={X[i]:.17g}, Y=0.5)\n")
 
 
 @pytest.mark.parametrize("where", ["grid", "points"])
@@ -460,9 +521,13 @@ def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
     code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
                              "--with-slope", "--with-entropy", *argv)
     assert code == 0, err
-    rows = [(x, y, eval_physical(model, x, y), dZ_dY(model, x, y),
-             entropy_change(model, y, x))
-            for x, y in zip(X.tolist(), Y.tolist())]
+    if where == "grid":  # the kernel's values, row k * 23 + i
+        values = [v.ravel() for v in eval_grid(model, X[:23], Y[::23],
+                                                True, True)]
+    else:
+        values = [eval_physical(model, X, Y), dZ_dY(model, X, Y),
+                  entropy_change(model, Y, X)]
+    rows = list(zip(X.tolist(), Y.tolist(), *(v.tolist() for v in values)))
     assert out == "X,Y,Z,dZdY,dS\n" + reference_rows(rows, "\n")
 
 
@@ -497,9 +562,9 @@ def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
         err = proc.stderr.read()
     assert lines[0] == "X,Y,Z,dZdY,dS\n", err[-2000:]
     nm = model.map
-    X = np.linspace(nm.x_min, nm.x_max, 100000)[:3].tolist()
-    assert [ln.rstrip("\n").split(",") for ln in lines[1:]] == [
-        _per_point_row(model, x, nm.y_min) for x in X]
+    X = np.linspace(nm.x_min, nm.x_max, 100000)[:3]
+    assert [ln.rstrip("\n").split(",") for ln in lines[1:]] == _grid_rows(
+        model, X, [nm.y_min])
 
 
 def test_eval_rejects_model_version_mismatch(capsys, tmp_path):

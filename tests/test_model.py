@@ -11,17 +11,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       SplitConfig, SurfaceModel, SynthSpec, dZ_dY,
                       entropy_change, eval_monomial, eval_ortho, eval_physical,
-                      fit_surface, generate, load_model, normalize, save_model,
-                      split, to_monomial)
+                      eval_grid, fit_surface, generate, load_model, normalize,
+                      save_model, split, to_monomial)
 from orthofit import model as model_module
 from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import BLOCK_ELEMS, comp_dot
 from orthofit.fit import FitBasis, solve
-from orthofit.model import MAX_DEGREE, _expand, _monomials
+from orthofit.model import (MAX_DEGREE, _expand, _grid_coefficients,
+                            _grid_sum, _monomials)
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, uniform_xy
 from oracles import (double_conversion, mpmath_monomial_coefficients,
-                     mpmath_simpson_entropy, unit_dataset)
+                     mpmath_simpson_entropy, mpmath_unit_sums, unit_dataset)
 
 IDENTITY = NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
@@ -288,6 +289,88 @@ def test_entropy_change_arrays_match_scalar_calls(field_model):
     assert dZ_dY(field_model, nm.x_min, 340.0) < 0
     assert math.copysign(1.0, entropy_change(field_model, 340.0,
                                              nm.x_min)) == 1.0
+
+
+@pytest.fixture(scope="module", params=[79, 91, 210])
+def magnet_model(request):
+    """Models of the 1k magnet corpus at 79, 91 and 210 columns (max|c|
+    about 8e4, 3e5 and 3e11), whose sums cancel more the wider they are."""
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    K = request.param
+    return to_monomial(fit_surface(split(data, SplitConfig()), data,
+                                   FitConfig(fixed_columns=K, max_columns=K)))
+
+
+def test_grid_kernel_is_faithful_against_mpmath(magnet_model):
+    # the stored model's unit-coordinate z and dz/dy at 50 digits: one
+    # rounding, plus the double-double sums' u^2 times the terms' size
+    x = np.array([0.0, 0.07, 0.3, 0.55, 0.91, 1.0])
+    y = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+    z, dz = _grid_sum(_grid_coefficients(magnet_model, True, False), x, y)
+    u = 2.0 ** -53
+    for k, yk in enumerate(y):
+        for i, xi in enumerate(x):
+            for got, (ref, mag) in zip((z[k, i], dz[k, i]),
+                                       mpmath_unit_sums(magnet_model, xi, yk)):
+                assert abs(got - ref) <= math.ulp(ref) + u * u * mag, (xi, yk)
+
+
+def test_grid_entropy_is_as_close_to_simpson_as_per_point(magnet_model):
+    # both paths round the unit coordinate s = unit(X) alike, which moves
+    # dS by far more than an ulp on these models; past that the grid's
+    # double-double sums keep closer to the 50-digit rule than the
+    # compensated double ones over a rounded basis table
+    nm = magnet_model.map
+    span = nm.x_max - nm.x_min
+    grid, point = [], []
+    for X, Y in ((nm.x_max, nm.y_min), (nm.x_min + 0.37 * span, 301.5),
+                 (nm.x_max, nm.y_max)):
+        ref, mag = mpmath_simpson_entropy(magnet_model, Y, X)
+        got = eval_grid(magnet_model, [X], [Y], entropy=True)[1][0, 0]
+        assert abs(got - ref) <= 1e-15 * (abs(ref) + mag), (X, Y)
+        grid.append(abs(got - ref))
+        point.append(abs(entropy_change(magnet_model, Y, X) - ref))
+    assert max(grid) <= max(point)
+
+
+def test_eval_grid_matches_per_point_evaluation(field_model):
+    # the same quantities in the same units, to the per-point path's own
+    # rounding error (its basis table rounds each x^i y^j, which at unit
+    # x = 1.2 costs about 1e-12 of |Z|); exactly +0.0 where X is the
+    # lower bound
+    nm = field_model.map
+    X = np.linspace(nm.x_min, nm.x_max + 1.0, 9)
+    Y = np.linspace(nm.y_min - 5.0, nm.y_max, 7)
+    Z, dZ, dS = eval_grid(field_model, X, Y, slope=True, entropy=True)
+    XX, YY = np.tile(X, 7), np.repeat(Y, 9)
+    for got, want in ((Z, eval_physical(field_model, XX, YY)),
+                      (dZ, dZ_dY(field_model, XX, YY)),
+                      (dS, entropy_change(field_model, YY, XX))):
+        assert got.shape == (7, 9)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-11,
+                                   atol=1e-13 * np.abs(want).max())
+    assert not np.signbit(dS[:, 0]).any() and not dS[:, 0].any()
+    (only,) = eval_grid(field_model, X, Y)
+    assert only.tobytes() == Z.tobytes()
+
+
+def test_grid_powers_that_underflow_stay_finite():
+    # a degree-60 model near x = 0: x^60 and its dd low parts underflow,
+    # outside two_prod's domain, but every value stays finite and close
+    kept = tuple(range(columns_for_degree(60)))
+    model = SurfaceModel(c=np.cos(np.arange(len(kept))), kept=kept,
+                         map=IDENTITY, S=len(kept) - 1, lambda_=0.0,
+                         sigma_tr=0.0)
+    X = np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-6, 0.5])
+    Y = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
+    values = eval_grid(model, X, Y, slope=True, entropy=True)
+    assert all(np.isfinite(v).all() for v in values)
+    np.testing.assert_allclose(
+        values[0].ravel(), eval_physical(model, np.tile(X, Y.size),
+                                         np.repeat(Y, X.size)),
+        rtol=1e-12, atol=1e-300)
 
 
 def test_row_blocks_keep_every_bit():
