@@ -4,13 +4,13 @@ Once M(H, T) is fitted, the temperature slope dM/dT follows from the
 power rule on the monomial model, and its field integral (the
 Maxwell-relation entropy change) from composite Simpson quadrature,
 applied per x-power of the model so that it costs one evaluation per
-point.  ``eval_grid`` evaluates both on a whole temperature x field grid
+point.  ``GridKernel`` evaluates both on a whole temperature x field grid
 at once, in original units.
 """
 
 import numpy as np
 
-from orthofit import (FitConfig, SplitConfig, SynthSpec, eval_grid,
+from orthofit import (FitConfig, GridKernel, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize, split, to_monomial)
 
 points, _ = generate(SynthSpec(surface="magnet", nx=50, ny=40,
@@ -26,7 +26,7 @@ temps = np.linspace(255.0, 345.0, 10)
 fields = np.array([1.0, 2.5, 5.0])
 
 # one row per temperature, one column per field
-_, slope, ds = eval_grid(model, fields, temps, slope=True, entropy=True)
+_, slope, ds = GridKernel(model, fields, slope=True, entropy=True)(temps)
 
 print("  T [K]   " + "   ".join(f"dS(0->{H:g} T)" for H in fields)
       + f"     dM/dT @ {fields[1]:g} T")

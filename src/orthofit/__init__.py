@@ -10,7 +10,7 @@ from .errors import (DegenerateAxisError, DegenerateFitError,
                      ParseError)
 from .fit import (FitBasis, FitConfig, FitResult, fit_surface,
                   regularized_coefficient, solve)
-from .model import (SurfaceModel, dZ_dY, entropy_change, eval_grid,
+from .model import (GridKernel, SurfaceModel, dZ_dY, entropy_change,
                     eval_monomial, eval_ortho, eval_physical, load_model,
                     save_model, to_monomial)
 from .ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,

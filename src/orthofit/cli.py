@@ -18,7 +18,7 @@ or ``eval`` output included).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
 thread count (``OPENBLAS_NUM_THREADS``).  ``eval --grid`` evaluates the
-model as a tensor product in double-double (``model.eval_grid``), so its
+model as a tensor product in double-double (``model.GridKernel``), so its
 rows are faithful but may differ in the last bits from ``eval --points``
 rows for the same points.
 """
@@ -44,7 +44,7 @@ from .dataset import (SplitConfig, load_dataset, load_points, normalize,
 from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
-from .model import (MAX_DEGREE, dZ_dY, entropy_change, eval_grid,
+from .model import (MAX_DEGREE, GridKernel, dZ_dY, entropy_change,
                     eval_physical, load_model, save_model, to_monomial)
 from .basis import columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
@@ -283,10 +283,11 @@ def _point_chunks(model, points, args):
 
 def _grid_chunks(model, nx, ny, args):
     """(first row, columns) of ``eval --grid NXxNY``, whose row k nx + i is
-    (X[i], Y[k]), from ``eval_grid``: chunks of whole Y rows, or pieces of
-    one row when it alone is too wide.  The kernel products of a chunk,
-    outputs times degree + 1 per point and per row times degree + 1, stay
-    within GRID_CHUNK_ELEMS where one row's do."""
+    (X[i], Y[k]), from one ``GridKernel`` of the whole X axis: chunks of
+    whole Y rows, or pieces of one row when it alone is too wide.  The
+    kernel products of a chunk, outputs times degree + 1 per point and per
+    row times degree + 1, stay within GRID_CHUNK_ELEMS where one row's
+    do."""
     nmap = model.map
     Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
     Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
@@ -294,13 +295,14 @@ def _grid_chunks(model, nx, ny, args):
     per_point = (1 + args.with_slope + args.with_entropy) * n
     cols = max(1, GRID_CHUNK_ELEMS // per_point)  # < nx: one row per chunk
     rows = max(1, GRID_CHUNK_ELEMS // (per_point * max(nx, n)))
+    with np.errstate(over="ignore", invalid="ignore"):  # cmd_eval checks
+        kernel = GridKernel(model, Xs, args.with_slope, args.with_entropy)
     for k in range(0, ny, rows):
         Y = Ys[k:k + rows]
         for i in range(0, nx, cols):
             X = Xs[i:i + cols]
-            with np.errstate(over="ignore", invalid="ignore"):  # checked
-                values = eval_grid(model, X, Y, args.with_slope,
-                                   args.with_entropy)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = kernel(Y, i, i + cols)
             yield k * nx + i, [np.tile(X, Y.size), np.repeat(Y, X.size),
                                *(v.ravel() for v in values)]
 

@@ -16,7 +16,7 @@ respect to the raw Y coordinate (e.g. temperature), and integrate that
 derivative over X (e.g. field) for entropy-change style quantities.  They
 all take whole arrays of points.  The integral is Simpson's rule applied
 once per x-power of the model rather than on a node grid per point, so
-it costs one polynomial evaluation per point.  On a grid, ``eval_grid``
+it costs one polynomial evaluation per point.  On a grid, ``GridKernel``
 evaluates the model as a tensor product in double-double: each y row's
 polynomial in x once, then a short sum over the x powers per point.
 """
@@ -256,12 +256,16 @@ def entropy_change(model: SurfaceModel, Y, X_hi):
     return float(ds) if ds.ndim == 0 else ds
 
 
-def eval_grid(model: SurfaceModel, X, Y, slope: bool = False,
-              entropy: bool = False) -> list:
-    """Z in original units at every grid point (X[i], Y[k]) of 1-d X and
-    Y, then with the flags dZ/dY and the entropy change
-    ``entropy_change(model, Y[k], X[i])``: one (len(Y), len(X)) array
-    each.
+class GridKernel:
+    """Z in original units on the grid points (X[i], Y[k]) of one X axis,
+    then with the flags dZ/dY and the entropy change ``entropy_change(model,
+    Y[k], X[i])``.
+
+    Built once per model and X axis, with the work that depends on them
+    alone: the coefficient stacks (``_grid_coefficients``) and the
+    double-double power table of unit X (``_dd_powers``).  A call with 1-d
+    Y, and optionally a range [first, end) of X, returns one (len(Y),
+    end - first) array per output.
 
     The unit-coordinate sums come from ``_grid_sum``, in double-double
     rounded once, so each is faithful; the conversions to original units
@@ -271,18 +275,29 @@ def eval_grid(model: SurfaceModel, X, Y, slope: bool = False,
     Y[k], so a sub-grid gives the same bits; the temporaries grow with
     the grid, so a large one goes in pieces (as ``cli`` streams it).
     """
-    nmap = model.map
-    X, Y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (X, Y))
-    scale = _slope_scale(nmap) if slope or entropy else None
-    width = _window(nmap, X) if entropy else None
-    x, y = nmap.to_unit(X, Y)
-    sums = _grid_sum(_grid_coefficients(model, slope, entropy), x, y)
-    out = [nmap.to_raw(x, y, sums[0])[2]]
-    if slope:
-        out.append(scale * sums[1])
-    if entropy:
-        out.append(np.where(width == 0.0, 0.0, width * (scale * sums[-1])))
-    return out
+
+    def __init__(self, model: SurfaceModel, X, slope: bool = False,
+                 entropy: bool = False):
+        nmap = self.map = model.map
+        X = np.atleast_1d(np.asarray(X, dtype=float))
+        self.scale = _slope_scale(nmap) if slope or entropy else None
+        self.width = _window(nmap, X) if entropy else None
+        self.slope, self.entropy = slope, entropy
+        self.C = _grid_coefficients(model, slope, entropy)
+        self.xpow = _dd_powers(nmap.to_unit(X, 0.0)[0], self.C[0].shape[-1])
+
+    def __call__(self, Y, first: int = 0, end: Optional[int] = None) -> list:
+        cut = slice(first, end)
+        y = self.map.to_unit(0.0, np.atleast_1d(np.asarray(Y, dtype=float)))[1]
+        sums = _grid_sum(self.C, [p[:, cut] for p in self.xpow], y)
+        out = [self.map.to_raw(0.0, 0.0, sums[0])[2]]
+        if self.slope:
+            out.append(self.scale * sums[1])
+        if self.entropy:
+            width = self.width[cut]
+            out.append(np.where(width == 0.0, 0.0,
+                                width * (self.scale * sums[-1])))
+        return out
 
 
 def _grid_coefficients(model: SurfaceModel, slope: bool, entropy: bool):
@@ -317,10 +332,10 @@ def _dd_powers(v, n: int):
     return hi, lo
 
 
-def _grid_sum(C, x, y) -> np.ndarray:
+def _grid_sum(C, xpow, y) -> np.ndarray:
     """sum over a, b of C[., a, b] x_i^a y_k^b at every grid point (x_i,
-    y_k), for a (hi, lo) pair C of (M, n, n) coefficient stacks: an (M,
-    len(y), len(x)) array.
+    y_k), for a (hi, lo) pair C of (M, n, n) coefficient stacks and the
+    power table ``xpow = _dd_powers(x, n)``: an (M, len(y), len(x)) array.
 
     The tensor product Z(x, y) = sum_a x^a d_a(y), d_a(y) = sum_b C[a, b]
     y^b, in double-double: power tables of x and y (``_dd_powers``), each
@@ -331,13 +346,13 @@ def _grid_sum(C, x, y) -> np.ndarray:
     ``dd_dot`` number n^2 M len(y) and n len(y) len(x).
     """
     n = C[0].shape[-1]
-    xh, xl = _dd_powers(x, n)
+    xh, xl = xpow
     yh, yl = _dd_powers(y, n)
     # axis 0 of each product is the summed power: b, then a
     dh, dl = dd_dot(yh[:, None, :, None], yl[:, None, :, None],
                     *(v.transpose(2, 0, 1)[:, :, None] for v in C))
     dh, dl = dh.transpose(2, 0, 1), dl.transpose(2, 0, 1)
-    out = np.empty((len(C[0]), y.size, x.size))
+    out = np.empty((len(C[0]), y.size, xh.shape[1]))
     for m, z in enumerate(out):  # one output at a time: smaller operands
         zh, zl = dd_dot(xh[:, None], xl[:, None], dh[:, m, :, None],
                         dl[:, m, :, None])

@@ -23,7 +23,13 @@ software double-double ("extended") precision.  Extended inner products
 and projections are BLAS products over slices of their operands: each
 diagonal of slice products sums exactly in a double, and the diagonals
 are added in double-double, so their bits do not depend on BLAS's
-summation order or thread count.
+summation order or thread count.  Only the last pass has to be exact,
+since each pass removes what the one before left along the stored
+columns ("twice is enough": Giraud, Langou & Rozložník, *Comput. Math.
+Appl.* 50, 2005).  So an extended column's first pass measures its
+projections on the leading slices alone; its subtraction, every later
+pass and the final norm use them all.  The pass rule's scale, the
+incoming column's norm, is a plain double sum over the high parts.
 """
 
 from __future__ import annotations
@@ -150,21 +156,29 @@ class _ExtendedCore:
     """(hi, lo) pair storage; reductions in double-double.
 
     Every reduction (``column_dot``, whose range [0, k) is ``measure``,
-    ``deflate`` and ``norm2``) is a BLAS product over slices (see
-    ``dd_slices``).  Every column has unit norm, so |P| <= 1 and one grid of
-    ``count`` slices of ``width`` bits, cut when a column is appended,
-    serves every column; any other vector is sliced on its own power-of-two
-    scale.  The products of slices p and q share one unit for each diagonal
-    p + q, and ``slice_width`` lets count * n of them fit in a double
-    (``deflate`` sums over the k <= n columns, the others over the n
-    points), so ``_sum_diagonals`` sums each diagonal p + q < count exactly
-    with one fixed 0/1 gemm, whatever BLAS does with order, blocking, FMA or
-    threads, and adds the diagonals in double-double from the smallest up.
-    The rest, and the remainders left after ``count`` slices, lie about
-    2**-SLICE_BITS below the scale.  The slices take count * n * cap doubles
-    beside P.  Ph and Pl are column-major like the double core's P; Psl is
-    C-ordered (count, n, cap), so ``deflate`` can view it as one (count * n,
-    cap) matrix without a copy.
+    ``lead_measure``, ``deflate`` and ``norm2``) is a BLAS product over
+    slices (see ``dd_slices``).  Every column has unit norm, so |P| <= 1
+    and one grid of ``count`` slices of ``width`` bits, cut when a column
+    is appended, serves every column; any other vector is sliced on its own
+    power-of-two scale, each time it is reduced.  The products of slices p
+    and q share one unit for each diagonal p + q, and ``slice_width`` lets
+    count * n of them fit in a double (``deflate`` sums over the k <= n
+    columns, the others over the n points), so ``_sum_diagonals`` sums each
+    diagonal p + q < count exactly with one fixed 0/1 gemm, whatever BLAS
+    does with order, blocking, FMA or threads, and adds the diagonals in
+    double-double from the smallest up.  The rest, and the remainders left
+    after ``count`` slices, lie about 2**-SLICE_BITS below the scale.
+
+    ``lead_measure``, a column's first pass, cuts only the leading ``lead``
+    = ceil(53 / width) + 1 slices of the vector and takes the products with
+    p + q < lead on the same grid: exact diagonals again, and an error of
+    about 2**(-lead * width) of the scale, which that pass's full
+    ``deflate`` and the exact second pass remove.
+
+    The slices take count * n * cap doubles beside P.  Ph and Pl are
+    column-major like the double core's P; Psl is C-ordered (count, n,
+    cap), so ``deflate`` can view it as one (count * n, cap) matrix
+    without a copy.
     """
 
     def __init__(self, n: int, cap: int):
@@ -172,11 +186,13 @@ class _ExtendedCore:
         self.Pl = np.empty((n, cap), order="F")
         self.width = slice_width(n, SLICE_BITS)
         self.count = S = -(-SLICE_BITS // self.width)
+        self.lead = -(-53 // self.width) + 1  # slices of a first pass
         self.Psl = np.empty((S, n, cap))
-        # _diag[d, p * S + q] = 1 where p + q == d
-        pq = np.add.outer(np.arange(S), np.arange(S)).ravel()
-        self._diag = (pq == np.arange(S)[:, None]).astype(float)
-        self._cut = (None, None)  # the last vector sliced, and its slices
+        # _diag[c][d, p * c + q] = 1 where p + q == d, for c slices
+        self._diag = {}
+        for c in (self.lead, S):
+            pq = np.add.outer(np.arange(c), np.arange(c)).ravel()
+            self._diag[c] = (pq == np.arange(c)[:, None]).astype(float)
         self.k = 0
 
     def grow(self, cap):
@@ -193,44 +209,49 @@ class _ExtendedCore:
                     np.array(arr[1], dtype=float, copy=True))
         return (np.array(arr, dtype=float, copy=True), np.zeros(len(arr)))
 
-    def _slices(self, v):
-        """(count, len) slices of the dd vector v on its power-of-two
-        scale.  Vectors are never changed in place, so the slices of the
-        last vector sliced serve again: the incoming column's norm and
-        its first ``measure`` share one cut."""
-        if self._cut[0] is not v:
-            exp = math.frexp(float(np.abs(v[0]).max()))[1]
-            self._cut = (v, dd_slices(v[0], v[1], self.width, self.count,
-                                      exp)[0])
-        return self._cut[1]
+    def _slices(self, v, count):
+        """The leading ``count`` slices, (count, len), of the dd vector v
+        on its power-of-two scale."""
+        exp = math.frexp(float(np.abs(v[0]).max()))[1]
+        return dd_slices(v[0], v[1], self.width, count, exp)[0]
 
     def _sum_diagonals(self, terms):
-        """dd sums over p + q < count of the exact slice products
-        ``terms[p, q]`` (count, count, ...): one 0/1 gemm sums each
+        """dd sums over p + q < c of the exact slice products ``terms[p,
+        q]`` (c, c, ...), c = count or lead: one 0/1 gemm sums each
         diagonal exactly, then dd additions gather the diagonals from the
         smallest up."""
-        diag = self._diag @ terms.reshape(self.count ** 2, -1)
+        c = terms.shape[0]
+        diag = self._diag[c] @ terms.reshape(c * c, -1)
         h, l = diag[-1], np.zeros_like(diag[-1])
         for d in diag[-2::-1]:
             h, l = dd_add_d(h, l, d)
         return h.reshape(terms.shape[2:]), l.reshape(terms.shape[2:])
 
-    def column_dot(self, first, end, vec):
-        # terms[p, q, t] = <slice p of P_t, slice q of vec>
+    def _dot(self, first, end, vec, c):
+        # terms[p, q, t] = <slice p of P_t, slice q of vec>, p, q < c
         return self._sum_diagonals(
-            np.matmul(self._slices(vec), self.Psl[:, :, first:end]))
+            np.matmul(self._slices(vec, c), self.Psl[:c, :, first:end]))
+
+    def column_dot(self, first, end, vec):
+        return self._dot(first, end, vec, self.count)
 
     def measure(self, v):
         return self.column_dot(0, self.k, v)
 
+    def lead_measure(self, v):
+        """``measure`` from the leading ``lead`` slices alone, good to
+        about lead * width bits below v's scale: a first pass's
+        projections, which the next pass corrects."""
+        return self._dot(0, self.k, v, self.lead)
+
     def deflate(self, v, delta):
         S, n, k = self.count, self.Ph.shape[0], self.k
         # terms[q, p, i] = sum_t (slice q of delta)_t (slice p of P_t)_i
-        terms = self._slices(delta) @ self.Psl[:, :, :k].reshape(S * n, k).T
+        terms = self._slices(delta, S) @ self.Psl[:, :, :k].reshape(S * n, k).T
         return dd_sub(v[0], v[1], *self._sum_diagonals(terms.reshape(S, S, n)))
 
     def norm2(self, v):
-        vs = self._slices(v)
+        vs = self._slices(v, self.count)
         return DD(*self._sum_diagonals(vs @ vs.T))
 
     def delta_max(self, delta):
@@ -301,12 +322,21 @@ class OrthoBuilder:
         if (v[0] if extended else v).shape[0] != self._n:
             raise ValueError("column length does not match the training size")
         dtot = (np.zeros(k), np.zeros(k)) if extended else np.zeros(k)
-        n2 = core.norm2(v)
-        col_norm = float(n2) ** 0.5
+        if extended and k:
+            # the pass rule needs the incoming column's norm only as a
+            # scale, so a plain sum of the high parts gives it
+            col_norm = math.sqrt(float(np.sum(v[0] * v[0])))
+        else:
+            n2 = core.norm2(v)
+            col_norm = float(n2) ** 0.5
         npasses = 0
         if k:
+            # the next pass removes what a first pass leaves, so an
+            # extended first pass measures on the leading slices alone
+            measure = core.lead_measure if extended else core.measure
             for _ in range(MAX_PASSES):
-                delta = core.measure(v)
+                delta = measure(v)
+                measure = core.measure
                 v = core.deflate(v, delta)
                 npasses += 1
                 if extended:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orthofit import (SynthSpec, cli, dZ_dY, entropy_change, eval_grid,
+from orthofit import (GridKernel, SynthSpec, cli, dZ_dY, entropy_change,
                       eval_physical, generate, load_model, save_dataset)
 from orthofit.cli import EVAL_CHUNK_ROWS, _parse_x_grid, main
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
@@ -418,15 +418,15 @@ def test_eval_points_outside_rectangle_and_at_x_min(capsys, noisy_csv,
 
 def _grid_rows(model, X, Y):
     """The rows ``eval --grid`` prints for the grid X x Y with both
-    flags, from one ``eval_grid`` call."""
+    flags, from one ``GridKernel`` call."""
     return [[format(float(v), ".17g") for v in row]
             for row in zip(np.tile(X, len(Y)), np.repeat(Y, len(X)),
-                           *(v.ravel() for v in eval_grid(model, X, Y,
-                                                          True, True)))]
+                           *(v.ravel() for v in GridKernel(model, X, True,
+                                                           True)(Y)))]
 
 
 def test_eval_grid_columns_match_the_kernel(capsys, noisy_csv, tmp_path):
-    # row k nx + i is (X[i], Y[k]) with eval_grid's values, and those are
+    # row k nx + i is (X[i], Y[k]) with GridKernel's values, and those are
     # the per-point values to the per-point path's rounding error
     model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
     nm = model.map
@@ -522,8 +522,8 @@ def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
                              "--with-slope", "--with-entropy", *argv)
     assert code == 0, err
     if where == "grid":  # the kernel's values, row k * 23 + i
-        values = [v.ravel() for v in eval_grid(model, X[:23], Y[::23],
-                                                True, True)]
+        values = [v.ravel() for v in GridKernel(model, X[:23], True,
+                                                 True)(Y[::23])]
     else:
         values = [eval_physical(model, X, Y), dZ_dY(model, X, Y),
                   entropy_change(model, Y, X)]

@@ -11,14 +11,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       SplitConfig, SurfaceModel, SynthSpec, dZ_dY,
                       entropy_change, eval_monomial, eval_ortho, eval_physical,
-                      eval_grid, fit_surface, generate, load_model, normalize,
-                      save_model, split, to_monomial)
+                      GridKernel, fit_surface, generate, load_model,
+                      normalize, save_model, split, to_monomial)
 from orthofit import model as model_module
 from orthofit.basis import basis_values, columns_for_degree
 from orthofit.ddarith import BLOCK_ELEMS, comp_dot
 from orthofit.fit import FitBasis, solve
-from orthofit.model import (MAX_DEGREE, _expand, _grid_coefficients,
-                            _grid_sum, _monomials)
+from orthofit.model import (MAX_DEGREE, _dd_powers, _expand,
+                            _grid_coefficients, _grid_sum, _monomials)
 from orthofit.ortho import PrecisionMode
 from conftest import all_train_split, uniform_xy
 from oracles import (double_conversion, mpmath_monomial_coefficients,
@@ -308,7 +308,8 @@ def test_grid_kernel_is_faithful_against_mpmath(magnet_model):
     # rounding, plus the double-double sums' u^2 times the terms' size
     x = np.array([0.0, 0.07, 0.3, 0.55, 0.91, 1.0])
     y = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
-    z, dz = _grid_sum(_grid_coefficients(magnet_model, True, False), x, y)
+    C = _grid_coefficients(magnet_model, True, False)
+    z, dz = _grid_sum(C, _dd_powers(x, C[0].shape[-1]), y)
     u = 2.0 ** -53
     for k, yk in enumerate(y):
         for i, xi in enumerate(x):
@@ -328,7 +329,7 @@ def test_grid_entropy_is_as_close_to_simpson_as_per_point(magnet_model):
     for X, Y in ((nm.x_max, nm.y_min), (nm.x_min + 0.37 * span, 301.5),
                  (nm.x_max, nm.y_max)):
         ref, mag = mpmath_simpson_entropy(magnet_model, Y, X)
-        got = eval_grid(magnet_model, [X], [Y], entropy=True)[1][0, 0]
+        got = GridKernel(magnet_model, [X], entropy=True)([Y])[1][0, 0]
         assert abs(got - ref) <= 1e-15 * (abs(ref) + mag), (X, Y)
         grid.append(abs(got - ref))
         point.append(abs(entropy_change(magnet_model, Y, X) - ref))
@@ -343,7 +344,7 @@ def test_eval_grid_matches_per_point_evaluation(field_model):
     nm = field_model.map
     X = np.linspace(nm.x_min, nm.x_max + 1.0, 9)
     Y = np.linspace(nm.y_min - 5.0, nm.y_max, 7)
-    Z, dZ, dS = eval_grid(field_model, X, Y, slope=True, entropy=True)
+    Z, dZ, dS = GridKernel(field_model, X, slope=True, entropy=True)(Y)
     XX, YY = np.tile(X, 7), np.repeat(Y, 9)
     for got, want in ((Z, eval_physical(field_model, XX, YY)),
                       (dZ, dZ_dY(field_model, XX, YY)),
@@ -352,7 +353,7 @@ def test_eval_grid_matches_per_point_evaluation(field_model):
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-11,
                                    atol=1e-13 * np.abs(want).max())
     assert not np.signbit(dS[:, 0]).any() and not dS[:, 0].any()
-    (only,) = eval_grid(field_model, X, Y)
+    (only,) = GridKernel(field_model, X)(Y)
     assert only.tobytes() == Z.tobytes()
 
 
@@ -365,7 +366,7 @@ def test_grid_powers_that_underflow_stay_finite():
                          sigma_tr=0.0)
     X = np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-6, 0.5])
     Y = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
-    values = eval_grid(model, X, Y, slope=True, entropy=True)
+    values = GridKernel(model, X, slope=True, entropy=True)(Y)
     assert all(np.isfinite(v).all() for v in values)
     np.testing.assert_allclose(
         values[0].ravel(), eval_physical(model, np.tile(X, Y.size),

@@ -3,6 +3,7 @@ classical and modified Gram-Schmidt baselines of ``oracles``; defect
 measurement; coefficient algebra."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -264,18 +265,42 @@ def test_extended_defect_at_double_resolution():
     assert orthogonality_defect(basis) <= 1e-13
 
 
-def test_extended_columns_truly_orthonormal_in_dd():
-    x, y = uniform_xy(50, 57)
-    b = _feed_columns(OrthoBuilder(50, precision=PrecisionMode.EXTENDED),
-                      x, y, 12, extended=True)
+def _magnet_basis(K):
+    """The extended FitBasis of the seed-1 40 x 25 magnet corpus, grown
+    to K columns."""
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    fb = FitBasis(split(data, SplitConfig()), data,
+                  FitConfig(fixed_columns=K,
+                            precision=PrecisionMode.EXTENDED))
+    fb.block(30)  # far past the cap
+    assert fb.builder.n_columns == K
+    return fb
+
+
+@pytest.mark.parametrize("corpus, K, tol", [
+    ("uniform", 12, 1e-27), ("magnet", 120, 1e-30), ("magnet", 210, 1e-30),
+], ids=["uniform-12", "magnet-120", "magnet-210"])
+def test_extended_columns_truly_orthonormal_in_dd(corpus, K, tol):
+    # every column after the first takes exactly two passes, the first
+    # measured on the leading slices alone, and the dd Gram is I
+    if corpus == "uniform":
+        x, y = uniform_xy(50, 57)
+        b = _feed_columns(OrthoBuilder(50, precision=PrecisionMode.EXTENDED),
+                          x, y, K, extended=True)
+    else:
+        b = _magnet_basis(K).builder
+    assert b.passes == [0] + [2] * (K - 1)
     core = b._core
     worst = 0.0
-    for s in range(12):
-        for t in range(s + 1):
-            h, l = dd_dot(core.Ph[:, s], core.Pl[:, s], core.Ph[:, t], core.Pl[:, t])
-            want = 1.0 if s == t else 0.0
-            worst = max(worst, abs(h + l - want))
-    assert worst < 1e-27
+    for s in range(K):
+        h, l = dd_dot(core.Ph[:, :s + 1], core.Pl[:, :s + 1],
+                      core.Ph[:, s, None], core.Pl[:, s, None])
+        gram = h + l
+        gram[s] -= 1.0
+        worst = max(worst, float(np.abs(gram).max()))
+    assert worst < tol
 
 
 _SHIFT = 1100  # every double is a multiple of 2**-1074
@@ -298,15 +323,8 @@ def test_extended_projections_match_exact_sums():
     # sums; measure, deflate, norm2 and column_dot must be no less accurate
     # than the elementwise dd kernels, and within u**2 (deflate: 2 u**2,
     # its dd_sub rounds once more) of the sum of the terms' magnitudes
-    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
-                                noise_sigma=0.02, seed=1))
-    data = normalize(pts)
-    fb = FitBasis(split(data, SplitConfig()), data,
-                  FitConfig(fixed_columns=100,
-                            precision=PrecisionMode.EXTENDED))
-    fb.block(13)  # degree 13 passes the 100-column cap
+    fb = _magnet_basis(100)
     core = fb.builder._core
-    assert core.k == 100
     Ph, Pl = core.Ph[:, :100], core.Pl[:, :100]
     P = _exact(Ph, Pl)
     u2 = 2.0 ** -106
@@ -321,6 +339,18 @@ def test_extended_projections_match_exact_sums():
             _exact(*dd_dot(Ph, Pl, v[0][:, None], v[1][:, None])) << _SHIFT,
             exact, scale)
         assert sliced <= min(elementwise, u2)
+
+        # a first pass's measure, on the leading R slices: besides the
+        # products with p + q >= R, what it drops are the remainders past
+        # slice R of v (at most 2**(e + 1 - R w), e v's power-of-two scale)
+        # and of P (at most 2**(1 - R w)), so per point about (R + 3)
+        # 2**(e - R w)
+        R, w = core.lead, core.width
+        assert R == -(-53 // w) + 1
+        e = math.frexp(float(np.abs(v[0]).max()))[1]
+        lead_err = max(abs(a - b) for a, b in zip(
+            _exact(*core.lead_measure(v)) << _SHIFT, exact))
+        assert lead_err <= (len(V) * (R + 3)) << (2 * _SHIFT + e - R * w)
 
         d = core.measure(v)
         D = _exact(*d)
