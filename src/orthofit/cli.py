@@ -283,11 +283,12 @@ def _point_chunks(model, points, args):
 
 def _grid_chunks(model, nx, ny, args):
     """(first row, columns) of ``eval --grid NXxNY``, whose row k nx + i is
-    (X[i], Y[k]), from one ``GridKernel`` of the whole X axis: chunks of
-    whole Y rows, or pieces of one row when it alone is too wide.  The
-    kernel products of a chunk, outputs times degree + 1 per point and per
-    row times degree + 1, stay within GRID_CHUNK_ELEMS where one row's
-    do."""
+    (X[i], Y[k]), from ``GridKernel``: chunks of whole Y rows, all from one
+    kernel of the X axis, or pieces of one row when it alone is too wide,
+    each from a kernel of its piece of X.  The kernel products of a chunk,
+    outputs times degree + 1 per point and per row times degree + 1, stay
+    within GRID_CHUNK_ELEMS where one row's do, and a kernel's X power
+    table, 2 (degree + 1) doubles per X value, within twice that."""
     nmap = model.map
     Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
     Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
@@ -295,14 +296,16 @@ def _grid_chunks(model, nx, ny, args):
     per_point = (1 + args.with_slope + args.with_entropy) * n
     cols = max(1, GRID_CHUNK_ELEMS // per_point)  # < nx: one row per chunk
     rows = max(1, GRID_CHUNK_ELEMS // (per_point * max(nx, n)))
-    with np.errstate(over="ignore", invalid="ignore"):  # cmd_eval checks
-        kernel = GridKernel(model, Xs, args.with_slope, args.with_entropy)
+    kernel = None
     for k in range(0, ny, rows):
         Y = Ys[k:k + rows]
         for i in range(0, nx, cols):
             X = Xs[i:i + cols]
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = kernel(Y, i, i + cols)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked
+                if kernel is None or nx > cols:
+                    kernel = GridKernel(model, X, args.with_slope,
+                                        args.with_entropy)
+                values = kernel(Y)
             yield k * nx + i, [np.tile(X, Y.size), np.repeat(Y, X.size),
                                *(v.ravel() for v in values)]
 

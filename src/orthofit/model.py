@@ -264,16 +264,16 @@ class GridKernel:
     Built once per model and X axis, with the work that depends on them
     alone: the coefficient stacks (``_grid_coefficients``) and the
     double-double power table of unit X (``_dd_powers``).  A call with 1-d
-    Y, and optionally a range [first, end) of X, returns one (len(Y),
-    end - first) array per output.
+    Y returns one (len(Y), len(X)) array per output.
 
     The unit-coordinate sums come from ``_grid_sum``, in double-double
     rounded once, so each is faithful; the conversions to original units
     are those of ``eval_physical``, ``dZ_dY`` and ``entropy_change``,
     whose compensated sums run over a basis table rounded to double, so
     their last bits can differ.  A value depends only on its own X[i] and
-    Y[k], so a sub-grid gives the same bits; the temporaries grow with
-    the grid, so a large one goes in pieces (as ``cli`` streams it).
+    Y[k], so a sub-grid gives the same bits; the power table and the
+    temporaries grow with the grid, so a large one goes in pieces, one
+    kernel per piece of X (as ``cli`` streams it).
     """
 
     def __init__(self, model: SurfaceModel, X, slope: bool = False,
@@ -286,17 +286,15 @@ class GridKernel:
         self.C = _grid_coefficients(model, slope, entropy)
         self.xpow = _dd_powers(nmap.to_unit(X, 0.0)[0], self.C[0].shape[-1])
 
-    def __call__(self, Y, first: int = 0, end: Optional[int] = None) -> list:
-        cut = slice(first, end)
+    def __call__(self, Y) -> list:
         y = self.map.to_unit(0.0, np.atleast_1d(np.asarray(Y, dtype=float)))[1]
-        sums = _grid_sum(self.C, [p[:, cut] for p in self.xpow], y)
+        sums = _grid_sum(self.C, self.xpow, y)
         out = [self.map.to_raw(0.0, 0.0, sums[0])[2]]
         if self.slope:
             out.append(self.scale * sums[1])
         if self.entropy:
-            width = self.width[cut]
-            out.append(np.where(width == 0.0, 0.0,
-                                width * (self.scale * sums[-1])))
+            out.append(np.where(self.width == 0.0, 0.0,
+                                self.width * (self.scale * sums[-1])))
         return out
 
 

@@ -27,9 +27,10 @@ summation order or thread count.  Only the last pass has to be exact,
 since each pass removes what the one before left along the stored
 columns ("twice is enough": Giraud, Langou & Rozložník, *Comput. Math.
 Appl.* 50, 2005).  So an extended column's first pass measures its
-projections on the leading slices alone; its subtraction, every later
-pass and the final norm use them all.  The pass rule's scale, the
-incoming column's norm, is a plain double sum over the high parts.
+projections on the leading slices alone, and is never the last: its
+subtraction, every later pass and the final norm use them all.  The pass
+rule's scale, the incoming column's norm, is a plain double sum over the
+high parts.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class _ExtendedCore:
     ``lead_measure``, a column's first pass, cuts only the leading ``lead``
     = ceil(53 / width) + 1 slices of the vector and takes the products with
     p + q < lead on the same grid: exact diagonals again, and an error of
-    about 2**(-lead * width) of the scale, which that pass's full
-    ``deflate`` and the exact second pass remove.
+    about 2**(-lead * width) of the scale, which the exact second pass
+    removes: ``add_column`` takes at least two passes in extended mode.
 
     The slices take count * n * cap doubles beside P.  Ph and Pl are
     column-major like the double core's P; Psl is C-ordered (count, n,
@@ -332,11 +333,11 @@ class OrthoBuilder:
         npasses = 0
         if k:
             # the next pass removes what a first pass leaves, so an
-            # extended first pass measures on the leading slices alone
-            measure = core.lead_measure if extended else core.measure
+            # extended first pass measures on the leading slices alone,
+            # and the pass rule never accepts it
+            lead = extended
             for _ in range(MAX_PASSES):
-                delta = measure(v)
-                measure = core.measure
+                delta = (core.lead_measure if lead else core.measure)(v)
                 v = core.deflate(v, delta)
                 npasses += 1
                 if extended:
@@ -345,8 +346,9 @@ class OrthoBuilder:
                     dtot = dtot + delta
                 # pass accepted once the newly measured projections are
                 # negligible against the incoming column's scale
-                if core.delta_max(delta) <= REORTH_TOL * col_norm:
+                if not lead and core.delta_max(delta) <= REORTH_TOL * col_norm:
                     break
+                lead = False
             n2 = core.norm2(v)
         p = (DD(n2.hi, n2.lo) if isinstance(n2, DD) else DD(n2)).sqrt()
         # double rounding leaves a dependent column a residual near 1e-16

@@ -531,14 +531,12 @@ def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
     assert out == "X,Y,Z,dZdY,dS\n" + reference_rows(rows, "\n")
 
 
-def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
-                                                          tmp_path):
-    # 10**10 grid rows: whole X and Y arrays would take 160 GB, so under a
-    # 2 GB cap the first rows come out only if each chunk makes its own
+def _first_grid_lines(model_path, grid, cap=2 * 1024 ** 3):
+    """The header and first three rows of ``eval --grid GRID`` with both
+    flags, run under an address-space cap of ``cap`` bytes, and its
+    stderr."""
     import resource
     import threading
-    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
-    cap = 2 * 1024 ** 3
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -547,7 +545,7 @@ def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
     env["OPENBLAS_NUM_THREADS"] = "1"
     with subprocess.Popen(
             [sys.executable, "-m", "orthofit.cli", "eval", "--model",
-             str(model_path), "--grid", "100000x100000", "--with-slope",
+             str(model_path), "--grid", grid, "--with-slope",
              "--with-entropy"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, preexec_fn=limit) as proc:
@@ -559,12 +557,39 @@ def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
             hung.cancel()
             proc.kill()
             proc.wait(timeout=60)
-        err = proc.stderr.read()
+        return lines, proc.stderr.read()
+
+
+def test_eval_grid_streams_rows_under_an_address_space_cap(capsys, noisy_csv,
+                                                          tmp_path):
+    # 10**10 grid rows: whole X and Y arrays would take 160 GB, so under a
+    # 2 GB cap the first rows come out only if each chunk makes its own
+    model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
+    lines, err = _first_grid_lines(model_path, "100000x100000")
     assert lines[0] == "X,Y,Z,dZdY,dS\n", err[-2000:]
     nm = model.map
     X = np.linspace(nm.x_min, nm.x_max, 100000)[:3]
     assert [ln.rstrip("\n").split(",") for ln in lines[1:]] == _grid_rows(
         model, X, [nm.y_min])
+
+
+def test_eval_grid_pieces_of_a_long_row_stay_under_the_cap(tmp_path):
+    # degree 21: one X row of 10**7 values goes in pieces of 992, and the
+    # power table of the whole X axis, 2 * 22 * 10**7 doubles, would take
+    # 3.5 GB, so under a 2 GB cap each piece needs a kernel of its own
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps({
+        "version": 1, "kept_indices": [0, 232], "c": [0.5, 2.0],
+        "normalization": {"x_min": 0.0, "x_max": 2.0, "y_min": 1.0,
+                          "y_max": 3.0, "z_min": -1.0, "z_max": 4.0},
+        "S": 1, "lambda": 0.0, "sigma_tr": 0.0}))
+    assert cli.GRID_CHUNK_ELEMS // (3 * 22) < 10 ** 7 // 10 ** 4
+    lines, err = _first_grid_lines(model_path, "10000000x2")
+    assert lines[0] == "X,Y,Z,dZdY,dS\n", err[-2000:]
+    model = load_model(model_path)
+    X = np.linspace(0.0, 2.0, 10 ** 7)[:3]
+    assert [ln.rstrip("\n").split(",") for ln in lines[1:]] == _grid_rows(
+        model, X, [1.0])
 
 
 def test_eval_rejects_model_version_mismatch(capsys, tmp_path):

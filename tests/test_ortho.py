@@ -280,17 +280,27 @@ def _magnet_basis(K):
 
 
 @pytest.mark.parametrize("corpus, K, tol", [
-    ("uniform", 12, 1e-27), ("magnet", 120, 1e-30), ("magnet", 210, 1e-30),
-], ids=["uniform-12", "magnet-120", "magnet-210"])
+    ("uniform", 12, 1e-27), ("orthogonal", 12, 1e-30),
+    ("magnet", 120, 1e-30), ("magnet", 210, 1e-30),
+], ids=["uniform-12", "orthogonal-12", "magnet-120", "magnet-210"])
 def test_extended_columns_truly_orthonormal_in_dd(corpus, K, tol):
     # every column after the first takes exactly two passes, the first
-    # measured on the leading slices alone, and the dd Gram is I
-    if corpus == "uniform":
-        x, y = uniform_xy(50, 57)
-        b = _feed_columns(OrthoBuilder(50, precision=PrecisionMode.EXTENDED),
-                          x, y, K, extended=True)
-    else:
+    # measured on the leading slices alone, and the dd Gram is I.  The
+    # last "orthogonal" column is already orthogonal in dd: its first
+    # pass measures about 1e-20, negligible to the pass rule, but only an
+    # exact pass may be the last one
+    ext = PrecisionMode.EXTENDED
+    if corpus == "magnet":
         b = _magnet_basis(K).builder
+    else:
+        x, y = uniform_xy(50, 57)
+        b = _feed_columns(OrthoBuilder(50, precision=ext), x, y, K,
+                          extended=True)
+        if corpus == "orthogonal":
+            last = (b._core.Ph[:, K - 1], b._core.Pl[:, K - 1])
+            b = _feed_columns(OrthoBuilder(50, precision=ext), x, y, K - 1,
+                              extended=True)
+            assert b.add_column(last, tag=-1)
     assert b.passes == [0] + [2] * (K - 1)
     core = b._core
     worst = 0.0
