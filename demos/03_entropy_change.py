@@ -5,7 +5,8 @@ power rule on the monomial model, and its field integral (the
 Maxwell-relation entropy change) from composite Simpson quadrature,
 applied per x-power of the model so that it costs one evaluation per
 point.  ``GridKernel`` evaluates both on a whole temperature x field grid
-at once, in original units.
+at once, in original units: it broadcasts the temperatures against the
+fields, so a column of temperatures gives one row per temperature.
 """
 
 import numpy as np
@@ -26,7 +27,8 @@ temps = np.linspace(255.0, 345.0, 10)
 fields = np.array([1.0, 2.5, 5.0])
 
 # one row per temperature, one column per field
-_, slope, ds = GridKernel(model, fields, slope=True, entropy=True)(temps)
+_, slope, ds = GridKernel(model, fields, slope=True,
+                          entropy=True)(temps[:, None])
 
 print("  T [K]   " + "   ".join(f"dS(0->{H:g} T)" for H in fields)
       + f"     dM/dT @ {fields[1]:g} T")

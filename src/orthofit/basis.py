@@ -8,9 +8,9 @@ flat index ``t = m(m+1)/2 + j`` where ``m`` is the total degree and ``j``
 the power of y, so entry t is ``x**(m-j) * y**j``.  Values come from one
 recursion, ``basis_step``, that builds each degree block from the
 previous one (one multiply per entry), cheap and exactly reproducible,
-in double and in double-double.  Evaluation reads the values and their
-y-derivatives (power rule); the fit reads ``_BlockGen``'s columns, with
-their Laplacian sums and the odd-x rule.
+in double and in double-double.  Evaluation reads the values (and
+``basis_dy`` their y-derivatives); the fit reads ``_BlockGen``'s
+columns, with their Laplacian sums and the odd-x rule.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ does not fit in memory), 4 numeric failure (non-finite training error
 or ``eval`` output included).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
-thread count (``OPENBLAS_NUM_THREADS``).  ``eval --grid`` evaluates the
-model as a tensor product in double-double (``model.GridKernel``), so its
-rows are faithful but may differ in the last bits from ``eval --points``
-rows for the same points.
+thread count (``OPENBLAS_NUM_THREADS``).  ``eval`` evaluates the model
+as a tensor product in double-double (``model.GridKernel``), on a grid
+and at scattered points alike, so its rows are faithful and a point
+prints the same bytes under ``--grid`` and ``--points``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .dataset import (SplitConfig, load_dataset, load_points, normalize,
 from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
-from .model import (MAX_DEGREE, GridKernel, dZ_dY, entropy_change,
-                    eval_physical, load_model, save_model, to_monomial)
+from .model import (MAX_DEGREE, GridKernel, _block_rows, load_model,
+                    save_model, to_monomial)
 from .basis import columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
 from .select import (_strengths, group_error, lambda_sweep, overfit_degree,
@@ -54,7 +54,6 @@ from .synth import SynthSpec, generate
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
-EVAL_CHUNK_ROWS = 256  # eval --points rows per array call; bounds the tables
 GRID_CHUNK_ELEMS = BLOCK_ELEMS  # eval --grid kernel products per chunk
 MAX_GRID_AXIS = 10_000_000  # eval --grid counts: each axis is one array
 # the flag that sets each field a range check names (``FieldError``)
@@ -267,35 +266,33 @@ def cmd_eval(args) -> int:
 
 
 def _point_chunks(model, points, args):
-    """(first row, columns) of ``eval --points``, EVAL_CHUNK_ROWS rows at
-    a time, each point on its own (``eval_physical``, ``dZ_dY``,
-    ``entropy_change``)."""
-    for lo in range(0, len(points), EVAL_CHUNK_ROWS):
-        X, Y = points[lo:lo + EVAL_CHUNK_ROWS].T
+    """(first row, columns) of ``eval --points``: chunks of points, each
+    from one ``GridKernel``, sized as ``_grid_chunks`` sizes rows."""
+    rows = _block_rows(model, 1 + args.with_slope + args.with_entropy, 1,
+                       GRID_CHUNK_ELEMS)
+    for lo in range(0, len(points), rows):
+        X, Y = points[lo:lo + rows].T
         with np.errstate(over="ignore", invalid="ignore"):  # cmd_eval checks
-            cols = [X, Y, eval_physical(model, X, Y)]
-            if args.with_slope:
-                cols.append(dZ_dY(model, X, Y))
-            if args.with_entropy:
-                cols.append(entropy_change(model, Y, X))
-        yield lo, cols
+            values = GridKernel(model, X, args.with_slope,
+                                args.with_entropy)(Y)
+        yield lo, [X, Y, *values]
 
 
 def _grid_chunks(model, nx, ny, args):
     """(first row, columns) of ``eval --grid NXxNY``, whose row k nx + i is
-    (X[i], Y[k]), from ``GridKernel``: chunks of whole Y rows, all from one
-    kernel of the X axis, or pieces of one row when it alone is too wide,
-    each from a kernel of its piece of X.  The kernel products of a chunk,
-    outputs times degree + 1 per point and per row times degree + 1, stay
-    within GRID_CHUNK_ELEMS where one row's do, and a kernel's X power
-    table, 2 (degree + 1) doubles per X value, within twice that."""
+    (X[i], Y[k]), from ``GridKernel`` with Y as a column: chunks of whole
+    Y rows, all from one kernel of the X axis, or pieces of one row when
+    it alone is too wide, each from a kernel of its piece of X.  The
+    kernel products of a chunk stay within GRID_CHUNK_ELEMS where one
+    row's do (``model._block_rows``), and a kernel's X power table, 2
+    (degree + 1) doubles per X value, within twice that."""
     nmap = model.map
     Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
     Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
+    outputs = 1 + args.with_slope + args.with_entropy
     n = 1 + max(degree_block(t).m for t in model.kept)
-    per_point = (1 + args.with_slope + args.with_entropy) * n
-    cols = max(1, GRID_CHUNK_ELEMS // per_point)  # < nx: one row per chunk
-    rows = max(1, GRID_CHUNK_ELEMS // (per_point * max(nx, n)))
+    cols = max(1, GRID_CHUNK_ELEMS // (outputs * n))  # < nx: one row per chunk
+    rows = _block_rows(model, outputs, nx, GRID_CHUNK_ELEMS)
     kernel = None
     for k in range(0, ny, rows):
         Y = Ys[k:k + rows]
@@ -305,7 +302,7 @@ def _grid_chunks(model, nx, ny, args):
                 if kernel is None or nx > cols:
                     kernel = GridKernel(model, X, args.with_slope,
                                         args.with_entropy)
-                values = kernel(Y)
+                values = kernel(Y[:, None])
             yield k * nx + i, [np.tile(X, Y.size), np.repeat(Y, X.size),
                                *(v.ravel() for v in values)]
 

@@ -13,12 +13,14 @@ evaluation paths then visibly disagree.
 
 Physical-unit helpers invert the size normalization, differentiate with
 respect to the raw Y coordinate (e.g. temperature), and integrate that
-derivative over X (e.g. field) for entropy-change style quantities.  They
-all take whole arrays of points.  The integral is Simpson's rule applied
-once per x-power of the model rather than on a node grid per point, so
-it costs one polynomial evaluation per point.  On a grid, ``GridKernel``
-evaluates the model as a tensor product in double-double: each y row's
-polynomial in x once, then a short sum over the x powers per point.
+derivative over X (e.g. field) for entropy-change style quantities.  The
+integral is Simpson's rule applied once per x-power of the model rather
+than on a node grid per point, so it costs one polynomial evaluation per
+point.  Every model-file evaluation but the held-out errors
+(``_sum_terms``) is one kernel, ``_grid_sum``: a tensor product in
+double-double, each y's polynomial in x once, then a short sum over the
+x powers per point.  It broadcasts x against y: grids and scattered
+points alike.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import (_as_rows, basis_dy, basis_values, columns_for_degree,
+from .basis import (_as_rows, basis_values, columns_for_degree,
                     dd_basis_values, degree_block)
 from .dataset import NormalizationMap
 from .ddarith import (BLOCK_ELEMS, comp_dot, dd_add, dd_dot, dd_mul,
@@ -143,10 +145,10 @@ def eval_ortho(fit: FitResult, x, y):
     return float(out[0]) if scalar else out
 
 
-def _sum_terms(models, table, x, y) -> np.ndarray:
-    """Compensated sum_t c_t table_t(x, y) over each model's kept indices,
-    where ``table`` is basis_values or basis_dy; one row of values per
-    model, one column per point.
+def _sum_terms(models, x, y) -> np.ndarray:
+    """Compensated sum_t c_t h_t(x, y) over each model's kept indices for
+    the held-out errors, from a basis table rounded to double; one row of
+    values per model, one column per point.
 
     Every model's ``kept`` must be a prefix of the widest one's (the
     models of one sweep, which share one basis), else ValueError.  The
@@ -166,55 +168,52 @@ def _sum_terms(models, table, x, y) -> np.ndarray:
     rows = max(1, BLOCK_ELEMS // (L + 1))
     out = np.empty((len(models), xs.size))
     for r in range(0, xs.size, rows):
-        t = table(xs[r:r + rows], ys[r:r + rows], L)[:, kept]
+        t = basis_values(xs[r:r + rows], ys[r:r + rows], L)[:, kept]
         for row, model in zip(out, models):
             row[r:r + rows] = comp_dot(t[:, :len(model.kept)], model.c, axis=1)
     return out
 
 
-def _sum_one(model: SurfaceModel, table, x, y):
-    """``_sum_terms`` for one model: a float for scalar (x, y)."""
-    out = _sum_terms([model], table, x, y)[0]
-    return float(out[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+def _block_rows(model: SurfaceModel, outputs: int, width: int,
+                elems: int) -> int:
+    """Rows of ``width`` points per kernel call: the products of
+    ``_grid_sum``, outputs n^2 per row and outputs n per point with n the
+    degree + 1, then stay within ``elems`` where one row's do."""
+    n = 1 + max(degree_block(t).m for t in model.kept)
+    return max(1, elems // (outputs * n * max(width, n)))
+
+
+def _pointwise(model: SurfaceModel, X, Y, slope=False, entropy=False):
+    """``GridKernel``'s last output at the points (X[i], Y[i]) of X and Y
+    broadcast by numpy's rules, a float for scalars; ``_block_rows`` points
+    per kernel, so long inputs keep its bound and no bit moves."""
+    X, Y = np.broadcast_arrays(np.asarray(X, float), np.asarray(Y, float))
+    out = np.empty(X.shape)
+    flat, X, Y = out.reshape(-1), X.reshape(-1), Y.reshape(-1)
+    rows = _block_rows(model, 1 + slope + entropy, 1, BLOCK_ELEMS)
+    for r in range(0, flat.size, rows):
+        flat[r:r + rows] = GridKernel(model, X[r:r + rows], slope,
+                                      entropy)(Y[r:r + rows])[-1]
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_monomial(model: SurfaceModel, x, y):
-    """Evaluate sum(c_t h_t) at normalized (x, y).
-
-    Products and the sum are compensated, so accuracy is limited by the
-    stored double coefficients rather than by summation order.
-    """
-    return _sum_one(model, basis_values, x, y)
+    """Evaluate sum(c_t h_t) at normalized (x, y), faithfully to the stored
+    coefficients: the kernel under the unit map, whose conversions are
+    exact."""
+    return _pointwise(replace(model, map=NormalizationMap(
+        0.0, 1.0, 0.0, 1.0, 0.0, 1.0)), x, y)
 
 
 def eval_physical(model: SurfaceModel, X, Y):
     """Evaluate Z in original units.  Points outside the measured
     rectangle are evaluated too: the polynomial extends."""
-    nmap = model.map
-    x, y = nmap.to_unit(X, Y)
-    _, _, Z = nmap.to_raw(x, y, eval_monomial(model, x, y))
-    return float(Z) if np.ndim(Z) == 0 else Z
-
-
-def _slope_scale(nmap) -> float:
-    """Raw Z per raw Y unit of a unit-coordinate slope dz/dy."""
-    if nmap.y_max == nmap.y_min:
-        raise ValueError("degenerate Y range: derivative undefined")
-    return float((nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min))
-
-
-def _window(nmap, X_hi):
-    """X_hi - x_min: the field window of the entropy integral."""
-    if nmap.x_max == nmap.x_min:
-        raise ValueError("degenerate X range: nothing to integrate over")
-    return X_hi - nmap.x_min
+    return _pointwise(model, X, Y)
 
 
 def dZ_dY(model: SurfaceModel, X, Y):
     """Slope of the surface along raw Y, in original units per Y unit."""
-    nmap = model.map
-    scale = _slope_scale(nmap)
-    return scale * _sum_one(model, basis_dy, *nmap.to_unit(X, Y))
+    return _pointwise(model, X, Y, slope=True)
 
 
 @functools.cache
@@ -241,53 +240,47 @@ def entropy_change(model: SurfaceModel, Y, X_hi):
     Composite Simpson quadrature on n = SIMPSON_PANELS panels.  The rule
     is linear and its nodes sit at s k / n in unit x, with s = unit(X_hi),
     so it maps each term x^i to s^i nu_i (``_simpson_moments``): the
-    result is (X_hi - x_min) times the slope of the model with
-    coefficients c_t nu_{i(t)}, one compensated evaluation per point.
+    result is (X_hi - x_min) times one polynomial of the slope's
+    coefficients, scaled by nu_i (``_grid_coefficients``), per point.
     Accepts arrays;
     the integration deliberately starts at the dataset's lower X bound
     (the smallest measured field), not at zero, and is exactly 0.0 there.
     """
-    X_hi, Y = np.broadcast_arrays(np.asarray(X_hi, float), np.asarray(Y, float))
-    width = _window(model.map, X_hi)
-    xpow = [m - j for _, m, j in map(degree_block, model.kept)]
-    c = model.c * _simpson_moments(max(xpow))[xpow]
-    ds = np.where(width == 0.0, 0.0,
-                  width * dZ_dY(replace(model, c=c), X_hi, Y))
-    return float(ds) if ds.ndim == 0 else ds
+    return _pointwise(model, X_hi, Y, entropy=True)
 
 
 class GridKernel:
-    """Z in original units on the grid points (X[i], Y[k]) of one X axis,
-    then with the flags dZ/dY and the entropy change ``entropy_change(model,
-    Y[k], X[i])``.
+    """Z in original units at the points (X[i], Y[k]), then with the flags
+    dZ/dY and the entropy change ``entropy_change(model, Y[k], X[i])``.
 
-    Built once per model and X axis, with the work that depends on them
-    alone: the coefficient stacks (``_grid_coefficients``) and the
-    double-double power table of unit X (``_dd_powers``).  A call with 1-d
-    Y returns one (len(Y), len(X)) array per output.
-
-    The unit-coordinate sums come from ``_grid_sum``, in double-double
-    rounded once, so each is faithful; the conversions to original units
-    are those of ``eval_physical``, ``dZ_dY`` and ``entropy_change``,
-    whose compensated sums run over a basis table rounded to double, so
-    their last bits can differ.  A value depends only on its own X[i] and
-    Y[k], so a sub-grid gives the same bits; the power table and the
-    temporaries grow with the grid, so a large one goes in pieces, one
-    kernel per piece of X (as ``cli`` streams it).
+    Built once per model and X, with the work that depends on them alone:
+    the coefficient stacks (``_grid_coefficients``) and the double-double
+    power table of unit X (``_dd_powers``).  A call broadcasts Y against
+    X by numpy's rules, one array per output: Y as a column gives the
+    grid (len(Y), len(X)), Y as long as X the points (X[i], Y[i]).  The
+    sums come from ``_grid_sum``, so each is faithful and depends only on
+    its own X and Y.  A large set goes in pieces, one kernel per piece of
+    X (as ``cli`` streams it and ``_pointwise`` walks it).
     """
 
     def __init__(self, model: SurfaceModel, X, slope: bool = False,
                  entropy: bool = False):
         nmap = self.map = model.map
         X = np.atleast_1d(np.asarray(X, dtype=float))
-        self.scale = _slope_scale(nmap) if slope or entropy else None
-        self.width = _window(nmap, X) if entropy else None
+        if (slope or entropy) and nmap.y_max == nmap.y_min:
+            raise ValueError("degenerate Y range: derivative undefined")
+        if entropy and nmap.x_max == nmap.x_min:
+            raise ValueError("degenerate X range: nothing to integrate over")
+        # raw Z per raw Y of a unit slope; the entropy's field window
+        self.scale = ((nmap.z_max - nmap.z_min) / (nmap.y_max - nmap.y_min)
+                      if slope or entropy else None)
+        self.width = X - nmap.x_min
         self.slope, self.entropy = slope, entropy
         self.C = _grid_coefficients(model, slope, entropy)
         self.xpow = _dd_powers(nmap.to_unit(X, 0.0)[0], self.C[0].shape[-1])
 
     def __call__(self, Y) -> list:
-        y = self.map.to_unit(0.0, np.atleast_1d(np.asarray(Y, dtype=float)))[1]
+        y = self.map.to_unit(0.0, Y)[1]
         sums = _grid_sum(self.C, self.xpow, y)
         out = [self.map.to_raw(0.0, 0.0, sums[0])[2]]
         if self.slope:
@@ -321,40 +314,42 @@ def _grid_coefficients(model: SurfaceModel, slope: bool, entropy: bool):
 
 def _dd_powers(v, n: int):
     """v**0 .. v**(n-1) of the doubles ``v`` in double-double: a (hi, lo)
-    pair of (n, len(v)) arrays, each power one ``dd_mul_d`` step from the
-    last.  A power that underflows loses its low part (``two_prod``'s
+    pair of (n, *v.shape) arrays, each power one ``dd_mul_d`` step from
+    the last.  A power that underflows loses its low part (``two_prod``'s
     domain) but stays finite."""
-    hi, lo = np.ones((n, v.size)), np.zeros((n, v.size))
+    hi, lo = np.ones((n, *np.shape(v))), np.zeros((n, *np.shape(v)))
     for a in range(1, n):
         hi[a], lo[a] = dd_mul_d(hi[a - 1], lo[a - 1], v)
     return hi, lo
 
 
 def _grid_sum(C, xpow, y) -> np.ndarray:
-    """sum over a, b of C[., a, b] x_i^a y_k^b at every grid point (x_i,
-    y_k), for a (hi, lo) pair C of (M, n, n) coefficient stacks and the
-    power table ``xpow = _dd_powers(x, n)``: an (M, len(y), len(x)) array.
+    """sum over a, b of C[., a, b] x^a y^b at the points of x and y
+    broadcast by numpy's rules (a column y against x is a grid), for a
+    (hi, lo) pair C of (M, n, n) coefficient stacks and the power table
+    ``xpow = _dd_powers(x, n)``: an (M, *shape) array.
 
     The tensor product Z(x, y) = sum_a x^a d_a(y), d_a(y) = sum_b C[a, b]
     y^b, in double-double: power tables of x and y (``_dd_powers``), each
-    y row's d_a once as a ``dd_dot`` over b, then each point as a
-    ``dd_dot`` over a, n terms in place of one per kept index, rounded
-    once to double.  Every sum is its own pairwise tree, so a value
-    depends only on its own x_i, y_k and C.  The products of one
-    ``dd_dot`` number n^2 M len(y) and n len(y) len(x).
+    y's d_a once as a ``dd_dot`` over b, then each point as a ``dd_dot``
+    over a, n terms in place of one per kept index, rounded once to
+    double.  Every sum is its own pairwise tree, so a value depends only
+    on its own x, y and C.  The products of one ``dd_dot`` number n^2 M
+    y.size and n times the points.
     """
     n = C[0].shape[-1]
-    xh, xl = xpow
-    yh, yl = _dd_powers(y, n)
+    shape = np.broadcast_shapes(xpow[0].shape[1:], np.shape(y))
+    # the power axis, then the point axes of x and y aligned at the end
+    xh, xl, yh, yl = (
+        v.reshape(n, *(1,) * (1 + len(shape) - v.ndim), *v.shape[1:])
+        for v in (*xpow, *_dd_powers(y, n)))
     # axis 0 of each product is the summed power: b, then a
-    dh, dl = dd_dot(yh[:, None, :, None], yl[:, None, :, None],
-                    *(v.transpose(2, 0, 1)[:, :, None] for v in C))
-    dh, dl = dh.transpose(2, 0, 1), dl.transpose(2, 0, 1)
-    out = np.empty((len(C[0]), y.size, xh.shape[1]))
-    for m, z in enumerate(out):  # one output at a time: smaller operands
-        zh, zl = dd_dot(xh[:, None], xl[:, None], dh[:, m, :, None],
-                        dl[:, m, :, None])
-        z[:] = zh + zl
+    dh, dl = dd_dot(yh[:, None, None], yl[:, None, None], *(
+        v.transpose(2, 0, 1).reshape(n, -1, n, *(1,) * len(shape)) for v in C))
+    out = np.empty((len(C[0]), *shape))
+    for m in range(len(out)):  # one output at a time: smaller operands
+        zh, zl = dd_dot(xh, xl, dh[m], dl[m])
+        out[m] = zh + zl
     return out
 
 

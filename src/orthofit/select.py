@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import basis_values
 from .dataset import DataSplit, NormalizedDataset, write_rows
 from .ddarith import comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
@@ -74,7 +73,7 @@ def group_errors(models, data: NormalizedDataset, idx) -> list:
     if idx.size == 0:
         raise ValueError("empty index group")
     x, y, z = data.x[idx], data.y[idx], data.z[idx]
-    r = _sum_terms(models, basis_values, x, y) - z
+    r = _sum_terms(models, x, y) - z
     return [float(v) / idx.size for v in comp_dot(r, r, axis=1)]
 
 

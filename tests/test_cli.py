@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthofit import (GridKernel, SynthSpec, cli, dZ_dY, entropy_change,
                       eval_physical, generate, load_model, save_dataset)
-from orthofit.cli import EVAL_CHUNK_ROWS, _parse_x_grid, main
+from orthofit.cli import _parse_x_grid, main
+from orthofit.model import _block_rows
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
 from conftest import src_env
 from oracles import reference_rows
@@ -421,13 +422,13 @@ def _grid_rows(model, X, Y):
     flags, from one ``GridKernel`` call."""
     return [[format(float(v), ".17g") for v in row]
             for row in zip(np.tile(X, len(Y)), np.repeat(Y, len(X)),
-                           *(v.ravel() for v in GridKernel(model, X, True,
-                                                           True)(Y)))]
+                           *(v.ravel() for v in GridKernel(
+                               model, X, True, True)(np.c_[Y])))]
 
 
 def test_eval_grid_columns_match_the_kernel(capsys, noisy_csv, tmp_path):
     # row k nx + i is (X[i], Y[k]) with GridKernel's values, and those are
-    # the per-point values to the per-point path's rounding error
+    # the per-point values bit for bit
     model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
     nm = model.map
     X = np.linspace(nm.x_min, nm.x_max, 40)
@@ -440,8 +441,27 @@ def test_eval_grid_columns_match_the_kernel(capsys, noisy_csv, tmp_path):
     for col, want in ((2, eval_physical(model, XX, YY)),
                       (3, dZ_dY(model, XX, YY)),
                       (4, entropy_change(model, YY, XX))):
-        np.testing.assert_allclose(got[:, col], want, rtol=1e-11,
-                                   atol=1e-13 * np.abs(want).max())
+        assert got[:, col].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("S", [78, 90, 209])
+def test_eval_points_on_the_grid_print_the_grid_rows(capsys, tmp_path, S):
+    # one kernel for grids and points: the 40 x 40 grid's own points, read
+    # from a file, print the grid's rows byte for byte at 79, 91 and 210
+    # columns, whose sums cancel more the wider they are
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data_path = tmp_path / "d.csv"
+    save_dataset(pts, data_path)
+    model_path = tmp_path / "m.json"
+    code, _, err = run_cli(capsys, "fit", str(data_path), "-o",
+                           str(model_path), "--fixed-S", str(S))
+    assert code == 0, err
+    grid = _eval_rows(capsys, model_path, "--grid", "40x40")
+    X, Y = np.array(grid, dtype=float)[:, :2].T
+    points = _eval_rows(capsys, model_path, "--points",
+                        str(_write_points(tmp_path / "p.csv", X, Y)))
+    assert len(grid) == 1600 and points == grid
 
 
 def test_eval_grid_rows_match_the_kernel_on_sub_grids(capsys, noisy_csv,
@@ -505,7 +525,8 @@ def test_eval_grid_names_the_row_that_overflows(capsys, tmp_path):
 @pytest.mark.parametrize("where", ["grid", "points"])
 def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
                                                   tmp_path, where):
-    # 23 x 13 = 299 rows: the last chunk is short of EVAL_CHUNK_ROWS
+    # 23 x 13 = 299 rows: the last chunk is short of a whole one, 105 Y
+    # rows of the grid or 269 points
     model_path, model = _fit_model(capsys, noisy_csv, tmp_path)
     nm = model.map
     if where == "grid":
@@ -517,13 +538,15 @@ def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
         X = nm.x_min + u[0] * (nm.x_max - nm.x_min)
         Y = nm.y_min + u[1] * (nm.y_max - nm.y_min)
         argv = ["--points", str(_write_points(tmp_path / "p.csv", X, Y))]
-    assert len(X) % EVAL_CHUNK_ROWS
+    width = 23 if where == "grid" else 1
+    assert len(X) % (width * _block_rows(model, 3, width,
+                                         cli.GRID_CHUNK_ELEMS))
     code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
                              "--with-slope", "--with-entropy", *argv)
     assert code == 0, err
     if where == "grid":  # the kernel's values, row k * 23 + i
         values = [v.ravel() for v in GridKernel(model, X[:23], True,
-                                                 True)(Y[::23])]
+                                                 True)(Y[::23, None])]
     else:
         values = [eval_physical(model, X, Y), dZ_dY(model, X, Y),
                   entropy_change(model, Y, X)]

@@ -1,6 +1,8 @@
 """Monomial conversion, evaluation paths, physical units, quadrature."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from dataclasses import astuple, replace
 
@@ -14,13 +16,15 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       GridKernel, fit_surface, generate, load_model,
                       normalize, save_model, split, to_monomial)
 from orthofit import model as model_module
-from orthofit.basis import basis_values, columns_for_degree
+from orthofit.basis import basis_values, columns_for_degree, degree_block
+from orthofit.dataset import NormalizedDataset
 from orthofit.ddarith import BLOCK_ELEMS, comp_dot
 from orthofit.fit import FitBasis, solve
 from orthofit.model import (MAX_DEGREE, _dd_powers, _expand,
                             _grid_coefficients, _grid_sum, _monomials)
 from orthofit.ortho import PrecisionMode
-from conftest import all_train_split, uniform_xy
+from orthofit.select import group_errors
+from conftest import all_train_split, src_env, uniform_xy
 from oracles import (double_conversion, mpmath_monomial_coefficients,
                      mpmath_simpson_entropy, mpmath_unit_sums, unit_dataset)
 
@@ -146,8 +150,8 @@ def test_eval_monomial_trivia(plane_points):
 
 
 def test_eval_monomial_is_faithful():
-    # within 1 ulp of the exact sum_t c_t T_t over the double basis table
-    # T, for the 79-column model of the 1k magnet corpus
+    # within 1 ulp of the exact sum_t c_t x^i y^j at the double x and y,
+    # for the 79-column model of the 1k magnet corpus
     pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
                                 noise_sigma=0.02, seed=1))
     data = normalize(pts)
@@ -157,10 +161,10 @@ def test_eval_monomial_is_faithful():
     x = np.array([0.0, 1.0, 0.37, 0.91, 0.05])
     y = np.array([0.0, 1.0, 0.62, 0.13, 0.98])
     got = eval_monomial(model, x, y)
-    table = basis_values(x, y, max(model.kept))[:, list(model.kept)]
-    for value, row in zip(got, table):
-        exact = sum((Fraction(c) * Fraction(t) for c, t in zip(model.c, row)),
-                    Fraction(0))
+    powers = [(m - j, j) for _, m, j in map(degree_block, model.kept)]
+    for value, xv, yv in zip(got, x, y):
+        exact = sum((Fraction(c) * Fraction(xv) ** a * Fraction(yv) ** b
+                     for c, (a, b) in zip(model.c, powers)), Fraction(0))
         assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value))
 
 
@@ -305,55 +309,57 @@ def magnet_model(request):
 
 def test_grid_kernel_is_faithful_against_mpmath(magnet_model):
     # the stored model's unit-coordinate z and dz/dy at 50 digits: one
-    # rounding, plus the double-double sums' u^2 times the terms' size
+    # rounding, plus the double-double sums' u^2 times the terms' size,
+    # on the grid and at the same 30 points through the pointwise entry
     x = np.array([0.0, 0.07, 0.3, 0.55, 0.91, 1.0])
     y = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
     C = _grid_coefficients(magnet_model, True, False)
-    z, dz = _grid_sum(C, _dd_powers(x, C[0].shape[-1]), y)
+    z, dz = _grid_sum(C, _dd_powers(x, C[0].shape[-1]), y[:, None])
+    xx, yy = np.tile(x, y.size), np.repeat(y, x.size)
+    unit = replace(magnet_model, map=IDENTITY)
     u = 2.0 ** -53
-    for k, yk in enumerate(y):
-        for i, xi in enumerate(x):
-            for got, (ref, mag) in zip((z[k, i], dz[k, i]),
-                                       mpmath_unit_sums(magnet_model, xi, yk)):
-                assert abs(got - ref) <= math.ulp(ref) + u * u * mag, (xi, yk)
+    for got in ((z.ravel(), dz.ravel()),
+                (eval_monomial(magnet_model, xx, yy), dZ_dY(unit, xx, yy))):
+        for p, (xi, yk) in enumerate(zip(xx, yy)):
+            for v, (ref, mag) in zip((got[0][p], got[1][p]),
+                                     mpmath_unit_sums(magnet_model, xi, yk)):
+                assert abs(v - ref) <= math.ulp(ref) + u * u * mag, (xi, yk)
 
 
 def test_grid_entropy_is_as_close_to_simpson_as_per_point(magnet_model):
     # both paths round the unit coordinate s = unit(X) alike, which moves
-    # dS by far more than an ulp on these models; past that the grid's
-    # double-double sums keep closer to the 50-digit rule than the
-    # compensated double ones over a rounded basis table
+    # dS by far more than an ulp on these models; past that they are one
+    # kernel, so a grid point and a lone point miss the 50-digit rule
+    # by the same amount
     nm = magnet_model.map
     span = nm.x_max - nm.x_min
     grid, point = [], []
     for X, Y in ((nm.x_max, nm.y_min), (nm.x_min + 0.37 * span, 301.5),
                  (nm.x_max, nm.y_max)):
         ref, mag = mpmath_simpson_entropy(magnet_model, Y, X)
-        got = GridKernel(magnet_model, [X], entropy=True)([Y])[1][0, 0]
+        got = GridKernel(magnet_model, [X], entropy=True)([[Y]])[1][0, 0]
         assert abs(got - ref) <= 1e-15 * (abs(ref) + mag), (X, Y)
         grid.append(abs(got - ref))
         point.append(abs(entropy_change(magnet_model, Y, X) - ref))
-    assert max(grid) <= max(point)
+    assert grid == point
 
 
 def test_eval_grid_matches_per_point_evaluation(field_model):
-    # the same quantities in the same units, to the per-point path's own
-    # rounding error (its basis table rounds each x^i y^j, which at unit
-    # x = 1.2 costs about 1e-12 of |Z|); exactly +0.0 where X is the
-    # lower bound
+    # the same quantities in the same units and the same bits, also
+    # outside the rectangle; exactly +0.0 where X is the lower bound
     nm = field_model.map
     X = np.linspace(nm.x_min, nm.x_max + 1.0, 9)
     Y = np.linspace(nm.y_min - 5.0, nm.y_max, 7)
-    Z, dZ, dS = GridKernel(field_model, X, slope=True, entropy=True)(Y)
+    Z, dZ, dS = GridKernel(field_model, X, slope=True,
+                           entropy=True)(Y[:, None])
     XX, YY = np.tile(X, 7), np.repeat(Y, 9)
     for got, want in ((Z, eval_physical(field_model, XX, YY)),
                       (dZ, dZ_dY(field_model, XX, YY)),
                       (dS, entropy_change(field_model, YY, XX))):
         assert got.shape == (7, 9)
-        np.testing.assert_allclose(got.ravel(), want, rtol=1e-11,
-                                   atol=1e-13 * np.abs(want).max())
+        assert got.ravel().tobytes() == want.tobytes()
     assert not np.signbit(dS[:, 0]).any() and not dS[:, 0].any()
-    (only,) = GridKernel(field_model, X)(Y)
+    (only,) = GridKernel(field_model, X)(Y[:, None])
     assert only.tobytes() == Z.tobytes()
 
 
@@ -366,7 +372,7 @@ def test_grid_powers_that_underflow_stay_finite():
                          sigma_tr=0.0)
     X = np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-6, 0.5])
     Y = np.array([0.0, 1e-300, 1e-9, 0.5, 1.0])
-    values = GridKernel(model, X, slope=True, entropy=True)(Y)
+    values = GridKernel(model, X, slope=True, entropy=True)(Y[:, None])
     assert all(np.isfinite(v).all() for v in values)
     np.testing.assert_allclose(
         values[0].ravel(), eval_physical(model, np.tile(X, Y.size),
@@ -374,29 +380,85 @@ def test_grid_powers_that_underflow_stay_finite():
         rtol=1e-12, atol=1e-300)
 
 
-def test_row_blocks_keep_every_bit():
-    # 210 columns: 312-row blocks, so 1,000 points end on a ragged block
-    # of 64; every point must come out as its own call gives it
-    assert BLOCK_ELEMS // 210 == 312
-    rng = np.random.default_rng(210)
-    model = SurfaceModel(c=rng.standard_normal(210) * 10.0 ** rng.integers(
+def _ragged_model(rng):
+    """210 columns with coefficients over 12 decades, in units like a
+    magnet's field and temperature."""
+    return SurfaceModel(c=rng.standard_normal(210) * 10.0 ** rng.integers(
         -6, 6, 210), kept=tuple(range(210)),
         map=NormalizationMap(0.5, 5.5, 250.0, 350.0, -1.0, 2.0),
         S=210, lambda_=0.0, sigma_tr=0.0)
+
+
+def test_row_blocks_keep_every_bit():
+    # 210 columns: the held-out table goes in 312-row blocks, so 1,000
+    # points end on a ragged block of 64; the error must come out as the
+    # whole table in one block gives it
+    assert BLOCK_ELEMS // 210 == 312
+    rng = np.random.default_rng(210)
+    model = _ragged_model(rng)
+    x, y, z = rng.uniform(-0.1, 1.1, (3, 1000))
+    data = NormalizedDataset(np.column_stack([x, y, z]), model.map)
+    r = comp_dot(basis_values(x, y, 209), model.c, axis=1) - z
+    assert group_errors([model], data, np.arange(1000)) == [
+        float(comp_dot(r, r)) / 1000]
+
+
+def test_kernel_blocks_keep_every_bit(monkeypatch):
+    # the pointwise entries take 81 points per kernel at degree 19 with
+    # two outputs (163 with one); blocks of 7 (or 14) points, ragged at
+    # 1,000, and one block for all give the same bytes
+    rng = np.random.default_rng(210)
+    model = _ragged_model(rng)
     X = rng.uniform(0.0, 6.0, 1000)
     Y = rng.uniform(240.0, 360.0, 1000)
     x, y = model.map.to_unit(X, Y)
-    whole = comp_dot(basis_values(x, y, 209), model.c, axis=1)
-    assert eval_monomial(model, x, y).tobytes() == whole.tobytes()
-    for f, args in ((eval_monomial, (x, y)), (dZ_dY, (X, Y)),
-                    (entropy_change, (Y, X))):
-        one = [f(model, *map(float, point)) for point in zip(*args)]
-        assert f(model, *args).tobytes() == np.array(one).tobytes(), f.__name__
+    calls = ((eval_monomial, (x, y)), (eval_physical, (X, Y)),
+             (dZ_dY, (X, Y)), (entropy_change, (Y, X)))
+    want = [f(model, *args).tobytes() for f, args in calls]
+    for elems in (2 * 7 * 20 ** 2, 10 ** 9):
+        monkeypatch.setattr(model_module, "BLOCK_ELEMS", elems)
+        assert [f(model, *args).tobytes() for f, args in calls] == want
+
+
+def test_pointwise_evaluation_stays_under_an_address_space_cap(tmp_path):
+    # degree 30 at 30,000 points: the kernel's products for all points at
+    # once, 31^2 doubles per point in each of several temporaries, would
+    # take over 0.6 GB, so under a 0.5 GB cap the call finishes only in
+    # blocks
+    script = tmp_path / "pointwise.py"
+    script.write_text(
+        "import resource, sys\n"
+        "import numpy as np\n"
+        "from orthofit import NormalizationMap, SurfaceModel, eval_monomial\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 1024 ** 2,) * 2)\n"
+        "model = SurfaceModel(c=np.cos(np.arange(496.0)),\n"
+        "    kept=tuple(range(496)),\n"
+        "    map=NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), S=495,\n"
+        "    lambda_=0.0, sigma_tr=0.0)\n"
+        "x = np.linspace(0.0, 1.0, 30_000)\n"
+        "z = eval_monomial(model, x, x[::-1])\n"
+        "sys.stdout.write(repr([bool(np.isfinite(z).all()), float(z[0]),\n"
+        "    float(z[-1])]))\n")
+    env = src_env()
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    model = SurfaceModel(c=np.cos(np.arange(496.0)), kept=tuple(range(496)),
+                         map=IDENTITY, S=495, lambda_=0.0, sigma_tr=0.0)
+    assert proc.stdout == repr([True, eval_monomial(model, 0.0, 1.0),
+                                eval_monomial(model, 1.0, 0.0)])
 
 
 def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
-    # kept (0, 5000) builds tables 5,001 wide: a block of BLOCK_ELEMS // 2
-    # rows would hold 100 x 5001 doubles
+    # kept (0, 5000) builds held-out tables 5,001 wide: a block of
+    # BLOCK_ELEMS // 2 rows would hold 100 x 5001 doubles
+    model = SurfaceModel(c=np.array([1.0, 1e-3]), kept=(0, 5000),
+                         map=IDENTITY, S=1, lambda_=0.0, sigma_tr=0.0)
+    x = np.linspace(0.0, 1.0, 100)
+    z = np.cos(x)
+    r = np.array([comp_dot(basis_values(v, v, 5000)[[0, 5000]], model.c)
+                  for v in x]) - z
     sizes = []
 
     def recording(x, y, L):
@@ -404,12 +466,9 @@ def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
         sizes.append(table.size)
         return table
     monkeypatch.setattr(model_module, "basis_values", recording)
-    model = SurfaceModel(c=np.array([1.0, 1e-3]), kept=(0, 5000),
-                         map=IDENTITY, S=1, lambda_=0.0, sigma_tr=0.0)
-    x = np.linspace(0.0, 1.0, 100)
-    z = eval_monomial(model, x, x)
-    assert z.tobytes() == np.array(
-        [eval_monomial(model, v, v) for v in x]).tobytes()
+    data = NormalizedDataset(np.column_stack([x, x, z]), IDENTITY)
+    assert group_errors([model], data, np.arange(100)) == [
+        float(comp_dot(r, r)) / 100]
     assert sizes and max(sizes) <= BLOCK_ELEMS
 
 

@@ -200,3 +200,24 @@ def test_the_raw_basis_has_one_home():
                     fit_imports.add("basis")  # the whole module
     assert callers == {"basis.py"}
     assert fit_imports == {"_BlockGen", "block_start"}
+
+
+def test_model_files_are_evaluated_by_one_kernel():
+    # every evaluation of a model file goes through ``model._grid_sum``,
+    # except the held-out errors: only select.py sums a basis table
+    # (``model._sum_terms``), and nothing in the program names the
+    # y-derivative table ``basis_dy``, which only the benchmark tracer
+    # still hooks
+    callers, naming = set(), set()
+    for path in sorted((ROOT / "src" / "orthofit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            f = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "_sum_terms" in (
+                    getattr(f, "id", None), getattr(f, "attr", None)):
+                callers.add(path.name)
+        if "basis_dy" in _named(_without_reexports(tree) if path == INIT
+                                else tree):
+            naming.add(path.name)
+    assert callers == {"select.py"}
+    assert not naming

@@ -113,7 +113,7 @@ def test_group_errors_match_one_call_per_model(monkeypatch):
     def recording(x, y, L):
         tables.append(x.size)
         return basis_values(x, y, L)
-    monkeypatch.setattr("orthofit.select.basis_values", recording)
+    monkeypatch.setattr("orthofit.model.basis_values", recording)
     for idx in (parts.cv_idx, parts.test_idx):
         assert idx.size % 13 and idx.size > 13
         del tables[:]
