@@ -33,8 +33,8 @@ fit = fit_surface(parts, data, cfg, lam=0.0)  # lam: the curvature penalty
 print(f"fit stopped at S={fit.S} with training error {fit.sigma_tr:.3e}")
 
 model = to_monomial(fit)
-s_cv = group_error(model, data, parts.cv_idx)
-s_te = group_error(model, data, parts.test_idx)
+s_cv = group_error(fit, data, parts.cv_idx)
+s_te = group_error(fit, data, parts.test_idx)
 print(f"cross-validation error {s_cv:.3e}, test error {s_te:.3e}")
 print(f"overfitting degrees: gamma={overfit_degree(fit.sigma_tr, s_cv):+.2f} "
       f"gamma'={overfit_degree(fit.sigma_tr, s_te):+.2f}")

@@ -14,7 +14,8 @@ or noise that overflows z), 3 data or model
 error (unparseable or non-UTF-8 data, degenerate or overflowing axes,
 model version mismatch or out-of-range model fields, a working set that
 does not fit in memory), 4 numeric failure (non-finite training error
-or ``eval`` output included).
+or ``eval`` output included, and a ``fit`` whose kept columns need a
+monomial it rejected, which a model file cannot hold).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
 thread count (``OPENBLAS_NUM_THREADS``).  ``eval`` evaluates the model
@@ -175,8 +176,8 @@ def cmd_fit(args) -> int:
     parts = split(data, split_cfg)
     fit = fit_surface(parts, data, cfg, args.lam)
     model = to_monomial(fit, include_audit=args.audit)
-    s_cv = group_error(model, data, parts.cv_idx)
-    s_te = group_error(model, data, parts.test_idx)
+    s_cv = group_error(fit, data, parts.cv_idx)
+    s_te = group_error(fit, data, parts.test_idx)
     defect = (orthogonality_defect(fit.basis)
               if fit.basis.n_columns >= 2 else 0.0)
     model_out = args.model_out

@@ -19,8 +19,10 @@ products and sum them in ``dd_sum``'s pairwise tree, whose nodes add the
 high parts exactly and the low parts in plain double; ``comp_dot`` is
 thus Dot2 with a pairwise Sum2 tree, rounded to double on return.  The
 tree's error bound, with its proof and citation, is in ``_tree_sum``.
-The training, cross-validation and test errors of a double fit all come
-from ``comp_dot``.
+The training error of a double fit is one ``comp_dot``, and so is each
+held-out error's sum of squares: ``select.group_errors`` forms the
+residuals as BLAS gemv products of a raw-column table with the fit's
+raw coefficients, then ``comp_dot`` sums their squares.
 
 ``BLOCK_ELEMS`` caps the 2-D operands of the compensated reductions:
 ``dd_sum`` takes a larger 2-D operand in groups of columns, the double

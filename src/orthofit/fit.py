@@ -25,6 +25,12 @@ proj_t and Q_t, degree block by degree block as needed, and ``solve``
 walks them once at one strength: the recurrence, the stopping rules
 and, for a training error that is not finite, a replay of the residual
 from z that names the column.  A sweep builds once and solves per strength.
+
+``FitBasis`` also keeps the raw-basis coefficients W of every column
+(P_s = sum_r W[s, r] h_r, the expansion of the identity), so ``solve``
+hands each fit its coefficients on the raw Chebyshev columns, c = W^T b,
+with |c| < 0.5 on the benchmark corpora: held-out errors, ``eval_ortho``
+and the monomial conversion all start from them.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ class FitConfig:
         error by less than the given relative amount.
     precision : double or extended (software double-double) arithmetic.
     odd_field_only : restrict the basis to odd powers of x before
-        orthogonalization (columns are dropped, not zeroed).
+        orthogonalization (columns are dropped, not zeroed); the raw x
+        factor is then the unshifted T_i(x), i odd.
     fixed_columns : take exactly this many columns, ignoring the
         stopping rules.
     """
@@ -102,7 +109,10 @@ class FitResult:
     ``b_lo`` holds the dd low parts of ``b`` (zeros in double mode); each
     column's proj_t and Q_t stay on the ``FitBasis`` it was solved on.
     The fits solved on one ``FitBasis`` share the views of its builder's
-    basis (``OrthoBuilder.to_basis``).
+    basis (``OrthoBuilder.to_basis``).  ``c`` and ``c_lo`` are the
+    coefficients of the fit on its raw columns ``basis.raw_values(...,
+    odd_x)``, one per kept index: sum_s b_s W[s], in double for a double
+    fit (``c_lo`` zeros) and in double-double for an extended one.
     """
 
     basis: OrthoBasis
@@ -114,6 +124,9 @@ class FitResult:
     b_lo: np.ndarray
     rejected: tuple
     stop_reason: str
+    c: np.ndarray
+    c_lo: np.ndarray
+    odd_x: bool
 
 
 class FitBasis:
@@ -133,8 +146,10 @@ class FitBasis:
     recurrence P_s = a[s, s] h_s + sum_{t < s} a[s, t] P_t, applied to
     sums over the training points, gives Q_s = a[s, s] Q(h_s) + sum_{t <
     s} a[s, t] Q_t from the raw column's Q(h_s), which the block generator
-    hands out with it, in double-double at either precision (the step of
-    ``model._expand``), so no Laplacian columns are formed.
+    hands out with it, in double-double at either precision, so no
+    Laplacian columns are formed.  The same recurrence applied to the
+    identity gives each column's raw-basis coefficients, row s of W
+    (``_raw_row``), at the fit's precision.
     """
 
     def __init__(self, split: DataSplit, data: NormalizedDataset,
@@ -165,6 +180,7 @@ class FitBasis:
         self.proj: list = []
         self.q: list = []
         self._qh, self._ql = np.zeros(cap), np.zeros(cap)  # Q_s in dd
+        self._w = np.zeros((2, 8, 8))  # W and its dd low parts, grown
         self.rejected: list[int] = []  # flat tags, ascending
         self.blocks: list[int] = []    # accepted columns after each block
 
@@ -177,6 +193,22 @@ class FitBasis:
                 self._scan_block()
             self.blocks.append(self.builder.n_columns)
         return self.blocks[k]
+
+    def _raw_row(self, s, a, a_lo):
+        """Row s of W from row s of the expansion: W[s] = a[s] e_s +
+        sum_{t<s} a[s, t] W[t], summed over t in double for a double fit
+        (numpy's fixed order, not BLAS) and in double-double for an
+        extended one.  Row s reads only the (s, s) block before it, so the
+        first K rows are those of a K-column fit, bit for bit."""
+        if s == self._w.shape[1]:
+            self._w = np.pad(self._w, [(0, 0), (0, s), (0, s)])
+        w = self._w
+        w[:, s, s] = a[s], a_lo[s]
+        if s and self._gen.ext:
+            w[:, s, :s] = dd_dot(w[0, :s, :s], w[1, :s, :s], a[:s, None],
+                                 a_lo[:s, None])
+        elif s:
+            w[0, s, :s] = (a[:s, None] * w[0, :s, :s]).sum(axis=0)
 
     def _scan_block(self):
         bld, ext = self.builder, self._gen.ext
@@ -193,6 +225,7 @@ class FitBasis:
                                                 a[:s], a_lo[:s]))
             self._qh[s], self._ql[s] = qh, ql
             self.q.append(DD(qh, ql) if ext else float(qh + ql))
+            self._raw_row(s, a, a_lo)
             if bld.n_columns >= self.cap:
                 break
         if bld.n_columns > first:
@@ -286,9 +319,15 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
             else block_start(k))
     rejected = basis.rejected[:bisect_left(basis.rejected, stop)]
     bh, bl = map(np.array, zip(*map(DD._coerce, bs)))
+    w = basis._w[:, :K, :K]
+    if basis._gen.ext:
+        ch, cl = dd_dot(w[0], w[1], bh[:, None], bl[:, None])
+    else:
+        ch, cl = (bh[:, None] * w[0]).sum(axis=0), np.zeros(K)
     return FitResult(basis=bld.to_basis(K), b=bh, S=K - 1, lambda_=lam,
                      sigma_tr=sigma, nmap=basis.nmap, b_lo=bl,
-                     rejected=tuple(rejected), stop_reason=reason)
+                     rejected=tuple(rejected), stop_reason=reason, c=ch,
+                     c_lo=cl, odd_x=cfg.odd_field_only)
 
 
 def fit_surface(split: DataSplit, data: NormalizedDataset,

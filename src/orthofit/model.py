@@ -1,26 +1,25 @@
 """Portable surface models: monomial conversion, evaluation, export.
 
-A fitted surface can be evaluated two ways: through the orthonormal
-polynomial recurrences (the arithmetic the fit itself used) or through
-plain monomial coefficients.  Both come from one triangular expansion,
-P_s = a_ss h_s + sum_{t<s} a_st P_t (``_expand``): applied to basis
-values it evaluates the polynomials, applied to the identity it yields
-their monomial coefficients.  The monomial form is the cheap, portable
-artifact that gets serialized; the conversion always runs in
-double-double arithmetic because the expansion cancels catastrophically
-for large models when carried out in plain doubles -- the two
-evaluation paths then visibly disagree.
+A fit is a sum of its coefficients c on the raw Chebyshev columns
+(``FitResult.c``, ``basis.raw_values``), so it can be evaluated two
+ways: through those columns at the fit's own precision (``eval_ortho``,
+the arithmetic the fit and its held-out errors use) or through plain
+monomial coefficients.  The monomial form is the portable artifact that
+gets serialized, as model file version 1: ``to_monomial`` applies the
+exact integer change of basis (``basis.raw_to_monomial``) to c in
+double-double and rounds each coefficient once.  The Chebyshev
+coefficients stay below 0.5 where the monomial ones reach 3.4e11 at
+210 columns, so that one rounding is what a wide model file loses.
 
 Physical-unit helpers invert the size normalization, differentiate with
 respect to the raw Y coordinate (e.g. temperature), and integrate that
 derivative over X (e.g. field) for entropy-change style quantities.  The
 integral is Simpson's rule applied once per x-power of the model rather
 than on a node grid per point, so it costs one polynomial evaluation per
-point.  Every model-file evaluation but the held-out errors
-(``_sum_terms``) is one kernel, ``_grid_sum``: a tensor product in
-double-double, each y's polynomial in x once, then a short sum over the
-x powers per point.  It broadcasts x against y: grids and scattered
-points alike.
+point.  Every model-file evaluation is one kernel, ``_grid_sum``: a
+tensor product in double-double, each y's polynomial in x once, then a
+short sum over the x powers per point.  It broadcasts x against y: grids
+and scattered points alike.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import (_as_rows, basis_values, columns_for_degree,
-                    dd_basis_values, degree_block)
+from .basis import (_as_rows, columns_for_degree, degree_block,
+                    raw_to_monomial, raw_values)
 from .dataset import NormalizationMap
-from .ddarith import (BLOCK_ELEMS, comp_dot, dd_add, dd_dot, dd_mul,
-                      dd_mul_d, two_prod)
+from .ddarith import BLOCK_ELEMS, dd_div_d, dd_dot, dd_mul_d, dd_sub, two_prod
 from .errors import ModelFormatError
 from .fit import FitResult
 from .ortho import PrecisionMode
@@ -65,113 +63,58 @@ class SurfaceModel:
     audit: Optional[dict] = None
 
 
-def _expand(a, a_lo, h):
-    """Orthonormal values P_s = a[s, s] h_s + sum_{t<s} a[s, t] P_t.
-
-    ``h`` holds the raw columns h_s: an (n, K) array with ``a_lo`` None,
-    or for double-double a (hi, lo) pair of them with ``a_lo`` the low
-    parts of ``a``.  The result has the same form.  Expanding the
-    identity gives the monomial coefficients of every P_s.
-    """
-    K = a.shape[0]
-    if a_lo is None:
-        p = np.empty(h.shape)  # C order: the gemv kernel, hence the bits
-        np.multiply(h, np.diag(a), out=p)
-        for s in range(1, K):
-            p[:, s] += p[:, :s] @ a[s, :s]
-        return p
-    # One contiguous row per column; the sum over earlier rows is pairwise.
-    ph, pl = (np.array(v.T, order="C")
-              for v in dd_mul(*h, np.diag(a), np.diag(a_lo)))
-    for s in range(1, K):
-        ph[s], pl[s] = dd_add(ph[s], pl[s], *dd_dot(
-            ph[:s], pl[:s], a[s, :s, None], a_lo[s, :s, None]))
-    return ph.T, pl.T
-
-
 def to_monomial(fit: FitResult, include_audit: bool = False) -> SurfaceModel:
-    """Convert a fit to monomial form: c = sum_s b_s g_s, where g_s holds
-    the monomial coefficients of P_s.
+    """Convert a fit to monomial form over its kept indices: the exact
+    change of basis (``basis.raw_to_monomial``) applied to the raw
+    coefficients ``fit.c`` + ``fit.c_lo`` in double-double.
 
-    The expansion always runs in double-double, whatever the fit's own
-    precision; the final coefficients are stored as doubles.
+    The coefficients are rounded to double one degree block at a time
+    from the top down, and each one's rounding error d is not dropped but
+    replaced by the lower part of d h_s / B[s, s], h_s its raw column: a
+    polynomial in the kept monomials of lower degree, exact in
+    double-double because the leading entry B[s, s] is a power of two.
+    What is left of the error is d h_s / B[s, s], at most |d| / B[s, s]
+    on the unit square, with B[s, s] >= 4^(m-1) at degree m (2^(m-1)
+    under the odd-x rule), so a wide model file keeps the fit to a few
+    roundings of its value rather than one rounding of its largest
+    coefficient.
+
+    A fit whose kept columns need a monomial it rejected raises
+    DegenerateFitError (see ``raw_to_monomial``).
     """
-    return _monomials([fit], include_audit)[0]
-
-
-def _monomials(fits, include_audit=False):
-    """``to_monomial`` for fits whose bases are column prefixes of one
-    basis (the solves of one sweep): the expansion runs once, for the
-    widest.  Row s of it depends only on rows < s, so its K-column
-    prefix is the expansion of a K-column basis bit for bit."""
-    widest = max((fit.basis for fit in fits), key=lambda basis: basis.n_columns)
-    N = widest.n_columns
-    a = widest.a
-    al = widest.a_lo
-    gh, gl = _expand(a, al, (np.eye(N), np.zeros((N, N))))
-    models = []
-    for fit in fits:
-        basis = fit.basis
-        K = basis.n_columns
-        if not (np.array_equal(basis.a, a[:K, :K]) and np.array_equal(
-                basis.a_lo, al[:K, :K])):
-            raise ValueError("the fits do not share one basis")
-        ch, cl = dd_dot(gh[:K, :K], gl[:K, :K], fit.b, fit.b_lo, axis=1)
-        audit = ({"a": basis.a.tolist(), "b": (fit.b + fit.b_lo).tolist()}
-                 if include_audit else None)
-        models.append(SurfaceModel(
-            c=ch + cl, kept=basis.kept, map=fit.nmap, S=fit.S,
-            lambda_=fit.lambda_, sigma_tr=fit.sigma_tr, audit=audit))
-    return models
+    basis = fit.basis
+    bh, bl = raw_to_monomial(basis.kept, fit.odd_x)
+    ch, cl = dd_dot(fit.c[:, None], fit.c_lo[:, None], bh, bl)
+    m = [degree_block(t).m for t in basis.kept]
+    cuts = [0] + [s for s in range(1, len(m)) if m[s] != m[s - 1]]
+    c = np.empty(len(m))
+    for s, end in reversed(list(zip(cuts, cuts[1:] + [len(m)]))):
+        c[s:end] = ch[s:end] + cl[s:end]
+        dh, dl = dd_div_d(*dd_sub(ch[s:end], cl[s:end], c[s:end], 0.0),
+                          np.diag(bh)[s:end])
+        ch[:s], cl[:s] = dd_sub(ch[:s], cl[:s], *dd_dot(
+            dh[:, None], dl[:, None], bh[s:end, :s], bl[s:end, :s]))
+    audit = ({"a": basis.a.tolist(), "b": (fit.b + fit.b_lo).tolist()}
+             if include_audit else None)
+    return SurfaceModel(c=c, kept=basis.kept, map=fit.nmap, S=fit.S,
+                        lambda_=fit.lambda_, sigma_tr=fit.sigma_tr,
+                        audit=audit)
 
 
 def eval_ortho(fit: FitResult, x, y):
-    """Evaluate through the orthonormal recurrences at normalized (x, y).
-
-    Rebuilds each polynomial's value from fresh basis values and the
-    stored triangular coefficients, at the fit's own precision.
-    """
+    """Evaluate a fit at normalized (x, y) through its raw columns, at
+    the fit's own precision: fresh raw values times ``fit.c``, in
+    double-double (rounded once) for an extended fit."""
     basis = fit.basis
-    kept = np.asarray(basis.kept, dtype=int)
-    L = int(kept.max())
+    kept = list(basis.kept)
     xs, ys, scalar = _as_rows(x, y)
+    h = raw_values(xs, ys, max(kept), fit.odd_x, basis.precision)
     if basis.precision is PrecisionMode.EXTENDED:
-        hh, hl = dd_basis_values(xs, ys, L)
-        ph, pl = _expand(basis.a, basis.a_lo, (hh[:, kept], hl[:, kept]))
-        fh, fl = dd_dot(ph, pl, fit.b, fit.b_lo, axis=1)
+        fh, fl = dd_dot(h[0][:, kept], h[1][:, kept], fit.c, fit.c_lo, axis=1)
         out = fh + fl
     else:
-        out = _expand(basis.a, None, basis_values(xs, ys, L)[:, kept]) @ fit.b
+        out = h[:, kept] @ fit.c
     return float(out[0]) if scalar else out
-
-
-def _sum_terms(models, x, y) -> np.ndarray:
-    """Compensated sum_t c_t h_t(x, y) over each model's kept indices for
-    the held-out errors, from a basis table rounded to double; one row of
-    values per model, one column per point.
-
-    Every model's ``kept`` must be a prefix of the widest one's (the
-    models of one sweep, which share one basis), else ValueError.  The
-    table is L + 1 wide, L the widest model's largest kept index, and is
-    built BLOCK_ELEMS // (L + 1) rows at a time; each model's sum is a
-    ``comp_dot`` over the first K kept columns of the block.  A table
-    column does not depend on L (``basis_step`` is elementwise) and each
-    point is its own sum, so a model gets the bits it gets alone.
-    """
-    widest = max(models, key=lambda model: len(model.kept))
-    if any(tuple(model.kept) != tuple(widest.kept[:len(model.kept)])
-           for model in models):
-        raise ValueError("the models do not share one basis")
-    kept = np.asarray(widest.kept, dtype=int)
-    L = int(kept.max())
-    xs, ys, _ = _as_rows(x, y)
-    rows = max(1, BLOCK_ELEMS // (L + 1))
-    out = np.empty((len(models), xs.size))
-    for r in range(0, xs.size, rows):
-        t = basis_values(xs[r:r + rows], ys[r:r + rows], L)[:, kept]
-        for row, model in zip(out, models):
-            row[r:r + rows] = comp_dot(t[:, :len(model.kept)], model.c, axis=1)
-    return out
 
 
 def _block_rows(model: SurfaceModel, outputs: int, width: int,

@@ -12,6 +12,12 @@ sits on top of the training error (underfit), strongly positive means
 the model memorizes the training group (overfit).  Sweeps scan strengths
 ``lambda = exp(-x)`` over an x grid and pick the weakest regularization
 whose overfitting degrees stay below a cap.
+
+The held-out errors come from each fit's raw-basis coefficients
+(``FitResult.c``), not from a monomial model: each group's table of raw
+columns (``basis.raw_values``) is built once, in blocks of rows, and a
+fit's residuals there are one BLAS product with its coefficients, whose
+squares ``comp_dot`` sums as it does the training error's.
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .basis import raw_values
 from .dataset import DataSplit, NormalizedDataset, write_rows
 from .ddarith import comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
-from .model import _monomials, _sum_terms
 from .errors import DegenerateFitError, FieldError, OrthofitError
 
 GAMMA_CLAMP = 50.0
+HELD_OUT_ROWS = 512  # rows of a held-out raw table per block
 
 SWEEP_COLUMNS = ("x", "lambda", "S", "sigma_tr", "sigma_cv", "sigma_test",
                  "gamma", "gamma_prime")
@@ -53,27 +60,36 @@ def overfit_degree(sigma_tr: float, sigma_other: float) -> float:
     return max(-GAMMA_CLAMP, min(GAMMA_CLAMP, val))
 
 
-def group_error(model, data: NormalizedDataset, idx) -> float:
-    """Mean squared residual of the model over the listed points, summed
+def group_error(fit: FitResult, data: NormalizedDataset, idx) -> float:
+    """Mean squared residual of the fit over the listed points, summed
     by ``comp_dot`` as the training error is."""
-    return group_errors([model], data, idx)[0]
+    return group_errors([fit], data, idx)[0]
 
 
-def group_errors(models, data: NormalizedDataset, idx) -> list:
-    """``group_error`` of each model over one group of points.
+def group_errors(fits, data: NormalizedDataset, idx) -> list:
+    """``group_error`` of each fit over one group of points.
 
-    The models must share one basis (``kept`` prefixes of the widest
-    one's, as the solves of one sweep are), else ValueError: the group's
-    basis table is built once and every model is summed from it
-    (``model._sum_terms``).  All residual sums are one ``comp_dot``
-    along the point axis, one tree per model, so each model's error has
-    the bits that a call for it alone gives.
+    The group's raw table is built once for all the fits, HELD_OUT_ROWS
+    rows at a time and as wide as the widest kept index, so the fits must
+    share the odd-x rule (ValueError otherwise).  A fit's residual rows
+    are the gemv ``T[:, kept] @ c - z`` with c its raw coefficients, the
+    rounded ``fit.c`` of an extended fit too; the blocks have a fixed
+    height, and a table column does not depend on the table's width, so
+    a fit's error has the bits that a call for it alone gives.
     """
     idx = np.asarray(idx)
     if idx.size == 0:
         raise ValueError("empty index group")
+    if len({fit.odd_x for fit in fits}) > 1:
+        raise ValueError("the fits do not share one raw basis")
     x, y, z = data.x[idx], data.y[idx], data.z[idx]
-    r = _sum_terms(models, x, y) - z
+    L = max(max(fit.basis.kept) for fit in fits)
+    r = np.empty((len(fits), idx.size))
+    for k in range(0, idx.size, HELD_OUT_ROWS):
+        rows = slice(k, k + HELD_OUT_ROWS)
+        table = raw_values(x[rows], y[rows], L, fits[0].odd_x)
+        for out, fit in zip(r, fits):
+            out[rows] = table[:, list(fit.basis.kept)] @ fit.c - z[rows]
     return [float(v) / idx.size for v in comp_dot(r, r, axis=1)]
 
 
@@ -156,10 +172,11 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     """Fit once per x in the grid with lambda = exp(-x) and collect records.
 
     The basis is built once and shared: each strength only reruns the
-    coefficient recurrence (``fit.solve``), the monomial expansion runs
-    once for the widest fit, and each held-out group's basis table is
-    built once and scores every strength (``group_errors``).  Duplicate
-    grid entries are dropped.
+    coefficient recurrence (``fit.solve``), which reads its raw-basis
+    coefficients off the shared expansion, and each held-out group's raw
+    table is built once and scores every strength (``group_errors``).
+    Nothing is converted to monomials.  Duplicate grid entries are
+    dropped.
     An entry that is not finite or whose exp(-x) overflows raises
     ValueError, as does a NaN cap, before any fit.  A DegenerateFitError
     annotates its record instead of aborting the sweep; input errors
@@ -176,9 +193,8 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     solved = [fit for fit in fits if isinstance(fit, FitResult)]
     held_out = iter(())
     if solved:
-        models = _monomials(solved)
-        held_out = zip(group_errors(models, data, split.cv_idx),
-                       group_errors(models, data, split.test_idx))
+        held_out = zip(group_errors(solved, data, split.cv_idx),
+                       group_errors(solved, data, split.test_idx))
     records = []
     for x, lam, fit in zip(xs, lams, fits):
         if isinstance(fit, DegenerateFitError):

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ settings.register_profile("orthofit", deadline=None, database=None,
 settings.load_profile("orthofit")
 
 from orthofit import DataSplit
-from orthofit.basis import _BlockGen
+from orthofit.basis import _BlockGen, block_start, degree_block
 from orthofit.ortho import OrthoBasis, PrecisionMode, orthogonality_defect
 from orthofit.synth import SplitMix64
 from oracles import single_pass_gs
@@ -63,14 +64,39 @@ def single_pass_defect(x, y, n_cols, modified):
                                            PrecisionMode.DOUBLE))
 
 
-def raw_curvature_sums(x, y, L, precision=PrecisionMode.DOUBLE):
-    """Q(h_t) = sum over the points of the Laplacian of basis entry t, for
+def generator_sums(x, y, L, precision=PrecisionMode.DOUBLE):
+    """Q(h_t) = sum over the points of the Laplacian of raw column t, for
     t = 0..L, as the fit's block generator computes them."""
     gen = _BlockGen(np.atleast_1d(x), np.atleast_1d(y), precision)
     q = []
     while len(q) <= L:
         q += [float(qt) for _, _, qt in gen.next_block()]
     return np.array(q[:L + 1])
+
+
+def _monomial_weights(n):
+    """beta[a][k] with x^a = sum_k beta[a][k] T_k(2x - 1): 2^(1-2a)
+    binom(2a, a-k), the k = 0 term halved.  Dyadic, so exact doubles
+    through a = 25."""
+    return [[math.comb(2 * a, a - k) / (2.0 if k == 0 else 1.0)
+             * 2.0 ** (1 - 2 * a) for k in range(a + 1)] for a in range(n + 1)]
+
+
+def raw_curvature_sums(x, y, L, precision=PrecisionMode.DOUBLE):
+    """Q(x^i y^j) = sum over the points of the Laplacian of monomial t,
+    for t = 0..L, from the fit's block generator: its raw sums
+    (``generator_sums``) weighted by x^a y^b = sum beta_ak beta_bl
+    T_k(2x - 1) T_l(2y - 1), whose weights are non-negative."""
+    q = generator_sums(x, y, L, precision)
+    top = degree_block(L).m
+    beta = _monomial_weights(top)
+    out = np.empty(L + 1)
+    for t in range(L + 1):
+        _, m, j = degree_block(t)
+        out[t] = math.fsum(beta[m - j][k] * beta[j][l]
+                           * q[block_start(k + l) + l]
+                           for k in range(m - j + 1) for l in range(j + 1))
+    return out
 
 
 @pytest.fixture

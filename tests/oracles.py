@@ -14,7 +14,9 @@ single-pass Gram-Schmidt baselines (classical and modified) are plain
 numpy in double, with the builder's rank rule.  The plain-double
 monomial conversion is the baseline the double-double one beats.  The
 first column with a training error that is not finite is found by
-recomputing the residual from z after every column.
+recomputing the residual from z after every column.  The raw Chebyshev
+columns are built here from sympy's integer Chebyshev polynomials, not
+from the library's recurrence or its change of basis.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from orthofit import (DegenerateFitError, ParseError, SweepReport,
                       ValidationRecord, fit_surface, group_error,
                       overfit_degree, regularized_coefficient, select_model,
                       to_monomial)
-from orthofit.basis import basis_values, degree_block
+from orthofit.basis import basis_values, block_start, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
 from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
-from orthofit.model import _expand
 from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL
 
 
@@ -137,17 +138,16 @@ def first_nonfinite_column(fb, z, lam):
 
 
 def refit_sweep(data, split, grid, cfg, gamma_cap=1.0):
-    """``lambda_sweep`` as one independent fit per strength: fit_surface,
-    to_monomial and two group_error calls per x, in ascending x order."""
+    """``lambda_sweep`` as one independent fit per strength: fit_surface
+    and two group_error calls per x, in ascending x order."""
     records = []
     for x in sorted({float(x) for x in grid}):
         lam = math.exp(-x)
         try:
             fit = fit_surface(split, data, cfg, lam)
-            model = to_monomial(fit)
             s_tr = fit.sigma_tr
-            s_cv = group_error(model, data, split.cv_idx)
-            s_te = group_error(model, data, split.test_idx)
+            s_cv = group_error(fit, data, split.cv_idx)
+            s_te = group_error(fit, data, split.test_idx)
             records.append(ValidationRecord(
                 x_log=x, lambda_=lam, S=fit.S, sigma_tr=s_tr, sigma_cv=s_cv,
                 sigma_test=s_te, gamma=overfit_degree(s_tr, s_cv),
@@ -227,14 +227,17 @@ def power_rule_dy(x, y, L):
     return np.column_stack(cols)
 
 
-def sympy_laplacian_columns(x, y, L):
-    """Symbolically differentiated Laplacian columns (degree <= 6 use)."""
+def sympy_laplacian_columns(x, y, L, raw=False):
+    """Symbolically differentiated Laplacian columns (degree <= 6 use) of
+    the monomials x^i y^j, or with ``raw`` of the raw columns
+    T_i(2x - 1) T_j(2y - 1)."""
     import sympy as sp
 
     sx, sy = sp.symbols("x y")
     lap_cols = []
     for a, b in monomial_powers(L):
-        expr = sx ** a * sy ** b
+        expr = (sp.chebyshevt(a, 2 * sx - 1) * sp.chebyshevt(b, 2 * sy - 1)
+                if raw else sx ** a * sy ** b)
         lap = sp.diff(expr, sx, 2) + sp.diff(expr, sy, 2)
         f = sp.lambdify((sx, sy), lap, "numpy")
         vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), np.shape(x))
@@ -242,49 +245,90 @@ def sympy_laplacian_columns(x, y, L):
     return np.column_stack(lap_cols)
 
 
-def mpmath_curvature_sums(basis, x, y, dps=50):
+def chebyshev_coefficients(n, shifted=True):
+    """Integer monomial coefficients of T_n(2x - 1), or of T_n(x) when not
+    ``shifted``, lowest power first, from sympy."""
+    import sympy as sp
+
+    sx = sp.Symbol("x")
+    arg = 2 * sx - 1 if shifted else sx
+    poly = sp.Poly(sp.chebyshevt(n, arg), sx)
+    return [int(c) for c in poly.all_coeffs()[::-1]]
+
+
+def monomial_change(kept, odd_x=False):
+    """Exact change of basis from the raw columns of ``kept`` to the
+    monomials: a dict {(s, r): integer coefficient of monomial kept[r] in
+    raw column kept[s]}; KeyError if a monomial is not in ``kept``."""
+    pos = {t: r for r, t in enumerate(kept)}
+    out = {}
+    for s, t in enumerate(kept):
+        _, m, j = degree_block(t)
+        for a, ca in enumerate(chebyshev_coefficients(m - j, not odd_x)):
+            for b, cb in enumerate(chebyshev_coefficients(j)):
+                if ca and cb:
+                    out[s, pos[block_start(a + b) + b]] = ca * cb
+    return out
+
+
+def _mp_chebyshev(n, u, order=0):
+    """T_n(u) (or its ``order``-th derivative) at the mpf u from sympy's
+    integer coefficients in u."""
+    coeffs = chebyshev_coefficients(n, shifted=False)
+    for _ in range(order):
+        coeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0]
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def mpmath_raw_curvature_sums(kept, x, y, odd_x=False, dps=50):
+    """Q(h) = sum over the points of the Laplacian of each raw column
+    T_i(u) T_j(2y - 1) of ``kept``, u = 2x - 1 (or x with ``odd_x``), at
+    ``dps`` digits from sympy's integer coefficients; a list of mpf."""
+    import mpmath
+
+    pairs = [(m - j, j) for _, m, j in map(degree_block, kept)]
+    with mpmath.workdps(dps):
+        q = [mpmath.mpf(0)] * len(kept)
+        cx = 1 if odd_x else 4
+        for px, py in zip(x, y):
+            u = mpmath.mpf(float(px))
+            u = u if odd_x else 2 * u - 1
+            v = 2 * mpmath.mpf(float(py)) - 1
+            for s, (i, j) in enumerate(pairs):
+                q[s] += (cx * _mp_chebyshev(i, u, 2) * _mp_chebyshev(j, v)
+                         + 4 * _mp_chebyshev(i, u) * _mp_chebyshev(j, v, 2))
+        return q
+
+
+def mpmath_curvature_sums(basis, x, y, odd_x=False, dps=50):
     """Curvature sums Q_s of a fit's orthonormal columns at ``dps`` digits.
 
-    Each kept raw column x^i y^j gets Q = i(i-1) M[i-2, j] + j(j-1)
-    M[i, j-2] from exact moment sums M[a, b] = sum x^a y^b over the
-    points; the columns then follow Q_s = a[s, s] Q(h_s) + sum_{t<s}
-    a[s, t] Q_t with the stored expansion a (plus a_lo when present).
-    Returns a list of mpf.
+    The raw columns' sums come from ``mpmath_raw_curvature_sums``; the
+    columns then follow Q_s = a[s, s] Q(h_s) + sum_{t<s} a[s, t] Q_t with
+    the stored expansion a (plus a_lo when present).  Returns a list of
+    mpf.
     """
     import mpmath
 
+    raw = mpmath_raw_curvature_sums(basis.kept, x, y, odd_x, dps)
     with mpmath.workdps(dps):
-        pts = [(mpmath.mpf(float(u)), mpmath.mpf(float(v))) for u, v in zip(x, y)]
-        moments = {}
-
-        def moment(a, b):
-            if (a, b) not in moments:
-                moments[a, b] = mpmath.fsum(u ** a * v ** b for u, v in pts)
-            return moments[a, b]
-
         a = _mp_values(basis.a, basis.a_lo)
         q = []
-        for s, t in enumerate(basis.kept):
-            _, m, j = degree_block(t)
-            i = m - j
-            raw = mpmath.mpf(0)
-            if i >= 2:
-                raw += i * (i - 1) * moment(i - 2, j)
-            if j >= 2:
-                raw += j * (j - 1) * moment(i, j - 2)
-            q.append(a[s][s] * raw
+        for s in range(len(raw)):
+            q.append(a[s][s] * raw[s]
                      + mpmath.fsum(a[s][r] * q[r] for r in range(s)))
         return q
 
 
-def mpmath_monomial_coefficients(fit, dps=50):
-    """Monomial coefficients c = g^T b of a fit at ``dps`` digits.
-
-    Row g_s holds the monomial coefficients of P_s: g_s = a[s, s] e_s +
-    sum_{t<s} a[s, t] g_t with the stored expansion a, and b is the
-    stored coefficient vector (each plus its low part when present).
-    Returns a list of mpf, one per kept index.
-    """
+def mpmath_raw_coefficients(fit, dps=50):
+    """Raw-column coefficients c = g^T b of a fit at ``dps`` digits: row
+    g_s holds the raw coefficients of P_s, g_s = a[s, s] e_s + sum_{t<s}
+    a[s, t] g_t with the stored expansion a, and b is the stored
+    coefficient vector (each plus its low part when present).  Returns a
+    list of mpf, one per kept index."""
     import mpmath
 
     K = fit.basis.n_columns
@@ -299,13 +343,76 @@ def mpmath_monomial_coefficients(fit, dps=50):
                 for j in range(K)]
 
 
+def mpmath_monomial_coefficients(fit, dps=50, raw=None):
+    """Monomial coefficients of a fit at ``dps`` digits: its raw
+    coefficients (``raw``, by default ``mpmath_raw_coefficients``) through
+    the exact change of basis ``monomial_change``.  Returns a list of
+    mpf, one per kept index."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        raw = mpmath_raw_coefficients(fit, dps) if raw is None else raw
+        out = [mpmath.mpf(0)] * len(raw)
+        for (s, r), v in monomial_change(fit.basis.kept, fit.odd_x).items():
+            out[r] += v * raw[s]
+        return out
+
+
+def mpmath_polynomial_gap(kept, c, want, x, y, dps=50):
+    """Largest |sum_t (c_t - want_t) x^i y^j| over the points (x, y) at
+    ``dps`` digits, kept[t] the flat index of x^i y^j: how far a model's
+    monomial coefficients c lie from ``want`` (mpf) as polynomials."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        gaps = [mpmath.fsum((mpmath.mpf(float(v)) - w) * mpmath.mpf(float(u))
+                            ** (m - j) * mpmath.mpf(float(t)) ** j
+                            for v, w, (_, m, j) in zip(
+                                c, want, map(degree_block, kept)))
+                for u, t in zip(x, y)]
+        return float(max(abs(g) for g in gaps))
+
+
 def double_conversion(fit):
-    """``to_monomial`` with the expansion run in plain doubles: the
-    conversion whose cancellation at high order the double-double one
-    avoids.  Only ``c`` differs from ``to_monomial(fit)``."""
-    K = fit.basis.n_columns
-    return replace(to_monomial(fit), c=_expand(fit.basis.a, None, np.eye(K))
-                   @ (fit.b + fit.b_lo))
+    """``to_monomial`` with the expansion run in plain doubles, as a
+    monomial expansion: the monomial coefficients of each P_s from P_s =
+    a[s, s] h_s + sum_{t<s} a[s, t] P_t, starting from the raw columns'
+    exact integer coefficients (``monomial_change``), then c = sum_s b_s
+    P_s.  Those coefficients cancel at high order, where the
+    double-double conversion does not.  Only ``c`` differs from
+    ``to_monomial(fit)``."""
+    a = fit.basis.a
+    K = a.shape[0]
+    g = np.zeros((K, K))
+    for (s, r), v in monomial_change(fit.basis.kept, fit.odd_x).items():
+        g[s, r] = v
+    for s in range(K):
+        g[s] = a[s, s] * g[s] + a[s, :s] @ g[:s]
+    return replace(to_monomial(fit), c=(fit.b + fit.b_lo) @ g)
+
+
+def mpmath_held_out_error(fit, data, idx, dps=50):
+    """Mean squared residual of a fit over the listed points at ``dps``
+    digits, from its stored raw coefficients c + c_lo and the raw columns
+    evaluated from sympy's integer Chebyshev coefficients."""
+    import mpmath
+
+    pairs = [(m - j, j) for _, m, j in map(degree_block, fit.basis.kept)]
+    top = max(i + j for i, j in pairs)
+    with mpmath.workdps(dps):
+        c = [mpmath.mpf(float(h)) + mpmath.mpf(float(l))
+             for h, l in zip(fit.c, fit.c_lo)]
+        total = mpmath.mpf(0)
+        for k in np.asarray(idx):
+            u = mpmath.mpf(float(data.x[k]))
+            u = u if fit.odd_x else 2 * u - 1
+            v = 2 * mpmath.mpf(float(data.y[k])) - 1
+            tu = [_mp_chebyshev(n, u) for n in range(top + 1)]
+            tv = [_mp_chebyshev(n, v) for n in range(top + 1)]
+            pred = mpmath.fsum(cs * tu[i] * tv[j]
+                               for cs, (i, j) in zip(c, pairs))
+            total += (pred - mpmath.mpf(float(data.z[k]))) ** 2
+        return float(total / len(idx))
 
 
 def _mp_values(hi, lo):

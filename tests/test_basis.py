@@ -1,16 +1,24 @@
-"""Monomial sequence, block recursion, curvature sums, index algebra."""
+"""Monomial and raw Chebyshev tables, block recursion, curvature sums,
+the change of basis, index algebra."""
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from orthofit import basis
 from orthofit.basis import (_BlockGen, basis_dy, basis_values, block_start,
-                            columns_for_degree, dd_basis_values, degree_block)
+                            columns_for_degree, dd_basis_values, degree_block,
+                            raw_to_monomial, raw_values)
 from orthofit.ddarith import BLOCK_ELEMS, dd_sum
+from orthofit.errors import DegenerateFitError
 from orthofit.ortho import PrecisionMode
-from oracles import (mpmath_basis, power_rule_d2x, power_rule_d2y,
-                     power_rule_dy, power_rule_values, sympy_laplacian_columns)
-from conftest import raw_curvature_sums, uniform_xy
+from oracles import (chebyshev_coefficients, monomial_change, mpmath_basis,
+                     mpmath_raw_curvature_sums, power_rule_d2x,
+                     power_rule_d2y, power_rule_dy, power_rule_values,
+                     sympy_laplacian_columns)
+from conftest import generator_sums, raw_curvature_sums, uniform_xy
 
 
 def test_values_examples():
@@ -153,50 +161,113 @@ def test_laplacian_linearity_against_symbolic_oracle():
 
 
 @pytest.mark.parametrize("n", [1, 37])
-def test_block_generator_matches_basis_values(n):
-    # the fit's columns come from the same recursion as basis_values and
-    # dd_basis_values, bit for bit
+def test_block_generator_matches_raw_values(n):
+    # the fit's columns come from the same recursion as raw_values, in
+    # double and in double-double, bit for bit, with or without the odd-x
+    # rule
     x, y = uniform_xy(n, 37 + n)
     L = columns_for_degree(9) + 3  # ends inside degree block 10
-    want = {PrecisionMode.DOUBLE: basis_values(x, y, L),
-            PrecisionMode.EXTENDED: dd_basis_values(x, y, L)}
-    for precision, ref in want.items():
-        gen = _BlockGen(x, y, precision)
-        cols = []
-        while len(cols) <= L:
-            cols += [col for _, col, _ in gen.next_block()]
-        cols = cols[:L + 1]
-        if precision is PrecisionMode.EXTENDED:
-            got = (np.column_stack([c[0] for c in cols]),
-                   np.column_stack([c[1] for c in cols]))
-        else:
-            got, ref = (np.column_stack(cols),), (ref,)
-        for g, r in zip(got, ref):
-            assert g.shape == r.shape and g.tobytes() == r.tobytes()
-        assert np.array_equal(got[0][:, 0], np.ones(n))
-        q = raw_curvature_sums(x, y, L, precision)
-        assert not q[:3].any()
-        assert np.allclose(q, raw_curvature_sums(x, y, L), rtol=1e-13, atol=0)
+    for precision, odd_x in itertools.product(PrecisionMode, (False, True)):
+        ref = raw_values(x, y, L, odd_x, precision)
+        gen = _BlockGen(x, y, precision, odd_x)
+        cols = {}
+        while len(cols) <= L // 2:
+            cols.update((t, col) for t, col, _ in gen.next_block())
+        cols = {t: col for t, col in cols.items() if t <= L}
+        if precision is PrecisionMode.DOUBLE:
+            ref = (ref,)
+            cols = {t: (col,) for t, col in cols.items()}
+        for t, col in cols.items():
+            for g, r in zip(col, ref):
+                assert g.tobytes() == np.ascontiguousarray(r[:, t]).tobytes()
+        assert np.array_equal(ref[0][:, 0], np.ones(n))
+    q = generator_sums(x, y, L, PrecisionMode.EXTENDED)
+    assert not q[:3].any()
+    assert np.allclose(q, generator_sums(x, y, L), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("precision", list(PrecisionMode))
 def test_odd_x_rule_keeps_exactly_the_odd_x_columns(precision):
-    # with the rule on, the generator hands out the odd-x columns of the
-    # full generator, in the same order and with the same bits
-    def bits(odd_x):
+    # with the rule on, the generator hands out the columns T_i(x) T_j(2y-1)
+    # with i odd, in flat order, and the full generator hands out every
+    # column T_i(2x-1) T_j(2y-1)
+    def tags(odd_x):
         gen = _BlockGen(x, y, precision, odd_x)
-        out = []
-        for _ in range(12):
-            out += [(t, np.array(col).tobytes(),
-                     np.array([q.hi, q.lo]).tobytes())
-                    for t, col, q in gen.next_block()]
-        return out
+        return [t for _ in range(12) for t, _, _ in gen.next_block()]
 
     x, y = uniform_xy(29, 5)
-    full, odd = bits(False), bits(True)
-    assert odd == [c for c in full if degree_block(c[0]).m % 2
-                   != degree_block(c[0]).j % 2]
-    assert [t for t, *_ in odd][:6] == [1, 4, 6, 8, 11, 13]
+    assert tags(False) == list(range(columns_for_degree(11)))
+    odd = tags(True)
+    assert odd == [t for t in range(columns_for_degree(11))
+                   if degree_block(t).m % 2 != degree_block(t).j % 2]
+    assert odd[:6] == [1, 4, 6, 8, 11, 13]
+
+
+@pytest.mark.parametrize("odd_x", [False, True])
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+def test_raw_curvature_sums_match_mpmath_laplacian(precision, odd_x):
+    # the T'' formula over the earlier blocks' column sums, against the
+    # Laplacian of sympy's integer Chebyshev polynomials at 50 digits,
+    # through degree 19 at 40 points
+    import mpmath
+
+    x, y = uniform_xy(40, 61)
+    gen = _BlockGen(x, y, precision, odd_x)
+    got = [(t, q) for _ in range(20) for t, _, q in gen.next_block()]
+    want = mpmath_raw_curvature_sums([t for t, _ in got], x, y, odd_x)
+    scale = max(abs(float(w)) for w in want)
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(q.hi) + mpmath.mpf(q.lo) - w)
+                    for (_, q), w in zip(got, want)) / scale
+    assert worst <= (1e-28 if precision is PrecisionMode.EXTENDED
+                     else 1e-15)
+
+
+def test_raw_columns_match_sympy_chebyshev_polynomials():
+    # double: the recurrence rounds once or twice a step; double-double
+    # refines it to about 2^-100 of the columns' unit scale
+    import mpmath
+
+    x, y = uniform_xy(12, 43)
+    L = columns_for_degree(19) - 1
+    for odd_x in (False, True):
+        vals = raw_values(x, y, L, odd_x)
+        hi, lo = raw_values(x, y, L, odd_x, PrecisionMode.EXTENDED)
+        with mpmath.workdps(50):
+            for p in range(x.size):
+                u = mpmath.mpf(x[p]) if odd_x else 2 * mpmath.mpf(x[p]) - 1
+                v = 2 * mpmath.mpf(y[p]) - 1
+                for t in range(L + 1):
+                    _, m, j = degree_block(t)
+                    ref = (mpmath.polyval(chebyshev_coefficients(
+                        m - j, False)[::-1], u) * mpmath.polyval(
+                        chebyshev_coefficients(j, False)[::-1], v))
+                    assert abs(vals[p, t] - ref) <= 1e-13, (p, t)
+                    assert abs(mpmath.mpf(hi[p, t]) + mpmath.mpf(lo[p, t])
+                               - ref) <= 1e-29, (p, t)
+
+
+@pytest.mark.parametrize("odd_x", [False, True])
+def test_raw_to_monomial_is_the_exact_change_of_basis(odd_x):
+    # against sympy's integer polynomials, through degree 23, where the
+    # largest entry (3.9e16) no longer fits 53 bits
+    kept = tuple(t for t in range(columns_for_degree(23))
+                 if not odd_x or sum(degree_block(t)[1:]) % 2)
+    hi, lo = raw_to_monomial(kept, odd_x)
+    want = monomial_change(kept, odd_x)
+    assert set(zip(*np.nonzero(hi))) == set(want)
+    for (s, r), v in want.items():
+        assert Fraction(hi[s, r]) + Fraction(lo[s, r]) == v
+
+
+def test_a_kept_column_above_a_rejected_one_has_no_monomial_form():
+    # x y needs x, which a fit keeping (1, y, xy) has rejected
+    with pytest.raises(DegenerateFitError, match="column 4 needs monomial 1"):
+        raw_to_monomial((0, 2, 4), False)
+    # under the odd-x rule x^3 needs x, and x^2 is not needed
+    with pytest.raises(DegenerateFitError, match="column 6 needs monomial 1"):
+        raw_to_monomial((6,), True)
+    assert raw_to_monomial((1, 6), True)[0].tolist() == [[1, 0], [-3, 4]]
 
 
 def test_scalar_and_vector_shapes_agree():
@@ -214,7 +285,6 @@ def test_dd_tables_match_double_tables_and_refine_them():
     L = columns_for_degree(8) - 1
     vh, vl = dd_basis_values(x, y, L)
     assert np.allclose(vh, basis_values(x, y, L), rtol=1e-15, atol=0)
-    from fractions import Fraction
     t = L  # deepest column: longest product chain
     _, m, j = degree_block(t)
     for i in (0, 5):

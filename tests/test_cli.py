@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthofit import (GridKernel, SynthSpec, cli, dZ_dY, entropy_change,
                       eval_physical, generate, load_model, save_dataset)
+from orthofit.basis import degree_block
 from orthofit.cli import _parse_x_grid, main
 from orthofit.model import _block_rows
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
@@ -1161,6 +1162,57 @@ def test_extended_fit_does_not_depend_on_blas_threads(noisy_csv, tmp_path):
         outputs.append((model.read_bytes(), report, proc.stderr))
     assert "wall_time_s  -" in outputs[0][1]
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def corpus_1k(tmp_path):
+    """The benchmark's seed-1 1k corpus: 40 x 25, noise 0.02."""
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    path = tmp_path / "d1k.csv"
+    save_dataset(pts, path)
+    return path
+
+
+def test_double_fit_and_sweep_do_not_depend_on_blas_threads(corpus_1k,
+                                                            tmp_path):
+    # the scan, the raw-coefficient expansion and the held-out gemv
+    # products of a 1k double fit and sweep give the same bytes under 1
+    # and 2 OpenBLAS threads
+    env = src_env()
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        model = tmp_path / f"m{threads}.json"
+        runs = [subprocess.run(
+            [sys.executable, "-m", "orthofit.cli", *argv, str(corpus_1k)],
+            env=env, capture_output=True, text=True, timeout=300)
+            for argv in (["fit", "-o", str(model), "--fixed-S", "209"],
+                         ["sweep", "--x-grid", "10:40:2", "--fixed-S", "78"])]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append((model.read_bytes(), re.sub(
+            r"(?m)^(wall_time_s\s+).*$", r"\1-", runs[0].stdout),
+            runs[1].stdout))
+    assert outputs[0] == outputs[1]
+
+
+def test_odd_field_fit_writes_only_odd_powers_of_x(capsys, corpus_1k,
+                                                  tmp_path):
+    # the odd-x rule's raw x factor is the unshifted T_i(x), i odd, which
+    # spans exactly x, x^3, ...; T_i(2x - 1) would need even powers of x
+    # that the fit never keeps.  sigma_tr is the one the fit on the odd
+    # monomials x^i y^j gave (0.0009930467475916963).
+    model = tmp_path / "odd.json"
+    code, out, err = run_cli(capsys, "fit", str(corpus_1k), "-o", str(model),
+                             "--odd-field-only", "--fixed-S", "44",
+                             "--report", "json")
+    assert code == 0, err
+    kept = json.loads(model.read_text())["kept_indices"]
+    assert len(kept) == 45
+    assert all(degree_block(t).m % 2 != degree_block(t).j % 2 for t in kept)
+    assert json.loads(out)["sigma_tr"] == pytest.approx(
+        0.0009930467475916963, rel=1e-9)
 
 
 def test_version_flag(capsys):

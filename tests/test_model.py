@@ -16,16 +16,15 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       GridKernel, fit_surface, generate, load_model,
                       normalize, save_model, split, to_monomial)
 from orthofit import model as model_module
-from orthofit.basis import basis_values, columns_for_degree, degree_block
-from orthofit.dataset import NormalizedDataset
-from orthofit.ddarith import BLOCK_ELEMS, comp_dot
-from orthofit.fit import FitBasis, solve
-from orthofit.model import (MAX_DEGREE, _dd_powers, _expand,
-                            _grid_coefficients, _grid_sum, _monomials)
+from orthofit.basis import columns_for_degree, degree_block, raw_to_monomial
+from orthofit.ddarith import BLOCK_ELEMS, dd_dot
+from orthofit.fit import FitBasis
+from orthofit.model import (MAX_DEGREE, _dd_powers, _grid_coefficients,
+                            _grid_sum)
 from orthofit.ortho import PrecisionMode
-from orthofit.select import group_errors
 from conftest import all_train_split, src_env, uniform_xy
 from oracles import (double_conversion, mpmath_monomial_coefficients,
+                     mpmath_polynomial_gap, mpmath_raw_coefficients,
                      mpmath_simpson_entropy, mpmath_unit_sums, unit_dataset)
 
 IDENTITY = NormalizationMap(0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
@@ -82,8 +81,12 @@ def test_double_conversion_is_visibly_worse_at_high_order():
 
 @pytest.mark.parametrize("precision, n_cols", [("double", 79), ("extended", 120)])
 def test_conversion_matches_mpmath_oracle(precision, n_cols):
-    # 1,000-point corpus, 666 training points; c = g^T b from the stored
-    # expansion at 50 digits, against the default (extended) conversion
+    # 1,000-point corpus, 666 training points.  The raw coefficients
+    # c = g^T b against the stored expansion at 50 digits, and the model
+    # file against the exact change of basis of those: the pushed-down
+    # roundings keep the monomial form within a few roundings of the
+    # fit's largest value (about 1) on the unit square, where the
+    # plain-double conversion misses by far more
     import mpmath
 
     pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
@@ -92,46 +95,68 @@ def test_conversion_matches_mpmath_oracle(precision, n_cols):
     fit = fit_surface(split(data, SplitConfig("y", 3)), data,
                       FitConfig(fixed_columns=n_cols, max_columns=n_cols,
                                 precision=PrecisionMode(precision)))
-    want = mpmath_monomial_coefficients(fit)
-    c = to_monomial(fit).c
+    raw = mpmath_raw_coefficients(fit)
     with mpmath.workdps(50):
-        ulps = [float(abs(mpmath.mpf(float(v)) - w)) / np.spacing(abs(float(w)))
-                for v, w in zip(c, want)]
-    assert max(ulps) <= 1.0
-    ref = np.array([float(w) for w in want])
-    d_ext = np.abs(c - ref).max()
-    d_dbl = np.abs(double_conversion(fit).c - ref).max()
-    assert d_dbl > d_ext
+        raw_gap = max(abs(mpmath.mpf(h) + mpmath.mpf(l) - w)
+                      for h, l, w in zip(fit.c, fit.c_lo, raw))
+    assert raw_gap <= (1e-30 if precision == "extended" else 1e-15)
+    want = mpmath_monomial_coefficients(fit, raw=raw)
+    px, py = uniform_xy(40, 79)
+    d_ext = mpmath_polynomial_gap(fit.basis.kept, to_monomial(fit).c, want,
+                                  px, py)
+    d_dbl = mpmath_polynomial_gap(fit.basis.kept, double_conversion(fit).c,
+                                  want, px, py)
+    # each rounding d_s is left as d_s h_s / B[s, s], |h_s| <= 1
+    c = to_monomial(fit).c
+    lead = np.diag(raw_to_monomial(fit.basis.kept, fit.odd_x)[0])
+    assert d_ext <= np.sum(np.abs(c) / lead) * 2.0 ** -52
+    assert d_dbl > 100 * d_ext
 
 
 def test_expansion_prefix_is_the_prefix_expansion():
-    # row s of the expansion reads only rows < s and its double-double sums
-    # run elementwise, so a K-column prefix of the widest expansion is the
-    # expansion of the K-column basis, bit for bit, and one sweep can
-    # convert every strength from one expansion
+    # row s of the raw-coefficient expansion W reads only the (s, s) block
+    # before it, in double (numpy's fixed order) and in double-double, so
+    # the first K rows of a wider basis are the expansion of a K-column
+    # basis bit for bit, and one sweep scores every strength from one
+    # expansion
     pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
                                 noise_sigma=0.02, seed=1))
     data = normalize(pts)
     parts = split(data, SplitConfig("y", 3))
-    cfg = FitConfig(fixed_columns=79, precision=PrecisionMode.EXTENDED)
-    shared = FitBasis(parts, data, cfg)
-    fits = [solve(shared, lam) for lam in (1e-8, 1e-4)]
-    basis = fits[0].basis
-    al = basis.a_lo if basis.a_lo is not None else np.zeros_like(basis.a)
-    gh, gl = _expand(basis.a, al, (np.eye(79), np.zeros((79, 79))))
-    for K in (1, 2, 40, 78):
-        ph, pl = _expand(basis.a[:K, :K], al[:K, :K],
-                         (np.eye(K), np.zeros((K, K))))
-        assert ph.tobytes() == np.ascontiguousarray(gh[:K, :K]).tobytes()
-        assert pl.tobytes() == np.ascontiguousarray(gl[:K, :K]).tobytes()
-    short = fit_surface(parts, data, replace(cfg, fixed_columns=40), 1e-4)
-    models = _monomials(fits + [short])
-    assert [m.c.tobytes() for m in models] == [
-        to_monomial(fit).c.tobytes() for fit in fits + [short]]
-    other = fit_surface(all_train_split(data.n), data,
-                        replace(cfg, fixed_columns=40))
-    with pytest.raises(ValueError, match="share one basis"):
-        _monomials([fits[0], other])
+    for precision in PrecisionMode:
+        cfg = FitConfig(fixed_columns=79, precision=precision)
+        shared = FitBasis(parts, data, cfg)
+        shared.block(20)
+        for K in (1, 2, 40, 78):
+            alone = FitBasis(parts, data, replace(cfg, fixed_columns=K))
+            alone.block(20)
+            assert (np.ascontiguousarray(alone._w[:, :K, :K]).tobytes()
+                    == np.ascontiguousarray(shared._w[:, :K, :K]).tobytes())
+        # and a 40-column fit's raw coefficients come off the wider W
+        short = fit_surface(parts, data, replace(cfg, fixed_columns=40), 1e-4)
+        w = shared._w[:, :40, :40]
+        want = (dd_dot(w[0], w[1], short.b[:, None], short.b_lo[:, None])[0]
+                if precision is PrecisionMode.EXTENDED
+                else (short.b[:, None] * w[0]).sum(axis=0))
+        assert short.c.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_cols", [79, 210])
+def test_double_fit_matches_the_extended_fit_at_held_out_points(n_cols):
+    # on the shifted Chebyshev columns the double fit is as accurate as
+    # the extended one at the cv points: 1.2e-14 apart at 210 columns,
+    # where on the monomial columns the gap was 5.3e-4
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    parts = split(data, SplitConfig("y", 3))
+    x, y = data.x[parts.cv_idx], data.y[parts.cv_idx]
+    fits = [fit_surface(parts, data, FitConfig(
+        fixed_columns=n_cols, max_columns=n_cols, precision=precision))
+        for precision in PrecisionMode]
+    gap = np.abs(eval_ortho(fits[0], x, y) - eval_ortho(fits[1], x, y)).max()
+    assert gap <= 1e-12
+    assert np.abs(fits[0].c).max() < 0.5
 
 
 def test_eval_ortho_reproduces_training_points(plane_points):
@@ -389,20 +414,6 @@ def _ragged_model(rng):
         S=210, lambda_=0.0, sigma_tr=0.0)
 
 
-def test_row_blocks_keep_every_bit():
-    # 210 columns: the held-out table goes in 312-row blocks, so 1,000
-    # points end on a ragged block of 64; the error must come out as the
-    # whole table in one block gives it
-    assert BLOCK_ELEMS // 210 == 312
-    rng = np.random.default_rng(210)
-    model = _ragged_model(rng)
-    x, y, z = rng.uniform(-0.1, 1.1, (3, 1000))
-    data = NormalizedDataset(np.column_stack([x, y, z]), model.map)
-    r = comp_dot(basis_values(x, y, 209), model.c, axis=1) - z
-    assert group_errors([model], data, np.arange(1000)) == [
-        float(comp_dot(r, r)) / 1000]
-
-
 def test_kernel_blocks_keep_every_bit(monkeypatch):
     # the pointwise entries take 81 points per kernel at degree 19 with
     # two outputs (163 with one); blocks of 7 (or 14) points, ragged at
@@ -448,28 +459,6 @@ def test_pointwise_evaluation_stays_under_an_address_space_cap(tmp_path):
                          map=IDENTITY, S=495, lambda_=0.0, sigma_tr=0.0)
     assert proc.stdout == repr([True, eval_monomial(model, 0.0, 1.0),
                                 eval_monomial(model, 1.0, 0.0)])
-
-
-def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
-    # kept (0, 5000) builds held-out tables 5,001 wide: a block of
-    # BLOCK_ELEMS // 2 rows would hold 100 x 5001 doubles
-    model = SurfaceModel(c=np.array([1.0, 1e-3]), kept=(0, 5000),
-                         map=IDENTITY, S=1, lambda_=0.0, sigma_tr=0.0)
-    x = np.linspace(0.0, 1.0, 100)
-    z = np.cos(x)
-    r = np.array([comp_dot(basis_values(v, v, 5000)[[0, 5000]], model.c)
-                  for v in x]) - z
-    sizes = []
-
-    def recording(x, y, L):
-        table = basis_values(x, y, L)
-        sizes.append(table.size)
-        return table
-    monkeypatch.setattr(model_module, "basis_values", recording)
-    data = NormalizedDataset(np.column_stack([x, x, z]), IDENTITY)
-    assert group_errors([model], data, np.arange(100)) == [
-        float(comp_dot(r, r)) / 100]
-    assert sizes and max(sizes) <= BLOCK_ELEMS
 
 
 def test_max_degree_is_the_largest_whose_table_row_fits_a_block():

@@ -10,12 +10,12 @@ import pytest
 
 from orthofit import (FitBasis, FitConfig, SplitConfig, SynthSpec, generate,
                       normalize, split)
-from orthofit.basis import basis_values, columns_for_degree
+from orthofit.basis import columns_for_degree, raw_values
 from orthofit.ddarith import comp_dot, dd_add, dd_dot, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
 from oracles import single_pass_gs, sympy_laplacian_columns, unit_dataset
-from conftest import (all_train_split, basis_columns, raw_curvature_sums,
+from conftest import (all_train_split, basis_columns, generator_sums,
                       single_pass_defect, uniform_xy)
 
 
@@ -213,8 +213,8 @@ def test_reconstruction_from_expansion_coefficients_double():
     n_cols = columns_for_degree(7) - 1
     fb = _fit_basis(x, y, n_cols)
     basis = fb.builder.to_basis()
-    P, q = _reconstruct(basis, basis_values(x, y, n_cols - 1),
-                        raw_curvature_sums(x, y, n_cols - 1))
+    P, q = _reconstruct(basis, raw_values(x, y, n_cols - 1),
+                        generator_sums(x, y, n_cols - 1))
     assert np.abs(P - basis.P).max() < 1e-10
     assert np.abs(q - fb.q).max() < 1e-11 * max(1, np.abs(q).max())
 
@@ -224,8 +224,7 @@ def test_reconstruction_extended_mode_tight():
     # coefficients, not by the replay's own rounding
     x, y = uniform_xy(120, 39)
     n_cols = columns_for_degree(9) - 1
-    from orthofit.basis import dd_basis_values
-    hh, hl = dd_basis_values(x, y, n_cols - 1)
+    hh, hl = raw_values(x, y, n_cols - 1, precision=PrecisionMode.EXTENDED)
     b = _feed_columns(OrthoBuilder(120, precision=PrecisionMode.EXTENDED),
                       x, y, n_cols, extended=True)
     basis = b.to_basis()
@@ -244,8 +243,8 @@ def test_reconstruction_extended_mode_tight():
 def test_laplacian_cotransform_matches_symbolic_oracle():
     x, y = uniform_xy(40, 45)
     L = columns_for_degree(6) - 1
-    lap_sums = sympy_laplacian_columns(x, y, L).sum(axis=0)
-    assert np.allclose(raw_curvature_sums(x, y, L), lap_sums,
+    lap_sums = sympy_laplacian_columns(x, y, L, raw=True).sum(axis=0)
+    assert np.allclose(generator_sums(x, y, L), lap_sums,
                        rtol=1e-12, atol=40 * 1e-12)
     fb = _fit_basis(x, y, L + 1)
     basis = fb.builder.to_basis()

@@ -190,8 +190,8 @@ def test_the_raw_basis_has_one_home():
     for path in sorted((ROOT / "src" / "orthofit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             f = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and "basis_step" in (
-                    getattr(f, "id", None), getattr(f, "attr", None)):
+            if isinstance(node, ast.Call) and {"basis_step", "_table"} & {
+                    getattr(f, "id", None), getattr(f, "attr", None)}:
                 callers.add(path.name)
             if path.name == "fit.py" and isinstance(node, ast.ImportFrom):
                 if node.module == "basis":
@@ -204,20 +204,23 @@ def test_the_raw_basis_has_one_home():
 
 def test_model_files_are_evaluated_by_one_kernel():
     # every evaluation of a model file goes through ``model._grid_sum``,
-    # except the held-out errors: only select.py sums a basis table
-    # (``model._sum_terms``), and nothing in the program names the
-    # y-derivative table ``basis_dy``, which only the benchmark tracer
-    # still hooks
-    callers, naming = set(), set()
+    # and nothing in the program scores points from a monomial table: the
+    # held-out errors and ``eval_ortho`` read the raw columns
+    # (``raw_values``), and the monomial tables ``basis_values``,
+    # ``dd_basis_values`` and ``basis_dy`` are named by no module but
+    # basis.py, which defines them for the benchmark tracer and the tests
+    naming, raw = set(), set()
+    monomial = {"basis_values", "dd_basis_values", "basis_dy", "_sum_terms",
+                "_monomials"}
     for path in sorted((ROOT / "src" / "orthofit").glob("*.py")):
         tree = ast.parse(path.read_text())
+        names = _named(_without_reexports(tree) if path == INIT else tree)
+        if path.name != "basis.py" and monomial & names:
+            naming.add(path.name)
         for node in ast.walk(tree):
             f = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and "_sum_terms" in (
+            if isinstance(node, ast.Call) and "raw_values" in (
                     getattr(f, "id", None), getattr(f, "attr", None)):
-                callers.add(path.name)
-        if "basis_dy" in _named(_without_reexports(tree) if path == INIT
-                                else tree):
-            naming.add(path.name)
-    assert callers == {"select.py"}
+                raw.add(path.name)
     assert not naming
+    assert raw == {"model.py", "select.py"}

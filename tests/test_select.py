@@ -14,16 +14,16 @@ import pytest
 from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
                       SweepReport, SynthSpec, ValidationRecord, fit_surface,
                       generate, group_error, lambda_sweep, normalize,
-                      overfit_degree, select_model, split, to_monomial)
-from orthofit.basis import basis_values
+                      overfit_degree, select_model, split)
+from orthofit.basis import raw_values
 from orthofit.ddarith import comp_dot
 from orthofit.fit import FitBasis, solve
-from orthofit.model import _monomials
 from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import (SWEEP_COLUMNS, group_errors, sweep_to_csv,
                              sweep_to_json)
 from conftest import all_train_split, src_env
-from oracles import reference_rows, refit_sweep, unit_dataset
+from oracles import (mpmath_held_out_error, reference_rows, refit_sweep,
+                     unit_dataset)
 
 
 def test_overfit_degree_reference_triples():
@@ -47,41 +47,40 @@ def test_overfit_degree_clamps():
 def test_group_error_basics(plane_points):
     data = unit_dataset(plane_points)
     fit = fit_surface(all_train_split(data.n), data, FitConfig(max_columns=3))
-    model = to_monomial(fit)
     idx = np.arange(data.n)
-    assert group_error(model, data, idx) <= 1e-24
-    assert group_error(model, data, idx) == pytest.approx(fit.sigma_tr, abs=1e-15)
+    assert group_error(fit, data, idx) <= 1e-24
+    assert group_error(fit, data, idx) == pytest.approx(fit.sigma_tr, abs=1e-15)
     single = unit_dataset([(0.2, 0.2, 0.0), (0.4, 0.4, 0.0), (0.6, 0.6, 0.1)])
-    zero = to_monomial(fit_surface(all_train_split(3), unit_dataset(
-        [(0.2, 0.2, 0.0), (0.4, 0.8, 0.0), (0.8, 0.4, 0.0)]), FitConfig(max_columns=3)))
+    zero = fit_surface(all_train_split(3), unit_dataset(
+        [(0.2, 0.2, 0.0), (0.4, 0.8, 0.0), (0.8, 0.4, 0.0)]), FitConfig(max_columns=3))
     assert group_error(zero, single, np.array([2])) == pytest.approx(0.01, rel=1e-10)
     with pytest.raises(ValueError):
-        group_error(model, data, np.array([], dtype=int))
+        group_error(fit, data, np.array([], dtype=int))
 
 
 _GROUP_ERROR_BITS = """
+import math
 import numpy as np
-from orthofit import NormalizedDataset, group_error
-from orthofit.dataset import NormalizationMap
-from orthofit.model import SurfaceModel
+from orthofit import (FitConfig, NormalizedDataset, SplitConfig, SynthSpec,
+                      generate, group_error, normalize, split)
+from orthofit.fit import FitBasis, solve
 from orthofit.select import group_errors
-model = SurfaceModel(c=np.array([0.5, 0.25, -0.1]), kept=(0, 1, 2),
-                     map=NormalizationMap(0, 1, 0, 1, 0, 1), S=3,
-                     lambda_=0.0, sigma_tr=0.0)
-nested = [SurfaceModel(c=np.array([0.5, -0.3, 0.2])[:k], kept=(0, 1, 2)[:k],
-                       map=model.map, S=k, lambda_=0.0, sigma_tr=0.0)
-          for k in (3, 1, 2)]
+data = normalize(generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                    noise_sigma=0.02, seed=3))[0])
+basis = FitBasis(split(data, SplitConfig("y", 3)), data,
+                 FitConfig(max_columns=210, stop_rel_improvement=0.005))
+fits = [solve(basis, math.exp(-x)) for x in (5, 15, 30)]
 rng = np.random.default_rng(5)
-for _ in range(10):
-    data = NormalizedDataset(rng.random((16_667, 3)), model.map)
-    print(group_error(model, data, np.arange(data.n)).hex())
-    print([v.hex() for v in group_errors(nested, data, np.arange(data.n))])
+for _ in range(4):
+    group = NormalizedDataset(rng.random((16_667, 3)), data.map)
+    print(group_error(fits[-1], group, np.arange(group.n)).hex())
+    print([v.hex() for v in group_errors(fits, group, np.arange(group.n))])
 """
 
 
 def test_group_error_bits_do_not_depend_on_blas_threads():
-    # a cv or test group of the 100k corpus holds about 16,667 points;
-    # a threaded BLAS dot of that length changes bits with the threads
+    # a cv or test group of the 100k corpus holds about 16,667 points,
+    # scored by BLAS gemv products of up to 210 columns
     env = src_env()
     outs = set()
     for threads in ("1", "2"):
@@ -94,53 +93,75 @@ def test_group_error_bits_do_not_depend_on_blas_threads():
     assert len(outs) == 1
 
 
-def _sweep_models(grid, cfg):
-    """The monomial models of one shared-basis sweep, with its data."""
+def _sweep_fits(grid, cfg):
+    """The fits of one shared-basis sweep, with its data."""
     data, parts = _noisy_corpus()
     basis = FitBasis(parts, data, cfg)
-    return data, parts, _monomials([solve(basis, math.exp(-x)) for x in grid])
+    return data, parts, [solve(basis, math.exp(-x)) for x in grid]
 
 
 def test_group_errors_match_one_call_per_model(monkeypatch):
-    # an auto-size sweep's models differ in size; 13-row blocks of the
-    # widest (210-wide) table split the 167 cv and 166 test points into
-    # 12 full blocks and a short one
-    data, parts, models = _sweep_models([5, 10, 15, 30], SWEEP_CFG)
-    assert [len(m.kept) for m in models] == [21, 36, 153, 210]
-    monkeypatch.setattr("orthofit.model.BLOCK_ELEMS", 13 * 210)
+    # an auto-size sweep's fits differ in size; 13-row blocks split the
+    # 167 cv and 166 test points into 12 full blocks and a short one, and
+    # each block's table is as wide as the widest fit's
+    data, parts, fits = _sweep_fits([5, 10, 15, 30], SWEEP_CFG)
+    assert [len(f.basis.kept) for f in fits] == [21, 36, 153, 210]
+    monkeypatch.setattr("orthofit.select.HELD_OUT_ROWS", 13)
     tables = []
 
-    def recording(x, y, L):
-        tables.append(x.size)
-        return basis_values(x, y, L)
-    monkeypatch.setattr("orthofit.model.basis_values", recording)
+    def recording(x, y, L, odd_x):
+        tables.append((x.size, L))
+        return raw_values(x, y, L, odd_x)
+    monkeypatch.setattr("orthofit.select.raw_values", recording)
     for idx in (parts.cv_idx, parts.test_idx):
         assert idx.size % 13 and idx.size > 13
         del tables[:]
-        got = group_errors(models, data, idx)
-        assert tables == [13] * (idx.size // 13) + [idx.size % 13]
-        for model, err in zip(models, got):
-            assert err.hex() == group_error(model, data, idx).hex()
-            # the whole table in one block and a 1-D residual sum
+        got = group_errors(fits, data, idx)
+        assert tables == [(13, 209)] * (idx.size // 13) + [
+            (idx.size % 13, 209)]
+        for fit, err in zip(fits, got):
+            assert err.hex() == group_error(fit, data, idx).hex()
+            # 13-row tables only as wide as this fit's largest index
             x, y, z = data.x[idx], data.y[idx], data.z[idx]
-            r = comp_dot(basis_values(x, y, max(model.kept))[:, list(
-                model.kept)], model.c, axis=1) - z
+            kept = list(fit.basis.kept)
+            r = np.concatenate([
+                raw_values(x[k:k + 13], y[k:k + 13], kept[-1])[:, kept]
+                @ fit.c for k in range(0, idx.size, 13)]) - z
             assert err.hex() == (float(comp_dot(r, r)) / idx.size).hex()
 
 
 def test_group_errors_need_one_basis_and_points():
-    data, parts, models = _sweep_models([10, 15], SWEEP_CFG)
-    narrow, wide = models
-    assert len(narrow.kept) < len(wide.kept)
-    kept = narrow.kept[:-2] + narrow.kept[-1:] + narrow.kept[-2:-1]
-    swapped = replace(narrow, kept=kept)
-    with pytest.raises(ValueError, match="share one basis"):
-        group_errors([wide, swapped], data, parts.cv_idx)
-    with pytest.raises(ValueError, match="share one basis"):
-        group_errors([replace(wide, kept=wide.kept[1:] + (10 ** 4,)),
-                      narrow], data, parts.cv_idx)
+    data, parts, fits = _sweep_fits([10, 15], SWEEP_CFG)
+    odd = fit_surface(parts, data, FitConfig(odd_field_only=True))
+    with pytest.raises(ValueError, match="share one raw basis"):
+        group_errors([fits[0], odd], data, parts.cv_idx)
+    assert group_errors([odd, odd], data, parts.cv_idx) == [
+        group_error(odd, data, parts.cv_idx)] * 2
     with pytest.raises(ValueError, match="empty index group"):
-        group_errors(models, data, np.array([], dtype=int))
+        group_errors(fits, data, np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("n_cols", [79, 210])
+def test_sweep_held_out_errors_match_the_extended_fit(n_cols):
+    # the double sweep's sigma_cv and sigma_test against 50-digit sums of
+    # the extended fit at the same size and strength: the two fits agree
+    # to about 1e-14 at the held-out points, where the residuals are
+    # about 0.02, so the errors agree to about 3e-14 of their size (the
+    # monomial held-out sums they replace missed by up to 2.5e-5 in z at
+    # 210 columns)
+    pts, _ = generate(SynthSpec(surface="magnet", nx=40, ny=25,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    parts = split(data, SplitConfig("y", 3))
+    cfg = FitConfig(fixed_columns=n_cols, max_columns=n_cols)
+    report = lambda_sweep(data, parts, [20, 40], cfg)
+    for rec in report.records:
+        ext = fit_surface(parts, data, replace(
+            cfg, precision=PrecisionMode.EXTENDED), rec.lambda_)
+        for got, idx in ((rec.sigma_cv, parts.cv_idx),
+                         (rec.sigma_test, parts.test_idx)):
+            want = mpmath_held_out_error(ext, data, idx)
+            assert abs(got - want) <= 1e-12 * want, (rec.x_log, got, want)
 
 
 def _noisy_corpus():
