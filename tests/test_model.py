@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from orthofit import (FitConfig, ModelFormatError, NormalizationMap,
                       GridKernel, fit_surface, generate, load_model,
                       normalize, save_model, split, to_monomial)
 from orthofit import model as model_module
-from orthofit.basis import columns_for_degree, degree_block, raw_to_monomial
-from orthofit.ddarith import BLOCK_ELEMS, dd_dot
+from orthofit import select as select_module
+from orthofit.basis import (columns_for_degree, degree_block, raw_to_monomial,
+                            raw_values)
+from orthofit.dataset import NormalizedDataset
+from orthofit.ddarith import BLOCK_ELEMS, comp_dot, dd_dot
 from orthofit.fit import FitBasis
 from orthofit.model import (MAX_DEGREE, _dd_powers, _grid_coefficients,
                             _grid_sum)
 from orthofit.ortho import PrecisionMode
+from orthofit.select import HELD_OUT_ROWS, group_errors
 from conftest import all_train_split, src_env, uniform_xy
 from oracles import (double_conversion, mpmath_monomial_coefficients,
                      mpmath_polynomial_gap, mpmath_raw_coefficients,
@@ -414,6 +419,27 @@ def _ragged_model(rng):
         S=210, lambda_=0.0, sigma_tr=0.0)
 
 
+def _raw_fit(c, kept):
+    """What ``group_errors`` reads of a fit: raw coefficients on the
+    kept raw columns."""
+    return SimpleNamespace(c=c, basis=SimpleNamespace(kept=kept), odd_x=False)
+
+
+def test_row_blocks_keep_every_bit():
+    # 210 raw columns: the held-out table goes in 512-row blocks, so 1,000
+    # points end on a ragged block of 488; the error must come out as the
+    # whole table in one block gives it
+    assert HELD_OUT_ROWS < 1000 < 2 * HELD_OUT_ROWS
+    rng = np.random.default_rng(210)
+    model = _ragged_model(rng)
+    fit = _raw_fit(model.c, model.kept)
+    x, y, z = rng.uniform(-0.1, 1.1, (3, 1000))
+    data = NormalizedDataset(np.column_stack([x, y, z]), model.map)
+    r = raw_values(x, y, 209) @ fit.c - z
+    assert group_errors([fit], data, np.arange(1000)) == [
+        float(comp_dot(r, r)) / 1000]
+
+
 def test_kernel_blocks_keep_every_bit(monkeypatch):
     # the pointwise entries take 81 points per kernel at degree 19 with
     # two outputs (163 with one); blocks of 7 (or 14) points, ragged at
@@ -459,6 +485,29 @@ def test_pointwise_evaluation_stays_under_an_address_space_cap(tmp_path):
                          map=IDENTITY, S=495, lambda_=0.0, sigma_tr=0.0)
     assert proc.stdout == repr([True, eval_monomial(model, 0.0, 1.0),
                                 eval_monomial(model, 1.0, 0.0)])
+
+
+def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
+    # kept (0, 5000) builds held-out tables 5,001 wide, as wide as the
+    # largest kept index and no wider; with 40-row blocks 100 points take
+    # tables of 40, 40 and 20 rows, and the error is the per-point one
+    monkeypatch.setattr(select_module, "HELD_OUT_ROWS", 40)
+    fit = _raw_fit(np.array([1.0, 1e-3]), (0, 5000))
+    x = np.linspace(0.0, 1.0, 100)
+    z = np.cos(x)
+    r = np.array([raw_values(v, v, 5000)[0, [0, 5000]] @ fit.c
+                  for v in x]) - z
+    shapes = []
+
+    def recording(x, y, L, odd_x):
+        table = raw_values(x, y, L, odd_x)
+        shapes.append(table.shape)
+        return table
+    monkeypatch.setattr(select_module, "raw_values", recording)
+    data = NormalizedDataset(np.column_stack([x, x, z]), IDENTITY)
+    assert group_errors([fit], data, np.arange(100)) == [
+        float(comp_dot(r, r)) / 100]
+    assert shapes == [(40, 5001), (40, 5001), (20, 5001)]
 
 
 def test_max_degree_is_the_largest_whose_table_row_fits_a_block():
