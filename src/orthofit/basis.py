@@ -310,19 +310,41 @@ def _chebyshev_powers(n: int, shifted: bool) -> tuple:
     return tuple(rows[:n + 1])
 
 
+@functools.lru_cache(maxsize=64)
+def check_closure(kept: tuple, odd_x: bool) -> None:
+    """Raise DegenerateFitError unless the monomials of the flat indices
+    ``kept`` span the raw columns of ``kept``.
+
+    Raw column (i, j) spans the monomials x^a y^b with a <= i and b <= j
+    (a of the parity of i under ``odd_x``), all of them below it in the
+    flat order, so ``kept`` must hold (i - 1, j), or (i - 2, j) under
+    ``odd_x``, and (i, j - 1) with each (i, j); by induction it then
+    holds every monomial it needs.  A fit keeps them all unless a rank
+    decision rejected one below a kept column; the error names the first
+    kept column that misses one, and that monomial.
+    """
+    have = set(kept)
+    step = 2 if odd_x else 1
+    for t in kept:
+        _, m, j = degree_block(t)
+        for a, b in ((m - j - step, j), (m - j, j - 1)):
+            need = block_start(a + b) + b
+            if a >= 0 and b >= 0 and need not in have:
+                raise DegenerateFitError(
+                    f"column {t} needs monomial {need}, which the fit does "
+                    f"not keep: a monomial model cannot hold the fit")
+
+
 def raw_to_monomial(kept, odd_x: bool):
     """The change of basis from the raw columns of the flat indices
     ``kept`` to the monomials of the same indices: a (hi, lo) pair of
     (K, K) matrices B, B[s, r] the integer coefficient of monomial kept[r]
     in raw column kept[s], with hi + lo equal to it within 2^-106 of its
     size (exactly up to 2^53, which holds through degree 22).
-
-    Raw column (i, j) spans the monomials x^a y^b with a <= i and b <= j
-    (a of the parity of i under ``odd_x``), all of them below it in the
-    flat order.  A fit keeps them all unless a rank decision rejected one
-    below a kept column; then the monomials of ``kept`` cannot hold the
-    fit, and DegenerateFitError names the first such pair.
+    DegenerateFitError (``check_closure``) when the monomials of ``kept``
+    cannot span its raw columns.
     """
+    check_closure(tuple(kept), odd_x)
     pos = {t: r for r, t in enumerate(kept)}
     top = max(degree_block(t).m for t in kept)
     fx = _chebyshev_powers(top, not odd_x)
@@ -332,12 +354,7 @@ def raw_to_monomial(kept, odd_x: bool):
         _, m, j = degree_block(t)
         for a, ca in enumerate(fx[m - j]):
             for b, cb in enumerate(fy[j] if ca else ()):
-                r = pos.get(block_start(a + b) + b)
-                if r is None:
-                    raise DegenerateFitError(
-                        f"column {t} needs monomial {block_start(a + b) + b}, "
-                        f"which the fit does not keep: a monomial model "
-                        f"cannot hold the fit")
+                r = pos[block_start(a + b) + b]
                 hi[s, r] = h = float(ca * cb)
                 lo[s, r] = ca * cb - int(h)
     return hi, lo

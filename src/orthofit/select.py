@@ -15,9 +15,11 @@ whose overfitting degrees stay below a cap.
 
 The held-out errors come from each fit's raw-basis coefficients
 (``FitResult.c``), not from a monomial model: each group's table of raw
-columns (``basis.raw_values``) is built once, in blocks of rows, and a
-fit's residuals there are one BLAS product with its coefficients, whose
-squares ``comp_dot`` sums as it does the training error's.
+columns (``basis.raw_values``) is built once for the fits that keep the
+same columns, in blocks of rows that stay within ``BLOCK_ELEMS``
+doubles, and a fit's residuals there are one BLAS product with its
+coefficients, whose squares ``comp_dot`` sums as it does the training
+error's.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import raw_values
+from .basis import check_closure, raw_values
 from .dataset import DataSplit, NormalizedDataset, write_rows
-from .ddarith import comp_dot
+from .ddarith import BLOCK_ELEMS, comp_dot
 from .fit import FitBasis, FitConfig, FitResult, solve
 from .errors import DegenerateFitError, FieldError, OrthofitError
 
 GAMMA_CLAMP = 50.0
-HELD_OUT_ROWS = 512  # rows of a held-out raw table per block
 
 SWEEP_COLUMNS = ("x", "lambda", "S", "sigma_tr", "sigma_cv", "sigma_test",
                  "gamma", "gamma_prime")
@@ -69,13 +70,17 @@ def group_error(fit: FitResult, data: NormalizedDataset, idx) -> float:
 def group_errors(fits, data: NormalizedDataset, idx) -> list:
     """``group_error`` of each fit over one group of points.
 
-    The group's raw table is built once for all the fits, HELD_OUT_ROWS
-    rows at a time and as wide as the widest kept index, so the fits must
-    share the odd-x rule (ValueError otherwise).  A fit's residual rows
-    are the gemv ``T[:, kept] @ c - z`` with c its raw coefficients, the
-    rounded ``fit.c`` of an extended fit too; the blocks have a fixed
-    height, and a table column does not depend on the table's width, so
-    a fit's error has the bits that a call for it alone gives.
+    Fits with the same kept columns (the solves of a fixed-size sweep)
+    share the group's raw table, built BLOCK_ELEMS // (L + 1) rows at a
+    time with L their largest kept index, so no table holds more than
+    BLOCK_ELEMS doubles where one row fits; the fits must share the odd-x
+    rule (ValueError otherwise).  A fit's residual rows are the gemv
+    ``T[:, kept] @ c - z`` with c its raw coefficients, the rounded
+    ``fit.c`` of an extended fit too, summed by ``comp_dot``.  A gemv's
+    row results change bits with its row count, but the blocks depend
+    only on the kept columns, so a fit's error has the bits that a call
+    for it alone gives; and a block is far below the size at which
+    OpenBLAS splits a gemv between threads.
     """
     idx = np.asarray(idx)
     if idx.size == 0:
@@ -83,13 +88,19 @@ def group_errors(fits, data: NormalizedDataset, idx) -> list:
     if len({fit.odd_x for fit in fits}) > 1:
         raise ValueError("the fits do not share one raw basis")
     x, y, z = data.x[idx], data.y[idx], data.z[idx]
-    L = max(max(fit.basis.kept) for fit in fits)
+    shared = {}
+    for i, fit in enumerate(fits):
+        shared.setdefault(tuple(fit.basis.kept), []).append(i)
     r = np.empty((len(fits), idx.size))
-    for k in range(0, idx.size, HELD_OUT_ROWS):
-        rows = slice(k, k + HELD_OUT_ROWS)
-        table = raw_values(x[rows], y[rows], L, fits[0].odd_x)
-        for out, fit in zip(r, fits):
-            out[rows] = table[:, list(fit.basis.kept)] @ fit.c - z[rows]
+    for kept, members in shared.items():
+        L = max(kept)
+        height = max(1, BLOCK_ELEMS // (L + 1))
+        for k in range(0, idx.size, height):
+            rows = slice(k, k + height)
+            table = raw_values(x[rows], y[rows], L, fits[0].odd_x)[
+                :, list(kept)]
+            for i in members:
+                r[i, rows] = table @ fits[i].c - z[rows]
     return [float(v) / idx.size for v in comp_dot(r, r, axis=1)]
 
 
@@ -175,8 +186,9 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     coefficient recurrence (``fit.solve``), which reads its raw-basis
     coefficients off the shared expansion, and each held-out group's raw
     table is built once and scores every strength (``group_errors``).
-    Nothing is converted to monomials.  Duplicate grid entries are
-    dropped.
+    Nothing is converted to monomials, but a fit whose kept columns a
+    monomial model file cannot hold (``basis.check_closure``) fails as
+    ``fit`` does at that strength.  Duplicate grid entries are dropped.
     An entry that is not finite or whose exp(-x) overflows raises
     ValueError, as does a NaN cap, before any fit.  A DegenerateFitError
     annotates its record instead of aborting the sweep; input errors
@@ -187,7 +199,9 @@ def lambda_sweep(data: NormalizedDataset, split: DataSplit,
     fits = []
     for lam in lams:
         try:
-            fits.append(solve(basis, lam))
+            fit = solve(basis, lam)
+            check_closure(tuple(fit.basis.kept), fit.odd_x)
+            fits.append(fit)
         except DegenerateFitError as exc:
             fits.append(exc)
     solved = [fit for fit in fits if isinstance(fit, FitResult)]

@@ -45,6 +45,16 @@ def uniform_xy(n, seed):
     return x, y
 
 
+def near_line_points():
+    """300 points off the line y = x by about 1e-14: the rank rule rejects
+    the raw column of y (flat index 2) and keeps T_2(2y - 1) (index 5),
+    which needs the monomial y."""
+    rng = np.random.default_rng(0)
+    x = rng.random(300)
+    return np.column_stack([x, x + 1e-14 * rng.standard_normal(300),
+                            np.cos(3 * x)])
+
+
 def basis_columns(x, y, precision=PrecisionMode.DOUBLE):
     """The raw basis columns over the points (x, y) in flat order, as the
     fit's block generator hands them out: (flat index, column) pairs."""

@@ -25,7 +25,7 @@ from orthofit.basis import degree_block
 from orthofit.cli import _parse_x_grid, main
 from orthofit.model import _block_rows
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
-from conftest import src_env
+from conftest import near_line_points, src_env
 from oracles import reference_rows
 
 
@@ -1195,6 +1195,30 @@ def test_double_fit_and_sweep_do_not_depend_on_blas_threads(corpus_1k,
             r"(?m)^(wall_time_s\s+).*$", r"\1-", runs[0].stdout),
             runs[1].stdout))
     assert outputs[0] == outputs[1]
+
+
+def test_fit_and_sweep_refuse_columns_a_model_file_cannot_hold(capsys,
+                                                               tmp_path):
+    # the near-line corpus keeps T_2(2y - 1) but rejects y: at four
+    # columns `fit` writes no model and the sweep has no usable strength,
+    # both with exit 4 and the conversion's message; at three both run
+    data = tmp_path / "line.csv"
+    save_dataset(near_line_points(), data)
+    model = tmp_path / "line.json"
+    need = "column 5 needs monomial 2, which the fit does not keep"
+    code, _, err = run_cli(capsys, "fit", str(data), "--fixed-S", "3",
+                           "-o", str(model))
+    assert (code, err) == (4, f"error: {need}: a monomial model cannot "
+                              f"hold the fit\n")
+    assert not model.exists()
+    code, _, err = run_cli(capsys, "sweep", str(data), "--fixed-S", "3",
+                           "--x-grid", "5:10:5")
+    assert code == 4 and err.startswith(
+        f"error: no usable sweep records to select from (x=5: {need}")
+    assert run_cli(capsys, "fit", str(data), "--fixed-S", "2",
+                   "-o", str(model))[0] == 0
+    assert run_cli(capsys, "sweep", str(data), "--fixed-S", "2",
+                   "--x-grid", "5:10:5")[0] == 0
 
 
 def test_odd_field_fit_writes_only_odd_powers_of_x(capsys, corpus_1k,

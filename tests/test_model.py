@@ -26,7 +26,7 @@ from orthofit.fit import FitBasis
 from orthofit.model import (MAX_DEGREE, _dd_powers, _grid_coefficients,
                             _grid_sum)
 from orthofit.ortho import PrecisionMode
-from orthofit.select import HELD_OUT_ROWS, group_errors
+from orthofit.select import group_errors
 from conftest import all_train_split, src_env, uniform_xy
 from oracles import (double_conversion, mpmath_monomial_coefficients,
                      mpmath_polynomial_gap, mpmath_raw_coefficients,
@@ -426,10 +426,11 @@ def _raw_fit(c, kept):
 
 
 def test_row_blocks_keep_every_bit():
-    # 210 raw columns: the held-out table goes in 512-row blocks, so 1,000
-    # points end on a ragged block of 488; the error must come out as the
-    # whole table in one block gives it
-    assert HELD_OUT_ROWS < 1000 < 2 * HELD_OUT_ROWS
+    # 210 raw columns: the held-out table goes in 312-row blocks, so 1,000
+    # points end on a ragged block of 64; the error must come out as the
+    # whole table in one gemv gives it (every block height here is a
+    # multiple of four, the row group of OpenBLAS's gemv kernels)
+    assert BLOCK_ELEMS // 210 == 312
     rng = np.random.default_rng(210)
     model = _ragged_model(rng)
     fit = _raw_fit(model.c, model.kept)
@@ -488,10 +489,10 @@ def test_pointwise_evaluation_stays_under_an_address_space_cap(tmp_path):
 
 
 def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
-    # kept (0, 5000) builds held-out tables 5,001 wide, as wide as the
-    # largest kept index and no wider; with 40-row blocks 100 points take
-    # tables of 40, 40 and 20 rows, and the error is the per-point one
-    monkeypatch.setattr(select_module, "HELD_OUT_ROWS", 40)
+    # kept (0, 5000) builds held-out tables 5,001 wide: a block of
+    # BLOCK_ELEMS // 2 rows would hold 100 x 5001 doubles; at 13 rows per
+    # block, 100 points take seven tables of 13 rows and one of 9, and
+    # the error is the per-point one
     fit = _raw_fit(np.array([1.0, 1e-3]), (0, 5000))
     x = np.linspace(0.0, 1.0, 100)
     z = np.cos(x)
@@ -507,7 +508,8 @@ def test_evaluation_tables_are_sized_by_their_width(monkeypatch):
     data = NormalizedDataset(np.column_stack([x, x, z]), IDENTITY)
     assert group_errors([fit], data, np.arange(100)) == [
         float(comp_dot(r, r)) / 100]
-    assert shapes == [(40, 5001), (40, 5001), (20, 5001)]
+    assert shapes == [(13, 5001)] * 7 + [(9, 5001)]
+    assert max(rows * cols for rows, cols in shapes) <= BLOCK_ELEMS
 
 
 def test_max_degree_is_the_largest_whose_table_row_fits_a_block():

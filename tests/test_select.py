@@ -11,17 +11,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
-                      SweepReport, SynthSpec, ValidationRecord, fit_surface,
-                      generate, group_error, lambda_sweep, normalize,
-                      overfit_degree, select_model, split)
+from orthofit import (DataSplit, DegenerateFitError, FitConfig,
+                      OrthofitError, SplitConfig, SweepReport, SynthSpec,
+                      ValidationRecord, fit_surface, generate, group_error,
+                      lambda_sweep, normalize, overfit_degree, select_model,
+                      split, to_monomial)
 from orthofit.basis import raw_values
 from orthofit.ddarith import comp_dot
 from orthofit.fit import FitBasis, solve
 from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import (SWEEP_COLUMNS, group_errors, sweep_to_csv,
                              sweep_to_json)
-from conftest import all_train_split, src_env
+from conftest import all_train_split, near_line_points, src_env
 from oracles import (mpmath_held_out_error, reference_rows, refit_sweep,
                      unit_dataset)
 
@@ -71,7 +72,7 @@ basis = FitBasis(split(data, SplitConfig("y", 3)), data,
                  FitConfig(max_columns=210, stop_rel_improvement=0.005))
 fits = [solve(basis, math.exp(-x)) for x in (5, 15, 30)]
 rng = np.random.default_rng(5)
-for _ in range(4):
+for _ in range(10):
     group = NormalizedDataset(rng.random((16_667, 3)), data.map)
     print(group_error(fits[-1], group, np.arange(group.n)).hex())
     print([v.hex() for v in group_errors(fits, group, np.arange(group.n))])
@@ -101,12 +102,14 @@ def _sweep_fits(grid, cfg):
 
 
 def test_group_errors_match_one_call_per_model(monkeypatch):
-    # an auto-size sweep's fits differ in size; 13-row blocks split the
-    # 167 cv and 166 test points into 12 full blocks and a short one, and
-    # each block's table is as wide as the widest fit's
+    # an auto-size sweep's fits differ in size; at 13 rows of the widest
+    # fit's 210-wide table per block, each fit's tables are as high as
+    # its own width allows (130, 75, 17 and 13 rows), so the 167 cv and
+    # 166 test points end on short blocks, and a fit's blocks are the
+    # ones that a call for it alone builds
     data, parts, fits = _sweep_fits([5, 10, 15, 30], SWEEP_CFG)
     assert [len(f.basis.kept) for f in fits] == [21, 36, 153, 210]
-    monkeypatch.setattr("orthofit.select.HELD_OUT_ROWS", 13)
+    monkeypatch.setattr("orthofit.select.BLOCK_ELEMS", 13 * 210)
     tables = []
 
     def recording(x, y, L, odd_x):
@@ -114,19 +117,22 @@ def test_group_errors_match_one_call_per_model(monkeypatch):
         return raw_values(x, y, L, odd_x)
     monkeypatch.setattr("orthofit.select.raw_values", recording)
     for idx in (parts.cv_idx, parts.test_idx):
-        assert idx.size % 13 and idx.size > 13
         del tables[:]
         got = group_errors(fits, data, idx)
-        assert tables == [(13, 209)] * (idx.size // 13) + [
-            (idx.size % 13, 209)]
-        for fit, err in zip(fits, got):
+        heights = [13 * 210 // (max(f.basis.kept) + 1) for f in fits]
+        assert heights == [130, 75, 17, 13]
+        assert all(idx.size % h for h in heights)
+        assert tables == [
+            (min(h, idx.size - k), len(f.basis.kept) - 1)
+            for f, h in zip(fits, heights) for k in range(0, idx.size, h)]
+        assert max(rows * (L + 1) for rows, L in tables) <= 13 * 210
+        for fit, err, h in zip(fits, got, heights):
             assert err.hex() == group_error(fit, data, idx).hex()
-            # 13-row tables only as wide as this fit's largest index
             x, y, z = data.x[idx], data.y[idx], data.z[idx]
             kept = list(fit.basis.kept)
             r = np.concatenate([
-                raw_values(x[k:k + 13], y[k:k + 13], kept[-1])[:, kept]
-                @ fit.c for k in range(0, idx.size, 13)]) - z
+                raw_values(x[k:k + h], y[k:k + h], kept[-1])[:, kept]
+                @ fit.c for k in range(0, idx.size, h)]) - z
             assert err.hex() == (float(comp_dot(r, r)) / idx.size).hex()
 
 
@@ -139,6 +145,26 @@ def test_group_errors_need_one_basis_and_points():
         group_error(odd, data, parts.cv_idx)] * 2
     with pytest.raises(ValueError, match="empty index group"):
         group_errors(fits, data, np.array([], dtype=int))
+
+
+def test_sweep_fails_a_strength_that_a_model_file_cannot_hold():
+    data = normalize(near_line_points())
+    parts = split(data, SplitConfig("y", 3))
+    fit = fit_surface(parts, data, FitConfig(fixed_columns=4), math.exp(-5))
+    assert fit.basis.kept == (0, 1, 3, 5) and fit.rejected == (2, 4)
+    with pytest.raises(DegenerateFitError) as exc:
+        to_monomial(fit)
+    assert str(exc.value).startswith("column 5 needs monomial 2,")
+    # every strength of the sweep keeps those columns: each record fails
+    # with the conversion's message, and none is left to select
+    with pytest.raises(OrthofitError) as failed:
+        lambda_sweep(data, parts, [5, 10], FitConfig(fixed_columns=4))
+    assert str(failed.value) == (f"no usable sweep records to select from "
+                                 f"(x=5: {exc.value})")
+    # three columns keep (0, 1, 3), which the monomials span
+    rep = lambda_sweep(data, parts, [5, 10], FitConfig(fixed_columns=3))
+    assert [r.note for r in rep.records] == ["", ""]
+    to_monomial(fit_surface(parts, data, FitConfig(fixed_columns=3)))
 
 
 @pytest.mark.parametrize("n_cols", [79, 210])
