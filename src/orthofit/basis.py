@@ -16,12 +16,16 @@ corpus, 1.5e15 at 210), the shifted Chebyshev columns are not (12.6 and
 unshifted T_i(x): for odd i it spans exactly x, x^3, ..., where
 T_i(2x - 1) would bring in even powers of x.
 
-Values come from one step, ``basis_step``, that builds each degree block
-from the previous two, in double and in double-double: the product step
-of the monomials, and the three-term Chebyshev recurrence.  The fit
-reads ``_BlockGen``'s columns, with their Laplacian sums and the odd-x
-rule; ``raw_to_monomial`` is the exact integer change of basis to the
-monomials of the model file.
+The raw columns come from one step, ``basis_step``, in double and in
+double-double: block 0 is 1, block 1 is (T_1(u), T_1(v)) = (u, v), with
+u = 2x - 1 (x under the odd-x rule) and v = 2y - 1, and each later block
+follows from the two before it by the three-term Chebyshev recurrence.
+The fit reads ``_BlockGen``'s columns, with their Laplacian sums and the
+odd-x rule; ``raw_to_monomial`` is the exact integer change of basis to
+the monomials of the model file.  The monomial tables share no code
+with the fit: each entry is the double-double product of the power
+tables of x and y (``ddarith._dd_powers``), rounded once for the double
+tables.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ddarith import DD, dd_dot, dd_mul, dd_sub, dd_sum, two_sum
+from .ddarith import (DD, _dd_powers, dd_dot, dd_mul, dd_mul_d, dd_sub,
+                      dd_sum, two_sum)
 from .errors import DegenerateFitError
 from .ortho import PrecisionMode
 
@@ -77,29 +82,22 @@ def _as_rows(x, y):
 
 
 def basis_step(prev, prev2, u, v, out) -> None:
-    """Fill degree block m, entry j = f_{m-j}(u) g_j(v), from blocks m-1
-    (``prev``) and m-2 (``prev2``), whole blocks at a time.
-
-    With ``prev2`` None it is the product step of the monomials, and of
-    Chebyshev block 1: h_{m,0} = u h_{m-1,0} and h_{m,j} = v h_{m-1,j-1}.
-    Otherwise it is the Chebyshev recurrence T_n(t) = 2t T_{n-1}(t) -
-    T_{n-2}(t), in u for j = 0 and in v for j >= 2:
+    """Fill degree block m >= 2, entry j = T_{m-j}(u) T_j(v), from blocks
+    m-1 (``prev``) and m-2 (``prev2``), whole blocks at a time, by the
+    Chebyshev recurrence T_n(t) = 2t T_{n-1}(t) - T_{n-2}(t), in u for
+    j = 0 and in v for j >= 2:
 
         h_{m,0} = 2u h_{m-1,0} - h_{m-2,0},   h_{m,1} = v h_{m-1,0},
         h_{m,j} = 2v h_{m-1,j-1} - h_{m-2,j-2}.
 
-    ``out`` is the first w <= m+1 columns of block m.  The blocks are
-    float arrays, or (hi, lo) pairs for double-double, where u and v are
-    (hi, lo) pairs too.
+    Blocks 0 and 1 are (1) and (T_1(u), T_1(v)) = (u, v), which ``_table``
+    writes.  ``out`` is the first w <= m+1 columns of block m.  The
+    blocks are float arrays, or (hi, lo) pairs for double-double, where u
+    and v are (hi, lo) pairs too.
     """
     if isinstance(out, tuple):
         (ph, pl), (uh, ul), (vh, vl) = prev, u, v
         w = out[0].shape[1]
-        if prev2 is None:
-            out[0][:, 0], out[1][:, 0] = dd_mul(ph[:, 0], pl[:, 0], uh, ul)
-            out[0][:, 1:], out[1][:, 1:] = dd_mul(
-                ph[:, :w - 1], pl[:, :w - 1], vh[:, None], vl[:, None])
-            return
         k = max(w - 2, 0)  # entries j >= 2
         out[0][:, 0], out[1][:, 0] = dd_sub(
             *dd_mul(ph[:, 0], pl[:, 0], 2 * uh, 2 * ul),
@@ -112,10 +110,6 @@ def basis_step(prev, prev2, u, v, out) -> None:
                     2 * vl[:, None]), prev2[0][:, :k], prev2[1][:, :k])
         return
     w = out.shape[1]
-    if prev2 is None:
-        np.multiply(u, prev[:, 0], out=out[:, 0])
-        np.multiply(v[:, None], prev[:, :w - 1], out=out[:, 1:])
-        return
     k = max(w - 2, 0)
     np.multiply(2 * u, prev[:, 0], out=out[:, 0])
     out[:, 0] -= prev2[:, 0]
@@ -124,69 +118,68 @@ def basis_step(prev, prev2, u, v, out) -> None:
     out[:, 2:] -= prev2[:, :k]
 
 
-def _block_slices(L: int):
-    """Column slices of blocks (m-2, m-1, m) for m = 1, 2, ... through L,
-    block m cut at L; block -1 is None."""
-    m = 1
-    while block_start(m) <= L:
-        yield (slice(block_start(m - 2), block_start(m - 1)) if m > 1
-               else None, slice(block_start(m - 1), block_start(m)),
-               slice(block_start(m), min(block_start(m + 1), L + 1)))
-        m += 1
+def _parts(a):
+    """(hi, lo) of a double-double operand, or (a,) of a double one."""
+    return a if isinstance(a, tuple) else (a,)
 
 
-def _table(u, v, L: int, chebyshev: bool):
-    """Entries 0..L at the points of u and v: an (n, L+1) array, or a
+def _table(u, v, L: int):
+    """Raw entries 0..L at the points of u and v: an (n, L+1) array, or a
     (hi, lo) pair of them when u and v are pairs."""
     ext = isinstance(u, tuple)
     n = (u[0] if ext else u).size
     parts = (np.empty((n, L + 1)), np.zeros((n, L + 1)))[:1 + ext]
     parts[0][:, 0] = 1.0
+    for p, a, b in zip(parts, _parts(u), _parts(v)):  # block 1 is (u, v)
+        p[:, 1:3] = np.column_stack([a, b])[:, :L]
 
-    def cut(cols):
-        return tuple(p[:, cols] for p in parts) if ext else parts[0][:, cols]
+    def cut(a, b):
+        return tuple(p[:, a:b] for p in parts) if ext else parts[0][:, a:b]
 
-    for prev2, prev, cur in _block_slices(L):
-        basis_step(cut(prev), cut(prev2) if chebyshev and prev2 else None,
-                   u, v, cut(cur))
+    s = block_start
+    for m in range(2, degree_block(L).m + 1):
+        basis_step(cut(s(m - 1), s(m)), cut(s(m - 2), s(m - 1)), u, v,
+                   cut(s(m), min(s(m + 1), L + 1)))
     return parts if ext else parts[0]
 
 
+def _monomial_table(x, y, L: int, dy: bool = False):
+    """Monomials x^a y^b of flat indices 0..L (a = m - j, b = j) at the
+    points of x and y, or with ``dy`` their y-derivatives b x^a y^(b-1),
+    in double-double: a (hi, lo) pair of (n, L+1) arrays, each entry the
+    ``dd_mul`` of the power tables of x and y (``_dd_powers``), times b
+    by ``dd_mul_d`` with ``dy``.  Each hi is the entry rounded once."""
+    a, b = np.array([(m - j, j) for _, m, j in map(degree_block,
+                                                   range(L + 1))]).T
+    xh, xl, yh, yl = (p.T for v in (x, y)
+                      for p in _dd_powers(v, degree_block(L).m + 1))
+    c = np.maximum(b - dy, 0)
+    out = dd_mul(xh[:, a], xl[:, a], yh[:, c], yl[:, c])
+    if dy:
+        out = dd_mul_d(*out, b.astype(float))
+    return tuple(map(np.ascontiguousarray, out))
+
+
 def basis_values(x, y, L: int) -> np.ndarray:
-    """Monomials x^i y^j of flat indices 0..L at (x, y).
-
-    Parameters
-    ----------
-    x, y : float or 1-d arrays of equal length
-    L : largest flat index
-
-    Returns
-    -------
-    ndarray of shape (L+1,) for scalar input, else (n, L+1).
-    """
+    """Monomials x^i y^j of flat indices 0..L at (x, y), floats or 1-d
+    arrays of equal length: shape (L+1,) for scalars, else (n, L+1), each
+    entry rounded once from double-double (``_monomial_table``)."""
     x, y, scalar = _as_rows(x, y)
-    out = _table(x, y, L, False)
+    out = _monomial_table(x, y, L)[0]
     return out[0] if scalar else out
 
 
 def dd_basis_values(x, y, L: int):
     """Monomials in double-double; returns (hi, lo) of shape (n, L+1)."""
     x, y, _ = _as_rows(x, y)
-    return _table((x, np.zeros(x.size)), (y, np.zeros(y.size)), L, False)
+    return _monomial_table(x, y, L)
 
 
 def basis_dy(x, y, L: int) -> np.ndarray:
-    """First y-derivative of every monomial.
-
-    Computed by the power rule: entry (m, j) is j * x**(m-j) * y**(j-1),
-    i.e. j times entry j-1 of degree block m-1.
-    """
+    """First y-derivative of every monomial: entry (m, j) is
+    j * x**(m-j) * y**(j-1), rounded once from double-double."""
     x, y, scalar = _as_rows(x, y)
-    vals = basis_values(x, y, L)
-    out = np.zeros((x.size, L + 1))
-    for _, prev, cur in _block_slices(L):
-        j = np.arange(1, cur.stop - cur.start)
-        out[:, cur.start + 1:cur.stop] = j * vals[:, prev.start + j - 1]
+    out = _monomial_table(x, y, L, dy=True)[0]
     return out[0] if scalar else out
 
 
@@ -209,7 +202,7 @@ def raw_values(x, y, L: int, odd_x: bool = False,
     hands out."""
     x, y, _ = _as_rows(x, y)
     return _table(*_raw_args(x, y, odd_x, precision is PrecisionMode.EXTENDED),
-                  L, True)
+                  L)
 
 
 @functools.cache
@@ -244,11 +237,11 @@ class _BlockGen:
     """Yields the raw columns one degree block at a time, each with the
     sum Q(h) of its Laplacian over the points.
 
-    The blocks follow ``basis_step``'s Chebyshev recurrence from the last
-    two, and the sums come from the T'' formula of
-    ``_second_derivative_terms`` over the column sums of every earlier
-    block, kept in double-double (O(degree^2) numbers), so memory stays
-    O(n * degree) however far the fit runs.  ``odd_x`` takes u = x and
+    Blocks 0 and 1 are ``_table``'s, the later ones follow ``basis_step``'s
+    Chebyshev recurrence from the last two, and the sums come from the
+    T'' formula of ``_second_derivative_terms`` over the column sums of
+    every earlier block, kept in double-double (O(degree^2) numbers), so
+    memory stays O(n * degree) however far the fit runs.  ``odd_x`` takes u = x and
     hands out only the columns with an odd power of x; the others are
     still built for the recurrence and the sums.
     """
@@ -272,11 +265,12 @@ class _BlockGen:
         block = np.empty((m + 1, n)).T
         if self.ext:
             block = (block, np.zeros((m + 1, n)).T)
-        if m == 0:
-            (block[0] if self.ext else block)[:] = 1.0
+        if m < 2:  # as raw_values writes them
+            for p, t in zip(_parts(block), _parts(_table(self.u, self.v, 2))):
+                p[:] = t[:, block_start(m):block_start(m + 1)]
         else:
-            basis_step(self._blocks[1], self._blocks[0] if m > 1 else None,
-                       self.u, self.v, block)
+            basis_step(self._blocks[1], self._blocks[0], self.u, self.v,
+                       block)
         qh, ql = np.zeros(m + 1), np.zeros(m + 1)
         if m >= 2:
             index, coef = _second_derivative_terms(m, 1.0 if self.odd_x

@@ -36,15 +36,17 @@ import numpy as np
 from .basis import (_as_rows, columns_for_degree, degree_block,
                     raw_to_monomial, raw_values)
 from .dataset import NormalizationMap
-from .ddarith import BLOCK_ELEMS, dd_div_d, dd_dot, dd_mul_d, dd_sub, two_prod
+from .ddarith import (BLOCK_ELEMS, _dd_powers, dd_div_d, dd_dot, dd_mul_d,
+                      dd_sub, two_prod)
 from .errors import ModelFormatError
 from .fit import FitResult
 from .ortho import PrecisionMode
 
 MODEL_VERSION = 1
 SIMPSON_PANELS = 200  # composite Simpson panels of the entropy integral
-# Largest total degree of a model file: (m+1)(m+2)/2 <= BLOCK_ELEMS, so one
-# row of an evaluation table fits one reduction block.
+# Largest total degree of a model file and of a fit: (m+1)(m+2)/2 <=
+# BLOCK_ELEMS, so one row of a held-out raw table (``select.group_errors``)
+# fits one reduction block.
 MAX_DEGREE = 360
 _BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
@@ -253,17 +255,6 @@ def _grid_coefficients(model: SurfaceModel, slope: bool, entropy: bool):
     if entropy:
         stack.append(dd_mul_d(*d, _simpson_moments(n - 1)[:, None]))
     return tuple(np.array(v) for v in zip(*stack))
-
-
-def _dd_powers(v, n: int):
-    """v**0 .. v**(n-1) of the doubles ``v`` in double-double: a (hi, lo)
-    pair of (n, *v.shape) arrays, each power one ``dd_mul_d`` step from
-    the last.  A power that underflows loses its low part (``two_prod``'s
-    domain) but stays finite."""
-    hi, lo = np.ones((n, *np.shape(v))), np.zeros((n, *np.shape(v)))
-    for a in range(1, n):
-        hi[a], lo[a] = dd_mul_d(hi[a - 1], lo[a - 1], v)
-    return hi, lo
 
 
 def _grid_sum(C, xpow, y) -> np.ndarray:

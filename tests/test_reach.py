@@ -202,6 +202,37 @@ def test_the_raw_basis_has_one_home():
     assert fit_imports == {"_BlockGen", "block_start"}
 
 
+def _calls(fn):
+    """Names that the function node ``fn`` calls."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+
+def test_the_monomial_tables_share_no_code_with_the_fit():
+    # basis_values, dd_basis_values and basis_dy, with every basis.py
+    # function they reach, call neither the raw recursion nor its table
+    tree = ast.parse((ROOT / "src" / "orthofit" / "basis.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, todo = set(), ["basis_values", "dd_basis_values", "basis_dy"]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += _calls(defs[name])
+    assert {"basis_values", "dd_basis_values", "basis_dy"} < reached
+    assert not {"basis_step", "_table"} & set().union(
+        *(_calls(defs[name]) for name in reached))
+
+
+def test_double_double_powers_have_one_home():
+    homes = {path.name
+             for path in sorted((ROOT / "src" / "orthofit").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "_dd_powers"}
+    assert homes == {"ddarith.py"}
+
+
 def test_model_files_are_evaluated_by_one_kernel():
     # every evaluation of a model file goes through ``model._grid_sum``,
     # and nothing in the program scores points from a monomial table: the
