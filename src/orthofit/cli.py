@@ -56,7 +56,6 @@ from .synth import SynthSpec, generate
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 2, 3, 4
 MAX_GRID_POINTS = 100_000  # one fit per point: far beyond any real sweep
-GRID_CHUNK_ELEMS = BLOCK_ELEMS  # eval --grid kernel products per chunk
 MAX_GRID_AXIS = 10_000_000  # eval --grid counts: each axis is one array
 # the flag that sets each field a range check names (``FieldError``)
 FIELD_FLAGS = {
@@ -271,7 +270,7 @@ def _point_chunks(model, points, args):
     """(first row, columns) of ``eval --points``: chunks of points, each
     from one ``GridKernel``, sized as ``_grid_chunks`` sizes rows."""
     rows = _block_rows(model, 1 + args.with_slope + args.with_entropy, 1,
-                       GRID_CHUNK_ELEMS)
+                       BLOCK_ELEMS)
     for lo in range(0, len(points), rows):
         X, Y = points[lo:lo + rows].T
         with np.errstate(over="ignore", invalid="ignore"):  # cmd_eval checks
@@ -285,7 +284,7 @@ def _grid_chunks(model, nx, ny, args):
     (X[i], Y[k]), from ``GridKernel`` with Y as a column: chunks of whole
     Y rows, all from one kernel of the X axis, or pieces of one row when
     it alone is too wide, each from a kernel of its piece of X.  The
-    kernel products of a chunk stay within GRID_CHUNK_ELEMS where one
+    kernel products of a chunk stay within BLOCK_ELEMS where one
     row's do (``model._block_rows``), and a kernel's X power table, 2
     (degree + 1) doubles per X value, within twice that."""
     nmap = model.map
@@ -293,8 +292,8 @@ def _grid_chunks(model, nx, ny, args):
     Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
     outputs = 1 + args.with_slope + args.with_entropy
     n = 1 + max(degree_block(t).m for t in model.kept)
-    cols = max(1, GRID_CHUNK_ELEMS // (outputs * n))  # < nx: one row per chunk
-    rows = _block_rows(model, outputs, nx, GRID_CHUNK_ELEMS)
+    cols = max(1, BLOCK_ELEMS // (outputs * n))  # < nx: one row per chunk
+    rows = _block_rows(model, outputs, nx, BLOCK_ELEMS)
     kernel = None
     for k in range(0, ny, rows):
         Y = Ys[k:k + rows]
