@@ -90,8 +90,8 @@ def basis_step(prev, prev2, u, v, out) -> None:
         h_{m,0} = 2u h_{m-1,0} - h_{m-2,0},   h_{m,1} = v h_{m-1,0},
         h_{m,j} = 2v h_{m-1,j-1} - h_{m-2,j-2}.
 
-    Blocks 0 and 1 are (1) and (T_1(u), T_1(v)) = (u, v), which ``_table``
-    writes.  ``out`` is the first w <= m+1 columns of block m.  The
+    Blocks 0 and 1 are (1) and (T_1(u), T_1(v)) = (u, v), which the
+    callers write.  ``out`` is the first w <= m+1 columns of block m.  The
     blocks are float arrays, or (hi, lo) pairs for double-double, where u
     and v are (hi, lo) pairs too.
     """
@@ -237,11 +237,11 @@ class _BlockGen:
     """Yields the raw columns one degree block at a time, each with the
     sum Q(h) of its Laplacian over the points.
 
-    Blocks 0 and 1 are ``_table``'s, the later ones follow ``basis_step``'s
-    Chebyshev recurrence from the last two, and the sums come from the
-    T'' formula of ``_second_derivative_terms`` over the column sums of
-    every earlier block, kept in double-double (O(degree^2) numbers), so
-    memory stays O(n * degree) however far the fit runs.  ``odd_x`` takes u = x and
+    Blocks from 2 on follow ``basis_step``'s recurrence from the last
+    two, and the sums come from the T'' formula of
+    ``_second_derivative_terms`` over the column sums of every earlier
+    block, kept in double-double (O(degree^2) numbers), so memory stays
+    O(n * degree) however far the fit runs.  ``odd_x`` takes u = x and
     hands out only the columns with an odd power of x; the others are
     still built for the recurrence and the sums.
     """
@@ -265,9 +265,11 @@ class _BlockGen:
         block = np.empty((m + 1, n)).T
         if self.ext:
             block = (block, np.zeros((m + 1, n)).T)
-        if m < 2:  # as raw_values writes them
-            for p, t in zip(_parts(block), _parts(_table(self.u, self.v, 2))):
-                p[:] = t[:, block_start(m):block_start(m + 1)]
+        if m == 0:
+            _parts(block)[0][:] = 1.0
+        elif m == 1:  # T_1(u) = u and T_1(v) = v
+            for p, a, b in zip(_parts(block), _parts(self.u), _parts(self.v)):
+                p[:, 0], p[:, 1] = a, b
         else:
             basis_step(self._blocks[1], self._blocks[0], self.u, self.v,
                        block)

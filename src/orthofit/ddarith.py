@@ -23,18 +23,16 @@ The training error of a double fit is one ``comp_dot``, and so is each
 held-out error's sum of squares: ``select.group_errors`` forms the
 residuals as BLAS gemv products of a raw-column table with the fit's
 raw coefficients, then ``comp_dot`` sums their squares.
-``_dd_powers`` is the one double-double power table: ``model``'s
-evaluation kernel and ``basis``'s monomial tables read it.
 
 ``BLOCK_ELEMS`` caps the 2-D operands of the compensated reductions:
 ``dd_sum`` takes a larger 2-D operand in groups of columns, the double
-core projects z onto groups of columns, ``select.group_errors`` builds
-its held-out raw tables in blocks of rows, and ``model`` and ``cli``
-evaluate model files in chunks of kernel products.  Each sum keeps its
-own pairwise tree, so the cap moves no bit.  It does not bound one column or vector,
-which is one tree however long (the 66,667 training rows of a 100k
-fit's training error or z projection), nor the products ``dd_dot`` and
-``comp_dot`` form over their whole operand before ``dd_sum`` groups it.
+core projects z onto groups of columns, and ``select.group_errors``
+builds its held-out raw tables, and ``model`` its kernel products, in
+blocks of rows.  Each sum keeps its own pairwise tree, so the cap moves
+no bit.  It does not bound one column or vector, which is one tree
+however long (the 66,667 training rows of a 100k fit's training error
+or z projection), nor the products ``dd_dot`` and ``comp_dot`` form
+over their whole operand before ``dd_sum`` groups it.
 """
 
 from __future__ import annotations
@@ -156,8 +154,9 @@ def dd_sqrt(xh, xl):
 
 
 def _dd_powers(v, n: int):
-    """v**0 .. v**(n-1) of the doubles ``v`` in double-double: a (hi, lo)
-    pair of (n, *v.shape) arrays, each power one ``dd_mul_d`` step from
+    """v**0 .. v**(n-1) of the doubles ``v`` in double-double, the one
+    power table of the model-file kernel and the monomial tables: a (hi,
+    lo) pair of (n, *v.shape) arrays, each power one ``dd_mul_d`` step from
     the last.  A power that underflows loses its low part (``two_prod``'s
     domain) but stays finite."""
     hi, lo = np.ones((n, *np.shape(v))), np.zeros((n, *np.shape(v)))

@@ -44,9 +44,8 @@ from .ortho import PrecisionMode
 
 MODEL_VERSION = 1
 SIMPSON_PANELS = 200  # composite Simpson panels of the entropy integral
-# Largest total degree of a model file and of a fit: (m+1)(m+2)/2 <=
-# BLOCK_ELEMS, so one row of a held-out raw table (``select.group_errors``)
-# fits one reduction block.
+# Largest total degree: (m+1)(m+2)/2 <= BLOCK_ELEMS, so one row of a
+# held-out raw table (``select.group_errors``) fits one reduction block.
 MAX_DEGREE = 360
 _BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
