@@ -160,15 +160,16 @@ def test_laplacian_linearity_against_symbolic_oracle():
     assert got == pytest.approx(lap_sums @ rng_c, rel=1e-13, abs=15 * 1e-13)
 
 
-@pytest.mark.parametrize("L", [0, 1, 2, 4, columns_for_degree(9) + 3])
 @pytest.mark.parametrize("n", [1, 37])
-def test_block_generator_matches_raw_values(n, L):
+def test_block_generator_matches_raw_values(n):
     # the fit's columns come from the same recursion as raw_values, in
     # double and in double-double, bit for bit, with or without the odd-x
     # rule; the tables end inside blocks 0, 1, 1, 2 and 10, and blocks 0
     # and 1 are written, not stepped
     x, y = uniform_xy(n, 37 + n)
-    for precision, odd_x in itertools.product(PrecisionMode, (False, True)):
+    for L, precision, odd_x in itertools.product(
+            (0, 1, 2, 4, columns_for_degree(9) + 3), PrecisionMode,
+            (False, True)):
         ref = raw_values(x, y, L, odd_x, precision)
         gen = _BlockGen(x, y, precision, odd_x)
         cols = {}
