@@ -239,11 +239,13 @@ class _BlockGen:
 
     Blocks from 2 on follow ``basis_step``'s recurrence from the last
     two, and the sums come from the T'' formula of
-    ``_second_derivative_terms`` over the column sums of every earlier
-    block, kept in double-double (O(degree^2) numbers), so memory stays
-    O(n * degree) however far the fit runs.  ``odd_x`` takes u = x and
-    hands out only the columns with an odd power of x; the others are
-    still built for the recurrence and the sums.
+    ``_second_derivative_terms`` over the column sums of blocks m - 2,
+    m - 4, ..., kept in double-double (O(degree^2) numbers), so memory
+    stays O(n * degree) however far the fit runs.  Block m is the first
+    to read block m - 2's sums, and sums that block, still held for the
+    recurrence, then: a fit never sums its last two blocks.  ``odd_x``
+    takes u = x and hands out only the columns with an odd power of x;
+    the others are still built for the recurrence and the sums.
     """
 
     def __init__(self, x, y, precision: PrecisionMode, odd_x: bool = False):
@@ -275,12 +277,14 @@ class _BlockGen:
                        block)
         qh, ql = np.zeros(m + 1), np.zeros(m + 1)
         if m >= 2:
+            # block m is the first to read the sums of block m - 2
+            prev2 = self._blocks[0]
+            sums = dd_sum(*prev2) if self.ext else dd_sum(prev2, 0.0)
+            self._sums = tuple(map(np.concatenate, zip(self._sums, sums)))
             index, coef = _second_derivative_terms(m, 1.0 if self.odd_x
                                                    else 4.0)
             qh, ql = dd_dot(self._sums[0][index], self._sums[1][index],
                             coef, 0.0, axis=1)
-        sums = dd_sum(*block) if self.ext else dd_sum(block, 0.0)
-        self._sums = tuple(map(np.concatenate, zip(self._sums, sums)))
         self._blocks = [self._blocks[1], block]
         self.m += 1
         cols = zip(block[0].T, block[1].T) if self.ext else block.T

@@ -24,15 +24,21 @@ held-out error's sum of squares: ``select.group_errors`` forms the
 residuals as BLAS gemv products of a raw-column table with the fit's
 raw coefficients, then ``comp_dot`` sums their squares.
 
+``comp_dot`` splits each operand for ``two_prod`` once, at its own
+shape, and once in all when ``u is v`` (every sum of squares).  The
+double core's z projections of one degree block are one ``comp_dot``,
+so z is split once per block, not once per column.
+
 ``BLOCK_ELEMS`` caps the 2-D operands of the compensated reductions:
-``dd_sum`` takes a larger 2-D operand in groups of columns, the double
-core projects z onto groups of columns, and ``select.group_errors``
-builds its held-out raw tables, and ``model`` its kernel products, in
-blocks of rows.  Each sum keeps its own pairwise tree, so the cap moves
-no bit.  It does not bound one column or vector, which is one tree
-however long (the 66,667 training rows of a 100k fit's training error
-or z projection), nor the products ``dd_dot`` and ``comp_dot`` form
-over their whole operand before ``dd_sum`` groups it.
+``dd_sum`` and ``comp_dot`` take a larger 2-D operand in groups of
+columns (``comp_dot`` forms each group's products and splits there),
+and ``select.group_errors`` builds its held-out raw tables, and
+``model`` its kernel products, in blocks of rows.  Each sum keeps its
+own pairwise tree, so the cap moves no bit.  It does not bound one
+column or vector, which is one tree however long (the 66,667 training
+rows of a 100k fit's training error, or of each of its z projections),
+nor the products ``dd_dot`` forms over its whole operand before
+``dd_sum`` groups it.
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ def fast_two_sum(a, b):
 
 
 def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
+    hi = _SPLITTER * a
+    hi -= hi - a  # c - (c - a), in place
     return hi, a - hi
 
 
@@ -78,10 +84,19 @@ def two_prod(a, b):
     a * b finite, and |a * b| >= 2**-968 unless a or b is zero (the error
     term does not underflow).  Outside it ``e`` can be wrong or NaN.
     """
+    return _two_prod(a, _split(a), b, _split(b))
+
+
+def _two_prod(a, sa, b, sb):
+    """``two_prod`` from the splits ``sa`` of a and ``sb`` of b: the error
+    ((ah bh - p) + ah bl + al bh) + al bl, accumulated in place."""
+    (ah, al), (bh, bl) = sa, sb
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh
+    e -= p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
     return p, e
 
 
@@ -226,6 +241,8 @@ def _tree_sum(xh, xl):
     below the one rounding to double that ``comp_dot`` then applies.
     Non-finite leaves give a non-finite ``hi + lo``.
     """
+    if not xh.shape[0]:  # the empty sum
+        return tuple(np.zeros((2, *xh.shape[1:])))
     while xh.shape[0] > 1:
         n = xh.shape[0]
         half = n // 2
@@ -247,11 +264,49 @@ def dd_dot(uh, ul, vh, vl, axis=0):
 
 def comp_dot(u, v, axis=0):
     """Compensated dot product of double vectors: Dot2 with a pairwise
-    Sum2 tree (``_tree_sum``), rounded once to double."""
+    Sum2 tree (``_tree_sum``), rounded once to double.
+
+    u and v broadcast against each other, and each is split for
+    ``two_prod`` once, at its own shape: once in all when ``u is v``.  A
+    2-D product of more than BLOCK_ELEMS elements is formed and summed
+    max(1, BLOCK_ELEMS // n) columns at a time, n the length of
+    ``axis``: each group of columns of an operand is split on its own,
+    and a single column (a broadcast vector) once for every group.  The
+    columns are independent sums, so the grouping moves no bit.
+    """
+    same = v is u
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    p, e = two_prod(u, v)
-    h, l = dd_sum(p, e, axis=axis)
+    v = u if same else np.asarray(v, dtype=float)
+    if axis != 0 or u.ndim != v.ndim:  # reduction axis first, equal ranks
+        nd = max(u.ndim, v.ndim)
+
+        def lead(a):
+            return np.moveaxis(a.reshape((1,) * (nd - a.ndim) + a.shape),
+                               axis, 0)
+
+        u = lead(u)
+        v = u if same else lead(v)
+    shape = np.broadcast(u, v).shape
+    if len(shape) != 2 or math.prod(shape) <= BLOCK_ELEMS:
+        return _comp_sum(u, v)
+    n, cols = shape
+    step = max(1, BLOCK_ELEMS // n)
+    su = _split(u) if u.shape[1] == 1 else None
+    sv = su if same else _split(v) if v.shape[1] == 1 else None
+    out = np.empty(cols)
+    for k in range(0, cols, step):
+        uk = u if su else u[:, k:k + step]
+        vk = uk if same else v if sv else v[:, k:k + step]
+        out[k:k + step] = _comp_sum(uk, vk, su, sv)
+    return out
+
+
+def _comp_sum(u, v, su=None, sv=None):
+    """Dot2 of u and v along axis 0 on one ``_tree_sum``, rounded to
+    double; ``su`` and ``sv`` are their splits, made here when not given."""
+    su = su or _split(u)
+    sv = su if v is u else sv or _split(v)
+    h, l = _tree_sum(*_two_prod(u, su, v, sv))
     return h + l
 
 

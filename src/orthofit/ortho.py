@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_add_d, dd_mul,
-                      dd_slices, dd_sub, slice_width, two_sum)
+from .ddarith import (DD, comp_dot, dd_add, dd_add_d, dd_mul, dd_slices,
+                      dd_sub, slice_width, two_sum)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
@@ -136,15 +136,13 @@ class _DoubleCore:
         return float(np.abs(delta).max())
 
     def append(self, v, inv):
-        self.P[:, self.k] = v * float(inv)
+        np.multiply(v, float(inv), out=self.P[:, self.k])
         self.k += 1
 
     def column_dot(self, first, end, vec):
-        # whole columns, at most BLOCK_ELEMS products at a time
-        step = max(1, BLOCK_ELEMS // vec.size)
-        return np.concatenate([
-            comp_dot(self.P[:, t:min(t + step, end)], vec[:, None], axis=0)
-            for t in range(first, end, step)])
+        # one comp_dot: vec split once, the columns split and summed in
+        # groups of at most BLOCK_ELEMS products (one column at 100k)
+        return comp_dot(self.P[:, first:end], vec[:, None])
 
     def subtract_scaled_column(self, vec, t, coeff):
         return vec - float(coeff) * self.P[:, t]

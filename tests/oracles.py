@@ -9,7 +9,9 @@ the plain form of the data-file row loop: every cell stripped before
 ``float()``, blank rows skipped before the arity check.  The reference
 SplitMix64 draws one output at a time in Python integers, and the
 reference writer formats every cell through ``csv.writer``.  The
-reference slicer renormalizes each remainder with ``two_sum``.  The
+reference slicer renormalizes each remainder with ``two_sum``; the
+reference ``two_prod`` writes its error term as one expression, and the
+reference ``comp_dot`` forms every product before one ``dd_sum``.  The
 single-pass Gram-Schmidt baselines (classical and modified) are plain
 numpy in double, with the builder's rank rule.  The plain-double
 monomial conversion is the baseline the double-double one beats.  The
@@ -35,7 +37,7 @@ from orthofit import (DegenerateFitError, ParseError, SweepReport,
 from orthofit.basis import basis_values, block_start, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
-from orthofit.ddarith import DD, comp_dot, dd_dot, two_sum
+from orthofit.ddarith import DD, comp_dot, dd_dot, dd_sum, two_sum
 from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL
 
 
@@ -573,6 +575,29 @@ def reference_slices(hi, lo, width, count, exp=0):
         out[p] = s
         rh, rl = two_sum(rh - s, rl)
     return out, rh, rl
+
+
+def reference_two_prod(a, b):
+    """``ddarith.two_prod`` with its error term as one expression, each
+    operand split by Veltkamp's 2**27 + 1 within it."""
+    def split(v):
+        c = 134217729.0 * v
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def reference_comp_dot(u, v, axis=0):
+    """``ddarith.comp_dot`` in two steps: every product of the broadcast
+    operands by ``reference_two_prod``, then one ``dd_sum`` along
+    ``axis``, rounded to double."""
+    p, e = reference_two_prod(np.asarray(u, dtype=float),
+                              np.asarray(v, dtype=float))
+    h, l = dd_sum(p, e, axis=axis)
+    return h + l
 
 
 def single_pass_gs(columns, n, n_cols, modified):

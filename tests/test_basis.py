@@ -11,7 +11,7 @@ from orthofit import basis
 from orthofit.basis import (_BlockGen, basis_dy, basis_values, block_start,
                             columns_for_degree, dd_basis_values, degree_block,
                             raw_to_monomial, raw_values)
-from orthofit.ddarith import BLOCK_ELEMS, dd_sum
+from orthofit.ddarith import BLOCK_ELEMS, dd_dot, dd_sum
 from orthofit.errors import DegenerateFitError
 from orthofit.ortho import PrecisionMode
 from oracles import (chebyshev_coefficients, monomial_change, mpmath_basis,
@@ -186,6 +186,32 @@ def test_block_generator_matches_raw_values(n):
     q = generator_sums(x, y, L, PrecisionMode.EXTENDED)
     assert not q[:3].any()
     assert np.allclose(q, generator_sums(x, y, L), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("odd_x", [False, True])
+@pytest.mark.parametrize("precision", list(PrecisionMode))
+def test_block_generator_sums_each_block_when_first_read(precision, odd_x):
+    # block m is the first to read the column sums of block m - 2 and sums
+    # it then: over 20 blocks the curvature sums equal, bit for bit, those
+    # from eager column sums of the whole raw table, and after block M the
+    # sums cover blocks 0 .. M - 2 alone
+    x, y = uniform_xy(53, 7)
+    table = raw_values(x, y, block_start(20) - 1, odd_x, precision)
+    ext = precision is PrecisionMode.EXTENDED
+    sh, sl = dd_sum(*table) if ext else dd_sum(table, 0.0)
+    gen = _BlockGen(x, y, precision, odd_x)
+    for M in range(20):
+        got = gen.next_block()
+        assert gen._sums[0].size == gen._sums[1].size == block_start(M - 1)
+        qh, ql = np.zeros(M + 1), np.zeros(M + 1)
+        if M >= 2:
+            index, coef = basis._second_derivative_terms(
+                M, 1.0 if odd_x else 4.0)
+            qh, ql = dd_dot(sh[index], sl[index], coef, 0.0, axis=1)
+        for t, _, q in got:
+            j = t - block_start(M)
+            assert (np.array([q.hi, q.lo]).tobytes()
+                    == np.array([qh[j], ql[j]]).tobytes())
 
 
 @pytest.mark.parametrize("precision", list(PrecisionMode))

@@ -11,7 +11,7 @@ from orthofit.ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_div,
                               dd_dot, dd_mul, dd_slices, dd_sqrt, dd_sum,
                               fast_two_sum, slice_width, two_prod, two_sum)
 from orthofit.synth import SplitMix64
-from oracles import reference_slices
+from oracles import reference_comp_dot, reference_slices, reference_two_prod
 
 
 def _rand_doubles(n, seed=42):
@@ -356,6 +356,53 @@ def test_non_finite_operands_give_non_finite_sums():
         overflow = comp_dot(np.array([1e200, 1.0]), np.array([1e200, 1.0]))
     assert not math.isfinite(h + l)
     assert not math.isfinite(overflow)
+
+
+def test_empty_reductions_give_the_empty_sum():
+    # zeros of the output shape, as np.dot and math.fsum give
+    got = comp_dot(np.empty(0), np.empty(0))
+    assert got == np.dot(np.empty(0), np.empty(0)) == math.fsum([])
+    assert not np.signbit(got)
+    for h in dd_sum(np.empty((0, 3)), 0.0):
+        assert h.shape == (3,) and not h.any() and not np.signbit(h).any()
+    got = comp_dot(np.empty((2, 0)), np.empty((2, 0)), axis=1)
+    assert got.shape == (2,) and not got.any() and not np.signbit(got).any()
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+# finite operands with signed zeros; any such products keep their bits
+_operand = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-2.0 ** 40, 2.0 ** 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 24), cols=st.integers(1, 6))
+def test_split_once_kernels_keep_every_bit(data, n, cols):
+    # two_prod's in-place error term and comp_dot's one split per operand
+    # (per column group of a 2-D one) against their reference forms: F-
+    # ordered column slices against an (n, 1) column, below and above a
+    # small BLOCK_ELEMS, u is v, along either axis (a matrix against a
+    # vector too), odd and even lengths
+    M = np.asfortranarray(np.reshape(
+        data.draw(st.lists(_operand, min_size=n * (cols + 2),
+                           max_size=n * (cols + 2))), (n, cols + 2)))
+    u, v, w = M[:, 1:1 + cols], M[:, :1], M[:, 0]
+    assert not u.flags.owndata and u.flags.f_contiguous
+    block = data.draw(st.integers(1, 2 * n * cols))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("orthofit.ddarith.BLOCK_ELEMS", block)
+        for a, b in ((u, v), (w, w), (w, M[:, -1])):
+            for got, want in zip(two_prod(a, b), reference_two_prod(a, b)):
+                assert _same_bits(got, want)
+        for a, b, axis in ((u, v, 0), (u, u, 0), (v, u, 0), (w, w, 0),
+                           (w, M[:, -1], 0), (u.T, u.T, 1), (u.T, v.T, 1),
+                           (u.T, w, 1), (u, M[:1, 1:1 + cols], 0)):
+            got = comp_dot(a, b, axis=axis)
+            assert _same_bits(got, reference_comp_dot(a, b, axis=axis))
 
 
 def test_dd_precision_is_about_32_digits():

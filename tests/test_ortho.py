@@ -428,11 +428,12 @@ def test_basis_views_are_column_major_prefixes(precision):
 @pytest.mark.parametrize("block", [1, 3 * 60, 2 ** 16])
 def test_double_projections_keep_every_bit_in_column_groups(monkeypatch,
                                                             block):
-    # column_dot sums whole columns, BLOCK_ELEMS // n of them at a time;
-    # each column is its own compensated sum, so no grouping moves a bit
+    # column_dot's comp_dot sums whole columns, BLOCK_ELEMS // n of them
+    # at a time; each column is its own compensated sum, so no grouping
+    # moves a bit
     x, y = uniform_xy(60, 61)
     b = _feed_columns(OrthoBuilder(60), x, y, 20)
-    monkeypatch.setattr("orthofit.ortho.BLOCK_ELEMS", block)
+    monkeypatch.setattr("orthofit.ddarith.BLOCK_ELEMS", block)
     P = b.to_basis().P
     want = np.array([comp_dot(P[:, t], y) for t in range(3, 17)])
     assert b.column_dot(3, 17, y).tobytes() == want.tobytes()
