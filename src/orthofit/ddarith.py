@@ -154,18 +154,23 @@ def dd_div_d(xh, xl, d):
 
 
 def dd_sqrt(xh, xl):
-    """Elementwise square root; inputs must be non-negative."""
-    y = np.sqrt(xh)
+    """Elementwise square root; inputs must be non-negative.  A scalar
+    stays on Python floats, whose ``math.sqrt`` rounds as ``np.sqrt``
+    does, so it gives the bits of a 0-d array in a fraction of the time."""
+    scalar = not np.ndim(xh)
+    y = math.sqrt(xh) if scalar else np.sqrt(xh)
     # One dd-corrected Newton step around the double estimate.  Guard the
     # zero case: 0/0 would poison the correction.
-    safe = np.where(y == 0.0, 1.0, y)
+    zero = y == 0.0
+    if scalar and zero:
+        return 0.0, 0.0
     p, e = two_prod(y, y)
     rh, rl = dd_sub(xh, xl, p, e)
-    ch, cl = dd_div_d(rh, rl, 2.0 * safe)
+    ch, cl = dd_div_d(rh, rl, 2.0 * (y if scalar else np.where(zero, 1.0, y)))
     h, l = dd_add_d(ch, cl, y)
-    h = np.where(y == 0.0, 0.0, h)
-    l = np.where(y == 0.0, 0.0, l)
-    return h, l
+    if scalar:
+        return h, l
+    return np.where(zero, 0.0, h), np.where(zero, 0.0, l)
 
 
 def _dd_powers(v, n: int):

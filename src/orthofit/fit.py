@@ -24,7 +24,11 @@ steps: ``FitBasis`` orthonormalizes the columns and computes each
 proj_t and Q_t, degree block by degree block as needed, and ``solve``
 walks them once at one strength: the recurrence, the stopping rules
 and, for a training error that is not finite, a replay of the residual
-from z that names the column.  A sweep builds once and solves per strength.
+from z that names the column.  A sweep builds once and solves per
+strength.  Neither step does per column what does not depend on the
+column before: the scan forms every Q_t of a block from the earlier
+blocks at once, and the walk forms the training residual only where a
+rule reads it or a group of pending columns fills.
 
 ``FitBasis`` also keeps the raw-basis coefficients W of every column
 (P_s = sum_r W[s, r] h_r, the expansion of the identity), so ``solve``
@@ -43,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import _BlockGen, block_start
-from .ddarith import DD, dd_add, dd_dot, dd_mul
+from .ddarith import BLOCK_ELEMS, DD, dd_add, dd_dot, dd_mul, two_prod, two_sum
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
 from .errors import DegenerateFitError, FieldError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
@@ -147,9 +151,13 @@ class FitBasis:
     sums over the training points, gives Q_s = a[s, s] Q(h_s) + sum_{t <
     s} a[s, t] Q_t from the raw column's Q(h_s), which the block generator
     hands out with it, in double-double at either precision, so no
-    Laplacian columns are formed.  The same recurrence applied to the
-    identity gives each column's raw-basis coefficients, row s of W
-    (``_raw_row``), at the fit's precision.
+    Laplacian columns are formed.  Once a block's columns are added, the
+    first term and the sum over the earlier blocks' columns are one
+    ``dd_mul`` and one ``dd_dot`` for all its rows; only the sum over the
+    block's own earlier columns runs row by row, a Sum2 on Python floats.
+    The same recurrence applied to the identity gives each column's
+    raw-basis coefficients, row s of W (``_raw_row``), at the fit's
+    precision.
     """
 
     def __init__(self, split: DataSplit, data: NormalizedDataset,
@@ -213,24 +221,45 @@ class FitBasis:
     def _scan_block(self):
         bld, ext = self.builder, self._gen.ext
         first = bld.n_columns
-        for t, col, q_raw in self._gen.next_block():
+        q_raw = []
+        for t, col, q in self._gen.next_block():
             if not bld.add_column(col, tag=t):
                 self.rejected.append(t)
                 continue
             s = bld.n_columns - 1
-            a, a_lo = bld.expansion[:, s, :s + 1]
-            qh, ql = dd_mul(q_raw.hi, q_raw.lo, a[s], a_lo[s])
-            if s:
-                qh, ql = dd_add(qh, ql, *dd_dot(self._qh[:s], self._ql[:s],
-                                                a[:s], a_lo[:s]))
-            self._qh[s], self._ql[s] = qh, ql
-            self.q.append(DD(qh, ql) if ext else float(qh + ql))
-            self._raw_row(s, a, a_lo)
+            q_raw.append((q.hi, q.lo))
+            self._raw_row(s, *bld.expansion[:, s, :s + 1])
             if bld.n_columns >= self.cap:
                 break
-        if bld.n_columns > first:
-            proj = bld.column_dot(first, bld.n_columns, self._z_vec)
-            self.proj.extend(map(DD, *proj) if ext else proj)
+        end = bld.n_columns
+        if end == first:
+            return
+        a, a_lo = bld.expansion[:, first:end, :end]
+        d = np.arange(end - first)
+        # a[s, s] Q(h_s) plus the sum over the earlier blocks' columns, for
+        # all the block's rows at once
+        qh, ql = dd_add(*dd_mul(*np.array(q_raw).T, a[d, first + d],
+                                a_lo[d, first + d]),
+                        *dd_dot(self._qh[:first], self._ql[:first],
+                                a[:, :first], a_lo[:, :first], axis=1))
+        # then row by row a Sum2 over the block's own earlier columns, on
+        # Python floats
+        Qh, Ql = [], []
+        for s, (row, row_lo, dh, dl) in enumerate(zip(
+                a[:, first:].tolist(), a_lo[:, first:].tolist(), qh.tolist(),
+                ql.tolist())):
+            h = l = 0.0
+            for t in range(s):
+                p, e = two_prod(Qh[t], row[t])
+                h, f = two_sum(h, p)
+                l += (e + (Qh[t] * row_lo[t] + Ql[t] * row[t])) + f
+            h, l = dd_add(dh, dl, *two_sum(h, l))
+            Qh.append(h)
+            Ql.append(l)
+            self.q.append(DD(h, l) if ext else h + l)
+        self._qh[first:end], self._ql[first:end] = Qh, Ql
+        proj = bld.column_dot(first, end, self._z_vec)
+        self.proj.extend(map(DD, *proj) if ext else proj)
 
 
 def solve(basis: FitBasis, lam: float) -> FitResult:
@@ -240,32 +269,46 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
 
     The training error is computed only where a rule reads it: after
     every column while ``target_error`` is set, at degree-block ends for
-    the stall rule, and at the last column.  A training error that is not
-    finite (lambda too large) raises DegenerateFitError naming the first
-    column where it became so, found by replaying the residual from z.
+    the stall rule, and at the last column or a scan-budget end.  Its
+    residual is formed only then, or once max(1, BLOCK_ELEMS // n - 1)
+    columns are pending (n training points), so the pending columns and
+    the residual fit in BLOCK_ELEMS doubles: one
+    ``subtract_scaled_columns``, whose bits are those of subtracting the
+    columns one by one.  A training error that is not finite (lambda too
+    large) raises DegenerateFitError naming the first column where it
+    became so, found by replaying the residual from z column by column.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     bld, ntr, cap, cfg = basis.builder, basis.ntr, basis.cap, basis.cfg
     fixed = cfg.fixed_columns is not None
     watch = not fixed and cfg.target_error is not None
+    group = max(1, BLOCK_ELEMS // ntr - 1)
     R, bs = 0.0, []
+    residual, done = basis._z_vec, 0  # z less the first ``done`` columns
 
-    def training_error(residual):
+    def flush():
+        nonlocal residual, done
+        if done < len(bs):  # a new vector: z itself is never written
+            residual = bld.subtract_scaled_columns(residual, done, bs[done:])
+            done = len(bs)
+
+    def training_error():
+        flush()
         sigma = bld.vec_norm2(residual) / ntr
         if not math.isfinite(sigma):
-            # b_t never reads the residual: replaying it from z repeats the
-            # walk's steps and reaches this column at the latest
-            residual = basis._z_vec
+            # b_t never reads the residual: replaying it from z, one column
+            # at a time, gives the walk's bits and reaches this column at
+            # the latest
+            replay = basis._z_vec
             for t, b in enumerate(bs):
-                residual = bld.subtract_scaled_column(residual, t, b)
-                if not math.isfinite(bld.vec_norm2(residual) / ntr):
+                replay = bld.subtract_scaled_column(replay, t, b)
+                if not math.isfinite(bld.vec_norm2(replay) / ntr):
                     raise DegenerateFitError(
                         f"training error is not finite after column "
                         f"{bld.kept[t]} at lambda={lam!r}")
         return sigma
 
-    residual = basis._z_vec  # the column steps return new vectors
     sigma = sigma_block_start = basis.sigma0
     stall = 0
     k = s = 0          # next degree block, next column
@@ -282,10 +325,11 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
             b = regularized_coefficient(basis.proj[s], q, R, lam)
             R = R + b * q
             bs.append(b)
-            residual = bld.subtract_scaled_column(residual, s, b)
+            if len(bs) - done >= group:
+                flush()
             sigma = None
             if watch or s + 1 >= cap:
-                sigma = training_error(residual)
+                sigma = training_error()
             if s + 1 >= cap:
                 reason = "columns"
                 break
@@ -296,7 +340,7 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
             s = end
             if not fixed and end > first:
                 if sigma is None:
-                    sigma = training_error(residual)
+                    sigma = training_error()
                 if sigma_block_start > 0:
                     improvement = (sigma_block_start - sigma) / sigma_block_start
                 else:
@@ -307,7 +351,7 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
                     reason = "stall"
             k += 1
     if sigma is None:  # a fixed size cut short by the scan budget
-        sigma = training_error(residual)
+        sigma = training_error()
 
     K = len(bs)
     if K == 0:
@@ -318,11 +362,12 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
     stop = (bld.kept[K - 1] if reason in ("columns", "target_error")
             else block_start(k))
     rejected = basis.rejected[:bisect_left(basis.rejected, stop)]
-    bh, bl = map(np.array, zip(*map(DD._coerce, bs)))
     w = basis._w[:, :K, :K]
     if basis._gen.ext:
+        bh, bl = map(np.array, zip(*map(DD._coerce, bs)))
         ch, cl = dd_dot(w[0], w[1], bh[:, None], bl[:, None])
     else:
+        bh, bl = np.array(bs, dtype=float), np.zeros(K)
         ch, cl = (bh[:, None] * w[0]).sum(axis=0), np.zeros(K)
     return FitResult(basis=bld.to_basis(K), b=bh, S=K - 1, lambda_=lam,
                      sigma_tr=sigma, nmap=basis.nmap, b_lo=bl,

@@ -147,6 +147,16 @@ class _DoubleCore:
     def subtract_scaled_column(self, vec, t, coeff):
         return vec - float(coeff) * self.P[:, t]
 
+    def subtract_scaled_columns(self, vec, first, coeffs):
+        # rows: vec, then coeffs[i] * P_{first+i}; one reduce subtracts
+        # the rows in order, as a chain of subtract_scaled_column does
+        m = len(coeffs)
+        rows = np.empty((m + 1, vec.size))
+        rows[0] = vec
+        np.multiply(self.P[:, first:first + m].T,
+                    np.array(coeffs, dtype=float)[:, None], out=rows[1:])
+        return np.subtract.reduce(rows, axis=0)
+
     def vec_norm2(self, vec):
         return comp_dot(vec, vec)
 
@@ -268,6 +278,11 @@ class _ExtendedCore:
         sh, sl = dd_mul(self.Ph[:, t], self.Pl[:, t], ch, cl)
         return dd_sub(vec[0], vec[1], sh, sl)
 
+    def subtract_scaled_columns(self, vec, first, coeffs):
+        for t, coeff in enumerate(coeffs, first):
+            vec = self.subtract_scaled_column(vec, t, coeff)
+        return vec
+
     def vec_norm2(self, vec):
         return float(self.norm2(vec))
 
@@ -348,7 +363,8 @@ class OrthoBuilder:
                     break
                 lead = False
             n2 = core.norm2(v)
-        p = (DD(n2.hi, n2.lo) if isinstance(n2, DD) else DD(n2)).sqrt()
+        # the norm in double-double, a scalar ``dd_sqrt`` on Python floats
+        p = DD(*DD._coerce(n2)).sqrt()
         # double rounding leaves a dependent column a residual near 1e-16
         # of its norm, far above RANK_TOL, so double mode also rejects on
         # the residual relative to the incoming column
@@ -382,6 +398,14 @@ class OrthoBuilder:
 
     def subtract_scaled_column(self, vec, t: int, coeff):
         return self._core.subtract_scaled_column(vec, t, coeff)
+
+    def subtract_scaled_columns(self, vec, first: int, coeffs):
+        """vec less coeffs[i] * P_{first + i} for each i, in order: the
+        bits of that chain of ``subtract_scaled_column`` calls, which a
+        single column takes."""
+        if len(coeffs) == 1:
+            return self.subtract_scaled_column(vec, first, coeffs[0])
+        return self._core.subtract_scaled_columns(vec, first, coeffs)
 
     def vec_norm2(self, vec) -> float:
         return self._core.vec_norm2(vec)

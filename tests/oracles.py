@@ -16,7 +16,9 @@ single-pass Gram-Schmidt baselines (classical and modified) are plain
 numpy in double, with the builder's rank rule.  The plain-double
 monomial conversion is the baseline the double-double one beats.  The
 first column with a training error that is not finite is found by
-recomputing the residual from z after every column.  The raw Chebyshev
+recomputing the residual from z after every column.  The curvature
+sums of the orthonormal columns follow the per-column recurrence, one
+``dd_dot`` over every earlier column per column.  The raw Chebyshev
 columns are built here from sympy's integer Chebyshev polynomials, not
 from the library's recurrence or its change of basis.
 """
@@ -37,7 +39,8 @@ from orthofit import (DegenerateFitError, ParseError, SweepReport,
 from orthofit.basis import basis_values, block_start, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
-from orthofit.ddarith import DD, comp_dot, dd_dot, dd_sum, two_sum
+from orthofit.ddarith import (DD, comp_dot, dd_add, dd_dot, dd_mul,
+                              dd_sum, two_sum)
 from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL
 
 
@@ -137,6 +140,22 @@ def first_nonfinite_column(fb, z, lam):
             if not math.isfinite(float(r @ r) / z.size):
                 return fb.builder.kept[s]
     return None
+
+
+def reference_curvature_sums(raw_hi, raw_lo, a, a_lo):
+    """Curvature sums Q_s of orthonormal columns in double-double, column
+    by column: Q_s = a[s, s] Q(h_s) + sum_{t<s} a[s, t] Q_t, the first
+    term one ``dd_mul`` and the sum one ``dd_dot`` over every earlier
+    column, from the raw columns' sums Q(h_s) (``raw_hi + raw_lo``) and
+    the expansion (a, a_lo).  Returns (hi, lo) arrays."""
+    K = len(raw_hi)
+    qh, ql = np.zeros(K), np.zeros(K)
+    for s in range(K):
+        h, l = dd_mul(raw_hi[s], raw_lo[s], a[s, s], a_lo[s, s])
+        if s:
+            h, l = dd_add(h, l, *dd_dot(qh[:s], ql[:s], a[s, :s], a_lo[s, :s]))
+        qh[s], ql[s] = h, l
+    return qh, ql
 
 
 def refit_sweep(data, split, grid, cfg, gamma_cap=1.0):

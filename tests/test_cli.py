@@ -1178,22 +1178,26 @@ def test_double_fit_and_sweep_do_not_depend_on_blas_threads(corpus_1k,
                                                             tmp_path):
     # the scan, the raw-coefficient expansion and the held-out gemv
     # products of a 1k double fit and sweep give the same bytes under 1
-    # and 2 OpenBLAS threads
+    # and 2 OpenBLAS threads: at 210 columns, on the odd-x column subset
+    # with its last block cut short by the cap, and at the auto size
     env = src_env()
     outputs = []
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = threads
-        model = tmp_path / f"m{threads}.json"
+        fits = (["--fixed-S", "209"], ["--odd-field-only", "--fixed-S", "44"],
+                [])
+        models = [tmp_path / f"m{threads}_{i}.json" for i in range(len(fits))]
         runs = [subprocess.run(
             [sys.executable, "-m", "orthofit.cli", *argv, str(corpus_1k)],
             env=env, capture_output=True, text=True, timeout=300)
-            for argv in (["fit", "-o", str(model), "--fixed-S", "209"],
-                         ["sweep", "--x-grid", "10:40:2", "--fixed-S", "78"])]
+            for argv in [["fit", "-o", str(model), *flags]
+                         for model, flags in zip(models, fits)]
+            + [["sweep", "--x-grid", "10:40:2", "--fixed-S", "78"]]]
         for proc in runs:
             assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append((model.read_bytes(), re.sub(
-            r"(?m)^(wall_time_s\s+).*$", r"\1-", runs[0].stdout),
-            runs[1].stdout))
+        outputs.append([model.read_bytes() for model in models] + [
+            re.sub(r"(?m)^(wall_time_s\s+).*$", r"\1-", proc.stdout)
+            for proc in runs])
     assert outputs[0] == outputs[1]
 
 

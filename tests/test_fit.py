@@ -10,12 +10,13 @@ from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       FitBasis, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize,
                       regularized_coefficient, solve, split)
-from orthofit.basis import degree_block
-from orthofit.ddarith import DD
+import orthofit.fit
+from orthofit.basis import _BlockGen, degree_block
+from orthofit.ddarith import DD, dd_sub
 from orthofit.ortho import PrecisionMode
 from oracles import (first_nonfinite_column, mpmath_curvature_sums,
-                     normal_equation_predictions, training_error,
-                     unit_dataset)
+                     normal_equation_predictions, reference_curvature_sums,
+                     training_error, unit_dataset)
 from conftest import all_train_split
 
 
@@ -129,6 +130,147 @@ def test_curvature_sums_match_mpmath_oracle(precision, n_cols, bound):
     want = np.array([float(q) for q in
                      mpmath_curvature_sums(fit.basis, data.x[idx], data.y[idx])])
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+def _magnet_grid(nx, ny):
+    pts, _ = generate(SynthSpec(surface="magnet", nx=nx, ny=ny,
+                                noise_sigma=0.02, seed=1))
+    data = normalize(pts)
+    return split(data, SplitConfig()), data
+
+
+@pytest.mark.parametrize("odd_x", [False, True])
+@pytest.mark.parametrize("precision, n_cols", [
+    ("double", 209), ("extended", 120), ("extended", 210)])
+def test_curvature_sums_per_block_match_the_per_column_recurrence(
+        precision, n_cols, odd_x):
+    # the scan sums each block's rows over the earlier blocks at once and
+    # over the block's own columns row by row: a regrouped double-double
+    # sum, against one dd_dot over every earlier column per column
+    parts, data = _magnet_grid(40, 25)
+    _check_curvature_sums(parts, data, FitConfig(
+        fixed_columns=n_cols, max_columns=n_cols, odd_field_only=odd_x,
+        precision=PrecisionMode(precision)))
+
+
+def test_curvature_sums_per_block_skip_rejected_columns():
+    # 64 training points: 25 of the first 85 raw columns are rejected, so
+    # blocks hold rejected columns between accepted ones.  Here 23 sums
+    # cancel to about 1e-15 of their terms, and 5 of those round to
+    # different doubles under the two groupings, each within 2**-100 of
+    # its terms
+    parts, data = _magnet_grid(12, 8)
+    basis = _check_curvature_sums(parts, data, FitConfig(fixed_columns=60),
+                                  cancelled=23, moved=5)
+    assert len(basis.rejected) == 25
+
+
+def _check_curvature_sums(parts, data, cfg, cancelled=0, moved=0):
+    """Scan ``cfg.fixed_columns`` columns and compare the curvature sums
+    with ``reference_curvature_sums`` over the same expansion and raw
+    sums.  The double-double sums agree within 2**-100 of the sum of
+    their terms' magnitudes.  A double q agrees bit for bit, except that
+    ``moved`` of the ``cancelled`` sums below 2**-40 of their terms' sum,
+    whose doubles are rounding noise of the terms, differ."""
+    basis = FitBasis(parts, data, cfg)
+    solve(basis, 0.0)
+    bld = basis.builder
+    K = bld.n_columns
+    idx = parts.train_idx
+    gen = _BlockGen(data.x[idx], data.y[idx], bld.precision,
+                    cfg.odd_field_only)
+    raw = {}
+    while bld.kept[-1] not in raw:
+        raw.update((t, (q.hi, q.lo)) for t, _, q in gen.next_block())
+    raw_hi, raw_lo = np.array([raw[t] for t in bld.kept]).T
+    want_h, want_l = reference_curvature_sums(raw_hi, raw_lo,
+                                              *bld.expansion[:, :K, :K])
+    a = bld.expansion[0, :K, :K]
+    terms = (np.abs(np.diag(a) * raw_hi)
+             + np.abs(np.tril(a, -1)) @ np.abs(want_h))
+    diff = dd_sub(basis._qh[:K], basis._ql[:K], want_h, want_l)[0]
+    assert np.all(np.abs(diff) <= 2.0 ** -100 * terms)
+    small = np.abs(want_h) < 2.0 ** -40 * terms
+    assert small.sum() == cancelled
+    if bld.precision is PrecisionMode.DOUBLE:
+        want = want_h + want_l
+        same = np.array(basis.q) == want
+        assert same[~small].all() and (~same).sum() == moved
+    assert K == cfg.fixed_columns and len(basis.q) == K
+    return basis
+
+
+def _chained_training_error(basis, fit):
+    """The fit's training error from z less b_t P_t, one
+    ``subtract_scaled_column`` per column in order."""
+    bld, residual = basis.builder, basis._z_vec
+    for t, (hi, lo) in enumerate(zip(fit.b, fit.b_lo)):
+        coeff = DD(hi, lo) if basis._gen.ext else hi
+        residual = bld.subtract_scaled_column(residual, t, coeff)
+    return bld.vec_norm2(residual) / basis.ntr
+
+
+def _scan_budget_corpus(n):
+    # x is constant, so the odd-x columns span only the 3 y levels
+    levels = [(0.1, 0.2), (0.5, 0.9), (0.9, 0.4), (0.1, 0.3), (0.5, 0.7),
+              (0.9, 0.1), (0.5, 0.6)]
+    data = unit_dataset([(0.5, y, z) for y, z in levels[:n]])
+    return all_train_split(n), data
+
+
+@pytest.mark.parametrize("corpus, cfg, reason", [
+    # 667 training points (odd) and 1,000 (even)
+    ("1k", FitConfig(fixed_columns=60), "columns"),
+    ("1k", FitConfig(fixed_columns=60, precision=PrecisionMode.EXTENDED),
+     "columns"),
+    ("1k", FitConfig(), "stall"),                     # block-end flushes
+    ("1k", FitConfig(target_error=1e-28), "stall"),  # every-column flushes
+    ("1k-all", FitConfig(fixed_columns=45), "columns"),
+    ("1k-all", FitConfig(), "stall"),
+    ("1k-all", FitConfig(target_error=1e-28), "stall"),
+    # 6 and 7 points: the scan budget ends the walk
+    (6, FitConfig(max_columns=5, odd_field_only=True,
+                  stop_patience_blocks=10), "scan_budget"),
+    (7, FitConfig(max_columns=5, odd_field_only=True,
+                  stop_patience_blocks=10), "scan_budget"),
+])
+def test_lazy_residual_keeps_every_bit(monkeypatch, corpus, cfg, reason):
+    # solve subtracts pending columns in groups of max(1, BLOCK_ELEMS // n
+    # - 1), and whenever a rule reads the training error; every grouping
+    # must give the bits of the per-column chain
+    if isinstance(corpus, int):
+        parts, data = _scan_budget_corpus(corpus)
+    else:
+        parts, data = _magnet_grid(40, 25)
+        if corpus == "1k-all":
+            parts = all_train_split(data.n)
+    basis = FitBasis(parts, data, cfg)
+    n = basis.ntr
+    assert n % 2 == (corpus in ("1k", 7))
+    sizes = []
+    group_subtract = basis.builder.subtract_scaled_columns
+
+    def spy(vec, first, coeffs):
+        sizes.append(len(coeffs))
+        return group_subtract(vec, first, coeffs)
+
+    basis.builder.subtract_scaled_columns = spy
+    for group in (None, 1, 2, 7):
+        if group is not None:
+            monkeypatch.setattr(orthofit.fit, "BLOCK_ELEMS", (group + 1) * n)
+        for lam in (0.0, 1e-6):
+            sizes.clear()
+            fit = solve(basis, lam)
+            assert fit.stop_reason == reason
+            assert fit.sigma_tr.hex() == _chained_training_error(
+                basis, fit).hex(), (group, lam)
+            assert sum(sizes) == fit.S + 1
+            limit = max(1, orthofit.fit.BLOCK_ELEMS // n - 1)
+            assert max(sizes) <= limit
+            if cfg.target_error is not None:
+                assert set(sizes) == {1}
+            elif cfg.fixed_columns is not None:
+                assert sizes[0] == min(limit, fit.S + 1)
 
 
 def test_earlier_coefficients_never_revisited():
