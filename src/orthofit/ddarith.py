@@ -2,10 +2,10 @@
 
 A dd number is an unevaluated sum ``hi + lo`` of two IEEE doubles with
 ``|lo| <= 0.5 ulp(hi)``, giving roughly 32 significant decimal digits.
-All routines here work elementwise on scalars or ndarrays, so a pair of
-equally shaped float64 arrays behaves as an array of dd numbers.  Every
-operation is a fixed sequence of IEEE double operations, hence results
-are bit-reproducible.
+The elementwise routines work on scalars or ndarrays (``dd_sqrt`` on
+scalars only), so a pair of equally shaped float64 arrays behaves as an
+array of dd numbers.  Every operation is a fixed sequence of IEEE double
+operations, hence results are bit-reproducible.
 
 Conventions: functions prefixed ``dd_`` take and return (hi, lo) pairs;
 ``two_sum``/``two_prod`` are the classic error-free building blocks;
@@ -19,6 +19,8 @@ products and sum them in ``dd_sum``'s pairwise tree, whose nodes add the
 high parts exactly and the low parts in plain double; ``comp_dot`` is
 thus Dot2 with a pairwise Sum2 tree, rounded to double on return.  The
 tree's error bound, with its proof and citation, is in ``_tree_sum``.
+``dd_sum_list`` takes the same tree on lists of Python floats, for the
+short sums where numpy's cost per call would dominate.
 The training error of a double fit is one ``comp_dot``, and so is each
 held-out error's sum of squares: ``select.group_errors`` forms the
 residuals as BLAS gemv products of a raw-column table with the fit's
@@ -44,6 +46,7 @@ nor the products ``dd_dot`` forms over its whole operand before
 from __future__ import annotations
 
 import math
+from operator import add
 
 import numpy as np
 
@@ -154,23 +157,16 @@ def dd_div_d(xh, xl, d):
 
 
 def dd_sqrt(xh, xl):
-    """Elementwise square root; inputs must be non-negative.  A scalar
-    stays on Python floats, whose ``math.sqrt`` rounds as ``np.sqrt``
-    does, so it gives the bits of a 0-d array in a fraction of the time."""
-    scalar = not np.ndim(xh)
-    y = math.sqrt(xh) if scalar else np.sqrt(xh)
-    # One dd-corrected Newton step around the double estimate.  Guard the
-    # zero case: 0/0 would poison the correction.
-    zero = y == 0.0
-    if scalar and zero:
+    """Square root of a non-negative dd scalar, on Python floats
+    (``math.sqrt`` rounds as ``np.sqrt`` does)."""
+    y = math.sqrt(xh)
+    if y == 0.0:  # 0/0 would poison the correction
         return 0.0, 0.0
+    # One dd-corrected Newton step around the double estimate.
     p, e = two_prod(y, y)
     rh, rl = dd_sub(xh, xl, p, e)
-    ch, cl = dd_div_d(rh, rl, 2.0 * (y if scalar else np.where(zero, 1.0, y)))
-    h, l = dd_add_d(ch, cl, y)
-    if scalar:
-        return h, l
-    return np.where(zero, 0.0, h), np.where(zero, 0.0, l)
+    ch, cl = dd_div_d(rh, rl, 2.0 * y)
+    return dd_add_d(ch, cl, y)
 
 
 def _dd_powers(v, n: int):
@@ -262,9 +258,30 @@ def _tree_sum(xh, xl):
 
 def dd_dot(uh, ul, vh, vl, axis=0):
     """dd dot product: exact elementwise products, pairwise dd summation."""
+    return dd_sum(*dd_dot_terms(uh, ul, vh, vl), axis=axis)
+
+
+def dd_dot_terms(uh, ul, vh, vl):
+    """The terms that ``dd_dot`` sums, elementwise: the exact product of
+    the high parts, and its error plus the cross terms as the low part."""
     p, e = two_prod(uh, vh)
-    e = e + (uh * vl + ul * vh)
-    return dd_sum(p, e, axis=axis)
+    return p, e + (uh * vl + ul * vh)
+
+
+def dd_sum_list(xh, xl):
+    """``dd_sum`` of a non-empty vector given as lists of Python floats:
+    the tree and the bits of ``_tree_sum``, on Python floats, so that a
+    short sum costs no numpy call per tree level."""
+    while len(xh) > 1:
+        h = len(xh) // 2
+        sh = list(map(add, xh[:h], xh[h:]))
+        sl = [(p + q) + ((a - (s - (bb := s - a))) + (b - bb))
+              for s, a, b, p, q in zip(sh, xh, xh[h:], xl, xl[h:])]
+        if len(xh) % 2:
+            sh.append(xh[-1])
+            sl.append(xl[-1])
+        xh, xl = sh, sl
+    return two_sum(xh[0], xl[0])
 
 
 def comp_dot(u, v, axis=0):

@@ -26,9 +26,9 @@ walks them once at one strength: the recurrence, the stopping rules
 and, for a training error that is not finite, a replay of the residual
 from z that names the column.  A sweep builds once and solves per
 strength.  Neither step does per column what does not depend on the
-column before: the scan forms every Q_t of a block from the earlier
-blocks at once, and the walk forms the training residual only where a
-rule reads it or a group of pending columns fills.
+column before: the scan forms the terms of a block's Q_t over the
+earlier blocks at once, and the walk forms the training residual only
+where a rule reads it or a group of pending columns fills.
 
 ``FitBasis`` also keeps the raw-basis coefficients W of every column
 (P_s = sum_r W[s, r] h_r, the expansion of the identity), so ``solve``
@@ -47,7 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .basis import _BlockGen, block_start
-from .ddarith import BLOCK_ELEMS, DD, dd_add, dd_dot, dd_mul, two_prod, two_sum
+from .ddarith import (BLOCK_ELEMS, DD, dd_add, dd_dot, dd_dot_terms, dd_mul,
+                      dd_sum_list)
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
 from .errors import DegenerateFitError, FieldError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
@@ -152,12 +153,13 @@ class FitBasis:
     s} a[s, t] Q_t from the raw column's Q(h_s), which the block generator
     hands out with it, in double-double at either precision, so no
     Laplacian columns are formed.  Once a block's columns are added, the
-    first term and the sum over the earlier blocks' columns are one
-    ``dd_mul`` and one ``dd_dot`` for all its rows; only the sum over the
-    block's own earlier columns runs row by row, a Sum2 on Python floats.
-    The same recurrence applied to the identity gives each column's
-    raw-basis coefficients, row s of W (``_raw_row``), at the fit's
-    precision.
+    first term and the sum's terms over the earlier blocks' columns are
+    one ``dd_mul`` and one ``dd_dot_terms`` for all its rows; row by row,
+    the terms over the block's own earlier columns join them and
+    ``dd_sum_list`` adds them up on Python floats, in ``dd_dot``'s tree,
+    so each Q_s has the bits of one ``dd_dot`` per column.  The same
+    recurrence applied to the identity gives each column's raw-basis
+    coefficients, row s of W (``_raw_row``), at the fit's precision.
     """
 
     def __init__(self, split: DataSplit, data: NormalizedDataset,
@@ -236,24 +238,21 @@ class FitBasis:
             return
         a, a_lo = bld.expansion[:, first:end, :end]
         d = np.arange(end - first)
-        # a[s, s] Q(h_s) plus the sum over the earlier blocks' columns, for
-        # all the block's rows at once
-        qh, ql = dd_add(*dd_mul(*np.array(q_raw).T, a[d, first + d],
-                                a_lo[d, first + d]),
-                        *dd_dot(self._qh[:first], self._ql[:first],
-                                a[:, :first], a_lo[:, :first], axis=1))
-        # then row by row a Sum2 over the block's own earlier columns, on
-        # Python floats
+        qh, ql = dd_mul(*np.array(q_raw).T, a[d, first + d], a_lo[d, first + d])
+        # the terms a[s, t] Q_t of the earlier blocks' columns, all rows at
+        # once; those of the block's own columns once their Q_t are known
+        th, tl = dd_dot_terms(self._qh[:first], self._ql[:first],
+                              a[:, :first], a_lo[:, :first])
         Qh, Ql = [], []
-        for s, (row, row_lo, dh, dl) in enumerate(zip(
-                a[:, first:].tolist(), a_lo[:, first:].tolist(), qh.tolist(),
-                ql.tolist())):
-            h = l = 0.0
-            for t in range(s):
-                p, e = two_prod(Qh[t], row[t])
-                h, f = two_sum(h, p)
-                l += (e + (Qh[t] * row_lo[t] + Ql[t] * row[t])) + f
-            h, l = dd_add(dh, dl, *two_sum(h, l))
+        for r, (h, l, xh, xl, v, v_lo) in enumerate(zip(
+                qh.tolist(), ql.tolist(), th.tolist(), tl.tolist(),
+                a[:, first:].tolist(), a_lo[:, first:].tolist())):
+            for t in range(r):
+                p, e = dd_dot_terms(Qh[t], Ql[t], v[t], v_lo[t])
+                xh.append(p)
+                xl.append(e)
+            if xh:
+                h, l = dd_add(h, l, *dd_sum_list(xh, xl))
             Qh.append(h)
             Ql.append(l)
             self.q.append(DD(h, l) if ext else h + l)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orthofit.ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_div,
-                              dd_dot, dd_mul, dd_slices, dd_sqrt, dd_sum,
-                              fast_two_sum, slice_width, two_prod, two_sum)
+                              dd_dot, dd_dot_terms, dd_mul, dd_slices,
+                              dd_sqrt, dd_sum, dd_sum_list, fast_two_sum,
+                              slice_width, two_prod, two_sum)
 from orthofit.synth import SplitMix64
 from oracles import reference_comp_dot, reference_slices, reference_two_prod
 
@@ -403,6 +404,29 @@ def test_split_once_kernels_keep_every_bit(data, n, cols):
                            (u.T, w, 1), (u, M[:1, 1:1 + cols], 0)):
             got = comp_dot(a, b, axis=axis)
             assert _same_bits(got, reference_comp_dot(a, b, axis=axis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_list_sums_keep_every_bit(data, n):
+    # dd_sum_list on Python floats against dd_sum's tree in numpy, with
+    # the terms of dd_dot_terms taken one scalar at a time: a dot product
+    # summed as lists has dd_dot's bits; signed zeros, odd and even lengths
+    u_h, u_l, v_h, v_l = (np.array(data.draw(st.lists(
+        _operand, min_size=n, max_size=n))) for _ in range(4))
+    terms = [dd_dot_terms(*x) for x in zip(
+        u_h.tolist(), u_l.tolist(), v_h.tolist(), v_l.tolist())]
+    got = dd_sum_list([h for h, _ in terms], [l for _, l in terms])
+    assert _same_bits(np.array(got), np.array(dd_dot(u_h, u_l, v_h, v_l)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000])
+@pytest.mark.parametrize("cancel", [False, True])
+def test_list_tree_sum_matches_dd_sum(n, cancel):
+    hi, lo = _leaves(np.random.default_rng(n), (n,), cancel)
+    got = dd_sum_list(hi.tolist(), lo.tolist())
+    assert all(type(x) is float for x in got)
+    assert _same_bits(np.array(got), np.array(dd_sum(hi, lo)))
 
 
 def test_dd_precision_is_about_32_digits():

@@ -12,7 +12,7 @@ from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       regularized_coefficient, solve, split)
 import orthofit.fit
 from orthofit.basis import _BlockGen, degree_block
-from orthofit.ddarith import DD, dd_sub
+from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
 from oracles import (first_nonfinite_column, mpmath_curvature_sums,
                      normal_equation_predictions, reference_curvature_sums,
@@ -144,34 +144,34 @@ def _magnet_grid(nx, ny):
     ("double", 209), ("extended", 120), ("extended", 210)])
 def test_curvature_sums_per_block_match_the_per_column_recurrence(
         precision, n_cols, odd_x):
-    # the scan sums each block's rows over the earlier blocks at once and
-    # over the block's own columns row by row: a regrouped double-double
-    # sum, against one dd_dot over every earlier column per column
+    # the scan forms a block's terms over the earlier blocks for all its
+    # rows at once and sums each row on Python floats, against one dd_dot
+    # over every earlier column per column
     parts, data = _magnet_grid(40, 25)
     _check_curvature_sums(parts, data, FitConfig(
         fixed_columns=n_cols, max_columns=n_cols, odd_field_only=odd_x,
         precision=PrecisionMode(precision)))
 
 
-def test_curvature_sums_per_block_skip_rejected_columns():
+@pytest.mark.parametrize("precision, cancelled", [
+    ("double", 23), ("extended", 47)])
+def test_curvature_sums_per_block_skip_rejected_columns(precision,
+                                                        cancelled):
     # 64 training points: 25 of the first 85 raw columns are rejected, so
-    # blocks hold rejected columns between accepted ones.  Here 23 sums
-    # cancel to about 1e-15 of their terms, and 5 of those round to
-    # different doubles under the two groupings, each within 2**-100 of
-    # its terms
+    # blocks hold rejected columns between accepted ones.  Many sums
+    # cancel to below 2**-40 of their terms, where a double-double sum
+    # taken in another order rounds to other doubles
     parts, data = _magnet_grid(12, 8)
-    basis = _check_curvature_sums(parts, data, FitConfig(fixed_columns=60),
-                                  cancelled=23, moved=5)
-    assert len(basis.rejected) == 25
+    basis, small = _check_curvature_sums(parts, data, FitConfig(
+        fixed_columns=60, precision=PrecisionMode(precision)))
+    assert len(basis.rejected) == 25 and small == cancelled
 
 
-def _check_curvature_sums(parts, data, cfg, cancelled=0, moved=0):
+def _check_curvature_sums(parts, data, cfg):
     """Scan ``cfg.fixed_columns`` columns and compare the curvature sums
-    with ``reference_curvature_sums`` over the same expansion and raw
-    sums.  The double-double sums agree within 2**-100 of the sum of
-    their terms' magnitudes.  A double q agrees bit for bit, except that
-    ``moved`` of the ``cancelled`` sums below 2**-40 of their terms' sum,
-    whose doubles are rounding noise of the terms, differ."""
+    bit for bit with ``reference_curvature_sums`` over the same expansion
+    and raw sums: the double-double parts and each q.  Returns the basis
+    and the number of sums below 2**-40 of their terms' magnitudes."""
     basis = FitBasis(parts, data, cfg)
     solve(basis, 0.0)
     bld = basis.builder
@@ -185,19 +185,17 @@ def _check_curvature_sums(parts, data, cfg, cancelled=0, moved=0):
     raw_hi, raw_lo = np.array([raw[t] for t in bld.kept]).T
     want_h, want_l = reference_curvature_sums(raw_hi, raw_lo,
                                               *bld.expansion[:, :K, :K])
+    for got, want in ((basis._qh[:K], want_h), (basis._ql[:K], want_l)):
+        assert got.tobytes() == want.tobytes()
+    if bld.precision is PrecisionMode.DOUBLE:
+        assert np.array(basis.q).tobytes() == (want_h + want_l).tobytes()
+    else:
+        assert [(q.hi, q.lo) for q in basis.q] == list(zip(want_h, want_l))
+    assert K == cfg.fixed_columns and len(basis.q) == K
     a = bld.expansion[0, :K, :K]
     terms = (np.abs(np.diag(a) * raw_hi)
              + np.abs(np.tril(a, -1)) @ np.abs(want_h))
-    diff = dd_sub(basis._qh[:K], basis._ql[:K], want_h, want_l)[0]
-    assert np.all(np.abs(diff) <= 2.0 ** -100 * terms)
-    small = np.abs(want_h) < 2.0 ** -40 * terms
-    assert small.sum() == cancelled
-    if bld.precision is PrecisionMode.DOUBLE:
-        want = want_h + want_l
-        same = np.array(basis.q) == want
-        assert same[~small].all() and (~same).sum() == moved
-    assert K == cfg.fixed_columns and len(basis.q) == K
-    return basis
+    return basis, int((np.abs(want_h) < 2.0 ** -40 * terms).sum())
 
 
 def _chained_training_error(basis, fit):
