@@ -19,10 +19,11 @@ or ``eval`` output included, and a ``fit``, or every strength of a
 file cannot hold).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
-thread count (``OPENBLAS_NUM_THREADS``).  ``eval`` evaluates the model
-as a tensor product in double-double (``model.GridKernel``), on a grid
-and at scattered points alike, so its rows are faithful and a point
-prints the same bytes under ``--grid`` and ``--points``.
+thread count (``OPENBLAS_NUM_THREADS``).  ``eval`` takes its rows in
+chunks from ``model.grid_chunks`` or ``model.point_chunks``, which
+evaluate the model as a tensor product in double-double on a grid and
+at scattered points alike, so its rows are faithful and a point prints
+the same bytes under ``--grid`` and ``--points``.
 """
 
 from __future__ import annotations
@@ -40,13 +41,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .ddarith import BLOCK_ELEMS
 from .dataset import (SplitConfig, load_dataset, load_points, normalize,
                       save_dataset, split, write_rows)
 from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
-from .model import (MAX_DEGREE, GridKernel, _block_rows, load_model,
+from .model import (MAX_DEGREE, grid_chunks, load_model, point_chunks,
                     save_model, to_monomial)
 from .basis import columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
@@ -244,68 +244,29 @@ def cmd_eval(args) -> int:
         raise ValueError("need --points or --grid")
     model = load_model(args.model)
     if args.grid:
-        chunks = _grid_chunks(model, nx, ny, args)
+        chunks = grid_chunks(model, nx, ny, args.with_slope,
+                             args.with_entropy)
     else:  # read before the header: a bad point file prints nothing
-        chunks = _point_chunks(model, load_points(args.points), args)
+        X, Y = load_points(args.points).T
+        chunks = point_chunks(model, X, Y, args.with_slope, args.with_entropy)
     header = ["X", "Y", "Z"]
     if args.with_slope:
         header.append("dZdY")
     if args.with_entropy:
         header.append("dS")
     sys.stdout.write(",".join(header) + "\n")
-    for first, cols in chunks:  # ``first``: the row number of cols' row 0
-        table = np.column_stack(cols)
-        bad = np.argwhere(~np.isfinite(table[:, 2:]))
-        if bad.size:
-            row, col = bad[0]
-            raise FloatingPointError(
-                f"{header[2 + col]} is not finite in output row "
-                f"{first + row + 1} (X={table[row, 0]:.17g}, "
-                f"Y={table[row, 1]:.17g})")
-        write_rows(sys.stdout, table, "\n")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for first, X, Y, values in chunks:  # first: the row number of X[0]
+            table = np.column_stack([X, Y, *values])
+            bad = np.argwhere(~np.isfinite(table[:, 2:]))
+            if bad.size:
+                row, col = bad[0]
+                raise FloatingPointError(
+                    f"{header[2 + col]} is not finite in output row "
+                    f"{first + row + 1} (X={table[row, 0]:.17g}, "
+                    f"Y={table[row, 1]:.17g})")
+            write_rows(sys.stdout, table, "\n")
     return 0
-
-
-def _point_chunks(model, points, args):
-    """(first row, columns) of ``eval --points``: chunks of points, each
-    from one ``GridKernel``, sized as ``_grid_chunks`` sizes rows."""
-    rows = _block_rows(model, 1 + args.with_slope + args.with_entropy, 1,
-                       BLOCK_ELEMS)
-    for lo in range(0, len(points), rows):
-        X, Y = points[lo:lo + rows].T
-        with np.errstate(over="ignore", invalid="ignore"):  # cmd_eval checks
-            values = GridKernel(model, X, args.with_slope,
-                                args.with_entropy)(Y)
-        yield lo, [X, Y, *values]
-
-
-def _grid_chunks(model, nx, ny, args):
-    """(first row, columns) of ``eval --grid NXxNY``, whose row k nx + i is
-    (X[i], Y[k]), from ``GridKernel`` with Y as a column: chunks of whole
-    Y rows, all from one kernel of the X axis, or pieces of one row when
-    it alone is too wide, each from a kernel of its piece of X.  The
-    kernel products of a chunk stay within BLOCK_ELEMS where one
-    row's do (``model._block_rows``), and a kernel's X power table, 2
-    (degree + 1) doubles per X value, within twice that."""
-    nmap = model.map
-    Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
-    Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
-    outputs = 1 + args.with_slope + args.with_entropy
-    n = 1 + max(degree_block(t).m for t in model.kept)
-    cols = max(1, BLOCK_ELEMS // (outputs * n))  # < nx: one row per chunk
-    rows = _block_rows(model, outputs, nx, BLOCK_ELEMS)
-    kernel = None
-    for k in range(0, ny, rows):
-        Y = Ys[k:k + rows]
-        for i in range(0, nx, cols):
-            X = Xs[i:i + cols]
-            with np.errstate(over="ignore", invalid="ignore"):  # checked
-                if kernel is None or nx > cols:
-                    kernel = GridKernel(model, X, args.with_slope,
-                                        args.with_entropy)
-                values = kernel(Y[:, None])
-            yield k * nx + i, [np.tile(X, Y.size), np.repeat(Y, X.size),
-                               *(v.ravel() for v in values)]
 
 
 def cmd_export(args) -> int:

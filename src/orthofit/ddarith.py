@@ -12,9 +12,9 @@ Conventions: functions prefixed ``dd_`` take and return (hi, lo) pairs;
 ``dd_slices`` cuts dd values into slices of the width ``slice_width``
 picks, so that BLAS sums each diagonal p + q of the products of slices p
 and q exactly (the extended orthonormalization core's reductions).
-Outside BLAS there are two product kernels, each reducing along any axis
-so that it also serves as a matrix-vector product: ``dd_dot`` for dd
-operands and ``comp_dot``, its compensated double form.  Both form exact
+Outside BLAS there are two product kernels, each of which also serves
+as a matrix-vector product: ``dd_dot`` for dd operands, along any axis,
+and ``comp_dot``, its compensated double form, along axis 0.  Both form exact
 products and sum them in ``dd_sum``'s pairwise tree, whose nodes add the
 high parts exactly and the low parts in plain double; ``comp_dot`` is
 thus Dot2 with a pairwise Sum2 tree, rounded to double on return.  The
@@ -284,49 +284,40 @@ def dd_sum_list(xh, xl):
     return two_sum(xh[0], xl[0])
 
 
-def comp_dot(u, v, axis=0):
-    """Compensated dot product of double vectors: Dot2 with a pairwise
-    Sum2 tree (``_tree_sum``), rounded once to double.
+def comp_dot(u, v):
+    """Compensated dot product of double vectors along axis 0: Dot2 with
+    a pairwise Sum2 tree (``_tree_sum``), rounded once to double.
 
     u and v broadcast against each other, and each is split for
     ``two_prod`` once, at its own shape: once in all when ``u is v``.  A
     2-D product of more than BLOCK_ELEMS elements is formed and summed
-    max(1, BLOCK_ELEMS // n) columns at a time, n the length of
-    ``axis``: each group of columns of an operand is split on its own,
-    and a single column (a broadcast vector) once for every group.  The
-    columns are independent sums, so the grouping moves no bit.
+    max(1, BLOCK_ELEMS // n) columns at a time, n its length: each group
+    of columns of u is split on its own, and so is v's unless v is a
+    single column (a broadcast vector, which goes second), split once for
+    every group.  The columns are independent sums, so the grouping
+    moves no bit.
     """
     same = v is u
     u = np.asarray(u, dtype=float)
     v = u if same else np.asarray(v, dtype=float)
-    if axis != 0 or u.ndim != v.ndim:  # reduction axis first, equal ranks
-        nd = max(u.ndim, v.ndim)
-
-        def lead(a):
-            return np.moveaxis(a.reshape((1,) * (nd - a.ndim) + a.shape),
-                               axis, 0)
-
-        u = lead(u)
-        v = u if same else lead(v)
     shape = np.broadcast(u, v).shape
     if len(shape) != 2 or math.prod(shape) <= BLOCK_ELEMS:
         return _comp_sum(u, v)
     n, cols = shape
     step = max(1, BLOCK_ELEMS // n)
-    su = _split(u) if u.shape[1] == 1 else None
-    sv = su if same else _split(v) if v.shape[1] == 1 else None
+    sv = _split(v) if v.shape[1] == 1 and not same else None
     out = np.empty(cols)
     for k in range(0, cols, step):
-        uk = u if su else u[:, k:k + step]
+        uk = u[:, k:k + step]
         vk = uk if same else v if sv else v[:, k:k + step]
-        out[k:k + step] = _comp_sum(uk, vk, su, sv)
+        out[k:k + step] = _comp_sum(uk, vk, sv)
     return out
 
 
-def _comp_sum(u, v, su=None, sv=None):
+def _comp_sum(u, v, sv=None):
     """Dot2 of u and v along axis 0 on one ``_tree_sum``, rounded to
-    double; ``su`` and ``sv`` are their splits, made here when not given."""
-    su = su or _split(u)
+    double; ``sv`` is v's split, made here when not given."""
+    su = _split(u)
     sv = su if v is u else sv or _split(v)
     h, l = _tree_sum(*_two_prod(u, su, v, sv))
     return h + l

@@ -18,8 +18,8 @@ integral is Simpson's rule applied once per x-power of the model rather
 than on a node grid per point, so it costs one polynomial evaluation per
 point.  Every model-file evaluation is one kernel, ``_grid_sum``: a
 tensor product in double-double, each y's polynomial in x once, then a
-short sum over the x powers per point.  It broadcasts x against y: grids
-and scattered points alike.
+short sum over the x powers per point.  It broadcasts x against y, and
+``grid_chunks`` and ``point_chunks`` walk grids and point sets through it.
 """
 
 from __future__ import annotations
@@ -118,26 +118,62 @@ def eval_ortho(fit: FitResult, x, y):
     return float(out[0]) if scalar else out
 
 
-def _block_rows(model: SurfaceModel, outputs: int, width: int,
-                elems: int) -> int:
+def _block_rows(model: SurfaceModel, outputs: int, width: int) -> int:
     """Rows of ``width`` points per kernel call: the products of
     ``_grid_sum``, outputs n^2 per row and outputs n per point with n the
-    degree + 1, then stay within ``elems`` where one row's do."""
+    degree + 1, then stay within BLOCK_ELEMS where one row's do."""
     n = 1 + max(degree_block(t).m for t in model.kept)
-    return max(1, elems // (outputs * n * max(width, n)))
+    return max(1, BLOCK_ELEMS // (outputs * n * max(width, n)))
+
+
+def point_chunks(model: SurfaceModel, X, Y, slope, entropy):
+    """(first row, X, Y, outputs) of the points (X[i], Y[i]) of 1-d X and
+    Y of equal length: ``GridKernel``'s outputs, ``_block_rows`` points
+    per kernel, so long inputs keep its bound and no bit moves."""
+    rows = _block_rows(model, 1 + slope + entropy, 1)
+    for lo in range(0, len(X), rows):
+        Xs, Ys = X[lo:lo + rows], Y[lo:lo + rows]
+        yield lo, Xs, Ys, GridKernel(model, Xs, slope, entropy)(Ys)
+
+
+def grid_chunks(model: SurfaceModel, nx, ny, slope, entropy):
+    """(first row, X, Y, outputs) of the NX x NY grid over the model's
+    rectangle, whose row k nx + i is (X[i], Y[k]), from ``GridKernel``
+    with Y as a column: chunks of whole Y rows, all from one kernel of
+    the X axis, or pieces of one row when it alone is too wide, each from
+    a kernel of its piece of X.  The kernel products of a chunk stay
+    within BLOCK_ELEMS where one row's do (``_block_rows``), and a
+    kernel's X power table, 2 (degree + 1) doubles per X value, within
+    twice that."""
+    nmap = model.map
+    Xs = np.linspace(nmap.x_min, nmap.x_max, nx)
+    Ys = np.linspace(nmap.y_min, nmap.y_max, ny)
+    outputs = 1 + slope + entropy
+    n = 1 + max(degree_block(t).m for t in model.kept)
+    cols = max(1, BLOCK_ELEMS // (outputs * n))  # < nx: one row per chunk
+    rows = _block_rows(model, outputs, nx)
+    kernel = None
+    for k in range(0, ny, rows):
+        Y = Ys[k:k + rows]
+        for i in range(0, nx, cols):
+            X = Xs[i:i + cols]
+            if kernel is None or nx > cols:
+                kernel = GridKernel(model, X, slope, entropy)
+            values = kernel(Y[:, None])
+            yield (k * nx + i, np.tile(X, Y.size), np.repeat(Y, X.size),
+                   [v.ravel() for v in values])
 
 
 def _pointwise(model: SurfaceModel, X, Y, slope=False, entropy=False):
     """``GridKernel``'s last output at the points (X[i], Y[i]) of X and Y
-    broadcast by numpy's rules, a float for scalars; ``_block_rows`` points
-    per kernel, so long inputs keep its bound and no bit moves."""
+    broadcast by numpy's rules, a float for scalars, from
+    ``point_chunks``."""
     X, Y = np.broadcast_arrays(np.asarray(X, float), np.asarray(Y, float))
     out = np.empty(X.shape)
-    flat, X, Y = out.reshape(-1), X.reshape(-1), Y.reshape(-1)
-    rows = _block_rows(model, 1 + slope + entropy, 1, BLOCK_ELEMS)
-    for r in range(0, flat.size, rows):
-        flat[r:r + rows] = GridKernel(model, X[r:r + rows], slope,
-                                      entropy)(Y[r:r + rows])[-1]
+    flat = out.reshape(-1)
+    for lo, Xs, _, values in point_chunks(model, X.reshape(-1),
+                                          Y.reshape(-1), slope, entropy):
+        flat[lo:lo + Xs.size] = values[-1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -204,7 +240,7 @@ class GridKernel:
     grid (len(Y), len(X)), Y as long as X the points (X[i], Y[i]).  The
     sums come from ``_grid_sum``, so each is faithful and depends only on
     its own X and Y.  A large set goes in pieces, one kernel per piece of
-    X (as ``cli`` streams it and ``_pointwise`` walks it).
+    X (``grid_chunks`` and ``point_chunks``).
     """
 
     def __init__(self, model: SurfaceModel, X, slope: bool = False,

@@ -363,7 +363,7 @@ class OrthoBuilder:
                     break
                 lead = False
             n2 = core.norm2(v)
-        p = (DD(n2.hi, n2.lo) if isinstance(n2, DD) else DD(n2)).sqrt()
+        p = (n2 if isinstance(n2, DD) else DD(n2)).sqrt()
         # double rounding leaves a dependent column a residual near 1e-16
         # of its norm, far above RANK_TOL, so double mode also rejects on
         # the residual relative to the incoming column

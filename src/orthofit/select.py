@@ -91,7 +91,7 @@ def group_errors(fits, data: NormalizedDataset, idx) -> list:
     shared = {}
     for i, fit in enumerate(fits):
         shared.setdefault(tuple(fit.basis.kept), []).append(i)
-    r = np.empty((len(fits), idx.size))
+    r = np.empty((idx.size, len(fits)), order="F")  # a column per fit
     for kept, members in shared.items():
         L = max(kept)
         height = max(1, BLOCK_ELEMS // (L + 1))
@@ -100,8 +100,8 @@ def group_errors(fits, data: NormalizedDataset, idx) -> list:
             table = raw_values(x[rows], y[rows], L, fits[0].odd_x)[
                 :, list(kept)]
             for i in members:
-                r[i, rows] = table @ fits[i].c - z[rows]
-    return [float(v) / idx.size for v in comp_dot(r, r, axis=1)]
+                r[rows, i] = table @ fits[i].c - z[rows]
+    return [float(v) / idx.size for v in comp_dot(r, r)]
 
 
 @dataclass(frozen=True)

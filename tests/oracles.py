@@ -609,13 +609,13 @@ def reference_two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def reference_comp_dot(u, v, axis=0):
+def reference_comp_dot(u, v):
     """``ddarith.comp_dot`` in two steps: every product of the broadcast
-    operands by ``reference_two_prod``, then one ``dd_sum`` along
-    ``axis``, rounded to double."""
+    operands by ``reference_two_prod``, then one ``dd_sum`` along axis 0,
+    rounded to double."""
     p, e = reference_two_prod(np.asarray(u, dtype=float),
                               np.asarray(v, dtype=float))
-    h, l = dd_sum(p, e, axis=axis)
+    h, l = dd_sum(p, e)
     return h + l
 
 

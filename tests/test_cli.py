@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import orthofit.model
 from orthofit import (GridKernel, SynthSpec, cli, dZ_dY, entropy_change,
                       eval_physical, generate, load_model, save_dataset)
 from orthofit.basis import degree_block
@@ -495,7 +496,7 @@ def test_eval_grid_output_does_not_depend_on_the_chunk_size(
             "--with-slope", "--with-entropy"]
     code, default, _ = run_cli(capsys, *argv)
     assert code == 0 and default.count("\n") == 78
-    monkeypatch.setattr(cli, "BLOCK_ELEMS", cap)
+    monkeypatch.setattr(orthofit.model, "BLOCK_ELEMS", cap)
     assert run_cli(capsys, *argv) == (0, default, "")
 
 
@@ -510,7 +511,7 @@ def test_eval_grid_names_the_row_that_overflows(capsys, tmp_path):
         "normalization": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0,
                           "y_max": 1.0, "z_min": 0.0, "z_max": 1e20},
         "S": 1, "lambda": 0.0, "sigma_tr": 0.0}))
-    cols = cli.BLOCK_ELEMS // 22  # degree 21 + 1 terms per point
+    cols = orthofit.model.BLOCK_ELEMS // 22  # degree 21 + 1 terms per point
     X = np.linspace(0.0, 1.0, 4000).tolist()
     i = next(i for i, x in enumerate(X)
              if math.isinf(0.5e290 * x ** 20 * 1e20))
@@ -540,8 +541,7 @@ def test_eval_output_matches_the_reference_writer(capsys, noisy_csv,
         Y = nm.y_min + u[1] * (nm.y_max - nm.y_min)
         argv = ["--points", str(_write_points(tmp_path / "p.csv", X, Y))]
     width = 23 if where == "grid" else 1
-    assert len(X) % (width * _block_rows(model, 3, width,
-                                         cli.BLOCK_ELEMS))
+    assert len(X) % (width * _block_rows(model, 3, width))
     code, out, err = run_cli(capsys, "eval", "--model", str(model_path),
                              "--with-slope", "--with-entropy", *argv)
     assert code == 0, err
@@ -607,7 +607,7 @@ def test_eval_grid_pieces_of_a_long_row_stay_under_the_cap(tmp_path):
         "normalization": {"x_min": 0.0, "x_max": 2.0, "y_min": 1.0,
                           "y_max": 3.0, "z_min": -1.0, "z_max": 4.0},
         "S": 1, "lambda": 0.0, "sigma_tr": 0.0}))
-    assert cli.BLOCK_ELEMS // (3 * 22) < 10 ** 7 // 10 ** 4
+    assert orthofit.model.BLOCK_ELEMS // (3 * 22) < 10 ** 7 // 10 ** 4
     lines, err = _first_grid_lines(model_path, "10000000x2")
     assert lines[0] == "X,Y,Z,dZdY,dS\n", err[-2000:]
     model = load_model(model_path)

@@ -366,7 +366,7 @@ def test_empty_reductions_give_the_empty_sum():
     assert not np.signbit(got)
     for h in dd_sum(np.empty((0, 3)), 0.0):
         assert h.shape == (3,) and not h.any() and not np.signbit(h).any()
-    got = comp_dot(np.empty((2, 0)), np.empty((2, 0)), axis=1)
+    got = comp_dot(np.empty((0, 2)), np.empty((0, 2)))
     assert got.shape == (2,) and not got.any() and not np.signbit(got).any()
 
 
@@ -386,8 +386,8 @@ def test_split_once_kernels_keep_every_bit(data, n, cols):
     # two_prod's in-place error term and comp_dot's one split per operand
     # (per column group of a 2-D one) against their reference forms: F-
     # ordered column slices against an (n, 1) column, below and above a
-    # small BLOCK_ELEMS, u is v, along either axis (a matrix against a
-    # vector too), odd and even lengths
+    # small BLOCK_ELEMS, u is v, a matrix against a row, odd and even
+    # lengths
     M = np.asfortranarray(np.reshape(
         data.draw(st.lists(_operand, min_size=n * (cols + 2),
                            max_size=n * (cols + 2))), (n, cols + 2)))
@@ -399,11 +399,9 @@ def test_split_once_kernels_keep_every_bit(data, n, cols):
         for a, b in ((u, v), (w, w), (w, M[:, -1])):
             for got, want in zip(two_prod(a, b), reference_two_prod(a, b)):
                 assert _same_bits(got, want)
-        for a, b, axis in ((u, v, 0), (u, u, 0), (v, u, 0), (w, w, 0),
-                           (w, M[:, -1], 0), (u.T, u.T, 1), (u.T, v.T, 1),
-                           (u.T, w, 1), (u, M[:1, 1:1 + cols], 0)):
-            got = comp_dot(a, b, axis=axis)
-            assert _same_bits(got, reference_comp_dot(a, b, axis=axis))
+        for a, b in ((u, v), (u, u), (w, w), (w, M[:, -1]),
+                     (u, M[:1, 1:1 + cols])):
+            assert _same_bits(comp_dot(a, b), reference_comp_dot(a, b))
 
 
 @settings(max_examples=150, deadline=None)

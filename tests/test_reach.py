@@ -202,6 +202,22 @@ def test_the_raw_basis_has_one_home():
     assert fit_imports == {"_BlockGen", "block_start"}
 
 
+def test_the_grid_kernel_is_chunked_in_one_module():
+    # how many points go to one GridKernel is decided in model.py alone:
+    # only it builds the kernel, and cli.py takes the chunks from it
+    # without naming the kernel, its sizing or the block cap
+    callers = set()
+    for path in sorted((ROOT / "src" / "orthofit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "GridKernel" in (
+                    getattr(f, "id", None), getattr(f, "attr", None)):
+                callers.add(path.name)
+    assert callers == {"model.py"}
+    cli = ast.parse((ROOT / "src" / "orthofit" / "cli.py").read_text())
+    assert not {"BLOCK_ELEMS", "GridKernel", "_block_rows"} & _named(cli)
+
+
 def _calls(fn):
     """Names that the function node ``fn`` calls."""
     return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
