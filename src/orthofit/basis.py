@@ -38,7 +38,6 @@ import numpy as np
 
 from .ddarith import (DD, _dd_powers, dd_dot, dd_mul, dd_mul_d, dd_sub,
                       dd_sum, two_sum)
-from .errors import DegenerateFitError
 from .ortho import PrecisionMode
 
 
@@ -246,6 +245,13 @@ class _BlockGen:
     recurrence, then: a fit never sums its last two blocks.  ``odd_x``
     takes u = x and hands out only the columns with an odd power of x;
     the others are still built for the recurrence and the sums.
+
+    The columns a fit rejects are the leading terms of polynomials that
+    vanish on its points, so they are closed upward: with (i - 1, j),
+    (i - 2, j) under ``odd_x``, or (i, j - 1) rejected, so is (i, j).
+    ``next_block`` withholds such a column, so a floating-point rank
+    decision cannot keep one, and the kept columns span the monomials
+    they need (``raw_to_monomial``).
     """
 
     def __init__(self, x, y, precision: PrecisionMode, odd_x: bool = False):
@@ -259,9 +265,10 @@ class _BlockGen:
         self._blocks = [None, None]   # blocks m-2 and m-1
         self._sums = (np.empty(0), np.empty(0))  # dd column sums, flat
 
-    def next_block(self):
+    def next_block(self, rejected=()):
         """Return [(flat_t, col, q)] for the next degree block, with q the
-        DD curvature sum Q(h_t)."""
+        DD curvature sum Q(h_t); col is None for a column withheld as
+        above one of the flat tags ``rejected`` (those of earlier blocks)."""
         m, n = self.m, self.n
         # column-major, so each column handed out is contiguous
         block = np.empty((m + 1, n)).T
@@ -288,7 +295,13 @@ class _BlockGen:
         self._blocks = [self._blocks[1], block]
         self.m += 1
         cols = zip(block[0].T, block[1].T) if self.ext else block.T
-        return [(block_start(m) + j, col, DD(qh[j], ql[j]))
+        step, rejected = 1 + self.odd_x, set(rejected)
+        # (i - step, j) or (i, j - 1) rejected, with i = m - j
+        withheld = {j for j in range(m + 1)
+                    if (m - j >= step and block_start(m - step) + j in rejected)
+                    or (j and block_start(m - 1) + j - 1 in rejected)}
+        return [(block_start(m) + j, None if j in withheld else col,
+                 DD(qh[j], ql[j]))
                 for j, col in enumerate(cols)
                 if not self.odd_x or (m - j) % 2]
 
@@ -310,41 +323,16 @@ def _chebyshev_powers(n: int, shifted: bool) -> tuple:
     return tuple(rows[:n + 1])
 
 
-@functools.lru_cache(maxsize=64)
-def check_closure(kept: tuple, odd_x: bool) -> None:
-    """Raise DegenerateFitError unless the monomials of the flat indices
-    ``kept`` span the raw columns of ``kept``.
-
-    Raw column (i, j) spans the monomials x^a y^b with a <= i and b <= j
-    (a of the parity of i under ``odd_x``), all of them below it in the
-    flat order, so ``kept`` must hold (i - 1, j), or (i - 2, j) under
-    ``odd_x``, and (i, j - 1) with each (i, j); by induction it then
-    holds every monomial it needs.  A fit keeps them all unless a rank
-    decision rejected one below a kept column; the error names the first
-    kept column that misses one, and that monomial.
-    """
-    have = set(kept)
-    step = 2 if odd_x else 1
-    for t in kept:
-        _, m, j = degree_block(t)
-        for a, b in ((m - j - step, j), (m - j, j - 1)):
-            need = block_start(a + b) + b
-            if a >= 0 and b >= 0 and need not in have:
-                raise DegenerateFitError(
-                    f"column {t} needs monomial {need}, which the fit does "
-                    f"not keep: a monomial model cannot hold the fit")
-
-
 def raw_to_monomial(kept, odd_x: bool):
     """The change of basis from the raw columns of the flat indices
     ``kept`` to the monomials of the same indices: a (hi, lo) pair of
     (K, K) matrices B, B[s, r] the integer coefficient of monomial kept[r]
     in raw column kept[s], with hi + lo equal to it within 2^-106 of its
-    size (exactly up to 2^53, which holds through degree 22).
-    DegenerateFitError (``check_closure``) when the monomials of ``kept``
-    cannot span its raw columns.
+    size (exactly up to 2^53, which holds through degree 22).  Raw column
+    (i, j) spans the monomials x^a y^b with a <= i and b <= j (a of the
+    parity of i under ``odd_x``), so ``kept`` must be closed downward, as
+    every fit's kept columns are (``_BlockGen``); KeyError otherwise.
     """
-    check_closure(tuple(kept), odd_x)
     pos = {t: r for r, t in enumerate(kept)}
     top = max(degree_block(t).m for t in kept)
     fx = _chebyshev_powers(top, not odd_x)

@@ -13,10 +13,9 @@ write to an output file or stdout, a negative or non-finite
 or noise that overflows z), 3 data or model
 error (unparseable or non-UTF-8 data, degenerate or overflowing axes,
 model version mismatch or out-of-range model fields, a working set that
-does not fit in memory), 4 numeric failure (non-finite training error
-or ``eval`` output included, and a ``fit``, or every strength of a
-``sweep``, whose kept columns need a monomial it rejected, which a model
-file cannot hold).
+does not fit in memory), 4 numeric failure (a training error or an
+``eval`` value that is not finite, or a ``sweep`` with no usable
+strength).
 Identical flags and input bytes give identical output, except that a
 double-precision fit at about 100k points changes bits with OpenBLAS's
 thread count (``OPENBLAS_NUM_THREADS``).  ``eval`` takes its rows in

@@ -224,8 +224,8 @@ class FitBasis:
         bld, ext = self.builder, self._gen.ext
         first = bld.n_columns
         q_raw = []
-        for t, col, q in self._gen.next_block():
-            if not bld.add_column(col, tag=t):
+        for t, col, q in self._gen.next_block(self.rejected):
+            if col is None or not bld.add_column(col, tag=t):
                 self.rejected.append(t)
                 continue
             s = bld.n_columns - 1
@@ -383,8 +383,10 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
     and whose ``stop_reason`` names the rule that ended the fit:
     "target_error", "stall", "columns" (the column cap or
     ``fixed_columns``) or "scan_budget".  ``rejected`` holds the flat
-    indices rejected as dependent below the last column's, or below the
-    next block's first at a block-end stop.  A training error that is not
-    finite (lambda too large) raises DegenerateFitError.
+    indices rejected below the last column's, or below the next block's
+    first at a block-end stop: those found dependent, and those withheld
+    unprojected as above a rejected one, so the set is closed upward.  A
+    training error that is not finite (lambda too large) raises
+    DegenerateFitError.
     """
     return solve(FitBasis(split, data, cfg), lam)

@@ -78,10 +78,8 @@ def to_monomial(fit: FitResult, include_audit: bool = False) -> SurfaceModel:
     on the unit square, with B[s, s] >= 4^(m-1) at degree m (2^(m-1)
     under the odd-x rule), so a wide model file keeps the fit to a few
     roundings of its value rather than one rounding of its largest
-    coefficient.
-
-    A fit whose kept columns need a monomial it rejected raises
-    DegenerateFitError (see ``raw_to_monomial``).
+    coefficient.  Every fit's kept columns span the monomials they need,
+    because a fit keeps no column above one it rejected (``_BlockGen``).
     """
     basis = fit.basis
     bh, bl = raw_to_monomial(basis.kept, fit.odd_x)

@@ -47,8 +47,9 @@ def uniform_xy(n, seed):
 
 def near_line_points():
     """300 points off the line y = x by about 1e-14: the rank rule rejects
-    the raw column of y (flat index 2) and keeps T_2(2y - 1) (index 5),
-    which needs the monomial y."""
+    the raw column of y (flat index 2), so the fit withholds every column
+    above it, x y and y^2 (indices 4 and 5) first, and keeps only the
+    powers of x."""
     rng = np.random.default_rng(0)
     x = rng.random(300)
     return np.column_stack([x, x + 1e-14 * rng.standard_normal(300),

@@ -1201,28 +1201,37 @@ def test_double_fit_and_sweep_do_not_depend_on_blas_threads(corpus_1k,
     assert outputs[0] == outputs[1]
 
 
-def test_fit_and_sweep_refuse_columns_a_model_file_cannot_hold(capsys,
-                                                               tmp_path):
-    # the near-line corpus keeps T_2(2y - 1) but rejects y: at four
-    # columns `fit` writes no model and the sweep has no usable strength,
-    # both with exit 4 and the conversion's message; at three both run
+def test_fit_and_sweep_withhold_columns_above_a_rejected_one(capsys,
+                                                             tmp_path):
+    # the near-line corpus rejects y, so x y and y^2 are withheld: at four
+    # columns `fit` keeps (1, x, x^2, x^3) and writes a model, and the
+    # sweep runs
     data = tmp_path / "line.csv"
     save_dataset(near_line_points(), data)
     model = tmp_path / "line.json"
-    need = "column 5 needs monomial 2, which the fit does not keep"
-    code, _, err = run_cli(capsys, "fit", str(data), "--fixed-S", "3",
-                           "-o", str(model))
-    assert (code, err) == (4, f"error: {need}: a monomial model cannot "
-                              f"hold the fit\n")
-    assert not model.exists()
-    code, _, err = run_cli(capsys, "sweep", str(data), "--fixed-S", "3",
-                           "--x-grid", "5:10:5")
-    assert code == 4 and err.startswith(
-        f"error: no usable sweep records to select from (x=5: {need}")
-    assert run_cli(capsys, "fit", str(data), "--fixed-S", "2",
+    assert run_cli(capsys, "fit", str(data), "--fixed-S", "3",
                    "-o", str(model))[0] == 0
-    assert run_cli(capsys, "sweep", str(data), "--fixed-S", "2",
+    assert json.loads(model.read_text())["kept_indices"] == [0, 1, 3, 6]
+    assert run_cli(capsys, "sweep", str(data), "--fixed-S", "3",
                    "--x-grid", "5:10:5")[0] == 0
+
+
+def test_a_grid_fit_keeps_no_column_above_a_rejected_one(capsys, corpus_1k,
+                                                       tmp_path):
+    # on the 40 x 25 grid the double rank rule alone rejected 377 and kept
+    # 405 above it; withholding every column above a rejected one, the
+    # double fit rejects what the extended one does and writes its model
+    kept = []
+    for precision in ("double", "extended"):
+        model = tmp_path / f"{precision}.json"
+        code, _, err = run_cli(capsys, "fit", str(corpus_1k), "--fixed-S",
+                               "400", "--max-degree", "40", "--precision",
+                               precision, "-o", str(model))
+        assert code == 0, err
+        kept.append(json.loads(model.read_text())["kept_indices"])
+    assert kept[0] == kept[1]
+    assert sorted(set(range(kept[0][-1])) - set(kept[0])) == [
+        350, 376, 377, 403, 404, 405]
 
 
 def test_odd_field_fit_writes_only_odd_powers_of_x(capsys, corpus_1k,

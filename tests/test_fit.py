@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       FitBasis, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize,
-                      regularized_coefficient, solve, split)
+                      regularized_coefficient, solve, split, to_monomial)
 import orthofit.fit
-from orthofit.basis import _BlockGen, degree_block
+from orthofit.basis import _BlockGen, block_start, degree_block
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
 from oracles import (first_nonfinite_column, mpmath_curvature_sums,
@@ -491,6 +492,58 @@ def test_odd_field_mask_restricts_kept_indices():
     for t in fit.basis.kept:
         _, m, j = degree_block(t)
         assert (m - j) % 2 == 1
+
+
+def _rank_points(kind, a, b, seed):
+    """a * b points on which the rank decisions are close calls: an a x b
+    tensor grid, a distinct x values repeated under random y, or points
+    within about 1e-14 of the line y = x."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        x, y = (v.ravel() for v in np.meshgrid(rng.random(a), rng.random(b)))
+    elif kind == "repeated x":
+        x, y = np.tile(rng.random(a), b), rng.random(a * b)
+    else:
+        x = rng.random(a * b)
+        y = x + 1e-14 * rng.standard_normal(a * b)
+    return np.column_stack([x, y, np.cos(3 * x) + y * y])
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(["near line", "grid", "repeated x"]),
+       st.integers(2, 8), st.integers(2, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(list(PrecisionMode)), st.booleans(),
+       st.integers(3, 40))
+@example("near line", 2, 4, 0, PrecisionMode.DOUBLE, False, 4)
+@example("near line", 8, 6, 0, PrecisionMode.EXTENDED, True, 40)
+def test_rejected_columns_are_closed_upward(kind, a, b, seed, precision,
+                                            odd_x, S):
+    # the columns a fit rejects are the leading terms of polynomials that
+    # vanish on its points, so none lies below a kept column, and the kept
+    # columns always have a monomial form
+    data = normalize(_rank_points(kind, a, b, seed))
+    cfg = FitConfig(max_columns=S, fixed_columns=min(S, data.n - 1),
+                    precision=precision, odd_field_only=odd_x)
+    try:
+        fit = fit_surface(all_train_split(data.n), data, cfg)
+    except DegenerateFitError:  # fewer usable columns than asked for
+        return
+    step = 1 + odd_x
+    kept = [(m - j, j) for _, m, j in map(degree_block, fit.basis.kept)]
+    rejected = [(m - j, j) for _, m, j in map(degree_block, fit.rejected)]
+    # every column handed out up to the last one scanned was kept or
+    # rejected, and those above a rejected one were rejected
+    top = max(fit.basis.kept + fit.rejected)
+    assert sorted(fit.basis.kept + fit.rejected) == [
+        t for t, m, j in map(degree_block, range(top + 1))
+        if not odd_x or (m - j) % 2]
+    for i, j in rejected:
+        for above in (block_start(i + j + step) + j,
+                      block_start(i + j + 1) + j + 1):
+            assert above > top or above in fit.rejected
+    assert not [(k, r) for k in kept for r in rejected
+                if r[0] <= k[0] and r[1] <= k[1] and (k[0] - r[0]) % step == 0]
+    to_monomial(fit)
 
 
 def test_extended_mode_runs_and_returns_dd_parts():

@@ -11,11 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orthofit import (DataSplit, DegenerateFitError, FitConfig,
-                      OrthofitError, SplitConfig, SweepReport, SynthSpec,
-                      ValidationRecord, fit_surface, generate, group_error,
-                      lambda_sweep, normalize, overfit_degree, select_model,
-                      split, to_monomial)
+from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
+                      SweepReport, SynthSpec, ValidationRecord, fit_surface,
+                      generate, group_error, lambda_sweep, normalize,
+                      overfit_degree, select_model, split, to_monomial)
 from orthofit.basis import raw_values
 from orthofit.ddarith import comp_dot
 from orthofit.fit import FitBasis, solve
@@ -147,24 +146,16 @@ def test_group_errors_need_one_basis_and_points():
         group_errors(fits, data, np.array([], dtype=int))
 
 
-def test_sweep_fails_a_strength_that_a_model_file_cannot_hold():
+def test_a_column_above_a_rejected_one_is_withheld():
+    # the rank rule rejects the raw column of y (2), so x y (4) and y^2
+    # (5) above it are withheld unprojected, and the fourth column is x^3
     data = normalize(near_line_points())
     parts = split(data, SplitConfig("y", 3))
     fit = fit_surface(parts, data, FitConfig(fixed_columns=4), math.exp(-5))
-    assert fit.basis.kept == (0, 1, 3, 5) and fit.rejected == (2, 4)
-    with pytest.raises(DegenerateFitError) as exc:
-        to_monomial(fit)
-    assert str(exc.value).startswith("column 5 needs monomial 2,")
-    # every strength of the sweep keeps those columns: each record fails
-    # with the conversion's message, and none is left to select
-    with pytest.raises(OrthofitError) as failed:
-        lambda_sweep(data, parts, [5, 10], FitConfig(fixed_columns=4))
-    assert str(failed.value) == (f"no usable sweep records to select from "
-                                 f"(x=5: {exc.value})")
-    # three columns keep (0, 1, 3), which the monomials span
-    rep = lambda_sweep(data, parts, [5, 10], FitConfig(fixed_columns=3))
-    assert [r.note for r in rep.records] == ["", ""]
-    to_monomial(fit_surface(parts, data, FitConfig(fixed_columns=3)))
+    assert fit.basis.kept == (0, 1, 3, 6) and fit.rejected == (2, 4, 5)
+    to_monomial(fit)
+    rep = lambda_sweep(data, parts, [5, 10], FitConfig(fixed_columns=4))
+    assert [(r.note, r.S) for r in rep.records] == [("", 3), ("", 3)]
 
 
 @pytest.mark.parametrize("n_cols", [79, 210])
