@@ -40,7 +40,9 @@ own pairwise tree, so the cap moves no bit.  It does not bound one
 column or vector, which is one tree however long (the 66,667 training
 rows of a 100k fit's training error, or of each of its z projections),
 nor the products ``dd_dot`` forms over its whole operand before
-``dd_sum`` groups it.
+``dd_sum`` groups it.  The double core's ``subtract_scaled_columns``
+stacks the training residual's scaled columns in chunks within the cap,
+each subtracted in order by one reduce, so no chunking moves a bit.
 """
 
 from __future__ import annotations

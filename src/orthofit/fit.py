@@ -28,7 +28,7 @@ from z that names the column.  A sweep builds once and solves per
 strength.  Neither step does per column what does not depend on the
 column before: the scan forms the terms of a block's Q_t over the
 earlier blocks at once, and the walk forms the training residual only
-where a rule reads it or a group of pending columns fills.
+where a rule reads it, from every column pending since in one call.
 
 ``FitBasis`` also keeps the raw-basis coefficients W of every column
 (P_s = sum_r W[s, r] h_r, the expansion of the identity), so ``solve``
@@ -47,8 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import _BlockGen, block_start
-from .ddarith import (BLOCK_ELEMS, DD, dd_add, dd_dot, dd_dot_terms, dd_mul,
-                      dd_sum_list)
+from .ddarith import DD, dd_add, dd_dot, dd_dot_terms, dd_mul, dd_sum_list
 from .dataset import DataSplit, NormalizationMap, NormalizedDataset
 from .errors import DegenerateFitError, FieldError, InsufficientDataError
 from .ortho import OrthoBasis, OrthoBuilder, PrecisionMode
@@ -101,9 +100,16 @@ def regularized_coefficient(proj, q, r_acc, lam: float):
     """Closed-form coefficient of one orthonormal polynomial.
 
     Arguments may be floats or DD scalars; the result follows the inputs.
-    The denominator is at least 1 (``solve`` admits only lam >= 0), so the
-    expression never degenerates.
+    For lam = 2**e * m > 1, m in [0.5, 1), both sides are scaled by 2**-e:
+    the bits of the unscaled form while every value stays normal, and the
+    double-double splits, which overflow above 2**995, see m, not lam.
+    The denominator is at least min(1, 2**-e) > 0, so the expression never
+    degenerates (``solve`` admits only finite lam >= 0).
     """
+    if lam > 1.0:
+        m, e = math.frexp(lam)
+        u = math.ldexp(1.0, -e)
+        return (proj * u - m * r_acc * q) / (m * q * q + u)
     return (proj - lam * r_acc * q) / (lam * q * q + 1.0)
 
 
@@ -269,31 +275,26 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
     The training error is computed only where a rule reads it: after
     every column while ``target_error`` is set, at degree-block ends for
     the stall rule, and at the last column or a scan-budget end.  Its
-    residual is formed only then, or once max(1, BLOCK_ELEMS // n - 1)
-    columns are pending (n training points), so the pending columns and
-    the residual fit in BLOCK_ELEMS doubles: one
-    ``subtract_scaled_columns``, whose bits are those of subtracting the
-    columns one by one.  A training error that is not finite (lambda too
-    large) raises DegenerateFitError naming the first column where it
-    became so, found by replaying the residual from z column by column.
+    residual is formed only then, by one ``subtract_scaled_columns`` over
+    the pending columns, with the bits of subtracting them one by one.  A
+    training error that is not finite (a coefficient or residual too
+    large for a double) raises DegenerateFitError naming the first column
+    where it became so, found by replaying the residual from z column by
+    column.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     bld, ntr, cap, cfg = basis.builder, basis.ntr, basis.cap, basis.cfg
     fixed = cfg.fixed_columns is not None
     watch = not fixed and cfg.target_error is not None
-    group = max(1, BLOCK_ELEMS // ntr - 1)
     R, bs = 0.0, []
     residual, done = basis._z_vec, 0  # z less the first ``done`` columns
 
-    def flush():
+    def training_error():
         nonlocal residual, done
         if done < len(bs):  # a new vector: z itself is never written
             residual = bld.subtract_scaled_columns(residual, done, bs[done:])
             done = len(bs)
-
-    def training_error():
-        flush()
         sigma = bld.vec_norm2(residual) / ntr
         if not math.isfinite(sigma):
             # b_t never reads the residual: replaying it from z, one column
@@ -324,8 +325,6 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
             b = regularized_coefficient(basis.proj[s], q, R, lam)
             R = R + b * q
             bs.append(b)
-            if len(bs) - done >= group:
-                flush()
             sigma = None
             if watch or s + 1 >= cap:
                 sigma = training_error()
@@ -386,7 +385,7 @@ def fit_surface(split: DataSplit, data: NormalizedDataset,
     indices rejected below the last column's, or below the next block's
     first at a block-end stop: those found dependent, and those withheld
     unprojected as above a rejected one, so the set is closed upward.  A
-    training error that is not finite (lambda too large) raises
-    DegenerateFitError.
+    training error that is not finite (a coefficient or residual too
+    large for a double) raises DegenerateFitError.
     """
     return solve(FitBasis(split, data, cfg), lam)

@@ -42,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ddarith import (DD, comp_dot, dd_add, dd_add_d, dd_mul, dd_slices,
-                      dd_sub, slice_width, two_sum)
+from .ddarith import (BLOCK_ELEMS, DD, comp_dot, dd_add, dd_add_d, dd_mul,
+                      dd_slices, dd_sub, slice_width, two_sum)
 
 REORTH_TOL = 1e-14   # pass accepted when max |delta| <= tol * column norm
 MAX_PASSES = 3
@@ -144,18 +144,20 @@ class _DoubleCore:
         # groups of at most BLOCK_ELEMS products (one column at 100k)
         return comp_dot(self.P[:, first:end], vec[:, None])
 
-    def subtract_scaled_column(self, vec, t, coeff):
-        return vec - float(coeff) * self.P[:, t]
-
     def subtract_scaled_columns(self, vec, first, coeffs):
-        # rows: vec, then coeffs[i] * P_{first+i}; one reduce subtracts
-        # the rows in order, as a chain of subtract_scaled_column does
-        m = len(coeffs)
-        rows = np.empty((m + 1, vec.size))
-        rows[0] = vec
-        np.multiply(self.P[:, first:first + m].T,
-                    np.array(coeffs, dtype=float)[:, None], out=rows[1:])
-        return np.subtract.reduce(rows, axis=0)
+        # rows: vec, then c_t * P_t for up to step columns, within
+        # BLOCK_ELEMS doubles where two rows fit; each reduce subtracts its
+        # rows in order, as vec - c_t * P_t one column at a time does
+        n, c = vec.size, np.array(coeffs, dtype=float)
+        step = max(1, BLOCK_ELEMS // n - 1)
+        rows = np.empty((min(step, c.size) + 1, n))
+        for i in range(0, c.size, step):
+            k = c[i:i + step]
+            rows[0] = vec
+            np.multiply(self.P[:, first + i:first + i + k.size].T, k[:, None],
+                        out=rows[1:k.size + 1])
+            vec = np.subtract.reduce(rows[:k.size + 1], axis=0)
+        return vec
 
     def vec_norm2(self, vec):
         return comp_dot(vec, vec)
@@ -273,14 +275,11 @@ class _ExtendedCore:
                                       self.width, self.count)[0]
         self.k += 1
 
-    def subtract_scaled_column(self, vec, t, coeff):
-        ch, cl = DD._coerce(coeff)
-        sh, sl = dd_mul(self.Ph[:, t], self.Pl[:, t], ch, cl)
-        return dd_sub(vec[0], vec[1], sh, sl)
-
     def subtract_scaled_columns(self, vec, first, coeffs):
         for t, coeff in enumerate(coeffs, first):
-            vec = self.subtract_scaled_column(vec, t, coeff)
+            ch, cl = DD._coerce(coeff)
+            sh, sl = dd_mul(self.Ph[:, t], self.Pl[:, t], ch, cl)
+            vec = dd_sub(vec[0], vec[1], sh, sl)
         return vec
 
     def vec_norm2(self, vec):
@@ -396,14 +395,12 @@ class OrthoBuilder:
         return self._core.column_dot(first, end, vec)
 
     def subtract_scaled_column(self, vec, t: int, coeff):
-        return self._core.subtract_scaled_column(vec, t, coeff)
+        return self.subtract_scaled_columns(vec, t, [coeff])
 
     def subtract_scaled_columns(self, vec, first: int, coeffs):
-        """vec less coeffs[i] * P_{first + i} for each i, in order: the
-        bits of that chain of ``subtract_scaled_column`` calls, which a
-        single column takes."""
-        if len(coeffs) == 1:
-            return self.subtract_scaled_column(vec, first, coeffs[0])
+        """vec less coeffs[i] * P_{first + i} for each i, in order, with the
+        bits of one column at a time; vec is never written.  Double mode
+        stacks the columns in chunks within BLOCK_ELEMS doubles."""
         return self._core.subtract_scaled_columns(vec, first, coeffs)
 
     def vec_norm2(self, vec) -> float:

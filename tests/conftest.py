@@ -15,8 +15,9 @@ settings.register_profile("orthofit", deadline=None, database=None,
                           derandomize=True)
 settings.load_profile("orthofit")
 
-from orthofit import DataSplit
+from orthofit import DataSplit, regularized_coefficient
 from orthofit.basis import _BlockGen, block_start, degree_block
+from orthofit.ddarith import DD
 from orthofit.ortho import OrthoBasis, PrecisionMode, orthogonality_defect
 from orthofit.synth import SplitMix64
 from oracles import single_pass_gs
@@ -30,6 +31,17 @@ def src_env():
         [str(Path(__file__).resolve().parent.parent / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+def overflow_above(lam_min):
+    """``fit.regularized_coefficient``, but DD(1e200) for every column at
+    strengths above lam_min: an extended fit's training error then
+    overflows from its first column on."""
+    def coefficient(proj, q, r_acc, lam):
+        if lam > lam_min:
+            return DD(1e200)
+        return regularized_coefficient(proj, q, r_acc, lam)
+    return coefficient
 
 
 def all_train_split(n):

@@ -16,7 +16,8 @@ single-pass Gram-Schmidt baselines (classical and modified) are plain
 numpy in double, with the builder's rank rule.  The plain-double
 monomial conversion is the baseline the double-double one beats.  The
 first column with a training error that is not finite is found by
-recomputing the residual from z after every column.  The curvature
+recomputing the residual from z after every column, and a residual less
+scaled columns is one ``vec - c * P_t`` per column.  The curvature
 sums of the orthonormal columns follow the per-column recurrence, one
 ``dd_dot`` over every earlier column per column.  The raw Chebyshev
 columns are built here from sympy's integer Chebyshev polynomials, not
@@ -40,8 +41,8 @@ from orthofit.basis import basis_values, block_start, degree_block
 from orthofit.dataset import (HEADER_ALIASES, NormalizationMap,
                               NormalizedDataset, _point_array)
 from orthofit.ddarith import (DD, comp_dot, dd_add, dd_dot, dd_mul,
-                              dd_sum, two_sum)
-from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL
+                              dd_sub, dd_sum, two_sum)
+from orthofit.ortho import DOUBLE_RANK_REL, RANK_TOL, PrecisionMode
 
 
 def dd_solve_full_pivot(G, rhs):
@@ -119,6 +120,21 @@ def training_error(b, basis, z):
         raise ValueError("more coefficients than basis columns")
     r = basis.P[:, :k] @ b - z
     return comp_dot(r, r) / z.size
+
+
+def chained_subtraction(builder, vec, first, coeffs):
+    """vec less coeffs[i] * P_{first + i} of the OrthoBuilder ``builder``,
+    one column at a time: ``vec - c * P_t`` in double, and the dd
+    product of the stored (hi, lo) column with c, then ``dd_sub``, in
+    extended precision."""
+    core = builder._core
+    for t, c in enumerate(coeffs, first):
+        if builder.precision is PrecisionMode.DOUBLE:
+            vec = vec - float(c) * core.P[:, t]
+        else:
+            vec = dd_sub(*vec, *dd_mul(core.Ph[:, t], core.Pl[:, t],
+                                       *DD._coerce(c)))
+    return vec
 
 
 def first_nonfinite_column(fb, z, lam):

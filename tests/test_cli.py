@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import orthofit.fit
 import orthofit.model
 from orthofit import (GridKernel, SynthSpec, cli, dZ_dY, entropy_change,
                       eval_physical, generate, load_model, save_dataset)
@@ -26,7 +27,7 @@ from orthofit.basis import degree_block
 from orthofit.cli import _parse_x_grid, main
 from orthofit.model import _block_rows
 from orthofit.synth import MAX_POINTS, MAX_POLY_DEGREE, SplitMix64
-from conftest import near_line_points, src_env
+from conftest import near_line_points, overflow_above, src_env
 from oracles import reference_rows
 
 
@@ -289,34 +290,41 @@ def test_flags_are_checked_before_the_data_file(capsys, tmp_path, argv,
 
 
 def test_non_finite_training_error_is_a_numeric_failure(capsys, noisy_csv,
-                                                        tmp_path):
-    # lambda beyond the double-double splitter's range turns the fit NaN
-    model_path = tmp_path / "m.json"
-    code, out, err = run_cli(capsys, "fit", str(noisy_csv), "-o", str(model_path),
-                             "--precision", "extended", "--lambda", "1e300",
-                             "--fixed-S", "10")
-    assert code == 4
-    assert "not finite" in err and "1e+300" in err
-    assert not out and not model_path.exists()
-    code, out, err = run_cli(capsys, "sweep", str(noisy_csv), "--precision",
-                             "extended", "--x-grid=-700,-690", "--fixed-S", "10")
-    assert code == 4
-    assert "no usable sweep records" in err and "x=-700" in err
-    assert "not finite" in err and not out
-    json_path, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
-    code, out, _ = run_cli(capsys, "sweep", str(noisy_csv), "--precision",
-                           "extended", "--x-grid=-700,10", "--fixed-S", "10",
-                           "--report", "json", "--json-out", str(json_path),
-                           "--csv-out", str(csv_path))
-    assert code == 0
-    doc = strict_json(out)
-    assert strict_json(json_path.read_text()) == doc
-    failed = doc["records"][0]
-    assert "not finite" in failed["note"]
-    assert failed["sigma_tr"] is None and failed["gamma_prime"] is None
-    assert doc["chosen"] == 1 and math.isfinite(doc["records"][1]["sigma_tr"])
-    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
-    assert rows[0]["sigma_tr"] == "nan"
+                                                        tmp_path, monkeypatch):
+    # coefficients too large for the residual's square above lambda = e^650
+    # make the training error overflow
+    monkeypatch.setattr(orthofit.fit, "regularized_coefficient",
+                        overflow_above(math.exp(650)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        model_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", str(noisy_csv), "-o",
+                                 str(model_path), "--precision", "extended",
+                                 "--lambda", "1e300", "--fixed-S", "10")
+        assert code == 4
+        assert "not finite" in err and "1e+300" in err
+        assert not out and not model_path.exists()
+        code, out, err = run_cli(capsys, "sweep", str(noisy_csv),
+                                 "--precision", "extended",
+                                 "--x-grid=-700,-690", "--fixed-S", "10")
+        assert code == 4
+        assert "no usable sweep records" in err and "x=-700" in err
+        assert "not finite" in err and not out
+        json_path, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sweep", str(noisy_csv),
+                               "--precision", "extended", "--x-grid=-700,10",
+                               "--fixed-S", "10", "--report", "json",
+                               "--json-out", str(json_path),
+                               "--csv-out", str(csv_path))
+        assert code == 0
+        doc = strict_json(out)
+        assert strict_json(json_path.read_text()) == doc
+        failed = doc["records"][0]
+        assert "not finite" in failed["note"]
+        assert failed["sigma_tr"] is None and failed["gamma_prime"] is None
+        assert doc["chosen"] == 1
+        assert math.isfinite(doc["records"][1]["sigma_tr"])
+        rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+        assert rows[0]["sigma_tr"] == "nan"
 
 
 def test_sweep_gamma_cap_nan_is_a_usage_error(capsys, plane_csv):

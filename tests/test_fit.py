@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       FitBasis, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize,
                       regularized_coefficient, solve, split, to_monomial)
-import orthofit.fit
+import orthofit.ortho
 from orthofit.basis import _BlockGen, block_start, degree_block
 from orthofit.ddarith import DD
 from orthofit.ortho import PrecisionMode
-from oracles import (first_nonfinite_column, mpmath_curvature_sums,
-                     normal_equation_predictions, reference_curvature_sums,
-                     training_error, unit_dataset)
+from oracles import (chained_subtraction, first_nonfinite_column,
+                     mpmath_curvature_sums, normal_equation_predictions,
+                     reference_curvature_sums, training_error, unit_dataset)
 from conftest import all_train_split
 
 
@@ -38,6 +39,32 @@ def test_coefficient_generic_over_dd():
     b = regularized_coefficient(DD(0.3), DD(1.0), DD(5.0), 1e12)
     assert isinstance(b, DD)
     assert float(b) == pytest.approx(-5.0, abs=1e-11)
+
+
+def test_extended_coefficient_reaches_the_large_lambda_limit():
+    # double-double products split their operands, which overflows above
+    # 2**995: up to the top of the double range the coefficient must still
+    # reach the limit -R/Q, at both precisions
+    for lam in (2.0 ** 995, 1e300, math.exp(709), 1.7976931348623157e308):
+        for args in ((0.3, 1.0, 5.0), (DD(0.3), DD(1.0), DD(5.0))):
+            b = regularized_coefficient(*args, lam)
+            assert float(b) == pytest.approx(-5.0, abs=1e-15), (args, lam)
+
+
+@pytest.mark.parametrize("exp", [1, 2, 60, 500, 850])
+def test_coefficient_scaling_keeps_the_bits_of_the_closed_form(exp):
+    # above lam = 1 the closed form is scaled by a power of two, which
+    # moves no bit while every value it forms stays normal
+    rng = np.random.default_rng(exp)
+    for _ in range(40):
+        lam = math.ldexp(rng.uniform(0.5, 1.0), exp)
+        proj, q, r = rng.standard_normal(3)
+        dd = [DD(v, math.ulp(v) * rng.uniform(-0.5, 0.5))
+              for v in (proj, q, r)]
+        for p_, q_, r_ in ((proj, q, r), dd):
+            got = regularized_coefficient(p_, q_, r_, lam)
+            want = (p_ - lam * r_ * q_) / (lam * q_ * q_ + 1.0)
+            assert DD._coerce(got) == DD._coerce(want), (lam, p_, q_, r_)
 
 
 def _fit_and_sums(parts, data, cfg, lam=0.0):
@@ -200,13 +227,26 @@ def _check_curvature_sums(parts, data, cfg):
 
 
 def _chained_training_error(basis, fit):
-    """The fit's training error from z less b_t P_t, one
-    ``subtract_scaled_column`` per column in order."""
-    bld, residual = basis.builder, basis._z_vec
-    for t, (hi, lo) in enumerate(zip(fit.b, fit.b_lo)):
-        coeff = DD(hi, lo) if basis._gen.ext else hi
-        residual = bld.subtract_scaled_column(residual, t, coeff)
-    return bld.vec_norm2(residual) / basis.ntr
+    """The fit's training error from z less b_t P_t, one column at a time
+    in order (``chained_subtraction``)."""
+    coeffs = ([DD(*c) for c in zip(fit.b, fit.b_lo)] if basis._gen.ext
+              else fit.b)
+    residual = chained_subtraction(basis.builder, basis._z_vec, 0, coeffs)
+    return basis.builder.vec_norm2(residual) / basis.ntr
+
+
+class _NumpySpy:
+    """numpy, but for ``subtract.reduce``, which records the number of
+    columns each stacked reduce subtracts (its rows less the vector)."""
+
+    def __init__(self, chunks):
+        def reduce(rows, axis):
+            chunks.append(len(rows) - 1)
+            return np.subtract.reduce(rows, axis=axis)
+        self.subtract = SimpleNamespace(reduce=reduce)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 def _scan_budget_corpus(n):
@@ -234,9 +274,10 @@ def _scan_budget_corpus(n):
                   stop_patience_blocks=10), "scan_budget"),
 ])
 def test_lazy_residual_keeps_every_bit(monkeypatch, corpus, cfg, reason):
-    # solve subtracts pending columns in groups of max(1, BLOCK_ELEMS // n
-    # - 1), and whenever a rule reads the training error; every grouping
-    # must give the bits of the per-column chain
+    # solve subtracts the pending columns whenever a rule reads the
+    # training error, and the double core takes them max(1, BLOCK_ELEMS //
+    # n - 1) at a time, one stacked reduce each; every grouping and
+    # chunking must give the bits of the per-column chain
     if isinstance(corpus, int):
         parts, data = _scan_budget_corpus(corpus)
     else:
@@ -246,30 +287,36 @@ def test_lazy_residual_keeps_every_bit(monkeypatch, corpus, cfg, reason):
     basis = FitBasis(parts, data, cfg)
     n = basis.ntr
     assert n % 2 == (corpus in ("1k", 7))
-    sizes = []
+    double = not basis._gen.ext
+    calls, chunks = [], []
     group_subtract = basis.builder.subtract_scaled_columns
 
     def spy(vec, first, coeffs):
-        sizes.append(len(coeffs))
+        calls.append(len(coeffs))
         return group_subtract(vec, first, coeffs)
 
     basis.builder.subtract_scaled_columns = spy
-    for group in (None, 1, 2, 7):
-        if group is not None:
-            monkeypatch.setattr(orthofit.fit, "BLOCK_ELEMS", (group + 1) * n)
+    monkeypatch.setattr(orthofit.ortho, "np", _NumpySpy(chunks))
+    for step in (None, 1, 2, 7):
+        if step is not None:
+            monkeypatch.setattr(orthofit.ortho, "BLOCK_ELEMS", (step + 1) * n)
+        limit = max(1, orthofit.ortho.BLOCK_ELEMS // n - 1)
         for lam in (0.0, 1e-6):
-            sizes.clear()
+            calls.clear()
+            chunks.clear()
             fit = solve(basis, lam)
             assert fit.stop_reason == reason
-            assert fit.sigma_tr.hex() == _chained_training_error(
-                basis, fit).hex(), (group, lam)
-            assert sum(sizes) == fit.S + 1
-            limit = max(1, orthofit.fit.BLOCK_ELEMS // n - 1)
-            assert max(sizes) <= limit
+            assert sum(calls) == fit.S + 1
+            assert sum(chunks) == (fit.S + 1 if double else 0)
+            assert max(chunks, default=limit) <= limit
             if cfg.target_error is not None:
-                assert set(sizes) == {1}
+                assert set(calls) == {1}
             elif cfg.fixed_columns is not None:
-                assert sizes[0] == min(limit, fit.S + 1)
+                assert calls == [fit.S + 1]
+                assert chunks[:1] == ([min(limit, fit.S + 1)] if double
+                                      else [])
+            assert fit.sigma_tr.hex() == _chained_training_error(
+                basis, fit).hex(), (step, lam)
 
 
 def test_earlier_coefficients_never_revisited():
@@ -421,31 +468,30 @@ def _named_column(basis, lam):
 
 
 @pytest.mark.parametrize("cfg, named", [
-    # extended fixed size: the double-double coefficients overflow at
-    # large lambda, first at columns 0, 3, 10 and 36
+    # extended fixed size: a projection of 1e200 at column s makes the
+    # residual's square overflow from s on
     (FitConfig(fixed_columns=60, precision=PrecisionMode.EXTENDED),
-     {0, 3, 10, 36}),
-    # extended auto size: read at block ends only, so the named column 3
-    # lies inside the block whose end found it; with a target error, read
-    # after every column
-    (FitConfig(precision=PrecisionMode.EXTENDED), {0, 3}),
+     (0, 3, 10, 36)),
+    # extended auto size: read at block ends only, so column 4 lies inside
+    # degree block 2, whose end finds it; with a target error, read after
+    # every column
+    (FitConfig(precision=PrecisionMode.EXTENDED), (0, 4)),
     (FitConfig(target_error=1e-28, precision=PrecisionMode.EXTENDED),
-     {0, 3}),
+     (0, 4)),
 ])
 def test_solve_names_the_first_column_with_a_non_finite_error(cfg, named):
     parts, data, z = _magnet_1k()
     basis = FitBasis(parts, data, cfg)
-    seen = set()
-    for x in range(-709, -660, 3):
-        lam = math.exp(-x)
-        column, S = _named_column(basis, lam)
-        want = first_nonfinite_column(basis, z, lam)
-        if column is None:  # every training error through the fit's last
-            assert want is None or basis.builder.kept.index(want) > S
-        else:
-            assert column == want, x
-            seen.add(column)
-    assert seen == named
+    assert basis.block(10) > max(named)
+    proj = list(basis.proj)
+    for s in named:
+        basis.proj[:] = proj
+        basis.proj[s] = DD(1e200)
+        for lam in (0.0, 1e-3):
+            with np.errstate(over="ignore", invalid="ignore"):
+                column, _ = _named_column(basis, lam)
+            assert column == first_nonfinite_column(basis, z, lam)
+            assert column == basis.builder.kept[s], (s, lam)
 
 
 @pytest.mark.parametrize("cfg, s", [

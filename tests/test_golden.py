@@ -54,10 +54,15 @@ COMMANDS = (
                      "--fixed-S", "44", "-o", "{dir}/modd.json")),
     ("fit_auto_audit", ("fit", "{dir}/d.csv", "--audit",
                         "-o", "{dir}/maudit.json")),
+    ("fit_extended_auto", ("fit", "{dir}/d.csv", "--precision", "extended",
+                           "-o", "{dir}/mextauto.json")),
     ("sweep_S78", ("sweep", "{dir}/d.csv", "--x-grid", "10:40:2",
                    "--fixed-S", "78")),
     ("sweep_auto", ("sweep", "{dir}/d.csv", "--x-grid", "10:40:10",
                     "--stop-rel-improvement", "0.005", "--report", "json")),
+    ("sweep_extended_large_lambda", ("sweep", "{dir}/d.csv",
+                                     "--x-grid=-709:-640:3", "--precision",
+                                     "extended", "--fixed-S", "60")),
     ("eval_grid_S209", ("eval", "--model", "{dir}/m209.json", "--grid",
                         "40x40", "--with-slope", "--with-entropy")),
     ("eval_grid_extended", ("eval", "--model", "{dir}/mext.json", "--grid",

@@ -7,14 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthofit import (FitBasis, FitConfig, SplitConfig, SynthSpec, generate,
                       normalize, split)
 from orthofit.basis import columns_for_degree, raw_values
-from orthofit.ddarith import comp_dot, dd_add, dd_dot, dd_mul, dd_sub
+from orthofit.ddarith import DD, comp_dot, dd_add, dd_dot, dd_mul, dd_sub
 from orthofit.ortho import (OrthoBasis, OrthoBuilder, PrecisionMode,
                             orthogonality_defect)
-from oracles import single_pass_gs, sympy_laplacian_columns, unit_dataset
+from oracles import (chained_subtraction, single_pass_gs,
+                     sympy_laplacian_columns, unit_dataset)
 from conftest import (all_train_split, basis_columns, generator_sums,
                       single_pass_defect, uniform_xy)
 
@@ -437,6 +439,46 @@ def test_double_projections_keep_every_bit_in_column_groups(monkeypatch,
     P = b.to_basis().P
     want = np.array([comp_dot(P[:, t], y) for t in range(3, 17)])
     assert b.column_dot(3, 17, y).tobytes() == want.tobytes()
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_scaled_column_subtraction_keeps_the_per_column_bits(data):
+    # subtract_scaled_columns takes double columns max(1, BLOCK_ELEMS // n
+    # - 1) at a time, one stacked reduce each; every chunking, and
+    # subtract_scaled_column, must give the bits of vec - c * P_t taken one
+    # column at a time, at both precisions, and leave vec as it was
+    n = data.draw(st.integers(2, 40), label="n")
+    extended = data.draw(st.booleans(), label="extended")
+    k = data.draw(st.integers(1, min(n, 12)), label="columns held")
+    first = data.draw(st.integers(0, k - 1), label="first")
+    m = data.draw(st.integers(1, k - first), label="columns subtracted")
+    step = data.draw(st.one_of(st.sampled_from([m, max(1, m - 1)]),
+                               st.integers(1, m + 1)), label="step")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    precision = PrecisionMode.EXTENDED if extended else PrecisionMode.DOUBLE
+    b = OrthoBuilder(n, precision=precision)
+    for t in range(k):
+        assert b.add_column(rng.standard_normal(n), tag=t)
+    hi = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    coeffs = rng.standard_normal(m).tolist()
+    if extended:
+        vec = (hi, np.spacing(hi) * rng.uniform(-0.5, 0.5, n))
+        coeffs = [DD(c, math.ulp(c) * rng.uniform(-0.5, 0.5))
+                  for c in coeffs]
+    else:
+        vec = hi
+    before = np.array(vec).tobytes()
+    want = np.array(chained_subtraction(b, vec, first, coeffs)).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("orthofit.ortho.BLOCK_ELEMS", (step + 1) * n)
+        got = b.subtract_scaled_columns(vec, first, coeffs)
+    assert np.array(got).tobytes() == want
+    one = vec
+    for t, c in enumerate(coeffs, first):
+        one = b.subtract_scaled_column(one, t, c)
+    assert np.array(one).tobytes() == want
+    assert np.array(vec).tobytes() == before
 
 
 def test_double_storage_growth_keeps_every_bit():

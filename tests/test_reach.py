@@ -218,6 +218,24 @@ def test_the_grid_kernel_is_chunked_in_one_module():
     assert not {"BLOCK_ELEMS", "GridKernel", "_block_rows"} & _named(cli)
 
 
+def test_the_training_residual_is_chunked_in_one_module():
+    # how many columns one subtraction stacks is decided in ortho.py alone:
+    # fit.py never names the block cap, each core has one grouped
+    # subtraction, with no single-column path beside it, and the builder
+    # hands every length to it
+    fit = ast.parse((ROOT / "src" / "orthofit" / "fit.py").read_text())
+    assert "BLOCK_ELEMS" not in _named(fit)
+    ortho = ast.parse((ROOT / "src" / "orthofit" / "ortho.py").read_text())
+    methods = {node.name: {f.name: f for f in node.body
+                           if isinstance(f, ast.FunctionDef)}
+               for node in ortho.body if isinstance(node, ast.ClassDef)}
+    for core in ("_DoubleCore", "_ExtendedCore"):
+        assert "subtract_scaled_columns" in methods[core]
+        assert "subtract_scaled_column" not in methods[core]
+    grouped = methods["OrthoBuilder"]["subtract_scaled_columns"]
+    assert "len" not in _calls(grouped)
+
+
 def _calls(fn):
     """Names that the function node ``fn`` calls."""
     return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)

@@ -1,5 +1,6 @@
 """Validation errors, overfitting degree, sweeps, and selection."""
 
+import contextlib
 import csv
 import io
 import json
@@ -16,12 +17,14 @@ from orthofit import (DataSplit, FitConfig, OrthofitError, SplitConfig,
                       generate, group_error, lambda_sweep, normalize,
                       overfit_degree, select_model, split, to_monomial)
 from orthofit.basis import raw_values
+import orthofit.fit
 from orthofit.ddarith import comp_dot
 from orthofit.fit import FitBasis, solve
 from orthofit.ortho import OrthoBuilder, PrecisionMode
 from orthofit.select import (SWEEP_COLUMNS, group_errors, sweep_to_csv,
                              sweep_to_json)
-from conftest import all_train_split, near_line_points, src_env
+from conftest import (all_train_split, near_line_points, overflow_above,
+                      src_env)
 from oracles import (mpmath_held_out_error, reference_rows, refit_sweep,
                      unit_dataset)
 
@@ -323,7 +326,9 @@ SHARED_SWEEPS = {
                                      precision=PrecisionMode.EXTENDED)),
 }
 
-# the note of the x=-700 record, which a failed sweep quotes
+# the note of the x=-700 record, which a failed sweep quotes: there the
+# coefficients are made too large for the residual's square, from the
+# first kept column on (flat tag 1 under --odd-field-only)
 FAILED_NOTES = {
     "failing": "training error is not finite after column 0 ",
     "failing_auto": "training error is not finite after column 0 ",
@@ -350,12 +355,18 @@ def _sweep_outcome(sweep, data, parts, grid, cfg):
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_SWEEPS))
-def test_shared_sweep_matches_one_refit_per_strength(case):
+def test_shared_sweep_matches_one_refit_per_strength(case, monkeypatch):
     data, parts = (_rank_deficient_corpus() if case == "budget"
                    else _noisy_corpus())
     grid, cfg = SHARED_SWEEPS[case]
-    got = _sweep_outcome(lambda_sweep, data, parts, grid, cfg)
-    assert got == _sweep_outcome(refit_sweep, data, parts, grid, cfg)
+    overflow = contextlib.nullcontext()
+    if case in FAILED_NOTES:
+        monkeypatch.setattr(orthofit.fit, "regularized_coefficient",
+                            overflow_above(math.exp(650)))
+        overflow = np.errstate(over="ignore", invalid="ignore")
+    with overflow:
+        got = _sweep_outcome(lambda_sweep, data, parts, grid, cfg)
+        assert got == _sweep_outcome(refit_sweep, data, parts, grid, cfg)
     if case in FAILED_NOTES:
         assert FAILED_NOTES[case] in str(got)
 
