@@ -40,6 +40,12 @@ from .ddarith import (DD, _dd_powers, dd_dot, dd_mul, dd_mul_d, dd_sub,
                       dd_sum, two_sum)
 from .ortho import PrecisionMode
 
+# Largest total degree: (m+1)(m+2)/2 <= BLOCK_ELEMS, so one row of a
+# held-out raw table (``select.group_errors``) fits one reduction block.
+# The fit's block generator hands out no column above it, so every model
+# file a fit writes loads (``model.load_model``).
+MAX_DEGREE = 360
+
 
 class BasisIndex(NamedTuple):
     """Flat index t with its (degree, y-power) decomposition."""
@@ -268,8 +274,11 @@ class _BlockGen:
     def next_block(self, rejected=()):
         """Return [(flat_t, col, q)] for the next degree block, with q the
         DD curvature sum Q(h_t); col is None for a column withheld as
-        above one of the flat tags ``rejected`` (those of earlier blocks)."""
+        above one of the flat tags ``rejected`` (those of earlier blocks).
+        Past degree ``MAX_DEGREE`` every block is empty."""
         m, n = self.m, self.n
+        if m > MAX_DEGREE:
+            return []
         # column-major, so each column handed out is contiguous
         block = np.empty((m + 1, n)).T
         if self.ext:

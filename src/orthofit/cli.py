@@ -45,9 +45,9 @@ from .dataset import (SplitConfig, load_dataset, load_points, normalize,
 from .errors import (DegenerateAxisError, FieldError, InsufficientDataError,
                      ModelFormatError, OrthofitError, ParseError)
 from .fit import FitConfig, fit_surface
-from .model import (MAX_DEGREE, grid_chunks, load_model, point_chunks,
-                    save_model, to_monomial)
-from .basis import columns_for_degree, degree_block
+from .model import (grid_chunks, load_model, point_chunks, save_model,
+                    to_monomial)
+from .basis import MAX_DEGREE, columns_for_degree, degree_block
 from .ortho import PrecisionMode, orthogonality_defect
 from .select import (_strengths, group_error, lambda_sweep, overfit_degree,
                      sweep_to_csv, sweep_to_json)
@@ -70,14 +70,17 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-factor", type=int, default=3,
                    help="f >= 2; training gets (f-1)/f of the data")
     p.add_argument("--max-degree", type=int, default=19,
-                   help="largest total degree the fit may use")
+                   help="cap the fit at (D+1)(D+2)/2 columns, the count of "
+                        "total degree <= D; rejected or odd-x-only columns "
+                        "let it reach past degree D, never past 360")
     p.add_argument("--target-error", type=float, default=1e-28,
                    help="stop once the training error reaches this; the "
                         "default only triggers for exactly representable data")
     p.add_argument("--precision", choices=("double", "extended"),
                    default="double")
     p.add_argument("--odd-field-only", action="store_true",
-                   help="keep only odd powers of x in the basis")
+                   help="keep only odd powers of the normalized x; odd in "
+                        "the field only when the smallest field is 0")
     p.add_argument("--fixed-S", dest="fixed_s", type=int, default=None,
                    help="use exactly S+1 polynomials, no early stopping")
     p.add_argument("--stop-rel-improvement", type=float, default=0.05)
@@ -93,6 +96,9 @@ def _fit_config(args) -> FitConfig:
     if args.fixed_s is not None and args.fixed_s < 0:
         raise ValueError(f"--fixed-S must be >= 0, got {args.fixed_s}")
     return FitConfig(
+        # a column count, not a degree bound: a fit that rejects or
+        # withholds columns, or keeps only odd powers of x, scans past
+        # degree max_degree to fill it (never past MAX_DEGREE)
         max_columns=columns_for_degree(args.max_degree),
         target_error=args.target_error,
         stop_rel_improvement=args.stop_rel_improvement,

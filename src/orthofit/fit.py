@@ -9,7 +9,9 @@ curvature-regularized closed form
 where ``proj_t`` is the projection of the targets onto the polynomial,
 ``Q_t`` the sum of its Laplacian over the training points, ``R_t`` the
 running sum of earlier ``b_r * Q_r``, and ``lam >= 0`` the regularization
-strength.  Coefficients are greedy: once computed they are never
+strength.  ``regularized_coefficient`` evaluates it as one expression
+at every lam, both sides scaled by a power of two that keeps every
+value in range.  Coefficients are greedy: once computed they are never
 revisited, so at ``lam = 0`` the procedure is exactly sequential
 least-squares on an orthonormal system.
 
@@ -65,7 +67,9 @@ class FitConfig:
     precision : double or extended (software double-double) arithmetic.
     odd_field_only : restrict the basis to odd powers of x before
         orthogonalization (columns are dropped, not zeroed); the raw x
-        factor is then the unshifted T_i(x), i odd.
+        factor is then the unshifted T_i(x), i odd.  x is the normalized
+        field (H - H_min) / (H_max - H_min), so the basis is odd in H,
+        matching M(-H) = -M(H), only when H_min = 0.
     fixed_columns : take exactly this many columns, ignoring the
         stopping rules.
     """
@@ -100,17 +104,19 @@ def regularized_coefficient(proj, q, r_acc, lam: float):
     """Closed-form coefficient of one orthonormal polynomial.
 
     Arguments may be floats or DD scalars; the result follows the inputs.
-    For lam = 2**e * m > 1, m in [0.5, 1), both sides are scaled by 2**-e:
-    the bits of the unscaled form while every value stays normal, and the
-    double-double splits, which overflow above 2**995, see m, not lam.
-    The denominator is at least min(1, 2**-e) > 0, so the expression never
-    degenerates (``solve`` admits only finite lam >= 0).
+    Both sides are scaled by u = 2**-e, e the exponent of lam (lam =
+    2**e * m, m in [0.5, 1)) clamped to [0, 969], with m = lam * u exact:
+    below lam = 1 that is the unscaled form (u = 1, m = lam), and above it
+    the bits of the unscaled form while every value stays normal.  The
+    clamp keeps m below 2**55, so the double-double splits, which overflow
+    above 2**995, never see a large lam.  The denominator is at least
+    u > 0, so the expression never degenerates (``solve`` admits only
+    finite lam >= 0).
     """
-    if lam > 1.0:
-        m, e = math.frexp(lam)
-        u = math.ldexp(1.0, -e)
-        return (proj * u - m * r_acc * q) / (m * q * q + u)
-    return (proj - lam * r_acc * q) / (lam * q * q + 1.0)
+    e = min(max(math.frexp(lam)[1], 0), 969)
+    u = math.ldexp(1.0, -e)
+    m = lam * u
+    return (proj * u - m * r_acc * q) / (m * q * q + u)
 
 
 @dataclass(frozen=True)
@@ -220,10 +226,10 @@ class FitBasis:
             self._w = np.pad(self._w, [(0, 0), (0, s), (0, s)])
         w = self._w
         w[:, s, s] = a[s], a_lo[s]
-        if s and self._gen.ext:
+        if self._gen.ext:
             w[:, s, :s] = dd_dot(w[0, :s, :s], w[1, :s, :s], a[:s, None],
                                  a_lo[:s, None])
-        elif s:
+        else:
             w[0, s, :s] = (a[:s, None] * w[0, :s, :s]).sum(axis=0)
 
     def _scan_block(self):
@@ -315,7 +321,7 @@ def solve(basis: FitBasis, lam: float) -> FitResult:
     reason = None
     while reason is None:
         # blocks before k were scanned whole: a capped block ends the walk
-        if k and block_start(k) >= basis.scan_budget:
+        if block_start(k) >= basis.scan_budget:
             reason = "scan_budget"
             break
         end = basis.block(k)

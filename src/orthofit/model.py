@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import (_as_rows, columns_for_degree, degree_block,
+from .basis import (MAX_DEGREE, _as_rows, columns_for_degree, degree_block,
                     raw_to_monomial, raw_values)
 from .dataset import NormalizationMap
 from .ddarith import (BLOCK_ELEMS, _dd_powers, dd_div_d, dd_dot, dd_mul_d,
@@ -44,9 +44,6 @@ from .ortho import PrecisionMode
 
 MODEL_VERSION = 1
 SIMPSON_PANELS = 200  # composite Simpson panels of the entropy integral
-# Largest total degree: (m+1)(m+2)/2 <= BLOCK_ELEMS, so one row of a
-# held-out raw table (``select.group_errors``) fits one reduction block.
-MAX_DEGREE = 360
 _BOUNDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
 

@@ -130,7 +130,7 @@ class _DoubleCore:
         return v
 
     def norm2(self, v):
-        return float(v @ v)
+        return DD(float(v @ v))
 
     def delta_max(self, delta):
         return float(np.abs(delta).max())
@@ -335,13 +335,10 @@ class OrthoBuilder:
         if (v[0] if extended else v).shape[0] != self._n:
             raise ValueError("column length does not match the training size")
         dtot = (np.zeros(k), np.zeros(k)) if extended else np.zeros(k)
-        if extended and k:
-            # the pass rule needs the incoming column's norm only as a
-            # scale, so a plain sum of the high parts gives it
-            col_norm = math.sqrt(float(np.sum(v[0] * v[0])))
-        else:
-            n2 = core.norm2(v)
-            col_norm = float(n2) ** 0.5
+        # the pass rule needs the incoming column's norm only as a scale,
+        # so a plain sum of the high parts gives it in extended mode
+        col_norm = (math.sqrt(float(np.sum(v[0] * v[0]))) if extended
+                    else float(core.norm2(v)) ** 0.5)
         npasses = 0
         if k:
             # the next pass removes what a first pass leaves, so an
@@ -361,8 +358,7 @@ class OrthoBuilder:
                 if not lead and core.delta_max(delta) <= REORTH_TOL * col_norm:
                     break
                 lead = False
-            n2 = core.norm2(v)
-        p = (n2 if isinstance(n2, DD) else DD(n2)).sqrt()
+        p = core.norm2(v).sqrt()
         # double rounding leaves a dependent column a residual near 1e-16
         # of its norm, far above RANK_TOL, so double mode also rejects on
         # the residual relative to the incoming column

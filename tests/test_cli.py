@@ -1209,6 +1209,22 @@ def test_double_fit_and_sweep_do_not_depend_on_blas_threads(corpus_1k,
     assert outputs[0] == outputs[1]
 
 
+def test_an_extended_sweep_reaches_the_large_lambda_limit_everywhere(
+        capsys, corpus_1k):
+    # from lam = e^640 to the top of the double range a 60-column extended
+    # fit sits at the lam -> infinity limit, so each of the 24 rows prints
+    # the same errors: the closed form's scale, 2**-969 from lam = 2**969
+    # up, keeps every value it forms in range
+    code, out, err = run_cli(capsys, "sweep", str(corpus_1k),
+                             "--x-grid=-709:-640:3", "--precision",
+                             "extended", "--fixed-S", "60", "--report", "csv")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 24
+    assert len({(r["sigma_tr"], r["sigma_cv"], r["sigma_test"])
+                for r in rows}) == 1
+
+
 def test_fit_and_sweep_withhold_columns_above_a_rejected_one(capsys,
                                                              tmp_path):
     # the near-line corpus rejects y, so x y and y^2 are withheld: at four

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from orthofit import (DegenerateFitError, FitConfig, InsufficientDataError,
                       FitBasis, SplitConfig, SynthSpec,
                       fit_surface, generate, normalize,
                       regularized_coefficient, solve, split, to_monomial)
+import orthofit.basis
 import orthofit.ortho
 from orthofit.basis import _BlockGen, block_start, degree_block
 from orthofit.ddarith import DD
@@ -65,6 +67,40 @@ def test_coefficient_scaling_keeps_the_bits_of_the_closed_form(exp):
             got = regularized_coefficient(p_, q_, r_, lam)
             want = (p_ - lam * r_ * q_) / (lam * q_ * q_ + 1.0)
             assert DD._coerce(got) == DD._coerce(want), (lam, p_, q_, r_)
+
+
+@pytest.mark.parametrize("lam", [
+    0.0, 1e-300, 0.3, 0.5, 1 - 2.0 ** -53, 1.0, 1.5, 2.0 ** 969, 2.0 ** 970,
+    8.2e307])
+def test_coefficient_keeps_the_bits_of_both_former_forms(lam):
+    # one expression at every lam: below 1 the bits of the textbook form,
+    # on [1, 2**969) those of the form scaled by 2**-e, e the exponent of
+    # lam; from 2**969 (e = 970) up, where the scale stops at 2**-969,
+    # within a few roundings of the exact value, also at Q = 0, where b is
+    # proj scaled there and back, and a scale of 2**-970 or below could
+    # already drop low bits of a double-double proj
+    rng = np.random.default_rng(abs(math.frexp(lam)[1]))
+    for i in range(40):
+        proj, q, r = rng.standard_normal(3)
+        q = q if i % 4 else 0.0
+        dd = [DD(v, math.ulp(v) * rng.uniform(-0.5, 0.5))
+              for v in (proj, q, r)]
+        for p_, q_, r_ in ((proj, q, r), dd):
+            got = DD._coerce(regularized_coefficient(p_, q_, r_, lam))
+            if lam < 1.0:
+                want = (p_ - lam * r_ * q_) / (lam * q_ * q_ + 1.0)
+            elif lam < 2.0 ** 969:
+                m, e = math.frexp(lam)
+                u = math.ldexp(1.0, -e)
+                want = (p_ * u - m * r_ * q_) / (m * q_ * q_ + u)
+            else:
+                P, Q, R = (sum(map(Fraction, DD._coerce(v)))
+                           for v in (p_, q_, r_))
+                exact = (P - Fraction(lam) * R * Q) / (Fraction(lam) * Q * Q + 1)
+                tol = 2.0 ** (-100 if isinstance(p_, DD) else -50)
+                assert abs(sum(map(Fraction, got)) - exact) <= tol * abs(exact)
+                continue
+            assert got == DD._coerce(want), (lam, p_, q_, r_)
 
 
 def _fit_and_sums(parts, data, cfg, lam=0.0):
@@ -420,6 +456,21 @@ def test_scan_budget_ends_an_odd_field_fit_on_rank_deficient_data():
     assert len(fit.rejected) > 0
     scanned = sum(m + 1 for m in range(degree_block(max(fit.rejected))[1] + 1))
     assert scanned >= 10 * 5 + 100
+
+
+def test_no_fit_scans_past_the_largest_degree(monkeypatch):
+    # a column cap is not a degree bound: on 3 x values only T_i(u), i <=
+    # 2, survive, 3 columns a degree, so filling 66 columns, all those of
+    # degree <= 10, takes degree 22; with MAX_DEGREE at 10 the block
+    # generator hands out nothing above it and the scan budget ends the fit
+    monkeypatch.setattr(orthofit.basis, "MAX_DEGREE", 10)
+    data = unit_dataset([(x, y, math.sin(3 * x + 5 * y))
+                         for x in (0.0, 0.5, 1.0)
+                         for y in np.linspace(0.0, 1.0, 200)])
+    fit = fit_surface(all_train_split(data.n), data, FitConfig(
+        max_columns=66, stop_patience_blocks=100, target_error=None))
+    assert fit.stop_reason == "scan_budget"
+    assert max(degree_block(t).m for t in fit.basis.kept) == 10
 
 
 def test_solves_on_one_basis_match_fresh_fits():

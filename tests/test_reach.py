@@ -236,6 +236,17 @@ def test_the_training_residual_is_chunked_in_one_module():
     assert "len" not in _calls(grouped)
 
 
+def test_the_closed_form_is_one_expression():
+    # regularized_coefficient evaluates b_t the same way at every lam, with
+    # no branch on it and no second formula
+    fit = ast.parse((ROOT / "src" / "orthofit" / "fit.py").read_text())
+    fn, = (node for node in fit.body if isinstance(node, ast.FunctionDef)
+           and node.name == "regularized_coefficient")
+    nodes = list(ast.walk(fn))
+    assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in nodes)
+    assert sum(isinstance(n, ast.Return) for n in nodes) == 1
+
+
 def _calls(fn):
     """Names that the function node ``fn`` calls."""
     return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
